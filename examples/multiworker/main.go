@@ -78,7 +78,7 @@ func main() {
 	}
 	fmt.Printf("shards listening on %v\n", addrs)
 
-	tr, err := ps.DialTCP(addrs)
+	tr, err := ps.DialTCPLink(addrs, ps.ProfileFP32, ps.LinkConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -97,9 +97,6 @@ type RunConfig struct {
 	EntityFraction   float64
 	NoHeterogeneity  bool // HET-KG-N of Table VII
 	DisableCacheSync bool // force unbounded staleness
-	// Quantize8Bit compresses wire payloads to 8 bits (extension; the
-	// legacy spelling of Codec: "int8").
-	Quantize8Bit bool
 	// Codec names the negotiated wire-codec profile for worker↔PS links:
 	// "fp32" (default), "fp16", "int8", "delta-int8", "topk", or "auto".
 	// With ShardAddrs set the profile is negotiated in each connection's
@@ -286,7 +283,6 @@ func (rc *RunConfig) defaults() {
 	}
 }
 
-// Run executes the specified training run and returns its result.
 // linkConfig assembles the fault-tolerance parameters for TCP shard links.
 // The run seed keys the retry-backoff jitter, so a given run's retry
 // schedule replays deterministically.
@@ -298,7 +294,25 @@ func (rc *RunConfig) linkConfig() ps.LinkConfig {
 	}
 }
 
-func Run(rc RunConfig) (*train.Result, error) {
+// prepared is the state a RunConfig implies before any system-specific
+// wiring: everything a trainer (Run) and a shard process (BuildShard) must
+// derive identically, because shards receive no state transfer — dataset
+// generation, the train/valid/test split, the graph partition and per-key
+// embedding initialization are all pure functions of the config's seeds.
+type prepared struct {
+	// graph is the whole dataset; split divides it, with reciprocal
+	// relations already added to split.Train when requested.
+	graph *kg.Graph
+	split kg.Split
+	model model.Model
+	// part is the (artifact-cached) partitioner; newOpt builds the
+	// optimizer for a shard or a worker's cached copies.
+	part   partition.Partitioner
+	newOpt func() opt.Optimizer
+}
+
+// prepare fills rc's defaults and derives the run's prepared state.
+func prepare(rc *RunConfig) (*prepared, error) {
 	rc.defaults()
 	g := rc.Graph
 	if g == nil {
@@ -321,25 +335,39 @@ func Run(rc RunConfig) (*train.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	loss, err := model.NewLoss(rc.LossName, rc.Margin)
-	if err != nil {
-		return nil, err
-	}
 	part, err := partition.New(rc.PartitionerName, rc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	part = partition.Cached(part, rc.Artifacts)
-	var newOpt func() opt.Optimizer
-	if rc.OptimizerName != "" && rc.OptimizerName != "adagrad" {
-		name, lr := rc.OptimizerName, rc.LR
-		if _, err := opt.New(name, lr); err != nil {
-			return nil, err
-		}
-		newOpt = func() opt.Optimizer {
-			o, _ := opt.New(name, lr)
+	name, lr := rc.OptimizerName, rc.LR
+	if name == "" {
+		name = "adagrad"
+	}
+	if _, err := opt.New(name, lr); err != nil {
+		return nil, err
+	}
+	return &prepared{
+		graph: g,
+		split: sp,
+		model: mdl,
+		part:  partition.Cached(part, rc.Artifacts),
+		newOpt: func() opt.Optimizer {
+			o, _ := opt.New(name, lr) // validated above
 			return o
-		}
+		},
+	}, nil
+}
+
+// Run executes the specified training run and returns its result.
+func Run(rc RunConfig) (*train.Result, error) {
+	p, err := prepare(&rc)
+	if err != nil {
+		return nil, err
+	}
+	g, sp := p.graph, p.split
+	loss, err := model.NewLoss(rc.LossName, rc.Margin)
+	if err != nil {
+		return nil, err
 	}
 	if rc.CacheCapacity == 0 && rc.CacheBudget > 0 {
 		rc.CacheCapacity = int(rc.CacheBudget * float64(g.NumEntity+g.NumRel))
@@ -373,7 +401,7 @@ func Run(rc RunConfig) (*train.Result, error) {
 		Graph:                sp.Train,
 		Valid:                sp.Valid.Triples,
 		Filter:               sp.AllTriples(),
-		Model:                mdl,
+		Model:                p.model,
 		Loss:                 loss,
 		Dim:                  rc.Dim,
 		LR:                   rc.LR,
@@ -384,7 +412,7 @@ func Run(rc RunConfig) (*train.Result, error) {
 		NumMachines:          rc.Machines,
 		WorkersPerMachine:    rc.WorkersPerMachine,
 		LocalMachines:        rc.LocalMachines,
-		Partitioner:          part,
+		Partitioner:          p.part,
 		CostModel:            rc.CostModel,
 		EvalEvery:            rc.EvalEvery,
 		EvalCandidates:       rc.EvalCandidates,
@@ -394,8 +422,7 @@ func Run(rc RunConfig) (*train.Result, error) {
 		Dataset:              rc.Dataset,
 		TimelineEvery:        rc.TimelineEvery,
 		Seed:                 rc.Seed,
-		NewOptimizer:         newOpt,
-		Quantize8Bit:         rc.Quantize8Bit,
+		NewOptimizer:         p.newOpt,
 		Codec:                rc.Codec,
 		TopKRatio:            rc.TopKRatio,
 		DegradedMaxStaleness: rc.DegradedMaxStaleness,
@@ -415,12 +442,7 @@ func Run(rc RunConfig) (*train.Result, error) {
 		if len(rc.ShardAddrs) != rc.Machines {
 			return nil, fmt.Errorf("core: %d shard addresses for %d machines", len(rc.ShardAddrs), rc.Machines)
 		}
-		addrs := rc.ShardAddrs
-		codec := rc.Codec
-		if codec == "" && rc.Quantize8Bit {
-			codec = ps.ProfileInt8
-		}
-		lcfg := rc.linkConfig()
+		addrs, codec, lcfg := rc.ShardAddrs, rc.Codec, rc.linkConfig()
 		tc.NewTransport = func(*ps.Cluster) (ps.Transport, error) {
 			return ps.DialTCPLink(addrs, codec, lcfg)
 		}

@@ -2,79 +2,18 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 
 	"hetkg/internal/cache"
-	"hetkg/internal/dataset"
-	"hetkg/internal/kg"
-	"hetkg/internal/model"
-	"hetkg/internal/opt"
-	"hetkg/internal/partition"
 	"hetkg/internal/ps"
 	"hetkg/internal/train"
 )
 
 // Multi-process deployment: every process — the trainer and each
 // cmd/hetkg-ps shard — derives the identical cluster state from the same
-// RunConfig, because dataset generation, the train/valid/test split, the
-// graph partition, and per-key embedding initialization are all pure
-// functions of the config's seeds. A shard process therefore needs no state
+// RunConfig through prepare. A shard process therefore needs no state
 // transfer at startup: it computes its own rows and starts serving.
-
-// clusterSpec derives the parameter-server cluster configuration a
-// RunConfig implies (after the same preprocessing Run performs).
-func clusterSpec(rc RunConfig) (ps.ClusterConfig, error) {
-	rc.defaults()
-	g := rc.Graph
-	if g == nil {
-		var ok bool
-		g, ok = dataset.ByNameCached(rc.Dataset, rc.Scale, rc.Seed, rc.Artifacts)
-		if !ok {
-			return ps.ClusterConfig{}, fmt.Errorf("core: unknown dataset %q", rc.Dataset)
-		}
-	}
-	sp, err := kg.SplitTriples(g, rand.New(rand.NewSource(rc.Seed+17)), 0.05, 0.05)
-	if err != nil {
-		return ps.ClusterConfig{}, err
-	}
-	if rc.InverseRelations {
-		sp.Train = kg.AddInverses(sp.Train)
-	}
-	mdl, err := model.New(rc.ModelName)
-	if err != nil {
-		return ps.ClusterConfig{}, err
-	}
-	part, err := partition.New(rc.PartitionerName, rc.Seed)
-	if err != nil {
-		return ps.ClusterConfig{}, err
-	}
-	pr, err := partition.Cached(part, rc.Artifacts).Partition(sp.Train, rc.Machines)
-	if err != nil {
-		return ps.ClusterConfig{}, err
-	}
-	lr := rc.LR
-	name := rc.OptimizerName
-	if name == "" {
-		name = "adagrad"
-	}
-	if _, err := opt.New(name, lr); err != nil {
-		return ps.ClusterConfig{}, err
-	}
-	return ps.ClusterConfig{
-		NumMachines:  rc.Machines,
-		EntityPart:   pr.EntityPart,
-		NumRelations: g.NumRel,
-		EntityDim:    mdl.EntityDim(rc.Dim),
-		RelationDim:  mdl.RelationDim(rc.Dim),
-		NewOptimizer: func() opt.Optimizer {
-			o, _ := opt.New(name, lr)
-			return o
-		},
-		Seed: rc.Seed,
-	}, nil
-}
 
 // serveShard runs a shard's accept loop (mirrors cmd/hetkg-ps's serving).
 func serveShard(l net.Listener, s *ps.Server) { ps.ServeTCP(l, s) }
@@ -113,12 +52,7 @@ func runElastic(rc RunConfig, tc train.Config) (*train.Result, error) {
 		return nil, fmt.Errorf("core: coordinator advertised %d shard addresses for %d machines",
 			len(join.ShardAddrs), rc.Machines)
 	}
-	codec := rc.Codec
-	if codec == "" && rc.Quantize8Bit {
-		codec = ps.ProfileInt8
-	}
-	addrs := join.ShardAddrs
-	lcfg := rc.linkConfig()
+	addrs, codec, lcfg := join.ShardAddrs, rc.Codec, rc.linkConfig()
 	tc.NewTransport = func(*ps.Cluster) (ps.Transport, error) {
 		return ps.DialTCPLink(addrs, codec, lcfg)
 	}
@@ -142,11 +76,24 @@ func runElastic(rc RunConfig, tc train.Config) (*train.Result, error) {
 }
 
 // BuildShard constructs the single parameter-server shard that machine m of
-// the given run owns — what a cmd/hetkg-ps process hosts.
+// the given run owns — what a cmd/hetkg-ps process hosts. The cluster
+// configuration mirrors the one train builds from Run's train.Config.
 func BuildShard(rc RunConfig, machine int) (*ps.Server, error) {
-	spec, err := clusterSpec(rc)
+	p, err := prepare(&rc)
 	if err != nil {
 		return nil, err
 	}
-	return ps.NewClusterShard(spec, machine)
+	pr, err := p.part.Partition(p.split.Train, rc.Machines)
+	if err != nil {
+		return nil, err
+	}
+	return ps.NewClusterShard(ps.ClusterConfig{
+		NumMachines:  rc.Machines,
+		EntityPart:   pr.EntityPart,
+		NumRelations: p.split.Train.NumRel,
+		EntityDim:    p.model.EntityDim(rc.Dim),
+		RelationDim:  p.model.RelationDim(rc.Dim),
+		NewOptimizer: p.newOpt,
+		Seed:         rc.Seed,
+	}, machine)
 }

@@ -13,7 +13,7 @@ import (
 // embeddings to the all-in-one-process run. This is the correctness proof
 // of the "no state transfer" deterministic-derivation design.
 func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
-	rc := RunConfig{
+	base := RunConfig{
 		Dataset:  "fb15k",
 		Scale:    dataset.Tiny,
 		System:   SystemHETKGC,
@@ -21,7 +21,18 @@ func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
 		Epochs:   1,
 		Seed:     31,
 	}
+	// The second case exercises the parts of the derivation a shard and a
+	// trainer could disagree on: reciprocal relations double the relation
+	// table the shards must own, and a non-default optimizer must reach the
+	// shards too.
+	derived := base
+	derived.InverseRelations = true
+	derived.OptimizerName = "adam"
+	t.Run("defaults", func(t *testing.T) { multiProcessMatchesLocal(t, base) })
+	t.Run("inverse+adam", func(t *testing.T) { multiProcessMatchesLocal(t, derived) })
+}
 
+func multiProcessMatchesLocal(t *testing.T, rc RunConfig) {
 	// "Processes": each shard built independently from the config.
 	var addrs []string
 	for m := 0; m < rc.Machines; m++ {

@@ -175,25 +175,24 @@ func runAblationQuantize(o Options) (*Table, error) {
 		Title:  "HET-KG-C on fb15k-like, 4 machines: float32 vs int8 payloads",
 		Header: []string{"Wire", "RemoteBytes", "Comm", "MRR"},
 	}
-	for _, quant := range []bool{false, true} {
-		name := "float32"
-		if quant {
-			name = "int8"
-		}
-		o.logf("xablation-quantize: %s ...", name)
+	for _, wire := range []struct{ name, codec string }{
+		{"float32", ""},
+		{"int8", "int8"},
+	} {
+		o.logf("xablation-quantize: %s ...", wire.name)
 		res, err := o.run(RunConfig{
-			Dataset:      "fb15k",
-			Scale:        o.Scale,
-			System:       SystemHETKGC,
-			ModelName:    "transe",
-			Epochs:       2,
-			Quantize8Bit: quant,
-			Seed:         o.Seed,
+			Dataset:   "fb15k",
+			Scale:     o.Scale,
+			System:    SystemHETKGC,
+			ModelName: "transe",
+			Epochs:    2,
+			Codec:     wire.codec,
+			Seed:      o.Seed,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("xablation-quantize (%s): %w", name, err)
+			return nil, fmt.Errorf("xablation-quantize (%s): %w", wire.name, err)
 		}
-		t.AddRow(name, res.Traffic.RemoteBytes, fmtDur(res.Comm), res.Final.MRR)
+		t.AddRow(wire.name, res.Traffic.RemoteBytes, fmtDur(res.Comm), res.Final.MRR)
 	}
 	t.Note("expected: ~4x fewer payload bytes; quantization noise costs little MRR at 8 bits")
 	return t, nil

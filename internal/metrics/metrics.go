@@ -1,11 +1,10 @@
 // Package metrics provides the lightweight instrumentation the experiment
-// harness reads: atomic counters, hit ratios, and computation/communication
-// time breakdowns (the quantities behind the paper's Table I, Fig. 7, and
-// Fig. 8 hit-ratio plots).
+// harness reads: atomic counters, hit ratios, and per-epoch
+// computation/communication records (the quantities behind the paper's
+// Table I, Fig. 7, and Fig. 8 hit-ratio plots).
 package metrics
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -55,50 +54,6 @@ func (r *Ratio) Value() float64 {
 func (r *Ratio) Reset() {
 	r.Hits.Reset()
 	r.Total.Reset()
-}
-
-// Breakdown accumulates the two time components of distributed training:
-// local computation (measured wall-clock) and communication (simulated from
-// metered traffic; see internal/netsim).
-type Breakdown struct {
-	compNS atomic.Int64
-	commNS atomic.Int64
-}
-
-// AddComp records computation time.
-func (b *Breakdown) AddComp(d time.Duration) { b.compNS.Add(int64(d)) }
-
-// AddComm records communication time.
-func (b *Breakdown) AddComm(d time.Duration) { b.commNS.Add(int64(d)) }
-
-// Comp returns accumulated computation time.
-func (b *Breakdown) Comp() time.Duration { return time.Duration(b.compNS.Load()) }
-
-// Comm returns accumulated communication time.
-func (b *Breakdown) Comm() time.Duration { return time.Duration(b.commNS.Load()) }
-
-// Total returns Comp + Comm.
-func (b *Breakdown) Total() time.Duration { return b.Comp() + b.Comm() }
-
-// CommFraction returns Comm/Total, the paper's Table I statistic.
-func (b *Breakdown) CommFraction() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(b.Comm()) / float64(t)
-}
-
-// Reset zeroes the breakdown.
-func (b *Breakdown) Reset() {
-	b.compNS.Store(0)
-	b.commNS.Store(0)
-}
-
-// String renders "comp=… comm=… (x% comm)".
-func (b *Breakdown) String() string {
-	return fmt.Sprintf("comp=%v comm=%v (%.0f%% comm)", b.Comp().Round(time.Millisecond),
-		b.Comm().Round(time.Millisecond), 100*b.CommFraction())
 }
 
 // EpochStat is one epoch's record in a training run, the raw material of

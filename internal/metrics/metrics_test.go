@@ -55,25 +55,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestBreakdown(t *testing.T) {
-	var b Breakdown
-	b.AddComp(3 * time.Second)
-	b.AddComm(time.Second)
-	if b.Total() != 4*time.Second {
-		t.Errorf("Total = %v, want 4s", b.Total())
-	}
-	if got := b.CommFraction(); got != 0.25 {
-		t.Errorf("CommFraction = %v, want 0.25", got)
-	}
-	if b.String() == "" {
-		t.Error("String empty")
-	}
-	b.Reset()
-	if b.CommFraction() != 0 {
-		t.Error("Reset did not clear; CommFraction nonzero")
-	}
-}
-
 func TestEpochStatTotal(t *testing.T) {
 	e := EpochStat{Comp: time.Second, Comm: 2 * time.Second}
 	if e.Total() != 3*time.Second {

@@ -3,8 +3,8 @@ package metrics
 // Canonical registry metric names. Every subsystem registers under these
 // constants so a run's registry — and therefore its timeline and the live
 // introspection endpoint — carries one stable, documented vocabulary.
-// scripts/check.sh enforces that each name listed here is documented in
-// EXPERIMENTS.md's "metric → paper figure" table.
+// TestNamesAreDocumented (docs_test.go) enforces that each name listed here
+// is documented in EXPERIMENTS.md's "metric → paper figure" table.
 const (
 	// MTrainIterations counts processed mini-batches across all workers.
 	MTrainIterations = "train.iterations"

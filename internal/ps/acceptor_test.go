@@ -21,9 +21,9 @@ func TestAcceptorShutdownDrains(t *testing.T) {
 		close(served)
 	}()
 
-	tr, err := DialTCP([]string{l.Addr().String()})
+	tr, err := DialTCPLink([]string{l.Addr().String()}, ProfileFP32, LinkConfig{})
 	if err != nil {
-		t.Fatalf("DialTCP: %v", err)
+		t.Fatalf("DialTCPLink: %v", err)
 	}
 	cl, _ := NewClient(0, c, tr, nil)
 	dst := make(map[Key][]float32)
@@ -57,9 +57,9 @@ func TestAcceptorShutdownForceCloses(t *testing.T) {
 	var a Acceptor
 	go a.Serve(l, c.Servers[0])
 
-	tr, err := DialTCP([]string{l.Addr().String()})
+	tr, err := DialTCPLink([]string{l.Addr().String()}, ProfileFP32, LinkConfig{})
 	if err != nil {
-		t.Fatalf("DialTCP: %v", err)
+		t.Fatalf("DialTCPLink: %v", err)
 	}
 	defer tr.Close()
 	cl, _ := NewClient(0, c, tr, nil)

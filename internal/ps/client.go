@@ -145,7 +145,13 @@ func (c *Client) Pull(keys []Key, dst map[Key][]float32) error {
 			}
 			return fmt.Errorf("ps: pull from shard %d: %w", shard, err)
 		}
-		tx, rx := c.pullWireBytes(len(ks), len(resp.Vals))
+		tx, rx := resp.TxBytes, resp.RxBytes
+		if tx == 0 {
+			tx = PullRequestBytes(len(ks))
+		}
+		if rx == 0 {
+			rx = PullResponseBytes(len(resp.Vals))
+		}
 		c.record(shard, tx+rx, sp.Context())
 		sp.EndAttrs(span.Attrs{Rows: int64(len(ks)), Bytes: tx + rx, Shard: shard})
 		if o := c.obs; o != nil {
@@ -201,7 +207,8 @@ func (c *Client) Push(grads map[Key][]float32) error {
 			vals = append(vals, g...)
 		}
 		sp := c.tracer.StartChild(c.sc, span.NPSPush)
-		if err := c.tr.Push(shard, &PushRequest{Keys: ks, Vals: vals, Trace: sp.Context()}); err != nil {
+		req := &PushRequest{Keys: ks, Vals: vals, Trace: sp.Context()}
+		if err := c.tr.Push(shard, req); err != nil {
 			sp.EndAttrs(span.Attrs{Rows: int64(len(ks)), Shard: shard})
 			if errors.Is(err, ErrLinkDown) {
 				downKeys = append(downKeys, ks...)
@@ -212,7 +219,10 @@ func (c *Client) Push(grads map[Key][]float32) error {
 			}
 			return fmt.Errorf("ps: push to shard %d: %w", shard, err)
 		}
-		tx := c.pushWireBytes(len(ks), len(vals))
+		tx := req.WireBytes
+		if tx == 0 {
+			tx = PushRequestBytes(len(ks), len(vals))
+		}
 		c.record(shard, tx, sp.Context())
 		sp.EndAttrs(span.Attrs{Rows: int64(len(ks)), Bytes: tx, Shard: shard})
 		if o := c.obs; o != nil {
@@ -250,24 +260,6 @@ func sortedShards(groups map[int][]Key) []int {
 	}
 	sort.Ints(shards)
 	return shards
-}
-
-// pullWireBytes prices a pull round trip's request (tx) and response (rx)
-// sides, deferring to the transport's own accounting when it compresses
-// the payload.
-func (c *Client) pullWireBytes(numKeys, numVals int) (tx, rx int64) {
-	if sz, ok := c.tr.(Sizer); ok {
-		return sz.PullRequestWireBytes(numKeys), sz.PullResponseWireBytes(numVals)
-	}
-	return PullRequestBytes(numKeys), PullResponseBytes(numVals)
-}
-
-// pushWireBytes prices a push request.
-func (c *Client) pushWireBytes(numKeys, numVals int) int64 {
-	if sz, ok := c.tr.(Sizer); ok {
-		return sz.PushRequestWireBytes(numKeys, numVals)
-	}
-	return PushRequestBytes(numKeys, numVals)
 }
 
 func (c *Client) record(shard int, bytes int64, sc span.Context) {

@@ -37,7 +37,7 @@ type ClusterConfig struct {
 	InitialRelations *vec.Matrix
 }
 
-// initialRows validates checkpoint-shaped tables against the config.
+// validateInitial checks checkpoint-shaped tables against the config.
 func (cfg *ClusterConfig) validateInitial() error {
 	if cfg.InitialEntities != nil {
 		if cfg.InitialEntities.Rows != len(cfg.EntityPart) || cfg.InitialEntities.Dim != cfg.EntityDim {
@@ -72,9 +72,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.NumRelations < 1 {
 		return nil, fmt.Errorf("ps: NumRelations %d < 1", cfg.NumRelations)
 	}
-	if cfg.NewOptimizer == nil {
-		return nil, fmt.Errorf("ps: NewOptimizer is nil")
-	}
 	place, err := NewPlacement(cfg.NumMachines, cfg.EntityPart)
 	if err != nil {
 		return nil, err
@@ -87,47 +84,66 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		numRel:    cfg.NumRelations,
 	}
 	for m := 0; m < cfg.NumMachines; m++ {
-		srv, err := NewServer(ServerConfig{
-			Machine:     m,
-			EntityDim:   cfg.EntityDim,
-			RelationDim: cfg.RelationDim,
-			Optimizer:   cfg.NewOptimizer(),
-		})
+		srv, err := initShard(cfg, place, m)
 		if err != nil {
 			return nil, err
 		}
 		c.Servers = append(c.Servers, srv)
 	}
-	// Deterministic per-key initialization (or checkpoint rows on resume).
+	return c, nil
+}
+
+// initShard builds machine's shard and installs the rows place assigns to
+// it: deterministic per-key initialization, or the checkpoint's rows on
+// resume.
+func initShard(cfg ClusterConfig, place *Placement, machine int) (*Server, error) {
+	if cfg.NewOptimizer == nil {
+		return nil, fmt.Errorf("ps: NewOptimizer is nil")
+	}
 	if err := cfg.validateInitial(); err != nil {
 		return nil, err
 	}
+	srv, err := NewServer(ServerConfig{
+		Machine:     machine,
+		EntityDim:   cfg.EntityDim,
+		RelationDim: cfg.RelationDim,
+		Optimizer:   cfg.NewOptimizer(),
+	})
+	if err != nil {
+		return nil, err
+	}
 	buf := make([]float32, max(cfg.EntityDim, cfg.RelationDim))
-	for e := 0; e < c.numEntity; e++ {
+	for e := 0; e < len(cfg.EntityPart); e++ {
 		k := EntityKey(kg.EntityID(e))
+		if place.Shard(k) != machine {
+			continue
+		}
 		row := buf[:cfg.EntityDim]
 		if cfg.InitialEntities != nil {
 			row = cfg.InitialEntities.Row(e)
 		} else {
 			initRow(cfg.Seed, k, row, true)
 		}
-		if err := c.Servers[place.Shard(k)].InitRow(k, row); err != nil {
+		if err := srv.InitRow(k, row); err != nil {
 			return nil, err
 		}
 	}
-	for r := 0; r < c.numRel; r++ {
+	for r := 0; r < cfg.NumRelations; r++ {
 		k := RelationKey(kg.RelationID(r))
+		if place.Shard(k) != machine {
+			continue
+		}
 		row := buf[:cfg.RelationDim]
 		if cfg.InitialRelations != nil {
 			row = cfg.InitialRelations.Row(r)
 		} else {
 			initRow(cfg.Seed, k, row, false)
 		}
-		if err := c.Servers[place.Shard(k)].InitRow(k, row); err != nil {
+		if err := srv.InitRow(k, row); err != nil {
 			return nil, err
 		}
 	}
-	return c, nil
+	return srv, nil
 }
 
 // EntityDim returns the entity row width.
@@ -206,53 +222,7 @@ func NewClusterShard(cfg ClusterConfig, machine int) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.NewOptimizer == nil {
-		return nil, fmt.Errorf("ps: NewOptimizer is nil")
-	}
-	srv, err := NewServer(ServerConfig{
-		Machine:     machine,
-		EntityDim:   cfg.EntityDim,
-		RelationDim: cfg.RelationDim,
-		Optimizer:   cfg.NewOptimizer(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.validateInitial(); err != nil {
-		return nil, err
-	}
-	buf := make([]float32, max(cfg.EntityDim, cfg.RelationDim))
-	for e := 0; e < len(cfg.EntityPart); e++ {
-		k := EntityKey(kg.EntityID(e))
-		if place.Shard(k) != machine {
-			continue
-		}
-		row := buf[:cfg.EntityDim]
-		if cfg.InitialEntities != nil {
-			row = cfg.InitialEntities.Row(e)
-		} else {
-			initRow(cfg.Seed, k, row, true)
-		}
-		if err := srv.InitRow(k, row); err != nil {
-			return nil, err
-		}
-	}
-	for r := 0; r < cfg.NumRelations; r++ {
-		k := RelationKey(kg.RelationID(r))
-		if place.Shard(k) != machine {
-			continue
-		}
-		row := buf[:cfg.RelationDim]
-		if cfg.InitialRelations != nil {
-			row = cfg.InitialRelations.Row(r)
-		} else {
-			initRow(cfg.Seed, k, row, false)
-		}
-		if err := srv.InitRow(k, row); err != nil {
-			return nil, err
-		}
-	}
-	return srv, nil
+	return initShard(cfg, place, machine)
 }
 
 // GatherVia assembles the full embedding tables by pulling every row

@@ -20,15 +20,6 @@ import (
 // lives in linkCodec (codec_link.go), which frames rows with a per-row
 // version so both ends of a link agree on the delta base.
 
-// Sizer lets a transport report its own wire sizes to the traffic meter.
-// Transports that compress the payload implement it so the netsim cost
-// model prices what would actually cross the link.
-type Sizer interface {
-	PullRequestWireBytes(numKeys int) int64
-	PullResponseWireBytes(numVals int) int64
-	PushRequestWireBytes(numKeys, numVals int) int64
-}
-
 // Codec encodes and decodes one embedding row. Implementations are
 // stateless and safe for concurrent use; Encode appends to dst (callers
 // reuse a grow-only scratch buffer for zero-allocation steady state).
@@ -58,7 +49,7 @@ const (
 	// ~2^-11 relative rounding error).
 	ProfileFP16 = "fp16"
 	// ProfileInt8 ships 8-bit linearly quantized rows both ways (4×
-	// smaller, per-row scale; what core.RunConfig.Quantize8Bit selects).
+	// smaller, per-row scale).
 	ProfileInt8 = "int8"
 	// ProfileDeltaInt8 pulls int8-quantized deltas against the version the
 	// worker already holds (update norms shrink as training converges, so

@@ -3,7 +3,6 @@ package ps
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"hetkg/internal/metrics"
 	"hetkg/internal/netsim"
@@ -14,8 +13,8 @@ import (
 // layer, simulating both ends of every worker↔shard link: each pull
 // response and push payload really round-trips through the profile's
 // codecs (so lossy codecs lose exactly the bits a remote peer would see),
-// and the Sizer accounting reports the post-codec wire sizes to the
-// traffic meter, so the netsim cost model prices compressed links.
+// and each call carries its post-codec wire size back to the client, so
+// the netsim cost model prices compressed links.
 //
 // One CodecTransport is shared by every worker of a trainer process, the
 // same sharing a real TCP connection pool has, so "per link" means per
@@ -31,10 +30,6 @@ type CodecTransport struct {
 
 	bv  []byte // advertised-versions scratch
 	buf []byte // payload scratch
-
-	lastPullTx atomic.Int64
-	lastPullRx atomic.Int64
-	lastPushTx atomic.Int64
 }
 
 // NewCodecTransport wraps inner with the named codec profile for a
@@ -116,8 +111,9 @@ func (t *CodecTransport) Pull(shard int, req *PullRequest) (*PullResponse, error
 	}
 	t.buf = payload
 	sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(payload)), Shard: shard})
-	t.lastPullTx.Store(PullRequestBytes(len(req.Keys)) + int64(len(t.bv)))
-	t.lastPullRx.Store(msgHeaderBytes + int64(len(payload)))
+	// Keys plus advertised versions out, framing plus encoded payload back.
+	resp.TxBytes = PullRequestBytes(len(req.Keys)) + int64(len(t.bv))
+	resp.RxBytes = msgHeaderBytes + int64(len(payload))
 	return resp, nil
 }
 
@@ -138,22 +134,9 @@ func (t *CodecTransport) Push(shard int, req *PushRequest) error {
 	}
 	t.buf = payload
 	sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(payload)), Shard: shard})
-	t.lastPushTx.Store(msgHeaderBytes + 8*int64(len(req.Keys)) + int64(len(payload)))
+	req.WireBytes = msgHeaderBytes + 8*int64(len(req.Keys)) + int64(len(payload))
 	return t.inner.Push(shard, req)
 }
 
 // Close implements Transport.
 func (t *CodecTransport) Close() error { return t.inner.Close() }
-
-// Wire sizes reflect the most recent call's actual encoded payload (the
-// client prices each RPC immediately after it returns; workers are driven
-// serially, so "last call" is the RPC being priced).
-
-// PullRequestWireBytes implements Sizer: keys plus advertised versions.
-func (t *CodecTransport) PullRequestWireBytes(int) int64 { return t.lastPullTx.Load() }
-
-// PullResponseWireBytes implements Sizer: framing plus encoded payload.
-func (t *CodecTransport) PullResponseWireBytes(int) int64 { return t.lastPullRx.Load() }
-
-// PushRequestWireBytes implements Sizer: framing, keys, encoded payload.
-func (t *CodecTransport) PushRequestWireBytes(int, int) int64 { return t.lastPushTx.Load() }

@@ -98,7 +98,7 @@ func TestDeltaOverTCP(t *testing.T) {
 	defer l.Close()
 	go ServeTCP(l, c.Servers[0])
 
-	tr, err := DialTCPCodec([]string{l.Addr().String()}, ProfileDeltaInt8)
+	tr, err := DialTCPLink([]string{l.Addr().String()}, ProfileDeltaInt8, LinkConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,75 +160,86 @@ func TestCodecAllowlistRefusal(t *testing.T) {
 	acc := &Acceptor{AllowCodecs: []string{ProfileFP32}}
 	go acc.Serve(l, c.Servers[0])
 
-	if _, err := DialTCPCodec([]string{l.Addr().String()}, ProfileInt8); err == nil {
+	if _, err := DialTCPLink([]string{l.Addr().String()}, ProfileInt8, LinkConfig{}); err == nil {
 		t.Fatal("disallowed codec negotiated")
 	} else if !strings.Contains(err.Error(), "refused") {
 		t.Errorf("refusal error %q does not name the refusal", err)
 	}
-	tr, err := DialTCPCodec([]string{l.Addr().String()}, ProfileFP32)
+	tr, err := DialTCPLink([]string{l.Addr().String()}, ProfileFP32, LinkConfig{})
 	if err != nil {
 		t.Fatalf("allowed codec refused: %v", err)
 	}
 	tr.Close()
 }
 
-// TestSizerMatchesMeasuredTCPBytes pins the wire-size accounting the netsim
-// cost model prices: the transport's Sizer estimates (headers, keys,
-// encoded payload) must agree with the bytes the shard's counting
-// connection actually saw — gob framing, handshake and all — within 1%.
-// Payloads dominate at realistic row widths, so the fixed-size header
-// approximations wash out.
-func TestSizerMatchesMeasuredTCPBytes(t *testing.T) {
-	const dim, rows, iters = 2048, 32, 16
-	c := testClusterDim(t, 1, 40, dim)
-	reg := metrics.NewRegistry()
-	srv := c.Servers[0]
-	srv.Instrument(reg)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go ServeTCP(l, srv)
+// TestCallBytesMatchMeasuredTCPBytes pins the wire-size accounting the
+// netsim cost model prices: the sizes each call carries back to the client
+// (PullResponse.TxBytes/RxBytes, PushRequest.WireBytes — headers, keys,
+// encoded payload), as the client meters them, must agree with the bytes
+// the shard's counting connection actually saw — gob framing, handshake and
+// all — within 1%. Payloads dominate at realistic row widths, so the
+// fixed-size header approximations wash out.
+func TestCallBytesMatchMeasuredTCPBytes(t *testing.T) {
+	for _, profile := range []string{ProfileFP32, ProfileInt8} {
+		t.Run(profile, func(t *testing.T) {
+			const dim, rows, iters = 2048, 32, 16
+			c := testClusterDim(t, 1, 40, dim)
+			reg := metrics.NewRegistry()
+			srv := c.Servers[0]
+			srv.Instrument(reg)
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			go ServeTCP(l, srv)
 
-	tr, err := DialTCPCodec([]string{l.Addr().String()}, ProfileInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+			tr, err := DialTCPLink([]string{l.Addr().String()}, profile, LinkConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			meter := &netsim.Meter{}
+			client, err := NewClient(0, c, tr, meter)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	keys := make([]Key, rows)
-	for i := range keys {
-		keys[i] = EntityKey(kg.EntityID(i))
-	}
-	grad := make([]float32, rows*dim)
-	for i := range grad {
-		grad[i] = 0.01 * float32(i%11)
-	}
-	var estimated int64
-	for it := 0; it < iters; it++ {
-		if _, err := tr.Pull(0, &PullRequest{Keys: keys}); err != nil {
-			t.Fatal(err)
-		}
-		estimated += tr.PullRequestWireBytes(len(keys))
-		estimated += tr.PullResponseWireBytes(rows * dim)
-		if err := tr.Push(0, &PushRequest{Keys: keys, Vals: grad}); err != nil {
-			t.Fatal(err)
-		}
-		estimated += tr.PushRequestWireBytes(len(keys), rows*dim)
-	}
-	measured := reg.Counter(metrics.MPSTCPRxBytes).Value() +
-		reg.Counter(metrics.MPSTCPTxBytes).Value()
-	if measured == 0 {
-		t.Fatal("counting connection saw no bytes")
-	}
-	diff := float64(estimated-measured) / float64(measured)
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 0.01 {
-		t.Errorf("Sizer estimate %d vs measured %d bytes: %.2f%% off (want <= 1%%)",
-			estimated, measured, 100*diff)
+			keys := make([]Key, rows)
+			grads := make(map[Key][]float32, rows)
+			for i := range keys {
+				keys[i] = EntityKey(kg.EntityID(i))
+				g := make([]float32, dim)
+				for j := range g {
+					g[j] = 0.01 * float32((i*dim+j)%11)
+				}
+				grads[keys[i]] = g
+			}
+			dst := make(map[Key][]float32, rows)
+			for it := 0; it < iters; it++ {
+				if err := client.Pull(keys, dst); err != nil {
+					t.Fatal(err)
+				}
+				if err := client.Push(grads); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := meter.Snapshot()
+			metered := snap.LocalBytes + snap.RemoteBytes
+			measured := reg.Counter(metrics.MPSTCPRxBytes).Value() +
+				reg.Counter(metrics.MPSTCPTxBytes).Value()
+			if measured == 0 {
+				t.Fatal("counting connection saw no bytes")
+			}
+			diff := float64(metered-measured) / float64(measured)
+			if diff < 0 {
+				diff = -diff
+			}
+			if diff > 0.01 {
+				t.Errorf("client metered %d vs measured %d bytes: %.2f%% off (want <= 1%%)",
+					metered, measured, 100*diff)
+			}
+		})
 	}
 }
 

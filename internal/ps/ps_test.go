@@ -119,6 +119,36 @@ func TestServerPullPush(t *testing.T) {
 	}
 }
 
+// refusedPushLeavesRows pushes a bad request whose leading keys are valid
+// and asserts both that it is refused and that no row changed: a refused
+// push must not be partially applied (the link layer skips markPush on
+// error, so exactly-once accounting assumes nothing landed).
+func refusedPushLeavesRows(t *testing.T, srv *Server, keys []Key, vals []float32, what string) {
+	t.Helper()
+	owned := keys[:1]
+	before, err := srv.Pull(owned)
+	if err != nil {
+		t.Fatalf("Pull: %v", err)
+	}
+	if err := srv.Push(keys, vals); err == nil {
+		t.Errorf("%s accepted", what)
+	}
+	after, _ := srv.Pull(owned)
+	for i := range after {
+		if after[i] != before[i] {
+			t.Fatalf("%s was partially applied: row %v changed", what, owned[0])
+		}
+	}
+}
+
+func ones(n int) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = 1
+	}
+	return v
+}
+
 func TestServerRejectsUnknownKey(t *testing.T) {
 	c := testCluster(t, 2)
 	// Shard 0 owns even entities only.
@@ -128,6 +158,8 @@ func TestServerRejectsUnknownKey(t *testing.T) {
 	if err := c.Servers[0].Push([]Key{EntityKey(1)}, make([]float32, 8)); err == nil {
 		t.Error("push to unowned key accepted")
 	}
+	refusedPushLeavesRows(t, c.Servers[0], []Key{EntityKey(0), EntityKey(1)}, ones(16),
+		"push naming an unowned key after an owned one")
 }
 
 func TestServerRejectsShortPayload(t *testing.T) {
@@ -138,6 +170,10 @@ func TestServerRejectsShortPayload(t *testing.T) {
 	if err := c.Servers[0].Push([]Key{EntityKey(0)}, make([]float32, 12)); err == nil {
 		t.Error("oversized payload accepted")
 	}
+	refusedPushLeavesRows(t, c.Servers[0], []Key{EntityKey(0), EntityKey(1)}, ones(12),
+		"payload short at the second key")
+	refusedPushLeavesRows(t, c.Servers[0], []Key{EntityKey(0), EntityKey(1)}, ones(20),
+		"payload with leftover values")
 }
 
 func TestServerDropsNonFiniteGradients(t *testing.T) {
@@ -301,9 +337,9 @@ func TestTCPTransportIntegration(t *testing.T) {
 			l.Close()
 		}
 	}()
-	tr, err := DialTCP(addrs)
+	tr, err := DialTCPLink(addrs, ProfileFP32, LinkConfig{})
 	if err != nil {
-		t.Fatalf("DialTCP: %v", err)
+		t.Fatalf("DialTCPLink: %v", err)
 	}
 	defer tr.Close()
 
@@ -344,7 +380,7 @@ func TestTCPAgreesWithInProc(t *testing.T) {
 	}
 	defer l.Close()
 	go ServeTCP(l, c.Servers[0])
-	tcp, err := DialTCP([]string{l.Addr().String()})
+	tcp, err := DialTCPLink([]string{l.Addr().String()}, ProfileFP32, LinkConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

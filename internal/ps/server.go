@@ -22,6 +22,9 @@ type Server struct {
 	mu    sync.RWMutex
 	rows  map[Key][]float32
 	optim opt.Optimizer
+	// pushRows is Push's scratch: the request's rows, resolved while it is
+	// validated so the apply pass needs no second lookup. Guarded by mu.
+	pushRows [][]float32
 
 	// lastPush records, per client link identity, the highest push sequence
 	// already applied — the dedup table that makes push retries idempotent
@@ -200,6 +203,9 @@ func (s *Server) Pull(keys []Key) ([]float32, error) {
 
 // Push applies gradients for the given keys (concatenated in key order in
 // vals) through the shard's optimizer. This is Algorithm 4's push path.
+// The whole request is validated — every key owned, vals exactly as wide
+// as the keys' rows — before any row is touched, so a refused push leaves
+// the shard as it was.
 func (s *Server) Push(keys []Key, vals []float32) error {
 	if o := s.obs; o != nil {
 		o.pushes.Inc()
@@ -207,28 +213,29 @@ func (s *Server) Push(keys []Key, vals []float32) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	off := 0
+	rows := s.pushRows[:0]
+	total := 0
 	for _, k := range keys {
-		w := s.Width(k)
-		if off+w > len(vals) {
-			return fmt.Errorf("ps: push payload too short for %v (have %d, need %d more)", k, len(vals)-off, w)
-		}
 		row, ok := s.rows[k]
 		if !ok {
 			return fmt.Errorf("ps: shard %d does not own %v", s.machine, k)
 		}
-		grad := vals[off : off+w]
-		if !finite(grad) {
-			// Drop non-finite gradients rather than poisoning the row;
-			// asynchronous training can transiently explode.
-			off += w
-			continue
-		}
-		s.optim.Apply(uint64(k), row, grad)
-		off += w
+		rows = append(rows, row)
+		total += len(row)
 	}
-	if off != len(vals) {
-		return fmt.Errorf("ps: push payload has %d leftover values", len(vals)-off)
+	s.pushRows = rows
+	if total != len(vals) {
+		return fmt.Errorf("ps: push payload has %d values, keys need %d", len(vals), total)
+	}
+	off := 0
+	for i, row := range rows {
+		grad := vals[off : off+len(row)]
+		off += len(row)
+		// Drop non-finite gradients rather than poisoning the row;
+		// asynchronous training can transiently explode.
+		if finite(grad) {
+			s.optim.Apply(uint64(keys[i]), row, grad)
+		}
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ import (
 // outside the Acceptor's allowlist). After the handshake, every embedding
 // and gradient travels as an opaque Payload produced by the negotiated
 // linkCodec — exact binary row layouts instead of gob-encoded []float32,
-// so the Sizer's byte accounting matches what the socket carries.
+// so the byte accounting each call reports matches what the socket carries.
 //
 // Fault tolerance lives one level up, in tcpLink (see link.go for the
 // policy pieces): any transport-level failure poisons the connection —
@@ -322,10 +322,6 @@ type TCPTransport struct {
 	obs       *linkObs  // ps.link.* series (nil when uninstrumented)
 	codecObs  *codecObs // applied to each (re)connected linkCodec
 	openLinks atomic.Int64
-
-	lastPullTx atomic.Int64
-	lastPullRx atomic.Int64
-	lastPushTx atomic.Int64
 }
 
 // tcpLink is one shard's persistent link: the current connection (nil
@@ -410,25 +406,14 @@ func newLinkID() uint64 {
 	return id
 }
 
-// DialTCP connects to every shard address in order with the exact fp32
-// profile — the drop-in equivalent of the pre-codec wire protocol.
-func DialTCP(addrs []string) (*TCPTransport, error) {
-	return DialTCPCodec(addrs, ProfileFP32)
-}
-
-// DialTCPCodec connects with the named codec profile and default link
-// hardening (see LinkConfig). "auto" measures each dial's TCP round-trip
-// time and picks per link via ChooseProfile: co-located shards stay on
-// fp32, slow links get delta-int8.
-func DialTCPCodec(addrs []string, codec string) (*TCPTransport, error) {
-	return DialTCPLink(addrs, codec, LinkConfig{})
-}
-
 // DialTCPLink connects to every shard address, negotiating the named codec
 // profile on each link and applying cfg's deadline/retry/breaker policy to
-// every RPC. Dialing is eager so a bad address or refused handshake fails
-// the dial, not the first batch; on any error every connection already
-// established is closed before returning (no partial progress leaks).
+// every RPC (the zero LinkConfig selects the default hardening). "auto"
+// measures each dial's TCP round-trip time and picks per link via
+// ChooseProfile: co-located shards stay on fp32, slow links get delta-int8.
+// Dialing is eager so a bad address or refused handshake fails the dial,
+// not the first batch; on any error every connection already established
+// is closed before returning (no partial progress leaks).
 func DialTCPLink(addrs []string, codec string, cfg LinkConfig) (*TCPTransport, error) {
 	reqProf, err := ResolveProfile(codec)
 	if err != nil {
@@ -726,9 +711,11 @@ func (t *TCPTransport) Pull(shard int, req *PullRequest) (*PullResponse, error) 
 			return fmt.Errorf("ps: decoding pull from shard %d: %w", shard, err)
 		}
 		sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(resp.Payload)), Shard: shard})
-		t.lastPullTx.Store(PullRequestBytes(len(req.Keys)) + int64(len(c.pbuf)))
-		t.lastPullRx.Store(msgHeaderBytes + int64(len(resp.Payload)))
-		out = &PullResponse{Vals: vals}
+		out = &PullResponse{
+			Vals:    vals,
+			TxBytes: PullRequestBytes(len(req.Keys)) + int64(len(c.pbuf)),
+			RxBytes: msgHeaderBytes + int64(len(resp.Payload)),
+		}
 		return nil
 	})
 	if err != nil {
@@ -757,7 +744,7 @@ func (t *TCPTransport) Push(shard int, req *PushRequest) error {
 			c.pbuf = p
 			payload = p
 			sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(p)), Shard: shard})
-			t.lastPushTx.Store(msgHeaderBytes + 8*int64(len(req.Keys)) + int64(len(p)))
+			req.WireBytes = msgHeaderBytes + 8*int64(len(req.Keys)) + int64(len(p))
 			l.seq++
 			seq = l.seq
 		}
@@ -786,15 +773,3 @@ func (t *TCPTransport) Close() error {
 	}
 	return first
 }
-
-// Wire sizes: the most recent call's measured payload sizes (see
-// CodecTransport for the last-call contract).
-
-// PullRequestWireBytes implements Sizer.
-func (t *TCPTransport) PullRequestWireBytes(int) int64 { return t.lastPullTx.Load() }
-
-// PullResponseWireBytes implements Sizer.
-func (t *TCPTransport) PullResponseWireBytes(int) int64 { return t.lastPullRx.Load() }
-
-// PushRequestWireBytes implements Sizer.
-func (t *TCPTransport) PushRequestWireBytes(int, int) int64 { return t.lastPushTx.Load() }

@@ -15,22 +15,33 @@ type PullRequest struct {
 }
 
 // PullResponse carries the requested rows concatenated in key order.
+// TxBytes and RxBytes are the wire sizes of the request and the response as
+// the transport that encoded them measured; a transport that moves no
+// encoded bytes (InProc) leaves them zero, which prices the round trip by
+// PullRequestBytes / PullResponseBytes.
 type PullResponse struct {
-	Vals []float32
+	Vals    []float32
+	TxBytes int64
+	RxBytes int64
 }
 
 // PushRequest carries gradients for Keys, concatenated in key order. Trace
-// is the originating batch's span context, as in PullRequest.
+// is the originating batch's span context, as in PullRequest. WireBytes is
+// filled in by the transport that encodes the request, with its measured
+// wire size; left zero (InProc) the request is priced by PushRequestBytes.
 type PushRequest struct {
-	Keys  []Key
-	Vals  []float32
-	Trace span.Context
+	Keys      []Key
+	Vals      []float32
+	Trace     span.Context
+	WireBytes int64
 }
 
-// Transport moves requests between a worker and the server shards. The two
-// implementations are InProc (direct calls, used for experiments so traffic
-// cost comes from the netsim model, not Go scheduling noise) and TCP (a real
-// wire protocol, used by integration tests and multi-process deployments).
+// Transport moves requests between a worker and the server shards. Every
+// deployment is one of three stacks under a Client: InProc (direct calls,
+// used for experiments so traffic cost comes from the netsim model, not Go
+// scheduling noise), CodecTransport over InProc (the same, with both ends
+// of the negotiated codec simulated), and the TCP link (a real wire
+// protocol, used by integration tests and multi-process deployments).
 type Transport interface {
 	// Pull fetches rows from the given shard.
 	Pull(shard int, req *PullRequest) (*PullResponse, error)

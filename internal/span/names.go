@@ -1,8 +1,8 @@
 package span
 
 // Canonical span names. Every constant in this file must be documented in
-// DESIGN.md §8's span table — scripts/check.sh enforces the coverage, the
-// same way metric names are pinned to EXPERIMENTS.md.
+// DESIGN.md §8's span table — TestNamesAreDocumented (docs_test.go) enforces
+// the coverage, the same way metric names are pinned to EXPERIMENTS.md.
 const (
 	// NBatch is the root span of one sampled worker batch (one training
 	// iteration end to end: prefetch/refresh, sampling, gather, compute,

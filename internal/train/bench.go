@@ -25,7 +25,7 @@ func NewBatchBench(cfg Config) (*BatchBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers, err := newWorkers(&cfg, env.cluster, env.part, env.tr, false)
+	workers, err := newWorkers(&cfg, env, false)
 	if err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ type Config struct {
 	// (picked per link from RTT×bandwidth). See ps.ResolveProfile. For
 	// in-process transports the codec layer wraps the transport here; TCP
 	// transports negotiate it themselves at dial time, so supply the same
-	// name to ps.DialTCPCodec.
+	// name to ps.DialTCPLink.
 	Codec string
 
 	// TopKRatio is the fraction of gradient coordinates the "topk" codec's
@@ -127,14 +127,9 @@ type Config struct {
 	// buffer and are re-sent later.
 	TopKRatio float64
 
-	// Quantize8Bit compresses every embedding and gradient payload to 8
-	// bits on the wire — the legacy switch for Codec: "int8". An extension
-	// beyond the paper, stacked on top of the cache.
-	Quantize8Bit bool
-
 	// NewTransport, when non-nil, supplies the worker↔PS transport
-	// (default: the in-process transport). Supplying ps.DialTCP-backed
-	// transports runs the whole training loop over real sockets.
+	// (default: the in-process transport). Supplying a ps.DialTCPLink
+	// transport runs the whole training loop over real sockets.
 	NewTransport func(*ps.Cluster) (ps.Transport, error)
 
 	// Metrics is the registry every subsystem (workers, PS client and
@@ -248,9 +243,6 @@ func (c *Config) Validate() error {
 	if c.NewOptimizer == nil {
 		lr := c.LR
 		c.NewOptimizer = func() opt.Optimizer { return opt.NewAdaGrad(lr, 1e-10) }
-	}
-	if c.Quantize8Bit && c.Codec == "" {
-		c.Codec = ps.ProfileInt8
 	}
 	if _, err := ps.ResolveProfile(c.Codec); err != nil {
 		return err

@@ -67,7 +67,7 @@ func TestQuantizedTraining(t *testing.T) {
 	}
 	q := testConfig(t, 2)
 	q.Epochs = 2
-	q.Quantize8Bit = true
+	q.Codec = "int8"
 	quant, err := TrainHETKG(q)
 	if err != nil {
 		t.Fatalf("quantized training: %v", err)

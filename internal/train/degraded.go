@@ -44,9 +44,7 @@ func (w *worker) staleServe(deg *ps.DegradedError) (map[ps.Key]bool, error) {
 		w.rows[k] = row
 		served[k] = true
 	}
-	if o := w.obs; o != nil {
-		o.degradedStale.Add(int64(len(served)))
-	}
+	w.obs.degradedStale.Add(int64(len(served)))
 	return served, nil
 }
 
@@ -74,9 +72,7 @@ func (w *worker) bufferPushes(keys []ps.Key, grads map[ps.Key][]float32, cause e
 		w.pushBuf[k] = append([]float32(nil), g...)
 		fresh++
 	}
-	if o := w.obs; o != nil && fresh > 0 {
-		o.degradedBuffered.Add(int64(fresh))
-	}
+	w.obs.degradedBuffered.Add(int64(fresh))
 	return nil
 }
 
@@ -90,9 +86,7 @@ func (w *worker) replayPushes() error {
 	}
 	err := w.client.Push(w.pushBuf)
 	if err == nil {
-		if o := w.obs; o != nil {
-			o.degradedReplayed.Add(int64(len(w.pushBuf)))
-		}
+		w.obs.degradedReplayed.Add(int64(len(w.pushBuf)))
 		w.pushBuf = nil
 		return nil
 	}
@@ -111,9 +105,7 @@ func (w *worker) replayPushes() error {
 			replayed++
 		}
 	}
-	if o := w.obs; o != nil && replayed > 0 {
-		o.degradedReplayed.Add(int64(replayed))
-	}
+	w.obs.degradedReplayed.Add(int64(replayed))
 	return nil
 }
 
@@ -129,9 +121,7 @@ func (w *worker) drainDegraded() error {
 	if err := w.client.Push(w.pushBuf); err != nil {
 		return fmt.Errorf("train: replaying %d buffered degraded push rows: %w", n, err)
 	}
-	if o := w.obs; o != nil {
-		o.degradedReplayed.Add(int64(n))
-	}
+	w.obs.degradedReplayed.Add(int64(n))
 	w.pushBuf = nil
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"hetkg/internal/cache"
 	"hetkg/internal/ckpt"
 	"hetkg/internal/metrics"
 	"hetkg/internal/ps"
@@ -71,7 +70,7 @@ func (r *partRunner) progress(part int) ps.PartitionProgress {
 	return ps.PartitionProgress{Partition: part, Epoch: r.ep, Iteration: r.iter, Done: r.done}
 }
 
-// elasticObs holds the worker-side cluster counters (nil when unwired).
+// elasticObs holds the worker-side cluster counters.
 type elasticObs struct {
 	ckptWrites  *metrics.Counter
 	ckptResumes *metrics.Counter
@@ -80,11 +79,10 @@ type elasticObs struct {
 
 // elastic is one elastic worker process's driver state.
 type elastic struct {
-	cfg  *Config
-	ec   *ElasticConfig
-	env  *psEnv
-	b    *workerBuilder
-	hook func(*worker) error
+	cfg *Config
+	ec  *ElasticConfig
+	env *psEnv
+	b   *workerBuilder
 
 	workerID int
 	interval time.Duration
@@ -103,11 +101,9 @@ type elastic struct {
 	telemetrySeq int64
 	telemetryOff bool
 
-	// Per-epoch accounting across local partitions (merged like
-	// epochBarrier: critical-path comp/comm, mean loss). epochCounts holds
-	// how many partitions contributed to each epoch's loss sum.
-	epochs      map[int]*metrics.EpochStat
-	epochCounts map[int]int
+	// epochs merges per-epoch accounting across local partitions, each
+	// folded in as it crosses the epoch boundary.
+	epochs epochAcc
 }
 
 // TrainElastic runs one elastic worker process until the whole cluster's
@@ -116,6 +112,17 @@ type elastic struct {
 // evaluation is disabled — partitions cross epoch boundaries at different
 // times, so only the final barrier evaluates.
 func TrainElastic(cfg Config, ec ElasticConfig) (*Result, error) {
+	e, err := newElastic(cfg, ec)
+	if err != nil {
+		return nil, err
+	}
+	return e.run()
+}
+
+// newElastic validates the configuration, builds the PS substrate, joins
+// the cluster (unless ec.Join already did) and adopts the initial
+// assignments.
+func newElastic(cfg Config, ec ElasticConfig) (*elastic, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,28 +144,21 @@ func TrainElastic(cfg Config, ec ElasticConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := newWorkerBuilder(&cfg, env.cluster, env.part, env.tr, !ec.NoCache)
+	b, err := newWorkerBuilder(&cfg, env, !ec.NoCache)
 	if err != nil {
 		return nil, err
 	}
 	e := &elastic{
-		cfg:         &cfg,
-		ec:          &ec,
-		env:         env,
-		b:           b,
-		runners:     make(map[int]*partRunner),
-		epochs:      make(map[int]*metrics.EpochStat),
-		epochCounts: make(map[int]int),
-	}
-	if !ec.NoCache {
-		e.hook = hetkgHook(&cfg)
-	}
-	if cfg.Metrics != nil {
-		e.obs = &elasticObs{
+		cfg:     &cfg,
+		ec:      &ec,
+		env:     env,
+		b:       b,
+		runners: make(map[int]*partRunner),
+		obs: &elasticObs{
 			ckptWrites:  cfg.Metrics.Counter(metrics.MClusterCkptWrites),
 			ckptResumes: cfg.Metrics.Counter(metrics.MClusterCkptResumes),
 			ckptCorrupt: cfg.Metrics.Counter(metrics.MClusterCkptCorrupt),
-		}
+		},
 	}
 	if cfg.Spans != nil {
 		e.tracer = cfg.Spans.Tracer(span.MachineCluster, span.WorkerCluster)
@@ -186,7 +186,7 @@ func TrainElastic(cfg Config, ec ElasticConfig) (*Result, error) {
 	if err := e.reconcile(join.Assignments); err != nil {
 		return nil, err
 	}
-	return e.run()
+	return e, nil
 }
 
 // logf forwards worker-side cluster events.
@@ -250,13 +250,13 @@ func (e *elastic) run() (*Result, error) {
 // epoch boundaries record stats, the snapshot cadence persists progress,
 // and the final epoch's completion marks the partition done.
 func (e *elastic) turn(part int, r *partRunner) error {
-	if err := r.w.turn(e.hook); err != nil {
+	if err := r.w.turn(); err != nil {
 		return fmt.Errorf("train: partition %d: %w", part, err)
 	}
 	r.iter++
 	snapshot := r.iter%e.ec.CkptEvery == 0
 	if r.iter >= r.ipe {
-		e.recordEpoch(r)
+		e.epochs.add(r.ep, r.w, e.cfg.CostModel)
 		r.ep++
 		r.iter = 0
 		if r.ep > e.cfg.Epochs {
@@ -305,7 +305,7 @@ func (e *elastic) heartbeat() (allDone bool, err error) {
 // after the first refusal (a coordinator without an aggregator refuses by
 // name; telemetry must never interfere with training).
 func (e *elastic) shipTelemetry() {
-	if e.telemetryOff || e.cfg.Metrics == nil {
+	if e.telemetryOff {
 		return
 	}
 	sender, ok := e.ec.Coordinator.(telemetry.Sender)
@@ -414,9 +414,7 @@ func (e *elastic) adopt(a ps.Assignment) error {
 	}
 	w.iteration = skip
 	if skip > 0 {
-		if o := e.obs; o != nil {
-			o.ckptResumes.Inc()
-		}
+		e.obs.ckptResumes.Inc()
 		e.logf("cluster: adopted partition %d at epoch %d iter %d (skipped %d batches)", part, r.ep, r.iter, skip)
 	} else {
 		e.logf("cluster: adopted partition %d fresh", part)
@@ -435,17 +433,13 @@ func (e *elastic) readSnapshot(part int) *ckpt.Progress {
 	snap, err := ckpt.ReadProgressFile(e.ec.RecoverFrom, part)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			if o := e.obs; o != nil {
-				o.ckptCorrupt.Inc()
-			}
+			e.obs.ckptCorrupt.Inc()
 			e.logf("cluster: snapshot for partition %d unusable, resuming from hint: %v", part, err)
 		}
 		return nil
 	}
 	if snap.Seed != e.cfg.Seed || snap.Dataset != e.cfg.Dataset {
-		if o := e.obs; o != nil {
-			o.ckptCorrupt.Inc()
-		}
+		e.obs.ckptCorrupt.Inc()
 		e.logf("cluster: snapshot for partition %d is from another run (seed %d dataset %q), ignoring",
 			part, snap.Seed, snap.Dataset)
 		return nil
@@ -471,9 +465,7 @@ func (e *elastic) writeSnapshot(part int, r *partRunner) {
 		e.logf("cluster: snapshot write for partition %d failed: %v", part, err)
 		return
 	}
-	if o := e.obs; o != nil {
-		o.ckptWrites.Inc()
-	}
+	e.obs.ckptWrites.Inc()
 }
 
 // progressAll reports every local partition's position (done partitions
@@ -498,73 +490,16 @@ func (e *elastic) sortedParts() []int {
 	return parts
 }
 
-// recordEpoch folds one partition's completed epoch into the per-epoch
-// aggregate (critical-path comp/comm across local partitions, summed loss
-// averaged at finish).
-func (e *elastic) recordEpoch(r *partRunner) {
-	comp, comm, loss := r.w.epochStats(e.cfg.CostModel)
-	st := e.epochs[r.ep]
-	if st == nil {
-		st = &metrics.EpochStat{Epoch: r.ep}
-		e.epochs[r.ep] = st
-	}
-	if comp > st.Comp {
-		st.Comp = comp
-	}
-	if comm > st.Comm {
-		st.Comm = comm
-	}
-	st.Loss += loss // sum here; finish() divides by the contribution count
-	e.epochCounts[r.ep]++
-	if hot := r.w.hot; hot != nil {
-		acc := float64(hot.Accesses())
-		r.w.accTotal += acc
-		r.w.hitTotal += acc * hot.HitRatio()
-		hot.ResetStats()
-	}
-}
-
-// finish assembles the Result: locally-observed epoch stats, the gathered
-// embedding state, and the final evaluation.
+// finish assembles the Result: locally-observed epoch stats (an epoch no
+// local partition crossed has none), the gathered embedding state, and the
+// final evaluation. Per-epoch MRR stays 0: per-epoch eval needs a barrier
+// elastic mode doesn't have.
 func (e *elastic) finish() (*Result, error) {
-	name := "HET-KG-C/elastic"
-	if e.ec.NoCache {
-		name = "DGL-KE/elastic"
-	} else if e.cfg.Cache.Strategy == cache.DPS {
-		name = "HET-KG-D/elastic"
-	}
-	res := &Result{System: name, Metrics: e.cfg.Metrics}
-	var cum time.Duration
+	res := &Result{System: systemName(e.cfg, !e.ec.NoCache) + "/elastic", Metrics: e.cfg.Metrics}
 	for ep := 1; ep <= e.cfg.Epochs; ep++ {
-		st := e.epochs[ep]
-		if st == nil {
-			continue // no local partition crossed this boundary
+		if st, ok := e.epochs.close(ep); ok {
+			res.Epochs = append(res.Epochs, st)
 		}
-		if n := e.epochCounts[ep]; n > 0 {
-			st.Loss /= float64(n)
-		}
-		// st.MRR stays 0: per-epoch eval needs a barrier elastic mode
-		// doesn't have; only the final evaluation scores.
-		cum += st.Total()
-		st.CumTime = cum
-		res.Epochs = append(res.Epochs, *st)
-	}
-	if len(e.all) == 0 {
-		// This process never trained a batch (pure spare). Gather and
-		// evaluate anyway so its Result reflects the cluster's final state.
-		ents, rels, err := e.env.cluster.GatherVia(e.env.tr)
-		if err != nil {
-			return nil, err
-		}
-		res.Entities, res.Relations = ents, rels
-		if e.cfg.EvalEvery > 0 && len(e.cfg.Valid) > 0 {
-			ev, err := evalNow(e.cfg, ents, rels)
-			if err != nil {
-				return nil, err
-			}
-			res.Final = ev
-		}
-		return res, nil
 	}
 	return finalize(e.cfg, e.env, e.all, res)
 }

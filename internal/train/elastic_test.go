@@ -222,3 +222,71 @@ func TestElasticTwoWorkersSplitThePartitions(t *testing.T) {
 		}
 	}
 }
+
+// TestElasticReadoptedPartitionRebuildsCPSTable drives one elastic process
+// through losing a partition it had already built a CPS hot table for and
+// getting it back: a late joiner preempts the partition (the coordinator
+// has heard no progress for it yet), then expires under the fake clock, and
+// the partition returns. Re-adoption builds a fresh worker with an empty
+// HotCache, so the one-shot CPS build must run again — if "already built"
+// outlives the worker, the partition trains uncached for the rest of the
+// run.
+func TestElasticReadoptedPartitionRebuildsCPSTable(t *testing.T) {
+	now := time.Unix(0, 0)
+	m, err := ps.NewMembership(ps.MemberConfig{
+		Partitions:     2,
+		HeartbeatEvery: time.Second,
+		WorkerTimeout:  3 * time.Second,
+		Now:            func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(t, 2)
+	cfg.Dataset = "traintest"
+	e, err := newElastic(cfg, ElasticConfig{Coordinator: m, Label: "survivor"})
+	if err != nil {
+		t.Fatalf("newElastic: %v", err)
+	}
+	train := func(part, turns int) *worker {
+		t.Helper()
+		r := e.runners[part]
+		if r == nil || r.w == nil {
+			t.Fatalf("partition %d not held (runners %v)", part, e.sortedParts())
+		}
+		for i := 0; i < turns; i++ {
+			if err := e.turn(part, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r.w
+	}
+	if first := train(0, 3); first.hot.Len() == 0 {
+		t.Fatal("first owner never built its hot table")
+	}
+
+	// A second worker joins before any progress was reported: partition 0
+	// is still preemptible and moves to it.
+	if _, err := m.Join(ps.JoinRequest{Label: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.heartbeat(); err != nil {
+		t.Fatal(err)
+	}
+	if _, held := e.runners[0]; held {
+		t.Fatal("partition 0 was not reassigned away")
+	}
+
+	// The late joiner never beats; once it expires the partition comes back.
+	now = now.Add(10 * time.Second)
+	if _, err := e.heartbeat(); err != nil {
+		t.Fatal(err)
+	}
+	w := train(0, 3)
+	if w.hot.Len() == 0 {
+		t.Error("re-adopted partition trains with an empty hot table (CPS build did not rerun)")
+	}
+	if w.hot.HitRatio() == 0 {
+		t.Error("re-adopted partition has a zero hit ratio")
+	}
+}

@@ -52,7 +52,7 @@ func newTrainObs(reg *metrics.Registry) *trainObs {
 }
 
 // runningLoss is the mean pair loss across workers' running epoch averages
-// — the same aggregation epochBarrier reports, read mid-epoch.
+// — the same aggregation epochAcc reports per epoch, read mid-epoch.
 func runningLoss(workers []*worker) float64 {
 	var sum float64
 	n := 0

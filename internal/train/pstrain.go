@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"hetkg/internal/cache"
 	"hetkg/internal/metrics"
+	"hetkg/internal/netsim"
 	"hetkg/internal/partition"
 	"hetkg/internal/ps"
 	"hetkg/internal/span"
@@ -14,19 +16,45 @@ import (
 // subgraphs, a co-located parameter server, and per-iteration pull/push of
 // every embedding the mini-batch touches. It is HET-KG without the
 // hot-embedding table.
-func TrainDGLKE(cfg Config) (*Result, error) {
+func TrainDGLKE(cfg Config) (*Result, error) { return trainPS(cfg, false) }
+
+// TrainHETKG runs the paper's system: the DGL-KE substrate plus a per-worker
+// hot-embedding table built by prefetch (Algorithm 1) and filter
+// (Algorithm 2), maintained under the partial-stale protocol (Algorithms
+// 3/4). cfg.Cache.Strategy selects CPS (table fixed after a one-shot census)
+// or DPS (table rebuilt from a D-iteration lookahead every D iterations).
+func TrainHETKG(cfg Config) (*Result, error) { return trainPS(cfg, true) }
+
+// trainPS is the one static parameter-server trainer: cached workers carry
+// the hot-embedding table (HET-KG), uncached ones are DGL-KE.
+func trainPS(cfg Config, cached bool) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cached && cfg.Cache.Capacity < 0 {
+		return nil, fmt.Errorf("train: negative cache capacity %d", cfg.Cache.Capacity)
 	}
 	env, err := setupPS(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	workers, err := newWorkers(&cfg, env.cluster, env.part, env.tr, false)
+	workers, err := newWorkers(&cfg, env, cached)
 	if err != nil {
 		return nil, err
 	}
-	return runPSTraining(&cfg, env, workers, "DGL-KE", nil)
+	return runPSTraining(&cfg, env, workers, systemName(&cfg, cached))
+}
+
+// systemName names the PS system a configuration trains.
+func systemName(cfg *Config, cached bool) string {
+	switch {
+	case !cached:
+		return "DGL-KE"
+	case cfg.Cache.Strategy == cache.DPS:
+		return "HET-KG-D"
+	default:
+		return "HET-KG-C"
+	}
 }
 
 // psEnv bundles the shared PS-training substrate.
@@ -38,16 +66,12 @@ type psEnv struct {
 	tr ps.Transport
 }
 
-// runPSTraining drives PS-style trainers (DGL-KE and HET-KG) with the
-// round-robin asynchronous schedule: each epoch every worker processes its
-// share of iterations one batch per turn, then an epoch barrier (the full
+// runPSTraining drives the static PS trainers with the round-robin
+// asynchronous schedule: each epoch every worker processes its share of
+// iterations one batch per turn, then an epoch barrier (the full
 // synchronization DGL-KE performs every few thousand mini-batches, §V)
-// gathers statistics and optionally evaluates. perIteration, when non-nil,
-// is invoked before each worker turn — HET-KG hooks its prefetch, rebuild
-// and staleness sync there.
-func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string,
-	perIteration func(w *worker) error) (*Result, error) {
-
+// gathers statistics and optionally evaluates.
+func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string) (*Result, error) {
 	res := &Result{System: system, Metrics: cfg.Metrics}
 	var em *metrics.TimelineEmitter
 	if cfg.Timeline != nil {
@@ -64,7 +88,7 @@ func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string,
 	}
 	start := time.Now()
 	round := 0 // global iterations: one round = one batch turn per worker
-	var cum time.Duration
+	var acc epochAcc
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		// Each worker makes one pass over its own partition per epoch;
 		// with unbalanced partitions a light worker simply finishes its
@@ -81,7 +105,7 @@ func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string,
 				if it >= w.smp.IterationsPerEpoch() {
 					continue
 				}
-				if err := w.turn(perIteration); err != nil {
+				if err := w.turn(); err != nil {
 					return nil, err
 				}
 			}
@@ -92,9 +116,20 @@ func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string,
 				}
 			}
 		}
-		stat, err := epochBarrier(cfg, env, workers, epoch, &cum)
-		if err != nil {
-			return nil, err
+		for _, w := range workers {
+			acc.add(epoch, w, cfg.CostModel)
+		}
+		stat, _ := acc.close(epoch)
+		if cfg.EvalEvery > 0 && len(cfg.Valid) > 0 && epoch%cfg.EvalEvery == 0 {
+			ents, rels, err := env.cluster.GatherVia(env.tr)
+			if err != nil {
+				return nil, err
+			}
+			ev, err := evalNow(cfg, ents, rels)
+			if err != nil {
+				return nil, err
+			}
+			stat.MRR = ev.MRR
 		}
 		res.Epochs = append(res.Epochs, stat)
 	}
@@ -106,55 +141,86 @@ func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string,
 	return finalize(cfg, env, workers, res)
 }
 
-// epochBarrier collects per-epoch statistics across workers: the epoch's
-// simulated duration is the critical path (slowest worker), matching a real
-// cluster where machines run in parallel.
-func epochBarrier(cfg *Config, env *psEnv, workers []*worker, epoch int, cum *time.Duration) (metrics.EpochStat, error) {
-	var stat metrics.EpochStat
-	stat.Epoch = epoch
-	var lossSum float64
-	var accTotal, hitTotal float64
-	for _, w := range workers {
-		comp, comm, loss := w.epochStats(cfg.CostModel)
-		if comp > stat.Comp {
-			stat.Comp = comp
-		}
-		if comm > stat.Comm {
-			stat.Comm = comm
-		}
-		lossSum += loss
-		if w.hot != nil {
-			acc := float64(w.hot.Accesses())
-			accTotal += acc
-			hitTotal += acc * w.hot.HitRatio()
-			w.accTotal += acc
-			w.hitTotal += acc * w.hot.HitRatio()
-			w.hot.ResetStats()
-		}
-	}
-	stat.Loss = lossSum / float64(len(workers))
-	if accTotal > 0 {
-		stat.HitRatio = hitTotal / accTotal
-	}
-	*cum += stat.Total()
-	stat.CumTime = *cum
+// epochAcc merges workers' per-epoch accounting into one record per epoch.
+// The static loop feeds it every worker at the epoch barrier; the elastic
+// loop feeds it each partition as that partition crosses the boundary. An
+// epoch's simulated duration is the critical path (slowest worker),
+// matching a real cluster where machines run in parallel.
+type epochAcc struct {
+	open map[int]*epochSum
+	cum  time.Duration
+}
 
-	if cfg.EvalEvery > 0 && len(cfg.Valid) > 0 && epoch%cfg.EvalEvery == 0 {
-		ents, rels, err := env.cluster.GatherVia(env.tr)
-		if err != nil {
-			return stat, err
+// epochSum is one epoch's running merge: critical-path comp/comm in stat,
+// loss summed over n contributing workers, cache accesses and hits.
+type epochSum struct {
+	stat     metrics.EpochStat
+	lossSum  float64
+	n        int
+	acc, hit float64
+}
+
+// add folds w's accounting since its previous add — computation time,
+// simulated communication time, mean loss, hot-table accesses and hits —
+// into epoch's record, and resets it on the worker.
+func (a *epochAcc) add(epoch int, w *worker, cm netsim.CostModel) {
+	s := a.open[epoch]
+	if s == nil {
+		if a.open == nil {
+			a.open = make(map[int]*epochSum)
 		}
-		ev, err := evalNow(cfg, ents, rels)
-		if err != nil {
-			return stat, err
-		}
-		stat.MRR = ev.MRR
+		s = &epochSum{stat: metrics.EpochStat{Epoch: epoch}}
+		a.open[epoch] = s
 	}
-	return stat, nil
+	snap := w.meter.Snapshot()
+	comm := snap.Sub(w.commBase).Time(cm)
+	w.commBase = snap
+	if w.compTime > s.stat.Comp {
+		s.stat.Comp = w.compTime
+	}
+	if comm > s.stat.Comm {
+		s.stat.Comm = comm
+	}
+	w.compTime = 0
+	if w.lossCount > 0 {
+		s.lossSum += w.lossSum / float64(w.lossCount)
+	}
+	w.lossSum, w.lossCount = 0, 0
+	s.n++
+	if w.hot != nil {
+		acc := float64(w.hot.Accesses())
+		hit := acc * w.hot.HitRatio()
+		s.acc += acc
+		s.hit += hit
+		w.accTotal += acc
+		w.hitTotal += hit
+		w.hot.ResetStats()
+	}
+}
+
+// close finishes epoch's record — mean loss, hit ratio, cumulative time —
+// and reports whether any worker contributed to it. Epochs must be closed
+// in order (CumTime runs across them).
+func (a *epochAcc) close(epoch int) (metrics.EpochStat, bool) {
+	s := a.open[epoch]
+	if s == nil {
+		return metrics.EpochStat{}, false
+	}
+	delete(a.open, epoch)
+	stat := s.stat
+	stat.Loss = s.lossSum / float64(s.n)
+	if s.acc > 0 {
+		stat.HitRatio = s.hit / s.acc
+	}
+	a.cum += stat.Total()
+	stat.CumTime = a.cum
+	return stat, true
 }
 
 // finalize gathers embeddings, runs the final evaluation, and aggregates
-// run-level statistics.
+// run-level statistics over workers — every worker that trained for this
+// process. With none (an elastic spare that never received a partition) the
+// result still carries the cluster's final state and evaluation.
 func finalize(cfg *Config, env *psEnv, workers []*worker, res *Result) (*Result, error) {
 	// A run that trained through a shard outage may still hold buffered
 	// degraded pushes; they must land before the gather or the final
@@ -200,7 +266,8 @@ func finalize(cfg *Config, env *psEnv, workers []*worker, res *Result) (*Result,
 	return res, nil
 }
 
-// setupPS partitions the graph and builds the parameter-server cluster.
+// setupPS partitions the graph and builds the parameter-server cluster and
+// the worker↔PS transport for a validated cfg.
 func setupPS(cfg *Config) (*psEnv, error) {
 	part, err := cfg.Partitioner.Partition(cfg.Graph, cfg.NumMachines)
 	if err != nil {
@@ -220,13 +287,9 @@ func setupPS(cfg *Config) (*psEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Metrics != nil {
-		for _, srv := range cluster.Servers {
-			srv.Instrument(cfg.Metrics)
-		}
-	}
-	if cfg.Spans != nil {
-		for _, srv := range cluster.Servers {
+	for _, srv := range cluster.Servers {
+		srv.Instrument(cfg.Metrics)
+		if cfg.Spans != nil {
 			srv.Trace(cfg.Spans.Tracer(srv.Machine(), span.WorkerShard))
 		}
 	}
@@ -248,10 +311,8 @@ func setupPS(cfg *Config) (*psEnv, error) {
 			return nil, fmt.Errorf("train: building codec transport: %w", err)
 		}
 	}
-	if cfg.Metrics != nil {
-		if inst, ok := tr.(interface{ Instrument(*metrics.Registry) }); ok {
-			inst.Instrument(cfg.Metrics)
-		}
+	if inst, ok := tr.(interface{ Instrument(*metrics.Registry) }); ok {
+		inst.Instrument(cfg.Metrics)
 	}
 	if cfg.Spans != nil {
 		// A transport serving real sockets (or a wrapper over one) records

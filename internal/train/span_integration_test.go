@@ -43,7 +43,7 @@ func TestSpanTraceStitchingOverRealTCP(t *testing.T) {
 			addrs = append(addrs, l.Addr().String())
 			go ps.ServeTCP(l, srv)
 		}
-		tr, err := ps.DialTCP(addrs)
+		tr, err := ps.DialTCPLink(addrs, ps.ProfileFP32, ps.LinkConfig{})
 		if err != nil {
 			return nil, err
 		}

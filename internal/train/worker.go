@@ -11,7 +11,6 @@ import (
 	"hetkg/internal/kg"
 	"hetkg/internal/netsim"
 	"hetkg/internal/par"
-	"hetkg/internal/partition"
 	"hetkg/internal/ps"
 	"hetkg/internal/sampler"
 	"hetkg/internal/span"
@@ -48,24 +47,28 @@ type worker struct {
 	degree int                  // resolved compute parallelism
 	rows   map[ps.Key][]float32 // per-batch working set (pulled + cached)
 	scr    *batchScratch        // worker-owned arena, reused across batches
-	obs    *trainObs            // run-shared registry handles (nil when unwired)
+	obs    *trainObs            // run-shared registry handles
 	tracer *span.Tracer         // per-batch span tracer (nil when unwired)
 	sp     span.Active          // current batch's root span (zero when unsampled)
 
 	// queued holds prefetched batches to replay (HET-KG).
 	queued []*sampler.Batch
+	// built records that the CPS one-shot hot-table build has run for this
+	// worker. It lives and dies with the worker, so a partition re-adopted
+	// into a fresh worker (empty HotCache) builds its table again.
+	built bool
 	// iteration counts processed batches for staleness bookkeeping.
 	iteration int
 	// pushBuf holds gradient rows for unreachable shards, coalesced by
 	// key, awaiting replay (degraded mode; see degraded.go).
 	pushBuf map[ps.Key][]float32
 
-	// Per-epoch accounting, reset by epochStats.
+	// Per-epoch accounting, reset by epochAcc.add.
 	compTime  time.Duration
 	commBase  netsim.Snapshot
 	lossSum   float64
 	lossCount int
-	// Run-level cache accounting, accumulated at epoch barriers.
+	// Run-level cache accounting, accumulated at epoch boundaries.
 	accTotal, hitTotal float64
 }
 
@@ -74,34 +77,30 @@ type worker struct {
 // workers up front) and the elastic driver (workers built and rebuilt as
 // the coordinator assigns partitions).
 type workerBuilder struct {
-	cfg       *Config
-	cluster   *ps.Cluster
-	subs      []*kg.Graph
-	tr        ps.Transport
-	tobs      *trainObs
-	prof      ps.Profile
-	withCache bool
+	cfg     *Config
+	cluster *ps.Cluster
+	subs    []*kg.Graph
+	tr      ps.Transport
+	tobs    *trainObs
+	prof    ps.Profile
+	cached  bool
 }
 
-// newWorkerBuilder prepares shared state for building workers. withCache
+// newWorkerBuilder prepares shared state for building workers. cached
 // attaches a HotCache configured from cfg.Cache to each built worker.
-func newWorkerBuilder(cfg *Config, cluster *ps.Cluster, part *partition.Result, tr ps.Transport, withCache bool) (*workerBuilder, error) {
+func newWorkerBuilder(cfg *Config, env *psEnv, cached bool) (*workerBuilder, error) {
 	prof, err := ps.ResolveProfile(cfg.Codec)
 	if err != nil {
 		return nil, err
 	}
-	var tobs *trainObs
-	if cfg.Metrics != nil {
-		tobs = newTrainObs(cfg.Metrics)
-	}
 	return &workerBuilder{
-		cfg:       cfg,
-		cluster:   cluster,
-		subs:      part.Subgraphs(cfg.Graph),
-		tr:        tr,
-		tobs:      tobs,
-		prof:      prof,
-		withCache: withCache,
+		cfg:     cfg,
+		cluster: env.cluster,
+		subs:    env.part.Subgraphs(cfg.Graph),
+		tr:      env.tr,
+		tobs:    newTrainObs(cfg.Metrics),
+		prof:    prof,
+		cached:  cached,
 	}, nil
 }
 
@@ -116,10 +115,8 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Metrics != nil {
-		meter.Instrument(cfg.Metrics, cfg.CostModel)
-		client.Instrument(cfg.Metrics)
-	}
+	meter.Instrument(cfg.Metrics, cfg.CostModel)
+	client.Instrument(cfg.Metrics)
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
 	smp, err := sampler.New(sampler.Config{
 		BatchSize:       cfg.BatchSize,
@@ -150,14 +147,12 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 		w.tracer = cfg.Spans.Tracer(m, id)
 		client.Trace(w.tracer)
 	}
-	if b.withCache {
+	if b.cached {
 		hot, err := cache.New(client, cfg.NewOptimizer(), cfg.Cache.SyncEvery)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Metrics != nil {
-			hot.Instrument(cfg.Metrics)
-		}
+		hot.Instrument(cfg.Metrics)
 		if w.tracer != nil {
 			hot.Trace(w.tracer)
 		}
@@ -167,9 +162,9 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 }
 
 // newWorkers builds one worker per (machine, slot) over the partitioned
-// subgraphs. withCache attaches a HotCache configured from cfg.Cache.
-func newWorkers(cfg *Config, cluster *ps.Cluster, part *partition.Result, tr ps.Transport, withCache bool) ([]*worker, error) {
-	b, err := newWorkerBuilder(cfg, cluster, part, tr, withCache)
+// subgraphs. cached attaches a HotCache configured from cfg.Cache.
+func newWorkers(cfg *Config, env *psEnv, cached bool) ([]*worker, error) {
+	b, err := newWorkerBuilder(cfg, env, cached)
 	if err != nil {
 		return nil, err
 	}
@@ -224,21 +219,21 @@ func (w *worker) nextBatch() *sampler.Batch {
 	return w.smp.Next()
 }
 
-// turn runs one scheduled worker turn: the trainer's per-iteration hook
-// (prefetch/rebuild/sync for HET-KG), drawing the next batch, and
-// processBatch — all under one root "batch" span when this iteration is on
-// the tracer's sampling grid. The root's context is installed on the PS
-// client and the hot cache for the duration of the turn so their spans (RPCs,
-// refreshes, simulated wire time) stitch to this batch; an unsampled turn
-// threads zero values through the same calls at nil-check cost.
-func (w *worker) turn(perIteration func(*worker) error) error {
+// turn runs one scheduled worker turn: hot-table maintenance (HET-KG's
+// prefetch and CPS/DPS build), drawing the next batch, and processBatch —
+// all under one root "batch" span when this iteration is on the tracer's
+// sampling grid. The root's context is installed on the PS client and the
+// hot cache for the duration of the turn so their spans (RPCs, refreshes,
+// simulated wire time) stitch to this batch; an unsampled turn threads
+// zero values through the same calls at nil-check cost.
+func (w *worker) turn() error {
 	root := w.tracer.Root(w.iteration)
 	if root.Valid() {
 		w.beginSpan(root)
 		defer w.endSpan()
 	}
-	if perIteration != nil {
-		if err := perIteration(w); err != nil {
+	if w.hot != nil && len(w.queued) == 0 {
+		if err := w.prefetch(); err != nil {
 			return err
 		}
 	}
@@ -247,6 +242,52 @@ func (w *worker) turn(perIteration func(*worker) error) error {
 	smp.EndAttrs(span.Attrs{Rows: int64(len(b.Pos)), Shard: span.NoShard})
 	_, err := w.processBatch(b)
 	return err
+}
+
+// prefetch refills the exhausted batch queue D iterations ahead (Algorithm
+// 1) and constructs the hot table from the lookahead's census via filter
+// (Algorithm 2): CPS builds once, from a whole-epoch census by default, and
+// keeps the table fixed; DPS rebuilds from every short-term census — the
+// rebuild is also a refresh, so DPS pays pull traffic for the new table's
+// values here.
+//
+// Staleness synchronization (Algorithm 3 lines 8–9) needs no step of its
+// own: the cache expires entries older than P at Get time and the worker
+// re-pulls them with its ordinary batch pull, so refresh traffic is metered
+// through the normal path and only rows that are actually used pay it.
+func (w *worker) prefetch() error {
+	cc := &w.cfg.Cache
+	d := cc.PrefetchD
+	switch cc.Strategy {
+	case cache.CPS:
+		if d <= 0 {
+			d = w.smp.IterationsPerEpoch()
+		}
+	case cache.DPS:
+		if d <= 0 {
+			d = 16
+		}
+	default:
+		return fmt.Errorf("train: unknown cache strategy %v", cc.Strategy)
+	}
+	pre := cache.Prefetch(w.smp, d)
+	w.queued = pre.Batches
+	if cc.Strategy == cache.CPS && w.built {
+		return nil
+	}
+	keys, err := cache.Filter(pre, cache.FilterConfig{
+		Capacity:       cc.Capacity,
+		EntityFraction: cc.EntityFraction,
+		Heterogeneity:  cc.Heterogeneity,
+	})
+	if err != nil {
+		return err
+	}
+	if err := w.hot.Build(keys, w.iteration); err != nil {
+		return err
+	}
+	w.built = true
+	return nil
 }
 
 // beginSpan installs root as the worker's current batch span and points the
@@ -341,23 +382,49 @@ func (w *worker) scratch() *batchScratch {
 }
 
 // processBatch runs workflow steps 2–4 (§IV-B) for one mini-batch: gather
-// rows (cache first, then PS), compute gradients, update cached copies, and
+// rows (cache first, then PS), compute gradients, update cached copies and
 // push all gradients to the PS. It returns the batch's mean pair loss.
-//
-// The gradient pass (step 3) runs on the parallel execution engine: the
-// batch's positives split over the fixed batchShards grid, each shard
-// accumulates into private scratch, and partial gradients and losses merge
-// in shard order — deterministic at any Config.Parallelism.
 func (w *worker) processBatch(b *sampler.Batch) (float64, error) {
-	scr := w.scratch()
+	staleRows, err := w.gather(b)
+	if err != nil {
+		return 0, err
+	}
+	grads, lossSum, pairs := w.compute(b)
+	bufferedRows, err := w.update(grads)
+	if err != nil {
+		return 0, err
+	}
+	w.iteration++
+	o := w.obs
+	o.iterations.Inc()
+	o.pairs.Add(int64(pairs))
+	if staleRows || bufferedRows {
+		o.degradedBatches.Inc()
+	}
+	if pairs == 0 {
+		return 0, nil
+	}
+	mean := lossSum / float64(pairs)
+	w.lossSum += mean
+	w.lossCount++
+	// Keep the live endpoint's loss current even when no timeline emitter
+	// refreshes the derived gauges. Workers overwrite each other in
+	// scheduling order, which is deterministic.
+	o.loss.Set(w.lossSum / float64(w.lossCount))
+	return mean, nil
+}
 
-	// Step 2: load embeddings — hot table first, parameter server for the
-	// rest. Serial: the hot cache is confined to the worker goroutine.
+// gather is step 2: load the batch's embeddings into w.rows — hot table
+// first, parameter server for the rest. Serial: the hot cache is confined to
+// the worker goroutine. stale reports that a shard outage forced some rows
+// to be served from the cache past their refresh (degraded mode).
+func (w *worker) gather(b *sampler.Batch) (stale bool, err error) {
+	scr := w.scratch()
 	ents, rels := b.DistinctIDs()
 	clear(w.rows)
 	lookup := w.sp.Start(span.NCacheLookup)
 	missing := scr.missing[:0]
-	gather := func(k ps.Key) {
+	lookupRow := func(k ps.Key) {
 		if w.hot != nil {
 			if row, ok := w.hot.Get(k, w.iteration); ok {
 				w.rows[k] = row
@@ -367,44 +434,51 @@ func (w *worker) processBatch(b *sampler.Batch) (float64, error) {
 		missing = append(missing, k)
 	}
 	for _, e := range ents {
-		gather(ps.EntityKey(e))
+		lookupRow(ps.EntityKey(e))
 	}
 	for _, r := range rels {
-		gather(ps.RelationKey(r))
+		lookupRow(ps.RelationKey(r))
 	}
 	scr.missing = missing // keep the grown backing array for reuse
 	lookup.EndAttrs(span.Attrs{Rows: int64(len(ents) + len(rels)), Shard: span.NoShard})
-	degradedBatch := false
-	if len(missing) > 0 {
-		var staleServed map[ps.Key]bool
-		if err := w.client.Pull(missing, w.rows); err != nil {
-			var deg *ps.DegradedError
-			if !errors.As(err, &deg) || !w.degradedEnabled() {
-				return 0, err
-			}
-			served, serr := w.staleServe(deg)
-			if serr != nil {
-				return 0, serr
-			}
-			staleServed = served
-			degradedBatch = true
+	if len(missing) == 0 {
+		return false, nil
+	}
+	var staleServed map[ps.Key]bool
+	if err := w.client.Pull(missing, w.rows); err != nil {
+		var deg *ps.DegradedError
+		if !errors.As(err, &deg) || !w.degradedEnabled() {
+			return false, err
 		}
-		if w.hot != nil {
-			// Freshly pulled hot rows re-enter the table with a reset
-			// staleness clock (the per-row synchronization of Alg. 3).
-			// Stale-served rows keep their old clock: no fresh server value
-			// landed, so their age must keep counting toward the bound.
-			for _, k := range missing {
-				if staleServed[k] {
-					continue
-				}
+		if staleServed, err = w.staleServe(deg); err != nil {
+			return false, err
+		}
+		stale = true
+	}
+	if w.hot != nil {
+		// Freshly pulled hot rows re-enter the table with a reset
+		// staleness clock (the per-row synchronization of Alg. 3).
+		// Stale-served rows keep their old clock: no fresh server value
+		// landed, so their age must keep counting toward the bound.
+		for _, k := range missing {
+			if !staleServed[k] {
 				w.hot.Offer(k, w.rows[k], w.iteration)
 			}
 		}
 	}
+	return stale, nil
+}
 
-	// Step 3: forward + backward, sharded across cores.
-	compute := w.sp.Start(span.NGradCompute)
+// compute is step 3: forward + backward over w.rows, returning the batch's
+// merged gradients with its summed loss and pair count.
+//
+// The pass runs on the parallel execution engine: the batch's positives
+// split over the fixed batchShards grid, each shard accumulates into
+// private scratch, and partial gradients and losses merge in shard order —
+// deterministic at any Config.Parallelism.
+func (w *worker) compute(b *sampler.Batch) (grads map[ps.Key][]float32, lossSum float64, pairs int) {
+	scr := w.scratch()
+	sp := w.sp.Start(span.NGradCompute)
 	start := time.Now()
 	shards := par.Shards(len(b.Pos), batchShards)
 	for len(scr.shards) < len(shards) {
@@ -423,8 +497,6 @@ func (w *worker) processBatch(b *sampler.Batch) (float64, error) {
 	// float sums do not depend on how shards were scheduled.
 	merged := scr.merged
 	merged.reset()
-	var lossSum float64
-	pairs := 0
 	for s := range shards {
 		sc := scr.shards[s]
 		for k, g := range sc.grads.m {
@@ -435,59 +507,42 @@ func (w *worker) processBatch(b *sampler.Batch) (float64, error) {
 		pairs += sc.pairs
 	}
 	elapsed := time.Since(start)
-	compute.EndAttrs(span.Attrs{Rows: int64(pairs), Shard: span.NoShard})
+	sp.EndAttrs(span.Attrs{Rows: int64(pairs), Shard: span.NoShard})
 	w.compTime += elapsed
-	if o := w.obs; o != nil {
-		o.comp.Observe(elapsed)
-	}
+	w.obs.comp.Observe(elapsed)
+	return merged.m, lossSum, pairs
+}
 
-	// Step 4: apply to cached copies, push everything to the PS. The local
-	// copy gets the raw gradient; only the pushed exchange is sparsified
-	// (error feedback re-sends the dropped mass later).
+// update is step 4: apply the gradients to the cached copies, then push
+// everything to the PS. The local copy gets the raw gradient; only the
+// pushed exchange is sparsified (error feedback re-sends the dropped mass
+// later). buffered reports that a shard outage deferred some rows to the
+// replay buffer (degraded mode).
+func (w *worker) update(grads map[ps.Key][]float32) (buffered bool, err error) {
 	if w.hot != nil {
-		for k, g := range merged.m {
+		for k, g := range grads {
 			w.hot.Update(k, g)
 		}
 	}
 	if w.ef != nil {
-		for k, g := range merged.m {
+		for k, g := range grads {
 			w.ef.Sparsify(k, g)
 		}
 	}
 	if err := w.replayPushes(); err != nil {
-		return 0, err
+		return false, err
 	}
-	if err := w.client.Push(merged.m); err != nil {
+	if err := w.client.Push(grads); err != nil {
 		var deg *ps.DegradedError
 		if !errors.As(err, &deg) || !w.degradedEnabled() {
-			return 0, err
+			return false, err
 		}
-		if berr := w.bufferPushes(deg.Keys, merged.m, deg.Err); berr != nil {
-			return 0, berr
+		if err := w.bufferPushes(deg.Keys, grads, deg.Err); err != nil {
+			return false, err
 		}
-		degradedBatch = true
+		buffered = true
 	}
-	w.iteration++
-	if o := w.obs; o != nil {
-		o.iterations.Inc()
-		o.pairs.Add(int64(pairs))
-		if degradedBatch {
-			o.degradedBatches.Inc()
-		}
-	}
-	if pairs == 0 {
-		return 0, nil
-	}
-	mean := lossSum / float64(pairs)
-	w.lossSum += mean
-	w.lossCount++
-	if o := w.obs; o != nil {
-		// Keep the live endpoint's loss current even when no timeline
-		// emitter refreshes the derived gauges. Workers overwrite each
-		// other in scheduling order, which is deterministic.
-		o.loss.Set(w.lossSum / float64(w.lossCount))
-	}
-	return mean, nil
+	return buffered, nil
 }
 
 // computeShard scores and differentiates the positives in r against their
@@ -554,22 +609,6 @@ func growF32(buf *[]float32, n int) []float32 {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// epochStats returns and resets this worker's per-epoch accounting:
-// computation time, simulated communication time, and mean loss.
-func (w *worker) epochStats(cm netsim.CostModel) (comp, comm time.Duration, loss float64) {
-	snap := w.meter.Snapshot()
-	delta := snap.Sub(w.commBase)
-	w.commBase = snap
-	comp = w.compTime
-	w.compTime = 0
-	comm = delta.Time(cm)
-	if w.lossCount > 0 {
-		loss = w.lossSum / float64(w.lossCount)
-	}
-	w.lossSum, w.lossCount = 0, 0
-	return comp, comm, loss
 }
 
 // negativeWeights returns the per-negative gradient weights: uniform 1/n

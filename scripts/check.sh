@@ -37,118 +37,10 @@ if [ -n "$undoc" ]; then
     exit 1
 fi
 
-echo "== EXPERIMENTS.md metric coverage lint"
-# Every canonical metric name in internal/metrics/names.go must appear in
-# EXPERIMENTS.md's metric -> paper artifact table, so no series is emitted
-# without a documented meaning.
-missing=0
-for name in $(sed -n 's/.*= "\([a-z0-9_.]*\)"$/\1/p' internal/metrics/names.go); do
-    if ! grep -qF "$name" EXPERIMENTS.md; then
-        echo "EXPERIMENTS.md does not document metric \"$name\""
-        missing=1
-    fi
-done
-if [ "$missing" -ne 0 ]; then
-    echo "check: FAIL (undocumented metric names)"
-    exit 1
-fi
-
-echo "== OPERATIONS.md cluster metric coverage lint"
-# Every cluster.* metric in internal/metrics/names.go must appear in
-# OPERATIONS.md's troubleshooting table: the cluster series exist for the
-# operator, so one that the runbook cannot explain is a defect.
-missing=0
-for name in $(sed -n 's/.*= "\(cluster\.[a-z0-9_.]*\)"$/\1/p' internal/metrics/names.go); do
-    if ! grep -qF "$name" OPERATIONS.md; then
-        echo "OPERATIONS.md does not document cluster metric \"$name\""
-        missing=1
-    fi
-done
-if [ "$missing" -ne 0 ]; then
-    echo "check: FAIL (cluster metrics missing from the runbook)"
-    exit 1
-fi
-
-echo "== OPERATIONS.md fleet metric coverage lint"
-# Every fleet.* metric in internal/metrics/names.go must appear in
-# OPERATIONS.md's fleet view section: the telemetry plane exists for the
-# operator, so an aggregator series the runbook cannot explain is a
-# defect (the fleet.* counterpart of the cluster.* lint above).
-missing=0
-for name in $(sed -n 's/.*= "\(fleet\.[a-z0-9_.]*\)"$/\1/p' internal/metrics/names.go); do
-    if ! grep -qF "$name" OPERATIONS.md; then
-        echo "OPERATIONS.md does not document fleet metric \"$name\""
-        missing=1
-    fi
-done
-if [ "$missing" -ne 0 ]; then
-    echo "check: FAIL (fleet metrics missing from the runbook)"
-    exit 1
-fi
-
-echo "== OPERATIONS.md link metric coverage lint"
-# Every ps.link.* metric in internal/metrics/names.go must appear in
-# OPERATIONS.md's troubleshooting table: the fault-tolerant link layer
-# (DESIGN.md §13) surfaces its retry/reconnect/breaker behavior through
-# these series, and an outage signal the runbook cannot explain is a
-# defect. The extraction is guarded against going silently empty if the
-# names move: the link layer always defines at least one ps.link.* series.
-linknames=$(sed -n 's/.*= "\(ps\.link\.[a-z0-9_.]*\)"$/\1/p' internal/metrics/names.go)
-if [ -z "$linknames" ]; then
-    echo "internal/metrics/names.go defines no ps.link.* metrics (lint pattern stale?)"
-    echo "check: FAIL (link metric extraction came up empty)"
-    exit 1
-fi
-missing=0
-for name in $linknames; do
-    if ! grep -qF "$name" OPERATIONS.md; then
-        echo "OPERATIONS.md does not document link metric \"$name\""
-        missing=1
-    fi
-done
-if [ "$missing" -ne 0 ]; then
-    echo "check: FAIL (link metrics missing from the runbook)"
-    exit 1
-fi
-
-echo "== DESIGN.md span coverage lint"
-# Every canonical span name in internal/span/names.go must appear in
-# DESIGN.md §8's span table, so no span is emitted without a documented
-# meaning — the tracing counterpart of the metric lint above.
-missing=0
-for name in $(sed -n 's/.*= "\([a-z0-9_.]*\)"$/\1/p' internal/span/names.go); do
-    if ! grep -qF "$name" DESIGN.md; then
-        echo "DESIGN.md does not document span \"$name\""
-        missing=1
-    fi
-done
-if [ "$missing" -ne 0 ]; then
-    echo "check: FAIL (undocumented span names)"
-    exit 1
-fi
-
-echo "== DESIGN.md §9 serving coverage lint"
-# Every serve.* metric and span name must appear in DESIGN.md §9's serving
-# section (the architecture doc for the query server), in addition to the
-# global tables checked above.
-serving=$(sed -n '/^## 9\. Serving architecture/,$p' DESIGN.md)
-if [ -z "$serving" ]; then
-    echo "DESIGN.md has no '## 9. Serving architecture' section"
-    echo "check: FAIL (missing serving architecture doc)"
-    exit 1
-fi
-missing=0
-for name in $(sed -n 's/.*= "\(serve\.[a-z0-9_.]*\)"$/\1/p' \
-        internal/metrics/names.go internal/span/names.go); do
-    if ! printf '%s' "$serving" | grep -qF "$name"; then
-        echo "DESIGN.md §9 does not document serving name \"$name\""
-        missing=1
-    fi
-done
-if [ "$missing" -ne 0 ]; then
-    echo "check: FAIL (undocumented serving names)"
-    exit 1
-fi
+# The "every name in names.go is documented" checks (EXPERIMENTS.md metrics,
+# OPERATIONS.md cluster/fleet/link metrics, DESIGN.md spans and §9 serving
+# names) are TestNamesAreDocumented in docs_test.go; they run with the suite
+# below and in tier-1.
 
 echo "== codec profile coverage lint"
 # Every registered codec profile in internal/ps/codec.go must (a) appear in
@@ -205,5 +97,10 @@ go vet ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== benchmark module (vet + tests against this tree)"
+# benchmark/ is a separate module compiled against internal/*; building it
+# here keeps the surface it uses (surface_test.go) enforced on every push.
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "check: OK"
