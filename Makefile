@@ -28,7 +28,7 @@ bench-par:
 # EXPERIMENTS.md maps each metric name to its paper artifact.
 .PHONY: timeline-demo
 timeline-demo:
-	go run ./cmd/hetkg-train -dataset fb15k -scale tiny -system hetkg-d \
+	go run ./cmd/hetkg train -dataset fb15k -scale tiny -system hetkg-d \
 		-machines 2 -epochs 3 -timeline out/timeline-demo.jsonl -timeline-every 5
 	@echo "== final timeline record:"
 	@tail -n 1 out/timeline-demo.jsonl
@@ -37,8 +37,8 @@ timeline-demo:
 # endpoints once. DESIGN.md §9 documents the architecture.
 .PHONY: serve-demo
 serve-demo:
-	go run ./cmd/hetkg-train -dataset fb15k -scale tiny -epochs 2 -save out/serve-demo.ckpt
-	go run ./cmd/hetkg-serve -ckpt out/serve-demo.ckpt -listen 127.0.0.1:8080 & \
+	go run ./cmd/hetkg train -dataset fb15k -scale tiny -epochs 2 -save out/serve-demo.ckpt
+	go run ./cmd/hetkg serve -ckpt out/serve-demo.ckpt -listen 127.0.0.1:8080 & \
 	    sleep 2; \
 	    curl -s 'localhost:8080/v1/score?head=0&relation=0&tail=1'; echo; \
 	    curl -s 'localhost:8080/v1/predict?entity=0&relation=0&k=5'; echo; \

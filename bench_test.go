@@ -10,9 +10,9 @@ package hetkg
 //
 //	go test -bench=. -benchmem
 //
-// Full-size experiment sweeps are the hetkg-bench binary's job:
+// Full-size experiment sweeps are the `hetkg exp` verb's job:
 //
-//	go run ./cmd/hetkg-bench -exp all -scale small
+//	go run ./cmd/hetkg exp -exp all -scale small
 
 import (
 	"fmt"

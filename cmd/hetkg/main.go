@@ -1,189 +1,225 @@
-// hetkg drives declarative experiment plans (DESIGN.md §14).
+// hetkg is the repo's one binary: every operator-facing tool is a verb.
 //
-// Usage:
-//
-//	hetkg plan examples/plans/codecs.yml
+//	hetkg train -dataset fb15k -system hetkg-d -machines 4 -epochs 5
+//	hetkg ps    -dataset fb15k -machines 2 -machine 0 -listen :7070
+//	hetkg serve -ckpt model.ckpt
 //	hetkg apply -out . examples/plans/codecs.yml
-//	hetkg compare -plan examples/plans/ci.yml BENCH_ci.json examples/plans/BENCH_baseline.json
 //
-// `plan` resolves the sweep matrix and prints one line per run with its
-// canonical config hash; `apply` executes the matrix in-process — dataset
-// generation and partitioning served from the content-addressed artifact
-// cache — and writes one hetkg-bench/v2 snapshot; `compare` gates a
-// snapshot against a committed baseline and exits non-zero on regression.
+// `hetkg help` lists the verbs and `hetkg <verb> -h` a verb's flags;
+// OPERATIONS.md carries the same flag reference, generated from the verbs'
+// flag sets by TestFlagReference (flags_test.go).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
-	"hetkg/internal/artifact"
 	"hetkg/internal/plan"
 	"hetkg/internal/plan/benchfmt"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-const usage = `usage:
-  hetkg plan  [-full] <plan.yml>                 resolve and print the run matrix
-  hetkg apply [-artifacts dir] [-out dir] <plan.yml>
-                                                 execute the plan, write BENCH_<plan>.json
-  hetkg compare [-plan plan.yml] [-q] <current.json> <baseline.json>
-                                                 gate a snapshot against a baseline
-`
+// action is a verb's body, run once its flags are parsed; it returns the
+// process exit code: 0 on success, 1 on execution or gate failure, 2 on
+// usage errors.
+type action func(stdout, stderr io.Writer) int
 
-// run is the testable entry point: 0 on success, 1 on execution or gate
-// failure, 2 on usage errors.
-func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 0 {
-		fmt.Fprint(stderr, usage)
-		return 2
-	}
-	switch args[0] {
-	case "plan":
-		return runPlan(args[1:], stdout, stderr)
-	case "apply":
-		return runApply(args[1:], stdout, stderr)
-	case "compare":
-		return runCompare(args[1:], stdout, stderr)
-	case "-h", "-help", "--help", "help":
-		fmt.Fprint(stdout, usage)
-		return 0
-	default:
-		fmt.Fprintf(stderr, "hetkg: unknown verb %q\n%s", args[0], usage)
-		return 2
-	}
+// verb is one `hetkg <name>` tool. bind declares the verb's flags on fs and
+// returns its body, which reads positional arguments from fs.Args() — so
+// the flag set a verb parses is the same one the flag reference and the
+// frozen-flag test inspect.
+type verb struct {
+	name  string
+	args  string // positional-argument synopsis
+	about string
+	bind  func(fs *flag.FlagSet) action
 }
 
-func runPlan(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("hetkg plan", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	full := fs.Bool("full", false, "print full 64-char config hashes")
-	if fs.Parse(args) != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "hetkg plan: exactly one plan file expected")
-		return 2
-	}
-	p, err := plan.Load(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	runs, err := p.Resolve()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "plan %s: %d run(s)\n", p.Name, len(runs))
-	for i, r := range runs {
-		hash := r.Spec.ShortHash()
-		if *full {
-			hash = r.Hash
+// verbs is the whole CLI surface, in the order `hetkg help` lists it.
+// "trace spans" is a sub-mode of trace with its own flags.
+var verbs = []verb{
+	{"train", "", "Run one training job. Single-process by default; -shards makes it a static-cluster trainer, -join an elastic worker. Reports per-epoch progress, the final link-prediction metrics, and the time/traffic breakdown.", bindTrain},
+	{"ps", "", "Host one parameter-server shard. This is the multi-process deployment of the co-located PS architecture; with -coordinator the shard is also the cluster's membership coordinator. Every shard derives its own rows deterministically from the run-identity flags (no state transfer), so a cluster is N `hetkg ps` processes plus `hetkg train -shards` or `-join` processes pointing at them.", bindPS},
+	{"serve", "", "Answer knowledge-graph queries over HTTP from a trained checkpoint. Triple scoring, top-k link prediction, and embedding-space nearest neighbors, fronted by a hotness-aware embedding cache and a request batcher (DESIGN.md §9). The endpoints are unauthenticated, so non-loopback -listen addresses are refused unless -allow-remote is set; /metrics, /healthz, and /debug/pprof/ are mounted on the same listener. SIGINT/SIGTERM drain in-flight requests (bounded by -grace), then write the span dump if -span is set.", bindServe},
+	{"eval", "", "Score a saved checkpoint on a link-prediction test set. The test set is the -in file, or by default the test split of the preset the checkpoint's provenance names.", bindEval},
+	{"exp", "", "Regenerate the tables and figures of the HET-KG paper. Each experiment prints a text table matching the corresponding paper artifact; EXPERIMENTS.md records paper-vs-measured for every row.", bindExp},
+	{"plan", "<plan.yml>", "Resolve a declarative experiment plan and print its run matrix. One line per run with its canonical config hash (DESIGN.md §14).", bindPlan},
+	{"apply", "<plan.yml>", "Execute a plan and write its hetkg-bench/v2 snapshot, BENCH_<plan>.json. Runs execute in-process, with dataset generation and partitioning served from the content-addressed artifact cache.", bindApply},
+	{"compare", "<current.json> <baseline.json>", "Gate a snapshot against a committed baseline. Exits 1 on regression beyond the tolerances (the plan's with -plan, else 10%).", bindCompare},
+	{"data", "", "Generate a synthetic benchmark dataset and report its structural statistics. Degree skew and relation-usage concentration are what drive HET-KG's design (the Fig. 2 micro-benchmark).", bindData},
+	{"partition", "", "Partition a knowledge graph across a cluster and report edge cut and balance. These are the locality numbers behind §V \"Graph Partitioning\".", bindPartition},
+	{"trace", "<run.jsonl>...", "Compare runs recorded with train -trace. Per-epoch columns aligned across runs plus an ASCII sparkline per run, for quick convergence comparison without leaving the terminal.", bindTrace},
+	{"trace spans", "<spans.jsonl>...", "Analyze span dumps recorded with -span. A comm-vs-compute-vs-cache attribution table over the sampled batches, the top-k slowest spans, the per-machine straggler summary, and the slowest batch's critical path. Several files merge into one analysis by trace ID (duplicated spans are dropped), so the per-process dumps of an elastic run — worker batches in one file, shard-side spans in another — stitch back into whole cross-process critical paths.", bindTraceSpans},
+	{"top", "", "Live terminal dashboard over a cluster's fleet telemetry. Polls the /fleet endpoint of a `hetkg ps -coordinator` process started with -metrics-addr and renders one row per process — derived rates, cache hit ratio, a sparkline of the recent primary rate, report age — plus the active health alerts. Refreshes until interrupted; -once prints a single snapshot, and -fail-on-alert makes the exit status a health assertion for scripts.", bindTop},
+}
+
+// findVerb resolves the leading words of args to a verb, preferring the
+// two-word form, and returns the verb's own arguments.
+func findVerb(args []string) (*verb, []string) {
+	for n := min(2, len(args)); n > 0; n-- {
+		name := strings.Join(args[:n], " ")
+		for i := range verbs {
+			if verbs[i].name == name {
+				return &verbs[i], args[n:]
+			}
 		}
-		fmt.Fprintf(stdout, "%3d  %s  %s\n", i+1, hash, r.Name)
 	}
-	return 0
+	return nil, nil
 }
 
-func runApply(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("hetkg apply", flag.ContinueOnError)
+func usage(w io.Writer) {
+	fmt.Fprint(w, "usage: hetkg <verb> [flags] [args]    (hetkg <verb> -h lists a verb's flags)\n\n")
+	for _, v := range verbs {
+		summary, _, _ := strings.Cut(v.about, ". ")
+		fmt.Fprintf(w, "  %-42s %s\n", strings.TrimSpace(v.name+" "+v.args), summary)
+	}
+}
+
+// run is the testable entry point: it resolves the verb, parses its flags,
+// and executes it.
+func run(args []string, stdout, stderr io.Writer) int {
+	v, rest := findVerb(args)
+	if v == nil {
+		if len(args) > 0 && slices.Contains([]string{"-h", "-help", "--help", "help"}, args[0]) {
+			usage(stdout)
+			return 0
+		}
+		if len(args) > 0 {
+			fmt.Fprintf(stderr, "hetkg: unknown verb %q\n", args[0])
+		}
+		usage(stderr)
+		return 2
+	}
+	fs := flag.NewFlagSet("hetkg "+v.name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	artDir := fs.String("artifacts", filepath.Join(os.TempDir(), "hetkg-artifacts"),
-		"artifact cache directory (empty = no caching)")
+	act := v.bind(fs)
+	switch err := fs.Parse(rest); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
+	return act(stdout, stderr)
+}
+
+// failf reports a verb's failure on stderr and returns its exit code.
+func failf(stderr io.Writer, code int, format string, args ...any) int {
+	fmt.Fprintf(stderr, format+"\n", args...)
+	return code
+}
+
+// logTo returns a printf-style logger writing prefixed lines to w.
+func logTo(w io.Writer, prefix string) func(format string, args ...any) {
+	return func(format string, args ...any) {
+		fmt.Fprintf(w, prefix+format+"\n", args...)
+	}
+}
+
+func bindPlan(fs *flag.FlagSet) action {
+	full := fs.Bool("full", false, "print full 64-char config hashes")
+	return func(stdout, stderr io.Writer) int {
+		if fs.NArg() != 1 {
+			return failf(stderr, 2, "hetkg plan: exactly one plan file expected")
+		}
+		p, err := plan.Load(fs.Arg(0))
+		if err != nil {
+			return failf(stderr, 1, "%v", err)
+		}
+		runs, err := p.Resolve()
+		if err != nil {
+			return failf(stderr, 1, "%v", err)
+		}
+		fmt.Fprintf(stdout, "plan %s: %d run(s)\n", p.Name, len(runs))
+		for i, r := range runs {
+			hash := r.Spec.ShortHash()
+			if *full {
+				hash = r.Hash
+			}
+			fmt.Fprintf(stdout, "%3d  %s  %s\n", i+1, hash, r.Name)
+		}
+		return 0
+	}
+}
+
+func bindApply(fs *flag.FlagSet) action {
+	openArtifacts := bindArtifacts(fs, filepath.Join(os.TempDir(), "hetkg-artifacts"))
 	outDir := fs.String("out", ".", "directory for the BENCH_<plan>.json snapshot")
 	quiet := fs.Bool("q", false, "suppress per-run progress")
-	if fs.Parse(args) != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "hetkg apply: exactly one plan file expected")
-		return 2
-	}
-	p, err := plan.Load(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	opt := plan.ApplyOptions{}
-	if *artDir != "" {
-		st, err := artifact.Open(*artDir)
+	return func(stdout, stderr io.Writer) int {
+		if fs.NArg() != 1 {
+			return failf(stderr, 2, "hetkg apply: exactly one plan file expected")
+		}
+		p, err := plan.Load(fs.Arg(0))
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return failf(stderr, 1, "%v", err)
 		}
-		opt.Artifacts = st
-	}
-	if !*quiet {
-		opt.Logf = func(format string, args ...any) {
-			fmt.Fprintf(stderr, "[apply] "+format+"\n", args...)
+		var opt plan.ApplyOptions
+		if opt.Artifacts, err = openArtifacts(); err != nil {
+			return failf(stderr, 1, "%v", err)
 		}
+		if !*quiet {
+			opt.Logf = logTo(stderr, "[apply] ")
+		}
+		res, err := plan.Apply(p, opt)
+		if err != nil {
+			return failf(stderr, 1, "%v", err)
+		}
+		path, err := benchfmt.WriteDir(*outDir, res.File)
+		if err != nil {
+			return failf(stderr, 1, "%v", err)
+		}
+		fmt.Fprintf(stdout, "wrote %s (%d runs, artifact cache: %d hits, %d misses)\n",
+			path, len(res.File.Rows), res.CacheHits, res.CacheMisses)
+		return 0
 	}
-	res, err := plan.Apply(p, opt)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	path, err := benchfmt.WriteDir(*outDir, res.File)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d runs, artifact cache: %d hits, %d misses)\n",
-		path, len(res.File.Rows), res.CacheHits, res.CacheMisses)
-	return 0
 }
 
-func runCompare(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("hetkg compare", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func bindCompare(fs *flag.FlagSet) action {
 	planPath := fs.String("plan", "", "plan file supplying compare tolerances")
 	quiet := fs.Bool("q", false, "print only the verdict")
-	if fs.Parse(args) != nil {
-		return 2
-	}
-	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "hetkg compare: expected <current.json> <baseline.json>")
-		return 2
-	}
-	var tol map[string]float64
-	if *planPath != "" {
-		p, err := plan.Load(*planPath)
+	return func(stdout, stderr io.Writer) int {
+		if fs.NArg() != 2 {
+			return failf(stderr, 2, "hetkg compare: expected <current.json> <baseline.json>")
+		}
+		var tol map[string]float64
+		if *planPath != "" {
+			p, err := plan.Load(*planPath)
+			if err != nil {
+				return failf(stderr, 1, "%v", err)
+			}
+			tol = p.Tolerance
+		}
+		cur, err := benchfmt.Read(fs.Arg(0))
 		if err != nil {
-			fmt.Fprintln(stderr, err)
+			return failf(stderr, 1, "%v", err)
+		}
+		base, err := benchfmt.Read(fs.Arg(1))
+		if err != nil {
+			return failf(stderr, 1, "%v", err)
+		}
+		rep := plan.Compare(cur, base, tol)
+		if !*quiet {
+			for _, d := range rep.Deltas {
+				fmt.Fprintln(stdout, " ", d)
+			}
+		}
+		for _, row := range rep.MissingRows {
+			fmt.Fprintf(stdout, "  %s: MISSING ROW\n", row)
+		}
+		for _, f := range rep.MissingFields {
+			fmt.Fprintf(stdout, "  %s: MISSING FIELD\n", f)
+		}
+		fmt.Fprintln(stdout, rep.Summary())
+		if !rep.OK() {
 			return 1
 		}
-		tol = p.Tolerance
+		return 0
 	}
-	cur, err := benchfmt.Read(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	base, err := benchfmt.Read(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	rep := plan.Compare(cur, base, tol)
-	if !*quiet {
-		for _, d := range rep.Deltas {
-			fmt.Fprintln(stdout, " ", d)
-		}
-	}
-	for _, row := range rep.MissingRows {
-		fmt.Fprintf(stdout, "  %s: MISSING ROW\n", row)
-	}
-	for _, f := range rep.MissingFields {
-		fmt.Fprintf(stdout, "  %s: MISSING FIELD\n", f)
-	}
-	fmt.Fprintln(stdout, rep.Summary())
-	if !rep.OK() {
-		return 1
-	}
-	return 0
 }

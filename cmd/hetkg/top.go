@@ -1,16 +1,3 @@
-// hetkg-top is a live terminal dashboard over a cluster's fleet telemetry:
-// it polls the coordinator's /fleet endpoint (a hetkg-ps -coordinator
-// process with -metrics-addr set) and renders one row per process — derived
-// rates, cache hit ratio, a sparkline of the recent primary rate, report
-// age — plus the currently active health alerts (straggler, cache
-// degradation, comm stall, telemetry lag).
-//
-//	hetkg-ps -coordinator -shards ... -metrics-addr 127.0.0.1:6060 ...
-//	hetkg-top -addr 127.0.0.1:6060
-//
-// By default the screen refreshes every 2s until interrupted. With -once it
-// prints a single snapshot and exits; add -fail-on-alert to exit nonzero
-// when any alert is active (the cluster smoke test's health assertion).
 package main
 
 import (
@@ -20,43 +7,38 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"hetkg/internal/telemetry"
 )
 
-func main() {
+func bindTop(fs *flag.FlagSet) action {
 	var (
-		addr    = flag.String("addr", "127.0.0.1:6060", "coordinator metrics address serving /fleet (host:port or a full http:// URL)")
-		refresh = flag.Duration("refresh", 2*time.Second, "poll and redraw interval")
-		once    = flag.Bool("once", false, "print one snapshot and exit instead of refreshing")
-		failOn  = flag.Bool("fail-on-alert", false, "exit with status 1 when any health alert is active")
+		addr    = fs.String("addr", "127.0.0.1:6060", "coordinator metrics address serving /fleet (host:port or a full http:// URL)")
+		refresh = fs.Duration("refresh", 2*time.Second, "poll and redraw interval")
+		once    = fs.Bool("once", false, "print one snapshot and exit instead of refreshing")
+		failOn  = fs.Bool("fail-on-alert", false, "exit with status 1 when any health alert is active")
 	)
-	flag.Parse()
-
-	url := fleetURL(*addr)
-	if *once {
-		v, err := fetchView(url)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hetkg-top:", err)
-			os.Exit(1)
+	return func(stdout, stderr io.Writer) int {
+		url := fleetURL(*addr)
+		var alerted bool
+		if *once {
+			v, err := fetchView(url)
+			if err != nil {
+				return failf(stderr, 1, "hetkg top: %v", err)
+			}
+			render(stdout, v)
+			alerted = len(v.Alerts) > 0
+		} else {
+			ctx, stop := signalContext()
+			defer stop()
+			alerted = watch(ctx, stdout, url, *refresh)
 		}
-		render(os.Stdout, v)
-		if *failOn && len(v.Alerts) > 0 {
-			os.Exit(1)
+		if *failOn && alerted {
+			return 1
 		}
-		return
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	alerted := watch(ctx, os.Stdout, url, *refresh)
-	if *failOn && alerted {
-		os.Exit(1)
+		return 0
 	}
 }
 
@@ -70,7 +52,7 @@ func watch(ctx context.Context, w io.Writer, url string, refresh time.Duration) 
 		v, err := fetchView(url)
 		fmt.Fprint(w, "\033[H\033[2J") // home + clear: redraw in place
 		if err != nil {
-			fmt.Fprintf(w, "hetkg-top: %v (retrying every %v)\n", err, refresh)
+			fmt.Fprintf(w, "hetkg top: %v (retrying every %v)\n", err, refresh)
 		} else {
 			render(w, v)
 			alerted = alerted || len(v.Alerts) > 0
@@ -209,31 +191,4 @@ func fmtMS(ms float64) string {
 		return d.Round(100 * time.Millisecond).String()
 	}
 	return d.Round(time.Millisecond).String()
-}
-
-// sparkline renders values as Unicode blocks, min-max scaled (same scheme
-// as hetkg-trace's per-run sparklines).
-func sparkline(vals []float64) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var sb strings.Builder
-	for _, v := range vals {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(blocks)-1))
-		}
-		sb.WriteRune(blocks[idx])
-	}
-	return sb.String()
 }

@@ -120,10 +120,10 @@ func TestFetchView(t *testing.T) {
 
 // TestFetchViewEndToEnd is the fault-injection drill end to end: a real
 // aggregator under an injectable clock, three workers with one artificially
-// slowed, served over HTTP and read through hetkg-top's own fetch+render.
+// slowed, served over HTTP and read through hetkg top's own fetch+render.
 // The straggler rule must fire deterministically and show up both on the
 // slow worker's row and in the active-alerts section — exactly what
-// `hetkg-top -once` prints against a live coordinator.
+// `hetkg top -once` prints against a live coordinator.
 func TestFetchViewEndToEnd(t *testing.T) {
 	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	fleet := telemetry.NewFleet(telemetry.FleetConfig{Now: func() time.Time { return clock }})

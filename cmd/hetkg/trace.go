@@ -1,67 +1,39 @@
-// hetkg-trace inspects training-run recordings.
-//
-// Compare mode (the default) aligns per-epoch columns of runs recorded with
-// hetkg-train -trace and renders an ASCII sparkline per run, for quick
-// convergence comparison without leaving the terminal:
-//
-//	hetkg-train -dataset fb15k -system dglke   -trace a.jsonl
-//	hetkg-train -dataset fb15k -system hetkg-d -trace b.jsonl
-//	hetkg-trace a.jsonl b.jsonl
-//
-// Spans mode analyzes per-batch span dumps recorded with hetkg-train -span:
-// a comm-vs-compute-vs-cache attribution table over the sampled batches, the
-// top-k slowest spans, the per-machine straggler summary, and the slowest
-// batch's critical path:
-//
-//	hetkg-train -dataset fb15k -system hetkg-d -span s.jsonl
-//	hetkg-trace spans s.jsonl
-//
-// Multiple span files merge into one analysis by trace ID, so the per-process
-// dumps of an elastic run (worker batches in one file, shard-side spans in
-// another) stitch back into whole cross-process critical paths:
-//
-//	hetkg-trace spans worker0.jsonl worker1.jsonl shard0.jsonl
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"time"
 
 	"hetkg/internal/span"
 	"hetkg/internal/trace"
 )
 
-func main() {
-	args := os.Args[1:]
-	if len(args) > 0 && args[0] == "spans" {
-		fs := flag.NewFlagSet("spans", flag.ExitOnError)
-		topK := fs.Int("top", 5, "how many slowest spans to list")
-		fs.Parse(args[1:])
+func bindTrace(fs *flag.FlagSet) action {
+	metric := fs.String("metric", "mrr", "column to compare: mrr | loss | comm_ms | hit_ratio")
+	return func(stdout, stderr io.Writer) int {
 		if fs.NArg() == 0 {
-			fmt.Fprintln(os.Stderr, "usage: hetkg-trace spans [-top K] spans.jsonl [more.jsonl ...]")
-			os.Exit(2)
+			return failf(stderr, 2, "usage: hetkg trace [-metric mrr|loss|comm_ms|hit_ratio] run1.jsonl [run2.jsonl ...]\n"+
+				"       hetkg trace spans [-top K] spans.jsonl [more.jsonl ...]")
 		}
-		if err := spansReport(os.Stdout, fs.Args(), *topK); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := compareRuns(stdout, *metric, fs.Args()); err != nil {
+			return failf(stderr, 1, "%v", err)
 		}
-		return
+		return 0
 	}
+}
 
-	metric := flag.String("metric", "mrr", "column to compare: mrr | loss | comm_ms | hit_ratio")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: hetkg-trace [-metric mrr|loss|comm_ms|hit_ratio] run1.jsonl [run2.jsonl ...]")
-		fmt.Fprintln(os.Stderr, "       hetkg-trace spans [-top K] spans.jsonl [more.jsonl ...]")
-		os.Exit(2)
-	}
-	if err := compareRuns(os.Stdout, *metric, flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+func bindTraceSpans(fs *flag.FlagSet) action {
+	topK := fs.Int("top", 5, "how many slowest spans to list")
+	return func(stdout, stderr io.Writer) int {
+		if fs.NArg() == 0 {
+			return failf(stderr, 2, "usage: hetkg trace spans [-top K] spans.jsonl [more.jsonl ...]")
+		}
+		if err := spansReport(stdout, fs.Args(), *topK); err != nil {
+			return failf(stderr, 1, "%v", err)
+		}
+		return 0
 	}
 }
 
@@ -77,7 +49,7 @@ func epochValue(e trace.Epoch, metric string) (float64, error) {
 	case "hit_ratio":
 		return e.HitRatio, nil
 	default:
-		return 0, fmt.Errorf("hetkg-trace: unknown metric %q (want mrr, loss, comm_ms, or hit_ratio)", metric)
+		return 0, fmt.Errorf("hetkg trace: unknown metric %q (want mrr, loss, comm_ms, or hit_ratio)", metric)
 	}
 }
 
@@ -244,30 +216,4 @@ func fmtShard(shard int) string {
 		return "-"
 	}
 	return fmt.Sprintf("%d", shard)
-}
-
-// sparkline renders values as Unicode block characters, min-max scaled.
-func sparkline(vals []float64) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var sb strings.Builder
-	for _, v := range vals {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(blocks)-1))
-		}
-		sb.WriteRune(blocks[idx])
-	}
-	return sb.String()
 }

@@ -1,0 +1,158 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"strings"
+
+	"hetkg"
+	"hetkg/internal/plan"
+	"hetkg/internal/trace"
+)
+
+// The run flags (dataset, model, cache, codec, ...) are the shared plan
+// surface (plan.BindFlags) — identical names, defaults, and mapping as
+// plan-file `run:` keys — so train and `hetkg apply` cannot drift, and the
+// run-identity subset of them is the very declaration `hetkg ps` binds. The
+// flags declared here are deployment concerns (shards, checkpoints,
+// observability) that plans never configure.
+func bindTrain(fs *flag.FlagSet) action {
+	spec := plan.BindFlags(fs)
+	var (
+		inFile   = fs.String("in", "", "train on TSV triples from this file instead of a preset")
+		save     = fs.String("save", "", "write the trained embeddings to this checkpoint file")
+		load     = fs.String("load", "", "resume training from this checkpoint file")
+		shards   = fs.String("shards", "", "comma-separated shard (hetkg ps) addresses, one per machine, for a multi-process run")
+		join     = fs.String("join", "", "coordinator address for an elastic cluster run (shard fleet is discovered from the join reply; see OPERATIONS.md)")
+		hbEvery  = fs.Duration("heartbeat-interval", 0, "override the coordinator-advertised heartbeat cadence (with -join)")
+		ckptDir  = fs.String("ckpt-dir", "", "write per-partition progress snapshots to this directory for crash recovery (with -join)")
+		ckptN    = fs.Int("ckpt-every", 0, "iterations between progress snapshots (0 = 16; with -join)")
+		recoverD = fs.String("recover-from", "", "read adopted partitions' progress snapshots from this directory (default: -ckpt-dir)")
+		rpcTO    = fs.Duration("rpc-timeout", 0, "per-attempt deadline on remote-shard RPCs (0 = default 10s, negative disables)")
+		rpcRetry = fs.Int("rpc-retries", 0, "retry budget per remote-shard RPC after a link failure (0 = default 3, negative disables)")
+		degStale = fs.Int("degraded-max-staleness", 0, "ride out shard outages by serving cached rows up to this many iterations stale and buffering pushes for replay (0 = fail fast; hetkg-c/hetkg-d only)")
+		openArt  = bindArtifacts(fs, "")
+		traceOut = fs.String("trace", "", "write a per-epoch JSONL trace to this file")
+		timeline = fs.String("timeline", "", "write a per-iteration JSONL timeline to this file")
+		tlEvery  = fs.Int("timeline-every", 0, "iterations between timeline records (0 = default)")
+		startObs = bindObs(fs)
+		machine  = fs.Int("machine", -1, "run only this machine's workers (-1 = all; requires -shards for a real deployment); with -join, the partition this worker prefers")
+	)
+	spanOut, spanN, spanFmt := bindSpan(fs, "trace every Nth batch per worker and write the spans to this file", "batch", "jsonl")
+	return func(stdout, stderr io.Writer) int {
+		rc, err := spec.RunConfig()
+		if err != nil {
+			return failf(stderr, 2, "%v", err)
+		}
+		if *inFile != "" {
+			if rc.Graph, err = loadGraph(*inFile, "", "", 0); err != nil {
+				return failf(stderr, 1, "%v", err)
+			}
+			spec.Dataset, rc.Dataset = *inFile, *inFile
+		}
+		if *shards != "" {
+			rc.ShardAddrs = strings.Split(*shards, ",")
+		}
+		if *load != "" {
+			if rc.Resume, err = hetkg.ReadCheckpoint(*load); err != nil {
+				return failf(stderr, 1, "load: %v", err)
+			}
+			fmt.Fprintf(stdout, "resuming from %s (model=%s epochs=%d)\n", *load, rc.Resume.ModelName, rc.Resume.Epochs)
+		}
+
+		rc.Metrics = hetkg.NewMetricsRegistry()
+		srv, err := startObs(rc.Metrics, stdout)
+		if err != nil {
+			return failf(stderr, 1, "%v", err)
+		}
+		if srv != nil {
+			defer srv.Close()
+		}
+		if rc.Artifacts, err = openArt(); err != nil {
+			return failf(stderr, 1, "artifacts: %v", err)
+		}
+
+		// Overlay the deployment-specific configuration onto the shared spec.
+		rc.JoinAddr = *join
+		rc.HeartbeatInterval = *hbEvery
+		rc.CkptDir = *ckptDir
+		rc.RecoverFrom = *recoverD
+		rc.CkptEvery = *ckptN
+		rc.ClusterLogf = logTo(stderr, "")
+		rc.RPCTimeout = *rpcTO
+		rc.RPCRetries = *rpcRetry
+		rc.DegradedMaxStaleness = *degStale
+		if *machine >= 0 {
+			rc.LocalMachines = []int{*machine}
+		}
+		rc.TimelinePath = *timeline
+		rc.TimelineEvery = *tlEvery
+		rc.SpanPath, rc.SpanEvery, rc.SpanFormat = *spanOut, *spanN, *spanFmt
+
+		res, err := hetkg.Run(rc)
+		if err != nil {
+			return failf(stderr, 1, "train: %v", err)
+		}
+
+		fmt.Fprintf(stdout, "system=%s dataset=%s scale=%s model=%s machines=%d seed=%d\n",
+			res.System, spec.Dataset, spec.Scale, spec.Model, spec.Machines, spec.Seed)
+		for _, e := range res.Epochs {
+			fmt.Fprintf(stdout, "epoch %2d  loss %.4f  mrr %.3f  comp %v  comm %v  hit %.3f\n",
+				e.Epoch, e.Loss, e.MRR, e.Comp.Round(1e6), e.Comm.Round(1e6), e.HitRatio)
+		}
+		fmt.Fprintf(stdout, "final: %s\n", res.Final)
+		fmt.Fprintf(stdout, "time: comp %v + comm %v = %v (simulated cluster time)\n",
+			res.Comp.Round(1e6), res.Comm.Round(1e6), res.Total().Round(1e6))
+		fmt.Fprintf(stdout, "traffic: %s\n", res.Traffic)
+		if res.HitRatio > 0 {
+			fmt.Fprintf(stdout, "cache: hit ratio %.3f, refreshed rows %d\n", res.HitRatio, res.RefreshRows)
+		}
+		if *timeline != "" {
+			fmt.Fprintf(stdout, "timeline written to %s\n", *timeline)
+		}
+		if *spanOut != "" {
+			fmt.Fprintf(stdout, "spans written to %s (%s format)\n", *spanOut, *spanFmt)
+			if *spanFmt == "chrome" {
+				fmt.Fprintln(stdout, "open in https://ui.perfetto.dev or chrome://tracing")
+			} else {
+				fmt.Fprintf(stdout, "analyze with: hetkg trace spans %s\n", *spanOut)
+			}
+		}
+		if *traceOut != "" {
+			err := trace.WriteFile(*traceOut, trace.Header{
+				Dataset:  spec.Dataset,
+				Model:    spec.Model,
+				Dim:      res.Entities.Dim,
+				Machines: spec.Machines,
+				Seed:     spec.Seed,
+			}, res)
+			if err != nil {
+				return failf(stderr, 1, "trace: %v", err)
+			}
+			fmt.Fprintf(stdout, "trace written to %s\n", *traceOut)
+		}
+		if *save != "" {
+			scale := spec.Scale
+			if *inFile != "" {
+				scale = "" // a triples file has no preset scale to regenerate from
+			}
+			err := hetkg.WriteCheckpoint(*save, &hetkg.Checkpoint{
+				ModelName: spec.Model,
+				Dim:       res.Entities.Dim,
+				Dataset:   spec.Dataset,
+				Scale:     scale,
+				Seed:      spec.Seed,
+				Epochs:    len(res.Epochs),
+				System:    res.System,
+				Entities:  res.Entities,
+				Relations: res.Relations,
+			})
+			if err != nil {
+				return failf(stderr, 1, "save: %v", err)
+			}
+			fmt.Fprintf(stdout, "checkpoint written to %s\n", *save)
+		}
+		return 0
+	}
+}

@@ -212,13 +212,13 @@ func ServeMetrics(addr string, reg *MetricsRegistry, opts ...ServeOption) (*Metr
 type TimelineRun = metrics.TimelineRun
 
 // ReadTimelineFile parses a JSONL timeline written via
-// RunConfig.TimelinePath or hetkg-train/hetkg-bench -timeline.
+// RunConfig.TimelinePath or `hetkg train`/`hetkg exp` -timeline.
 func ReadTimelineFile(path string) (*TimelineRun, error) {
 	return metrics.ReadTimelineFile(path)
 }
 
 // SpanDump is a parsed per-batch span dump (header plus spans), written via
-// RunConfig.SpanPath or hetkg-train/hetkg-bench -span.
+// RunConfig.SpanPath or `hetkg train`/`hetkg exp` -span.
 type SpanDump = span.Dump
 
 // ReadSpansFile parses a hetkg-spans/v1 JSONL span dump. Chrome-format
@@ -231,7 +231,7 @@ type CostModel = netsim.CostModel
 // Default1Gbps mirrors the paper's 1 Gbps testbed network.
 func Default1Gbps() CostModel { return netsim.Default1Gbps() }
 
-// PSShard is one parameter-server shard (hosted by cmd/hetkg-ps).
+// PSShard is one parameter-server shard (hosted by `hetkg ps`).
 type PSShard = ps.Server
 
 // BuildShard constructs the shard that machine m of the given run owns;

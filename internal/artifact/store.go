@@ -5,13 +5,12 @@
 // a warm cache turns regeneration into a read, and a changed input can never
 // alias a stale entry (the key changes with it).
 //
-// The store is shared freely between processes: writes go through a temp
-// file and an atomic rename, so concurrent writers of the same key race
-// benignly (identical content, last rename wins) and readers never observe
-// a torn entry. Every entry carries a magic header and a CRC-32 trailer —
-// the same corruption discipline as internal/ckpt — and anything unreadable
-// is reported as a typed ErrCorrupt so callers can fall back to
-// regeneration instead of trusting damaged bytes.
+// The store is shared freely between processes: entries are internal/frame
+// files (magic, length, CRC-32, atomic rename — the container internal/ckpt
+// uses too), so concurrent writers of the same key race benignly (identical
+// content, last rename wins), readers never observe a torn entry, and
+// anything unreadable is reported as a typed ErrCorrupt so callers can fall
+// back to regeneration instead of trusting damaged bytes.
 package artifact
 
 import (
@@ -23,10 +22,11 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync/atomic"
+
+	"hetkg/internal/frame"
 )
 
 // artMagic identifies artifact files and versions the container format.
@@ -35,7 +35,7 @@ const artMagic = "HETKG-ART-v1\n"
 // ErrCorrupt reports an artifact that exists on disk but cannot be trusted:
 // wrong magic, truncated, or failing its checksum. Callers match with
 // errors.Is and regenerate.
-var ErrCorrupt = errors.New("artifact: corrupt entry")
+var ErrCorrupt = frame.ErrCorrupt
 
 // Key addresses one artifact: the hex SHA-256 of everything that went into
 // producing it. Build one with KeyOf.
@@ -122,20 +122,8 @@ func (s *Store) Put(kind string, key Key, v any) error {
 	if err := gob.NewEncoder(&body).Encode(v); err != nil {
 		return fmt.Errorf("artifact: encoding %s entry: %w", kind, err)
 	}
-	tmp, err := os.CreateTemp(s.dir, ".art-*")
-	if err != nil {
-		return fmt.Errorf("artifact: creating temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := writeEntry(tmp, body.Bytes()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("artifact: closing temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(kind, key)); err != nil {
-		return fmt.Errorf("artifact: installing entry: %w", err)
+	if err := frame.WriteFile(s.path(kind, key), artMagic, body.Bytes()); err != nil {
+		return fmt.Errorf("artifact: %w", err)
 	}
 	s.writes.Add(1)
 	return nil
@@ -145,74 +133,21 @@ func (s *Store) Put(kind string, key Key, v any) error {
 // (false, nil). A damaged entry is deleted, counted, and returned as
 // (false, err wrapping ErrCorrupt) — callers regenerate either way.
 func (s *Store) Get(kind string, key Key, v any) (bool, error) {
-	raw, err := os.ReadFile(s.path(kind, key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			s.misses.Add(1)
-			return false, nil
+	body, err := frame.ReadFile(s.path(kind, key), artMagic)
+	if err == nil {
+		if err = gob.NewDecoder(bytes.NewReader(body)).Decode(v); err == nil {
+			s.hits.Add(1)
+			return true, nil
 		}
-		s.misses.Add(1)
-		return false, fmt.Errorf("artifact: reading entry: %w", err)
+		err = fmt.Errorf("%w: decoding body: %v", ErrCorrupt, err)
 	}
-	body, err := checkEntry(raw)
-	if err != nil {
-		s.misses.Add(1)
+	s.misses.Add(1)
+	switch {
+	case os.IsNotExist(err):
+		return false, nil
+	case errors.Is(err, ErrCorrupt):
 		s.corrupt.Add(1)
 		os.Remove(s.path(kind, key))
-		return false, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
-		s.misses.Add(1)
-		s.corrupt.Add(1)
-		os.Remove(s.path(kind, key))
-		return false, fmt.Errorf("%w: decoding body: %v", ErrCorrupt, err)
-	}
-	s.hits.Add(1)
-	return true, nil
+	return false, fmt.Errorf("artifact: %s entry: %w", kind, err)
 }
-
-// writeEntry frames a gob body: magic, big-endian body length, body,
-// big-endian CRC-32 (IEEE) of the body.
-func writeEntry(w *os.File, body []byte) error {
-	var hdr bytes.Buffer
-	hdr.WriteString(artMagic)
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(body)))
-	hdr.Write(lenBuf[:])
-	if _, err := w.Write(hdr.Bytes()); err != nil {
-		return fmt.Errorf("artifact: writing header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("artifact: writing body: %w", err)
-	}
-	var crcBuf [4]byte
-	binary.BigEndian.PutUint32(crcBuf[:], crcOf(body))
-	if _, err := w.Write(crcBuf[:]); err != nil {
-		return fmt.Errorf("artifact: writing checksum: %w", err)
-	}
-	return nil
-}
-
-// checkEntry validates the framing and returns the gob body.
-func checkEntry(raw []byte) ([]byte, error) {
-	if len(raw) < len(artMagic)+8+4 {
-		return nil, fmt.Errorf("%w: %d bytes is too short to frame anything", ErrCorrupt, len(raw))
-	}
-	if string(raw[:len(artMagic)]) != artMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	raw = raw[len(artMagic):]
-	n := binary.BigEndian.Uint64(raw[:8])
-	raw = raw[8:]
-	if uint64(len(raw)) != n+4 {
-		return nil, fmt.Errorf("%w: body length %d does not match %d framed bytes", ErrCorrupt, n, len(raw))
-	}
-	body, crcBytes := raw[:n], raw[n:]
-	if binary.BigEndian.Uint32(crcBytes) != crcOf(body) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return body, nil
-}
-
-// crcOf is the entry checksum (CRC-32 IEEE, like internal/ckpt).
-func crcOf(body []byte) uint32 { return crc32.ChecksumIEEE(body) }

@@ -44,10 +44,8 @@ func Prefetch(s *sampler.Sampler, d int) *Prefetched {
 			p.EntityFreq[pos.Head]++
 			p.EntityFreq[pos.Tail]++
 			p.RelationFreq[pos.Relation]++
-			for range b.Neg[i].Entities {
-				// Negative accesses hit the shared chunk entities; count
-				// them per reference (each use is one embedding read).
-			}
+			// Negative accesses hit the shared chunk entities; count them
+			// per reference (each use is one embedding read).
 			for _, e := range b.Neg[i].Entities {
 				p.EntityFreq[e]++
 			}

@@ -1,22 +1,35 @@
 // Package ckpt serializes trained embedding checkpoints: a self-describing
 // header (model, dimension, dataset provenance) followed by the entity and
-// relation matrices in the vec binary format. Checkpoints let a training
-// run's output feed the evaluation tool, downstream applications, or a
-// resumed run without retraining.
+// relation matrices in the vec binary format, inside the checksummed
+// internal/frame container. Checkpoints let a training run's output feed the
+// evaluation tool, downstream applications, or a resumed run without
+// retraining.
 package ckpt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
+	"hetkg/internal/frame"
 	"hetkg/internal/vec"
 )
 
-// magic identifies checkpoint files and versions the format.
-const magic = "HETKG-CKPT-v1\n"
+// magic identifies checkpoint files and versions the format. v1 files — the
+// same body after the magic, with no length or checksum — still load.
+const (
+	magic   = "HETKG-CKPT-v2\n"
+	magicV1 = "HETKG-CKPT-v1\n"
+)
+
+// ErrCorrupt reports a checkpoint or progress snapshot that exists but
+// cannot be trusted: truncated mid-write, bad checksum, or not one of ours
+// at all. Callers match with errors.Is; progress readers fall back to a
+// coarser resume point.
+var ErrCorrupt = frame.ErrCorrupt
 
 // Checkpoint is a trained model's persistent state.
 type Checkpoint struct {
@@ -25,8 +38,11 @@ type Checkpoint struct {
 	ModelName string `json:"model"`
 	// Dim is the base embedding dimension d.
 	Dim int `json:"dim"`
-	// Dataset and Seed record provenance.
+	// Dataset, Scale and Seed record provenance: the preset graph the run
+	// trained on is regenerated from them. Scale is empty for a graph that
+	// is not a preset and in files written before it was recorded.
 	Dataset string `json:"dataset"`
+	Scale   string `json:"scale,omitempty"`
 	Seed    int64  `json:"seed"`
 	// Epochs is how many epochs produced these embeddings.
 	Epochs int `json:"epochs"`
@@ -55,40 +71,50 @@ func (c *Checkpoint) Validate() error {
 
 // Write serializes the checkpoint.
 func Write(w io.Writer, c *Checkpoint) error {
-	if err := c.Validate(); err != nil {
+	body, err := c.encode()
+	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return fmt.Errorf("ckpt: writing magic: %w", err)
+	if _, err := w.Write(frame.Encode(magic, body)); err != nil {
+		return fmt.Errorf("ckpt: writing checkpoint: %w", err)
+	}
+	return nil
+}
+
+// encode renders the frame body: the JSON header line, then both matrices.
+func (c *Checkpoint) encode() ([]byte, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
 	}
 	hdr, err := json.Marshal(c)
 	if err != nil {
-		return fmt.Errorf("ckpt: encoding header: %w", err)
+		return nil, fmt.Errorf("ckpt: encoding header: %w", err)
 	}
-	hdr = append(hdr, '\n')
-	if _, err := bw.Write(hdr); err != nil {
-		return fmt.Errorf("ckpt: writing header: %w", err)
+	body := bytes.NewBuffer(append(hdr, '\n'))
+	body.Grow(2*16 + 4*(len(c.Entities.Data)+len(c.Relations.Data))) // two matrix headers + float32s
+	if _, err := c.Entities.WriteTo(body); err != nil {
+		return nil, fmt.Errorf("ckpt: writing entities: %w", err)
 	}
-	if _, err := c.Entities.WriteTo(bw); err != nil {
-		return fmt.Errorf("ckpt: writing entities: %w", err)
+	if _, err := c.Relations.WriteTo(body); err != nil {
+		return nil, fmt.Errorf("ckpt: writing relations: %w", err)
 	}
-	if _, err := c.Relations.WriteTo(bw); err != nil {
-		return fmt.Errorf("ckpt: writing relations: %w", err)
-	}
-	return bw.Flush()
+	return body.Bytes(), nil
 }
 
-// Read deserializes a checkpoint written by Write.
+// Read deserializes a checkpoint written by Write. A damaged file returns
+// an error wrapping ErrCorrupt.
 func Read(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("ckpt: reading magic: %w", err)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: reading checkpoint: %w", err)
 	}
-	if string(got) != magic {
-		return nil, fmt.Errorf("ckpt: not a checkpoint file (magic %q)", string(got))
+	body, legacy := bytes.CutPrefix(raw, []byte(magicV1))
+	if !legacy {
+		if body, err = frame.Decode(magic, raw); err != nil {
+			return nil, fmt.Errorf("ckpt: %w", err)
+		}
 	}
+	br := bufio.NewReader(bytes.NewReader(body))
 	hdr, err := br.ReadBytes('\n')
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: reading header: %w", err)
@@ -106,23 +132,15 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// WriteFile writes the checkpoint to path (atomically via a temp file in
-// the same directory, so a crash never leaves a torn checkpoint).
+// WriteFile writes the checkpoint to path atomically, so a crash never
+// leaves a torn checkpoint.
 func WriteFile(path string, c *Checkpoint) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".ckpt-*")
+	body, err := c.encode()
 	if err != nil {
-		return fmt.Errorf("ckpt: creating temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := Write(tmp, c); err != nil {
-		tmp.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("ckpt: closing temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("ckpt: installing checkpoint: %w", err)
+	if err := frame.WriteFile(path, magic, body); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
 	}
 	return nil
 }
@@ -135,13 +153,4 @@ func ReadFile(path string) (*Checkpoint, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
 }

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -119,5 +120,44 @@ func TestTruncatedFileFails(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()-10]
 	if _, err := Read(bytes.NewReader(cut)); err == nil {
 		t.Error("truncated checkpoint accepted")
+	}
+}
+
+// TestBitFlipIsCorrupt flips one byte inside the matrix region of a saved
+// checkpoint: the v1 layout had no checksum and loaded the damaged
+// embeddings silently; v2 must refuse with a typed ErrCorrupt.
+func TestBitFlipIsCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := WriteFile(path, sampleCheckpoint(t)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-40] ^= 0x01 // well inside the relation matrix, before the CRC
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bit-flipped checkpoint: error = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestReadsV1 keeps checkpoints written before the frame container (magic,
+// header line, matrices; no length, no checksum) loadable.
+func TestReadsV1(t *testing.T) {
+	c := sampleCheckpoint(t)
+	body, err := c.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(append([]byte(magicV1), body...)))
+	if err != nil {
+		t.Fatalf("v1 checkpoint rejected: %v", err)
+	}
+	if got.ModelName != c.ModelName || got.Scale != "" || got.Entities.Rows != c.Entities.Rows ||
+		got.Relations.Data[5] != c.Relations.Data[5] {
+		t.Errorf("v1 checkpoint decoded wrong: %+v", got)
 	}
 }

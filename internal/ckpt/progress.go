@@ -1,14 +1,13 @@
 package ckpt
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+
+	"hetkg/internal/frame"
 )
 
 // Partition progress snapshots are the elastic cluster's recovery records
@@ -23,12 +22,7 @@ import (
 // ErrCorrupt — never a panic — so the caller can count and continue).
 
 // progMagic identifies progress snapshot files and versions the format.
-const progMagic = "HETKG-PROG-v1\n"
-
-// ErrCorrupt reports a progress snapshot that exists but cannot be
-// trusted: truncated mid-write, bad checksum, or not a snapshot at all.
-// Callers match with errors.Is and fall back to a coarser resume point.
-var ErrCorrupt = errors.New("ckpt: corrupt progress snapshot")
+const progMagic = "HETKG-PROG-v2\n"
 
 // Progress is one partition's training position, durable across worker
 // crashes. All fields are provenance-checked at restore: a snapshot from a
@@ -48,15 +42,14 @@ type Progress struct {
 	Seed    int64  `json:"seed"`
 }
 
-// WriteProgress serializes one snapshot: magic, JSON body line, then a
-// crc32(body) trailer line that restore verifies.
+// WriteProgress serializes one snapshot: the JSON body in a checksummed
+// frame that restore verifies.
 func WriteProgress(w io.Writer, p *Progress) error {
 	body, err := json.Marshal(p)
 	if err != nil {
 		return fmt.Errorf("ckpt: encoding progress: %w", err)
 	}
-	sum := crc32.ChecksumIEEE(body)
-	if _, err := fmt.Fprintf(w, "%s%s\n%08x\n", progMagic, body, sum); err != nil {
+	if _, err := w.Write(frame.Encode(progMagic, body)); err != nil {
 		return fmt.Errorf("ckpt: writing progress: %w", err)
 	}
 	return nil
@@ -65,29 +58,13 @@ func WriteProgress(w io.Writer, p *Progress) error {
 // ReadProgress deserializes a snapshot written by WriteProgress. Torn,
 // tampered, or foreign content returns an error wrapping ErrCorrupt.
 func ReadProgress(r io.Reader) (*Progress, error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(progMagic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
-	}
-	if string(got) != progMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrCorrupt, string(got))
-	}
-	body, err := br.ReadBytes('\n')
+	raw, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: truncated body", ErrCorrupt)
+		return nil, fmt.Errorf("ckpt: reading progress: %w", err)
 	}
-	body = body[:len(body)-1]
-	sumLine, err := br.ReadBytes('\n')
+	body, err := frame.Decode(progMagic, raw)
 	if err != nil {
-		return nil, fmt.Errorf("%w: truncated checksum", ErrCorrupt)
-	}
-	var sum uint32
-	if _, err := fmt.Sscanf(string(sumLine), "%08x", &sum); err != nil {
-		return nil, fmt.Errorf("%w: unreadable checksum", ErrCorrupt)
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("ckpt: progress snapshot: %w", err)
 	}
 	var p Progress
 	if err := json.Unmarshal(body, &p); err != nil {
@@ -107,26 +84,17 @@ func ProgressPath(dir string, part int) string {
 }
 
 // WriteProgressFile atomically installs the snapshot for p.Partition under
-// dir (temp file + rename, same crash-safety contract as WriteFile),
-// creating dir if needed.
+// dir (same crash-safety contract as WriteFile), creating dir if needed.
 func WriteProgressFile(dir string, p *Progress) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("ckpt: creating progress dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".prog-*")
+	body, err := json.Marshal(p)
 	if err != nil {
-		return fmt.Errorf("ckpt: creating temp file: %w", err)
+		return fmt.Errorf("ckpt: encoding progress: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if err := WriteProgress(tmp, p); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("ckpt: closing temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), ProgressPath(dir, p.Partition)); err != nil {
-		return fmt.Errorf("ckpt: installing progress: %w", err)
+	if err := frame.WriteFile(ProgressPath(dir, p.Partition), progMagic, body); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
 	}
 	return nil
 }

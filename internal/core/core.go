@@ -134,7 +134,7 @@ type RunConfig struct {
 	// (multi-process worker deployment; empty = all machines).
 	LocalMachines []int
 	// ShardAddrs, when non-empty, connects to remote parameter-server
-	// shards (one cmd/hetkg-ps process per machine, in machine order) over
+	// shards (one `hetkg ps` process per machine, in machine order) over
 	// TCP instead of hosting the shards in this process. Must have exactly
 	// Machines entries.
 	ShardAddrs []string
@@ -196,7 +196,7 @@ type RunConfig struct {
 	// the collected spans there after the run (parent directories are
 	// created). SpanEvery is the per-worker batch sampling interval
 	// (default span.DefaultEvery); SpanFormat is span.FormatJSONL (default,
-	// the hetkg-spans/v1 dump hetkg-trace reads) or span.FormatChrome
+	// the hetkg-spans/v1 dump hetkg trace reads) or span.FormatChrome
 	// (trace-event JSON for Perfetto / chrome://tracing).
 	SpanPath   string
 	SpanEvery  int
@@ -311,6 +311,15 @@ type prepared struct {
 	newOpt func() opt.Optimizer
 }
 
+// Split is the train/valid/test split a run with this seed trains and
+// validates on — the one derivation, so a tool scoring a checkpoint's test
+// triples (`hetkg eval`) can never be handed triples the run trained on.
+// Freebase-86m uses 90/5/5 in the paper; the standard benchmarks keep small
+// validation/test tails at our scales.
+func Split(g *kg.Graph, seed int64) (kg.Split, error) {
+	return kg.SplitTriples(g, rand.New(rand.NewSource(seed+17)), 0.05, 0.05)
+}
+
 // prepare fills rc's defaults and derives the run's prepared state.
 func prepare(rc *RunConfig) (*prepared, error) {
 	rc.defaults()
@@ -322,9 +331,7 @@ func prepare(rc *RunConfig) (*prepared, error) {
 			return nil, fmt.Errorf("core: unknown dataset %q (have %v)", rc.Dataset, dataset.Names())
 		}
 	}
-	// Freebase-86m uses 90/5/5 in the paper; the standard benchmarks keep
-	// small validation/test tails at our scales.
-	sp, err := kg.SplitTriples(g, rand.New(rand.NewSource(rc.Seed+17)), 0.05, 0.05)
+	sp, err := Split(g, rc.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"net"
 	"os"
 
 	"hetkg/internal/cache"
@@ -10,13 +9,10 @@ import (
 	"hetkg/internal/train"
 )
 
-// Multi-process deployment: every process — the trainer and each
-// cmd/hetkg-ps shard — derives the identical cluster state from the same
-// RunConfig through prepare. A shard process therefore needs no state
-// transfer at startup: it computes its own rows and starts serving.
-
-// serveShard runs a shard's accept loop (mirrors cmd/hetkg-ps's serving).
-func serveShard(l net.Listener, s *ps.Server) { ps.ServeTCP(l, s) }
+// Multi-process deployment: every process — the trainer and each `hetkg ps`
+// shard — derives the identical cluster state from the same RunConfig
+// through prepare. A shard process therefore needs no state transfer at
+// startup: it computes its own rows and starts serving.
 
 // runElastic joins the cluster at rc.JoinAddr and trains whatever the
 // coordinator assigns (Run's elastic-mode dispatch). The registration
@@ -76,7 +72,7 @@ func runElastic(rc RunConfig, tc train.Config) (*train.Result, error) {
 }
 
 // BuildShard constructs the single parameter-server shard that machine m of
-// the given run owns — what a cmd/hetkg-ps process hosts. The cluster
+// the given run owns — what a `hetkg ps` process hosts. The cluster
 // configuration mirrors the one train builds from Run's train.Config.
 func BuildShard(rc RunConfig, machine int) (*ps.Server, error) {
 	p, err := prepare(&rc)

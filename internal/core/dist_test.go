@@ -1,22 +1,26 @@
-package core
+package core_test
 
 import (
+	"flag"
 	"net"
 	"testing"
 
+	"hetkg/internal/core"
 	"hetkg/internal/dataset"
+	"hetkg/internal/plan"
+	"hetkg/internal/ps"
 )
 
-// TestMultiProcessDeploymentMatchesLocal stands up the cmd/hetkg-ps
+// TestMultiProcessDeploymentMatchesLocal stands up the `hetkg ps`
 // deployment shape — independently-derived shards behind real TCP
 // listeners — and verifies a trainer pointed at them produces bit-identical
 // embeddings to the all-in-one-process run. This is the correctness proof
 // of the "no state transfer" deterministic-derivation design.
 func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
-	base := RunConfig{
+	base := core.RunConfig{
 		Dataset:  "fb15k",
 		Scale:    dataset.Tiny,
-		System:   SystemHETKGC,
+		System:   core.SystemHETKGC,
 		Machines: 2,
 		Epochs:   1,
 		Seed:     31,
@@ -28,17 +32,47 @@ func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
 	derived := base
 	derived.InverseRelations = true
 	derived.OptimizerName = "adam"
-	t.Run("defaults", func(t *testing.T) { multiProcessMatchesLocal(t, base) })
-	t.Run("inverse+adam", func(t *testing.T) { multiProcessMatchesLocal(t, derived) })
+	t.Run("defaults", func(t *testing.T) { multiProcessMatchesLocal(t, base, base) })
+	t.Run("inverse+adam", func(t *testing.T) { multiProcessMatchesLocal(t, derived, derived) })
+
+	// The third case starts where the operator does: one run-identity argv,
+	// given to a `hetkg ps` (which binds the identity flags alone) and to a
+	// `hetkg train` (which binds them among its run flags). Every identity
+	// flag is off its default, so a flag the shard's side dropped, renamed
+	// or defaulted differently would derive different rows.
+	identity := []string{"-dataset", "wn18", "-scale", "tiny", "-model", "distmult", "-dim", "12", "-lr", "0.05",
+		"-optimizer", "adam", "-machines", "3", "-partitioner", "ldg", "-seed", "7"}
+	shardSpec := plan.DefaultSpec()
+	psFlags := flag.NewFlagSet("ps", flag.ContinueOnError)
+	shardSpec.BindIdentity(psFlags)
+	trainFlags := flag.NewFlagSet("train", flag.ContinueOnError)
+	trainSpec := plan.BindFlags(trainFlags)
+	if err := psFlags.Parse(identity); err != nil {
+		t.Fatal(err)
+	}
+	if err := trainFlags.Parse(append(identity, "-system", "hetkg-c", "-epochs", "1")); err != nil {
+		t.Fatal(err)
+	}
+	shardRC, err := shardSpec.RunConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainRC, err := trainSpec.RunConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("ps+train argv", func(t *testing.T) { multiProcessMatchesLocal(t, shardRC, trainRC) })
 }
 
-func multiProcessMatchesLocal(t *testing.T, rc RunConfig) {
+// multiProcessMatchesLocal builds the shards from shardRC — the run as a
+// shard process sees it — and trains trainRC against them and in-process.
+func multiProcessMatchesLocal(t *testing.T, shardRC, rc core.RunConfig) {
 	// "Processes": each shard built independently from the config.
 	var addrs []string
 	for m := 0; m < rc.Machines; m++ {
-		shard, err := BuildShard(rc, m)
+		shard, err := core.BuildShard(shardRC, m)
 		if err != nil {
-			t.Fatalf("BuildShard(%d): %v", m, err)
+			t.Fatalf("core.BuildShard(%d): %v", m, err)
 		}
 		if shard.NumRows() == 0 {
 			t.Fatalf("shard %d owns no rows", m)
@@ -49,17 +83,16 @@ func multiProcessMatchesLocal(t *testing.T, rc RunConfig) {
 		}
 		defer l.Close()
 		addrs = append(addrs, l.Addr().String())
-		srv := shard
-		go serveShard(l, srv)
+		go ps.ServeTCP(l, shard)
 	}
 
 	remote := rc
 	remote.ShardAddrs = addrs
-	remoteRes, err := Run(remote)
+	remoteRes, err := core.Run(remote)
 	if err != nil {
 		t.Fatalf("remote-shard run: %v", err)
 	}
-	localRes, err := Run(rc)
+	localRes, err := core.Run(rc)
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
@@ -79,33 +112,33 @@ func multiProcessMatchesLocal(t *testing.T, rc RunConfig) {
 }
 
 func TestShardAddrCountValidation(t *testing.T) {
-	rc := RunConfig{
+	rc := core.RunConfig{
 		Dataset:    "fb15k",
 		Scale:      dataset.Tiny,
-		System:     SystemDGLKE,
+		System:     core.SystemDGLKE,
 		Machines:   2,
 		Epochs:     1,
 		Seed:       31,
 		ShardAddrs: []string{"127.0.0.1:1"},
 	}
-	if _, err := Run(rc); err == nil {
+	if _, err := core.Run(rc); err == nil {
 		t.Error("mismatched shard address count accepted")
 	}
 }
 
 func TestBuildShardValidation(t *testing.T) {
-	rc := RunConfig{Dataset: "fb15k", Scale: dataset.Tiny, Machines: 2, Seed: 1}
-	if _, err := BuildShard(rc, 5); err == nil {
+	rc := core.RunConfig{Dataset: "fb15k", Scale: dataset.Tiny, Machines: 2, Seed: 1}
+	if _, err := core.BuildShard(rc, 5); err == nil {
 		t.Error("out-of-range machine accepted")
 	}
 	bad := rc
 	bad.Dataset = "nope"
-	if _, err := BuildShard(bad, 0); err == nil {
+	if _, err := core.BuildShard(bad, 0); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 	bad = rc
 	bad.ModelName = "nope"
-	if _, err := BuildShard(bad, 0); err == nil {
+	if _, err := core.BuildShard(bad, 0); err == nil {
 		t.Error("unknown model accepted")
 	}
 }

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"hetkg/internal/dataset"
+	"hetkg/internal/ps"
 )
 
 // TestFullyDistributedWorkers runs the complete multi-process topology:
 // two shard "processes" (independently derived PS shards behind TCP listeners) and two
 // trainer "processes", each driving only its own machine's workers against
-// the shared shards, concurrently. This is N× hetkg-ps + N× hetkg-train
-// -machine m, the paper's actual deployment shape.
+// the shared shards, concurrently. This is N× `hetkg ps` + N× `hetkg train
+// -machine m`, the paper's actual deployment shape.
 func TestFullyDistributedWorkers(t *testing.T) {
 	base := RunConfig{
 		Dataset:  "fb15k",
@@ -35,7 +36,7 @@ func TestFullyDistributedWorkers(t *testing.T) {
 		}
 		defer l.Close()
 		addrs = append(addrs, l.Addr().String())
-		go serveShard(l, shard)
+		go ps.ServeTCP(l, shard)
 	}
 
 	var wg sync.WaitGroup

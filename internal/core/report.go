@@ -27,7 +27,7 @@ type Table struct {
 
 // BenchFile returns the table's perf snapshot: the experiment-authored one
 // when present, else a best-effort conversion of the rendered grid (first
-// column = row name, numeric cells = values). This is what `hetkg-bench
+// column = row name, numeric cells = values). This is what `hetkg exp
 // -bench-out` writes as BENCH_<id>.json for every experiment.
 func (t *Table) BenchFile() *benchfmt.File {
 	if t.Bench != nil {

@@ -30,7 +30,7 @@ func cacheKey(name string, scale Scale, seed int64) artifact.Key {
 
 // ByNameCached is ByName through an artifact store: a warm cache skips
 // generation entirely (the dominant startup cost of large-scale runs —
-// every hetkg-ps shard and every trainer regenerates the same graph). A nil
+// every hetkg ps shard and every trainer regenerates the same graph). A nil
 // store degrades to plain ByName. Damaged cache entries are regenerated and
 // overwritten, never trusted.
 func ByNameCached(name string, scale Scale, seed int64, st *artifact.Store) (*kg.Graph, bool) {

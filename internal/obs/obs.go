@@ -1,6 +1,6 @@
 // Package obs is the live introspection endpoint: an opt-in HTTP server
 // exposing a metrics Registry as JSON plus the standard pprof profiling
-// handlers, attached to long-running processes (hetkg-train, hetkg-ps) so a
+// handlers, attached to long-running processes (hetkg train, hetkg ps) so a
 // training run can be watched and profiled in flight.
 //
 // The endpoint serves operational data (metric values, goroutine and heap
@@ -105,7 +105,7 @@ func Serve(addr string, reg *metrics.Registry, opts ...Option) (*Server, error) 
 }
 
 // Handler returns the introspection routes as a mux that can be mounted
-// into another process's HTTP server (hetkg-serve shares its query mux):
+// into another process's HTTP server (hetkg serve shares its query mux):
 // /metrics (registry snapshot as JSON, optionally narrowed with
 // ?prefix=cluster. style queries), /healthz, the net/http/pprof profiles
 // under /debug/pprof/, and any extra routes. The routes are
@@ -140,7 +140,7 @@ func Handler(reg *metrics.Registry, extra ...Route) *http.ServeMux {
 // CheckLoopback rejects listen addresses that would expose an
 // unauthenticated endpoint beyond the local host: an empty host (all
 // interfaces) or a host that is neither "localhost" nor a loopback IP. It
-// is shared by the obs endpoint and the hetkg-serve query listener, whose
+// is shared by the obs endpoint and the hetkg serve query listener, whose
 // opt-outs are AllowRemote and -allow-remote respectively.
 func CheckLoopback(addr string) error {
 	host, _, err := net.SplitHostPort(addr)

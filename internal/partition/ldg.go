@@ -15,7 +15,7 @@ import (
 // It uses one pass and O(V) memory, which is how production systems
 // partition graphs too large for multilevel algorithms to hold in memory —
 // the regime Freebase-86m actually occupies. Quality sits between Random
-// and MetisLike; the trade-off is measured by cmd/hetkg-partition.
+// and MetisLike; the trade-off is measured by `hetkg partition`.
 type LDG struct {
 	// Seed shuffles the stream order (stream order matters for LDG).
 	Seed int64

@@ -1,7 +1,7 @@
 // Package benchfmt defines hetkg-bench/v2, the repo-wide machine-readable
 // perf snapshot format: one JSON file per plan or experiment, one row per
 // run, one flat map of named float values per row. Everything that measures
-// — `hetkg apply`, every `hetkg-bench -bench-out` experiment — writes this
+// — `hetkg apply`, every `hetkg exp -bench-out` experiment — writes this
 // one schema, and `hetkg compare` gates regressions against committed
 // baselines of it. Keeping the package a leaf (stdlib only) lets both
 // internal/core and internal/plan share the writer without a cycle.
@@ -137,7 +137,7 @@ func Read(path string) (*File, error) {
 // FromTable converts a rendered experiment table (header + string cells)
 // into a snapshot: the first column becomes the row name, and every
 // remaining cell that parses as a number becomes a value keyed by the
-// normalized header. This is the generic `hetkg-bench -bench-out` path for
+// normalized header. This is the generic `hetkg exp -bench-out` path for
 // experiments that don't assemble a richer File themselves. Cells render
 // for humans, so the parser accepts the table conventions: "3.76x" ratios,
 // "212ms"/"1.2s" durations (normalized to a _ms key), and "%"-suffixed

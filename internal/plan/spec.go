@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,15 +13,17 @@ import (
 )
 
 // RunSpec is the declarative surface of one training run: every knob a plan
-// file or a hetkg-train flag may set, and nothing deployment-specific
+// file or a `hetkg train` run flag may set, and nothing deployment-specific
 // (shard addresses, checkpoint paths, observability sinks — those belong to
 // the process, not the experiment). It is the single source of truth three
 // consumers share, so they cannot drift:
 //
 //   - the YAML loader decodes plan `run:` and `sweep:` keys into it (the
-//     `plan:"..."` tags name the keys; scripts/check.sh lints that each is
-//     documented in DESIGN.md §14);
-//   - BindFlags registers the equivalent hetkg-train flags onto it;
+//     `plan:"..."` tags name the keys; TestPlanKeysAreDocumented holds
+//     DESIGN.md §14 to them);
+//   - BindFlags registers the equivalent flags onto it, in two groups: the
+//     run identity every process of a run shares (BindIdentity, which is
+//     all `hetkg ps` binds) and the experiment knobs;
 //   - RunConfig() is the one mapping from either source to core.RunConfig.
 //
 // Field semantics are documented on core.RunConfig; zero values defer to
@@ -61,7 +64,7 @@ type RunSpec struct {
 }
 
 // DefaultSpec returns the repo-wide run defaults — identical to the
-// hetkg-train flag defaults, because BindFlags registers these values.
+// `hetkg train` flag defaults, because BindFlags registers these values.
 func DefaultSpec() RunSpec {
 	return RunSpec{
 		Dataset:     "fb15k",
@@ -164,41 +167,101 @@ func (s RunSpec) RunConfig() (core.RunConfig, error) {
 	}, nil
 }
 
-// BindFlags registers the run-configuration flags (the experiment-semantic
-// subset of hetkg-train's surface) onto fs, bound to the returned spec.
-// Flag names and defaults are the historical hetkg-train spellings.
+// flagDecl declares one run flag: the RunSpec field it sets (a pointer into
+// the spec being bound), its name, and its help text. The default is the
+// field's value at bind time, i.e. DefaultSpec's.
+type flagDecl struct {
+	field any
+	name  string
+	usage string
+}
+
+// identityFlags declares the run-identity group: the flags every process of
+// one run — each `hetkg ps` shard, each `hetkg train` worker — must be given
+// identical values for, because dataset generation, partitioning and row
+// initialisation are derived from them independently in each process (the †
+// flags of OPERATIONS.md). This is their only declaration.
+func (s *RunSpec) identityFlags() []flagDecl {
+	return []flagDecl{
+		{&s.Dataset, "dataset", "dataset preset: fb15k | wn18 | freebase86m"},
+		{&s.Scale, "scale", "dataset scale: tiny | small | paper"},
+		{&s.Model, "model", "model: transe | transe_l2 | distmult | transh | complex (fixes the row widths)"},
+		{&s.Dim, "dim", "embedding dimension d (0 = scale default)"},
+		{&s.LR, "lr", "optimizer learning rate"},
+		{&s.Optimizer, "optimizer", "optimizer: adagrad | sgd | adam"},
+		{&s.Machines, "machines", "cluster machines (PS shards)"},
+		{&s.Partitioner, "partitioner", "graph partitioner: metis | ldg | random"},
+		{&s.Seed, "seed", "random seed"},
+	}
+}
+
+// experimentFlags declares the rest of the run surface: knobs only the
+// training loop reads, so shards neither need nor accept them.
+func (s *RunSpec) experimentFlags() []flagDecl {
+	return []flagDecl{
+		{&s.System, "system", "system: pbg | dglke | hetkg-c | hetkg-d (elastic mode supports the latter three)"},
+		{&s.Loss, "loss", "loss: logistic | ranking"},
+		{&s.Margin, "margin", "ranking-loss margin γ"},
+		{&s.Epochs, "epochs", "training epochs (0 = scale default)"},
+		{&s.Batch, "batch", "positive batch size b_p (0 = scale default)"},
+		{&s.Negs, "negs", "negatives per positive b_n"},
+		{&s.Chunk, "chunk", "negative-sampling chunk size b_c"},
+		{&s.Workers, "workers", "workers per machine (elastic mode requires 1)"},
+		{&s.Cache, "cache", "hot-embedding table capacity k (0 = -cache-budget, else 5% of ids)"},
+		{&s.CacheBudget, "cache-budget", "hot table size as a fraction of the entity+relation universe (0 = default; ignored when -cache is set)"},
+		{&s.Staleness, "staleness", "staleness bound P (cache refresh interval)"},
+		{&s.Prefetch, "prefetch", "prefetch depth D (DPS rebuild interval)"},
+		{&s.EntityRatio, "entity-ratio", "entity share of the cache (heterogeneity quota)"},
+		{&s.NoHeterogeneity, "no-heterogeneity", "disable the entity/relation quota (HET-KG-N)"},
+		{&s.Codec, "codec", "wire codec profile: fp32 | fp16 | int8 | delta-int8 | topk | auto (default fp32)"},
+		{&s.TopKRatio, "topk-ratio", "kept gradient fraction per row for -codec topk (0 = default 0.125)"},
+		{&s.Adversarial, "adversarial", "self-adversarial negative sampling temperature (0 = off)"},
+		{&s.DegreeNegatives, "degree-negatives", "corrupt with degree^0.75-weighted entities (hard negatives)"},
+		{&s.Parallelism, "parallelism", "cores for batch compute and evaluation (0 = all; results identical at any value)"},
+		{&s.EvalEvery, "eval-every", "epochs between validation evaluations (0 = every epoch; larger than -epochs defers to the final evaluation only)"},
+		{&s.EvalMax, "eval-max", "validation triples scored per evaluation (0 = default 300)"},
+	}
+}
+
+// bind registers decls on fs — all of them, or only those whose field is
+// listed in only.
+func bind(fs *flag.FlagSet, decls []flagDecl, only []any) {
+	for _, d := range decls {
+		if len(only) > 0 && !slices.Contains(only, d.field) {
+			continue
+		}
+		switch p := d.field.(type) {
+		case *string:
+			fs.StringVar(p, d.name, *p, d.usage)
+		case *int:
+			fs.IntVar(p, d.name, *p, d.usage)
+		case *int64:
+			fs.Int64Var(p, d.name, *p, d.usage)
+		case *float64:
+			fs.Float64Var(p, d.name, *p, d.usage)
+		case *bool:
+			fs.BoolVar(p, d.name, *p, d.usage)
+		default:
+			panic(fmt.Sprintf("plan: flag -%s bound to unsupported field type %T", d.name, d.field))
+		}
+	}
+}
+
+// BindIdentity registers the run-identity flags onto fs, bound to s: the
+// whole group (what `hetkg ps` takes), or only the flags of the listed
+// fields — pointers into s, e.g. s.BindIdentity(fs, &s.Scale, &s.Seed) — for
+// a verb that reads just those.
+func (s *RunSpec) BindIdentity(fs *flag.FlagSet, only ...any) {
+	bind(fs, s.identityFlags(), only)
+}
+
+// BindFlags registers every run flag — the identity group plus the
+// experiment group, `hetkg train`'s run surface — onto fs, bound to the
+// returned spec. Names and defaults equal the plan-file `run:` keys'.
 func BindFlags(fs *flag.FlagSet) *RunSpec {
 	s := DefaultSpec()
-	fs.StringVar(&s.Dataset, "dataset", s.Dataset, "dataset preset: fb15k | wn18 | freebase86m")
-	fs.StringVar(&s.Scale, "scale", s.Scale, "dataset scale: tiny | small | paper")
-	fs.StringVar(&s.System, "system", s.System, "system: pbg | dglke | hetkg-c | hetkg-d")
-	fs.StringVar(&s.Model, "model", s.Model, "model: transe | transe_l2 | distmult | transh | complex")
-	fs.StringVar(&s.Loss, "loss", s.Loss, "loss: logistic | ranking")
-	fs.StringVar(&s.Optimizer, "optimizer", s.Optimizer, "optimizer: adagrad | sgd | adam")
-	fs.Float64Var(&s.Margin, "margin", s.Margin, "ranking-loss margin γ")
-	fs.IntVar(&s.Dim, "dim", s.Dim, "embedding dimension d (0 = scale default)")
-	fs.Float64Var(&s.LR, "lr", s.LR, "AdaGrad learning rate")
-	fs.IntVar(&s.Epochs, "epochs", s.Epochs, "training epochs (0 = scale default)")
-	fs.IntVar(&s.Batch, "batch", s.Batch, "positive batch size b_p (0 = scale default)")
-	fs.IntVar(&s.Negs, "negs", s.Negs, "negatives per positive b_n")
-	fs.IntVar(&s.Chunk, "chunk", s.Chunk, "negative-sampling chunk size b_c")
-	fs.IntVar(&s.Machines, "machines", s.Machines, "cluster machines (PS shards)")
-	fs.IntVar(&s.Workers, "workers", s.Workers, "workers per machine")
-	fs.StringVar(&s.Partitioner, "partitioner", s.Partitioner, "graph partitioner: metis | random")
-	fs.IntVar(&s.Cache, "cache", s.Cache, "hot-embedding table capacity k (0 = -cache-budget, else 5% of ids)")
-	fs.Float64Var(&s.CacheBudget, "cache-budget", s.CacheBudget, "hot table size as a fraction of the entity+relation universe (0 = default; ignored when -cache is set)")
-	fs.IntVar(&s.Staleness, "staleness", s.Staleness, "staleness bound P (cache refresh interval)")
-	fs.IntVar(&s.Prefetch, "prefetch", s.Prefetch, "prefetch depth D (DPS rebuild interval)")
-	fs.Float64Var(&s.EntityRatio, "entity-ratio", s.EntityRatio, "entity share of the cache (heterogeneity quota)")
-	fs.BoolVar(&s.NoHeterogeneity, "no-heterogeneity", s.NoHeterogeneity, "disable the entity/relation quota (HET-KG-N)")
-	fs.StringVar(&s.Codec, "codec", s.Codec, "wire codec profile: fp32 | fp16 | int8 | delta-int8 | topk | auto (default fp32)")
-	fs.Float64Var(&s.TopKRatio, "topk-ratio", s.TopKRatio, "kept gradient fraction per row for -codec topk (0 = default 0.125)")
-	fs.Float64Var(&s.Adversarial, "adversarial", s.Adversarial, "self-adversarial negative sampling temperature (0 = off)")
-	fs.BoolVar(&s.DegreeNegatives, "degree-negatives", s.DegreeNegatives, "corrupt with degree^0.75-weighted entities (hard negatives)")
-	fs.IntVar(&s.Parallelism, "parallelism", s.Parallelism, "cores for batch compute and evaluation (0 = all; results identical at any value)")
-	fs.IntVar(&s.EvalEvery, "eval-every", s.EvalEvery, "epochs between validation evaluations (0 = every epoch; larger than -epochs defers to the final evaluation only)")
-	fs.IntVar(&s.EvalMax, "eval-max", s.EvalMax, "validation triples scored per evaluation (0 = default 300)")
-	fs.Int64Var(&s.Seed, "seed", s.Seed, "random seed")
+	s.BindIdentity(fs)
+	bind(fs, s.experimentFlags(), nil)
 	return &s
 }
 
@@ -218,8 +281,8 @@ func specFields() []reflect.StructField {
 	return fields
 }
 
-// SpecKeys lists every plan key, sorted — the schema surface the DESIGN.md
-// §14 lint covers.
+// SpecKeys lists every plan key, sorted — the schema surface DESIGN.md §14
+// documents.
 func SpecKeys() []string {
 	fields := specFields()
 	keys := make([]string, len(fields))

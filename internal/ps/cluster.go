@@ -213,7 +213,7 @@ func splitmix64(x uint64) uint64 {
 // of (Seed, key), a fleet of processes each calling NewClusterShard with
 // the same configuration and a distinct machine index collectively hold
 // exactly the state NewCluster would build in one process — the basis of
-// the multi-process deployment (cmd/hetkg-ps).
+// the multi-process deployment (`hetkg ps`).
 func NewClusterShard(cfg ClusterConfig, machine int) (*Server, error) {
 	if machine < 0 || machine >= cfg.NumMachines {
 		return nil, fmt.Errorf("ps: machine %d out of range [0,%d)", machine, cfg.NumMachines)

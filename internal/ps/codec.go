@@ -40,8 +40,9 @@ type Codec interface {
 }
 
 // Canonical codec-profile names, the vocabulary of every -codec flag.
-// scripts/check.sh enforces that each profile named here has a golden
-// wire-format test and an EXPERIMENTS.md row.
+// TestCodecProfilesAreMeasuredAndTested (docs_test.go) enforces that each
+// profile named here has a golden wire-format test and an EXPERIMENTS.md
+// row.
 const (
 	// ProfileFP32 ships dense float32 rows both ways (the exact baseline).
 	ProfileFP32 = "fp32"

@@ -37,7 +37,7 @@ type JoinRequest struct {
 	// Label identifies the worker in coordinator logs (host:pid, say).
 	Label string
 	// Preferred lists the partitions this worker was launched to own
-	// (the elastic spelling of hetkg-train -machine). Preferred partitions
+	// (the elastic spelling of hetkg train -machine). Preferred partitions
 	// are granted when unowned; an empty list makes the worker a spare
 	// that picks up orphaned partitions only.
 	Preferred []int

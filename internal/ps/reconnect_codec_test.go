@@ -36,7 +36,17 @@ func TestReconnectGoldenAcrossProfiles(t *testing.T) {
 		t.Run(profName, func(t *testing.T) {
 			vict := testClusterDim(t, 1, entities, dim)
 			ctrl := testClusterDim(t, 1, entities, dim)
-			inj := chaos.NewInjector()
+			// The victim's first connection resets on every shard-side read
+			// from index faultAt on. Chaos rules are keyed on call indices,
+			// not on when they are added, so the fault lands at the same
+			// point of the exchange on every run: the shard reads one
+			// request per Read call (each is one small flushed write), i.e.
+			// the codec hello, then a pull and a push per pre-fault round,
+			// then the burn pull — and the read after that resets.
+			const faultAt = 1 + 2*rounds + 1
+			inj := chaos.NewInjector(chaos.Rule{
+				Conn: 0, Op: chaos.OpRead, After: faultAt, Count: -1, Fault: chaos.FaultReset,
+			})
 			vaddr := chaosShard(t, vict, inj)
 			cl, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -101,11 +111,9 @@ func TestReconnectGoldenAcrossProfiles(t *testing.T) {
 				mustEqual("pre-fault pull", step(vtr, r), step(ctr, r))
 			}
 
-			// Fault: every further read on the victim's first connection
-			// resets it. The server's pending Read predates the rule, so a
-			// burn pull rides it (mirrored on the control twin lockstep to
-			// keep the push sequences identical); the next pull reconnects.
-			inj.Add(chaos.Rule{Conn: 0, Op: chaos.OpRead, Count: -1, Fault: chaos.FaultReset})
+			// Fault: the reset armed above lands after the burn pull below
+			// (mirrored on the control twin in lockstep to keep the push
+			// sequences identical); the burn push reconnects.
 			burnV := step(vtr, rounds)
 			burnC := step(ctr, rounds)
 			if !prof.DeltaPull {

@@ -50,7 +50,7 @@ var (
 
 // trainedCheckpoint trains the cycle model once per test binary and
 // round-trips it through the ckpt binary format, so every test serves
-// exactly what a hetkg-train invocation would have written to disk.
+// exactly what a hetkg train invocation would have written to disk.
 func trainedCheckpoint(t *testing.T) *ckpt.Checkpoint {
 	t.Helper()
 	trainOnce.Do(func() {
@@ -433,7 +433,7 @@ func TestRequestSpans(t *testing.T) {
 		}
 	}
 	// The analyzer treats each request as a batch with categorized time —
-	// what `hetkg-trace spans` prints.
+	// what `hetkg trace spans` prints.
 	a := span.Analyze(spans, 5)
 	if len(a.Batches) != 3 {
 		t.Fatalf("Analyze found %d request paths, want 3", len(a.Batches))

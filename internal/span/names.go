@@ -62,7 +62,7 @@ const (
 	NFleetAlert = "fleet.alert"
 
 	// NServeRequest is the root span of one sampled serving request
-	// (hetkg-serve), the inference-time counterpart of NBatch.
+	// (hetkg serve), the inference-time counterpart of NBatch.
 	NServeRequest = "serve.request"
 	// NServeLookup covers the hot-tier gather of the request's query rows
 	// (head/relation/tail embeddings served from the serving cache or the

@@ -17,7 +17,7 @@ import (
 // clears after DebounceDown consecutive quiet evaluations — a one-sample
 // blip never pages, and an alert never flaps at ingest frequency.
 
-// Rule names, as they appear in FleetView.Alerts and hetkg-top.
+// Rule names, as they appear in FleetView.Alerts and hetkg top.
 const (
 	// RuleStraggler flags a worker whose iteration rate falls below
 	// StragglerRatio × the fleet median (median-ratio outlier; the z-score

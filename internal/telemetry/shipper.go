@@ -11,8 +11,8 @@ const DefaultShipEvery = 2 * time.Second
 
 // Shipper periodically snapshots a metrics registry and ships the result
 // to the coordinator through a Sender. It is the telemetry loop of
-// processes with no heartbeat to piggyback on (hetkg-ps shards,
-// hetkg-serve replicas); elastic workers instead attach a report to every
+// processes with no heartbeat to piggyback on (hetkg ps shards,
+// hetkg serve replicas); elastic workers instead attach a report to every
 // membership heartbeat.
 type Shipper struct {
 	role, label string

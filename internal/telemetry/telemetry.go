@@ -1,13 +1,13 @@
 // Package telemetry is the fleet observability plane of a multi-process
-// run (DESIGN.md §12): every process — hetkg-train elastic workers,
-// hetkg-ps shards, hetkg-serve replicas — periodically ships a labeled
+// run (DESIGN.md §12): every process — hetkg train elastic workers,
+// hetkg ps shards, hetkg serve replicas — periodically ships a labeled
 // snapshot of its metrics registry to the cluster coordinator, where a
 // Fleet aggregator keeps a short per-process time series, derives rates
 // (iterations/s, bytes/s, windowed hit ratio, report lag), and runs a
 // rule-driven health engine (straggler, cache degradation, comm stall,
 // telemetry lag — see health.go) over the aggregate. The coordinator
 // exposes the result as the /fleet JSON endpoint on its obs server; the
-// hetkg-top dashboard renders it live.
+// hetkg top dashboard renders it live.
 //
 // Reports travel as op 'T' on the existing membership gob TCP envelope
 // (internal/ps), so the telemetry plane needs no extra listener: workers
@@ -29,11 +29,11 @@ import (
 // series the aggregator derives rates from (a worker's iterations, a
 // shard's served RPCs, a serve replica's requests).
 const (
-	// RoleWorker is a hetkg-train elastic worker process.
+	// RoleWorker is a hetkg train elastic worker process.
 	RoleWorker = "worker"
-	// RoleShard is a hetkg-ps parameter-server shard process.
+	// RoleShard is a hetkg ps parameter-server shard process.
 	RoleShard = "shard"
-	// RoleServe is a hetkg-serve inference replica.
+	// RoleServe is a hetkg serve inference replica.
 	RoleServe = "serve"
 )
 
@@ -143,7 +143,7 @@ func (p *procSeries) windowRate(names []string) (perSec float64, ok bool) {
 }
 
 // rateHistory returns the per-interval rate between each consecutive
-// sample pair, oldest first — the hetkg-top sparkline series.
+// sample pair, oldest first — the hetkg top sparkline series.
 func (p *procSeries) rateHistory(names []string) []float64 {
 	if p.n < 2 {
 		return nil
@@ -201,7 +201,7 @@ func (p *procSeries) reportInterval() time.Duration {
 
 // roleRates maps each role to the named per-second rates the aggregator
 // derives for it. The first entry is the role's primary rate — the one
-// hetkg-top sparklines and the straggler rule (workers) read.
+// hetkg top sparklines and the straggler rule (workers) read.
 var roleRates = map[string][]struct {
 	name     string
 	counters []string

@@ -14,7 +14,7 @@ import (
 )
 
 // The elastic driver (DESIGN.md §11) is the multi-process deployment of
-// the PS trainers: each hetkg-train process registers with a coordinator,
+// the PS trainers: each hetkg train process registers with a coordinator,
 // receives partition assignments, and trains them under asynchronous
 // heartbeats. Partitions move between processes — at cold start to spread
 // load, and after a crash to resume a dead worker's range from its last

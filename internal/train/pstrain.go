@@ -62,7 +62,7 @@ type psEnv struct {
 	cluster *ps.Cluster
 	part    *partition.Result
 	// tr is the worker↔PS transport; gathers go through it too, so remote
-	// shard deployments (cmd/hetkg-ps) see the trained state.
+	// shard deployments (`hetkg ps`) see the trained state.
 	tr ps.Transport
 }
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Shard-outage survival drill: 2 real hetkg-ps shards, 1 hetkg-train worker
+# Shard-outage survival drill: 2 real hetkg ps shards, 1 hetkg train worker
 # in degraded mode, SIGSTOP one shard for 10 s mid-run, SIGCONT it, and
 # verify the run rides the outage out — stale-serving pulls from the hot
 # cache, buffering pushes, replaying them on reconnect — and finishes with
@@ -20,9 +20,8 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "== building binaries"
-go build -o "$tmp/hetkg-ps" ./cmd/hetkg-ps
-go build -o "$tmp/hetkg-train" ./cmd/hetkg-train
+echo "== building hetkg"
+go build -o "$tmp/hetkg" ./cmd/hetkg
 
 # One fast, small run config shared by every process (the deterministic
 # derivation demands it). The trainer rides outages out: a short RPC
@@ -49,11 +48,11 @@ traincfg="$cfg -system hetkg-c -shards $addr0,$addr1 -epochs 250 -batch 16 \
 # state and make the two finals incomparable.
 start_shards() {
     # shellcheck disable=SC2086
-    "$tmp/hetkg-ps" $cfg -machine 0 -listen "$addr0" >"$tmp/shard0.$1.log" 2>&1 &
+    "$tmp/hetkg" ps $cfg -machine 0 -listen "$addr0" >"$tmp/shard0.$1.log" 2>&1 &
     shard0=$!
     pids="$pids $shard0"
     # shellcheck disable=SC2086
-    "$tmp/hetkg-ps" $cfg -machine 1 -listen "$addr1" >"$tmp/shard1.$1.log" 2>&1 &
+    "$tmp/hetkg" ps $cfg -machine 1 -listen "$addr1" >"$tmp/shard1.$1.log" 2>&1 &
     shard1=$!
     pids="$pids $shard1"
     for log in "$tmp/shard0.$1.log" "$tmp/shard1.$1.log"; do
@@ -73,7 +72,7 @@ mrr_of() {
 echo "== baseline run (no faults)"
 start_shards base
 # shellcheck disable=SC2086
-if ! "$tmp/hetkg-train" $traincfg >"$tmp/base.log" 2>&1; then
+if ! "$tmp/hetkg" train $traincfg >"$tmp/base.log" 2>&1; then
     echo "FAIL: baseline run exited nonzero"; cat "$tmp/base.log"; exit 1
 fi
 kill -9 "$shard0" "$shard1" 2>/dev/null || true
@@ -85,7 +84,7 @@ echo "== chaos run: SIGSTOP shard 1 for 10s mid-run"
 start_shards chaos
 victim=$shard1
 # shellcheck disable=SC2086
-"$tmp/hetkg-train" $traincfg -timeline "$tmp/chaos.tl.jsonl" >"$tmp/chaos.log" 2>&1 &
+"$tmp/hetkg" train $traincfg -timeline "$tmp/chaos.tl.jsonl" >"$tmp/chaos.log" 2>&1 &
 trainer=$!
 pids="$pids $trainer"
 sleep 2

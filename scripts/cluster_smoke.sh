@@ -1,6 +1,6 @@
 #!/bin/sh
-# Multi-process cluster smoke drill: 2 real hetkg-ps shards (one of them
-# the coordinator), 2 real hetkg-train elastic workers, SIGKILL one worker
+# Multi-process cluster smoke drill: 2 real hetkg ps shards (one of them
+# the coordinator), 2 real hetkg train elastic workers, SIGKILL one worker
 # mid-epoch, and verify the survivor adopts its partitions and finishes
 # the run. The scripted version of OPERATIONS.md's failure walkthrough;
 # CI runs it on every push and it must stay under a minute.
@@ -15,10 +15,8 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "== building binaries"
-go build -o "$tmp/hetkg-ps" ./cmd/hetkg-ps
-go build -o "$tmp/hetkg-train" ./cmd/hetkg-train
-go build -o "$tmp/hetkg-top" ./cmd/hetkg-top
+echo "== building hetkg"
+go build -o "$tmp/hetkg" ./cmd/hetkg
 
 # One fast, small run config, shared by every process (the deterministic
 # derivation demands it); trainers add the loop knobs shards don't take.
@@ -34,7 +32,7 @@ echo "== starting shards (coordinator on $addr0)"
 # The coordinator comes up first so shard 1's telemetry dial succeeds on
 # the first attempt and its report reaches /fleet without a retry delay.
 # shellcheck disable=SC2086
-"$tmp/hetkg-ps" $cfg -machine 0 -listen "$addr0" \
+"$tmp/hetkg" ps $cfg -machine 0 -listen "$addr0" \
     -coordinator -shards "$addr0,$addr1" \
     -heartbeat-interval 100ms -worker-timeout 400ms \
     -metrics-addr "$obsaddr" \
@@ -47,7 +45,7 @@ while ! grep -q "serving" "$tmp/shard0.log"; do
     sleep 0.1
 done
 # shellcheck disable=SC2086
-"$tmp/hetkg-ps" $cfg -machine 1 -listen "$addr1" -telemetry "$addr0" \
+"$tmp/hetkg" ps $cfg -machine 1 -listen "$addr1" -telemetry "$addr0" \
     >"$tmp/shard1.log" 2>&1 &
 pids="$pids $!"
 i=0
@@ -59,7 +57,7 @@ done
 
 echo "== starting victim worker (owns both partitions)"
 # shellcheck disable=SC2086
-"$tmp/hetkg-train" $traincfg >"$tmp/victim.log" 2>&1 &
+"$tmp/hetkg" train $traincfg >"$tmp/victim.log" 2>&1 &
 victim=$!
 pids="$pids $victim"
 
@@ -73,7 +71,7 @@ done
 
 echo "== starting survivor worker (joins as a spare)"
 # shellcheck disable=SC2086
-"$tmp/hetkg-train" $traincfg >"$tmp/survivor.log" 2>&1 &
+"$tmp/hetkg" train $traincfg >"$tmp/survivor.log" 2>&1 &
 survivor=$!
 pids="$pids $survivor"
 
@@ -84,7 +82,7 @@ while ! grep -q "joined, 2 live" "$tmp/shard0.log"; do
     sleep 0.05
 done
 
-echo "== fleet view shows every process (hetkg-top -once)"
+echo "== fleet view shows every process (hetkg top -once)"
 # Both shards ship telemetry (the coordinator in-process, shard 1 over the
 # wire) and both workers piggyback reports on their heartbeats, so within a
 # couple of heartbeat intervals the coordinator's /fleet must list all four
@@ -95,7 +93,7 @@ fleet_ok=""
 i=0
 while [ "$i" -le 100 ]; do
     i=$((i + 1))
-    if "$tmp/hetkg-top" -addr "$obsaddr" -once >"$tmp/top.log" 2>&1 \
+    if "$tmp/hetkg" top -addr "$obsaddr" -once >"$tmp/top.log" 2>&1 \
         && grep -q "shard/machine-0" "$tmp/top.log" \
         && grep -q "shard/machine-1" "$tmp/top.log" \
         && [ "$(grep -c "^  worker/" "$tmp/top.log")" -eq 2 ]; then
