@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -20,11 +19,10 @@ func bindExp(fs *flag.FlagSet) action {
 		list    = fs.Bool("list", false, "list experiments and exit")
 		exp     = fs.String("exp", "all", "comma-separated experiment ids, or \"all\"")
 		verbose = fs.Bool("v", false, "log progress")
-		asJSON  = fs.Bool("json", false, "emit tables as JSON lines instead of text")
 		tlDir   = fs.String("timeline", "", "write one JSONL timeline per training run into this directory")
-		bench   = fs.String("bench-out", "", "write one hetkg-bench/v2 perf snapshot (BENCH_<exp>.json) per experiment into this directory")
+		bench   = fs.String("bench-out", "", "write one hetkg-bench/v3 snapshot (BENCH_<exp>.json, every table cell as its exact value) per experiment into this directory")
 	)
-	spanDir, spanN, spanFmt := bindSpan(fs, "write one span dump per training run into this directory", "batch", "jsonl")
+	spanDir, spanN := bindSpan(fs, "write one span dump per training run into this directory", "batch")
 	return func(stdout, stderr io.Writer) int {
 		if *list {
 			for _, e := range hetkg.Experiments() {
@@ -43,7 +41,6 @@ func bindExp(fs *flag.FlagSet) action {
 			TimelineDir: *tlDir,
 			SpanDir:     *spanDir,
 			SpanEvery:   *spanN,
-			SpanFormat:  *spanFmt,
 		}
 		if *verbose {
 			opts.Logf = logTo(stderr, "[bench] ")
@@ -68,18 +65,12 @@ func bindExp(fs *flag.FlagSet) action {
 				continue
 			}
 			if *bench != "" {
-				path, err := benchfmt.WriteDir(*bench, tab.BenchFile())
+				path, err := benchfmt.WriteDir(*bench, tab.Snapshot())
 				if err != nil {
 					fail("%s snapshot: %v", id, err)
 					continue
 				}
 				fmt.Fprintf(stderr, "[bench] %s snapshot -> %s\n", id, path)
-			}
-			if *asJSON {
-				if err := json.NewEncoder(stdout).Encode(tab); err != nil {
-					fail("encode: %v", err)
-				}
-				continue
 			}
 			if err := tab.Render(stdout); err != nil {
 				fail("render: %v", err)

@@ -43,7 +43,7 @@ type verb struct {
 }
 
 // verbs is the whole CLI surface, in the order `hetkg help` lists it.
-// "trace spans" is a sub-mode of trace with its own flags.
+// "trace spans" and "trace chrome" are sub-modes of trace.
 var verbs = []verb{
 	{"train", "", "Run one training job. Single-process by default; -shards makes it a static-cluster trainer, -join an elastic worker. Reports per-epoch progress, the final link-prediction metrics, and the time/traffic breakdown.", bindTrain},
 	{"ps", "", "Host one parameter-server shard. This is the multi-process deployment of the co-located PS architecture; with -coordinator the shard is also the cluster's membership coordinator. Every shard derives its own rows deterministically from the run-identity flags (no state transfer), so a cluster is N `hetkg ps` processes plus `hetkg train -shards` or `-join` processes pointing at them.", bindPS},
@@ -51,12 +51,13 @@ var verbs = []verb{
 	{"eval", "", "Score a saved checkpoint on a link-prediction test set. The test set is the -in file, or by default the test split of the preset the checkpoint's provenance names.", bindEval},
 	{"exp", "", "Regenerate the tables and figures of the HET-KG paper. Each experiment prints a text table matching the corresponding paper artifact; EXPERIMENTS.md records paper-vs-measured for every row.", bindExp},
 	{"plan", "<plan.yml>", "Resolve a declarative experiment plan and print its run matrix. One line per run with its canonical config hash (DESIGN.md §14).", bindPlan},
-	{"apply", "<plan.yml>", "Execute a plan and write its hetkg-bench/v2 snapshot, BENCH_<plan>.json. Runs execute in-process, with dataset generation and partitioning served from the content-addressed artifact cache.", bindApply},
-	{"compare", "<current.json> <baseline.json>", "Gate a snapshot against a committed baseline. Exits 1 on regression beyond the tolerances (the plan's with -plan, else 10%).", bindCompare},
+	{"apply", "<plan.yml>", "Execute a plan and write its hetkg-bench/v3 snapshot, BENCH_<plan>.json. Runs execute in-process, with dataset generation and partitioning served from the content-addressed artifact cache.", bindApply},
+	{"compare", "<current.json> <baseline.json>", "Gate a snapshot against a committed baseline. Every value the baseline records must be present and identical to the last bit; only the wall-clock readings under `wall` are exempt. Exits 1 on any drift — there is no tolerance to configure, an intended change re-pins the baseline with the diff shown (DESIGN.md §14).", bindCompare},
 	{"data", "", "Generate a synthetic benchmark dataset and report its structural statistics. Degree skew and relation-usage concentration are what drive HET-KG's design (the Fig. 2 micro-benchmark).", bindData},
 	{"partition", "", "Partition a knowledge graph across a cluster and report edge cut and balance. These are the locality numbers behind §V \"Graph Partitioning\".", bindPartition},
-	{"trace", "<run.jsonl>...", "Compare runs recorded with train -trace. Per-epoch columns aligned across runs plus an ASCII sparkline per run, for quick convergence comparison without leaving the terminal.", bindTrace},
+	{"trace", "<timeline.jsonl>...", "Compare runs recorded with -timeline. The epoch records of each timeline as per-epoch columns aligned across runs plus an ASCII sparkline per run, for quick convergence comparison without leaving the terminal.", bindTrace},
 	{"trace spans", "<spans.jsonl>...", "Analyze span dumps recorded with -span. A comm-vs-compute-vs-cache attribution table over the sampled batches, the top-k slowest spans, the per-machine straggler summary, and the slowest batch's critical path. Several files merge into one analysis by trace ID (duplicated spans are dropped), so the per-process dumps of an elastic run — worker batches in one file, shard-side spans in another — stitch back into whole cross-process critical paths.", bindTraceSpans},
+	{"trace chrome", "<spans.jsonl>...", "Print span dumps recorded with -span as Chrome trace-event JSON. Redirect it to a file and open that in https://ui.perfetto.dev or chrome://tracing; several dumps merge as in trace spans.", bindTraceChrome},
 	{"top", "", "Live terminal dashboard over a cluster's fleet telemetry. Polls the /fleet endpoint of a `hetkg ps -coordinator` process started with -metrics-addr and renders one row per process — derived rates, cache hit ratio, a sparkline of the recent primary rate, report age — plus the active health alerts. Refreshes until interrupted; -once prints a single snapshot, and -fail-on-alert makes the exit status a health assertion for scripts.", bindTop},
 }
 
@@ -182,19 +183,10 @@ func bindApply(fs *flag.FlagSet) action {
 }
 
 func bindCompare(fs *flag.FlagSet) action {
-	planPath := fs.String("plan", "", "plan file supplying compare tolerances")
 	quiet := fs.Bool("q", false, "print only the verdict")
 	return func(stdout, stderr io.Writer) int {
 		if fs.NArg() != 2 {
 			return failf(stderr, 2, "hetkg compare: expected <current.json> <baseline.json>")
-		}
-		var tol map[string]float64
-		if *planPath != "" {
-			p, err := plan.Load(*planPath)
-			if err != nil {
-				return failf(stderr, 1, "%v", err)
-			}
-			tol = p.Tolerance
 		}
 		cur, err := benchfmt.Read(fs.Arg(0))
 		if err != nil {
@@ -204,17 +196,14 @@ func bindCompare(fs *flag.FlagSet) action {
 		if err != nil {
 			return failf(stderr, 1, "%v", err)
 		}
-		rep := plan.Compare(cur, base, tol)
+		rep, err := plan.Compare(cur, base)
+		if err != nil {
+			return failf(stderr, 1, "%v", err)
+		}
 		if !*quiet {
-			for _, d := range rep.Deltas {
-				fmt.Fprintln(stdout, " ", d)
+			for _, p := range rep.Problems {
+				fmt.Fprintln(stdout, " ", p)
 			}
-		}
-		for _, row := range rep.MissingRows {
-			fmt.Fprintf(stdout, "  %s: MISSING ROW\n", row)
-		}
-		for _, f := range rep.MissingFields {
-			fmt.Fprintf(stdout, "  %s: MISSING FIELD\n", f)
 		}
 		fmt.Fprintln(stdout, rep.Summary())
 		if !rep.OK() {

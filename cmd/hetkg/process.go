@@ -72,13 +72,12 @@ func bindObs(fs *flag.FlagSet) func(*hetkg.MetricsRegistry, io.Writer, ...hetkg.
 	}
 }
 
-// bindSpan declares the span-tracing flag trio. What -span names (a file or
-// a directory) and what is sampled differ per verb, so the wording and the
-// verb's historical -span-format default are the caller's.
-func bindSpan(fs *flag.FlagSet, pathUsage, sampled, defFormat string) (path *string, every *int, format *string) {
+// bindSpan declares the span-tracing flag pair. What -span names (a file or
+// a directory) and what is sampled differ per verb, so the wording is the
+// caller's; what is written is always a hetkg-spans/v1 dump.
+func bindSpan(fs *flag.FlagSet, pathUsage, sampled string) (path *string, every *int) {
 	return fs.String("span", "", pathUsage),
-		fs.Int("span-every", 0, sampled+" sampling interval for -span (0 = default 16)"),
-		fs.String("span-format", defFormat, "span output format: jsonl (hetkg-spans/v1, the default) | chrome (Perfetto trace-event JSON)")
+		fs.Int("span-every", 0, sampled+" sampling interval for -span (0 = default 16)")
 }
 
 // bindTelemetry declares the fleet-telemetry flags of a process that is not
@@ -86,9 +85,10 @@ func bindSpan(fs *flag.FlagSet, pathUsage, sampled, defFormat string) (path *str
 // returns its shipper starter: snap is reported as role/label through send
 // or, when send is nil and -telemetry is set, over TCP to the coordinator
 // there. Telemetry is auxiliary and launch order is not guaranteed, so that
-// dial runs in the background and retries rather than refusing to serve;
-// its connection and shipper live for the rest of the process. The returned
-// stop flushes a final report (a no-op while still dialing).
+// dial runs in the background and retries rather than refusing to serve.
+// The returned stop ends whichever stage is running — it abandons the dial,
+// or has the shipper flush its final report and closes the connection — and
+// returns once that is done.
 func bindTelemetry(fs *flag.FlagSet, addrUsage string) func(role, label string, snap func() metrics.Snapshot, send hetkg.TelemetrySender, logf func(string, ...any)) (stop func()) {
 	addr := fs.String("telemetry", "", addrUsage)
 	every := fs.Duration("telemetry-every", 0, "telemetry report cadence (0 = default 2s)")
@@ -101,23 +101,43 @@ func bindTelemetry(fs *flag.FlagSet, addrUsage string) func(role, label string, 
 		if send != nil {
 			return start(send).Stop
 		}
-		if *addr != "" {
-			go func() {
-				for attempt := 0; ; attempt++ {
-					cc, err := hetkg.DialCoordinator(*addr, 5*time.Second)
-					if err == nil {
-						logf("telemetry: shipping to coordinator %s as %s/%s", *addr, role, label)
-						start(cc)
-						return
-					}
-					if attempt == 0 {
-						logf("telemetry: coordinator %s unreachable (%v), retrying every 1s", *addr, err)
-					}
-					time.Sleep(time.Second)
-				}
-			}()
+		if *addr == "" {
+			return func() {}
 		}
-		return func() {}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if cc := dialCoordinator(ctx, *addr, logf); cc != nil {
+				logf("telemetry: shipping to coordinator %s as %s/%s", *addr, role, label)
+				s := start(cc)
+				<-ctx.Done()
+				s.Stop()
+				cc.Close()
+			}
+		}()
+		return func() {
+			cancel()
+			<-done
+		}
+	}
+}
+
+// dialCoordinator dials addr once a second until it answers or ctx ends (nil).
+func dialCoordinator(ctx context.Context, addr string, logf func(string, ...any)) *hetkg.CoordClient {
+	for attempt := 0; ; attempt++ {
+		cc, err := hetkg.DialCoordinator(addr, 5*time.Second)
+		if err == nil {
+			return cc
+		}
+		if attempt == 0 {
+			logf("telemetry: coordinator %s unreachable (%v), retrying every 1s", addr, err)
+		}
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-time.After(time.Second):
+		}
 	}
 }
 

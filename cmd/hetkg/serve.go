@@ -28,7 +28,7 @@ func bindServe(fs *flag.FlagSet) action {
 		shipTel     = bindTelemetry(fs, "ship serve.* metrics to the cluster coordinator at this address (fleet view / hetkg top)")
 		telLabel    = fs.String("telemetry-label", "", "label for this process in the fleet view (default: the -listen address)")
 	)
-	spanOut, spanN, spanFmt := bindSpan(fs, "write sampled request spans to this file on shutdown (hetkg trace spans)", "request", "")
+	spanOut, spanN := bindSpan(fs, "write sampled request spans to this file on shutdown (hetkg trace spans)", "request")
 	return func(stdout, stderr io.Writer) int {
 		if *ckptPath == "" {
 			fs.Usage()
@@ -76,7 +76,7 @@ func bindServe(fs *flag.FlagSet) action {
 		if label == "" {
 			label = l.Addr().String()
 		}
-		shipTel(hetkg.TelemetryRoleServe, label, srv.Registry().Snapshot, nil, logTo(stdout, ""))
+		stopTel := shipTel(hetkg.TelemetryRoleServe, label, srv.Registry().Snapshot, nil, logTo(stdout, ""))
 
 		httpSrv := &http.Server{Handler: srv.Handler()}
 		err = serve(func() error { return httpSrv.Serve(l) }, func(grace time.Duration) {
@@ -86,6 +86,7 @@ func bindServe(fs *flag.FlagSet) action {
 			if err := httpSrv.Shutdown(sctx); err != nil {
 				httpSrv.Close() // grace expired: force-close lingering connections
 			}
+			stopTel() // after the drain, so the final report counts every request
 		})
 		if err != nil {
 			return failf(stderr, 1, "serve: %v", err)
@@ -93,7 +94,7 @@ func bindServe(fs *flag.FlagSet) action {
 		srv.Close()
 		if col != nil {
 			hdr := span.Header{System: "hetkg-serve", Dataset: ck.Dataset, Every: col.Every(), Seed: ck.Seed}
-			if err := span.WriteFile(*spanOut, *spanFmt, hdr, col.Drain()); err != nil {
+			if err := span.WriteFile(*spanOut, hdr, col.Drain()); err != nil {
 				return failf(stderr, 1, "span: %v", err)
 			}
 			fmt.Fprintf(stdout, "hetkg serve: spans written to %s\n", *spanOut)

@@ -6,56 +6,70 @@ import (
 	"io"
 	"time"
 
+	"hetkg/internal/metrics"
 	"hetkg/internal/span"
-	"hetkg/internal/trace"
 )
 
-func bindTrace(fs *flag.FlagSet) action {
-	metric := fs.String("metric", "mrr", "column to compare: mrr | loss | comm_ms | hit_ratio")
+// traceUsage is printed when a trace sub-mode is given no file.
+const traceUsage = "usage: hetkg trace [-metric mrr|loss|comm_ms|hit_ratio] timeline1.jsonl [timeline2.jsonl ...]\n" +
+	"       hetkg trace spans [-top K] spans.jsonl [more.jsonl ...]\n" +
+	"       hetkg trace chrome spans.jsonl [more.jsonl ...] > trace.json"
+
+// traceAction is the shell the trace sub-modes share: files are required,
+// and view renders them to stdout.
+func traceAction(fs *flag.FlagSet, view func(stdout io.Writer, paths []string) error) action {
 	return func(stdout, stderr io.Writer) int {
 		if fs.NArg() == 0 {
-			return failf(stderr, 2, "usage: hetkg trace [-metric mrr|loss|comm_ms|hit_ratio] run1.jsonl [run2.jsonl ...]\n"+
-				"       hetkg trace spans [-top K] spans.jsonl [more.jsonl ...]")
+			return failf(stderr, 2, traceUsage)
 		}
-		if err := compareRuns(stdout, *metric, fs.Args()); err != nil {
+		if err := view(stdout, fs.Args()); err != nil {
 			return failf(stderr, 1, "%v", err)
 		}
 		return 0
 	}
+}
+
+func bindTrace(fs *flag.FlagSet) action {
+	metric := fs.String("metric", "mrr", "column to compare: mrr | loss | comm_ms | hit_ratio")
+	return traceAction(fs, func(w io.Writer, paths []string) error { return compareRuns(w, *metric, paths) })
 }
 
 func bindTraceSpans(fs *flag.FlagSet) action {
 	topK := fs.Int("top", 5, "how many slowest spans to list")
-	return func(stdout, stderr io.Writer) int {
-		if fs.NArg() == 0 {
-			return failf(stderr, 2, "usage: hetkg trace spans [-top K] spans.jsonl [more.jsonl ...]")
-		}
-		if err := spansReport(stdout, fs.Args(), *topK); err != nil {
-			return failf(stderr, 1, "%v", err)
-		}
-		return 0
-	}
+	return traceAction(fs, func(w io.Writer, paths []string) error { return spansReport(w, paths, *topK) })
 }
 
-// epochValue extracts one comparison metric from an epoch line.
-func epochValue(e trace.Epoch, metric string) (float64, error) {
-	switch metric {
-	case "mrr":
-		return e.MRR, nil
-	case "loss":
-		return e.Loss, nil
-	case "comm_ms":
-		return e.CommMS, nil
-	case "hit_ratio":
-		return e.HitRatio, nil
-	default:
-		return 0, fmt.Errorf("hetkg trace: unknown metric %q (want mrr, loss, comm_ms, or hit_ratio)", metric)
-	}
+func bindTraceChrome(fs *flag.FlagSet) action {
+	return traceAction(fs, func(w io.Writer, paths []string) error {
+		spans, _, err := loadSpans(io.Discard, paths)
+		if err != nil {
+			return err
+		}
+		return span.WriteChromeTrace(w, spans)
+	})
+}
+
+// epochMetrics maps each -metric choice to its reader over a timeline's
+// epoch record.
+var epochMetrics = map[string]func(metrics.TimelineRecord) float64{
+	"mrr":       func(r metrics.TimelineRecord) float64 { return r.EpochEnd.MRR },
+	"loss":      func(r metrics.TimelineRecord) float64 { return r.Loss },
+	"hit_ratio": func(r metrics.TimelineRecord) float64 { return r.EpochEnd.HitRatio },
+	"comm_ms": func(r metrics.TimelineRecord) float64 {
+		if r.EpochEnd.CommMS == 0 && r.Wall != nil {
+			return r.Wall.CommMS // PBG's is wall-clock (see TimelineWall)
+		}
+		return r.EpochEnd.CommMS
+	},
 }
 
 // compareRuns renders the aligned per-epoch table and sparklines for the
-// given trace files.
+// given timeline files.
 func compareRuns(w io.Writer, metric string, paths []string) error {
+	value, ok := epochMetrics[metric]
+	if !ok {
+		return fmt.Errorf("hetkg trace: unknown metric %q (want mrr, loss, comm_ms, or hit_ratio)", metric)
+	}
 	type loaded struct {
 		name string
 		vals []float64
@@ -63,14 +77,14 @@ func compareRuns(w io.Writer, metric string, paths []string) error {
 	var runs []loaded
 	maxEpochs := 0
 	for _, path := range paths {
-		r, err := trace.ReadFile(path)
+		r, err := metrics.ReadTimelineFile(path)
 		if err != nil {
 			return err
 		}
-		vals := make([]float64, len(r.Epochs))
-		for i, e := range r.Epochs {
-			if vals[i], err = epochValue(e, metric); err != nil {
-				return err
+		var vals []float64
+		for _, rec := range r.Records {
+			if rec.EpochEnd != nil {
+				vals = append(vals, value(rec))
 			}
 		}
 		name := fmt.Sprintf("%s/%s", r.Header.System, r.Header.Dataset)
@@ -102,25 +116,23 @@ func compareRuns(w io.Writer, metric string, paths []string) error {
 	return nil
 }
 
-// spansReport merges every input dump and analyzes the union as one
-// trace set. A multi-process elastic run writes one dump per process —
-// the worker's batch spans and the shards' shard.pull/shard.apply spans
-// carry the same trace ID (it rides the wire header), so concatenating
-// the files is exactly merge-by-trace-ID and cross-process parent/child
-// chains reconnect. Spans identical in (trace, id, start) — overlapping
-// dumps of the same ring — are dropped as duplicates.
-func spansReport(w io.Writer, paths []string, topK int) error {
+// loadSpans merges every input dump into one span set, describing each file
+// on w. A multi-process elastic run writes one dump per process — the
+// worker's batch spans and the shards' shard.pull/shard.apply spans carry
+// the same trace ID (it rides the wire header), so concatenating the files
+// is exactly merge-by-trace-ID and cross-process parent/child chains
+// reconnect. Spans identical in (trace, id, start) — overlapping dumps of
+// the same ring — are dropped as duplicates and counted in dups.
+func loadSpans(w io.Writer, paths []string) (spans []span.Span, dups int, err error) {
 	type spanKey struct {
 		trace, id uint64
 		start     int64
 	}
-	var spans []span.Span
 	seen := make(map[spanKey]bool)
-	dups := 0
 	for _, path := range paths {
 		d, err := span.ReadFile(path)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		kept := 0
 		for _, s := range d.Spans {
@@ -135,6 +147,15 @@ func spansReport(w io.Writer, paths []string, topK int) error {
 		}
 		fmt.Fprintf(w, "%s: %s/%s, %d spans (every %d), seed %d\n",
 			path, d.Header.System, d.Header.Dataset, kept, d.Header.Every, d.Header.Seed)
+	}
+	return spans, dups, nil
+}
+
+// spansReport analyzes the union of the input dumps as one trace set.
+func spansReport(w io.Writer, paths []string, topK int) error {
+	spans, dups, err := loadSpans(w, paths)
+	if err != nil {
+		return err
 	}
 	if dups > 0 {
 		fmt.Fprintf(w, "dropped %d duplicate spans shared between files\n", dups)

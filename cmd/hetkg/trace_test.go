@@ -10,17 +10,32 @@ import (
 
 	"hetkg/internal/metrics"
 	"hetkg/internal/span"
-	"hetkg/internal/trace"
-	"hetkg/internal/train"
 )
 
-func writeTrace(t *testing.T, name, system string, epochs []metrics.EpochStat) string {
+// epoch is one epoch record of a hand-built timeline.
+type epoch struct{ loss, mrr float64 }
+
+// writeTimeline writes a timeline holding an interval record, which the
+// epoch view must skip, and one epoch record per entry of epochs.
+func writeTimeline(t *testing.T, name, system string, epochs []epoch) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	err := trace.WriteFile(path, trace.Header{Dataset: "fb15k", Seed: 7},
-		&train.Result{System: system, Epochs: epochs})
+	var buf bytes.Buffer
+	em, err := metrics.NewTimelineEmitter(&buf, metrics.NewRegistry(),
+		metrics.TimelineHeader{System: system, Dataset: "fb15k", Seed: 7})
+	if err == nil {
+		err = em.Emit(metrics.TimelineRecord{Iter: 10, Epoch: 1, Loss: 9})
+	}
+	for i, e := range epochs {
+		if err == nil {
+			err = em.Emit(metrics.TimelineRecord{Epoch: i + 1, Loss: e.loss, EpochEnd: &metrics.TimelineEpoch{MRR: e.mrr}})
+		}
+	}
 	if err != nil {
-		t.Fatalf("writing trace: %v", err)
+		t.Fatalf("writing timeline: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	return path
 }
@@ -30,12 +45,8 @@ func writeFileString(path, s string) error {
 }
 
 func TestCompareRunsTableAndSparkline(t *testing.T) {
-	a := writeTrace(t, "a.jsonl", "DGL-KE", []metrics.EpochStat{
-		{Epoch: 1, Loss: 5, MRR: 0.1}, {Epoch: 2, Loss: 2, MRR: 0.3},
-	})
-	b := writeTrace(t, "b.jsonl", "HET-KG-D", []metrics.EpochStat{
-		{Epoch: 1, Loss: 4, MRR: 0.2}, {Epoch: 2, Loss: 1.5, MRR: 0.4}, {Epoch: 3, Loss: 1, MRR: 0.5},
-	})
+	a := writeTimeline(t, "a.jsonl", "DGL-KE", []epoch{{5, 0.1}, {2, 0.3}})
+	b := writeTimeline(t, "b.jsonl", "HET-KG-D", []epoch{{4, 0.2}, {1.5, 0.4}, {1, 0.5}})
 
 	var buf bytes.Buffer
 	if err := compareRuns(&buf, "mrr", []string{a, b}); err != nil {
@@ -81,7 +92,7 @@ func TestCompareRunsErrors(t *testing.T) {
 	}
 
 	bad := filepath.Join(t.TempDir(), "bad.jsonl")
-	if err := writeFileString(bad, `{"kind":"hetkg-timeline/v1"}`+"\n"); err != nil {
+	if err := writeFileString(bad, `{"kind":"hetkg-spans/v1"}`+"\n"); err != nil {
 		t.Fatal(err)
 	}
 	if err := compareRuns(&buf, "mrr", []string{bad}); err == nil {
@@ -90,7 +101,7 @@ func TestCompareRunsErrors(t *testing.T) {
 		t.Errorf("kind error not descriptive: %v", err)
 	}
 
-	good := writeTrace(t, "good.jsonl", "DGL-KE", []metrics.EpochStat{{Epoch: 1, MRR: 0.1}})
+	good := writeTimeline(t, "good.jsonl", "DGL-KE", []epoch{{1, 0.1}})
 	if err := compareRuns(&buf, "f1", []string{good}); err == nil {
 		t.Error("unknown metric accepted")
 	} else if !strings.Contains(err.Error(), "f1") {
@@ -114,7 +125,7 @@ func TestSpansReport(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "s.jsonl")
 	hdr := span.Header{System: "HET-KG-D", Dataset: "fb15k", Every: 16, Seed: 7}
-	if err := span.WriteFile(path, span.FormatJSONL, hdr, spans); err != nil {
+	if err := span.WriteFile(path, hdr, spans); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,10 +162,10 @@ func TestSpansReport(t *testing.T) {
 	if err := spansReport(&buf, []string{"/nonexistent/s.jsonl"}, 0); err == nil {
 		t.Error("missing span file accepted")
 	}
-	// A trace file is not a span dump: the kind check must reject it.
-	tr := writeTrace(t, "run.jsonl", "DGL-KE", []metrics.EpochStat{{Epoch: 1}})
-	if err := spansReport(&buf, []string{tr}, 0); err == nil {
-		t.Error("hetkg-trace/v1 file accepted as span dump")
+	// A timeline is not a span dump: the kind check must reject it.
+	tl := writeTimeline(t, "run.jsonl", "DGL-KE", []epoch{{1, 0}})
+	if err := spansReport(&buf, []string{tl}, 0); err == nil {
+		t.Error("hetkg-timeline/v1 file accepted as span dump")
 	}
 }
 
@@ -182,10 +193,10 @@ func TestSpansReportMergesFiles(t *testing.T) {
 	hdr := span.Header{System: "HET-KG-D", Dataset: "fb15k", Every: 16, Seed: 7}
 	wp := filepath.Join(dir, "worker.jsonl")
 	sp := filepath.Join(dir, "shard.jsonl")
-	if err := span.WriteFile(wp, span.FormatJSONL, hdr, workerSpans); err != nil {
+	if err := span.WriteFile(wp, hdr, workerSpans); err != nil {
 		t.Fatal(err)
 	}
-	if err := span.WriteFile(sp, span.FormatJSONL, hdr, shardSpans); err != nil {
+	if err := span.WriteFile(sp, hdr, shardSpans); err != nil {
 		t.Fatal(err)
 	}
 
@@ -228,5 +239,94 @@ func TestSparklineScaling(t *testing.T) {
 	}
 	if got := sparkline([]float64{2, 2, 2}); got != "▁▁▁" {
 		t.Errorf("flat sparkline = %q, want ▁▁▁", got)
+	}
+}
+
+// TestTraceReadsTrainTimelines is the migration check for the removed
+// `train -trace` recorder: testdata/trace_mrr.golden is what `hetkg trace`
+// printed, at the last commit that had it, over the hetkg-trace/v1 files of
+// these three runs; the same verb over their -timeline files must print it
+// still — PBG included, whose timeline used to be left empty.
+func TestTraceReadsTrainTimelines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains three tiny runs")
+	}
+	dir := t.TempDir()
+	var paths []string
+	for _, system := range []string{"dglke", "hetkg-d", "pbg"} {
+		path := filepath.Join(dir, system+".jsonl")
+		paths = append(paths, path)
+		var out, errb strings.Builder
+		code := run([]string{"train", "-dataset", "fb15k", "-scale", "tiny", "-system", system,
+			"-machines", "2", "-epochs", "3", "-seed", "42", "-timeline", path, "-timeline-every", "50"}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("train -system %s exit %d: %s", system, code, errb.String())
+		}
+	}
+	var out, errb strings.Builder
+	if code := run(append([]string{"trace", "-metric", "mrr"}, paths...), &out, &errb); code != 0 {
+		t.Fatalf("trace exit %d: %s", code, errb.String())
+	}
+	want, err := os.ReadFile("testdata/trace_mrr.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != string(want) {
+		t.Errorf("hetkg trace over timelines:\n%s\nwant what it printed over the equivalent traces:\n%s", out.String(), want)
+	}
+}
+
+// TestTraceChrome: the Chrome view is a pure function of the dumps — byte for
+// byte what the recorder's own Chrome export wrote for the same spans when a
+// run could still choose that format — and several dumps merge as `trace
+// spans` merges them, duplicates dropped.
+func TestTraceChrome(t *testing.T) {
+	base := int64(1_000_000)
+	ms := int64(time.Millisecond)
+	worker := []span.Span{
+		{Trace: 0x101, ID: 1, Name: span.NBatch, Machine: 0, Worker: 0, StartNS: base, DurNS: 10 * ms, Iter: 16, Shard: span.NoShard},
+		{Trace: 0x101, ID: 3, Parent: 1, Name: span.NPSPull, Machine: 0, Worker: 0, StartNS: base + 7*ms, DurNS: 2 * ms, Bytes: 4096, Shard: 1},
+		{Trace: 0x101, ID: 5, Parent: 3, Name: span.NWireSim, Machine: span.MachineTransport, Worker: span.WorkerTransport, StartNS: base + 7*ms, DurNS: ms, Bytes: 4096, Shard: 1, Sim: true},
+	}
+	shard := []span.Span{
+		worker[1], // overlapping rings: the same span in both dumps
+		{Trace: 0x101, ID: 4, Parent: 3, Name: span.NShardPull, Machine: 1, Worker: span.WorkerShard, StartNS: base + 7*ms, DurNS: ms, Rows: 32, Shard: 1},
+	}
+	dir := t.TempDir()
+	hdr := span.Header{System: "HET-KG-D", Dataset: "fb15k", Every: 16, Seed: 7}
+	wp, sp := filepath.Join(dir, "worker.jsonl"), filepath.Join(dir, "shard.jsonl")
+	if err := span.WriteFile(wp, hdr, worker); err != nil {
+		t.Fatal(err)
+	}
+	if err := span.WriteFile(sp, hdr, shard); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		paths []string
+		spans []span.Span
+	}{
+		{[]string{wp}, worker},
+		{[]string{wp, sp}, append(append([]span.Span{}, worker...), shard[1])},
+	} {
+		var want bytes.Buffer
+		if err := span.WriteChromeTrace(&want, c.spans); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		if code := run(append([]string{"trace", "chrome"}, c.paths...), &out, &errb); code != 0 {
+			t.Fatalf("trace chrome %v exit %d: %s", c.paths, code, errb.String())
+		}
+		if !bytes.Equal(out.Bytes(), want.Bytes()) {
+			t.Errorf("trace chrome %v =\n%s\nwant\n%s", c.paths, out.Bytes(), want.Bytes())
+		}
+	}
+
+	var out, errb bytes.Buffer
+	if code := run([]string{"trace", "chrome"}, &out, &errb); code != 2 {
+		t.Errorf("trace chrome without files exit %d, want 2", code)
+	}
+	if code := run([]string{"trace", "chrome", filepath.Join(dir, "absent.jsonl")}, &out, &errb); code != 1 {
+		t.Errorf("trace chrome on a missing file exit %d, want 1", code)
 	}
 }

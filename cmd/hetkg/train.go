@@ -8,7 +8,6 @@ import (
 
 	"hetkg"
 	"hetkg/internal/plan"
-	"hetkg/internal/trace"
 )
 
 // The run flags (dataset, model, cache, codec, ...) are the shared plan
@@ -33,13 +32,12 @@ func bindTrain(fs *flag.FlagSet) action {
 		rpcRetry = fs.Int("rpc-retries", 0, "retry budget per remote-shard RPC after a link failure (0 = default 3, negative disables)")
 		degStale = fs.Int("degraded-max-staleness", 0, "ride out shard outages by serving cached rows up to this many iterations stale and buffering pushes for replay (0 = fail fast; hetkg-c/hetkg-d only)")
 		openArt  = bindArtifacts(fs, "")
-		traceOut = fs.String("trace", "", "write a per-epoch JSONL trace to this file")
-		timeline = fs.String("timeline", "", "write a per-iteration JSONL timeline to this file")
+		timeline = fs.String("timeline", "", "write the run's JSONL timeline to this file: one record per epoch plus one every -timeline-every iterations (hetkg trace compares them)")
 		tlEvery  = fs.Int("timeline-every", 0, "iterations between timeline records (0 = default)")
 		startObs = bindObs(fs)
 		machine  = fs.Int("machine", -1, "run only this machine's workers (-1 = all; requires -shards for a real deployment); with -join, the partition this worker prefers")
 	)
-	spanOut, spanN, spanFmt := bindSpan(fs, "trace every Nth batch per worker and write the spans to this file", "batch", "jsonl")
+	spanOut, spanN := bindSpan(fs, "trace every Nth batch per worker and write the spans to this file", "batch")
 	return func(stdout, stderr io.Writer) int {
 		rc, err := spec.RunConfig()
 		if err != nil {
@@ -88,7 +86,7 @@ func bindTrain(fs *flag.FlagSet) action {
 		}
 		rc.TimelinePath = *timeline
 		rc.TimelineEvery = *tlEvery
-		rc.SpanPath, rc.SpanEvery, rc.SpanFormat = *spanOut, *spanN, *spanFmt
+		rc.SpanPath, rc.SpanEvery = *spanOut, *spanN
 
 		res, err := hetkg.Run(rc)
 		if err != nil {
@@ -112,25 +110,8 @@ func bindTrain(fs *flag.FlagSet) action {
 			fmt.Fprintf(stdout, "timeline written to %s\n", *timeline)
 		}
 		if *spanOut != "" {
-			fmt.Fprintf(stdout, "spans written to %s (%s format)\n", *spanOut, *spanFmt)
-			if *spanFmt == "chrome" {
-				fmt.Fprintln(stdout, "open in https://ui.perfetto.dev or chrome://tracing")
-			} else {
-				fmt.Fprintf(stdout, "analyze with: hetkg trace spans %s\n", *spanOut)
-			}
-		}
-		if *traceOut != "" {
-			err := trace.WriteFile(*traceOut, trace.Header{
-				Dataset:  spec.Dataset,
-				Model:    spec.Model,
-				Dim:      res.Entities.Dim,
-				Machines: spec.Machines,
-				Seed:     spec.Seed,
-			}, res)
-			if err != nil {
-				return failf(stderr, 1, "trace: %v", err)
-			}
-			fmt.Fprintf(stdout, "trace written to %s\n", *traceOut)
+			fmt.Fprintf(stdout, "spans written to %s\n", *spanOut)
+			fmt.Fprintf(stdout, "analyze with: hetkg trace spans %s (Perfetto view: hetkg trace chrome %s)\n", *spanOut, *spanOut)
 		}
 		if *save != "" {
 			scale := spec.Scale

@@ -101,6 +101,67 @@ func TestNamesAreDocumented(t *testing.T) {
 	}
 }
 
+// TestExportedDeclarationsAreDocumented holds the packages other layers and
+// the docs build on to "no undocumented exported surface": internal/metrics
+// (the observability contract), internal/serve (the outward-facing query
+// surface the facade aliases), internal/ckpt and internal/frame (the recovery
+// file formats operators depend on), internal/telemetry, the cluster
+// membership and elastic layer (the protocol OPERATIONS.md documents), and
+// the experiment-plan layer (internal/plan, internal/artifact — DESIGN.md
+// §14). Every exported top-level function, method, type, variable and
+// constant there carries a doc comment; inside a parenthesized group the
+// group's comment covers the names that have none of their own.
+func TestExportedDeclarationsAreDocumented(t *testing.T) {
+	var files []string
+	for _, pattern := range []string{
+		"internal/metrics/*.go", "internal/serve/*.go", "internal/ckpt/*.go", "internal/frame/*.go",
+		"internal/telemetry/*.go", "internal/plan/*.go", "internal/plan/benchfmt/*.go", "internal/artifact/*.go",
+		"internal/ps/member.go", "internal/train/elastic.go",
+	} {
+		matches, err := filepath.Glob(pattern)
+		if err != nil || len(matches) == 0 {
+			t.Fatalf("%s matches no file (%v)", pattern, err)
+		}
+		files = append(files, matches...)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		undocumented := func(id *ast.Ident) {
+			t.Errorf("%s: exported %s has no doc comment", fset.Position(id.Pos()), id.Name)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && d.Doc == nil {
+					undocumented(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if spec.Name.IsExported() && spec.Doc == nil && d.Doc == nil {
+							undocumented(spec.Name)
+						}
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							if name.IsExported() && spec.Doc == nil && d.Doc == nil {
+								undocumented(name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCodecProfilesAreMeasuredAndTested: no wire codec profile ships
 // unmeasured or untested — every canonical profile name in internal/ps must
 // appear in EXPERIMENTS.md (the sweep documents its measured cost/accuracy
@@ -155,9 +216,9 @@ func TestPlanKeysAreDocumented(t *testing.T) {
 // TestDocsNameNoRemovedBinary: the nine hetkg-* binaries were folded into
 // verbs of the one `hetkg` binary, and a doc, script or CI file that still
 // names one sends its reader to a command that does not exist. The schema
-// ids that share the spelling (hetkg-bench/v2, hetkg-trace/v1, ...) are
-// spared by what follows the name. CHANGES.md and ROADMAP.md are history,
-// ISSUE.md is the change request itself, and benchmark/ is frozen.
+// ids that share the spelling (hetkg-bench/v3, ...) are spared by what
+// follows the name. CHANGES.md and ROADMAP.md are history, ISSUE.md is the
+// change request itself, and benchmark/ is frozen.
 func TestDocsNameNoRemovedBinary(t *testing.T) {
 	removed := regexp.MustCompile(`hetkg-(train|ps|serve|bench|eval|data|partition|trace|top)([^/\w-]|$)`)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

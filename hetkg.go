@@ -166,7 +166,8 @@ type Experiment = core.Experiment
 // ExperimentOptions parameterizes an experiment invocation.
 type ExperimentOptions = core.Options
 
-// ExperimentTable is an experiment's rendered output.
+// ExperimentTable is an experiment's output: typed cells that render as the
+// paper's text table (Render) and snapshot as exact values (Snapshot).
 type ExperimentTable = core.Table
 
 // Experiments returns the full registry, sorted by ID.
@@ -221,8 +222,8 @@ func ReadTimelineFile(path string) (*TimelineRun, error) {
 // RunConfig.SpanPath or `hetkg train`/`hetkg exp` -span.
 type SpanDump = span.Dump
 
-// ReadSpansFile parses a hetkg-spans/v1 JSONL span dump. Chrome-format
-// exports are for Perfetto, not this reader.
+// ReadSpansFile parses a hetkg-spans/v1 JSONL span dump (`hetkg trace chrome`
+// prints one as Chrome trace-event JSON for Perfetto).
 func ReadSpansFile(path string) (*SpanDump, error) { return span.ReadFile(path) }
 
 // CostModel converts metered traffic into simulated time.

@@ -2,9 +2,30 @@ package hetkg
 
 import (
 	"net"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
+
+// TestBenchmarkModuleBuilds compiles and vets benchmark/ against this tree.
+// benchmark/ is its own module (hetkg/benchmark, requiring only hetkg through
+// `replace ..`), so `go test ./...` here never builds it, and its files may
+// not change in a PR it measures: a rename of anything it uses — in the
+// facade or in internal/* — must fail tier-1 here, not the benchmark driver
+// later.
+func TestBenchmarkModuleBuilds(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command(goTool, "vet", "./...")
+	cmd.Dir = "benchmark"
+	cmd.Env = append(os.Environ(), "GOPROXY=off") // the module needs no download; never try one
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("benchmark/ no longer builds against this tree (go vet ./... in benchmark/: %v):\n%s", err, out)
+	}
+}
 
 func TestFacadeRun(t *testing.T) {
 	res, err := Run(RunConfig{

@@ -33,7 +33,8 @@ type HotCache struct {
 	client *ps.Client
 	optim  opt.Optimizer
 	rows   map[ps.Key]*hotRow
-	hits   metrics.Ratio
+	// hits and gets tally Get outcomes since the last ResetStats.
+	hits, gets metrics.Counter
 	// staleBound is P; 0 means unbounded (cached rows never expire).
 	staleBound int
 	// refreshed counts rows pulled by Build/Refresh (table construction
@@ -185,14 +186,14 @@ func (h *HotCache) Contains(k ps.Key) bool {
 // Offer. The returned slice is the live local copy.
 func (h *HotCache) Get(k ps.Key, iteration int) ([]float32, bool) {
 	row, ok := h.rows[k]
+	h.gets.Inc()
 	if !ok || h.stale(row, iteration) {
-		h.hits.Miss()
 		if o := h.obs; o != nil {
 			o.misses.Inc()
 		}
 		return nil, false
 	}
-	h.hits.Hit()
+	h.hits.Inc()
 	if o := h.obs; o != nil {
 		o.hits.Inc()
 		o.staleness.ObserveInt(int64(iteration - row.lastSync))
@@ -309,10 +310,19 @@ func (h *HotCache) RefreshedRows() int64 { return h.refreshed.Value() }
 // HitRatio returns the cache hit ratio since the last ResetStats. Under
 // per-row staleness this is also the local-service ratio: every miss —
 // cold or stale — costs one parameter-server pull.
-func (h *HotCache) HitRatio() float64 { return h.hits.Value() }
+func (h *HotCache) HitRatio() float64 {
+	gets := h.gets.Value()
+	if gets == 0 {
+		return 0
+	}
+	return float64(h.hits.Value()) / float64(gets)
+}
 
 // Accesses returns the total number of Get calls since the last ResetStats.
-func (h *HotCache) Accesses() int64 { return h.hits.Total.Value() }
+func (h *HotCache) Accesses() int64 { return h.gets.Value() }
 
 // ResetStats clears the hit-ratio counters (values stay cached).
-func (h *HotCache) ResetStats() { h.hits.Reset() }
+func (h *HotCache) ResetStats() {
+	h.hits.Reset()
+	h.gets.Reset()
+}

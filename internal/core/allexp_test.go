@@ -9,7 +9,8 @@ import (
 // paper table/figure plus the ablations — end to end at tiny scale. It is
 // the harness's own integration test: an experiment that errors, returns an
 // empty table, or loses its header/row shape fails here before it can fail
-// in a long bench run.
+// in a long bench run. The same pass checks the table's other view: a
+// snapshot whose rows are distinctly named and whose cells all found a key.
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment registry (~15s)")
@@ -36,7 +37,7 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 						e.ID, i, len(row), len(tab.Header))
 				}
 				for j, cell := range row {
-					if strings.TrimSpace(cell) == "" {
+					if strings.TrimSpace(cell.Text) == "" {
 						t.Errorf("%s cell (%d,%d) empty", e.ID, i, j)
 					}
 				}
@@ -44,8 +45,24 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 			if tab.String() == "" {
 				t.Errorf("%s renders empty", e.ID)
 			}
-			if js, err := tab.MarshalJSON(); err != nil || len(js) == 0 {
-				t.Errorf("%s JSON encoding failed: %v", e.ID, err)
+			snap := tab.Snapshot()
+			if snap.Name != e.ID || snap.Scale != "tiny" || snap.Seed != 7 {
+				t.Errorf("%s snapshot provenance = %q %q %d", e.ID, snap.Name, snap.Scale, snap.Seed)
+			}
+			names := map[string]bool{}
+			for i, row := range snap.Rows {
+				if row.Name == "" || names[row.Name] {
+					t.Errorf("%s snapshot row %d named %q: empty or repeated", e.ID, i, row.Name)
+				}
+				names[row.Name] = true
+				if len(row.Values)+len(row.Wall) == 0 {
+					t.Errorf("%s snapshot row %q measures nothing", e.ID, row.Name)
+				}
+				for key := range row.Values {
+					if key == "" {
+						t.Errorf("%s snapshot row %q has a keyless value", e.ID, row.Name)
+					}
+				}
 			}
 		})
 	}

@@ -193,14 +193,12 @@ type RunConfig struct {
 	Artifacts *artifact.Store
 
 	// SpanPath, when non-empty, enables per-batch span tracing and writes
-	// the collected spans there after the run (parent directories are
-	// created). SpanEvery is the per-worker batch sampling interval
-	// (default span.DefaultEvery); SpanFormat is span.FormatJSONL (default,
-	// the hetkg-spans/v1 dump hetkg trace reads) or span.FormatChrome
-	// (trace-event JSON for Perfetto / chrome://tracing).
-	SpanPath   string
-	SpanEvery  int
-	SpanFormat string
+	// the collected spans there after the run as a hetkg-spans/v1 dump
+	// (parent directories are created; `hetkg trace spans` analyzes it,
+	// `hetkg trace chrome` converts it for Perfetto). SpanEvery is the
+	// per-worker batch sampling interval (default span.DefaultEvery).
+	SpanPath  string
+	SpanEvery int
 
 	Seed int64
 }
@@ -470,12 +468,6 @@ func Run(rc RunConfig) (*train.Result, error) {
 	}
 	var spans *span.Collector
 	if rc.SpanPath != "" {
-		switch rc.SpanFormat {
-		case "", span.FormatJSONL, span.FormatChrome:
-		default:
-			return nil, fmt.Errorf("core: unknown span format %q (want %s or %s)",
-				rc.SpanFormat, span.FormatJSONL, span.FormatChrome)
-		}
 		spans = span.NewCollector(span.CollectorConfig{Every: rc.SpanEvery})
 		tc.Spans = spans
 	}
@@ -491,13 +483,8 @@ func Run(rc RunConfig) (*train.Result, error) {
 		}
 	}
 	if spans != nil && err == nil {
-		if dir := filepath.Dir(rc.SpanPath); dir != "." {
-			if merr := os.MkdirAll(dir, 0o755); merr != nil {
-				return res, fmt.Errorf("core: creating span directory: %w", merr)
-			}
-		}
 		hdr := span.Header{System: res.System, Dataset: rc.Dataset, Every: spans.Every(), Seed: rc.Seed}
-		if werr := span.WriteFile(rc.SpanPath, rc.SpanFormat, hdr, spans.Drain()); werr != nil {
+		if werr := span.WriteFile(rc.SpanPath, hdr, spans.Drain()); werr != nil {
 			return res, fmt.Errorf("core: writing spans: %w", werr)
 		}
 	}
@@ -526,7 +513,7 @@ func runSystem(system System, tc train.Config) (*train.Result, error) {
 type Options struct {
 	// Scale selects workload sizes (default Small; benches use Tiny).
 	Scale dataset.Scale
-	// Seed drives all randomness (default 42).
+	// Seed drives all randomness (default 42, filled by the registry).
 	Seed int64
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -534,11 +521,10 @@ type Options struct {
 	// training run under this directory (NNN-dataset-system.jsonl).
 	TimelineDir string
 	// SpanDir, when non-empty, writes one sequenced span dump per training
-	// run under this directory (NNN-dataset-system.spans.jsonl or .json for
-	// the chrome format). SpanEvery and SpanFormat forward to RunConfig.
-	SpanDir    string
-	SpanEvery  int
-	SpanFormat string
+	// run under this directory (NNN-dataset-system.spans.jsonl). SpanEvery
+	// forwards to RunConfig.
+	SpanDir   string
+	SpanEvery int
 }
 
 // timelineSeq numbers experiment timeline files within a process, so runs
@@ -559,14 +545,9 @@ func (o Options) run(rc RunConfig) (*train.Result, error) {
 		rc.TimelinePath = filepath.Join(o.TimelineDir, name)
 	}
 	if o.SpanDir != "" && rc.SpanPath == "" {
-		ext := "spans.jsonl"
-		if o.SpanFormat == span.FormatChrome {
-			ext = "trace.json"
-		}
-		name := fmt.Sprintf("%03d-%s-%s.%s", spanSeq.Add(1), ds, rc.System, ext)
+		name := fmt.Sprintf("%03d-%s-%s.spans.jsonl", spanSeq.Add(1), ds, rc.System)
 		rc.SpanPath = filepath.Join(o.SpanDir, name)
 		rc.SpanEvery = o.SpanEvery
-		rc.SpanFormat = o.SpanFormat
 	}
 	return Run(rc)
 }
@@ -574,21 +555,10 @@ func (o Options) run(rc RunConfig) (*train.Result, error) {
 // spanSeq numbers experiment span dumps, like timelineSeq.
 var spanSeq atomic.Int64
 
-func (o *Options) defaults() {
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-}
-
 func (o Options) logf(format string, args ...any) {
 	if o.Logf != nil {
 		o.Logf(format, args...)
 	}
-}
-
-// fmtDur renders a duration with millisecond precision for tables.
-func fmtDur(d time.Duration) string {
-	return d.Round(time.Millisecond).String()
 }
 
 func resumeEntities(c *ckpt.Checkpoint) *vec.Matrix {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"hetkg/internal/ckpt"
 	"hetkg/internal/dataset"
+	"hetkg/internal/plan/benchfmt"
 )
 
 func tinyOpts() Options {
@@ -85,7 +88,7 @@ func TestTableRender(t *testing.T) {
 		Header: []string{"A", "LongColumn"},
 	}
 	tab.AddRow("hello", 1.23456)
-	tab.AddRow(42, "x")
+	tab.AddRow(42, Dur(1500*time.Microsecond).Wall())
 	tab.Note("a note %d", 1)
 	s := tab.String()
 	if !strings.Contains(s, "== x: demo ==") {
@@ -100,6 +103,15 @@ func TestTableRender(t *testing.T) {
 	lines := strings.Split(s, "\n")
 	if len(lines) < 6 {
 		t.Errorf("too few lines:\n%s", s)
+	}
+	// The snapshot is the same rows, unrounded: labels name the row, a
+	// duration is keyed _ms, and a wall cell stays out of the values.
+	want := []benchfmt.Row{
+		{Name: "a=hello", Values: map[string]float64{"longcolumn": 1.23456}, Wall: map[string]float64{}},
+		{Name: "a=42", Values: map[string]float64{}, Wall: map[string]float64{"longcolumn_ms": 1.5}},
+	}
+	if got := tab.Snapshot(); got.Name != "x" || !reflect.DeepEqual(got.Rows, want) {
+		t.Errorf("snapshot = %+v, want rows %+v", got, want)
 	}
 }
 
@@ -125,10 +137,11 @@ func TestTable6Experiment(t *testing.T) {
 	if len(tab.Rows) != 3 {
 		t.Fatalf("table6 rows = %d", len(tab.Rows))
 	}
-	// HET-KG column (last) must dominate FIFO (second) on every dataset.
+	// Belady's bound (last column) must dominate FIFO (second) on every
+	// dataset, compared on the cells' exact values.
 	for _, row := range tab.Rows {
-		if row[len(row)-1] <= row[1] { // lexicographic on "NN.N%" works per-dataset here only loosely; parse instead
-			t.Logf("row: %v", row)
+		if row[len(row)-1].Value < row[1].Value {
+			t.Errorf("%s: Belady %s below FIFO %s", row[0].Text, row[len(row)-1].Text, row[1].Text)
 		}
 	}
 }

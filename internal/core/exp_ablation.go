@@ -58,9 +58,7 @@ func init() {
 }
 
 func runAblationPartition(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "xablation-partition",
 		Title:  "DGL-KE on fb15k-like, 4 machines: partitioner effect",
 		Header: []string{"Partitioner", "EdgeCutFrac", "RemoteBytes", "Comm", "Total"},
 	}
@@ -88,17 +86,15 @@ func runAblationPartition(o Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("xablation-partition (%s): %w", pname, err)
 		}
-		t.AddRow(pname, pr.CutFraction(g), res.Traffic.RemoteBytes,
-			fmtDur(res.Comm), fmtDur(res.Total()))
+		t.AddRow(pname, pr.CutFraction(g), Fmt("%.0f", float64(res.Traffic.RemoteBytes)),
+			Dur(res.Comm), Dur(res.Total()).Wall())
 	}
 	t.Note("expected: the min-cut partitioner lowers the edge cut and with it remote pull volume")
 	return t, nil
 }
 
 func runAblationNegSampling(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "xablation-negsampling",
 		Title:  "Distinct embedding rows pulled per batch: independent vs chunked corruption",
 		Header: []string{"Mode", "b_p", "b_n", "b_c", "AvgDistinctRows"},
 	}
@@ -124,16 +120,14 @@ func runAblationNegSampling(o Options) (*Table, error) {
 			ents, rels := b.DistinctIDs()
 			totalRows += len(ents) + len(rels)
 		}
-		t.AddRow(c.name, 128, 16, c.chunk, fmt.Sprintf("%.1f", float64(totalRows)/batches))
+		t.AddRow(c.name, 128, 16, c.chunk, Fmt("%.1f", float64(totalRows)/batches))
 	}
 	t.Note("§V: chunking reduces sampling/pull complexity from O(b_p·d·(b_n+1)) to O(b_p·d + b_p·k·d/b_c)")
 	return t, nil
 }
 
 func runAblationStrategy(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "xablation-strategy",
 		Title:  "CPS vs DPS hit ratio across cache sizes (fb15k-like)",
 		Header: []string{"CacheSize(%ids)", "CPS hit", "DPS hit"},
 	}
@@ -144,7 +138,7 @@ func runAblationStrategy(o Options) (*Table, error) {
 		if capacity < 1 {
 			capacity = 1
 		}
-		row := []string{fmt.Sprintf("%.0f%%", pct)}
+		row := []any{fmt.Sprintf("%.0f%%", pct)}
 		for _, sys := range []System{SystemHETKGC, SystemHETKGD} {
 			o.logf("xablation-strategy: %.0f%% / %s ...", pct, sys)
 			res, err := o.run(RunConfig{
@@ -160,18 +154,16 @@ func runAblationStrategy(o Options) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("xablation-strategy: %w", err)
 			}
-			row = append(row, fmt.Sprintf("%.1f%%", 100*res.HitRatio))
+			row = append(row, Pct(res.HitRatio, 1))
 		}
-		t.Rows = append(t.Rows, row)
+		t.AddRow(row...)
 	}
 	t.Note("§IV-B: DPS tracks the short-term access pattern, matching or beating CPS under tight capacity")
 	return t, nil
 }
 
 func runAblationQuantize(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "xablation-quantize",
 		Title:  "HET-KG-C on fb15k-like, 4 machines: float32 vs int8 payloads",
 		Header: []string{"Wire", "RemoteBytes", "Comm", "MRR"},
 	}
@@ -192,16 +184,14 @@ func runAblationQuantize(o Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("xablation-quantize (%s): %w", wire.name, err)
 		}
-		t.AddRow(wire.name, res.Traffic.RemoteBytes, fmtDur(res.Comm), res.Final.MRR)
+		t.AddRow(wire.name, Fmt("%.0f", float64(res.Traffic.RemoteBytes)), Dur(res.Comm), res.Final.MRR)
 	}
 	t.Note("expected: ~4x fewer payload bytes; quantization noise costs little MRR at 8 bits")
 	return t, nil
 }
 
 func runAblationAdversarial(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "xablation-adversarial",
 		Title:  "HET-KG-D on fb15k-like: negative-sample weighting",
 		Header: []string{"Weighting", "MRR", "Hits@10", "FinalLoss"},
 	}
@@ -224,7 +214,7 @@ func runAblationAdversarial(o Options) (*Table, error) {
 			return nil, fmt.Errorf("xablation-adversarial (%s): %w", name, err)
 		}
 		t.AddRow(name, res.Final.MRR, res.Final.Hits[10],
-			fmt.Sprintf("%.4f", res.Epochs[len(res.Epochs)-1].Loss))
+			Fmt("%.4f", res.Epochs[len(res.Epochs)-1].Loss))
 	}
 	t.Note("extension beyond the paper: focusing gradient mass on hard negatives (RotatE-style)")
 	return t, nil
@@ -237,9 +227,7 @@ func runAblationAdversarial(o Options) (*Table, error) {
 // the empirical counterpart of the bounded-delay assumption (4) in the
 // paper's proof sketch.
 func runTheoryStaleness(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "xtheory-staleness",
 		Title:  "HET-KG-C on fb15k-like: bounded (P=8) vs unbounded staleness",
 		Header: []string{"Staleness", "Epoch", "Loss", "MRR"},
 	}
@@ -265,7 +253,7 @@ func runTheoryStaleness(o Options) (*Table, error) {
 			return nil, fmt.Errorf("xtheory-staleness (%s): %w", c.name, err)
 		}
 		for _, e := range res.Epochs {
-			t.AddRow(c.name, e.Epoch, fmt.Sprintf("%.4f", e.Loss), e.MRR)
+			t.AddRow(c.name, e.Epoch, Fmt("%.4f", e.Loss), e.MRR)
 		}
 	}
 	t.Note("§IV-C: with T > O(K²) iterations and staleness bounded by K, convergence matches synchronous training;")
@@ -278,9 +266,7 @@ func runTheoryStaleness(o Options) (*Table, error) {
 // expensive ... especially in a low bandwidth network environment" — so the
 // cache's relative advantage should grow as the link slows.
 func runAblationBandwidth(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "xablation-bandwidth",
 		Title:  "Epoch time vs link bandwidth (TransE, freebase86m-like, 4 machines)",
 		Header: []string{"Bandwidth", "DGL-KE comm", "HET-KG-C comm", "Comm saving"},
 	}
@@ -310,23 +296,19 @@ func runAblationBandwidth(o Options) (*Table, error) {
 			}
 			comms[i] = res.Comm.Seconds()
 		}
-		adv := 0.0
+		saving := 0.0
 		if comms[0] > 0 {
-			adv = (comms[0] - comms[1]) / comms[0] * 100
+			saving = (comms[0] - comms[1]) / comms[0]
 		}
-		t.AddRow(fmt.Sprintf("%.0f Mbps", mbps),
-			fmt.Sprintf("%.3fs", comms[0]),
-			fmt.Sprintf("%.3fs", comms[1]),
-			fmt.Sprintf("%+.1f%%", adv))
+		t.AddRow(fmt.Sprintf("%.0f Mbps", mbps), Fmt("%.3fs", comms[0]), Fmt("%.3fs", comms[1]),
+			Cell{Text: fmt.Sprintf("%+.1f%%", 100*saving), Value: saving})
 	}
 	t.Note("§II: the cache's byte saving is a fixed fraction; its absolute time value grows as the link slows")
 	return t, nil
 }
 
 func runAblationHardNegs(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "xablation-hardnegs",
 		Title:  "HET-KG-C on fb15k-like: negative corruption distribution",
 		Header: []string{"Corruption", "MRR", "Hits@10", "FinalLoss"},
 	}
@@ -349,7 +331,7 @@ func runAblationHardNegs(o Options) (*Table, error) {
 			return nil, fmt.Errorf("xablation-hardnegs (%s): %w", name, err)
 		}
 		t.AddRow(name, res.Final.MRR, res.Final.Hits[10],
-			fmt.Sprintf("%.4f", res.Epochs[len(res.Epochs)-1].Loss))
+			Fmt("%.4f", res.Epochs[len(res.Epochs)-1].Loss))
 	}
 	t.Note("extension: corrupting with high-degree entities yields harder negatives on skewed graphs")
 	return t, nil

@@ -41,9 +41,7 @@ func init() {
 // accuracyTable trains every system × model combination on one dataset and
 // reports the paper's columns: MRR, Hits@1, Hits@10, and (simulated) time.
 func accuracyTable(id, ds string, models []string, o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     id,
 		Title:  fmt.Sprintf("Link prediction on %s", ds),
 		Header: []string{"System", "Model", "MRR", "Hits@1", "Hits@10", "Time(s)"},
 	}
@@ -62,7 +60,7 @@ func accuracyTable(id, ds string, models []string, o Options) (*Table, error) {
 			}
 			t.AddRow(string(sys), mdl,
 				res.Final.MRR, res.Final.Hits[1], res.Final.Hits[10],
-				fmt.Sprintf("%.2f", res.Total().Seconds()))
+				Fmt("%.2f", res.Total().Seconds()).Wall())
 		}
 	}
 	t.Note("paper shape: all systems reach comparable quality; HET-KG variants finish fastest, PBG slowest")
@@ -71,9 +69,7 @@ func accuracyTable(id, ds string, models []string, o Options) (*Table, error) {
 }
 
 func runFig5(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "fig5",
 		Title:  "Convergence on fb15k-like (TransE): MRR vs cumulative time",
 		Header: []string{"System", "Epoch", "CumTime(s)", "MRR", "Loss"},
 	}
@@ -92,8 +88,8 @@ func runFig5(o Options) (*Table, error) {
 		}
 		for _, e := range res.Epochs {
 			t.AddRow(string(sys), e.Epoch,
-				fmt.Sprintf("%.2f", e.CumTime.Seconds()),
-				e.MRR, fmt.Sprintf("%.4f", e.Loss))
+				Fmt("%.2f", e.CumTime.Seconds()).Wall(),
+				e.MRR, Fmt("%.4f", e.Loss))
 		}
 	}
 	t.Note("paper shape: all systems converge to similar MRR; HET-KG's curves reach it in less cumulative time")

@@ -81,9 +81,7 @@ func accessCensus(ds string, scale dataset.Scale, seed int64, numBatches int) (*
 }
 
 func runFig2(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:    "fig2",
 		Title: "Access share of the hottest entities/relations under uniform batch sampling",
 		Header: []string{"Dataset", "Top1% ent share", "Top1% rel share",
 			"Mean acc/entity", "Mean acc/relation"},
@@ -96,11 +94,8 @@ func runFig2(o Options) (*Table, error) {
 		}
 		entShare := topFreqShare(pre.EntityFreq)
 		relShare := topFreqShare(pre.RelationFreq)
-		t.AddRow(ds,
-			fmt.Sprintf("%.1f%%", 100*entShare),
-			fmt.Sprintf("%.1f%%", 100*relShare),
-			fmt.Sprintf("%.1f", meanFreq(pre.EntityFreq)),
-			fmt.Sprintf("%.1f", meanFreq(pre.RelationFreq)))
+		t.AddRow(ds, Pct(entShare, 1), Pct(relShare, 1),
+			Fmt("%.1f", meanFreq(pre.EntityFreq)), Fmt("%.1f", meanFreq(pre.RelationFreq)))
 	}
 	t.Note("paper shape: access is heavily skewed; relations are accessed far more often per id than entities")
 	t.Note("paper FB15k reference: top 1%% of entities ≈6%% of usage, top 1%% of relations ≈36%%")
@@ -108,9 +103,7 @@ func runFig2(o Options) (*Table, error) {
 }
 
 func runFig8a(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "fig8a",
 		Title:  "HET-KG-C on freebase86m-like: cache size sweep",
 		Header: []string{"CacheSize(%ids)", "HitRatio", "MRR", "Comm"},
 	}
@@ -134,16 +127,14 @@ func runFig8a(o Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig8a (%.1f%%): %w", pct, err)
 		}
-		t.AddRow(fmt.Sprintf("%.1f%%", pct), res.HitRatio, res.Final.MRR, fmtDur(res.Comm))
+		t.AddRow(fmt.Sprintf("%.1f%%", pct), res.HitRatio, res.Final.MRR, Dur(res.Comm))
 	}
 	t.Note("paper shape: hit ratio rises with cache size; MRR stays flat (stale fraction remains small)")
 	return t, nil
 }
 
 func runFig8b(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "fig8b",
 		Title:  "HET-KG-C on freebase86m-like: staleness bound P sweep",
 		Header: []string{"P", "LocalServiceRatio", "HitRatio", "MRR"},
 	}
@@ -168,9 +159,7 @@ func runFig8b(o Options) (*Table, error) {
 }
 
 func runFig8c(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "fig8c",
 		Title:  "Hit ratio vs entity share of the hot-embedding table (freebase86m-like)",
 		Header: []string{"EntityRatio", "HitRatio"},
 	}
@@ -200,9 +189,7 @@ func runFig8c(o Options) (*Table, error) {
 }
 
 func runFig9(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "fig9",
 		Title:  "Epoch-MRR under staleness P=1 vs P=128 (HET-KG-C, freebase86m-like)",
 		Header: []string{"P", "Epoch", "MRR", "Loss"},
 	}
@@ -223,7 +210,7 @@ func runFig9(o Options) (*Table, error) {
 			return nil, fmt.Errorf("fig9 (P=%d): %w", p, err)
 		}
 		for _, e := range res.Epochs {
-			t.AddRow(p, e.Epoch, e.MRR, fmt.Sprintf("%.4f", e.Loss))
+			t.AddRow(p, e.Epoch, e.MRR, Fmt("%.4f", e.Loss))
 		}
 	}
 	t.Note("paper shape: with consistency (P=1) MRR converges higher; relaxing to P=128 costs final quality")
@@ -231,9 +218,7 @@ func runFig9(o Options) (*Table, error) {
 }
 
 func runTable6(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "table6",
 		Title:  "Cache hit ratio of simple policies vs HET-KG's prefetch-filter selection",
 		Header: []string{"Dataset", "FIFO", "LRU", "Importance(LFU)", "HET-KG", "Belady(bound)"},
 	}
@@ -263,8 +248,7 @@ func runTable6(o Options) (*Table, error) {
 		}
 		het := cache.StaticHitRatio(table, stream)
 		belady := cache.Belady(capacity, stream)
-		pc := func(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
-		t.AddRow(ds, pc(fifo), pc(lru), pc(lfu), pc(het), pc(belady))
+		t.AddRow(ds, Pct(fifo, 1), Pct(lru, 1), Pct(lfu, 1), Pct(het, 1), Pct(belady, 1))
 	}
 	t.Note("paper shape (FB15k): FIFO 7.4%% < LRU 11.7%% < importance 15.2%% < HET-KG 25.2%%")
 	t.Note("Belady's MIN is the offline optimum (extra analysis column): HET-KG's lookahead closes most of the gap to it")
@@ -272,9 +256,7 @@ func runTable6(o Options) (*Table, error) {
 }
 
 func runTable7(o Options) (*Table, error) {
-	o.defaults()
 	t := &Table{
-		ID:     "table7",
 		Title:  "HET-KG (25/75 quota) vs HET-KG-N (frequency only)",
 		Header: []string{"Dataset", "Variant", "MRR", "Hits@1", "Hits@10", "Time(s)", "HitRatio"},
 	}
@@ -297,7 +279,7 @@ func runTable7(o Options) (*Table, error) {
 				return nil, fmt.Errorf("table7 (%s/%s): %w", ds, name, err)
 			}
 			t.AddRow(ds, name, res.Final.MRR, res.Final.Hits[1], res.Final.Hits[10],
-				fmt.Sprintf("%.2f", res.Total().Seconds()), res.HitRatio)
+				Fmt("%.2f", res.Total().Seconds()).Wall(), res.HitRatio)
 		}
 	}
 	t.Note("paper shape: HET-KG-N runs slightly faster (hotter cache) but converges to lower accuracy")

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hetkg/internal/metrics"
-	"hetkg/internal/plan/benchfmt"
 	"hetkg/internal/ps"
 )
 
@@ -26,22 +25,15 @@ func init() {
 }
 
 func runCodecs(o Options) (*Table, error) {
-	o.defaults()
-	t := &Table{
-		ID:     "codecs",
-		Title:  "Wire codecs on fb15k-like (HET-KG-D, TransE)",
-		Header: []string{"Codec", "RawMB", "WireMB", "Ratio", "B/iter", "Wall", "MRR"},
-	}
 	// commDim keeps rows wide enough (>= 64 floats) that per-row codec
 	// headers are noise; at tiny widths the 5-byte delta header eats the
 	// int8 savings and no profile could show its asymptotic ratio.
 	dim := commDim(o)
 	const epochs = 2
 	const machines = 4
-	t.Bench = &benchfmt.File{
-		Name:  "codecs",
-		Scale: o.Scale.String(),
-		Seed:  o.Seed,
+	t := &Table{
+		Title:  "Wire codecs on fb15k-like (HET-KG-D, TransE)",
+		Header: []string{"Codec", "RawMB", "WireMB", "Ratio", "B/iter", "Wall", "MRR"},
 		Meta: map[string]string{
 			"dataset":  "fb15k",
 			"model":    "transe",
@@ -50,6 +42,10 @@ func runCodecs(o Options) (*Table, error) {
 			"machines": fmt.Sprint(machines),
 			"epochs":   fmt.Sprint(epochs),
 		},
+	}
+	// The table shows megabytes; the snapshot keeps the byte count.
+	mb := func(key string, bytes int64) Cell {
+		return Cell{Text: fmt.Sprintf("%.2f", float64(bytes)/1e6), Value: float64(bytes), Key: key}
 	}
 	for _, codec := range []string{
 		ps.ProfileFP32, ps.ProfileFP16, ps.ProfileInt8, ps.ProfileDeltaInt8, ps.ProfileTopK,
@@ -82,24 +78,10 @@ func runCodecs(o Options) (*Table, error) {
 		if iters > 0 {
 			perIter = float64(wire) / float64(iters)
 		}
-		t.AddRow(codec,
-			fmt.Sprintf("%.2f", float64(raw)/1e6),
-			fmt.Sprintf("%.2f", float64(wire)/1e6),
-			fmt.Sprintf("%.2fx", ratio),
-			fmt.Sprintf("%.0f", perIter),
-			fmtDur(wall),
-			fmt.Sprintf("%.3f", res.Final.MRR))
-		t.Bench.Rows = append(t.Bench.Rows, benchfmt.Row{
-			Name: "codec=" + codec,
-			Values: map[string]float64{
-				"bytes_raw":      float64(raw),
-				"bytes_wire":     float64(wire),
-				"ratio":          ratio,
-				"bytes_per_iter": perIter,
-				"wall_ms":        float64(wall.Milliseconds()),
-				"mrr":            res.Final.MRR,
-			},
-		})
+		perIterCell := Fmt("%.0f", perIter)
+		perIterCell.Key = "bytes_per_iter"
+		t.AddRow(codec, mb("bytes_raw", raw), mb("bytes_wire", wire), Fmt("%.2fx", ratio),
+			perIterCell, Dur(wall).Wall(), res.Final.MRR)
 	}
 	t.Note("ratio = codec payload bytes before / after encoding (pull + push, per-row headers included)")
 	t.Note("claim: delta-int8 >= 3x vs fp32's 1x with matching MRR; topk trades MRR noise for the sparsest pushes")

@@ -18,9 +18,23 @@ type Experiment struct {
 // registry holds all experiments keyed by ID.
 var registry = map[string]Experiment{}
 
+// register adds e to the registry behind the one place that fills the
+// options' defaults and stamps the table with its identity: the experiment's
+// ID and the scale and seed it ran at.
 func register(e Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic(fmt.Sprintf("core: duplicate experiment %q", e.ID))
+	}
+	run := e.Run
+	e.Run = func(o Options) (*Table, error) {
+		if o.Seed == 0 {
+			o.Seed = 42
+		}
+		t, err := run(o)
+		if t != nil {
+			t.ID, t.Scale, t.Seed = e.ID, o.Scale.String(), o.Seed
+		}
+		return t, err
 	}
 	registry[e.ID] = e
 }

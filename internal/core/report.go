@@ -1,55 +1,113 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"hetkg/internal/plan/benchfmt"
 )
 
 // Table is one experiment's output: a titled grid of cells matching the
 // corresponding table or figure in the paper, plus free-form notes (the
-// workload, parameters, and expected shape).
+// workload, parameters, and expected shape). Every cell is authored once;
+// Render and Snapshot are two views of the same rows.
 type Table struct {
 	ID     string
 	Title  string
 	Header []string
-	Rows   [][]string
+	Rows   [][]Cell
 	Notes  []string
-	// Bench, when an experiment fills it, is the table's machine-readable
-	// hetkg-bench/v2 snapshot with exact (unrounded) values. Experiments
-	// that don't are still benchable: BenchFile falls back to parsing the
-	// rendered cells.
-	Bench *benchfmt.File
+	// Scale and Seed are the options the experiment ran with, and Meta any
+	// further provenance (dataset, dim, ...); all three land in Snapshot.
+	Scale string
+	Seed  int64
+	Meta  map[string]string
 }
 
-// BenchFile returns the table's perf snapshot: the experiment-authored one
-// when present, else a best-effort conversion of the rendered grid (first
-// column = row name, numeric cells = values). This is what `hetkg exp
-// -bench-out` writes as BENCH_<id>.json for every experiment.
-func (t *Table) BenchFile() *benchfmt.File {
-	if t.Bench != nil {
-		return t.Bench
-	}
-	return benchfmt.FromTable(t.ID, t.Header, t.Rows)
+// Cell is one table cell: Text is what the table renders and Value the exact
+// number behind the text, which the table's snapshot records under Key —
+// among the row's deterministic `values` unless the cell is marked Wall. A
+// label cell (a system, a dataset, a swept setting) names the row instead.
+// Build cells with Label, Fmt, Pct and Dur.
+type Cell struct {
+	Text  string
+	Value float64
+	// Key is the snapshot field. AddRow derives it from the column header
+	// (benchfmt.NormalizeField, plus the unit suffix of a Dur) when empty.
+	Key         string
+	label, wall bool
+	unit        string
 }
 
-// AddRow appends a row, formatting each cell with %v.
+// Label is a cell that identifies its row instead of measuring something.
+func Label(v any) Cell { return Cell{Text: fmt.Sprint(v), label: true} }
+
+// Fmt is a measurement rendered with a single-verb float format ("%.3f",
+// "%.2fx", "%.0f").
+func Fmt(format string, v float64) Cell { return Cell{Text: fmt.Sprintf(format, v), Value: v} }
+
+// Pct is a fraction rendered as a percentage with prec decimals; the
+// snapshot keeps the fraction.
+func Pct(frac float64, prec int) Cell {
+	return Cell{Text: fmt.Sprintf("%.*f%%", prec, 100*frac), Value: frac}
+}
+
+// Dur is a duration rendered to the millisecond and recorded in
+// milliseconds under a key ending in _ms. A simulated (cost-model) duration
+// is deterministic; mark a measured one Wall.
+func Dur(d time.Duration) Cell {
+	return Cell{Text: d.Round(time.Millisecond).String(), Value: float64(d) / float64(time.Millisecond), unit: "_ms"}
+}
+
+// Wall marks the cell as wall-clock: it renders the same but is recorded
+// under the snapshot row's `wall`, outside what `hetkg compare` holds equal.
+func (c Cell) Wall() Cell { c.wall = true; return c }
+
+// AddRow appends a row. A Cell is taken as authored, a float becomes
+// Fmt("%.3f"), and anything else — strings, ints — a Label.
 func (t *Table) AddRow(cells ...any) {
-	row := make([]string, len(cells))
+	row := make([]Cell, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
+		case Cell:
+			row[i] = v
 		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
-		case float32:
-			row[i] = fmt.Sprintf("%.3f", v)
+			row[i] = Fmt("%.3f", v)
 		default:
-			row[i] = fmt.Sprint(c)
+			row[i] = Label(c)
+		}
+		if row[i].Key == "" && i < len(t.Header) {
+			row[i].Key = benchfmt.NormalizeField(t.Header[i]) + row[i].unit
 		}
 	}
 	t.Rows = append(t.Rows, row)
+}
+
+// Snapshot returns the table as a hetkg-bench/v3 file with exact values —
+// what `hetkg exp -bench-out` writes. A row is named by its label cells
+// ("system=PBG,model=transe"); the others land under their keys in `values`,
+// the wall-clock ones in `wall`.
+func (t *Table) Snapshot() *benchfmt.File {
+	f := &benchfmt.File{Name: t.ID, Scale: t.Scale, Seed: t.Seed, Meta: t.Meta}
+	for _, row := range t.Rows {
+		var name []string
+		r := benchfmt.Row{Values: map[string]float64{}, Wall: map[string]float64{}}
+		for _, c := range row {
+			switch {
+			case c.label:
+				name = append(name, c.Key+"="+c.Text)
+			case c.wall:
+				r.Wall[c.Key] = c.Value
+			default:
+				r.Values[c.Key] = c.Value
+			}
+		}
+		r.Name = strings.Join(name, ",")
+		f.Rows = append(f.Rows, r)
+	}
+	return f
 }
 
 // Note appends a formatted note line.
@@ -68,8 +126,8 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) && len(cell.Text) > widths[i] {
+				widths[i] = len(cell.Text)
 			}
 		}
 	}
@@ -95,7 +153,11 @@ func (t *Table) Render(w io.Writer) error {
 		return err
 	}
 	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, line(row)); err != nil {
+		texts := make([]string, len(row))
+		for i, cell := range row {
+			texts[i] = cell.Text
+		}
+		if _, err := fmt.Fprintln(w, line(texts)); err != nil {
 			return err
 		}
 	}
@@ -106,18 +168,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// MarshalJSON renders the table as a JSON object with id, title, header,
-// rows, and notes — machine-readable output for plotting pipelines.
-func (t *Table) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		ID     string     `json:"id"`
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-		Notes  []string   `json:"notes,omitempty"`
-	}{t.ID, t.Title, t.Header, t.Rows, t.Notes})
 }
 
 // String renders the table to a string.

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -10,31 +10,35 @@ import (
 	"hetkg/internal/span"
 )
 
-// TestRunWritesChromeTrace is the Chrome-export acceptance test: a run with
-// SpanFormat "chrome" must produce trace-event JSON Perfetto accepts —
-// a traceEvents array of complete ("X") duration events with pid/tid and
-// microsecond timestamps, plus process_name/thread_name metadata ("M")
-// events naming the machine and worker rows.
+// TestRunWritesChromeTrace is the Chrome-export acceptance test: the span
+// dump a run writes, put through the Chrome view (what `hetkg trace chrome`
+// prints), must be trace-event JSON Perfetto accepts — a traceEvents array
+// of complete ("X") duration events with pid/tid and microsecond timestamps,
+// plus process_name/thread_name metadata ("M") events naming the machine and
+// worker rows.
 func TestRunWritesChromeTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.trace.json")
+	path := filepath.Join(t.TempDir(), "out.spans.jsonl")
 	_, err := Run(RunConfig{
-		Dataset:    "fb15k",
-		Scale:      dataset.Tiny,
-		System:     SystemHETKGD,
-		Epochs:     1,
-		Seed:       7,
-		SpanPath:   path,
-		SpanEvery:  1,
-		SpanFormat: span.FormatChrome,
+		Dataset:   "fb15k",
+		Scale:     dataset.Tiny,
+		System:    SystemHETKGD,
+		Epochs:    1,
+		Seed:      7,
+		SpanPath:  path,
+		SpanEvery: 1,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-
-	raw, err := os.ReadFile(path)
+	dump, err := span.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading trace: %v", err)
+		t.Fatalf("reading dump: %v", err)
 	}
+	var chrome bytes.Buffer
+	if err := span.WriteChromeTrace(&chrome, dump.Spans); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	raw := chrome.Bytes()
 	var doc struct {
 		TraceEvents []struct {
 			Name string         `json:"name"`
@@ -112,7 +116,7 @@ func TestRunWritesChromeTrace(t *testing.T) {
 	}
 }
 
-// TestRunWritesSpanJSONL checks the default JSONL export path end to end:
+// TestRunWritesSpanJSONL checks the span dump end to end:
 // the written dump parses via span.ReadFile, its header identifies the run,
 // and it contains stitched root and shard spans.
 func TestRunWritesSpanJSONL(t *testing.T) {
@@ -150,20 +154,5 @@ func TestRunWritesSpanJSONL(t *testing.T) {
 		if counts[name] == 0 {
 			t.Errorf("no %q spans in dump", name)
 		}
-	}
-}
-
-// TestRunRejectsUnknownSpanFormat verifies the format is validated before
-// any training work happens.
-func TestRunRejectsUnknownSpanFormat(t *testing.T) {
-	_, err := Run(RunConfig{
-		Dataset:    "fb15k",
-		Scale:      dataset.Tiny,
-		System:     SystemDGLKE,
-		SpanPath:   filepath.Join(t.TempDir(), "x"),
-		SpanFormat: "protobuf",
-	})
-	if err == nil {
-		t.Fatal("unknown span format accepted")
 	}
 }

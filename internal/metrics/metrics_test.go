@@ -3,7 +3,6 @@ package metrics
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -34,30 +33,5 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 {
 		t.Errorf("Value = %d, want 8000", c.Value())
-	}
-}
-
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Errorf("empty Ratio = %v, want 0", r.Value())
-	}
-	r.Hit()
-	r.Hit()
-	r.Miss()
-	r.Miss()
-	if got := r.Value(); got != 0.5 {
-		t.Errorf("Ratio = %v, want 0.5", got)
-	}
-	r.Reset()
-	if r.Value() != 0 || r.Total.Value() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestEpochStatTotal(t *testing.T) {
-	e := EpochStat{Comp: time.Second, Comm: 2 * time.Second}
-	if e.Total() != 3*time.Second {
-		t.Errorf("Total = %v, want 3s", e.Total())
 	}
 }

@@ -26,29 +26,55 @@ type TimelineHeader struct {
 
 // TimelineWall carries a record's wall-clock measurements. Wall values are
 // nondeterministic (they depend on the machine and the scheduler) and are
-// kept out of Metrics so that everything under "metrics" is bit-identical
-// across runs of the same configuration.
+// kept out of the rest of the record so that everything outside "wall" is
+// bit-identical across runs of the same configuration.
 type TimelineWall struct {
-	// ElapsedMS is wall-clock milliseconds since training started.
-	ElapsedMS float64 `json:"elapsed_ms"`
-	// CompMS is accumulated wall-clock gradient-computation milliseconds.
+	// ElapsedMS is wall-clock milliseconds since training started (interval
+	// records).
+	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
+	// CompMS is gradient-computation milliseconds: accumulated over the run
+	// in an interval record, the epoch's critical path in an epoch record.
 	CompMS float64 `json:"comp_ms,omitempty"`
 	// PairsPerSec is the run's throughput so far: scored (positive,
-	// negative) pairs per wall-clock second.
+	// negative) pairs per wall-clock second (interval records).
 	PairsPerSec float64 `json:"pairs_per_sec,omitempty"`
+	// CommMS stands in for TimelineEpoch.CommMS where communication time is
+	// not a pure cost-model value: PBG's is its share of a makespan that
+	// also schedules measured computation.
+	CommMS float64 `json:"comm_ms,omitempty"`
+	// CumMS is training time (comp + comm) through the end of the epoch.
+	CumMS float64 `json:"cum_ms,omitempty"`
+}
+
+// TimelineEpoch is the deterministic summary of one completed epoch.
+type TimelineEpoch struct {
+	// MRR is the validation MRR at the epoch boundary (0 = not evaluated).
+	MRR float64 `json:"mrr,omitempty"`
+	// CommMS is the epoch's critical-path communication time in simulated
+	// milliseconds: the cost model over the metered traffic.
+	CommMS float64 `json:"comm_ms,omitempty"`
+	// HitRatio is the epoch's hot-embedding cache hit ratio.
+	HitRatio float64 `json:"hit_ratio,omitempty"`
 }
 
 // TimelineRecord is one emitted line: the training position, the loss, a
-// deterministic registry snapshot, and optional wall-clock readings.
+// deterministic registry snapshot, and optional wall-clock readings. A run
+// writes an interval record every Header.Every iterations and an epoch
+// record — the one with EpochEnd set — at each epoch boundary.
 type TimelineRecord struct {
-	// Iter is the global iteration (mini-batch rounds across all epochs).
+	// Iter is the global iteration (mini-batch rounds across all epochs);
+	// 0 in the epoch records of trainers with no global round counter (PBG,
+	// elastic workers).
 	Iter int `json:"iter"`
 	// Epoch is the 1-based epoch the iteration belongs to.
 	Epoch int `json:"epoch"`
-	// Loss is the mean pair loss over workers' running epoch averages.
+	// Loss is the mean pair loss over workers' running epoch averages; in
+	// an epoch record, the epoch's final mean loss.
 	Loss float64 `json:"loss"`
 	// Metrics is the registry snapshot with timers excluded.
 	Metrics Snapshot `json:"metrics"`
+	// EpochEnd marks an epoch record and carries the epoch's summary.
+	EpochEnd *TimelineEpoch `json:"epoch_end,omitempty"`
 	// Wall holds the record's nondeterministic wall-clock readings.
 	Wall *TimelineWall `json:"wall,omitempty"`
 }
@@ -58,7 +84,6 @@ type TimelineRecord struct {
 // goroutine.
 type TimelineEmitter struct {
 	reg   *Registry
-	bw    *bufio.Writer
 	enc   *json.Encoder
 	every int
 }
@@ -66,7 +91,9 @@ type TimelineEmitter struct {
 // NewTimelineEmitter writes the header line and returns an emitter that
 // snapshots reg on each Emit. hdr.Kind is forced to TimelineKind and
 // hdr.Every to the effective interval (DefaultTimelineEvery when
-// unspecified). Call Flush when the run completes.
+// unspecified). The header and every record reach w as one write each, as
+// they are produced: a run that fails, whenever it does, leaves a file that
+// says what it was and how far it got.
 func NewTimelineEmitter(w io.Writer, reg *Registry, hdr TimelineHeader) (*TimelineEmitter, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("metrics: timeline emitter needs a registry")
@@ -77,12 +104,11 @@ func NewTimelineEmitter(w io.Writer, reg *Registry, hdr TimelineHeader) (*Timeli
 	}
 	hdr.Kind = TimelineKind
 	hdr.Every = every
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	enc := json.NewEncoder(w)
 	if err := enc.Encode(hdr); err != nil {
-		return nil, fmt.Errorf("metrics: encoding timeline header: %w", err)
+		return nil, fmt.Errorf("metrics: writing timeline header: %w", err)
 	}
-	return &TimelineEmitter{reg: reg, bw: bw, enc: enc, every: every}, nil
+	return &TimelineEmitter{reg: reg, enc: enc, every: every}, nil
 }
 
 // Every returns the emission interval in iterations.
@@ -101,13 +127,10 @@ func (e *TimelineEmitter) Emit(rec TimelineRecord) error {
 		rec.Metrics = e.reg.Snapshot().Deterministic()
 	}
 	if err := e.enc.Encode(rec); err != nil {
-		return fmt.Errorf("metrics: encoding timeline record (iter %d): %w", rec.Iter, err)
+		return fmt.Errorf("metrics: writing timeline record (iter %d): %w", rec.Iter, err)
 	}
 	return nil
 }
-
-// Flush drains the emitter's buffer to the underlying writer.
-func (e *TimelineEmitter) Flush() error { return e.bw.Flush() }
 
 // TimelineRun is a fully parsed timeline file.
 type TimelineRun struct {

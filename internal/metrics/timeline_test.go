@@ -43,9 +43,6 @@ func TestTimelineRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := em.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	run, err := ReadTimeline(bytes.NewReader(buf.Bytes()))
 	if err != nil {

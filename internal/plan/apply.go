@@ -21,7 +21,7 @@ type ApplyOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// ApplyResult is an executed plan: the hetkg-bench/v2 snapshot plus the
+// ApplyResult is an executed plan: the hetkg-bench/v3 snapshot plus the
 // artifact-cache traffic the plan generated (counter deltas over the run).
 type ApplyResult struct {
 	File *benchfmt.File
@@ -32,10 +32,9 @@ type ApplyResult struct {
 
 // Apply resolves and executes every run of the plan in-process, in matrix
 // order, and assembles one snapshot row per run. Each row carries the run's
-// canonical config hash and the conventional measurement set: wall_ms,
-// iters, iters_per_sec, loss, mrr, hit_ratio, bytes_raw, bytes_wire — of
-// which only wall_ms and iters_per_sec are wall-clock-derived; the rest are
-// bit-deterministic for the configuration.
+// canonical config hash, the conventional deterministic measurement set
+// under Values — iters, loss, mrr, hit_ratio, bytes_raw, bytes_wire — and
+// the two wall-clock readings, wall_ms and iters_per_sec, under Wall.
 func Apply(p *Plan, opt ApplyOptions) (*ApplyResult, error) {
 	runs, err := p.Resolve()
 	if err != nil {
@@ -76,24 +75,24 @@ func Apply(p *Plan, opt ApplyOptions) (*ApplyResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("plan %s: run %s: %w", p.Name, run.Name, err)
 		}
-		wall := time.Since(start)
+		elapsed := time.Since(start)
 		iters := float64(res.Metrics.Counter(metrics.MTrainIterations).Value())
+		wall := map[string]float64{"wall_ms": float64(elapsed) / float64(time.Millisecond)}
+		if secs := elapsed.Seconds(); secs > 0 {
+			wall["iters_per_sec"] = iters / secs
+		}
 		values := map[string]float64{
-			"wall_ms":    float64(wall) / float64(time.Millisecond),
 			"iters":      iters,
 			"mrr":        res.Final.MRR,
 			"hit_ratio":  res.HitRatio,
 			"bytes_raw":  float64(res.Metrics.Counter(metrics.MPSCodecBytesRaw).Value()),
 			"bytes_wire": float64(res.Metrics.Counter(metrics.MPSCodecBytesWire).Value()),
 		}
-		if secs := wall.Seconds(); secs > 0 {
-			values["iters_per_sec"] = iters / secs
-		}
 		if n := len(res.Epochs); n > 0 {
 			values["loss"] = res.Epochs[n-1].Loss
 		}
-		file.Rows = append(file.Rows, benchfmt.Row{Name: run.Name, Hash: run.Hash, Values: values})
-		logf("  mrr=%.4f loss=%.4f hit=%.3f wall=%s", res.Final.MRR, values["loss"], res.HitRatio, wall.Round(time.Millisecond))
+		file.Rows = append(file.Rows, benchfmt.Row{Name: run.Name, Hash: run.Hash, Values: values, Wall: wall})
+		logf("  mrr=%.4f loss=%.4f hit=%.3f wall=%s", res.Final.MRR, values["loss"], res.HitRatio, elapsed.Round(time.Millisecond))
 	}
 	r := &ApplyResult{File: file}
 	if opt.Artifacts != nil {

@@ -71,23 +71,17 @@ func TestApplyWarmCacheSkipsGeneration(t *testing.T) {
 		if len(r.Hash) != 64 {
 			t.Errorf("row %q hash = %q", r.Name, r.Hash)
 		}
-		for _, field := range []string{"wall_ms", "iters", "mrr", "loss", "hit_ratio"} {
-			if _, ok := r.Value(field); !ok {
+		for _, field := range []string{"iters", "mrr", "loss", "hit_ratio"} {
+			if _, ok := r.Values[field]; !ok {
 				t.Errorf("row %q lacks %s (has %v)", r.Name, field, r.Fields())
 			}
 		}
 	}
 
-	// Cached intermediates must not change results: every deterministic
-	// field agrees between the cold and warm passes.
-	for i := range f.Rows {
-		for _, field := range []string{"iters", "mrr", "loss", "hit_ratio", "bytes_raw", "bytes_wire"} {
-			cv := f.Rows[i].Values[field]
-			wv := warm.File.Rows[i].Values[field]
-			if cv != wv {
-				t.Errorf("row %q %s: cold %v != warm %v", f.Rows[i].Name, field, cv, wv)
-			}
-		}
+	// Cached intermediates must not change results: the warm pass passes
+	// the gate against the cold one.
+	if rep, err := Compare(warm.File, f); err != nil || !rep.OK() || rep.Compared != 12 {
+		t.Errorf("warm vs cold: %v %+v", err, rep)
 	}
 
 	// int8 must actually compress relative to raw.
@@ -116,19 +110,30 @@ func TestApplyNoStore(t *testing.T) {
 	}
 }
 
-// TestApplySnapshotGatesItself closes the loop: an apply's own snapshot
-// passes Compare against itself under the plan's tolerances.
+// TestApplySnapshotGatesItself closes the loop: a second apply of the same
+// plan lands on the first one's values exactly, wall-clock apart, in memory
+// and through the on-disk format.
 func TestApplySnapshotGatesItself(t *testing.T) {
 	p, err := Parse([]byte("plan: gate\nrun:\n  scale: tiny\n  epochs: 1\n  machines: 2\n  evalMax: 50"))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
+	first, err := Apply(p, ApplyOptions{})
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
 	res, err := Apply(p, ApplyOptions{})
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if rep := Compare(res.File, res.File, p.Tolerance); !rep.OK() {
-		t.Fatalf("self-compare failed: %s", rep.Summary())
+	if rep, err := Compare(res.File, first.File); err != nil || !rep.OK() || rep.Compared != 6 {
+		t.Fatalf("re-apply compare failed: %v %+v", err, rep)
+	}
+	if w := res.File.Rows[0].Wall; w["wall_ms"] <= 0 || w["iters_per_sec"] <= 0 {
+		t.Errorf("wall = %v, want wall_ms and iters_per_sec", w)
+	}
+	if _, ok := res.File.Rows[0].Values["wall_ms"]; ok {
+		t.Error("wall_ms recorded among the deterministic values")
 	}
 	// Round-trip through the on-disk format.
 	path, err := benchfmt.WriteDir(t.TempDir(), res.File)
@@ -139,7 +144,7 @@ func TestApplySnapshotGatesItself(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if rep := Compare(res.File, loaded, p.Tolerance); !rep.OK() {
-		t.Fatalf("round-tripped compare failed: %s", rep.Summary())
+	if rep, err := Compare(res.File, loaded); err != nil || !rep.OK() {
+		t.Fatalf("round-tripped compare failed: %v %+v", err, rep)
 	}
 }

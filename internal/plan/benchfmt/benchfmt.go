@@ -1,10 +1,11 @@
-// Package benchfmt defines hetkg-bench/v2, the repo-wide machine-readable
-// perf snapshot format: one JSON file per plan or experiment, one row per
-// run, one flat map of named float values per row. Everything that measures
-// — `hetkg apply`, every `hetkg exp -bench-out` experiment — writes this
-// one schema, and `hetkg compare` gates regressions against committed
-// baselines of it. Keeping the package a leaf (stdlib only) lets both
-// internal/core and internal/plan share the writer without a cycle.
+// Package benchfmt defines hetkg-bench/v3, the repo-wide machine-readable
+// run snapshot format: one JSON file per plan or experiment, one row per
+// run, and per row two flat maps of named floats — `values`, bit-deterministic
+// for the configuration, and `wall`, whatever a clock measured. Everything
+// that measures — `hetkg apply`, every `hetkg exp -bench-out` experiment —
+// writes this one schema, and `hetkg compare` holds a snapshot's `values`
+// equal to a committed baseline's. Keeping the package a leaf (stdlib only)
+// lets internal/core and internal/plan share the writer without a cycle.
 package benchfmt
 
 import (
@@ -12,17 +13,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 	"unicode"
 )
 
-// Schema is the format identifier every file carries. v1 was the ad-hoc
-// codecs-only format (hetkg-bench-codecs/v1); v2 generalizes it to any
-// row set.
-const Schema = "hetkg-bench/v2"
+// Schema is the format identifier every file carries. v2 kept wall-clock
+// readings (wall_ms, iters_per_sec) inside `values`; the id changed with the
+// split so that a v2 file is refused by name, not compared across it.
+const Schema = "hetkg-bench/v3"
+
+// MetaGoArch is the Meta key WriteDir stamps with the GOARCH that produced the
+// file: floating-point results are only bit-reproducible within one
+// architecture (off amd64 the compiler may fuse x*y+z).
+const MetaGoArch = "goarch"
 
 // File is one perf snapshot: a named set of measurement rows plus the
 // provenance needed to reproduce them.
@@ -48,18 +53,15 @@ type Row struct {
 	// Hash, when set, is the run's canonical config hash (internal/plan),
 	// tying the measurement to the exact configuration that produced it.
 	Hash string `json:"hash,omitempty"`
-	// Values maps measurement names to numbers. Conventional keys:
-	// wall_ms, iters, iters_per_sec, mrr, loss, hit_ratio, bytes_remote,
-	// bytes_raw, bytes_wire, ratio. wall_ms and iters_per_sec are the only
-	// wall-clock-derived (nondeterministic) values; everything else is
-	// bit-deterministic for a given configuration.
+	// Values maps measurement names to numbers that are bit-deterministic
+	// for the configuration. Conventional keys: iters, mrr, loss,
+	// hit_ratio, bytes_raw, bytes_wire, ratio.
 	Values map[string]float64 `json:"values"`
-}
-
-// Value returns a named measurement and whether the row carries it.
-func (r Row) Value(field string) (float64, bool) {
-	v, ok := r.Values[field]
-	return v, ok
+	// Wall holds the row's wall-clock-derived readings (wall_ms,
+	// iters_per_sec, measured computation time): informative, machine- and
+	// scheduler-dependent, never compared — the same split as a timeline
+	// record's metrics and wall.
+	Wall map[string]float64 `json:"wall,omitempty"`
 }
 
 // Fields lists a row's measurement names, sorted.
@@ -82,32 +84,26 @@ func (f *File) RowByName(name string) (Row, bool) {
 	return Row{}, false
 }
 
-// FileName is the conventional on-disk name for a snapshot: BENCH_<name>.json.
-func FileName(name string) string { return "BENCH_" + name + ".json" }
-
-// Write marshals f (indented, schema stamped) to path, creating parent
-// directories.
-func Write(path string, f *File) error {
+// WriteDir marshals f (indented, schema and producing GOARCH stamped) under
+// dir — created if need be — as BENCH_<name>.json, and returns the path.
+func WriteDir(dir string, f *File) (string, error) {
 	f.SchemaName = Schema
+	if f.Meta == nil {
+		f.Meta = map[string]string{}
+	}
+	f.Meta[MetaGoArch] = runtime.GOARCH
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
-		return fmt.Errorf("benchfmt: encoding %s: %w", f.Name, err)
+		return "", fmt.Errorf("benchfmt: encoding %s: %w", f.Name, err)
 	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("benchfmt: creating %s: %w", dir, err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", fmt.Errorf("benchfmt: creating %s: %w", dir, err)
 	}
+	path := filepath.Join(dir, "BENCH_"+f.Name+".json")
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("benchfmt: writing snapshot: %w", err)
+		return "", fmt.Errorf("benchfmt: writing snapshot: %w", err)
 	}
-	return nil
-}
-
-// WriteDir writes f under dir as BENCH_<name>.json and returns the path.
-func WriteDir(dir string, f *File) (string, error) {
-	path := filepath.Join(dir, FileName(f.Name))
-	return path, Write(path, f)
+	return path, nil
 }
 
 // Read loads and validates a snapshot.
@@ -134,38 +130,7 @@ func Read(path string) (*File, error) {
 	return &f, nil
 }
 
-// FromTable converts a rendered experiment table (header + string cells)
-// into a snapshot: the first column becomes the row name, and every
-// remaining cell that parses as a number becomes a value keyed by the
-// normalized header. This is the generic `hetkg exp -bench-out` path for
-// experiments that don't assemble a richer File themselves. Cells render
-// for humans, so the parser accepts the table conventions: "3.76x" ratios,
-// "212ms"/"1.2s" durations (normalized to a _ms key), and "%"-suffixed
-// percentages (normalized to a fraction).
-func FromTable(name string, header []string, rows [][]string) *File {
-	f := &File{SchemaName: Schema, Name: name}
-	for _, row := range rows {
-		if len(row) == 0 {
-			continue
-		}
-		r := Row{Name: row[0], Values: map[string]float64{}}
-		for i := 1; i < len(row) && i < len(header); i++ {
-			key := NormalizeField(header[i])
-			if key == "" {
-				continue
-			}
-			if v, k, ok := parseCell(row[i], key); ok {
-				r.Values[k] = v
-			}
-		}
-		if len(r.Values) > 0 {
-			f.Rows = append(f.Rows, r)
-		}
-	}
-	return f
-}
-
-// NormalizeField maps a human table header to a value key: lowercased,
+// NormalizeField maps a human table header to a snapshot key: lowercased,
 // runs of non-alphanumerics collapsed to single underscores ("B/iter" →
 // "b_iter", "Hit ratio" → "hit_ratio").
 func NormalizeField(h string) string {
@@ -183,34 +148,4 @@ func NormalizeField(h string) string {
 		}
 	}
 	return b.String()
-}
-
-// parseCell extracts a float from a table cell, returning the (possibly
-// adjusted) key. Durations gain a _ms suffix and are reported in
-// milliseconds; percentages are divided by 100.
-func parseCell(cell, key string) (float64, string, bool) {
-	cell = strings.TrimSpace(cell)
-	if cell == "" {
-		return 0, key, false
-	}
-	if v, err := strconv.ParseFloat(cell, 64); err == nil {
-		return v, key, true
-	}
-	if strings.HasSuffix(cell, "x") {
-		if v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "x"), 64); err == nil {
-			return v, key, true
-		}
-	}
-	if strings.HasSuffix(cell, "%") {
-		if v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64); err == nil {
-			return v / 100, key, true
-		}
-	}
-	if d, err := time.ParseDuration(cell); err == nil {
-		if !strings.HasSuffix(key, "_ms") {
-			key += "_ms"
-		}
-		return float64(d) / float64(time.Millisecond), key, true
-	}
-	return 0, key, false
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		Seed:  42,
 		Meta:  map[string]string{"dataset": "fb15k"},
 		Rows: []Row{
-			{Name: "codec=fp32", Hash: strings.Repeat("ab", 32), Values: map[string]float64{"mrr": 0.41, "wall_ms": 120.5}},
+			{Name: "codec=fp32", Hash: strings.Repeat("ab", 32), Values: map[string]float64{"mrr": 0.41}, Wall: map[string]float64{"wall_ms": 120.5}},
 			{Name: "codec=int8", Values: map[string]float64{"mrr": 0.40}},
 		},
 	}
@@ -32,6 +33,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if got.SchemaName != Schema {
 		t.Errorf("schema = %q", got.SchemaName)
+	}
+	if got.Meta["dataset"] != "fb15k" || got.Meta[MetaGoArch] != runtime.GOARCH {
+		t.Errorf("meta = %v, want the caller's keys plus goarch %s", got.Meta, runtime.GOARCH)
 	}
 	if !reflect.DeepEqual(got.Rows, f.Rows) || got.Name != f.Name || got.Seed != f.Seed {
 		t.Fatalf("round trip:\n%+v\nwant\n%+v", got, f)
@@ -55,9 +59,10 @@ func TestReadRejects(t *testing.T) {
 		return p
 	}
 	cases := []struct{ name, body, wantSub string }{
-		{"bad-schema.json", `{"schema":"hetkg-bench-codecs/v1","name":"x","rows":[]}`, "schema"},
-		{"no-name.json", `{"schema":"hetkg-bench/v2","rows":[]}`, "names no plan"},
-		{"anon-row.json", `{"schema":"hetkg-bench/v2","name":"x","rows":[{"values":{"a":1}}]}`, "no name"},
+		// The previous schema kept wall_ms among the values: refused by name.
+		{"bad-schema.json", `{"schema":"hetkg-bench/v2","name":"x","rows":[]}`, `schema "hetkg-bench/v2", want "hetkg-bench/v3"`},
+		{"no-name.json", `{"schema":"hetkg-bench/v3","rows":[]}`, "names no plan"},
+		{"anon-row.json", `{"schema":"hetkg-bench/v3","name":"x","rows":[{"values":{"a":1}}]}`, "no name"},
 		{"garbage.json", `not json`, "parsing"},
 	}
 	for _, tc := range cases {
@@ -70,36 +75,6 @@ func TestReadRejects(t *testing.T) {
 	}
 	if _, err := Read(filepath.Join(dir, "absent.json")); err == nil {
 		t.Fatal("Read of a missing file succeeded")
-	}
-}
-
-func TestFromTable(t *testing.T) {
-	header := []string{"Codec", "MRR", "Wall", "B/iter", "Ratio", "Hit ratio"}
-	rows := [][]string{
-		{"fp32", "0.412", "1.5s", "8192", "1.00x", "85%"},
-		{"int8", "0.409", "912ms", "2048", "4.00x", "85%"},
-		{"empty", "", "", "", "", ""},
-	}
-	f := FromTable("codecs", header, rows)
-	if f.Name != "codecs" || f.SchemaName != Schema {
-		t.Fatalf("file = %+v", f)
-	}
-	if len(f.Rows) != 2 {
-		t.Fatalf("rows = %+v (all-empty row should drop)", f.Rows)
-	}
-	fp32 := f.Rows[0]
-	want := map[string]float64{
-		"mrr":       0.412,
-		"wall_ms":   1500,
-		"b_iter":    8192,
-		"ratio":     1.0,
-		"hit_ratio": 0.85,
-	}
-	if !reflect.DeepEqual(fp32.Values, want) {
-		t.Fatalf("fp32 values = %+v, want %+v", fp32.Values, want)
-	}
-	if f.Rows[1].Values["wall_ms"] != 912 {
-		t.Errorf("int8 wall_ms = %v", f.Rows[1].Values["wall_ms"])
 	}
 }
 

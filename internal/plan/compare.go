@@ -2,143 +2,67 @@ package plan
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strings"
 
 	"hetkg/internal/plan/benchfmt"
 )
 
-// DefaultTolerance is the relative regression budget for fields the plan's
-// `compare: tolerance:` map doesn't name: a ≥10% regression always fails
-// the default gate, while sub-8% noise passes.
-const DefaultTolerance = 0.08
-
-// Delta is one (row, field) comparison against the baseline.
-type Delta struct {
-	Row, Field string
-	// Base and Cur are the baseline and current values.
-	Base, Cur float64
-	// Rel is the relative change in the regression direction: positive
-	// means worse (lower mrr, more bytes), negative means improved.
-	Rel float64
-	// Tol is the budget applied (plan tolerance or DefaultTolerance).
-	Tol float64
-	// Regressed is Rel > Tol.
-	Regressed bool
-}
-
-// String renders the comparison as one gate-report line.
-func (d Delta) String() string {
-	verdict := "ok"
-	if d.Regressed {
-		verdict = "REGRESSED"
-	}
-	return fmt.Sprintf("%s/%s: %g -> %g (%+.1f%%, tol %.0f%%) %s",
-		d.Row, d.Field, d.Base, d.Cur, -100*d.Rel, 100*d.Tol, verdict)
-}
-
 // Report is the outcome of comparing a snapshot against its baseline.
 type Report struct {
-	// Deltas covers every baseline (row, field) present in both snapshots,
-	// rows in baseline order, fields sorted.
-	Deltas []Delta
-	// MissingRows lists baseline rows the current snapshot lacks entirely;
-	// MissingFields lists "row/field" pairs a present row dropped. Both
-	// fail the gate — a measurement that vanished cannot be declared safe.
-	MissingRows   []string
-	MissingFields []string
-	// Regressions counts deltas beyond tolerance.
-	Regressions int
+	// Compared counts the baseline (row, field) pairs found in both files.
+	Compared int
+	// Problems lists what fails the gate, one report line each: a value that
+	// is not the baseline's ("row/field: base -> cur DIFFERS", in the
+	// shortest form that round-trips, so a one-ulp drift shows), and a
+	// baseline row or field the snapshot lacks — a measurement that
+	// vanished cannot be declared safe.
+	Problems []string
 }
 
-// OK reports whether the gate passes: nothing missing, nothing regressed.
-func (r *Report) OK() bool {
-	return r.Regressions == 0 && len(r.MissingRows) == 0 && len(r.MissingFields) == 0
-}
+// OK reports whether the gate passes: nothing missing, nothing different.
+func (r *Report) OK() bool { return len(r.Problems) == 0 }
 
 // Summary renders the gate verdict in one line.
 func (r *Report) Summary() string {
 	if r.OK() {
-		return fmt.Sprintf("compare: OK (%d comparisons within tolerance)", len(r.Deltas))
+		return fmt.Sprintf("compare: OK (%d values identical)", r.Compared)
 	}
-	return fmt.Sprintf("compare: FAIL (%d regressions, %d missing rows, %d missing fields)",
-		r.Regressions, len(r.MissingRows), len(r.MissingFields))
+	return fmt.Sprintf("compare: FAIL (%d problems; %d values compared)", len(r.Problems), r.Compared)
 }
 
-// Compare gates cur against base: every field of every baseline row must be
-// present in cur and within its relative tolerance (tol overrides by field
-// name, DefaultTolerance otherwise). Direction matters — mrr dropping is a
-// regression, bytes dropping is an improvement — and only regressions
-// count; improvements never fail. Fields or rows that exist only in cur are
-// ignored: new measurements extend the baseline, they don't break it.
-func Compare(cur, base *benchfmt.File, tol map[string]float64) *Report {
+// Compare gates cur against base: every field under `values` of every
+// baseline row must be present in cur and equal to the last bit. There is no
+// tolerance and no better direction — training is bit-deterministic, so any
+// drift, a lower loss or fewer bytes included, is a behaviour change to re-pin
+// deliberately with the diff shown. `wall` is never compared. Fields or rows
+// only in cur are ignored: new measurements extend the baseline. Files from
+// different GOARCHes are refused: their floats may legitimately differ.
+func Compare(cur, base *benchfmt.File) (*Report, error) {
+	if c, b := cur.Meta[benchfmt.MetaGoArch], base.Meta[benchfmt.MetaGoArch]; c != "" && b != "" && c != b {
+		return nil, fmt.Errorf("plan: baseline %s was produced on goarch %s, the snapshot on %s; "+
+			"results are bit-exact only within one architecture, re-pin the baseline on %s",
+			base.Name, b, c, c)
+	}
 	rep := &Report{}
+	problem := func(format string, args ...any) {
+		rep.Problems = append(rep.Problems, fmt.Sprintf(format, args...))
+	}
 	for _, brow := range base.Rows {
 		crow, ok := cur.RowByName(brow.Name)
 		if !ok {
-			rep.MissingRows = append(rep.MissingRows, brow.Name)
+			problem("%s: MISSING ROW", brow.Name)
 			continue
 		}
 		for _, field := range brow.Fields() {
-			bv := brow.Values[field]
-			cv, ok := crow.Value(field)
+			cv, ok := crow.Values[field]
 			if !ok {
-				rep.MissingFields = append(rep.MissingFields, brow.Name+"/"+field)
+				problem("%s/%s: MISSING FIELD", brow.Name, field)
 				continue
 			}
-			d := Delta{
-				Row:   brow.Name,
-				Field: field,
-				Base:  bv,
-				Cur:   cv,
-				Rel:   regression(field, bv, cv),
-				Tol:   tolerance(field, tol),
+			rep.Compared++
+			if bv := brow.Values[field]; cv != bv {
+				problem("%s/%s: %v -> %v DIFFERS", brow.Name, field, bv, cv)
 			}
-			d.Regressed = d.Rel > d.Tol
-			if d.Regressed {
-				rep.Regressions++
-			}
-			rep.Deltas = append(rep.Deltas, d)
 		}
 	}
-	sort.Strings(rep.MissingFields)
-	return rep
-}
-
-// tolerance resolves a field's budget from the plan map, falling back to
-// DefaultTolerance.
-func tolerance(field string, tol map[string]float64) float64 {
-	if t, ok := tol[field]; ok {
-		return t
-	}
-	return DefaultTolerance
-}
-
-// regression returns the relative change oriented so positive means worse.
-func regression(field string, base, cur float64) float64 {
-	denom := math.Abs(base)
-	if denom == 0 {
-		if cur == base {
-			return 0
-		}
-		denom = math.Abs(cur)
-	}
-	rel := (cur - base) / denom
-	if higherBetter(field) {
-		rel = -rel
-	}
-	return rel
-}
-
-// higherBetter classifies a field's direction: quality and throughput
-// metrics regress downward; time, loss, and traffic regress upward.
-func higherBetter(field string) bool {
-	switch {
-	case strings.HasPrefix(field, "mrr"), strings.HasPrefix(field, "hit"):
-		return true
-	case field == "iters_per_sec", field == "ratio":
-		return true
-	}
-	return false
+	return rep, nil
 }

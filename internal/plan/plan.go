@@ -3,7 +3,7 @@
 // it into a deterministic run list with canonical config hashes, and
 // `hetkg apply` executes the list in-process — generation-heavy
 // intermediates served from the content-addressed artifact cache — and
-// emits one hetkg-bench/v2 snapshot that `hetkg compare` gates against a
+// emits one hetkg-bench/v3 snapshot that `hetkg compare` holds equal to a
 // committed baseline. DESIGN.md §14 documents the schema, hash scheme, and
 // cache layout.
 package plan
@@ -16,8 +16,8 @@ import (
 	"strings"
 )
 
-// Plan is one parsed hetkg.yml: a named base configuration, an optional
-// sweep matrix, and optional compare tolerances.
+// Plan is one parsed hetkg.yml: a named base configuration and an optional
+// sweep matrix.
 type Plan struct {
 	// Name identifies the plan; the BENCH snapshot is BENCH_<Name>.json.
 	Name string
@@ -26,9 +26,6 @@ type Plan struct {
 	// Sweep is the `sweep:` matrix, axes sorted by key. Every resolved run
 	// is Base plus one assignment from each axis.
 	Sweep []SweepAxis
-	// Tolerance is the `compare: tolerance:` map — per-field relative
-	// regression budgets for `hetkg compare` (see Compare).
-	Tolerance map[string]float64
 }
 
 // SweepAxis is one swept key and its values, in declaration order.
@@ -103,14 +100,8 @@ func Parse(src []byte) (*Plan, error) {
 				return nil, err
 			}
 			p.Sweep = axes
-		case "compare":
-			tol, err := parseCompare(val)
-			if err != nil {
-				return nil, err
-			}
-			p.Tolerance = tol
 		default:
-			return nil, fmt.Errorf("plan: unknown top-level key %q (have plan, run, sweep, compare)", key)
+			return nil, fmt.Errorf("plan: unknown top-level key %q (have plan, run, sweep)", key)
 		}
 	}
 	if p.Name == "" {
@@ -144,42 +135,6 @@ func parseSweep(m map[string]any) ([]SweepAxis, error) {
 	}
 	sort.Slice(axes, func(i, j int) bool { return axes[i].Key < axes[j].Key })
 	return axes, nil
-}
-
-// parseCompare validates `compare: tolerance: {field: fraction}`.
-func parseCompare(val any) (map[string]float64, error) {
-	if val == nil {
-		return nil, nil
-	}
-	m, ok := val.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("plan: `compare:` must be a mapping")
-	}
-	var tol map[string]float64
-	for k, v := range m {
-		if k != "tolerance" {
-			return nil, fmt.Errorf("plan: unknown compare key %q (have tolerance)", k)
-		}
-		tm, ok := v.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("plan: `tolerance:` must map fields to fractions")
-		}
-		tol = make(map[string]float64, len(tm))
-		for field, fv := range tm {
-			switch n := fv.(type) {
-			case float64:
-				tol[field] = n
-			case int64:
-				tol[field] = float64(n)
-			default:
-				return nil, fmt.Errorf("plan: tolerance %q wants a number, got %v (%T)", field, fv, fv)
-			}
-			if tol[field] < 0 {
-				return nil, fmt.Errorf("plan: tolerance %q is negative", field)
-			}
-		}
-	}
-	return tol, nil
 }
 
 // Resolve expands the sweep matrix into the deterministic run list: axes in

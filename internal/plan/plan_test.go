@@ -15,10 +15,6 @@ run:
 sweep:
   codec: [fp32, int8, delta-int8]
   cacheBudget: [0.01, 0.05]
-compare:
-  tolerance:
-    wall_ms: 10
-    mrr: 0.02
 `
 
 func TestParsePlan(t *testing.T) {
@@ -36,9 +32,6 @@ func TestParsePlan(t *testing.T) {
 	if len(p.Sweep) != 2 || p.Sweep[0].Key != "cacheBudget" || p.Sweep[1].Key != "codec" {
 		t.Fatalf("Sweep = %+v", p.Sweep)
 	}
-	if p.Tolerance["wall_ms"] != 10 || p.Tolerance["mrr"] != 0.02 {
-		t.Errorf("Tolerance = %+v", p.Tolerance)
-	}
 }
 
 func TestParsePlanErrors(t *testing.T) {
@@ -52,9 +45,8 @@ func TestParsePlanErrors(t *testing.T) {
 		{"sweep empty", "plan: p\nsweep:\n  codec: []", "has no values"},
 		{"sweep bad type", "plan: p\nsweep:\n  epochs: [one]", "wants an integer"},
 		{"run bad type", "plan: p\nrun:\n  epochs: soon", "wants an integer"},
-		{"bad compare key", "plan: p\ncompare:\n  budget: 1", "unknown compare key"},
-		{"bad tolerance", "plan: p\ncompare:\n  tolerance:\n    mrr: big", "wants a number"},
-		{"negative tolerance", "plan: p\ncompare:\n  tolerance:\n    mrr: -0.1", "is negative"},
+		// The gate is equality; a plan has nothing to configure about it.
+		{"bad compare key", "plan: p\ncompare:\n  mrr: 0.02", `unknown top-level key "compare"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

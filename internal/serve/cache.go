@@ -40,8 +40,8 @@ type HotTier struct {
 	rebuildEvery     int64
 	accesses         atomic.Int64
 	rebuilds         atomic.Int64
-	stats            metrics.Ratio
-	mu               sync.Mutex // serializes rebuilds
+	hits, misses     atomic.Int64 // lookup outcomes since the last ResetStats
+	mu               sync.Mutex   // serializes rebuilds
 	obs              *tierObs
 }
 
@@ -146,14 +146,14 @@ func (h *HotTier) lookup(freq *atomic.Uint32, hot *atomic.Pointer[hotSet], cold 
 	}
 	if set := hot.Load(); set != nil {
 		if j := set.idx[id]; j >= 0 {
-			h.stats.Hit()
+			h.hits.Add(1)
 			if o := h.obs; o != nil {
 				o.hits.Inc()
 			}
 			return set.slab[int(j)*set.dim : (int(j)+1)*set.dim]
 		}
 	}
-	h.stats.Miss()
+	h.misses.Add(1)
 	if o := h.obs; o != nil {
 		o.misses.Inc()
 	}
@@ -174,7 +174,7 @@ func (h *HotTier) Rebuild() {
 	if o := h.obs; o != nil {
 		o.promoted.Add(promoted)
 		o.rebuilds.Inc()
-		o.ratio.Set(h.stats.Value())
+		o.ratio.Set(h.HitRatio())
 	}
 }
 
@@ -218,7 +218,13 @@ func (h *HotTier) rebuildOne(hot *atomic.Pointer[hotSet], freq []atomic.Uint32, 
 }
 
 // HitRatio returns hits/(hits+misses) since the last ResetStats.
-func (h *HotTier) HitRatio() float64 { return h.stats.Value() }
+func (h *HotTier) HitRatio() float64 {
+	hits, misses := h.hits.Load(), h.misses.Load()
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+misses)
+}
 
 // Accesses returns the total lookup count.
 func (h *HotTier) Accesses() int64 { return h.accesses.Load() }
@@ -229,7 +235,10 @@ func (h *HotTier) Rebuilds() int64 { return h.rebuilds.Load() }
 // ResetStats zeroes the hit/miss counters (the frequency counters and the
 // hot sets are untouched), so a warmed tier can be measured from a clean
 // slate — the Zipf-vs-uniform benchmark protocol.
-func (h *HotTier) ResetStats() { h.stats.Reset() }
+func (h *HotTier) ResetStats() {
+	h.hits.Store(0)
+	h.misses.Store(0)
+}
 
 // HotRows returns the currently promoted row counts (entities, relations).
 func (h *HotTier) HotRows() (ents, rels int) {

@@ -6,23 +6,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 )
 
 // Kind is the header discriminator of span dump files.
 const Kind = "hetkg-spans/v1"
 
-// FormatJSONL and FormatChrome name the two export formats accepted by
-// -span-format.
-const (
-	FormatJSONL  = "jsonl"
-	FormatChrome = "chrome"
-)
-
 // Header is the first JSONL line of a span dump: run identity plus the
-// sampling interval, mirroring the timeline header so the three formats
-// (hetkg-trace/v1, hetkg-timeline/v1, hetkg-spans/v1) identify runs the
-// same way.
+// sampling interval, mirroring the timeline header so both recorders
+// (hetkg-timeline/v1, hetkg-spans/v1) identify runs the same way.
 type Header struct {
 	Kind    string `json:"kind"` // always Kind
 	System  string `json:"system,omitempty"`
@@ -95,22 +88,16 @@ func ReadFile(path string) (*Dump, error) {
 	return ReadJSONL(f)
 }
 
-// WriteFile writes spans to path in the given format (FormatJSONL or
-// FormatChrome).
-func WriteFile(path, format string, hdr Header, spans []Span) error {
+// WriteFile writes a span dump (WriteJSONL) to path, creating its directory.
+func WriteFile(path string, hdr Header, spans []Span) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("span: creating directory of %s: %w", path, err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("span: creating %s: %w", path, err)
 	}
-	switch format {
-	case "", FormatJSONL:
-		err = WriteJSONL(f, hdr, spans)
-	case FormatChrome:
-		err = WriteChromeTrace(f, spans)
-	default:
-		err = fmt.Errorf("span: unknown format %q (want %s or %s)", format, FormatJSONL, FormatChrome)
-	}
-	if err != nil {
+	if err := WriteJSONL(f, hdr, spans); err != nil {
 		f.Close()
 		return err
 	}
@@ -148,7 +135,8 @@ func ChromePid(machine int) int { return machine + 1 }
 func ChromeTid(worker int) int { return worker + 2 }
 
 // WriteChromeTrace writes spans as a Chrome trace-event JSON document
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Machines map
+// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing — the view
+// `hetkg trace chrome` prints of a recorded dump. Machines map
 // to trace processes and workers to threads; timestamps are rebased to the
 // earliest span so the trace starts at t=0.
 func WriteChromeTrace(w io.Writer, spans []Span) error {

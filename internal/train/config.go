@@ -142,8 +142,9 @@ type Config struct {
 	Dataset string
 
 	// Timeline, when non-nil, receives the run's JSONL timeline: a header
-	// line followed by a deterministic registry snapshot every
-	// TimelineEvery global iterations (see metrics.TimelineEmitter).
+	// line, one record per completed epoch, and — from the static PS
+	// trainers — a deterministic registry snapshot every TimelineEvery
+	// global iterations (see metrics.TimelineEmitter).
 	Timeline io.Writer
 
 	// TimelineEvery is the iteration interval between timeline records
@@ -262,11 +263,24 @@ func (c *Config) Validate() error {
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
-	if c.TimelineEvery <= 0 {
-		c.TimelineEvery = metrics.DefaultTimelineEvery
-	}
 	return nil
 }
+
+// EpochStat is one epoch's record in a training run, the raw material of
+// the paper's convergence figures (Fig. 5, Fig. 9).
+type EpochStat struct {
+	Epoch    int
+	Loss     float64
+	MRR      float64
+	Comp     time.Duration
+	Comm     time.Duration
+	HitRatio float64
+	// CumTime is total training time (comp+comm) through this epoch.
+	CumTime time.Duration
+}
+
+// Total returns the epoch's comp+comm time.
+func (e EpochStat) Total() time.Duration { return e.Comp + e.Comm }
 
 // Result is the outcome of a training run.
 type Result struct {
@@ -274,7 +288,7 @@ type Result struct {
 	System string
 	// Epochs records per-epoch statistics (loss, validation MRR, time
 	// breakdown, hit ratio).
-	Epochs []metrics.EpochStat
+	Epochs []EpochStat
 	// Entities and Relations are the final gathered embedding tables.
 	Entities  *vec.Matrix
 	Relations *vec.Matrix

@@ -104,6 +104,8 @@ type elastic struct {
 	// epochs merges per-epoch accounting across local partitions, each
 	// folded in as it crosses the epoch boundary.
 	epochs epochAcc
+	// timeline records the epochs finish closes (nil = none requested).
+	timeline *metrics.TimelineEmitter
 }
 
 // TrainElastic runs one elastic worker process until the whole cluster's
@@ -162,6 +164,9 @@ func newElastic(cfg Config, ec ElasticConfig) (*elastic, error) {
 	}
 	if cfg.Spans != nil {
 		e.tracer = cfg.Spans.Tracer(span.MachineCluster, span.WorkerCluster)
+	}
+	if e.timeline, err = newTimeline(&cfg, e.system()); err != nil {
+		return nil, err
 	}
 
 	join := ec.Join
@@ -495,14 +500,20 @@ func (e *elastic) sortedParts() []int {
 // final evaluation. Per-epoch MRR stays 0: per-epoch eval needs a barrier
 // elastic mode doesn't have.
 func (e *elastic) finish() (*Result, error) {
-	res := &Result{System: systemName(e.cfg, !e.ec.NoCache) + "/elastic", Metrics: e.cfg.Metrics}
+	res := &Result{System: e.system(), Metrics: e.cfg.Metrics}
 	for ep := 1; ep <= e.cfg.Epochs; ep++ {
 		if st, ok := e.epochs.close(ep); ok {
+			if err := emitEpoch(e.timeline, 0, st, false); err != nil {
+				return nil, err
+			}
 			res.Epochs = append(res.Epochs, st)
 		}
 	}
 	return finalize(e.cfg, e.env, e.all, res)
 }
+
+// system names what this process trains, as results and timelines report it.
+func (e *elastic) system() string { return systemName(e.cfg, !e.ec.NoCache) + "/elastic" }
 
 // sleepQuantum bounds the idle sleep so heartbeats stay responsive even
 // with long intervals.

@@ -68,8 +68,43 @@ func runningLoss(workers []*worker) float64 {
 	return sum / float64(n)
 }
 
+// ms is d in (fractional) milliseconds, the timeline's time unit.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// newTimeline starts cfg.Timeline as the run's timeline, or returns nil when
+// the run records none. Every trainer opens its timeline here before doing
+// any work, so the file identifies its run even if the run then fails.
+func newTimeline(cfg *Config, system string) (*metrics.TimelineEmitter, error) {
+	if cfg.Timeline == nil {
+		return nil, nil
+	}
+	return metrics.NewTimelineEmitter(cfg.Timeline, cfg.Metrics, metrics.TimelineHeader{
+		System:  system,
+		Dataset: cfg.Dataset,
+		Every:   cfg.TimelineEvery,
+		Seed:    cfg.Seed,
+	})
+}
+
+// emitEpoch writes st as the timeline's record of a completed epoch; a nil
+// emitter records nothing. iter is the global round the epoch ended at (0
+// from trainers without one). Measured computation and the cumulative time
+// built on it go under "wall", as does the communication time when wallComm
+// says it was derived from the clock too.
+func emitEpoch(em *metrics.TimelineEmitter, iter int, st EpochStat, wallComm bool) error {
+	if em == nil {
+		return nil
+	}
+	end := &metrics.TimelineEpoch{MRR: st.MRR, CommMS: ms(st.Comm), HitRatio: st.HitRatio}
+	wall := &metrics.TimelineWall{CompMS: ms(st.Comp), CumMS: ms(st.CumTime)}
+	if wallComm {
+		end.CommMS, wall.CommMS = 0, end.CommMS
+	}
+	return em.Emit(metrics.TimelineRecord{Iter: iter, Epoch: st.Epoch, Loss: st.Loss, EpochEnd: end, Wall: wall})
+}
+
 // emitTimeline refreshes the derived gauges (loss, epoch, hit ratio) and
-// writes one timeline record for the given global iteration. Everything
+// writes one interval record for the given global iteration. Everything
 // under the record's "metrics" key is deterministic; wall-clock readings
 // (elapsed, computation time, throughput) ride in the separate "wall"
 // object.
@@ -82,10 +117,7 @@ func emitTimeline(em *metrics.TimelineEmitter, o *trainObs, workers []*worker,
 	if h, m := o.cacheHits.Value(), o.cacheMisses.Value(); h+m > 0 {
 		o.hitRatio.Set(float64(h) / float64(h+m))
 	}
-	wall := &metrics.TimelineWall{
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-		CompMS:    float64(o.comp.Total()) / float64(time.Millisecond),
-	}
+	wall := &metrics.TimelineWall{ElapsedMS: ms(time.Since(start)), CompMS: ms(o.comp.Total())}
 	if wall.ElapsedMS > 0 {
 		wall.PairsPerSec = float64(o.pairs.Value()) / (wall.ElapsedMS / 1000)
 	}

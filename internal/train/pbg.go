@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hetkg/internal/kg"
-	"hetkg/internal/metrics"
 	"hetkg/internal/netsim"
 	"hetkg/internal/opt"
 	"hetkg/internal/vec"
@@ -89,6 +88,10 @@ func TrainPBG(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{System: "PBG", Metrics: cfg.Metrics}
+	em, err := newTimeline(&cfg, res.System)
+	if err != nil {
+		return nil, err
+	}
 	var cum time.Duration
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		var pairTimes []pairCost
@@ -102,7 +105,7 @@ func TrainPBG(cfg Config) (*Result, error) {
 			lossN++
 		}
 		comp, comm := schedulePairs(pairTimes, numWorkers)
-		stat := metrics.EpochStat{Epoch: epoch, Comp: comp, Comm: comm}
+		stat := EpochStat{Epoch: epoch, Comp: comp, Comm: comm}
 		if lossN > 0 {
 			stat.Loss = lossSum / float64(lossN)
 		}
@@ -114,6 +117,11 @@ func TrainPBG(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			stat.MRR = ev.MRR
+		}
+		// schedulePairs splits a makespan that includes measured
+		// computation, so PBG's communication time is wall-clock too.
+		if err := emitEpoch(em, 0, stat, true); err != nil {
+			return nil, err
 		}
 		res.Epochs = append(res.Epochs, stat)
 	}

@@ -73,18 +73,9 @@ type psEnv struct {
 // gathers statistics and optionally evaluates.
 func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string) (*Result, error) {
 	res := &Result{System: system, Metrics: cfg.Metrics}
-	var em *metrics.TimelineEmitter
-	if cfg.Timeline != nil {
-		var err error
-		em, err = metrics.NewTimelineEmitter(cfg.Timeline, cfg.Metrics, metrics.TimelineHeader{
-			System:  system,
-			Dataset: cfg.Dataset,
-			Every:   cfg.TimelineEvery,
-			Seed:    cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
+	em, err := newTimeline(cfg, system)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	round := 0 // global iterations: one round = one batch turn per worker
@@ -131,12 +122,10 @@ func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string) (*
 			}
 			stat.MRR = ev.MRR
 		}
-		res.Epochs = append(res.Epochs, stat)
-	}
-	if em != nil {
-		if err := em.Flush(); err != nil {
+		if err := emitEpoch(em, round, stat, false); err != nil {
 			return nil, err
 		}
+		res.Epochs = append(res.Epochs, stat)
 	}
 	return finalize(cfg, env, workers, res)
 }
@@ -154,7 +143,7 @@ type epochAcc struct {
 // epochSum is one epoch's running merge: critical-path comp/comm in stat,
 // loss summed over n contributing workers, cache accesses and hits.
 type epochSum struct {
-	stat     metrics.EpochStat
+	stat     EpochStat
 	lossSum  float64
 	n        int
 	acc, hit float64
@@ -169,7 +158,7 @@ func (a *epochAcc) add(epoch int, w *worker, cm netsim.CostModel) {
 		if a.open == nil {
 			a.open = make(map[int]*epochSum)
 		}
-		s = &epochSum{stat: metrics.EpochStat{Epoch: epoch}}
+		s = &epochSum{stat: EpochStat{Epoch: epoch}}
 		a.open[epoch] = s
 	}
 	snap := w.meter.Snapshot()
@@ -201,10 +190,10 @@ func (a *epochAcc) add(epoch int, w *worker, cm netsim.CostModel) {
 // close finishes epoch's record — mean loss, hit ratio, cumulative time —
 // and reports whether any worker contributed to it. Epochs must be closed
 // in order (CumTime runs across them).
-func (a *epochAcc) close(epoch int) (metrics.EpochStat, bool) {
+func (a *epochAcc) close(epoch int) (EpochStat, bool) {
 	s := a.open[epoch]
 	if s == nil {
-		return metrics.EpochStat{}, false
+		return EpochStat{}, false
 	}
 	delete(a.open, epoch)
 	stat := s.stat

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"hetkg/internal/cache"
 	"hetkg/internal/metrics"
 )
 
@@ -34,9 +35,9 @@ func timelineRun(t *testing.T) *metrics.TimelineRun {
 }
 
 // TestTimelineEmission checks a training run emits a well-formed timeline:
-// enough records, and the last record carrying every headline series —
-// loss, cache hit ratio, staleness quantiles, PS byte counts, simulated
-// wire time — plus wall-clock readings in the separate wall object.
+// enough records, and the last interval record carrying every headline
+// series — loss, cache hit ratio, staleness quantiles, PS byte counts,
+// simulated wire time — plus wall-clock readings in the separate wall object.
 func TestTimelineEmission(t *testing.T) {
 	run := timelineRun(t)
 	if run.Header.System != "HET-KG-C" || run.Header.Dataset != "traintest" || run.Header.Every != 2 {
@@ -45,7 +46,15 @@ func TestTimelineEmission(t *testing.T) {
 	if len(run.Records) < 10 {
 		t.Fatalf("got %d records, want >= 10", len(run.Records))
 	}
-	last := run.Records[len(run.Records)-1]
+	if run.Records[len(run.Records)-1].EpochEnd == nil {
+		t.Error("the run's last record is not its last epoch's")
+	}
+	var last metrics.TimelineRecord
+	for _, rec := range run.Records {
+		if rec.EpochEnd == nil {
+			last = rec
+		}
+	}
 	if last.Loss <= 0 {
 		t.Errorf("last record loss = %v", last.Loss)
 	}
@@ -82,8 +91,9 @@ func TestTimelineEmission(t *testing.T) {
 
 // TestTimelineDeterministic re-runs the same configuration and requires the
 // two timelines to be bit-identical once the wall-clock object is stripped:
-// the paper-reproduction contract is that every value under "metrics"
-// derives from deterministic quantities only.
+// the paper-reproduction contract is that every value outside "wall" — the
+// interval records' metrics and the epoch records' summaries alike — derives
+// from deterministic quantities only.
 func TestTimelineDeterministic(t *testing.T) {
 	strip := func(run *metrics.TimelineRun) []byte {
 		var buf bytes.Buffer
@@ -100,5 +110,73 @@ func TestTimelineDeterministic(t *testing.T) {
 	b := timelineRun(t)
 	if !bytes.Equal(strip(a), strip(b)) {
 		t.Fatal("timelines differ between identical runs")
+	}
+}
+
+// TestTimelineEpochRecords: every trainer — the static PS systems, PBG and
+// the elastic driver — writes a timeline with a header and exactly one epoch
+// record per Result.Epochs entry, carrying that entry's loss, MRR and hit
+// ratio. PBG's communication time is derived from measured computation, so
+// it alone reports comm_ms under wall.
+func TestTimelineEpochRecords(t *testing.T) {
+	hetkgD := func(cfg Config) (*Result, error) {
+		cfg.Cache.Strategy = cache.DPS
+		cfg.Cache.PrefetchD = 8
+		return TrainHETKG(cfg)
+	}
+	elastic := func(cfg Config) (*Result, error) {
+		return TrainElastic(cfg, ElasticConfig{Coordinator: elasticMembership(t, 2), Label: "solo"})
+	}
+	for _, c := range []struct {
+		system string
+		train  func(Config) (*Result, error)
+	}{
+		{"DGL-KE", TrainDGLKE},
+		{"HET-KG-D", hetkgD},
+		{"PBG", TrainPBG},
+		{"HET-KG-C/elastic", elastic},
+	} {
+		t.Run(c.system, func(t *testing.T) {
+			cfg := testConfig(t, 2)
+			cfg.Dataset = "traintest"
+			var buf bytes.Buffer
+			cfg.Timeline = &buf
+			res, err := c.train(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := metrics.ReadTimeline(&buf)
+			if err != nil {
+				t.Fatalf("ReadTimeline: %v", err)
+			}
+			if run.Header.System != c.system || run.Header.Dataset != "traintest" || run.Header.Seed != cfg.Seed {
+				t.Errorf("header = %+v", run.Header)
+			}
+			var epochs []metrics.TimelineRecord
+			for _, rec := range run.Records {
+				if rec.EpochEnd != nil {
+					epochs = append(epochs, rec)
+				}
+			}
+			if len(epochs) != len(res.Epochs) || len(epochs) != cfg.Epochs {
+				t.Fatalf("%d epoch records for %d result epochs of %d", len(epochs), len(res.Epochs), cfg.Epochs)
+			}
+			for i, rec := range epochs {
+				st, end := res.Epochs[i], rec.EpochEnd
+				if rec.Epoch != st.Epoch || rec.Loss != st.Loss || end.MRR != st.MRR || end.HitRatio != st.HitRatio {
+					t.Errorf("epoch record %d = %+v %+v, want %+v", i, rec, *end, st)
+				}
+				if rec.Wall == nil || rec.Wall.CompMS != ms(st.Comp) || rec.Wall.CumMS != ms(st.CumTime) {
+					t.Errorf("epoch record %d wall = %+v, want comp %v cum %v", i, rec.Wall, st.Comp, st.CumTime)
+				}
+				det, wall := end.CommMS, rec.Wall.CommMS
+				if c.system == "PBG" {
+					det, wall = wall, det
+				}
+				if det != ms(st.Comm) || wall != 0 {
+					t.Errorf("epoch record %d comm_ms = %v (wall %v), want %v on the other side", i, end.CommMS, rec.Wall.CommMS, st.Comm)
+				}
+			}
+		})
 	}
 }

@@ -360,3 +360,10 @@ func TestZeroCapacityCacheDegradesToDGLKE(t *testing.T) {
 			res.Traffic.RemoteBytes, b.Traffic.RemoteBytes)
 	}
 }
+
+func TestEpochStatTotal(t *testing.T) {
+	e := EpochStat{Comp: time.Second, Comm: 2 * time.Second}
+	if e.Total() != 3*time.Second {
+		t.Errorf("Total = %v, want 3s", e.Total())
+	}
+}
