@@ -31,7 +31,7 @@ func bindEval(fs *flag.FlagSet) action {
 		if err != nil {
 			return failf(stderr, 1, "%v", err)
 		}
-		mdl, err := hetkg.NewModel(c.ModelName)
+		mdl, err := c.Model()
 		if err != nil {
 			return failf(stderr, 1, "%v", err)
 		}

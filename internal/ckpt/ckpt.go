@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"hetkg/internal/frame"
+	"hetkg/internal/model"
 	"hetkg/internal/vec"
 )
 
@@ -36,7 +37,10 @@ type Checkpoint struct {
 	// ModelName is the model registry name the embeddings were trained
 	// with ("transe", ...). Scoring requires the same model.
 	ModelName string `json:"model"`
-	// Dim is the base embedding dimension d.
+	// Dim is informational: `hetkg train -save` stores the entity table's
+	// width here, which is the base dimension d for TransE-like models and
+	// 2d for ComplEx and RotatE. Nothing may size a buffer from it; the
+	// tables carry their own widths and Model checks them.
 	Dim int `json:"dim"`
 	// Dataset, Scale and Seed record provenance: the preset graph the run
 	// trained on is regenerated from them. Scale is empty for a graph that
@@ -67,6 +71,25 @@ func (c *Checkpoint) Validate() error {
 		return fmt.Errorf("ckpt: non-positive dim %d", c.Dim)
 	}
 	return nil
+}
+
+// Model returns the scoring model the checkpoint names, after checking that
+// the tables are ones that model can have produced: some base dimension
+// gives exactly these entity and relation widths. A header naming one model
+// over another model's tables would otherwise load and then index past a
+// row, or score the wrong halves of it, on the first query.
+func (c *Checkpoint) Model() (model.Model, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	m, err := model.New(c.ModelName)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
+	}
+	if _, err := model.BaseDim(m, c.Entities.Dim, c.Relations.Dim); err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
+	}
+	return m, nil
 }
 
 // Write serializes the checkpoint.

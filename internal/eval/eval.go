@@ -85,11 +85,10 @@ func Evaluate(cfg Config, test []kg.Triple) (Result, error) {
 	if len(hits) == 0 {
 		hits = []int{1, 3, 10}
 	}
-	full := cfg.fullCandidates()
 	// Item 2i ranks test[i] under head corruption, item 2i+1 under tail
 	// corruption — the same order the serial protocol walked.
 	ranks := par.Map(par.Degree(cfg.Parallelism), 2*len(test), func(i int) int {
-		return rankOne(cfg, test[i/2], i%2 == 0, cfg.itemRNG(i), full)
+		return rankOne(cfg, test[i/2], i%2 == 0, cfg.itemRNG(i))
 	})
 
 	agg := Result{Hits: make(map[int]float64, len(hits))}
@@ -125,35 +124,31 @@ func (cfg Config) itemRNG(i int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(x)))
 }
 
-// fullCandidates returns the shared all-entities candidate list when the
-// run ranks against every entity, or nil in sampled-candidate mode. Shared
-// read-only across ranking goroutines.
-func (cfg Config) fullCandidates() []kg.EntityID {
-	n := cfg.Entities.Rows
-	if cfg.NumCandidates > 0 && cfg.NumCandidates < n {
-		return nil
-	}
-	all := make([]kg.EntityID, n)
-	for i := range all {
-		all[i] = kg.EntityID(i)
-	}
-	return all
+// sampled reports whether rankings use NumCandidates sampled corruptions
+// rather than every entity.
+func (cfg Config) sampled() bool {
+	return cfg.NumCandidates > 0 && cfg.NumCandidates < cfg.Entities.Rows
 }
 
 // rankOne ranks the true entity of tr (head if corruptHead) among candidate
 // corruptions. Ties count half, the standard "average" tie policy, so
 // constant scoring functions get chance-level rather than perfect ranks.
-func rankOne(cfg Config, tr kg.Triple, corruptHead bool, rng *rand.Rand, full []kg.EntityID) int {
+func rankOne(cfg Config, tr kg.Triple, corruptHead bool, rng *rand.Rand) int {
 	r := cfg.Relations.Row(int(tr.Relation))
 	h := cfg.Entities.Row(int(tr.Head))
 	t := cfg.Entities.Row(int(tr.Tail))
 	trueScore := cfg.Model.Score(h, r, t)
 
-	candidates := full
-	if candidates == nil {
-		candidates = cfg.sampleCandidates(tr, corruptHead, rng)
-	}
+	// Ranking against every entity is one sweep over the table (countAll);
+	// sampled candidates are scattered rows, gathered and scored one at a
+	// time below.
 	higher, equal := 0, 0
+	var candidates []kg.EntityID
+	if cfg.sampled() {
+		candidates = cfg.sampleCandidates(tr, corruptHead, rng)
+	} else {
+		higher, equal = countAll(cfg, tr, corruptHead, trueScore)
+	}
 	for _, e := range candidates {
 		if corruptHead && e == tr.Head || !corruptHead && e == tr.Tail {
 			continue
@@ -187,6 +182,51 @@ func rankOne(cfg Config, tr kg.Triple, corruptHead bool, rng *rand.Rand, full []
 	return rank
 }
 
+// rankTile is how many entity rows countAll scores per kernel call.
+const rankTile = 256
+
+// countAll counts, over every entity but the true one, the corruptions of tr
+// that score above and exactly at trueScore. The table is scored in id order
+// by one prepared sweep, whose results carry the bits of Model.Score
+// (model.Sweep's contract), so the counts are those of a per-row loop. A
+// candidate below the true score moves no rank, so the filter — a hash
+// lookup — is consulted only for the few at or above it.
+func countAll(cfg Config, tr kg.Triple, corruptHead bool, trueScore float32) (higher, equal int) {
+	ents := cfg.Entities
+	r := cfg.Relations.Row(int(tr.Relation))
+	var sw model.Sweep
+	if corruptHead {
+		sw.Reset(cfg.Model, ents.Row(int(tr.Tail)), r, false)
+	} else {
+		sw.Reset(cfg.Model, ents.Row(int(tr.Head)), r, true)
+	}
+	var scores [rankTile]float32
+	for lo := 0; lo < ents.Rows; lo += rankTile {
+		hi := min(lo+rankTile, ents.Rows)
+		sw.Score(scores[:hi-lo], ents.Data[lo*ents.Dim:hi*ents.Dim])
+		for i, s := range scores[:hi-lo] {
+			if !(s >= trueScore) {
+				continue
+			}
+			cand := tr
+			if corruptHead {
+				cand.Head = kg.EntityID(lo + i)
+			} else {
+				cand.Tail = kg.EntityID(lo + i)
+			}
+			if cand == tr || cfg.Filter != nil && cfg.Filter.Contains(cand) {
+				continue
+			}
+			if s > trueScore {
+				higher++
+			} else {
+				equal++
+			}
+		}
+	}
+	return higher, equal
+}
+
 // sampleCandidates draws NumCandidates distinct corrupting entity ids.
 func (cfg Config) sampleCandidates(tr kg.Triple, corruptHead bool, rng *rand.Rand) []kg.EntityID {
 	n := cfg.Entities.Rows
@@ -214,9 +254,8 @@ func RankTriples(cfg Config, test []kg.Triple) ([]int, error) {
 	if cfg.Model == nil || cfg.Entities == nil || cfg.Relations == nil {
 		return nil, fmt.Errorf("eval: model and embedding tables are required")
 	}
-	full := cfg.fullCandidates()
 	ranks := par.Map(par.Degree(cfg.Parallelism), len(test), func(i int) int {
-		return rankOne(cfg, test[i], false, cfg.itemRNG(i), full)
+		return rankOne(cfg, test[i], false, cfg.itemRNG(i))
 	})
 	sort.Ints(ranks)
 	return ranks, nil
@@ -233,9 +272,8 @@ func ByRelation(cfg Config, test []kg.Triple) (map[kg.RelationID]Result, error) 
 	if len(hits) == 0 {
 		hits = []int{1, 3, 10}
 	}
-	full := cfg.fullCandidates()
 	ranks := par.Map(par.Degree(cfg.Parallelism), len(test), func(i int) int {
-		return rankOne(cfg, test[i], false, cfg.itemRNG(i), full)
+		return rankOne(cfg, test[i], false, cfg.itemRNG(i))
 	})
 	sumRR := map[kg.RelationID]float64{}
 	sumRank := map[kg.RelationID]float64{}

@@ -5,6 +5,7 @@ package knn
 
 import (
 	"fmt"
+	"math"
 
 	"hetkg/internal/kg"
 	"hetkg/internal/vec"
@@ -56,9 +57,10 @@ type Result struct {
 	Score float32     `json:"score"`
 }
 
-// Index searches an embedding matrix exactly (brute force with a bounded
-// heap — at KGE scales a scan is memory-bandwidth-bound and beats
-// approximate structures until millions of rows).
+// Index searches an embedding matrix exactly: brute force over four-row
+// kernels into a bounded top-k selector. At KGE scales that beats
+// approximate structures until millions of rows — a 10 000×64 scan is about
+// 0.3 ms, instruction-bound rather than memory-bound (DESIGN.md §9.3).
 type Index struct {
 	m      *vec.Matrix
 	metric Metric
@@ -88,12 +90,18 @@ func (ix *Index) Rows() int { return ix.m.Rows }
 // Metric returns the similarity measure the index was built with.
 func (ix *Index) Metric() Metric { return ix.metric }
 
-// Scratch is reusable state for SearchInto: a caller-owned bounded heap
-// that lets the hot path of a query server run without a single allocation
-// per search. The zero Scratch is ready to use (the first search sizes it).
+// Scratch is reusable state for SearchInto: a caller-owned top-k selector
+// and one tile of scores, which let the hot path of a query server run
+// without a single allocation per search. The zero Scratch is ready to use
+// (the first search sizes it).
 type Scratch struct {
-	heap []Result
+	top    TopK
+	scores []float32
 }
+
+// searchTile is how many rows one kernel call scores: enough to amortize
+// the call, small enough that the scores stay in L1 until they are ranked.
+const searchTile = 256
 
 // Search returns the k most similar rows to query, most similar first.
 // exclude (when ≥ 0) removes one row id from the results — pass the query's
@@ -109,12 +117,17 @@ func (ix *Index) Search(query []float32, k int, exclude kg.EntityID) ([]Result, 
 
 // SearchInto is Search with caller-provided storage: results are written
 // into dst (grown from dst[:0], so pass a slice with capacity ≥ k to avoid
-// growth) and the bounded heap lives in scratch, which is reused across
-// calls. After the scratch has warmed up to the largest k seen, a search
-// performs no allocation.
+// growth) and the selector and score tile live in scratch, which is reused
+// across calls. After the scratch has warmed up to the largest k seen, a
+// search performs no allocation.
+//
+// The table is scored a tile at a time by the vec.*Rows kernels, whose
+// results carry the bits of vec.Dot / vec.SquaredL2Dist per row, so scores
+// and ranking are those of a row-by-row scan; ties rank by ascending id.
 func (ix *Index) SearchInto(dst []Result, query []float32, k int, exclude kg.EntityID, scratch *Scratch) ([]Result, error) {
-	if len(query) != ix.m.Dim {
-		return nil, fmt.Errorf("knn: query width %d, index width %d", len(query), ix.m.Dim)
+	dim := ix.m.Dim
+	if len(query) != dim {
+		return nil, fmt.Errorf("knn: query width %d, index width %d", len(query), dim)
 	}
 	if k <= 0 {
 		return dst[:0], nil
@@ -123,45 +136,39 @@ func (ix *Index) SearchInto(dst []Result, query []float32, k int, exclude kg.Ent
 	if ix.metric == Cosine {
 		qNorm = vec.L2(query)
 	}
-	h := scratch.heap[:0]
-	for i := 0; i < ix.m.Rows; i++ {
-		if kg.EntityID(i) == exclude {
-			continue
-		}
-		var s float32
+	if scratch.scores == nil {
+		scratch.scores = make([]float32, searchTile)
+	}
+	top := &scratch.top
+	top.Reset(k)
+	for lo := 0; lo < ix.m.Rows; lo += searchTile {
+		hi := min(lo+searchTile, ix.m.Rows)
+		scores := scratch.scores[:hi-lo]
+		rows := ix.m.Data[lo*dim : hi*dim]
 		switch ix.metric {
 		case Cosine:
-			d := qNorm * ix.norms[i]
-			if d > 0 {
-				s = vec.Dot(query, ix.m.Row(i)) / d
+			vec.DotRows(scores, query, rows)
+			for i, dot := range scores {
+				scores[i] = 0
+				if d := qNorm * ix.norms[lo+i]; d > 0 {
+					scores[i] = dot / d
+				}
 			}
 		case Dot:
-			s = vec.Dot(query, ix.m.Row(i))
+			vec.DotRows(scores, query, rows)
 		case L2:
-			s = -vec.L2Dist(query, ix.m.Row(i))
+			vec.SquaredL2DistRows(scores, query, rows)
+			for i, sq := range scores {
+				scores[i] = -float32(math.Sqrt(float64(sq)))
+			}
 		}
-		if len(h) < k {
-			h = append(h, Result{ID: kg.EntityID(i), Score: s})
-			siftUp(h, len(h)-1)
-		} else if s > h[0].Score {
-			h[0] = Result{ID: kg.EntityID(i), Score: s}
-			siftDown(h, 0)
+		for i, s := range scores {
+			if id := kg.EntityID(lo + i); id != exclude && !top.Rejects(s) {
+				top.Offer(id, s)
+			}
 		}
 	}
-	scratch.heap = h // keep the grown backing array for the next call
-	if cap(dst) < len(h) {
-		dst = make([]Result, len(h))
-	} else {
-		dst = dst[:len(h)]
-	}
-	for i := len(dst) - 1; i >= 0; i-- {
-		dst[i] = h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		siftDown(h, 0)
-	}
-	return dst, nil
+	return top.Sorted(dst), nil
 }
 
 // Neighbors returns the k nearest rows to row id (excluding itself).
@@ -178,40 +185,4 @@ func (ix *Index) NeighborsInto(dst []Result, id kg.EntityID, k int, scratch *Scr
 		return nil, fmt.Errorf("knn: id %d out of range [0,%d)", id, ix.m.Rows)
 	}
 	return ix.SearchInto(dst, ix.m.Row(int(id)), k, id, scratch)
-}
-
-// The heap is a min-heap on score, so the root is the weakest of the
-// current top-k and can be displaced cheaply. Sift operations are hand
-// rolled rather than going through container/heap: the interface boxing on
-// heap.Push costs one allocation per displaced candidate, which SearchInto
-// exists to avoid.
-
-func siftUp(h []Result, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].Score <= h[i].Score {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-func siftDown(h []Result, i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h[l].Score < h[small].Score {
-			small = l
-		}
-		if r < n && h[r].Score < h[small].Score {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
 }

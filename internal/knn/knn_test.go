@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -258,6 +259,68 @@ func BenchmarkSearchInto(b *testing.B) {
 		dst, err = ix.SearchInto(dst, q, 10, 0, &scratch)
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSearchMatchesPerRowScan pins the tile-kernel scan to the row-by-row
+// one it replaced: for every metric, on tables on and off the four-row and
+// 256-row tile boundaries and with duplicated rows forcing exact ties,
+// SearchInto returns the per-row scores bit for bit in the total order
+// (score descending, ties to the lower id), with the excluded row absent.
+func TestSearchMatchesPerRowScan(t *testing.T) {
+	for _, rows := range []int{1, 5, 259, 1003} {
+		rng := rand.New(rand.NewSource(int64(rows)))
+		m := vec.NewMatrix(rows, 7)
+		m.InitUniform(rng, 1)
+		for i := 3; i < rows; i += 3 {
+			copy(m.Row(i), m.Row(rng.Intn(i)))
+		}
+		q := m.Row(rows / 2)
+		for _, metric := range []Metric{Cosine, Dot, L2} {
+			ix, err := New(m, metric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, exclude := range []kg.EntityID{-1, kg.EntityID(rows / 2)} {
+				var want []Result
+				for i := 0; i < rows; i++ {
+					if kg.EntityID(i) == exclude {
+						continue
+					}
+					var s float32
+					switch metric {
+					case Cosine:
+						if d := vec.L2(q) * vec.L2(m.Row(i)); d > 0 {
+							s = vec.Dot(q, m.Row(i)) / d
+						}
+					case Dot:
+						s = vec.Dot(q, m.Row(i))
+					case L2:
+						s = -vec.L2Dist(q, m.Row(i))
+					}
+					want = append(want, Result{ID: kg.EntityID(i), Score: s})
+				}
+				sort.Slice(want, func(a, b int) bool {
+					if want[a].Score != want[b].Score {
+						return want[a].Score > want[b].Score
+					}
+					return want[a].ID < want[b].ID
+				})
+				k := min(40, len(want))
+				got, err := ix.Search(q, 40, exclude)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != k {
+					t.Fatalf("%v rows=%d exclude=%d: %d results, want %d", metric, rows, exclude, len(got), k)
+				}
+				for i := range got {
+					if got[i].ID != want[i].ID || math.Float32bits(got[i].Score) != math.Float32bits(want[i].Score) {
+						t.Fatalf("%v rows=%d exclude=%d result %d: got %v, per-row scan %v", metric, rows, exclude, i, got[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }

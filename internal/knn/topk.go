@@ -1,26 +1,23 @@
-package serve
+package knn
 
-import (
-	"hetkg/internal/kg"
-	"hetkg/internal/knn"
-)
+import "hetkg/internal/kg"
 
 // TopK selects the k best results under a total order (score descending,
 // ties to the lower id) with a bounded min-heap over a reusable backing
 // array. The total order makes the selected set — and its sorted output —
-// independent of offer order, which is what lets the batcher merge per-shard
-// partial top-ks in any sharding and still return deterministic results.
-// Sifts are hand rolled (no container/heap interface boxing), so a warmed
-// TopK performs no allocation.
+// independent of offer order, which is what lets a sharded sweep merge
+// per-shard partial top-ks in any sharding and still return deterministic
+// results. Sifts are hand rolled (container/heap boxes every pushed value),
+// so a warmed TopK performs no allocation. The zero TopK is ready to use.
 type TopK struct {
 	k int
-	h []knn.Result
+	h []Result
 }
 
 // NewTopK returns a TopK whose backing array holds capK results without
 // growing.
 func NewTopK(capK int) *TopK {
-	return &TopK{h: make([]knn.Result, 0, capK)}
+	return &TopK{h: make([]Result, 0, capK)}
 }
 
 // Reset empties the selector and sets the bound for the next use. A k
@@ -31,16 +28,25 @@ func (t *TopK) Reset(k int) {
 }
 
 // worse reports whether a ranks strictly below b.
-func worse(a, b knn.Result) bool {
+func worse(a, b Result) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
 	}
 	return a.ID > b.ID
 }
 
+// Rejects reports that Offer would drop a candidate with this score whatever
+// its id: the selector is full and the score is below its weakest. It is
+// small enough to inline, and a full-table scan asks it before paying for
+// the Offer call, because past the first few hundred rows nearly every
+// candidate is one of these. False promises nothing — Offer still decides.
+func (t *TopK) Rejects(score float32) bool {
+	return len(t.h) == t.k && (t.k == 0 || score < t.h[0].Score)
+}
+
 // Offer considers one candidate.
 func (t *TopK) Offer(id kg.EntityID, score float32) {
-	r := knn.Result{ID: id, Score: score}
+	r := Result{ID: id, Score: score}
 	if len(t.h) < t.k {
 		t.h = append(t.h, r)
 		// Sift up: the root is the worst of the current top-k.
@@ -87,15 +93,15 @@ func (t *TopK) Len() int { return len(t.h) }
 // Items returns the held results in heap order — input for merging into
 // another TopK. The slice aliases the selector's storage; it is invalidated
 // by the next Offer/Reset/Sorted.
-func (t *TopK) Items() []knn.Result { return t.h }
+func (t *TopK) Items() []Result { return t.h }
 
 // Sorted drains the selector into dst, best first. dst is grown from
 // dst[:0]; pass capacity ≥ Len to avoid allocation. The selector is empty
 // afterwards (Reset before reuse).
-func (t *TopK) Sorted(dst []knn.Result) []knn.Result {
+func (t *TopK) Sorted(dst []Result) []Result {
 	n := len(t.h)
 	if cap(dst) < n {
-		dst = make([]knn.Result, n)
+		dst = make([]Result, n)
 	} else {
 		dst = dst[:n]
 	}

@@ -61,6 +61,20 @@ func Names() []string {
 	return []string{"transe", "transe_l2", "distmult", "transh", "complex", "rescal", "hole", "rotate"}
 }
 
+// BaseDim returns the base dimension d at which m's tables are entDim and
+// relDim floats wide. There is none when the tables were trained with a
+// different model (or are not a model's tables at all); scoring such rows
+// reads past one of them or, worse, silently scores the wrong halves, so
+// whoever loads tables it did not build checks here first.
+func BaseDim(m Model, entDim, relDim int) (int, error) {
+	for d := 1; d <= entDim; d++ { // EntityDim(d) ≥ d for every model
+		if m.EntityDim(d) == entDim && m.RelationDim(d) == relDim {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("model: no base dimension gives %s entity rows of width %d and relation rows of width %d", m.Name(), entDim, relDim)
+}
+
 // Sigmoid is the logistic function, shared by losses and evaluation.
 func Sigmoid(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))

@@ -361,3 +361,29 @@ func TestRotatEPreservesNorm(t *testing.T) {
 		}
 	}
 }
+
+// TestBaseDim checks the table-shape test serving and evaluation run before
+// they trust a checkpoint's widths.
+func TestBaseDim(t *testing.T) {
+	for _, name := range Names() {
+		m, _ := New(name)
+		for _, d := range []int{1, 5, 64} {
+			got, err := BaseDim(m, m.EntityDim(d), m.RelationDim(d))
+			if err != nil || got != d {
+				t.Errorf("%s: BaseDim(%d, %d) = %d, %v; want %d", name, m.EntityDim(d), m.RelationDim(d), got, err, d)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		ent, rel int
+	}{
+		{"rotate", 8, 8}, {"transh", 8, 8}, {"complex", 8, 4}, {"complex", 7, 7},
+		{"transe", 8, 4}, {"rescal", 4, 4}, {"transe", 0, 0},
+	} {
+		m, _ := New(c.name)
+		if _, err := BaseDim(m, c.ent, c.rel); err == nil {
+			t.Errorf("%s: BaseDim(%d, %d) accepted widths no base dimension produces", c.name, c.ent, c.rel)
+		}
+	}
+}

@@ -19,33 +19,37 @@ const DefaultMaxBatch = 64
 // DefaultMaxK is the default cap on a prediction's k.
 const DefaultMaxK = 128
 
+// sweepTile is how many candidate rows a worker scores per kernel call: a
+// run short enough (64 KB of a 64-wide table) to still be in cache when the
+// batch's next job scores it, long enough to amortize the call.
+const sweepTile = 256
+
 // job is one in-flight prediction. Jobs are pooled: done is a reusable
-// buffered channel and out a reusable result buffer, so a request borrows
-// and returns a job without allocating.
+// buffered channel, out a reusable result buffer and sweep keeps its query
+// buffer, so a request borrows and returns a job without allocating.
 type job struct {
-	anchorRow []float32 // the known entity's embedding (head or tail)
-	relRow    []float32
-	tailMode  bool // true: rank tails score(anchor, r, c); false: rank heads score(c, r, anchor)
-	k         int
-	sc        span.Context
-	out       []knn.Result
-	done      chan struct{}
+	sweep model.Sweep // the partial triple, prepared by the requester; read-only while queued
+	k     int
+	sc    span.Context
+	out   []knn.Result
+	done  chan struct{}
 }
 
 // batcher coalesces concurrent predictions into shared candidate sweeps —
 // the group-commit pattern: while one sweep scans the entity table, newly
 // arriving jobs queue, and the next sweep takes them all. Scoring j jobs
-// against a candidate row while it is resident in cache amortizes the scan
-// that dominates prediction cost, so batching raises throughput without a
-// coalescing timer (an idle server runs a lone request immediately).
+// against a tile of candidate rows while it is resident in cache amortizes
+// the scan that dominates prediction cost, so batching raises throughput
+// without a coalescing timer (an idle server runs a lone request
+// immediately).
 //
 // The sweep fans out over persistent shard workers (fixed contiguous ranges
 // from par.Shards; long-lived goroutines signaled by channel, so a sweep
 // allocates nothing). Results are deterministic at any parallelism: each
-// candidate's score is computed independently, and the total order of TopK
-// (score desc, id asc) makes the merged top-k independent of sharding.
+// candidate's score carries the bits of model.Score (model.Sweep's
+// contract), and the total order of knn.TopK (score desc, id asc) makes the
+// merged top-k independent of sharding.
 type batcher struct {
-	model    model.Model
 	ents     *vec.Matrix
 	maxBatch int
 	maxK     int
@@ -53,7 +57,7 @@ type batcher struct {
 	pool     sync.Pool
 	workers  []*sweepWorker
 	cur      []*job // batch under sweep; written by dispatcher, read by workers (synchronized by start/done channels)
-	final    []*TopK
+	final    []*knn.TopK
 	spans    []span.Active
 	tracer   *span.Tracer
 	obs      *batchObs
@@ -67,18 +71,19 @@ type batchObs struct {
 	size    *metrics.Histogram
 }
 
-// sweepWorker owns one fixed shard of the candidate space and a private
-// top-k selector per batch slot.
+// sweepWorker owns one fixed shard of the candidate space, a private top-k
+// selector per batch slot and one tile of scores.
 type sweepWorker struct {
-	rng   par.Range
-	topks []*TopK
-	start chan struct{}
-	done  chan struct{}
+	rng    par.Range
+	topks  []*knn.TopK
+	scores [sweepTile]float32
+	start  chan struct{}
+	done   chan struct{}
 }
 
 // newBatcher starts the dispatcher and the shard workers. degree ≤ 1 runs
 // sweeps inline on the dispatcher goroutine.
-func newBatcher(m model.Model, ents *vec.Matrix, maxBatch, maxK, degree int) *batcher {
+func newBatcher(ents *vec.Matrix, maxBatch, maxK, degree int) *batcher {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
@@ -92,12 +97,11 @@ func newBatcher(m model.Model, ents *vec.Matrix, maxBatch, maxK, degree int) *ba
 		degree = 1
 	}
 	b := &batcher{
-		model:    m,
 		ents:     ents,
 		maxBatch: maxBatch,
 		maxK:     maxK,
 		jobs:     make(chan *job, maxBatch),
-		final:    make([]*TopK, maxBatch),
+		final:    make([]*knn.TopK, maxBatch),
 		spans:    make([]span.Active, 0, maxBatch),
 		quit:     make(chan struct{}),
 	}
@@ -108,19 +112,19 @@ func newBatcher(m model.Model, ents *vec.Matrix, maxBatch, maxK, degree int) *ba
 		}
 	}
 	for i := range b.final {
-		b.final[i] = NewTopK(maxK)
+		b.final[i] = knn.NewTopK(maxK)
 	}
 	shards := par.Shards(ents.Rows, degree)
 	b.workers = make([]*sweepWorker, len(shards))
 	for w, rng := range shards {
 		sw := &sweepWorker{
 			rng:   rng,
-			topks: make([]*TopK, maxBatch),
+			topks: make([]*knn.TopK, maxBatch),
 			start: make(chan struct{}),
 			done:  make(chan struct{}),
 		}
 		for i := range sw.topks {
-			sw.topks[i] = NewTopK(maxK)
+			sw.topks[i] = knn.NewTopK(maxK)
 		}
 		b.workers[w] = sw
 	}
@@ -151,7 +155,8 @@ func (b *batcher) get() *job { return b.pool.Get().(*job) }
 
 // put returns a job to the pool.
 func (b *batcher) put(j *job) {
-	j.anchorRow, j.relRow, j.sc = nil, nil, span.Context{}
+	j.sweep.Reset(nil, nil, nil, false) // drop the row references (they can pin a retired hot-tier slab), keep the query buffer
+	j.sc = span.Context{}
 	j.out = j.out[:0]
 	b.pool.Put(j)
 }
@@ -200,27 +205,31 @@ func (b *batcher) workerLoop(sw *sweepWorker) {
 		case <-b.quit:
 			return
 		case <-sw.start:
-			sw.scan(b.model, b.ents, b.cur)
+			sw.scan(b.ents, b.cur)
 			sw.done <- struct{}{}
 		}
 	}
 }
 
-// scan scores the worker's candidate range against every job in the batch.
-func (sw *sweepWorker) scan(m model.Model, ents *vec.Matrix, batch []*job) {
+// scan scores the worker's candidate range against every job in the batch,
+// a tile of rows at a time: each job's prepared sweep fills the tile's
+// scores, and only a score that could enter the job's top-k is offered.
+func (sw *sweepWorker) scan(ents *vec.Matrix, batch []*job) {
 	for i, j := range batch {
 		sw.topks[i].Reset(j.k)
 	}
-	for c := sw.rng.Begin; c < sw.rng.End; c++ {
-		row := ents.Row(c)
+	for lo := sw.rng.Begin; lo < sw.rng.End; lo += sweepTile {
+		hi := min(lo+sweepTile, sw.rng.End)
+		rows := ents.Data[lo*ents.Dim : hi*ents.Dim]
+		scores := sw.scores[:hi-lo]
 		for i, j := range batch {
-			var s float32
-			if j.tailMode {
-				s = m.Score(j.anchorRow, j.relRow, row)
-			} else {
-				s = m.Score(row, j.relRow, j.anchorRow)
+			j.sweep.Score(scores, rows)
+			top := sw.topks[i]
+			for c, s := range scores {
+				if !top.Rejects(s) {
+					top.Offer(kg.EntityID(lo+c), s)
+				}
 			}
-			sw.topks[i].Offer(kg.EntityID(c), s)
 		}
 	}
 }
@@ -244,16 +253,16 @@ func (b *batcher) sweep(batch []*job) {
 		for _, sw := range b.workers[1:] {
 			sw.start <- struct{}{}
 		}
-		b.workers[0].scan(b.model, b.ents, batch)
+		b.workers[0].scan(b.ents, batch)
 		for _, sw := range b.workers[1:] {
 			<-sw.done
 		}
 	} else {
-		b.workers[0].scan(b.model, b.ents, batch)
+		b.workers[0].scan(b.ents, batch)
 	}
 
-	// Merge the per-shard partials in shard order; the TopK total order
-	// makes the outcome independent of the sharding.
+	// Merge the per-shard partials in shard order; the knn.TopK total
+	// order makes the outcome independent of the sharding.
 	for i, j := range batch {
 		f := b.final[i]
 		f.Reset(j.k)

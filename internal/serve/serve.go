@@ -12,7 +12,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -89,10 +91,7 @@ func New(cfg Config) (*Server, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("serve: nil checkpoint")
 	}
-	if err := ck.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	m, err := model.New(ck.ModelName)
+	m, err := ck.Model()
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -117,7 +116,7 @@ func New(cfg Config) (*Server, error) {
 	if degree <= 0 {
 		degree = runtime.GOMAXPROCS(0)
 	}
-	bat := newBatcher(m, ck.Entities, cfg.MaxBatch, maxK, degree)
+	bat := newBatcher(ck.Entities, cfg.MaxBatch, maxK, degree)
 	bat.instrument(reg)
 	bat.trace(cfg.Tracer)
 	s := &Server{
@@ -236,7 +235,8 @@ func (s *Server) PredictInto(dst []knn.Result, entity, rel int, tails bool, k in
 	lk.EndAttrs(span.Attrs{Rows: 2, Shard: span.NoShard})
 
 	j := s.bat.get()
-	j.anchorRow, j.relRow, j.tailMode, j.k, j.sc = anchor, rrow, tails, k, sp.Context()
+	j.sweep.Reset(s.model, anchor, rrow, tails)
+	j.k, j.sc = k, sp.Context()
 	s.bat.submit(j)
 	<-j.done
 
@@ -329,9 +329,14 @@ type neighborsRequest struct {
 	K      int `json:"k"`
 }
 
-// httpError writes a JSON error body. Validation failures are the client's
-// fault (400); nothing on the read path is a server error today.
-func (s *Server) httpError(w http.ResponseWriter, code int, err error) {
+// httpError writes a JSON error body. Every failure on the read path is the
+// client's fault: 413 for a body over maxBodyBytes, 400 for everything else.
+func (s *Server) httpError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
@@ -356,11 +361,22 @@ func formInt(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-// decodeBody fills v from a POST JSON body.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a POST body. A request is at most four small integers
+// and a direction; anything near this size is not one.
+const maxBodyBytes = 4 << 10
+
+// decodeBody fills v from a POST JSON body: exactly one JSON object of known
+// fields, at most maxBodyBytes long, followed by nothing but whitespace.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("serve: decoding request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the JSON object")
+		}
 		return fmt.Errorf("serve: decoding request body: %w", err)
 	}
 	return nil
@@ -370,7 +386,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	req := scoreRequest{Head: -1, Relation: -1, Tail: -1}
 	var err error
 	if r.Method == http.MethodPost {
-		err = decodeBody(r, &req)
+		err = decodeBody(w, r, &req)
 	} else {
 		if req.Head, err = formInt(r, "head", -1); err == nil {
 			if req.Relation, err = formInt(r, "relation", -1); err == nil {
@@ -380,12 +396,12 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.obs.errors.Inc()
-		s.httpError(w, http.StatusBadRequest, err)
+		s.httpError(w, err)
 		return
 	}
 	score, err := s.ScoreTriple(req.Head, req.Relation, req.Tail)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+		s.httpError(w, err)
 		return
 	}
 	writeJSON(w, map[string]float32{"score": score})
@@ -395,7 +411,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	req := predictRequest{Entity: -1, Relation: -1, Dir: "tail"}
 	var err error
 	if r.Method == http.MethodPost {
-		err = decodeBody(r, &req)
+		err = decodeBody(w, r, &req)
 		if req.Dir == "" {
 			req.Dir = "tail"
 		}
@@ -414,12 +430,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.obs.errors.Inc()
-		s.httpError(w, http.StatusBadRequest, err)
+		s.httpError(w, err)
 		return
 	}
 	results, err := s.PredictInto(nil, req.Entity, req.Relation, req.Dir == "tail", req.K)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+		s.httpError(w, err)
 		return
 	}
 	writeJSON(w, map[string][]knn.Result{"results": results})
@@ -429,7 +445,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	req := neighborsRequest{Entity: -1}
 	var err error
 	if r.Method == http.MethodPost {
-		err = decodeBody(r, &req)
+		err = decodeBody(w, r, &req)
 	} else {
 		if req.Entity, err = formInt(r, "entity", -1); err == nil {
 			req.K, err = formInt(r, "k", 0)
@@ -437,12 +453,12 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.obs.errors.Inc()
-		s.httpError(w, http.StatusBadRequest, err)
+		s.httpError(w, err)
 		return
 	}
 	results, err := s.NeighborsInto(nil, req.Entity, req.K)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
+		s.httpError(w, err)
 		return
 	}
 	writeJSON(w, map[string][]knn.Result{"results": results})

@@ -125,8 +125,19 @@ func referenceRank(ck *ckpt.Checkpoint, entity, rel int, tails bool, k int) []kn
 		}
 		all[c] = knn.Result{ID: kg.EntityID(c), Score: s}
 	}
-	sort.Slice(all, func(a, b int) bool { return worse(all[b], all[a]) })
+	sortTotalOrder(all)
 	return all[:k]
+}
+
+// sortTotalOrder sorts into the documented serving order, written out here
+// independently of knn.TopK: score descending, exact ties to the lower id.
+func sortTotalOrder(rs []knn.Result) {
+	sort.Slice(rs, func(a, b int) bool {
+		if rs[a].Score != rs[b].Score {
+			return rs[a].Score > rs[b].Score
+		}
+		return rs[a].ID < rs[b].ID
+	})
 }
 
 // trainSplitTriples reproduces the train split core.Run derives from the

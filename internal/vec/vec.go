@@ -2,9 +2,13 @@
 // embedding component in the system: float32 vector operations, embedding
 // matrices, and initialization schemes.
 //
-// All operations are written as straight loops over []float32. Embeddings in
-// this system are short (tens to hundreds of elements), so bounds-check
-// hoisting via an explicit length prefix is the only optimization applied.
+// The per-row operations in this file are straight loops over []float32 with
+// the bounds checks hoisted by an explicit length prefix: embeddings here are
+// short (tens to hundreds of elements) and a training step touches scattered
+// rows, so there is nothing more to win per call. A sweep over a whole table
+// is different — the same query against every row — and has its own kernels
+// in rows.go, which score four rows per pass and return, bit for bit, what
+// the per-row functions here return.
 package vec
 
 import (

@@ -3,6 +3,9 @@
 # detector. The deterministic parallel engine (internal/par) and the code
 # built on it (train batch compute, eval ranking) must stay race-free at
 # any parallelism, so -race covers every package, not just internal/par.
+# Then the two things a plain `go test` never executes: the sweep stack's
+# benchmarks (one iteration each, so they cannot rot) and a short fuzz of
+# the one decoder that reads bytes off the network unauthenticated.
 #
 # Every "is it documented" check — exported declarations, metric, span,
 # serving and codec profile names, plan keys, the generated flag reference,
@@ -16,6 +19,12 @@ go vet ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== every benchmark of the sweep stack compiles and runs once"
+go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/knn ./internal/serve
+
+echo "== fuzz the serving request decoder (20 s)"
+go test -run '^$' -fuzz FuzzServeRequest -fuzztime 20s ./internal/serve
 
 echo "== benchmark module (vet + tests against this tree)"
 # benchmark/ is a separate module compiled against internal/*; tier-1 vets
