@@ -109,6 +109,32 @@ func multiProcessMatchesLocal(t *testing.T, shardRC, rc core.RunConfig) {
 	if remoteRes.Final.MRR != localRes.Final.MRR {
 		t.Errorf("MRR differs: remote %v vs local %v", remoteRes.Final.MRR, localRes.Final.MRR)
 	}
+	if remoteRes.Traffic != localRes.Traffic {
+		t.Errorf("traffic differs: remote %+v vs local %+v", remoteRes.Traffic, localRes.Traffic)
+	}
+}
+
+// TestInProcessCodecMatchesTCP holds every negotiable codec profile to
+// one result whichever conn its links run over: HET-KG-D trained against
+// loopback shards and in-process (links over in-process shard sessions)
+// must agree on every embedding bit, the final MRR and the metered traffic.
+// "auto" is left out by design: in-process it resolves from the cost model,
+// over TCP from the dial RTT.
+func TestInProcessCodecMatchesTCP(t *testing.T) {
+	for _, codec := range []string{ps.ProfileFP32, ps.ProfileFP16, ps.ProfileInt8, ps.ProfileDeltaInt8, ps.ProfileTopK} {
+		t.Run(codec, func(t *testing.T) {
+			rc := core.RunConfig{
+				Dataset:  "fb15k",
+				Scale:    dataset.Tiny,
+				System:   core.SystemHETKGD,
+				Machines: 2,
+				Epochs:   2,
+				Seed:     31,
+				Codec:    codec,
+			}
+			multiProcessMatchesLocal(t, rc, rc)
+		})
+	}
 }
 
 func TestShardAddrCountValidation(t *testing.T) {

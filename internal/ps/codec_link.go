@@ -48,8 +48,8 @@ func newCodecObs(reg *metrics.Registry) *codecObs {
 // even though the codec is lossy. Non-delta profiles ship bare codec rows
 // with no framing.
 //
-// A linkCodec is not internally synchronized; its owner (the codec
-// transport's mutex, or a TCP connection's request mutex) serializes use.
+// A linkCodec is not internally synchronized; its owner (a link's mutex on
+// the worker side, a session's request order on the shard) serializes use.
 type linkCodec struct {
 	prof    Profile
 	pull    Codec
@@ -129,8 +129,8 @@ func bumpVer(v uint32) uint32 {
 // encodePull encodes a pull response's rows (vals, concatenated in key
 // order) against the versions the worker advertised in baseVers, appending
 // the payload to dst. vals is REWRITTEN in place with the decoder-visible
-// values, so in-process callers observe exactly what a remote worker would
-// reconstruct, and the link base stays in lockstep with the peer.
+// values — exactly what the worker reconstructs — and those become the
+// link base, so it stays in lockstep with the peer.
 func (lc *linkCodec) encodePull(dst []byte, keys []Key, baseVers []byte, vals []float32) ([]byte, error) {
 	if !lc.prof.DeltaPull {
 		return lc.codeRows(dst, keys, vals, lc.pull)
@@ -148,7 +148,7 @@ func (lc *linkCodec) encodePull(dst []byte, keys []Key, baseVers []byte, vals []
 		}
 		row := vals[off : off+w]
 		var adv uint32
-		if baseVers != nil {
+		if len(baseVers) != 0 {
 			adv = binary.LittleEndian.Uint32(baseVers[4*i:])
 		}
 		b := lc.bases[k]

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hetkg/internal/chaos"
+	"hetkg/internal/kg"
 	"hetkg/internal/metrics"
 )
 
@@ -56,8 +57,8 @@ func (f *linkClock) Slept() []time.Duration {
 // [d/2, d), and bit-identical across links built from the same seed.
 func TestBackoffDeterministicJitter(t *testing.T) {
 	cfg := LinkConfig{RetryBase: 10 * time.Millisecond, RetryMax: 80 * time.Millisecond}.withDefaults()
-	mk := func(seed int64) *tcpLink {
-		return &tcpLink{rng: splitmix64(uint64(seed))}
+	mk := func(seed int64) *link {
+		return &link{rng: splitmix64(uint64(seed))}
 	}
 	a, b := mk(7), mk(7)
 	var first []time.Duration
@@ -520,6 +521,50 @@ func TestWireDedupAcrossConnections(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("value %d: duplicate push applied (%v) vs once (%v)", i, got[i], want[i])
+		}
+	}
+}
+
+// TestLoopbackPullPushAllocs pins what one loopback pull plus push
+// allocates, worker and shard together (both live in this process): no
+// more than before the in-process and TCP links shared one stack (31 for
+// fp32, 34 for delta-int8 at the parent commit).
+func TestLoopbackPullPushAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		profile string
+		pin     float64
+	}{{ProfileFP32, 31}, {ProfileDeltaInt8, 34}} {
+		c := testClusterDim(t, 1, 32, 64)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		go ServeTCP(l, c.Servers[0])
+		tr, err := DialTCPLink([]string{l.Addr().String()}, tc.profile, LinkConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		keys := make([]Key, 8)
+		for i := range keys {
+			keys[i] = EntityKey(kg.EntityID(i))
+		}
+		grad := make([]float32, len(keys)*64)
+		step := func() {
+			if _, err := tr.Pull(0, &PullRequest{Keys: keys}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range grad {
+				grad[i] = 0.001
+			}
+			if err := tr.Push(0, &PushRequest{Keys: keys, Vals: grad}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step() // gob type exchange and scratch growth happen once
+		if n := testing.AllocsPerRun(200, step); n > tc.pin {
+			t.Errorf("%s: %v allocs per loopback pull+push, want <= %v", tc.profile, n, tc.pin)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -509,78 +508,50 @@ type Coordinator interface {
 }
 
 // CoordClient speaks the membership protocol to a coordinator shard over
-// one persistent gob TCP connection. Calls are serialized by a mutex; each
-// round trip is bounded by Timeout.
+// one link (see LinkTransport) with retries and the breaker off: a failed
+// call surfaces to the caller and poisons the connection, so the next call
+// re-dials instead of reading the failed call's late reply.
 type CoordClient struct {
-	mu      sync.Mutex
-	c       *tcpConn
-	timeout time.Duration
+	link *LinkTransport
 }
 
-// DialCoordinator connects to the coordinator at addr. timeout bounds each
-// membership round trip (0 = 5s) — the worker-side half of failure
-// detection: a coordinator that stops answering within the bound surfaces
-// as an error instead of a hang.
+// DialCoordinator connects to the coordinator at addr. timeout bounds the
+// dial, the handshake, and each request's write and reply read (0 = 5s) —
+// the worker-side half of failure detection: a coordinator that stops
+// answering within the bound surfaces as an error instead of a hang.
 func DialCoordinator(addr string, timeout time.Duration) (*CoordClient, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	fp32, _ := ResolveProfile(ProfileFP32)
+	// Membership links carry no pushes, so link id 0 (dedup off).
+	t, err := newLinkTransport([]string{addr}, fp32,
+		LinkConfig{RPCTimeout: timeout, Retries: -1, BreakerThreshold: -1}, false, (*LinkTransport).dialTCP)
 	if err != nil {
-		return nil, fmt.Errorf("ps: dialing coordinator %s: %w", addr, err)
-	}
-	prof, err := ResolveProfile(ProfileFP32)
-	if err != nil {
-		conn.Close()
 		return nil, err
 	}
-	// Membership connections carry no pushes, so link id 0 (dedup off).
-	conn.SetDeadline(time.Now().Add(timeout))
-	c, err := handshakeClient(conn, prof, 0)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("ps: handshake with coordinator %s: %w", addr, err)
-	}
-	conn.SetDeadline(time.Time{})
-	return &CoordClient{c: c, timeout: timeout}, nil
+	return &CoordClient{link: t}, nil
 }
 
 // Close releases the connection.
-func (cc *CoordClient) Close() error { return cc.c.conn.Close() }
+func (cc *CoordClient) Close() error { return cc.link.Close() }
 
-// roundTrip sends one membership op and decodes the typed reply payload.
-func (cc *CoordClient) roundTrip(op byte, msg, reply any) error {
+// call runs one membership op on the link and decodes the typed reply.
+func (cc *CoordClient) call(op byte, msg, reply any) error {
 	payload, err := gobBytes(msg)
 	if err != nil {
 		return err
 	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	c := cc.c
-	if err := c.conn.SetDeadline(time.Now().Add(cc.timeout)); err != nil {
+	if payload, err = cc.link.call(0, &wireRequest{Op: op, Payload: payload}); err != nil {
 		return err
 	}
-	defer c.conn.SetDeadline(time.Time{})
-	if err := c.enc.Encode(&wireRequest{Op: op, Payload: payload}); err != nil {
-		return fmt.Errorf("ps: sending %q to coordinator: %w", op, err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("ps: flushing %q to coordinator: %w", op, err)
-	}
-	var resp wireResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		return fmt.Errorf("ps: reading %q reply from coordinator: %w", op, err)
-	}
-	if resp.Err != "" {
-		return fmt.Errorf("ps: coordinator refused %q: %s", op, resp.Err)
-	}
-	return gobDecode(resp.Payload, reply)
+	return gobDecode(payload, reply)
 }
 
 // Join implements Coordinator.
 func (cc *CoordClient) Join(req JoinRequest) (*JoinReply, error) {
 	var reply JoinReply
-	if err := cc.roundTrip(opJoin, &req, &reply); err != nil {
+	if err := cc.call(opJoin, &req, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
@@ -589,7 +560,7 @@ func (cc *CoordClient) Join(req JoinRequest) (*JoinReply, error) {
 // Heartbeat implements Coordinator.
 func (cc *CoordClient) Heartbeat(req HeartbeatRequest) (*HeartbeatReply, error) {
 	var reply HeartbeatReply
-	if err := cc.roundTrip(opHeartbeat, &req, &reply); err != nil {
+	if err := cc.call(opHeartbeat, &req, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
@@ -598,7 +569,7 @@ func (cc *CoordClient) Heartbeat(req HeartbeatRequest) (*HeartbeatReply, error) 
 // Leave implements Coordinator.
 func (cc *CoordClient) Leave(req LeaveRequest) error {
 	var reply struct{}
-	return cc.roundTrip(opLeave, &req, &reply)
+	return cc.call(opLeave, &req, &reply)
 }
 
 // Membership wire ops, sharing the pull/push request envelope.
@@ -623,51 +594,4 @@ func gobDecode(b []byte, v any) error {
 		return fmt.Errorf("ps: decoding membership payload: %w", err)
 	}
 	return nil
-}
-
-// serveMember dispatches one membership op on a shard connection. A shard
-// without a coordinator refuses the op by name, so a worker joining the
-// wrong shard gets a readable error instead of a timeout.
-func serveMember(coord *Membership, req *wireRequest, resp *wireResponse) {
-	if coord == nil {
-		resp.Err = "ps: this shard is not the coordinator (start it with -coordinator, or join the first seed address)"
-		return
-	}
-	encode := func(reply any, err error) {
-		if err != nil {
-			resp.Err = err.Error()
-			return
-		}
-		payload, err := gobBytes(reply)
-		if err != nil {
-			resp.Err = err.Error()
-			return
-		}
-		resp.Payload = payload
-	}
-	switch req.Op {
-	case opJoin:
-		var jr JoinRequest
-		if err := gobDecode(req.Payload, &jr); err != nil {
-			resp.Err = err.Error()
-			return
-		}
-		reply, err := coord.Join(jr)
-		encode(reply, err)
-	case opHeartbeat:
-		var hr HeartbeatRequest
-		if err := gobDecode(req.Payload, &hr); err != nil {
-			resp.Err = err.Error()
-			return
-		}
-		reply, err := coord.Heartbeat(hr)
-		encode(reply, err)
-	case opLeave:
-		var lr LeaveRequest
-		if err := gobDecode(req.Payload, &lr); err != nil {
-			resp.Err = err.Error()
-			return
-		}
-		encode(struct{}{}, coord.Leave(lr))
-	}
 }

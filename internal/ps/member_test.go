@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"hetkg/internal/chaos"
 	"hetkg/internal/metrics"
+	"hetkg/internal/telemetry"
 )
 
 // fakeClock is a manually-advanced clock for deterministic failure
@@ -297,5 +299,115 @@ func TestCoordClientOverTCP(t *testing.T) {
 	defer cc2.Close()
 	if _, err := cc2.Join(JoinRequest{Label: "lost-worker"}); err == nil {
 		t.Error("non-coordinator shard accepted a join")
+	}
+}
+
+// chaosCoordinator serves a two-partition coordinator (with a fleet
+// aggregator, so telemetry is acknowledged) behind inj, and dials it with a
+// 500 ms request bound.
+func chaosCoordinator(t *testing.T, inj *chaos.Injector) *CoordClient {
+	t.Helper()
+	c := testCluster(t, 1)
+	m, err := NewMembership(MemberConfig{Partitions: 2, Telemetry: telemetry.NewFleet(telemetry.FleetConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	acc := &Acceptor{Coordinator: m}
+	go acc.Serve(inj.Listen(l), c.Servers[0])
+	cc, err := DialCoordinator(l.Addr().String(), 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cc.Close() })
+	return cc
+}
+
+// bothDone reports partitions 0 and 1 finished.
+var bothDone = []PartitionProgress{{Partition: 0, Done: true}, {Partition: 1, Done: true}}
+
+// TestCoordClientStalledReplyNotReadByNextCall stalls the coordinator's
+// reply to the first heartbeat past the client's bound: that call fails,
+// and the next one must get its own reply, not the late one.
+func TestCoordClientStalledReplyNotReadByNextCall(t *testing.T) {
+	// Server writes on the first connection: ack 0, join reply 1,
+	// heartbeat reply 2.
+	cc := chaosCoordinator(t, chaos.NewInjector(chaos.Rule{
+		Conn: 0, Op: chaos.OpWrite, After: 2, Fault: chaos.FaultStall, Stall: 1500 * time.Millisecond,
+	}))
+	join, err := cc.Join(JoinRequest{Label: "w", Preferred: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.Heartbeat(HeartbeatRequest{WorkerID: join.WorkerID}); err == nil {
+		t.Fatal("heartbeat with a stalled reply succeeded")
+	}
+	time.Sleep(time.Second) // a heartbeat interval: the late reply lands meanwhile
+	hb, err := cc.Heartbeat(HeartbeatRequest{WorkerID: join.WorkerID, Progress: bothDone})
+	if err != nil {
+		t.Fatalf("heartbeat after the timeout: %v", err)
+	}
+	if !hb.AllDone || len(hb.Assignments) != 0 {
+		t.Fatalf("heartbeat reporting both partitions done got %+v, want its own AllDone reply", hb)
+	}
+}
+
+// TestCoordClientTelemetryAckNotReadAsHeartbeat runs the elastic worker's
+// heartbeat → telemetry → heartbeat sequence with the telemetry ack
+// stalled: the heartbeat after it must never decode that ack as an empty
+// assignment list while the worker still owns unfinished partitions.
+func TestCoordClientTelemetryAckNotReadAsHeartbeat(t *testing.T) {
+	// Server writes: ack 0, join 1, heartbeat 2, telemetry ack 3.
+	cc := chaosCoordinator(t, chaos.NewInjector(chaos.Rule{
+		Conn: 0, Op: chaos.OpWrite, After: 3, Fault: chaos.FaultStall, Stall: 1500 * time.Millisecond,
+	}))
+	join, err := cc.Join(JoinRequest{Label: "w", Preferred: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := cc.Heartbeat(HeartbeatRequest{WorkerID: join.WorkerID})
+	if err != nil || len(hb.Assignments) != 2 {
+		t.Fatalf("first heartbeat: %v, %+v", err, hb)
+	}
+	rep := telemetry.Report{Role: telemetry.RoleWorker, Label: "w", Seq: 1, Metrics: metrics.NewRegistry().Snapshot()}
+	if err := cc.SendTelemetry(rep); err == nil {
+		t.Fatal("telemetry with a stalled ack succeeded")
+	}
+	time.Sleep(time.Second) // a heartbeat interval: the late ack lands meanwhile
+	hb, err = cc.Heartbeat(HeartbeatRequest{WorkerID: join.WorkerID})
+	if err != nil {
+		t.Fatalf("heartbeat after the telemetry timeout: %v", err)
+	}
+	if len(hb.Assignments) != 2 {
+		t.Fatalf("worker owning two unfinished partitions got assignments %+v", hb.Assignments)
+	}
+}
+
+// TestCoordClientRedialsAfterReset resets the coordinator connection under
+// a heartbeat: that call fails, and the same client's next call re-dials
+// and succeeds.
+func TestCoordClientRedialsAfterReset(t *testing.T) {
+	cc := chaosCoordinator(t, chaos.NewInjector(chaos.Rule{
+		Conn: 0, Op: chaos.OpWrite, After: 2, Fault: chaos.FaultReset,
+	}))
+	join, err := cc.Join(JoinRequest{Label: "w", Preferred: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.Heartbeat(HeartbeatRequest{WorkerID: join.WorkerID}); err == nil {
+		t.Fatal("heartbeat over a reset connection succeeded")
+	}
+	for i := 0; i < 2; i++ {
+		hb, err := cc.Heartbeat(HeartbeatRequest{WorkerID: join.WorkerID})
+		if err != nil {
+			t.Fatalf("heartbeat %d after the reset: %v", i, err)
+		}
+		if len(hb.Assignments) != 2 {
+			t.Fatalf("heartbeat %d after the reset got %+v", i, hb)
+		}
 	}
 }

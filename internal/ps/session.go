@@ -1,0 +1,130 @@
+package ps
+
+import (
+	"errors"
+	"fmt"
+
+	"hetkg/internal/span"
+	"hetkg/internal/telemetry"
+)
+
+// session is the shard end of one worker↔shard connection: the codec state
+// and link identity negotiated when the connection opened, and the one
+// dispatch on a request's op. serveConn runs one per TCP connection; an
+// in-process link (NewCodecTransport) calls one directly. A session is not
+// synchronized — its connection's request order serializes it.
+type session struct {
+	rows  shardRows
+	coord *Membership // nil: membership and telemetry ops are refused
+	link  uint64      // the client's link identity (0 = push dedup off)
+	lc    *linkCodec
+	pbuf  []byte    // reply payload scratch
+	vbuf  []float32 // push decode scratch
+}
+
+// shardRows is what a session serves: a *Server behind a listener, or
+// viaTransport under an in-process link.
+type shardRows interface {
+	Width(Key) int
+	NumRows() int
+	PullTraced(span.Context, []Key) ([]float32, error)
+	PushTraced(span.Context, []Key, []float32) error
+	pushApplied(link, seq uint64) bool
+	markPush(link, seq uint64)
+}
+
+// newSession opens the shard end of a connection negotiated on prof.
+func newSession(rows shardRows, coord *Membership, prof Profile, link uint64) (*session, error) {
+	lc, err := newLinkCodec(prof, rows.Width)
+	if err != nil {
+		return nil, err
+	}
+	return &session{rows: rows, coord: coord, link: link, lc: lc}, nil
+}
+
+// handle serves one request and returns the reply payload, or the reason
+// the request was refused. A refused request leaves the session ready for
+// the next one.
+func (s *session) handle(req *wireRequest) ([]byte, error) {
+	sc := span.Context{Trace: req.TraceID, Parent: req.ParentID}
+	switch req.Op {
+	case 'P':
+		if err := s.bounded(req.Keys); err != nil {
+			return nil, err
+		}
+		vals, err := s.rows.PullTraced(sc, req.Keys)
+		if err != nil {
+			return nil, err
+		}
+		payload, err := s.lc.encodePull(s.pbuf[:0], req.Keys, req.Payload, vals)
+		if err != nil {
+			return nil, err
+		}
+		s.pbuf = payload
+		return payload, nil
+	case 'U':
+		if err := s.bounded(req.Keys); err != nil {
+			return nil, err
+		}
+		if s.rows.pushApplied(s.link, req.Seq) {
+			// A retry of a push whose response was lost after the
+			// gradient landed: acknowledge idempotently.
+			return nil, nil
+		}
+		total := s.lc.totalWidth(req.Keys)
+		if cap(s.vbuf) < total {
+			s.vbuf = make([]float32, total)
+		}
+		vals := s.vbuf[:total]
+		if err := s.lc.decodePush(req.Keys, req.Payload, vals); err != nil {
+			return nil, err
+		}
+		if err := s.rows.PushTraced(sc, req.Keys, vals); err != nil {
+			return nil, err
+		}
+		s.rows.markPush(s.link, req.Seq)
+		return nil, nil
+	case opJoin:
+		var m JoinRequest
+		return s.coordinate(req, &m, func() (any, error) { return s.coord.Join(m) })
+	case opHeartbeat:
+		var m HeartbeatRequest
+		return s.coordinate(req, &m, func() (any, error) { return s.coord.Heartbeat(m) })
+	case opLeave:
+		var m LeaveRequest
+		return s.coordinate(req, &m, func() (any, error) { return struct{}{}, s.coord.Leave(m) })
+	case opTelemetry:
+		var m telemetry.Report
+		return s.coordinate(req, &m, func() (any, error) { return struct{}{}, s.coord.SendTelemetry(m) })
+	}
+	return nil, fmt.Errorf("ps: unknown op %q", req.Op)
+}
+
+// bounded refuses a request naming more keys than the shard owns rows
+// before anything is sized from the key count: no legitimate caller does
+// that (pulls carry distinct ids, a gather asks for each row once), and a
+// few bytes of keys must not make the shard allocate a row slab per key.
+func (s *session) bounded(keys []Key) error {
+	if n := s.rows.NumRows(); len(keys) > n {
+		return fmt.Errorf("ps: request names %d keys, the shard owns %d rows", len(keys), n)
+	}
+	return nil
+}
+
+// coordinate serves one membership or telemetry op: decode the request
+// payload into msg, run call against the coordinator, gob-encode its reply.
+// A shard without a coordinator refuses by name, so a worker joining the
+// wrong address gets a readable error instead of a timeout.
+func (s *session) coordinate(req *wireRequest, msg any, call func() (any, error)) ([]byte, error) {
+	if s.coord == nil {
+		return nil, errors.New("ps: this shard is not the coordinator (start it with -coordinator, or use the first seed address)")
+	}
+	if err := gobDecode(req.Payload, msg); err != nil {
+		return nil, err
+	}
+	reply, err := call()
+	if err != nil {
+		return nil, err
+	}
+	return gobBytes(reply)
+}

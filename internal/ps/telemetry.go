@@ -16,10 +16,10 @@ import (
 const opTelemetry = 'T'
 
 // SendTelemetry implements telemetry.Sender over the wire: one op 'T'
-// round trip on the persistent coordinator connection.
+// request on the coordinator link.
 func (cc *CoordClient) SendTelemetry(rep telemetry.Report) error {
 	var reply struct{}
-	return cc.roundTrip(opTelemetry, &rep, &reply)
+	return cc.call(opTelemetry, &rep, &reply)
 }
 
 // SendTelemetry implements telemetry.Sender in process: the report goes
@@ -31,27 +31,4 @@ func (m *Membership) SendTelemetry(rep telemetry.Report) error {
 		return fmt.Errorf("ps: coordinator has no fleet aggregator")
 	}
 	return m.cfg.Telemetry.Ingest(rep)
-}
-
-// serveTelemetry dispatches one op 'T' on a shard connection.
-func serveTelemetry(coord *Membership, req *wireRequest, resp *wireResponse) {
-	if coord == nil {
-		resp.Err = "ps: this shard is not the coordinator (telemetry reports go to the first seed address)"
-		return
-	}
-	var rep telemetry.Report
-	if err := gobDecode(req.Payload, &rep); err != nil {
-		resp.Err = err.Error()
-		return
-	}
-	if err := coord.SendTelemetry(rep); err != nil {
-		resp.Err = err.Error()
-		return
-	}
-	payload, err := gobBytes(struct{}{})
-	if err != nil {
-		resp.Err = err.Error()
-		return
-	}
-	resp.Payload = payload
 }

@@ -3,6 +3,7 @@ package ps
 import (
 	"fmt"
 
+	"hetkg/internal/netsim"
 	"hetkg/internal/span"
 )
 
@@ -36,12 +37,15 @@ type PushRequest struct {
 	WireBytes int64
 }
 
-// Transport moves requests between a worker and the server shards. Every
-// deployment is one of three stacks under a Client: InProc (direct calls,
-// used for experiments so traffic cost comes from the netsim model, not Go
-// scheduling noise), CodecTransport over InProc (the same, with both ends
-// of the negotiated codec simulated), and the TCP link (a real wire
-// protocol, used by integration tests and multi-process deployments).
+// Transport moves requests between a worker and the server shards. A
+// Client sits on one of two: InProc (direct shard calls, used for
+// experiments so traffic cost comes from the netsim model, not Go
+// scheduling noise), or a LinkTransport — one link per shard, whose conn is
+// either a direct call into an in-process shard session
+// (NewCodecTransport: the negotiated codec's two ends, both really run) or
+// a gob stream over TCP (DialTCPLink: the real wire protocol, used by
+// integration tests and multi-process deployments). The two kinds of link
+// run the same codec, sequence and retry code; only the conn differs.
 type Transport interface {
 	// Pull fetches rows from the given shard.
 	Pull(shard int, req *PullRequest) (*PullResponse, error)
@@ -98,3 +102,62 @@ func (t *InProc) Push(shard int, req *PushRequest) error {
 
 // Close implements Transport.
 func (t *InProc) Close() error { return nil }
+
+// NewCodecTransport puts inner behind the named codec profile: one link
+// per shard over an in-process session that reads and applies the shard's
+// rows through inner. Both ends of every link run — the session encodes
+// pulls and decodes pushes, the link the reverse — so lossy codecs lose
+// exactly the bits a remote peer would, and each call carries its
+// post-codec wire size back to the client for the netsim cost model. "auto"
+// resolves against cm's modeled inter-machine link via ChooseProfile (under
+// the paper's 1 Gbps default, delta-int8). The transport is shared by a
+// trainer process's workers, as a TCP connection pool is: one delta base
+// per (process, shard).
+func NewCodecTransport(inner Transport, c *Cluster, codec string, cm netsim.CostModel) (*LinkTransport, error) {
+	prof, err := ResolveProfile(codec)
+	if err != nil {
+		return nil, err
+	}
+	if prof.Name == ProfileAuto {
+		prof, err = ResolveProfile(ChooseProfile(2*cm.RemoteLatency, cm.RemoteBandwidthBps))
+		if err != nil {
+			return nil, err
+		}
+	}
+	// An in-process call cannot lose its reply, so the links need no
+	// push-dedup identity.
+	return newLinkTransport(make([]string, len(c.Servers)), prof, LinkConfig{}, false,
+		func(_ *LinkTransport, l *link) (*linkConn, error) {
+			s, err := newSession(viaTransport{Server: c.Servers[l.shard], tr: inner}, nil, l.prof, l.id)
+			if err != nil {
+				return nil, err
+			}
+			lc, err := newLinkCodec(l.prof, s.rows.Width)
+			if err != nil {
+				return nil, err
+			}
+			return &linkConn{sess: s, lc: lc}, nil
+		})
+}
+
+// viaTransport is the rows an in-process session serves: one shard's, read
+// and applied through an in-process transport. Widths, the row count and
+// the push-dedup table are the shard's own.
+type viaTransport struct {
+	*Server
+	tr Transport
+}
+
+// PullTraced reads rows through the transport.
+func (v viaTransport) PullTraced(sc span.Context, keys []Key) ([]float32, error) {
+	resp, err := v.tr.Pull(v.machine, &PullRequest{Keys: keys, Trace: sc})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Vals, nil
+}
+
+// PushTraced applies gradients through the transport.
+func (v viaTransport) PushTraced(sc span.Context, keys []Key, vals []float32) error {
+	return v.tr.Push(v.machine, &PushRequest{Keys: keys, Vals: vals, Trace: sc})
+}

@@ -291,10 +291,11 @@ func setupPS(cfg *Config) (*psEnv, error) {
 	} else {
 		tr = ps.NewInProc(cluster)
 	}
-	// Wrap in-process transports with the negotiated codec layer. A
-	// transport that already negotiated its own profile (TCP, at dial
-	// time) is left alone — wrapping it would codec the payload twice.
-	if _, negotiated := tr.(interface{ NegotiatedProfile() string }); !negotiated && cfg.Codec != "" {
+	// A codec puts the shards behind links over in-process sessions, both
+	// ends of the negotiated codec running. Links that already negotiated
+	// their profile (TCP, at dial time) are left alone — a second link
+	// layer would codec the payload twice.
+	if _, linked := tr.(*ps.LinkTransport); !linked && cfg.Codec != "" {
 		tr, err = ps.NewCodecTransport(tr, cluster, cfg.Codec, cfg.CostModel)
 		if err != nil {
 			return nil, fmt.Errorf("train: building codec transport: %w", err)
@@ -304,8 +305,8 @@ func setupPS(cfg *Config) (*psEnv, error) {
 		inst.Instrument(cfg.Metrics)
 	}
 	if cfg.Spans != nil {
-		// A transport serving real sockets (or a wrapper over one) records
-		// serialization/wire spans on a dedicated shared row.
+		// Links record codec spans (and, over sockets, serialization/wire
+		// spans) on a dedicated shared row.
 		if tt, ok := tr.(interface{ Trace(*span.Tracer) }); ok {
 			tt.Trace(cfg.Spans.Tracer(span.MachineTransport, span.WorkerTransport))
 		}

@@ -4,8 +4,9 @@
 # built on it (train batch compute, eval ranking) must stay race-free at
 # any parallelism, so -race covers every package, not just internal/par.
 # Then the two things a plain `go test` never executes: the sweep stack's
-# benchmarks (one iteration each, so they cannot rot) and a short fuzz of
-# the one decoder that reads bytes off the network unauthenticated.
+# benchmarks (one iteration each, so they cannot rot) and short fuzzes of
+# the two servers that read bytes off the network unauthenticated: the
+# HTTP query decoder and the parameter-server shard session.
 #
 # Every "is it documented" check — exported declarations, metric, span,
 # serving and codec profile names, plan keys, the generated flag reference,
@@ -25,6 +26,9 @@ go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./inter
 
 echo "== fuzz the serving request decoder (20 s)"
 go test -run '^$' -fuzz FuzzServeRequest -fuzztime 20s ./internal/serve
+
+echo "== fuzz the parameter-server shard session (20 s)"
+go test -run '^$' -fuzz FuzzShardSession -fuzztime 20s ./internal/ps
 
 echo "== benchmark module (vet + tests against this tree)"
 # benchmark/ is a separate module compiled against internal/*; tier-1 vets
