@@ -63,8 +63,7 @@ type TimelineEpoch struct {
 // record — the one with EpochEnd set — at each epoch boundary.
 type TimelineRecord struct {
 	// Iter is the global iteration (mini-batch rounds across all epochs);
-	// 0 in the epoch records of trainers with no global round counter (PBG,
-	// elastic workers).
+	// 0 in the epoch records of PBG, which has no global round counter.
 	Iter int `json:"iter"`
 	// Epoch is the 1-based epoch the iteration belongs to.
 	Epoch int `json:"epoch"`

@@ -18,18 +18,11 @@ type BatchBench struct {
 // the DGL-KE-style path the paper's compute profile measures), and samples
 // the batch to replay.
 func NewBatchBench(cfg Config) (*BatchBench, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	env, err := setupPS(&cfg)
+	d, err := newStatic(&cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	workers, err := newWorkers(&cfg, env, false)
-	if err != nil {
-		return nil, err
-	}
-	w := workers[0]
+	w := d.all[0]
 	return &BatchBench{w: w, b: w.smp.Next()}, nil
 }
 

@@ -142,9 +142,9 @@ type Config struct {
 	Dataset string
 
 	// Timeline, when non-nil, receives the run's JSONL timeline: a header
-	// line, one record per completed epoch, and — from the static PS
-	// trainers — a deterministic registry snapshot every TimelineEvery
-	// global iterations (see metrics.TimelineEmitter).
+	// line, one record per completed epoch, and — from every PS run,
+	// elastic included — a deterministic registry snapshot every
+	// TimelineEvery global iterations (see metrics.TimelineEmitter).
 	Timeline io.Writer
 
 	// TimelineEvery is the iteration interval between timeline records

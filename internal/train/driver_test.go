@@ -1,0 +1,156 @@
+package train
+
+import (
+	"math"
+	"strings"
+	"testing"
+	"time"
+
+	"hetkg/internal/cache"
+	"hetkg/internal/ckpt"
+	"hetkg/internal/metrics"
+	"hetkg/internal/ps"
+)
+
+// TestElasticSoloMatchesStatic: an elastic process that holds every
+// partition trains exactly what the static trainer trains on the same
+// Config — the same driver, the same turn order. The partitions have
+// unequal iterations per epoch, so the order depends on the epoch barrier,
+// and the process heartbeats before nearly every turn, so it would depend
+// on the clock if a beat could reorder turns. Only per-epoch MRR (elastic
+// runs evaluate at the end) and the wall-clock fields are left out.
+func TestElasticSoloMatchesStatic(t *testing.T) {
+	for _, c := range []struct {
+		system string
+		static func(Config) (*Result, error)
+		dps    bool
+	}{
+		{"DGL-KE", TrainDGLKE, false},
+		{"HET-KG-C", TrainHETKG, false},
+		{"HET-KG-D", TrainHETKG, true},
+	} {
+		t.Run(c.system, func(t *testing.T) {
+			cfg := testConfig(t, 3)
+			cfg.Dataset = "traintest"
+			if c.dps {
+				cfg.Cache.Strategy = cache.DPS
+				cfg.Cache.PrefetchD = 8
+			}
+			probe := cfg
+			d, err := newStatic(&probe, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ipe []int
+			for _, id := range d.sortedParts() {
+				ipe = append(ipe, d.runners[id].ipe)
+			}
+			if len(ipe) != cfg.NumMachines || ipe[0] == ipe[1] && ipe[1] == ipe[2] {
+				t.Fatalf("iterations per epoch %v: want every partition present, not all equal", ipe)
+			}
+
+			want, err := c.static(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := ps.NewMembership(ps.MemberConfig{Partitions: cfg.NumMachines})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := TrainElastic(cfg, ElasticConfig{
+				Coordinator:    m,
+				Label:          "solo",
+				HeartbeatEvery: time.Microsecond,
+				NoCache:        c.system == "DGL-KE",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.System != c.system+"/elastic" {
+				t.Errorf("System = %q", got.System)
+			}
+			if len(got.Epochs) != len(want.Epochs) {
+				t.Fatalf("%d epochs, static %d", len(got.Epochs), len(want.Epochs))
+			}
+			for i, g := range got.Epochs {
+				w := want.Epochs[i]
+				if g.Epoch != w.Epoch || g.Loss != w.Loss || g.HitRatio != w.HitRatio {
+					t.Errorf("epoch %d: loss %v hit %v, static loss %v hit %v", w.Epoch, g.Loss, g.HitRatio, w.Loss, w.HitRatio)
+				}
+			}
+			if got.Traffic != want.Traffic || got.HitRatio != want.HitRatio ||
+				got.CacheAccesses != want.CacheAccesses || got.RefreshRows != want.RefreshRows {
+				t.Errorf("traffic %+v hit %v accesses %d refresh %d, static %+v %v %d %d",
+					got.Traffic, got.HitRatio, got.CacheAccesses, got.RefreshRows,
+					want.Traffic, want.HitRatio, want.CacheAccesses, want.RefreshRows)
+			}
+			for name, pair := range map[string][2][]float32{
+				"entity":   {got.Entities.Data, want.Entities.Data},
+				"relation": {got.Relations.Data, want.Relations.Data},
+			} {
+				g, w := pair[0], pair[1]
+				if len(g) != len(w) {
+					t.Fatalf("%s table has %d values, static %d", name, len(g), len(w))
+				}
+				for i := range g {
+					if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
+						t.Fatalf("%s value %d = %v, static %v", name, i, g[i], w[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestElasticSnapshotOutsideRunIsCorrupt: a checksum-valid snapshot whose
+// position lies past the run (an iteration no epoch has) is corrupt, not a
+// fast-forward target — adoption counts it and resumes from the hint.
+func TestElasticSnapshotOutsideRunIsCorrupt(t *testing.T) {
+	cfg := testConfig(t, 2)
+	cfg.Dataset = "traintest"
+	cfg.Metrics = metrics.NewRegistry()
+	dir := t.TempDir()
+	if err := ckpt.WriteProgressFile(dir, &ckpt.Progress{
+		Partition: 0, Epoch: 1, Iteration: 1 << 40, Dataset: cfg.Dataset, Seed: cfg.Seed,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := TrainElastic(cfg, ElasticConfig{
+		Coordinator: elasticMembership(t, 2), Label: "bounded", RecoverFrom: dir,
+	})
+	if err != nil {
+		t.Fatalf("TrainElastic: %v", err)
+	}
+	if got := cfg.Metrics.Counter(metrics.MClusterCkptCorrupt).Value(); got != 1 {
+		t.Errorf("cluster.ckpt_corrupt = %d, want 1", got)
+	}
+	if got := cfg.Metrics.Counter(metrics.MClusterCkptResumes).Value(); got != 0 {
+		t.Errorf("cluster.ckpt_resumes = %d, want 0 (both partitions start fresh)", got)
+	}
+	if len(res.Epochs) != cfg.Epochs {
+		t.Errorf("recorded %d epochs, want %d", len(res.Epochs), cfg.Epochs)
+	}
+}
+
+// TestElasticHintOutsideRunFailsAdoption: the coordinator keeps the
+// furthest position any owner reported, so one bogus report becomes the
+// next owner's resume hint. Adoption refuses it by partition instead of
+// fast-forwarding the sampler toward it.
+func TestElasticHintOutsideRunFailsAdoption(t *testing.T) {
+	cfg := testConfig(t, 2)
+	cfg.Dataset = "traintest"
+	m := elasticMembership(t, 2)
+	liar, err := m.Join(ps.JoinRequest{Label: "liar", Preferred: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Leave(ps.LeaveRequest{WorkerID: liar.WorkerID, Progress: []ps.PartitionProgress{
+		{Partition: 0, Epoch: 1, Iteration: 1 << 40},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = TrainElastic(cfg, ElasticConfig{Coordinator: m, Label: "adopter"})
+	if err == nil || !strings.Contains(err.Error(), "partition 0") {
+		t.Fatalf("adoption error = %v, want one naming partition 0", err)
+	}
+}

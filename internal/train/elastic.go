@@ -3,7 +3,6 @@ package train
 import (
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"hetkg/internal/ckpt"
@@ -13,15 +12,16 @@ import (
 	"hetkg/internal/telemetry"
 )
 
-// The elastic driver (DESIGN.md §11) is the multi-process deployment of
-// the PS trainers: each hetkg train process registers with a coordinator,
-// receives partition assignments, and trains them under asynchronous
-// heartbeats. Partitions move between processes — at cold start to spread
-// load, and after a crash to resume a dead worker's range from its last
-// progress snapshot. Epochs are per-partition (ASP: nobody waits), so a
-// worker joining or leaving never restarts anyone's epoch; the run is done
-// when every partition has finished every epoch, and each surviving
-// process then gathers the shards' state and evaluates.
+// An elastic run (DESIGN.md §11) is the multi-process deployment of the PS
+// trainers: the driver of pstrain.go with a coordinator. Each hetkg train
+// process registers with the coordinator, receives partition assignments,
+// and trains them under heartbeats that run between turns. Partitions move
+// between processes — at cold start to spread load, and after a crash to
+// resume a dead worker's range from its last progress snapshot. A worker
+// joining or leaving never restarts anyone's epoch, and a process waits at
+// the epoch barrier only for partitions it holds itself. The run is done
+// when every partition has finished every epoch; each surviving process
+// then gathers the shards' state and evaluates.
 
 // ElasticConfig parameterizes one elastic worker process.
 type ElasticConfig struct {
@@ -56,75 +56,30 @@ type ElasticConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// partRunner is one locally-owned partition's training state.
-type partRunner struct {
-	w    *worker
-	ipe  int // iterations per epoch for this partition
-	ep   int // current 1-based epoch
-	iter int // completed iterations within ep
-	done bool
-}
-
-// progress reports the runner's position as a wire message.
-func (r *partRunner) progress(part int) ps.PartitionProgress {
-	return ps.PartitionProgress{Partition: part, Epoch: r.ep, Iteration: r.iter, Done: r.done}
-}
-
-// elasticObs holds the worker-side cluster counters.
-type elasticObs struct {
-	ckptWrites  *metrics.Counter
-	ckptResumes *metrics.Counter
-	ckptCorrupt *metrics.Counter
-}
-
-// elastic is one elastic worker process's driver state.
-type elastic struct {
-	cfg *Config
-	ec  *ElasticConfig
-	env *psEnv
-	b   *workerBuilder
-
-	workerID int
-	interval time.Duration
-	runners  map[int]*partRunner
-	all      []*worker // every worker ever built, for finalize accounting
-
-	obs      *elasticObs
-	tracer   *span.Tracer
-	beats    int
-	recovers int
-
-	// Fleet telemetry piggybacked on the heartbeat cadence (DESIGN.md §12):
-	// every successful beat also ships the full registry snapshot to the
-	// coordinator's aggregator, so the /fleet view tracks this process at
-	// heartbeat resolution with no extra timer.
-	telemetrySeq int64
-	telemetryOff bool
-
-	// epochs merges per-epoch accounting across local partitions, each
-	// folded in as it crosses the epoch boundary.
-	epochs epochAcc
-	// timeline records the epochs finish closes (nil = none requested).
-	timeline *metrics.TimelineEmitter
+// resumable reports whether epoch ep, iteration iter is a position inside
+// the run for r: an epoch in [1, epochs] and an iteration below r's
+// iterations per epoch.
+func (r *partRunner) resumable(ep, iter, epochs int) bool {
+	return ep >= 1 && ep <= epochs && iter >= 0 && iter < r.ipe
 }
 
 // TrainElastic runs one elastic worker process until the whole cluster's
 // partitions complete (or a fatal error). The system trained is HET-KG
 // with cfg.Cache.Strategy (or DGL-KE with ec.NoCache); per-epoch
-// evaluation is disabled — partitions cross epoch boundaries at different
-// times, so only the final barrier evaluates.
+// evaluation is disabled — a local barrier is not the cluster's, so only
+// the final state is evaluated.
 func TrainElastic(cfg Config, ec ElasticConfig) (*Result, error) {
-	e, err := newElastic(cfg, ec)
+	d, err := newElastic(cfg, ec)
 	if err != nil {
 		return nil, err
 	}
-	return e.run()
+	return d.run()
 }
 
 // newElastic validates the configuration, builds the PS substrate, joins
 // the cluster (unless ec.Join already did) and adopts the initial
 // assignments.
-func newElastic(cfg Config, ec ElasticConfig) (*elastic, error) {
+func newElastic(cfg Config, ec ElasticConfig) (*driver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -142,31 +97,13 @@ func newElastic(cfg Config, ec ElasticConfig) (*elastic, error) {
 	}
 	cfg.LocalMachines = nil // assignment comes from the coordinator
 
-	env, err := setupPS(&cfg)
+	d, err := newDriver(&cfg, !ec.NoCache, systemName(&cfg, !ec.NoCache)+"/elastic")
 	if err != nil {
 		return nil, err
 	}
-	b, err := newWorkerBuilder(&cfg, env, !ec.NoCache)
-	if err != nil {
-		return nil, err
-	}
-	e := &elastic{
-		cfg:     &cfg,
-		ec:      &ec,
-		env:     env,
-		b:       b,
-		runners: make(map[int]*partRunner),
-		obs: &elasticObs{
-			ckptWrites:  cfg.Metrics.Counter(metrics.MClusterCkptWrites),
-			ckptResumes: cfg.Metrics.Counter(metrics.MClusterCkptResumes),
-			ckptCorrupt: cfg.Metrics.Counter(metrics.MClusterCkptCorrupt),
-		},
-	}
+	d.ec = &ec
 	if cfg.Spans != nil {
-		e.tracer = cfg.Spans.Tracer(span.MachineCluster, span.WorkerCluster)
-	}
-	if e.timeline, err = newTimeline(&cfg, e.system()); err != nil {
-		return nil, err
+		d.tracer = cfg.Spans.Tracer(span.MachineCluster, span.WorkerCluster)
 	}
 
 	join := ec.Join
@@ -176,113 +113,59 @@ func newElastic(cfg Config, ec ElasticConfig) (*elastic, error) {
 			return nil, fmt.Errorf("train: joining cluster: %w", err)
 		}
 	}
-	e.workerID = join.WorkerID
-	e.interval = ec.HeartbeatEvery
-	if e.interval <= 0 {
-		e.interval = join.HeartbeatEvery
+	d.workerID = join.WorkerID
+	d.interval = ec.HeartbeatEvery
+	if d.interval <= 0 {
+		d.interval = join.HeartbeatEvery
 	}
-	if e.interval <= 0 {
-		e.interval = time.Second
+	if d.interval <= 0 {
+		d.interval = time.Second
 	}
 	if join.Partitions != cfg.NumMachines {
 		return nil, fmt.Errorf("train: coordinator runs %d partitions, this process is configured for %d machines",
 			join.Partitions, cfg.NumMachines)
 	}
-	if err := e.reconcile(join.Assignments); err != nil {
+	if err := d.reconcile(join.Assignments); err != nil {
 		return nil, err
 	}
-	return e, nil
+	return d, nil
 }
 
 // logf forwards worker-side cluster events.
-func (e *elastic) logf(format string, args ...any) {
-	if e.ec.Logf != nil {
-		e.ec.Logf(format, args...)
+func (d *driver) logf(format string, args ...any) {
+	if d.ec != nil && d.ec.Logf != nil {
+		d.ec.Logf(format, args...)
 	}
 }
 
-// run is the driver loop: one turn per active partition per round, a
-// synchronous heartbeat whenever the cadence elapses, and an idle sleep
-// when this process owns nothing runnable.
-func (e *elastic) run() (*Result, error) {
-	lastBeat := time.Now()
-	failures := 0
-	for {
-		if time.Since(lastBeat) >= e.interval {
-			allDone, err := e.heartbeat()
-			if err != nil {
-				failures++
-				e.logf("cluster: heartbeat failed (%d consecutive): %v", failures, err)
-				if failures >= 3 {
-					return nil, fmt.Errorf("train: lost the coordinator (%d heartbeats failed): %w", failures, err)
-				}
-			} else {
-				failures = 0
-				if allDone {
-					break
-				}
-			}
-			lastBeat = time.Now()
+// beatIfDue heartbeats when the cadence has elapsed — never without a
+// coordinator — and reports the coordinator's all-done signal. A failed
+// beat is retried at the next one; three in a row end the run.
+func (d *driver) beatIfDue() (allDone bool, err error) {
+	if d.ec == nil || time.Since(d.lastBeat) < d.interval {
+		return false, nil
+	}
+	allDone, err = d.heartbeat()
+	d.lastBeat = time.Now()
+	if err != nil {
+		d.failures++
+		d.logf("cluster: heartbeat failed (%d consecutive): %v", d.failures, err)
+		if d.failures >= 3 {
+			return false, fmt.Errorf("train: lost the coordinator (%d heartbeats failed): %w", d.failures, err)
 		}
-		progressed := false
-		for _, part := range e.sortedParts() {
-			r := e.runners[part]
-			if r.done || r.w == nil {
-				continue
-			}
-			if err := e.turn(part, r); err != nil {
-				return nil, err
-			}
-			progressed = true
-			if time.Since(lastBeat) >= e.interval {
-				break // don't let a long round starve failure detection
-			}
-		}
-		if !progressed {
-			// Nothing runnable: idle until the next heartbeat can bring
-			// reassigned work (or the all-done signal).
-			time.Sleep(sleepQuantum(e.interval))
-		}
+		return false, nil
 	}
-	// Graceful exit: release partitions with exact final progress.
-	if err := e.ec.Coordinator.Leave(ps.LeaveRequest{WorkerID: e.workerID, Progress: e.progressAll()}); err != nil {
-		e.logf("cluster: leave failed (harmless after all-done): %v", err)
-	}
-	return e.finish()
-}
-
-// turn runs one batch turn for partition part and advances its position:
-// epoch boundaries record stats, the snapshot cadence persists progress,
-// and the final epoch's completion marks the partition done.
-func (e *elastic) turn(part int, r *partRunner) error {
-	if err := r.w.turn(); err != nil {
-		return fmt.Errorf("train: partition %d: %w", part, err)
-	}
-	r.iter++
-	snapshot := r.iter%e.ec.CkptEvery == 0
-	if r.iter >= r.ipe {
-		e.epochs.add(r.ep, r.w, e.cfg.CostModel)
-		r.ep++
-		r.iter = 0
-		if r.ep > e.cfg.Epochs {
-			r.done = true
-			e.logf("cluster: partition %d done (%d epochs)", part, e.cfg.Epochs)
-		}
-		snapshot = true
-	}
-	if snapshot {
-		e.writeSnapshot(part, r)
-	}
-	return nil
+	d.failures = 0
+	return allDone, nil
 }
 
 // heartbeat sends one progress report and applies the reply: adoption and
 // drop of partitions, re-join when expired, the all-done signal.
-func (e *elastic) heartbeat() (allDone bool, err error) {
-	sp := e.tracer.RootNamed(e.beats, span.NClusterHeartbeat)
-	e.beats++
+func (d *driver) heartbeat() (allDone bool, err error) {
+	sp := d.tracer.RootNamed(d.beats, span.NClusterHeartbeat)
+	d.beats++
 	defer sp.End()
-	reply, err := e.ec.Coordinator.Heartbeat(ps.HeartbeatRequest{WorkerID: e.workerID, Progress: e.progressAll()})
+	reply, err := d.ec.Coordinator.Heartbeat(ps.HeartbeatRequest{WorkerID: d.workerID, Progress: d.progressAll()})
 	if err != nil {
 		return false, err
 	}
@@ -290,162 +173,154 @@ func (e *elastic) heartbeat() (allDone bool, err error) {
 		// The coordinator expired us (a long stall on our side). Re-join,
 		// preferring the partitions we still hold — if nobody adopted them
 		// meanwhile, we get them back without losing local state.
-		join, err := e.ec.Coordinator.Join(ps.JoinRequest{Label: e.ec.Label, Preferred: e.sortedParts()})
+		join, err := d.ec.Coordinator.Join(ps.JoinRequest{Label: d.ec.Label, Preferred: d.sortedParts()})
 		if err != nil {
 			return false, fmt.Errorf("re-joining after expiry: %w", err)
 		}
-		e.logf("cluster: expired by coordinator, re-joined as worker %d", join.WorkerID)
-		e.workerID = join.WorkerID
-		return false, e.reconcile(join.Assignments)
+		d.logf("cluster: expired by coordinator, re-joined as worker %d", join.WorkerID)
+		d.workerID = join.WorkerID
+		return false, d.reconcile(join.Assignments)
 	}
-	e.shipTelemetry()
+	d.shipTelemetry()
 	if reply.AllDone {
 		return true, nil
 	}
-	return false, e.reconcile(reply.Assignments)
+	return false, d.reconcile(reply.Assignments)
 }
 
 // shipTelemetry sends one labeled registry snapshot to the coordinator's
 // fleet aggregator — best effort, and disabled for the rest of the run
 // after the first refusal (a coordinator without an aggregator refuses by
 // name; telemetry must never interfere with training).
-func (e *elastic) shipTelemetry() {
-	if e.telemetryOff {
+func (d *driver) shipTelemetry() {
+	if d.telemetryOff {
 		return
 	}
-	sender, ok := e.ec.Coordinator.(telemetry.Sender)
+	sender, ok := d.ec.Coordinator.(telemetry.Sender)
 	if !ok {
-		e.telemetryOff = true
+		d.telemetryOff = true
 		return
 	}
-	e.telemetrySeq++
+	label := d.ec.Label // this process's fleet identity
+	if label == "" {
+		label = fmt.Sprintf("worker-%d", d.workerID)
+	}
+	d.telemetrySeq++
 	err := sender.SendTelemetry(telemetry.Report{
 		Role:    telemetry.RoleWorker,
-		Label:   e.telemetryLabel(),
-		Seq:     e.telemetrySeq,
-		Metrics: e.cfg.Metrics.Snapshot(),
+		Label:   label,
+		Seq:     d.telemetrySeq,
+		Metrics: d.cfg.Metrics.Snapshot(),
 	})
 	if err != nil {
-		e.telemetryOff = true
-		e.logf("cluster: telemetry disabled: %v", err)
+		d.telemetryOff = true
+		d.logf("cluster: telemetry disabled: %v", err)
 	}
-}
-
-// telemetryLabel is this process's fleet identity: the configured label,
-// or the coordinator-issued worker id as a fallback.
-func (e *elastic) telemetryLabel() string {
-	if e.ec.Label != "" {
-		return e.ec.Label
-	}
-	return fmt.Sprintf("worker-%d", e.workerID)
 }
 
 // reconcile makes the local runner set match the coordinator's assignment
 // list: absent assignments are adopted (resuming from snapshot or hint),
 // local partitions no longer assigned are dropped.
-func (e *elastic) reconcile(assignments []ps.Assignment) error {
+func (d *driver) reconcile(assignments []ps.Assignment) error {
 	assigned := make(map[int]bool, len(assignments))
 	for _, a := range assignments {
 		assigned[a.Partition] = true
-		if _, ok := e.runners[a.Partition]; !ok {
-			if err := e.adopt(a); err != nil {
+		if _, ok := d.runners[a.Partition]; !ok {
+			if err := d.adopt(a); err != nil {
 				return err
 			}
 		}
 	}
-	for part := range e.runners {
-		if !assigned[part] && !e.runners[part].done {
+	for part := range d.runners {
+		if !assigned[part] && !d.runners[part].done {
 			// Reassigned away (cold-start balancing). Drop without a
 			// snapshot — the new owner resumes from the coordinator's hint.
-			delete(e.runners, part)
-			e.logf("cluster: partition %d reassigned away", part)
+			delete(d.runners, part)
+			d.logf("cluster: partition %d reassigned away", part)
 		}
 	}
 	return nil
 }
 
-// adopt builds partition a.Partition's worker and fast-forwards it to the
+// adopt builds partition a.Partition's runner and fast-forwards it to the
 // resume point: the furthest of the coordinator's hint and a valid local
-// progress snapshot. The deterministic sampler makes the fast-forward
-// exact — worker id equals partition, so the adopted stream is the same
-// one the dead owner was consuming.
-func (e *elastic) adopt(a ps.Assignment) error {
-	sp := e.tracer.RootNamed(e.recovers, span.NClusterRecover)
-	e.recovers++
+// progress snapshot. Both are checked against the run before a batch is
+// skipped — a snapshot outside it counts as corrupt and is ignored, a hint
+// outside it fails the adoption — so no position, however it was reported,
+// can make the fast-forward run away. The deterministic sampler makes the
+// fast-forward exact — worker id equals partition, so the adopted stream is
+// the same one the dead owner was consuming.
+func (d *driver) adopt(a ps.Assignment) error {
+	sp := d.tracer.RootNamed(d.recovers, span.NClusterRecover)
+	d.recovers++
 	defer sp.End()
 
-	part := a.Partition
-	if part < 0 || part >= e.cfg.NumMachines {
-		return fmt.Errorf("train: assigned partition %d out of range [0,%d)", part, e.cfg.NumMachines)
+	part, epochs := a.Partition, d.cfg.Epochs
+	if part < 0 || part >= d.cfg.NumMachines {
+		return fmt.Errorf("train: assigned partition %d out of range [0,%d)", part, d.cfg.NumMachines)
 	}
-	if e.b.subs[part].NumTriples() == 0 {
+	done := &partRunner{ep: epochs, done: true}
+	if d.b.subs[part].NumTriples() == 0 {
 		// An empty partition has nothing to train; report it done.
-		e.runners[part] = &partRunner{ep: e.cfg.Epochs, done: true}
+		d.runners[part] = done
 		return nil
 	}
-	ep, iter := a.Epoch, a.Iteration
-	if ep < 1 {
-		ep = 1
+	snap := d.readSnapshot(part)
+	if snap != nil && snap.Done {
+		d.runners[part] = done
+		return nil
 	}
-	if snap := e.readSnapshot(part); snap != nil {
-		if snap.Done {
-			e.runners[part] = &partRunner{ep: e.cfg.Epochs, done: true}
-			return nil
-		}
-		if snap.Epoch > ep || (snap.Epoch == ep && snap.Iteration > iter) {
-			ep, iter = snap.Epoch, snap.Iteration
-		}
-	}
-	w, err := e.b.build(part, part) // worker id = partition: seeds must match any prior owner
+	r, err := d.addRunner(part, part) // worker id = partition: seeds must match any prior owner
 	if err != nil {
 		return err
 	}
-	e.all = append(e.all, w)
-	r := &partRunner{w: w, ipe: w.smp.IterationsPerEpoch(), ep: ep, iter: iter}
-	if r.ipe == 0 {
-		r.done = true
-		e.runners[part] = r
-		return nil
+	if !r.resumable(a.Epoch, a.Iteration, epochs) {
+		return fmt.Errorf("train: partition %d: coordinator resume point epoch %d iter %d is outside the run (%d epochs of %d iterations)",
+			part, a.Epoch, a.Iteration, epochs, r.ipe)
 	}
-	if r.ep > e.cfg.Epochs {
-		r.done = true
+	r.ep, r.iter = a.Epoch, a.Iteration
+	if snap != nil && !r.resumable(snap.Epoch, snap.Iteration, epochs) {
+		d.cfg.Metrics.Counter(metrics.MClusterCkptCorrupt).Inc()
+		d.logf("cluster: snapshot for partition %d resumes outside the run (epoch %d iter %d), resuming from hint",
+			part, snap.Epoch, snap.Iteration)
+	} else if snap != nil && (snap.Epoch > r.ep || (snap.Epoch == r.ep && snap.Iteration > r.iter)) {
+		r.ep, r.iter = snap.Epoch, snap.Iteration
 	}
 	// Fast-forward the sampler past every batch the partition already
 	// trained on; w.iteration follows so cache staleness bookkeeping and
 	// span trace IDs continue from the same position.
 	skip := (r.ep-1)*r.ipe + r.iter
-	for i := 0; i < skip; i++ {
-		w.smp.Next()
+	for range skip {
+		r.w.smp.Next()
 	}
-	w.iteration = skip
+	r.w.iteration = skip
 	if skip > 0 {
-		e.obs.ckptResumes.Inc()
-		e.logf("cluster: adopted partition %d at epoch %d iter %d (skipped %d batches)", part, r.ep, r.iter, skip)
+		d.cfg.Metrics.Counter(metrics.MClusterCkptResumes).Inc()
+		d.logf("cluster: adopted partition %d at epoch %d iter %d (skipped %d batches)", part, r.ep, r.iter, skip)
 	} else {
-		e.logf("cluster: adopted partition %d fresh", part)
+		d.logf("cluster: adopted partition %d fresh", part)
 	}
-	e.runners[part] = r
 	return nil
 }
 
 // readSnapshot loads partition part's progress snapshot, distinguishing
 // missing (fresh start, nil) from corrupt (counted, nil) from foreign-run
 // provenance (treated as corrupt).
-func (e *elastic) readSnapshot(part int) *ckpt.Progress {
-	if e.ec.RecoverFrom == "" {
+func (d *driver) readSnapshot(part int) *ckpt.Progress {
+	if d.ec.RecoverFrom == "" {
 		return nil
 	}
-	snap, err := ckpt.ReadProgressFile(e.ec.RecoverFrom, part)
+	snap, err := ckpt.ReadProgressFile(d.ec.RecoverFrom, part)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			e.obs.ckptCorrupt.Inc()
-			e.logf("cluster: snapshot for partition %d unusable, resuming from hint: %v", part, err)
+			d.cfg.Metrics.Counter(metrics.MClusterCkptCorrupt).Inc()
+			d.logf("cluster: snapshot for partition %d unusable, resuming from hint: %v", part, err)
 		}
 		return nil
 	}
-	if snap.Seed != e.cfg.Seed || snap.Dataset != e.cfg.Dataset {
-		e.obs.ckptCorrupt.Inc()
-		e.logf("cluster: snapshot for partition %d is from another run (seed %d dataset %q), ignoring",
+	if snap.Seed != d.cfg.Seed || snap.Dataset != d.cfg.Dataset {
+		d.cfg.Metrics.Counter(metrics.MClusterCkptCorrupt).Inc()
+		d.logf("cluster: snapshot for partition %d is from another run (seed %d dataset %q), ignoring",
 			part, snap.Seed, snap.Dataset)
 		return nil
 	}
@@ -454,76 +329,33 @@ func (e *elastic) readSnapshot(part int) *ckpt.Progress {
 
 // writeSnapshot persists partition part's position (best effort — a failed
 // write degrades recovery granularity, not correctness).
-func (e *elastic) writeSnapshot(part int, r *partRunner) {
-	if e.ec.CkptDir == "" {
+func (d *driver) writeSnapshot(part int, r *partRunner) {
+	if d.ec.CkptDir == "" {
 		return
 	}
-	err := ckpt.WriteProgressFile(e.ec.CkptDir, &ckpt.Progress{
+	err := ckpt.WriteProgressFile(d.ec.CkptDir, &ckpt.Progress{
 		Partition: part,
-		Epoch:     min(r.ep, e.cfg.Epochs),
+		Epoch:     min(r.ep, d.cfg.Epochs),
 		Iteration: r.iter,
 		Done:      r.done,
-		Dataset:   e.cfg.Dataset,
-		Seed:      e.cfg.Seed,
+		Dataset:   d.cfg.Dataset,
+		Seed:      d.cfg.Seed,
 	})
 	if err != nil {
-		e.logf("cluster: snapshot write for partition %d failed: %v", part, err)
+		d.logf("cluster: snapshot write for partition %d failed: %v", part, err)
 		return
 	}
-	e.obs.ckptWrites.Inc()
+	d.cfg.Metrics.Counter(metrics.MClusterCkptWrites).Inc()
 }
 
 // progressAll reports every local partition's position (done partitions
 // re-report every beat until the coordinator drops them from the
 // assignment set — idempotent against lost replies).
-func (e *elastic) progressAll() []ps.PartitionProgress {
+func (d *driver) progressAll() []ps.PartitionProgress {
 	var out []ps.PartitionProgress
-	for _, part := range e.sortedParts() {
-		out = append(out, e.runners[part].progress(part))
+	for _, part := range d.sortedParts() {
+		r := d.runners[part]
+		out = append(out, ps.PartitionProgress{Partition: part, Epoch: r.ep, Iteration: r.iter, Done: r.done})
 	}
 	return out
-}
-
-// sortedParts lists locally-held partitions in index order, so turn
-// scheduling and progress reports are deterministic.
-func (e *elastic) sortedParts() []int {
-	parts := make([]int, 0, len(e.runners))
-	for p := range e.runners {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	return parts
-}
-
-// finish assembles the Result: locally-observed epoch stats (an epoch no
-// local partition crossed has none), the gathered embedding state, and the
-// final evaluation. Per-epoch MRR stays 0: per-epoch eval needs a barrier
-// elastic mode doesn't have.
-func (e *elastic) finish() (*Result, error) {
-	res := &Result{System: e.system(), Metrics: e.cfg.Metrics}
-	for ep := 1; ep <= e.cfg.Epochs; ep++ {
-		if st, ok := e.epochs.close(ep); ok {
-			if err := emitEpoch(e.timeline, 0, st, false); err != nil {
-				return nil, err
-			}
-			res.Epochs = append(res.Epochs, st)
-		}
-	}
-	return finalize(e.cfg, e.env, e.all, res)
-}
-
-// system names what this process trains, as results and timelines report it.
-func (e *elastic) system() string { return systemName(e.cfg, !e.ec.NoCache) + "/elastic" }
-
-// sleepQuantum bounds the idle sleep so heartbeats stay responsive even
-// with long intervals.
-func sleepQuantum(interval time.Duration) time.Duration {
-	q := interval / 4
-	if q < time.Millisecond {
-		q = time.Millisecond
-	}
-	if q > 250*time.Millisecond {
-		q = 250 * time.Millisecond
-	}
-	return q
 }

@@ -8,8 +8,8 @@ import (
 
 // trainObs is the train-level view of a run's registry: the handles the
 // scheduling loop and workers bump directly. One instance is shared by all
-// workers of a run (newWorkers), so the series aggregate across workers the
-// same way the cache/client/meter series do.
+// workers of a run (workerBuilder), so the series aggregate across workers
+// the same way the cache/client/meter series do.
 type trainObs struct {
 	iterations  *metrics.Counter
 	pairs       *metrics.Counter
@@ -51,23 +51,6 @@ func newTrainObs(reg *metrics.Registry) *trainObs {
 	}
 }
 
-// runningLoss is the mean pair loss across workers' running epoch averages
-// — the same aggregation epochAcc reports per epoch, read mid-epoch.
-func runningLoss(workers []*worker) float64 {
-	var sum float64
-	n := 0
-	for _, w := range workers {
-		if w.lossCount > 0 {
-			sum += w.lossSum / float64(w.lossCount)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // ms is d in (fractional) milliseconds, the timeline's time unit.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
@@ -87,10 +70,10 @@ func newTimeline(cfg *Config, system string) (*metrics.TimelineEmitter, error) {
 }
 
 // emitEpoch writes st as the timeline's record of a completed epoch; a nil
-// emitter records nothing. iter is the global round the epoch ended at (0
-// from trainers without one). Measured computation and the cumulative time
-// built on it go under "wall", as does the communication time when wallComm
-// says it was derived from the clock too.
+// emitter records nothing. iter is the global round the record is written
+// at (0 from PBG, which has none). Measured computation and the cumulative
+// time built on it go under "wall", as does the communication time when
+// wallComm says it was derived from the clock too.
 func emitEpoch(em *metrics.TimelineEmitter, iter int, st EpochStat, wallComm bool) error {
 	if em == nil {
 		return nil
@@ -103,15 +86,14 @@ func emitEpoch(em *metrics.TimelineEmitter, iter int, st EpochStat, wallComm boo
 	return em.Emit(metrics.TimelineRecord{Iter: iter, Epoch: st.Epoch, Loss: st.Loss, EpochEnd: end, Wall: wall})
 }
 
-// emitTimeline refreshes the derived gauges (loss, epoch, hit ratio) and
-// writes one interval record for the given global iteration. Everything
+// emitTimeline refreshes the derived gauges (running loss, epoch, hit ratio)
+// and writes one interval record for the given global iteration. Everything
 // under the record's "metrics" key is deterministic; wall-clock readings
 // (elapsed, computation time, throughput) ride in the separate "wall"
 // object.
-func emitTimeline(em *metrics.TimelineEmitter, o *trainObs, workers []*worker,
+func emitTimeline(em *metrics.TimelineEmitter, o *trainObs, loss float64,
 	iter, epoch int, start time.Time) error {
 
-	loss := runningLoss(workers)
 	o.loss.Set(loss)
 	o.epoch.Set(float64(epoch))
 	if h, m := o.cacheHits.Value(), o.cacheMisses.Value(); h+m > 0 {

@@ -1,7 +1,9 @@
 package train
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"hetkg/internal/cache"
@@ -25,24 +27,53 @@ func TrainDGLKE(cfg Config) (*Result, error) { return trainPS(cfg, false) }
 // or DPS (table rebuilt from a D-iteration lookahead every D iterations).
 func TrainHETKG(cfg Config) (*Result, error) { return trainPS(cfg, true) }
 
-// trainPS is the one static parameter-server trainer: cached workers carry
-// the hot-embedding table (HET-KG), uncached ones are DGL-KE.
+// trainPS is a static PS run: the driver over a fixed runner set, with no
+// coordinator. Cached workers carry the hot-embedding table (HET-KG),
+// uncached ones are DGL-KE.
 func trainPS(cfg Config, cached bool) (*Result, error) {
+	d, err := newStatic(&cfg, cached)
+	if err != nil {
+		return nil, err
+	}
+	return d.run()
+}
+
+// newStatic validates cfg and builds a static run's fixed runner set: one
+// runner per local (machine, slot), all at the start of epoch 1. A machine
+// with no triples gets no runner (its shard still serves pulls); the slots
+// of machines this process does not run still count, so worker ids — and
+// with them sampler seeds — do not depend on the deployment.
+func newStatic(cfg *Config, cached bool) (*driver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cached && cfg.Cache.Capacity < 0 {
 		return nil, fmt.Errorf("train: negative cache capacity %d", cfg.Cache.Capacity)
 	}
-	env, err := setupPS(&cfg)
+	d, err := newDriver(cfg, cached, systemName(cfg, cached))
 	if err != nil {
 		return nil, err
 	}
-	workers, err := newWorkers(&cfg, env, cached)
-	if err != nil {
-		return nil, err
+	id := 0
+	for m := range cfg.NumMachines {
+		if len(cfg.LocalMachines) > 0 && !slices.Contains(cfg.LocalMachines, m) {
+			id += cfg.WorkersPerMachine
+			continue
+		}
+		if d.b.subs[m].NumTriples() == 0 {
+			continue
+		}
+		for range cfg.WorkersPerMachine {
+			if _, err := d.addRunner(m, id); err != nil {
+				return nil, err
+			}
+			id++
+		}
 	}
-	return runPSTraining(&cfg, env, workers, systemName(&cfg, cached))
+	if len(d.runners) == 0 {
+		return nil, fmt.Errorf("train: no worker received any triples")
+	}
+	return d, nil
 }
 
 // systemName names the PS system a configuration trains.
@@ -66,140 +97,321 @@ type psEnv struct {
 	tr ps.Transport
 }
 
-// runPSTraining drives the static PS trainers with the round-robin
-// asynchronous schedule: each epoch every worker processes its share of
-// iterations one batch per turn, then an epoch barrier (the full
-// synchronization DGL-KE performs every few thousand mini-batches, §V)
-// gathers statistics and optionally evaluates.
-func runPSTraining(cfg *Config, env *psEnv, workers []*worker, system string) (*Result, error) {
-	res := &Result{System: system, Metrics: cfg.Metrics}
-	em, err := newTimeline(cfg, system)
+// partRunner is one runner of the driver: a worker and its position in its
+// partition's epochs.
+type partRunner struct {
+	w    *worker
+	ipe  int // iterations per epoch for this partition
+	ep   int // current 1-based epoch
+	iter int // completed iterations within ep
+	done bool
+}
+
+// driver is the one PS training loop (DESIGN.md §3). A round gives one batch
+// turn to every runnable runner, in worker-id order, and a runner is
+// runnable unless it is done or has finished an epoch some other not-done
+// runner is still in — the epoch barrier. With every partition local that is
+// the per-epoch full synchronization of DGL-KE (§V); a process holding one
+// partition never waits.
+//
+// Static runs (TrainDGLKE, TrainHETKG) give the driver a fixed runner set and
+// no coordinator, so the local barrier is the cluster's: the driver closes
+// each epoch there, evaluates and records it. An elastic run (TrainElastic)
+// gives it a coordinator, whose heartbeats add and drop runners between
+// turns; its epochs stay open until the run ends, because an adopted
+// partition can still add to any of them.
+type driver struct {
+	cfg    *Config
+	env    *psEnv
+	b      *workerBuilder
+	system string
+
+	runners map[int]*partRunner // by worker id; under a coordinator, id = partition
+	all     []*worker           // every worker ever built, for finalize accounting
+	round   int                 // rounds completed
+	epochs  epochAcc
+	closed  []EpochStat              // closed epochs, in order
+	tl      *metrics.TimelineEmitter // nil = no timeline requested
+
+	// The coordinator side (elastic.go); ec is nil in static runs.
+	ec           *ElasticConfig
+	workerID     int
+	interval     time.Duration
+	lastBeat     time.Time
+	failures     int // consecutive failed heartbeats
+	tracer       *span.Tracer
+	beats        int
+	recovers     int
+	telemetrySeq int64 // fleet telemetry rides the heartbeat (DESIGN.md §12)
+	telemetryOff bool
+}
+
+// newDriver builds the PS substrate and an empty runner set for a validated
+// cfg, and opens the run's timeline.
+func newDriver(cfg *Config, cached bool, system string) (*driver, error) {
+	env, err := setupPS(cfg)
 	if err != nil {
 		return nil, err
 	}
+	b, err := newWorkerBuilder(cfg, env, cached)
+	if err != nil {
+		return nil, err
+	}
+	tl, err := newTimeline(cfg, system)
+	if err != nil {
+		return nil, err
+	}
+	return &driver{cfg: cfg, env: env, b: b, system: system, runners: make(map[int]*partRunner), tl: tl}, nil
+}
+
+// addRunner builds worker id on machine m — the one build path of static
+// runner sets and adoption — and holds it at the start of epoch 1.
+func (d *driver) addRunner(m, id int) (*partRunner, error) {
+	w, err := d.b.build(m, id)
+	if err != nil {
+		return nil, err
+	}
+	d.all = append(d.all, w)
+	r := &partRunner{w: w, ipe: w.smp.IterationsPerEpoch(), ep: 1}
+	d.runners[id] = r
+	return r, nil
+}
+
+// run trains until every runner is done — under a coordinator, until the
+// coordinator reports the whole cluster done — and assembles the Result. A
+// heartbeat that falls due mid-round runs between two turns and the round
+// goes on, so the clock never changes which runner trains next.
+func (d *driver) run() (*Result, error) {
 	start := time.Now()
-	round := 0 // global iterations: one round = one batch turn per worker
-	var acc epochAcc
-	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-		// Each worker makes one pass over its own partition per epoch;
-		// with unbalanced partitions a light worker simply finishes its
-		// epoch early (ASP — nobody waits), rather than re-looping its
-		// subgraph, which would inflate both traffic and update counts.
-		maxIters := 0
-		for _, w := range workers {
-			if it := w.smp.IterationsPerEpoch(); it > maxIters {
-				maxIters = it
+	d.lastBeat = start
+rounds:
+	for {
+		epoch := d.frontier()
+		var ids []int
+		for _, id := range d.sortedParts() {
+			if r := d.runners[id]; !r.done && r.ep == epoch {
+				ids = append(ids, id)
 			}
 		}
-		for it := 0; it < maxIters; it++ {
-			for _, w := range workers {
-				if it >= w.smp.IterationsPerEpoch() {
-					continue
-				}
-				if err := w.turn(); err != nil {
-					return nil, err
-				}
+		if len(ids) == 0 {
+			if d.ec == nil {
+				break
 			}
-			round++
-			if em != nil && em.ShouldEmit(round) {
-				if err := emitTimeline(em, workers[0].obs, workers, round, epoch, start); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for _, w := range workers {
-			acc.add(epoch, w, cfg.CostModel)
-		}
-		stat, _ := acc.close(epoch)
-		if cfg.EvalEvery > 0 && len(cfg.Valid) > 0 && epoch%cfg.EvalEvery == 0 {
-			ents, rels, err := env.cluster.GatherVia(env.tr)
+			// Nothing runnable: idle until a heartbeat brings reassigned
+			// work or the all-done signal, waking often enough to keep the
+			// cadence even with long intervals.
+			allDone, err := d.beatIfDue()
 			if err != nil {
 				return nil, err
 			}
-			ev, err := evalNow(cfg, ents, rels)
+			if allDone {
+				break
+			}
+			time.Sleep(min(max(d.interval/4, time.Millisecond), 250*time.Millisecond))
+			continue
+		}
+		for _, id := range ids {
+			allDone, err := d.beatIfDue()
 			if err != nil {
 				return nil, err
 			}
-			stat.MRR = ev.MRR
+			if allDone {
+				break rounds
+			}
+			// The heartbeat may have dropped this runner, or adopted one
+			// behind the barrier.
+			if r := d.runners[id]; r != nil && !r.done && r.ep == d.frontier() {
+				if err := d.turn(id, r); err != nil {
+					return nil, err
+				}
+			}
 		}
-		if err := emitEpoch(em, round, stat, false); err != nil {
+		d.round++
+		if d.tl != nil && d.tl.ShouldEmit(d.round) {
+			if err := emitTimeline(d.tl, d.b.tobs, d.runningLoss(), d.round, epoch, start); err != nil {
+				return nil, err
+			}
+		}
+		if d.ec == nil && d.frontier() > epoch {
+			if err := d.closeEpoch(epoch); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if d.ec != nil {
+		// Graceful exit: release partitions with exact final progress.
+		if err := d.ec.Coordinator.Leave(ps.LeaveRequest{WorkerID: d.workerID, Progress: d.progressAll()}); err != nil {
+			d.logf("cluster: leave failed (harmless after all-done): %v", err)
+		}
+	}
+	for ep := 1; ep <= d.cfg.Epochs; ep++ {
+		if err := d.closeEpoch(ep); err != nil { // the epochs a coordinator kept open
 			return nil, err
 		}
-		res.Epochs = append(res.Epochs, stat)
 	}
-	return finalize(cfg, env, workers, res)
+	return finalize(d.cfg, d.env, d.all, &Result{System: d.system, Metrics: d.cfg.Metrics, Epochs: d.closed})
+}
+
+// frontier is the lowest epoch a not-done runner is still in (past the last
+// epoch once every runner is done): the epoch of the next round's turns.
+func (d *driver) frontier() int {
+	f := d.cfg.Epochs + 1
+	for _, r := range d.runners {
+		if !r.done {
+			f = min(f, r.ep)
+		}
+	}
+	return f
+}
+
+// turn runs one batch turn for runner id and advances its position:
+// crossing an epoch boundary hands the worker's accounting to the epoch and
+// the last one marks the runner done; under a coordinator the snapshot
+// cadence and every boundary persist the position.
+func (d *driver) turn(id int, r *partRunner) error {
+	if err := r.w.turn(); err != nil {
+		return fmt.Errorf("train: partition %d: %w", r.w.machine, err)
+	}
+	r.iter++
+	crossed := r.iter == r.ipe
+	if crossed {
+		d.epochs.add(r.ep, r.w, d.cfg.CostModel)
+		r.ep++
+		r.iter = 0
+		if r.ep > d.cfg.Epochs {
+			r.done = true
+			d.logf("cluster: partition %d done (%d epochs)", id, d.cfg.Epochs)
+		}
+	}
+	if d.ec != nil && (crossed || r.iter%d.ec.CkptEvery == 0) {
+		d.writeSnapshot(id, r)
+	}
+	return nil
+}
+
+// closeEpoch records epoch if any worker contributed to it. Without a
+// coordinator it closes at the barrier, once every worker has finished it,
+// so this is also where EvalEvery evaluates.
+func (d *driver) closeEpoch(epoch int) error {
+	st, ok := d.epochs.close(epoch)
+	if !ok {
+		return nil
+	}
+	cfg := d.cfg
+	if d.ec == nil && cfg.EvalEvery > 0 && len(cfg.Valid) > 0 && epoch%cfg.EvalEvery == 0 {
+		ents, rels, err := d.env.cluster.GatherVia(d.env.tr)
+		if err != nil {
+			return err
+		}
+		ev, err := evalNow(cfg, ents, rels)
+		if err != nil {
+			return err
+		}
+		st.MRR = ev.MRR
+	}
+	if err := emitEpoch(d.tl, d.round, st, false); err != nil {
+		return err
+	}
+	d.closed = append(d.closed, st)
+	return nil
+}
+
+// sortedParts lists the held runner ids in order, so turn scheduling and
+// progress reports are deterministic.
+func (d *driver) sortedParts() []int {
+	ids := make([]int, 0, len(d.runners))
+	for id := range d.runners {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// runningLoss is the mean pair loss across the held workers' running epoch
+// averages — the same aggregation epochAcc reports per epoch, read
+// mid-epoch.
+func (d *driver) runningLoss() float64 {
+	var sum float64
+	n := 0
+	for _, id := range d.sortedParts() {
+		if w := d.runners[id].w; w != nil && w.lossCount > 0 {
+			sum += w.lossSum / float64(w.lossCount)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // epochAcc merges workers' per-epoch accounting into one record per epoch.
-// The static loop feeds it every worker at the epoch barrier; the elastic
-// loop feeds it each partition as that partition crosses the boundary. An
-// epoch's simulated duration is the critical path (slowest worker),
-// matching a real cluster where machines run in parallel.
+// A worker hands over its share as it crosses the epoch boundary, and the
+// shares merge in worker-id order when the epoch closes, so the record does
+// not depend on which worker finished first. An epoch's simulated duration
+// is the critical path (slowest worker), matching a real cluster where
+// machines run in parallel.
 type epochAcc struct {
-	open map[int]*epochSum
+	open map[int][]epochShare
 	cum  time.Duration
 }
 
-// epochSum is one epoch's running merge: critical-path comp/comm in stat,
-// loss summed over n contributing workers, cache accesses and hits.
-type epochSum struct {
-	stat     EpochStat
-	lossSum  float64
-	n        int
-	acc, hit float64
+// epochShare is one worker's accounting for one epoch: computation and
+// simulated communication time, mean pair loss (0 when it scored no pair),
+// hot-table accesses and hits.
+type epochShare struct {
+	id         int
+	comp, comm time.Duration
+	loss       float64
+	acc, hit   float64
 }
 
-// add folds w's accounting since its previous add — computation time,
-// simulated communication time, mean loss, hot-table accesses and hits —
-// into epoch's record, and resets it on the worker.
+// add takes w's accounting since its previous add as its share of epoch,
+// and resets it on the worker.
 func (a *epochAcc) add(epoch int, w *worker, cm netsim.CostModel) {
-	s := a.open[epoch]
-	if s == nil {
-		if a.open == nil {
-			a.open = make(map[int]*epochSum)
-		}
-		s = &epochSum{stat: EpochStat{Epoch: epoch}}
-		a.open[epoch] = s
-	}
 	snap := w.meter.Snapshot()
-	comm := snap.Sub(w.commBase).Time(cm)
+	sh := epochShare{id: w.id, comp: w.compTime, comm: snap.Sub(w.commBase).Time(cm)}
 	w.commBase = snap
-	if w.compTime > s.stat.Comp {
-		s.stat.Comp = w.compTime
-	}
-	if comm > s.stat.Comm {
-		s.stat.Comm = comm
-	}
 	w.compTime = 0
 	if w.lossCount > 0 {
-		s.lossSum += w.lossSum / float64(w.lossCount)
+		sh.loss = w.lossSum / float64(w.lossCount)
 	}
 	w.lossSum, w.lossCount = 0, 0
-	s.n++
 	if w.hot != nil {
-		acc := float64(w.hot.Accesses())
-		hit := acc * w.hot.HitRatio()
-		s.acc += acc
-		s.hit += hit
-		w.accTotal += acc
-		w.hitTotal += hit
+		sh.acc = float64(w.hot.Accesses())
+		sh.hit = sh.acc * w.hot.HitRatio()
+		w.accTotal += sh.acc
+		w.hitTotal += sh.hit
 		w.hot.ResetStats()
 	}
+	if a.open == nil {
+		a.open = make(map[int][]epochShare)
+	}
+	a.open[epoch] = append(a.open[epoch], sh)
 }
 
 // close finishes epoch's record — mean loss, hit ratio, cumulative time —
 // and reports whether any worker contributed to it. Epochs must be closed
 // in order (CumTime runs across them).
 func (a *epochAcc) close(epoch int) (EpochStat, bool) {
-	s := a.open[epoch]
-	if s == nil {
+	shares, ok := a.open[epoch]
+	if !ok {
 		return EpochStat{}, false
 	}
 	delete(a.open, epoch)
-	stat := s.stat
-	stat.Loss = s.lossSum / float64(s.n)
-	if s.acc > 0 {
-		stat.HitRatio = s.hit / s.acc
+	slices.SortStableFunc(shares, func(x, y epochShare) int { return cmp.Compare(x.id, y.id) })
+	stat := EpochStat{Epoch: epoch}
+	var lossSum, acc, hit float64
+	for _, sh := range shares {
+		stat.Comp = max(stat.Comp, sh.comp)
+		stat.Comm = max(stat.Comm, sh.comm)
+		lossSum += sh.loss
+		acc += sh.acc
+		hit += sh.hit
+	}
+	stat.Loss = lossSum / float64(len(shares))
+	if acc > 0 {
+		stat.HitRatio = hit / acc
 	}
 	a.cum += stat.Total()
 	stat.CumTime = a.cum

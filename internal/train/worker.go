@@ -29,11 +29,12 @@ const batchShards = 32
 
 // worker is one training worker: a sampler over its machine's subgraph, a
 // PS client, an optional hot-embedding cache, and per-epoch accounting.
-// Workers are driven round-robin by the trainers — one batch per turn — so
-// asynchronous interleaving (worker A missing worker B's fresh pushes until
-// cache refresh) is reproduced deterministically; per-worker clocks model
-// what would run in parallel on separate machines. Within a turn, the
-// batch's gradient computation fans out across cores (processBatch).
+// The PS driver (pstrain.go) gives each worker one batch per turn, in
+// worker-id order, so asynchronous interleaving (worker A missing worker B's
+// fresh pushes until cache refresh) is reproduced deterministically;
+// per-worker clocks model what would run in parallel on separate machines.
+// Within a turn, the batch's gradient computation fans out across cores
+// (processBatch).
 type worker struct {
 	id      int
 	machine int
@@ -73,9 +74,8 @@ type worker struct {
 }
 
 // workerBuilder constructs individual workers over the partitioned
-// subgraphs — the shared machinery of newWorkers (static deployments, all
-// workers up front) and the elastic driver (workers built and rebuilt as
-// the coordinator assigns partitions).
+// subgraphs, for the driver's runners: all up front in static runs, built
+// and rebuilt as the coordinator assigns partitions in elastic ones.
 type workerBuilder struct {
 	cfg     *Config
 	cluster *ps.Cluster
@@ -159,51 +159,6 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 		w.hot = hot
 	}
 	return w, nil
-}
-
-// newWorkers builds one worker per (machine, slot) over the partitioned
-// subgraphs. cached attaches a HotCache configured from cfg.Cache.
-func newWorkers(cfg *Config, env *psEnv, cached bool) ([]*worker, error) {
-	b, err := newWorkerBuilder(cfg, env, cached)
-	if err != nil {
-		return nil, err
-	}
-	local := func(m int) bool {
-		if len(cfg.LocalMachines) == 0 {
-			return true
-		}
-		for _, lm := range cfg.LocalMachines {
-			if lm == m {
-				return true
-			}
-		}
-		return false
-	}
-	var workers []*worker
-	id := 0
-	for m := 0; m < cfg.NumMachines; m++ {
-		if !local(m) {
-			id += cfg.WorkersPerMachine // keep worker seeds stable across deployments
-			continue
-		}
-		if b.subs[m].NumTriples() == 0 {
-			// A machine with no triples contributes no worker; its shard
-			// still serves pulls.
-			continue
-		}
-		for s := 0; s < cfg.WorkersPerMachine; s++ {
-			w, err := b.build(m, id)
-			if err != nil {
-				return nil, err
-			}
-			workers = append(workers, w)
-			id++
-		}
-	}
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("train: no worker received any triples")
-	}
-	return workers, nil
 }
 
 // nextBatch returns the next batch to train on: a queued prefetched batch if

@@ -5,8 +5,10 @@
 # any parallelism, so -race covers every package, not just internal/par.
 # Then the two things a plain `go test` never executes: the sweep stack's
 # benchmarks (one iteration each, so they cannot rot) and short fuzzes of
-# the two servers that read bytes off the network unauthenticated: the
-# HTTP query decoder and the parameter-server shard session.
+# the decoders that take bytes nobody vouches for: the two servers that read
+# them off the network unauthenticated (the HTTP query decoder and the
+# parameter-server shard session), and the frame every durable file — a
+# checkpoint, progress snapshot or artifact entry — is read back through.
 #
 # Every "is it documented" check — exported declarations, metric, span,
 # serving and codec profile names, plan keys, the generated flag reference,
@@ -29,6 +31,9 @@ go test -run '^$' -fuzz FuzzServeRequest -fuzztime 20s ./internal/serve
 
 echo "== fuzz the parameter-server shard session (20 s)"
 go test -run '^$' -fuzz FuzzShardSession -fuzztime 20s ./internal/ps
+
+echo "== fuzz the durable-file frame and progress decoder (20 s)"
+go test -run '^$' -fuzz FuzzFrameDecode -fuzztime 20s ./internal/frame
 
 echo "== benchmark module (vet + tests against this tree)"
 # benchmark/ is a separate module compiled against internal/*; tier-1 vets
