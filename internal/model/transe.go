@@ -26,7 +26,10 @@ func (TransE) EntityDim(d int) int { return d }
 // RelationDim implements Model: relations live in the same R^d.
 func (TransE) RelationDim(d int) int { return d }
 
-// Score implements Model.
+// Score implements Model. l1 takes |d| by sign bit (vec.Abs), not by a
+// branch on d's random sign: +0 where `if d < 0` added -0, to a sum that
+// starts at +0 and only grows. A NaN sum is redone with that branch, whose
+// operand order decides which NaN survives (DESIGN §6).
 func (m TransE) Score(h, r, t []float32) float32 {
 	var s float32
 	if m.Norm == 2 {
@@ -37,11 +40,16 @@ func (m TransE) Score(h, r, t []float32) float32 {
 		return -s
 	}
 	for i := range h {
-		d := h[i] + r[i] - t[i]
-		if d < 0 {
-			s -= d
-		} else {
-			s += d
+		s += vec.Abs(h[i] + r[i] - t[i])
+	}
+	if s != s {
+		s = 0
+		for i := range h {
+			if d := h[i] + r[i] - t[i]; d < 0 {
+				s -= d
+			} else {
+				s += d
+			}
 		}
 	}
 	return -s
@@ -49,21 +57,18 @@ func (m TransE) Score(h, r, t []float32) float32 {
 
 // Grad implements Model.
 //
-// l1: ∂Score/∂h = -sign(h+r-t), ∂/∂r likewise, ∂/∂t = +sign(h+r-t).
+// l1: ∂Score/∂h = -sign(h+r-t), ∂/∂r likewise, ∂/∂t = +sign(h+r-t), sign
+// from two comparisons, no branch (+0 for a ±0 or NaN residual).
 // l2 (squared): ∂Score/∂h = -2(h+r-t), ∂/∂t = +2(h+r-t).
 func (m TransE) Grad(h, r, t []float32, dScore float32, gh, gr, gt []float32) {
-	for i := range h {
-		d := h[i] + r[i] - t[i]
+	r, t = r[:len(h)], t[:len(h)]
+	for i, x := range h {
+		d := x + r[i] - t[i]
 		var g float32
 		if m.Norm == 2 {
 			g = 2 * d
 		} else {
-			switch {
-			case d > 0:
-				g = 1
-			case d < 0:
-				g = -1
-			}
+			g = float32(b2i(d > 0) - b2i(d < 0))
 		}
 		v := dScore * g
 		if gh != nil {
@@ -76,6 +81,14 @@ func (m TransE) Grad(h, r, t []float32, dScore float32, gh, gr, gt []float32) {
 			gt[i] += v
 		}
 	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // DistMult is the diagonal bilinear semantic-matching model of Yang et al.:

@@ -78,10 +78,16 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 }
 
 // NewClient builds a client for a worker sitting on the given machine.
-// meter may be nil to disable traffic accounting.
+// meter may be nil to disable traffic accounting. Shards whose rows are not
+// as wide as c's (started with another -model or -dim) are refused.
 func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Client, error) {
 	if machine < 0 || machine >= c.Place.NumMachines() {
 		return nil, fmt.Errorf("ps: machine %d out of range [0,%d)", machine, c.Place.NumMachines())
+	}
+	if lt, ok := tr.(*LinkTransport); ok {
+		if err := lt.checkWidths(c.EntityDim(), c.RelationDim()); err != nil {
+			return nil, err
+		}
 	}
 	return &Client{
 		machine: machine,
@@ -160,12 +166,16 @@ func (c *Client) Pull(keys []Key, dst map[Key][]float32) error {
 			o.bytesTx.Add(tx)
 			o.bytesRx.Add(rx)
 		}
+		want := 0
+		for _, k := range ks {
+			want += c.Width(k)
+		}
+		if len(resp.Vals) != want {
+			return fmt.Errorf("ps: pull from shard %d returned %d values, %d rows need %d", shard, len(resp.Vals), len(ks), want)
+		}
 		off := 0
 		for _, k := range ks {
 			w := c.Width(k)
-			if off+w > len(resp.Vals) {
-				return fmt.Errorf("ps: short pull response from shard %d", shard)
-			}
 			row := make([]float32, w)
 			copy(row, resp.Vals[off:off+w])
 			dst[k] = row

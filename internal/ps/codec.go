@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"hetkg/internal/vec"
 )
 
 // This file is the negotiated wire-codec layer: row codecs (how one
@@ -299,14 +301,13 @@ func (int8Codec) Name() string          { return "int8" }
 func (int8Codec) Lossy() bool           { return true }
 func (int8Codec) MaxRowBytes(w int) int { return 4 + w }
 
+// EncodeRow takes |v| and the ±0.5 rounding term from v's sign bit (DESIGN
+// §6): -0 gets -0.5, which truncates to 0 too. v/scale stays a division.
 func (int8Codec) EncodeRow(dst []byte, row []float32) []byte {
 	var maxAbs float32
 	for _, v := range row {
-		if v < 0 {
-			v = -v
-		}
-		if v > maxAbs {
-			maxAbs = v
+		if a := vec.Abs(v); a > maxAbs {
+			maxAbs = a
 		}
 	}
 	var scale float32
@@ -314,11 +315,16 @@ func (int8Codec) EncodeRow(dst []byte, row []float32) []byte {
 		scale = maxAbs / 127
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(scale))
-	for i, v := range row {
-		var q int8
-		if scale > 0 {
-			q = int8(v/scale + sign(v)*0.5) // round half away from zero
+	if scale == 0 {
+		clear(row)
+		for range row {
+			dst = append(dst, 0)
 		}
+		return dst
+	}
+	for i, v := range row {
+		half := math.Float32frombits(math.Float32bits(v)&(1<<31) | math.Float32bits(0.5))
+		q := int8(v/scale + half) // round half away from zero
 		row[i] = float32(q) * scale
 		dst = append(dst, byte(q))
 	}
@@ -335,13 +341,6 @@ func (int8Codec) DecodeRow(row []float32, src []byte) ([]byte, error) {
 		row[i] = float32(int8(src[i])) * scale
 	}
 	return src[len(row):], nil
-}
-
-func sign(v float32) float32 {
-	if v < 0 {
-		return -1
-	}
-	return 1
 }
 
 // sparseCodec ships only a row's nonzero coordinates: a 2-byte count then

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"math/rand"
@@ -148,6 +149,97 @@ func TestInt8ErrorBound(t *testing.T) {
 				t.Fatalf("trial %d: |dec-orig|[%d] = %g exceeds maxAbs/254 = %g", trial, i, err, bound)
 			}
 		}
+	}
+}
+
+// encodeInt8Branchy is int8Codec.EncodeRow as it was while it branched on
+// each element's sign, kept verbatim: the reference the branch-free encoder
+// must reproduce byte for byte and bit for bit.
+func encodeInt8Branchy(dst []byte, row []float32) []byte {
+	sign := func(v float32) float32 {
+		if v < 0 {
+			return -1
+		}
+		return 1
+	}
+	var maxAbs float32
+	for _, v := range row {
+		if v < 0 {
+			v = -v
+		}
+		if v > maxAbs {
+			maxAbs = v
+		}
+	}
+	var scale float32
+	if maxAbs > 0 && !math.IsInf(float64(maxAbs), 0) && !math.IsNaN(float64(maxAbs)) {
+		scale = maxAbs / 127
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(scale))
+	for i, v := range row {
+		var q int8
+		if scale > 0 {
+			q = int8(v/scale + sign(v)*0.5) // round half away from zero
+		}
+		row[i] = float32(q) * scale
+		dst = append(dst, byte(q))
+	}
+	return dst
+}
+
+// TestInt8EncodeMatchesBranchyReference holds the int8 encoder to the
+// branchy loop it replaced, on the bytes and on every bit of the rewritten
+// row: widths on and off any unrolling, normal rows mixed with ±0, ±Inf,
+// subnormals and NaNs of both signs with payloads, rows of exact .5 ties
+// (scale 1 and 0.5, so v/scale + ±0.5 lands on a whole number), a row whose
+// scale underflows to 0, and an all-zero row.
+func TestInt8EncodeMatchesBranchyReference(t *testing.T) {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x00000001), math.Float32frombits(0x807fffff),
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000),
+		math.Float32frombits(0x7fc12345), math.Float32frombits(0xffd00bad),
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xff812345),
+	}
+	rng := rand.New(rand.NewSource(28))
+	check := func(name string, row []float32) {
+		t.Helper()
+		want, got := append([]float32(nil), row...), append([]float32(nil), row...)
+		wantB := encodeInt8Branchy([]byte{0xee}, want)
+		gotB := int8Codec{}.EncodeRow([]byte{0xee}, got)
+		if hex.EncodeToString(gotB) != hex.EncodeToString(wantB) {
+			t.Fatalf("%s %v: bytes %x, branchy %x", name, row, gotB, wantB)
+		}
+		for i := range got {
+			if a, b := math.Float32bits(got[i]), math.Float32bits(want[i]); a != b {
+				t.Fatalf("%s %v: row[%d] rewritten to %#08x, branchy %#08x", name, row, i, a, b)
+			}
+		}
+	}
+	for _, d := range []int{1, 3, 4, 7, 16, 64, 128, 130} {
+		for trial := 0; trial < 300; trial++ {
+			dirty := []float64{0, 0.05, 0.5}[trial%3]
+			row := make([]float32, d)
+			for i := range row {
+				row[i] = float32(rng.NormFloat64())
+				if rng.Float64() < dirty {
+					row[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			check("random", row)
+			for i := range row { // ties: maxAbs 127 (scale 1) or 63.5 (0.5)
+				row[i] = float32(rng.Intn(255)-127) + 0.5*float32(rng.Intn(2))
+				if rng.Float64() < dirty {
+					row[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			row[rng.Intn(d)] = []float32{127, -127, 63.5, -63.5}[rng.Intn(4)]
+			check("ties", row)
+		}
+		check("zero", make([]float32, d))
+		tiny := make([]float32, d)
+		tiny[d-1] = math.Float32frombits(0x80000001) // scale = maxAbs/127 underflows to 0
+		check("underflow", tiny)
 	}
 }
 

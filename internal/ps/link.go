@@ -396,6 +396,22 @@ func (t *LinkTransport) Profiles() []string {
 	return out
 }
 
+// checkWidths refuses shards whose rows (as acked) are not entDim/relDim wide.
+func (t *LinkTransport) checkWidths(entDim, relDim int) error {
+	for _, l := range t.links {
+		l.mu.Lock()
+		c := l.c
+		l.mu.Unlock()
+		if c == nil {
+			continue
+		}
+		if e, r := c.lc.widthOf(EntityKey(0)), c.lc.widthOf(RelationKey(0)); e != entDim || r != relDim {
+			return fmt.Errorf("ps: shard %d (%s) serves entity/relation rows of width %d/%d, this trainer needs %d/%d: start the shards with the trainer's -model and -dim", l.shard, l.addr, e, r, entDim, relDim)
+		}
+	}
+	return nil
+}
+
 // LinksDown returns how many shard links currently sit behind an open
 // circuit breaker (the live value of the ps.link.breaker_open gauge).
 func (t *LinkTransport) LinksDown() int { return int(t.openLinks.Load()) }

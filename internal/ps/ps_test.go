@@ -1,8 +1,10 @@
 package ps
 
 import (
+	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -369,6 +371,62 @@ func TestTCPTransportIntegration(t *testing.T) {
 	// Error propagation over the wire.
 	if _, err := tr.Pull(0, &PullRequest{Keys: []Key{EntityKey(1)}}); err == nil {
 		t.Error("unowned key over TCP did not error")
+	}
+}
+
+// TestShardOfOtherWidthRefusedAtDial: a shard fleet started for another
+// dimension (or a model with other row widths) is refused when the trainer's
+// client is built, by an error naming the shard, both widths and the flags
+// to fix. Wider shard rows used to be sliced into the trainer's width and
+// trained on for a batch; narrower ones failed the first pull as "short".
+func TestShardOfOtherWidthRefusedAtDial(t *testing.T) {
+	trainer := testClusterDim(t, 1, 4, 16)
+	for _, shardDim := range []int{32, 8} {
+		fleet := testClusterDim(t, 1, 4, shardDim)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		go ServeTCP(l, fleet.Servers[0])
+		tr, err := DialTCPLink([]string{l.Addr().String()}, ProfileFP32, LinkConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		_, err = NewClient(0, trainer, tr, nil)
+		if err == nil {
+			t.Fatalf("dim-%d shard accepted by a dim-16 trainer", shardDim)
+		}
+		for _, want := range []string{"shard 0", l.Addr().String(), fmt.Sprintf("%d/%d", shardDim, shardDim), "16/16", "-model", "-dim"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("dim-%d shard: error %q does not name %q", shardDim, err, want)
+			}
+		}
+	}
+}
+
+// overfullPulls answers every pull with one value more than was asked for.
+type overfullPulls struct{ Transport }
+
+func (o overfullPulls) Pull(shard int, req *PullRequest) (*PullResponse, error) {
+	resp, err := o.Transport.Pull(shard, req)
+	if err == nil {
+		resp.Vals = append(resp.Vals, 0)
+	}
+	return resp, err
+}
+
+// TestPullLeftoverValuesRefused: a pull response longer than the requested
+// rows is an error, not silently truncated.
+func TestPullLeftoverValuesRefused(t *testing.T) {
+	c := testCluster(t, 1)
+	cl, err := NewClient(0, c, overfullPulls{NewInProc(c)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Pull([]Key{EntityKey(0), RelationKey(1)}, map[Key][]float32{}); err == nil {
+		t.Fatal("pull response with a value left over accepted")
 	}
 }
 

@@ -2,12 +2,12 @@ package ps
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"hetkg/internal/metrics"
 	"hetkg/internal/opt"
 	"hetkg/internal/span"
+	"hetkg/internal/vec"
 )
 
 // Server is one parameter-server shard. It owns a subset of the embedding
@@ -233,7 +233,7 @@ func (s *Server) Push(keys []Key, vals []float32) error {
 		off += len(row)
 		// Drop non-finite gradients rather than poisoning the row;
 		// asynchronous training can transiently explode.
-		if finite(grad) {
+		if vec.IsFinite(grad) {
 			s.optim.Apply(uint64(keys[i]), row, grad)
 		}
 	}
@@ -265,13 +265,4 @@ func (s *Server) Keys() []Key {
 		out = append(out, k)
 	}
 	return out
-}
-
-func finite(x []float32) bool {
-	for _, v := range x {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			return false
-		}
-	}
-	return true
 }

@@ -95,7 +95,7 @@ func squaredL2Dist4(q, r0, r1, r2, r3 []float32) (s0, s1, s2, s3 float32) {
 }
 
 // Abs returns |x| by clearing the sign bit: no branch, unlike the `if x < 0`
-// of L1 and L1Dist, which a sweep over unsorted data mispredicts every other
+// of L1Dist, which a sweep over unsorted data mispredicts every other
 // element.
 func Abs(x float32) float32 {
 	return math.Float32frombits(math.Float32bits(x) &^ (1 << 31))

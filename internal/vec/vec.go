@@ -105,19 +105,6 @@ func MulAdd(dst, a, b []float32) {
 	}
 }
 
-// L1 returns the l1 norm of x.
-func L1(x []float32) float32 {
-	var s float32
-	for _, v := range x {
-		if v < 0 {
-			s -= v
-		} else {
-			s += v
-		}
-	}
-	return s
-}
-
 // L2 returns the l2 (Euclidean) norm of x.
 func L2(x []float32) float32 {
 	return float32(math.Sqrt(float64(SquaredL2(x))))
@@ -203,23 +190,6 @@ func Normalize(x []float32) {
 		return
 	}
 	Scale(x, 1/n)
-}
-
-// SignInto stores sign(a-b) into dst: +1 where a>b, -1 where a<b, 0 where
-// equal. It is the sub-gradient of the l1 distance used by TransE-L1.
-func SignInto(dst, a, b []float32) {
-	checkLen(a, b)
-	checkLen(dst, a)
-	for i := range dst {
-		switch {
-		case a[i] > b[i]:
-			dst[i] = 1
-		case a[i] < b[i]:
-			dst[i] = -1
-		default:
-			dst[i] = 0
-		}
-	}
 }
 
 // IsFinite reports whether every element of x is a finite number.

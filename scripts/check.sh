@@ -3,8 +3,9 @@
 # detector. The deterministic parallel engine (internal/par) and the code
 # built on it (train batch compute, eval ranking) must stay race-free at
 # any parallelism, so -race covers every package, not just internal/par.
-# Then the two things a plain `go test` never executes: the sweep stack's
-# benchmarks (one iteration each, so they cannot rot) and short fuzzes of
+# Then the two things a plain `go test` never executes: the benchmarks of
+# the sweep stack and of the training and codec kernels (one iteration
+# each, so they cannot rot) and short fuzzes of
 # the decoders that take bytes nobody vouches for: the two servers that read
 # them off the network unauthenticated (the HTTP query decoder and the
 # parameter-server shard session), and the frame every durable file — a
@@ -23,8 +24,8 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== every benchmark of the sweep stack compiles and runs once"
-go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/knn ./internal/serve
+echo "== every benchmark of the sweep stack and the element kernels compiles and runs once"
+go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/knn ./internal/serve ./internal/ps
 
 echo "== fuzz the serving request decoder (20 s)"
 go test -run '^$' -fuzz FuzzServeRequest -fuzztime 20s ./internal/serve
