@@ -21,13 +21,13 @@ import (
 	"testing"
 
 	"hetkg/internal/cache"
-	"hetkg/internal/core"
 	"hetkg/internal/dataset"
 	"hetkg/internal/eval"
 	"hetkg/internal/kg"
 	"hetkg/internal/model"
 	"hetkg/internal/opt"
 	"hetkg/internal/partition"
+	"hetkg/internal/plan"
 	"hetkg/internal/ps"
 	"hetkg/internal/sampler"
 	"hetkg/internal/span"
@@ -38,11 +38,11 @@ import (
 // benchExperiment runs a registered experiment once per iteration.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	e, ok := core.ByID(id)
+	e, ok := plan.ByID(id)
 	if !ok {
 		b.Fatalf("experiment %q not registered", id)
 	}
-	opts := core.Options{Scale: dataset.Tiny, Seed: 42}
+	opts := plan.Options{Scale: dataset.Tiny, Seed: 42}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(opts); err != nil {

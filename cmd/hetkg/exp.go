@@ -31,17 +31,16 @@ func bindExp(fs *flag.FlagSet) action {
 			return 0
 		}
 
+		scale, err := hetkg.ParseScale(spec.Scale)
+		if err != nil {
+			return failf(stderr, 2, "%v", err)
+		}
 		ids := hetkg.ExperimentIDs()
 		if *exp != "all" {
 			ids = strings.Split(*exp, ",")
 		}
-		opts := hetkg.ExperimentOptions{
-			Scale:       hetkg.ParseScale(spec.Scale),
-			Seed:        spec.Seed,
-			TimelineDir: *tlDir,
-			SpanDir:     *spanDir,
-			SpanEvery:   *spanN,
-		}
+		opts := hetkg.ExperimentOptions{Scale: scale, Seed: spec.Seed}
+		opts.TimelineDir, opts.SpanDir, opts.SpanEvery = *tlDir, *spanDir, *spanN
 		if *verbose {
 			opts.Logf = logTo(stderr, "[bench] ")
 		}

@@ -3,7 +3,7 @@
 //	hetkg train -dataset fb15k -system hetkg-d -machines 4 -epochs 5
 //	hetkg ps    -dataset fb15k -machines 2 -machine 0 -listen :7070
 //	hetkg serve -ckpt model.ckpt
-//	hetkg apply -out . examples/plans/codecs.yml
+//	hetkg apply -out . examples/plans/ci.yml
 //
 // `hetkg help` lists the verbs and `hetkg <verb> -h` a verb's flags;
 // OPERATIONS.md carries the same flag reference, generated from the verbs'

@@ -134,6 +134,15 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"help"}, &out, &errb); code != 0 || !strings.Contains(out.String(), "usage:") {
 		t.Errorf("help exit %d output %q", code, out.String())
 	}
+	// A misspelled scale is refused by every verb that reads one, not
+	// trained or generated at the default size under the typo's name.
+	for _, verb := range [][]string{{"data"}, {"partition"}, {"exp", "-exp", "xablation-negsampling"}, {"train", "-epochs", "1"}} {
+		var out, errb strings.Builder
+		code := run(append(verb, "-scale", "tyni"), &out, &errb)
+		if code == 0 || !strings.Contains(errb.String(), "tiny | small | paper") {
+			t.Errorf("hetkg %s -scale tyni exit %d, stderr %q: want a refusal naming tiny | small | paper", verb[0], code, errb.String())
+		}
+	}
 	// Runtime (not usage) failures exit 1.
 	if code := run([]string{"plan", "/nonexistent.yml"}, &out, &errb); code != 1 {
 		t.Errorf("missing plan file exit %d, want 1", code)

@@ -22,7 +22,11 @@ import (
 // the named dataset preset.
 func loadGraph(in, dataset, scale string, seed int64) (*hetkg.Graph, error) {
 	if in == "" {
-		g, ok := hetkg.DatasetByName(dataset, hetkg.ParseScale(scale), seed)
+		sc, err := hetkg.ParseScale(scale)
+		if err != nil {
+			return nil, err
+		}
+		g, ok := hetkg.DatasetByName(dataset, sc, seed)
 		if !ok {
 			return nil, fmt.Errorf("unknown dataset %q (have %v)", dataset, hetkg.DatasetNames())
 		}

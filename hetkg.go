@@ -16,7 +16,8 @@
 //   - link-prediction evaluation (MRR, MR, Hits@k; raw/filtered; full or
 //     sampled candidates);
 //   - the experiment registry regenerating every table and figure of the
-//     paper (see DESIGN.md and EXPERIMENTS.md).
+//     paper: each training experiment is a sweep plan run by the same
+//     executor as `hetkg apply` (see DESIGN.md and EXPERIMENTS.md).
 //
 // Quick start:
 //
@@ -45,6 +46,7 @@ import (
 	"hetkg/internal/model"
 	"hetkg/internal/netsim"
 	"hetkg/internal/obs"
+	"hetkg/internal/plan"
 	"hetkg/internal/ps"
 	"hetkg/internal/serve"
 	"hetkg/internal/span"
@@ -85,8 +87,9 @@ const (
 	ScalePaper = dataset.Paper
 )
 
-// ParseScale converts "tiny" / "small" / "paper" to a Scale.
-func ParseScale(s string) Scale { return dataset.ParseScale(s) }
+// ParseScale converts "tiny" / "small" / "paper" to a Scale; any other name
+// is an error.
+func ParseScale(s string) (Scale, error) { return dataset.ParseScale(s) }
 
 // Run executes a training run.
 func Run(rc RunConfig) (*Result, error) { return core.Run(rc) }
@@ -161,23 +164,23 @@ func Evaluate(cfg EvalConfig, test []Triple) (EvalResult, error) {
 }
 
 // Experiment regenerates one table or figure of the paper.
-type Experiment = core.Experiment
+type Experiment = plan.Experiment
 
 // ExperimentOptions parameterizes an experiment invocation.
-type ExperimentOptions = core.Options
+type ExperimentOptions = plan.Options
 
 // ExperimentTable is an experiment's output: typed cells that render as the
 // paper's text table (Render) and snapshot as exact values (Snapshot).
-type ExperimentTable = core.Table
+type ExperimentTable = plan.Table
 
 // Experiments returns the full registry, sorted by ID.
-func Experiments() []Experiment { return core.All() }
+func Experiments() []Experiment { return plan.All() }
 
 // ExperimentByID looks up one experiment ("table3", "fig8a", ...).
-func ExperimentByID(id string) (Experiment, bool) { return core.ByID(id) }
+func ExperimentByID(id string) (Experiment, bool) { return plan.ByID(id) }
 
 // ExperimentIDs lists all registered experiment IDs.
-func ExperimentIDs() []string { return core.IDs() }
+func ExperimentIDs() []string { return plan.IDs() }
 
 // MetricsRegistry is the named-metric registry every subsystem of a run
 // publishes into: counters, gauges, histograms and timers, keyed by the

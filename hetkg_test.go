@@ -123,8 +123,11 @@ func TestFacadeSystemsAndScales(t *testing.T) {
 	if len(Systems()) != 4 {
 		t.Error("Systems should list 4 systems")
 	}
-	if ParseScale("tiny") != ScaleTiny || ParseScale("paper") != ScalePaper {
+	if sc, err := ParseScale("paper"); err != nil || sc != ScalePaper {
 		t.Error("ParseScale broken")
+	}
+	if _, err := ParseScale("tyni"); err == nil {
+		t.Error("ParseScale accepted an unknown scale")
 	}
 	if Default1Gbps().RemoteBandwidthBps <= 0 {
 		t.Error("Default1Gbps invalid")

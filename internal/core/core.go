@@ -1,7 +1,8 @@
 // Package core ties the substrates together: it turns a high-level run
 // specification (dataset, system, model, scale) into a configured training
-// run, and hosts the experiment registry that regenerates every table and
-// figure of the HET-KG paper (see DESIGN.md §4 for the index).
+// run (Run), or into the one shard a `hetkg ps` process hosts (BuildShard).
+// Sweeps of runs — plan files and the paper's experiments — are
+// internal/plan's.
 package core
 
 import (
@@ -9,7 +10,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"hetkg/internal/artifact"
@@ -85,18 +85,18 @@ type RunConfig struct {
 	CostModel netsim.CostModel
 
 	// CacheCapacity is the hot-embedding table size (default: 5% of the
-	// entity+relation universe). CacheSyncEvery is P (default 8);
+	// entity+relation universe). CacheSyncEvery is P (default 8; negative
+	// means unbounded staleness: cached rows are never refreshed);
 	// CachePrefetchD is D (default 16); EntityFraction defaults to 0.25.
 	CacheCapacity int
 	// CacheBudget sizes the hot table as a fraction of the entity+relation
 	// universe (the paper's Fig. 8(a) axis) when CacheCapacity is zero —
 	// the sweep-friendly spelling of the same knob (plan key cacheBudget).
-	CacheBudget      float64
-	CacheSyncEvery   int
-	CachePrefetchD   int
-	EntityFraction   float64
-	NoHeterogeneity  bool // HET-KG-N of Table VII
-	DisableCacheSync bool // force unbounded staleness
+	CacheBudget     float64
+	CacheSyncEvery  int
+	CachePrefetchD  int
+	EntityFraction  float64
+	NoHeterogeneity bool // HET-KG-N of Table VII
 	// Codec names the negotiated wire-codec profile for worker↔PS links:
 	// "fp32" (default), "fp16", "int8", "delta-int8", "topk", or "auto".
 	// With ShardAddrs set the profile is negotiated in each connection's
@@ -267,17 +267,17 @@ func (rc *RunConfig) defaults() {
 	if rc.EvalMax == 0 {
 		rc.EvalMax = 300
 	}
-	if rc.CacheSyncEvery == 0 {
+	switch {
+	case rc.CacheSyncEvery == 0:
 		rc.CacheSyncEvery = 8 // the knee of Fig. 8(b)
+	case rc.CacheSyncEvery < 0:
+		rc.CacheSyncEvery = 0 // the cache's spelling of unbounded
 	}
 	if rc.CachePrefetchD == 0 {
 		rc.CachePrefetchD = 16
 	}
 	if rc.EntityFraction == 0 {
 		rc.EntityFraction = 0.25 // the optimum of Fig. 8(c)
-	}
-	if rc.DisableCacheSync {
-		rc.CacheSyncEvery = 0
 	}
 }
 
@@ -506,58 +506,6 @@ func runSystem(system System, tc train.Config) (*train.Result, error) {
 		return train.TrainHETKG(tc)
 	default:
 		return nil, fmt.Errorf("core: unknown system %q", system)
-	}
-}
-
-// Options parameterizes an experiment invocation.
-type Options struct {
-	// Scale selects workload sizes (default Small; benches use Tiny).
-	Scale dataset.Scale
-	// Seed drives all randomness (default 42, filled by the registry).
-	Seed int64
-	// Logf, when non-nil, receives progress lines.
-	Logf func(format string, args ...any)
-	// TimelineDir, when non-empty, writes one sequenced timeline file per
-	// training run under this directory (NNN-dataset-system.jsonl).
-	TimelineDir string
-	// SpanDir, when non-empty, writes one sequenced span dump per training
-	// run under this directory (NNN-dataset-system.spans.jsonl). SpanEvery
-	// forwards to RunConfig.
-	SpanDir   string
-	SpanEvery int
-}
-
-// timelineSeq numbers experiment timeline files within a process, so runs
-// of one experiment batch sort in execution order.
-var timelineSeq atomic.Int64
-
-// run executes rc with the options' observability settings applied: when
-// TimelineDir is set and the run does not name its own timeline, it gets a
-// sequenced file there. Experiment implementations call this instead of
-// Run.
-func (o Options) run(rc RunConfig) (*train.Result, error) {
-	ds := rc.Dataset
-	if ds == "" {
-		ds = "custom"
-	}
-	if o.TimelineDir != "" && rc.TimelinePath == "" {
-		name := fmt.Sprintf("%03d-%s-%s.jsonl", timelineSeq.Add(1), ds, rc.System)
-		rc.TimelinePath = filepath.Join(o.TimelineDir, name)
-	}
-	if o.SpanDir != "" && rc.SpanPath == "" {
-		name := fmt.Sprintf("%03d-%s-%s.spans.jsonl", spanSeq.Add(1), ds, rc.System)
-		rc.SpanPath = filepath.Join(o.SpanDir, name)
-		rc.SpanEvery = o.SpanEvery
-	}
-	return Run(rc)
-}
-
-// spanSeq numbers experiment span dumps, like timelineSeq.
-var spanSeq atomic.Int64
-
-func (o Options) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
 	}
 }
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,8 +160,14 @@ func TestByName(t *testing.T) {
 }
 
 func TestParseScale(t *testing.T) {
-	if ParseScale("tiny") != Tiny || ParseScale("paper") != Paper || ParseScale("anything") != Small {
-		t.Error("ParseScale mapping wrong")
+	for name, want := range map[string]Scale{"tiny": Tiny, "small": Small, "paper": Paper} {
+		if got, err := ParseScale(name); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	// A typo is refused, never read as the default.
+	if _, err := ParseScale("tyni"); err == nil || !strings.Contains(err.Error(), "tiny | small | paper") {
+		t.Errorf("ParseScale(tyni) error = %v, want one naming tiny | small | paper", err)
 	}
 	if Tiny.String() != "tiny" || Small.String() != "small" || Paper.String() != "paper" {
 		t.Error("Scale.String mapping wrong")

@@ -1,6 +1,10 @@
 package dataset
 
-import "hetkg/internal/kg"
+import (
+	"fmt"
+
+	"hetkg/internal/kg"
+)
 
 // Scale selects how large a preset dataset to generate. The paper ran on a
 // 4-machine, 128-core cluster; this repository defaults to sizes that a
@@ -32,16 +36,15 @@ func (s Scale) String() string {
 	}
 }
 
-// ParseScale converts a flag string to a Scale; unknown strings map to Small.
-func ParseScale(s string) Scale {
-	switch s {
-	case "tiny":
-		return Tiny
-	case "paper":
-		return Paper
-	default:
-		return Small
+// ParseScale converts a flag or plan string to a Scale. An unknown name is an
+// error: a typo must not quietly train at another size than it names.
+func ParseScale(s string) (Scale, error) {
+	for _, sc := range []Scale{Tiny, Small, Paper} {
+		if s == sc.String() {
+			return sc, nil
+		}
 	}
+	return 0, fmt.Errorf("dataset: unknown scale %q (have tiny | small | paper)", s)
 }
 
 // FB15kLike mirrors FB15k: 14,951 entities, 1,345 relations, 592,213 triples,

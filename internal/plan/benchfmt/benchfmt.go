@@ -106,7 +106,8 @@ func WriteDir(dir string, f *File) (string, error) {
 	return path, nil
 }
 
-// Read loads and validates a snapshot.
+// Read loads and validates a snapshot: the schema, a name, and one uniquely
+// named row per run.
 func Read(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -122,10 +123,16 @@ func Read(path string) (*File, error) {
 	if f.Name == "" {
 		return nil, fmt.Errorf("benchfmt: %s names no plan or experiment", path)
 	}
+	seen := map[string]bool{}
 	for i, r := range f.Rows {
 		if r.Name == "" {
 			return nil, fmt.Errorf("benchfmt: %s row %d has no name", path, i)
 		}
+		// RowByName finds the first row of a name; a second would go unread.
+		if seen[r.Name] {
+			return nil, fmt.Errorf("benchfmt: %s names row %q twice", path, r.Name)
+		}
+		seen[r.Name] = true
 	}
 	return &f, nil
 }

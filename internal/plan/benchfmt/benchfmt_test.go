@@ -63,6 +63,8 @@ func TestReadRejects(t *testing.T) {
 		{"bad-schema.json", `{"schema":"hetkg-bench/v2","name":"x","rows":[]}`, `schema "hetkg-bench/v2", want "hetkg-bench/v3"`},
 		{"no-name.json", `{"schema":"hetkg-bench/v3","rows":[]}`, "names no plan"},
 		{"anon-row.json", `{"schema":"hetkg-bench/v3","name":"x","rows":[{"values":{"a":1}}]}`, "no name"},
+		// RowByName would only ever see the first of the two.
+		{"dup-row.json", `{"schema":"hetkg-bench/v3","name":"x","rows":[{"name":"r","values":{"a":1}},{"name":"r","values":{"a":2}}]}`, `names row "r" twice`},
 		{"garbage.json", `not json`, "parsing"},
 	}
 	for _, tc := range cases {

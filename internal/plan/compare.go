@@ -14,11 +14,13 @@ type Report struct {
 	// is not the baseline's ("row/field: base -> cur DIFFERS", in the
 	// shortest form that round-trips, so a one-ulp drift shows), and a
 	// baseline row or field the snapshot lacks — a measurement that
-	// vanished cannot be declared safe.
+	// vanished cannot be declared safe — and a baseline with nothing to
+	// compare.
 	Problems []string
 }
 
-// OK reports whether the gate passes: nothing missing, nothing different.
+// OK reports whether the gate passes: nothing missing, nothing different,
+// something compared.
 func (r *Report) OK() bool { return len(r.Problems) == 0 }
 
 // Summary renders the gate verdict in one line.
@@ -35,7 +37,9 @@ func (r *Report) Summary() string {
 // drift, a lower loss or fewer bytes included, is a behaviour change to re-pin
 // deliberately with the diff shown. `wall` is never compared. Fields or rows
 // only in cur are ignored: new measurements extend the baseline. Files from
-// different GOARCHes are refused: their floats may legitimately differ.
+// different GOARCHes are refused: their floats may legitimately differ. A
+// baseline with no value to compare — no rows, or only wall-clock readings —
+// fails: a gate that compared nothing has passed nothing.
 func Compare(cur, base *benchfmt.File) (*Report, error) {
 	if c, b := cur.Meta[benchfmt.MetaGoArch], base.Meta[benchfmt.MetaGoArch]; c != "" && b != "" && c != b {
 		return nil, fmt.Errorf("plan: baseline %s was produced on goarch %s, the snapshot on %s; "+
@@ -63,6 +67,9 @@ func Compare(cur, base *benchfmt.File) (*Report, error) {
 				problem("%s/%s: %v -> %v DIFFERS", brow.Name, field, bv, cv)
 			}
 		}
+	}
+	if rep.Compared == 0 && rep.OK() {
+		problem("%s: NOTHING COMPARED (the baseline records no values outside wall)", base.Name)
 	}
 	return rep, nil
 }

@@ -102,6 +102,19 @@ func TestCompareMissingRowAndField(t *testing.T) {
 	}
 }
 
+// TestCompareNothingComparedFails: a baseline with no rows, or with rows that
+// hold only wall-clock readings, gates nothing, so it cannot pass.
+func TestCompareNothingComparedFails(t *testing.T) {
+	cur := snapshot(row("a", "mrr", 0.5))
+	wallOnly := snapshot(benchfmt.Row{Name: "a", Values: map[string]float64{}, Wall: map[string]float64{"wall_ms": 9}})
+	for name, base := range map[string]*benchfmt.File{"no rows": snapshot(), "wall only": wallOnly} {
+		rep := compare(t, cur, base)
+		if rep.OK() || rep.Compared != 0 || !strings.Contains(rep.Summary(), "FAIL (1 problems; 0 values compared)") {
+			t.Errorf("%s: %s %q, want a failure", name, rep.Summary(), rep.Problems)
+		}
+	}
+}
+
 func TestCompareExtraCurrentDataIgnored(t *testing.T) {
 	base := snapshot(row("a", "mrr", 0.5))
 	cur := snapshot(row("a", "mrr", 0.5, "hit_ratio", 0.9), row("new", "mrr", 0.1))

@@ -1,9 +1,11 @@
-package core
+package plan
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
+	"hetkg/internal/core"
 	"hetkg/internal/dataset"
 	"hetkg/internal/netsim"
 	"hetkg/internal/partition"
@@ -62,10 +64,12 @@ func runAblationPartition(o Options) (*Table, error) {
 		Title:  "DGL-KE on fb15k-like, 4 machines: partitioner effect",
 		Header: []string{"Partitioner", "EdgeCutFrac", "RemoteBytes", "Comm", "Total"},
 	}
+	t.Note("expected: the min-cut partitioner lowers the edge cut and with it remote pull volume")
 	g, _ := dataset.ByName("fb15k", o.Scale, o.Seed)
-	for _, pname := range []string{"metis", "ldg", "random"} {
-		o.logf("xablation-partition: %s ...", pname)
-		p, err := partition.New(pname, o.Seed)
+	names := []string{"metis", "ldg", "random"}
+	cut := map[string]float64{}
+	for _, name := range names {
+		p, err := partition.New(name, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -73,24 +77,16 @@ func runAblationPartition(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := o.run(RunConfig{
-			Dataset:         "fb15k",
-			Scale:           o.Scale,
-			System:          SystemDGLKE,
-			ModelName:       "transe",
-			PartitionerName: pname,
-			Epochs:          1,
-			EvalEvery:       -1,
-			Seed:            o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("xablation-partition (%s): %w", pname, err)
-		}
-		t.AddRow(pname, pr.CutFraction(g), Fmt("%.0f", float64(res.Traffic.RemoteBytes)),
-			Dur(res.Comm), Dur(res.Total()).Wall())
+		cut[name] = pr.CutFraction(g)
 	}
-	t.Note("expected: the min-cut partitioner lowers the edge cut and with it remote pull volume")
-	return t, nil
+	return t, o.sweep(Plan{
+		Base:  RunSpec{Dataset: "fb15k", System: "dglke", Epochs: 1, EvalEvery: -1},
+		Sweep: []SweepAxis{axis("partitioner", names...)},
+	}, func(r outcome) {
+		res := r.Result
+		t.AddRow(r.Spec.Partitioner, cut[r.Spec.Partitioner], Fmt("%.0f", float64(res.Traffic.RemoteBytes)),
+			Dur(res.Comm), Dur(res.Total()).Wall())
+	})
 }
 
 func runAblationNegSampling(o Options) (*Table, error) {
@@ -131,35 +127,19 @@ func runAblationStrategy(o Options) (*Table, error) {
 		Title:  "CPS vs DPS hit ratio across cache sizes (fb15k-like)",
 		Header: []string{"CacheSize(%ids)", "CPS hit", "DPS hit"},
 	}
-	g, _ := dataset.ByName("fb15k", o.Scale, o.Seed)
-	universe := g.NumEntity + g.NumRel
-	for _, pct := range []float64{1, 5, 15} {
-		capacity := int(float64(universe) * pct / 100)
-		if capacity < 1 {
-			capacity = 1
-		}
-		row := []any{fmt.Sprintf("%.0f%%", pct)}
-		for _, sys := range []System{SystemHETKGC, SystemHETKGD} {
-			o.logf("xablation-strategy: %.0f%% / %s ...", pct, sys)
-			res, err := o.run(RunConfig{
-				Dataset:       "fb15k",
-				Scale:         o.Scale,
-				System:        sys,
-				ModelName:     "transe",
-				Epochs:        2,
-				EvalEvery:     -1,
-				CacheCapacity: capacity,
-				Seed:          o.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("xablation-strategy: %w", err)
-			}
-			row = append(row, Pct(res.HitRatio, 1))
-		}
-		t.AddRow(row...)
-	}
 	t.Note("§IV-B: DPS tracks the short-term access pattern, matching or beating CPS under tight capacity")
-	return t, nil
+	var row []any // the cache size's label, then CPS's and DPS's hit ratio
+	return t, o.sweep(Plan{
+		Base:  RunSpec{Dataset: "fb15k", Epochs: 2, EvalEvery: -1},
+		Sweep: []SweepAxis{axis("cacheBudget", 0.01, 0.05, 0.15), axis("system", "hetkg-c", "hetkg-d")},
+	}, func(r outcome) {
+		if r.Spec.System == "hetkg-c" {
+			row = []any{fmt.Sprintf("%.0f%%", 100*r.Spec.CacheBudget)}
+		}
+		if row = append(row, Pct(r.Result.HitRatio, 1)); len(row) == 3 {
+			t.AddRow(row...)
+		}
+	})
 }
 
 func runAblationQuantize(o Options) (*Table, error) {
@@ -167,27 +147,15 @@ func runAblationQuantize(o Options) (*Table, error) {
 		Title:  "HET-KG-C on fb15k-like, 4 machines: float32 vs int8 payloads",
 		Header: []string{"Wire", "RemoteBytes", "Comm", "MRR"},
 	}
-	for _, wire := range []struct{ name, codec string }{
-		{"float32", ""},
-		{"int8", "int8"},
-	} {
-		o.logf("xablation-quantize: %s ...", wire.name)
-		res, err := o.run(RunConfig{
-			Dataset:   "fb15k",
-			Scale:     o.Scale,
-			System:    SystemHETKGC,
-			ModelName: "transe",
-			Epochs:    2,
-			Codec:     wire.codec,
-			Seed:      o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("xablation-quantize (%s): %w", wire.name, err)
-		}
-		t.AddRow(wire.name, Fmt("%.0f", float64(res.Traffic.RemoteBytes)), Dur(res.Comm), res.Final.MRR)
-	}
 	t.Note("expected: ~4x fewer payload bytes; quantization noise costs little MRR at 8 bits")
-	return t, nil
+	return t, o.sweep(Plan{
+		Base: RunSpec{Dataset: "fb15k", System: "hetkg-c", Epochs: 2},
+		// No codec is the plain float32 transport, without the codec layer.
+		Sweep: []SweepAxis{axis("codec", "", "int8")},
+	}, func(r outcome) {
+		res, wire := r.Result, cmp.Or(r.Spec.Codec, "float32")
+		t.AddRow(wire, Fmt("%.0f", float64(res.Traffic.RemoteBytes)), Dur(res.Comm), res.Final.MRR)
+	})
 }
 
 func runAblationAdversarial(o Options) (*Table, error) {
@@ -195,29 +163,17 @@ func runAblationAdversarial(o Options) (*Table, error) {
 		Title:  "HET-KG-D on fb15k-like: negative-sample weighting",
 		Header: []string{"Weighting", "MRR", "Hits@10", "FinalLoss"},
 	}
-	for _, temp := range []float32{0, 1} {
+	t.Note("extension beyond the paper: focusing gradient mass on hard negatives (RotatE-style)")
+	return t, o.sweep(Plan{
+		Base:  RunSpec{Dataset: "fb15k", System: "hetkg-d", Epochs: 3},
+		Sweep: []SweepAxis{axis("adversarial", 0.0, 1.0)},
+	}, func(r outcome) {
 		name := "uniform"
-		if temp > 0 {
+		if r.Spec.Adversarial > 0 {
 			name = "self-adversarial(α=1)"
 		}
-		o.logf("xablation-adversarial: %s ...", name)
-		res, err := o.run(RunConfig{
-			Dataset:         "fb15k",
-			Scale:           o.Scale,
-			System:          SystemHETKGD,
-			ModelName:       "transe",
-			Epochs:          3,
-			AdversarialTemp: temp,
-			Seed:            o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("xablation-adversarial (%s): %w", name, err)
-		}
-		t.AddRow(name, res.Final.MRR, res.Final.Hits[10],
-			Fmt("%.4f", res.Epochs[len(res.Epochs)-1].Loss))
-	}
-	t.Note("extension beyond the paper: focusing gradient mass on hard negatives (RotatE-style)")
-	return t, nil
+		t.AddRow(name, r.Result.Final.MRR, r.Result.Final.Hits[10], Fmt("%.4f", lastLoss(r.Result)))
+	})
 }
 
 // runTheoryStaleness checks the convergence analysis of §IV-C empirically:
@@ -231,34 +187,20 @@ func runTheoryStaleness(o Options) (*Table, error) {
 		Title:  "HET-KG-C on fb15k-like: bounded (P=8) vs unbounded staleness",
 		Header: []string{"Staleness", "Epoch", "Loss", "MRR"},
 	}
-	cases := []struct {
-		name      string
-		unbounded bool
-	}{
-		{"bounded(P=8)", false},
-		{"unbounded", true},
-	}
-	for _, c := range cases {
-		o.logf("xtheory-staleness: %s ...", c.name)
-		res, err := o.run(RunConfig{
-			Dataset:          "fb15k",
-			Scale:            o.Scale,
-			System:           SystemHETKGC,
-			ModelName:        "transe",
-			Epochs:           fig5Epochs(o),
-			DisableCacheSync: c.unbounded,
-			Seed:             o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("xtheory-staleness (%s): %w", c.name, err)
-		}
-		for _, e := range res.Epochs {
-			t.AddRow(c.name, e.Epoch, Fmt("%.4f", e.Loss), e.MRR)
-		}
-	}
 	t.Note("§IV-C: with T > O(K²) iterations and staleness bounded by K, convergence matches synchronous training;")
 	t.Note("removing the bound violates assumption (4) of the proof sketch and the gap shows up in loss and MRR")
-	return t, nil
+	return t, o.sweep(Plan{
+		Base:  RunSpec{Dataset: "fb15k", System: "hetkg-c", Epochs: fig5Epochs(o)},
+		Sweep: []SweepAxis{axis("staleness", 8, -1)}, // -1: unbounded
+	}, func(r outcome) {
+		name := "unbounded"
+		if p := r.Spec.Staleness; p > 0 {
+			name = fmt.Sprintf("bounded(P=%d)", p)
+		}
+		for _, e := range r.Result.Epochs {
+			t.AddRow(name, e.Epoch, Fmt("%.4f", e.Loss), e.MRR)
+		}
+	})
 }
 
 // runAblationBandwidth sweeps the inter-machine bandwidth and compares
@@ -270,31 +212,24 @@ func runAblationBandwidth(o Options) (*Table, error) {
 		Title:  "Epoch time vs link bandwidth (TransE, freebase86m-like, 4 machines)",
 		Header: []string{"Bandwidth", "DGL-KE comm", "HET-KG-C comm", "Comm saving"},
 	}
+	t.Note("§II: the cache's byte saving is a fixed fraction; its absolute time value grows as the link slows")
+	// The cost model has no plan key, so the bandwidth axis is a Go loop
+	// over the executor.
 	for _, mbps := range []float64{100, 1000, 10000} {
 		cm := netsim.Default1Gbps()
 		cm.RemoteBandwidthBps = mbps * 1e6 / 8
+		eo := o
+		eo.id = fmt.Sprintf("%s/%.0fMbps", o.id, mbps)
+		eo.configure = func(rc *core.RunConfig) { rc.CostModel = cm }
 		// Compare the communication component only: it is computed
 		// deterministically from metered bytes, so the comparison is free
 		// of wall-clock jitter in the measured computation.
-		var comms [2]float64
-		for i, sys := range []System{SystemDGLKE, SystemHETKGC} {
-			o.logf("xablation-bandwidth: %.0f Mbps / %s ...", mbps, sys)
-			res, err := o.run(RunConfig{
-				Dataset:   "freebase86m",
-				Scale:     o.Scale,
-				System:    sys,
-				ModelName: "transe",
-				Dim:       commDim(o),
-				BatchSize: commBatch(o),
-				Epochs:    1,
-				EvalEvery: -1,
-				CostModel: cm,
-				Seed:      o.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("xablation-bandwidth (%.0f, %s): %w", mbps, sys, err)
-			}
-			comms[i] = res.Comm.Seconds()
+		var comms []float64
+		err := eo.sweep(Plan{Base: commSpec(o, ""), Sweep: []SweepAxis{axis("system", "dglke", "hetkg-c")}}, func(r outcome) {
+			comms = append(comms, r.Result.Comm.Seconds())
+		})
+		if err != nil {
+			return nil, err
 		}
 		saving := 0.0
 		if comms[0] > 0 {
@@ -303,7 +238,6 @@ func runAblationBandwidth(o Options) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%.0f Mbps", mbps), Fmt("%.3fs", comms[0]), Fmt("%.3fs", comms[1]),
 			Cell{Text: fmt.Sprintf("%+.1f%%", 100*saving), Value: saving})
 	}
-	t.Note("§II: the cache's byte saving is a fixed fraction; its absolute time value grows as the link slows")
 	return t, nil
 }
 
@@ -312,27 +246,15 @@ func runAblationHardNegs(o Options) (*Table, error) {
 		Title:  "HET-KG-C on fb15k-like: negative corruption distribution",
 		Header: []string{"Corruption", "MRR", "Hits@10", "FinalLoss"},
 	}
-	for _, weighted := range []bool{false, true} {
+	t.Note("extension: corrupting with high-degree entities yields harder negatives on skewed graphs")
+	return t, o.sweep(Plan{
+		Base:  RunSpec{Dataset: "fb15k", System: "hetkg-c", Epochs: 3},
+		Sweep: []SweepAxis{axis("degreeNegatives", false, true)},
+	}, func(r outcome) {
 		name := "uniform"
-		if weighted {
+		if r.Spec.DegreeNegatives {
 			name = "degree^0.75"
 		}
-		o.logf("xablation-hardnegs: %s ...", name)
-		res, err := o.run(RunConfig{
-			Dataset:                 "fb15k",
-			Scale:                   o.Scale,
-			System:                  SystemHETKGC,
-			ModelName:               "transe",
-			Epochs:                  3,
-			DegreeWeightedNegatives: weighted,
-			Seed:                    o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("xablation-hardnegs (%s): %w", name, err)
-		}
-		t.AddRow(name, res.Final.MRR, res.Final.Hits[10],
-			Fmt("%.4f", res.Epochs[len(res.Epochs)-1].Loss))
-	}
-	t.Note("extension: corrupting with high-degree entities yields harder negatives on skewed graphs")
-	return t, nil
+		t.AddRow(name, r.Result.Final.MRR, r.Result.Final.Hits[10], Fmt("%.4f", lastLoss(r.Result)))
+	})
 }

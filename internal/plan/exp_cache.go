@@ -1,4 +1,4 @@
-package core
+package plan
 
 import (
 	"fmt"
@@ -14,6 +14,8 @@ import (
 // Fig. 2 (access-frequency micro-benchmark), Fig. 8(a/b/c) (cache size,
 // staleness, entity-ratio sweeps), Fig. 9 (staleness vs convergence),
 // Table VI (policy hit ratios), and Table VII (heterogeneity ablation).
+// Fig. 2, Fig. 8(c) and Table VI train nothing: they replay sampled access
+// streams, so they are plain Go rather than plans.
 
 func init() {
 	register(Experiment{
@@ -87,7 +89,6 @@ func runFig2(o Options) (*Table, error) {
 			"Mean acc/entity", "Mean acc/relation"},
 	}
 	for _, ds := range dataset.Names() {
-		o.logf("fig2: %s ...", ds)
 		pre, _, err := accessCensus(ds, o.Scale, o.Seed, censusBatches(o))
 		if err != nil {
 			return nil, fmt.Errorf("fig2 (%s): %w", ds, err)
@@ -107,30 +108,14 @@ func runFig8a(o Options) (*Table, error) {
 		Title:  "HET-KG-C on freebase86m-like: cache size sweep",
 		Header: []string{"CacheSize(%ids)", "HitRatio", "MRR", "Comm"},
 	}
-	g, _ := dataset.ByName("freebase86m", o.Scale, o.Seed)
-	universe := g.NumEntity + g.NumRel
-	for _, pct := range []float64{0.5, 1, 2, 5, 10, 20} {
-		capacity := int(float64(universe) * pct / 100)
-		if capacity < 1 {
-			capacity = 1
-		}
-		o.logf("fig8a: capacity %.1f%% (%d rows) ...", pct, capacity)
-		res, err := o.run(RunConfig{
-			Dataset:       "freebase86m",
-			Scale:         o.Scale,
-			System:        SystemHETKGC,
-			ModelName:     "transe",
-			Epochs:        2,
-			CacheCapacity: capacity,
-			Seed:          o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig8a (%.1f%%): %w", pct, err)
-		}
-		t.AddRow(fmt.Sprintf("%.1f%%", pct), res.HitRatio, res.Final.MRR, Dur(res.Comm))
-	}
 	t.Note("paper shape: hit ratio rises with cache size; MRR stays flat (stale fraction remains small)")
-	return t, nil
+	return t, o.sweep(Plan{
+		Base:  RunSpec{Dataset: "freebase86m", System: "hetkg-c", Epochs: 2},
+		Sweep: []SweepAxis{axis("cacheBudget", 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)},
+	}, func(r outcome) {
+		res := r.Result
+		t.AddRow(fmt.Sprintf("%.1f%%", 100*r.Spec.CacheBudget), res.HitRatio, res.Final.MRR, Dur(res.Comm))
+	})
 }
 
 func runFig8b(o Options) (*Table, error) {
@@ -138,24 +123,14 @@ func runFig8b(o Options) (*Table, error) {
 		Title:  "HET-KG-C on freebase86m-like: staleness bound P sweep",
 		Header: []string{"P", "LocalServiceRatio", "HitRatio", "MRR"},
 	}
-	for _, p := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		o.logf("fig8b: P=%d ...", p)
-		res, err := o.run(RunConfig{
-			Dataset:        "freebase86m",
-			Scale:          o.Scale,
-			System:         SystemHETKGC,
-			ModelName:      "transe",
-			Epochs:         2,
-			CacheSyncEvery: p,
-			Seed:           o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig8b (P=%d): %w", p, err)
-		}
-		t.AddRow(p, res.LocalServiceRatio(), res.HitRatio, res.Final.MRR)
-	}
 	t.Note("paper shape: hit ratio rises with P (stale rows count as refresh misses); MRR degrades past the knee")
-	return t, nil
+	return t, o.sweep(Plan{
+		Base:  RunSpec{Dataset: "freebase86m", System: "hetkg-c", Epochs: 2},
+		Sweep: []SweepAxis{axis("staleness", 1, 2, 4, 8, 16, 32, 64, 128)},
+	}, func(r outcome) {
+		res := r.Result
+		t.AddRow(r.Spec.Staleness, res.LocalServiceRatio(), res.HitRatio, res.Final.MRR)
+	})
 }
 
 func runFig8c(o Options) (*Table, error) {
@@ -193,28 +168,17 @@ func runFig9(o Options) (*Table, error) {
 		Title:  "Epoch-MRR under staleness P=1 vs P=128 (HET-KG-C, freebase86m-like)",
 		Header: []string{"P", "Epoch", "MRR", "Loss"},
 	}
-	for _, p := range []int{1, 128} {
-		o.logf("fig9: P=%d ...", p)
-		res, err := o.run(RunConfig{
-			Dataset: "freebase86m",
-			Scale:   o.Scale,
-			// CPS: the periodic refresh is the *only* mechanism bounding
-			// staleness (DPS's table rebuild would mask the P knob).
-			System:         SystemHETKGC,
-			ModelName:      "transe",
-			Epochs:         fig5Epochs(o),
-			CacheSyncEvery: p,
-			Seed:           o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig9 (P=%d): %w", p, err)
-		}
-		for _, e := range res.Epochs {
-			t.AddRow(p, e.Epoch, e.MRR, Fmt("%.4f", e.Loss))
-		}
-	}
 	t.Note("paper shape: with consistency (P=1) MRR converges higher; relaxing to P=128 costs final quality")
-	return t, nil
+	return t, o.sweep(Plan{
+		// CPS: the periodic refresh is the *only* mechanism bounding
+		// staleness (DPS's table rebuild would mask the P knob).
+		Base:  RunSpec{Dataset: "freebase86m", System: "hetkg-c", Epochs: fig5Epochs(o)},
+		Sweep: []SweepAxis{axis("staleness", 1, 128)},
+	}, func(r outcome) {
+		for _, e := range r.Result.Epochs {
+			t.AddRow(r.Spec.Staleness, e.Epoch, e.MRR, Fmt("%.4f", e.Loss))
+		}
+	})
 }
 
 func runTable6(o Options) (*Table, error) {
@@ -223,7 +187,6 @@ func runTable6(o Options) (*Table, error) {
 		Header: []string{"Dataset", "FIFO", "LRU", "Importance(LFU)", "HET-KG", "Belady(bound)"},
 	}
 	for _, ds := range dataset.Names() {
-		o.logf("table6: %s ...", ds)
 		pre, stream, err := accessCensus(ds, o.Scale, o.Seed, censusBatches(o))
 		if err != nil {
 			return nil, fmt.Errorf("table6 (%s): %w", ds, err)
@@ -260,30 +223,18 @@ func runTable7(o Options) (*Table, error) {
 		Title:  "HET-KG (25/75 quota) vs HET-KG-N (frequency only)",
 		Header: []string{"Dataset", "Variant", "MRR", "Hits@1", "Hits@10", "Time(s)", "HitRatio"},
 	}
-	for _, ds := range []string{"fb15k", "wn18"} {
-		for _, hetero := range []bool{true, false} {
-			name := "HET-KG"
-			if !hetero {
-				name = "HET-KG-N"
-			}
-			o.logf("table7: %s / %s ...", ds, name)
-			res, err := o.run(RunConfig{
-				Dataset:         ds,
-				Scale:           o.Scale,
-				System:          SystemHETKGC,
-				ModelName:       "transe",
-				NoHeterogeneity: !hetero,
-				Seed:            o.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("table7 (%s/%s): %w", ds, name, err)
-			}
-			t.AddRow(ds, name, res.Final.MRR, res.Final.Hits[1], res.Final.Hits[10],
-				Fmt("%.2f", res.Total().Seconds()).Wall(), res.HitRatio)
-		}
-	}
 	t.Note("paper shape: HET-KG-N runs slightly faster (hotter cache) but converges to lower accuracy")
-	return t, nil
+	return t, o.sweep(Plan{
+		Base:  RunSpec{System: "hetkg-c"},
+		Sweep: []SweepAxis{axis(keyDataset, "fb15k", "wn18"), axis("noHeterogeneity", false, true)},
+	}, func(r outcome) {
+		res, name := r.Result, "HET-KG"
+		if r.Spec.NoHeterogeneity {
+			name = "HET-KG-N"
+		}
+		t.AddRow(r.Spec.Dataset, name, res.Final.MRR, res.Final.Hits[1], res.Final.Hits[10],
+			Fmt("%.2f", res.Total().Seconds()).Wall(), res.HitRatio)
+	})
 }
 
 // censusBatches scales the micro-benchmark stream length.

@@ -1,8 +1,7 @@
-package core
+package plan
 
 import (
 	"fmt"
-	"time"
 
 	"hetkg/internal/metrics"
 	"hetkg/internal/ps"
@@ -28,45 +27,30 @@ func runCodecs(o Options) (*Table, error) {
 	// commDim keeps rows wide enough (>= 64 floats) that per-row codec
 	// headers are noise; at tiny widths the 5-byte delta header eats the
 	// int8 savings and no profile could show its asymptotic ratio.
-	dim := commDim(o)
-	const epochs = 2
-	const machines = 4
+	base := RunSpec{Dataset: "fb15k", System: "hetkg-d", Dim: commDim(o), Machines: 4, Epochs: 2}
 	t := &Table{
 		Title:  "Wire codecs on fb15k-like (HET-KG-D, TransE)",
 		Header: []string{"Codec", "RawMB", "WireMB", "Ratio", "B/iter", "Wall", "MRR"},
 		Meta: map[string]string{
-			"dataset":  "fb15k",
+			"dataset":  base.Dataset,
 			"model":    "transe",
-			"system":   "hetkg-d",
-			"dim":      fmt.Sprint(dim),
-			"machines": fmt.Sprint(machines),
-			"epochs":   fmt.Sprint(epochs),
+			"system":   base.System,
+			"dim":      fmt.Sprint(base.Dim),
+			"machines": fmt.Sprint(base.Machines),
+			"epochs":   fmt.Sprint(base.Epochs),
 		},
 	}
+	t.Note("ratio = codec payload bytes before / after encoding (pull + push, per-row headers included)")
+	t.Note("claim: delta-int8 >= 3x vs fp32's 1x with matching MRR; topk trades MRR noise for the sparsest pushes")
 	// The table shows megabytes; the snapshot keeps the byte count.
 	mb := func(key string, bytes int64) Cell {
 		return Cell{Text: fmt.Sprintf("%.2f", float64(bytes)/1e6), Value: float64(bytes), Key: key}
 	}
-	for _, codec := range []string{
-		ps.ProfileFP32, ps.ProfileFP16, ps.ProfileInt8, ps.ProfileDeltaInt8, ps.ProfileTopK,
-	} {
-		o.logf("codecs: %s ...", codec)
-		start := time.Now()
-		res, err := o.run(RunConfig{
-			Dataset:   "fb15k",
-			Scale:     o.Scale,
-			System:    SystemHETKGD,
-			ModelName: "transe",
-			Dim:       dim,
-			Machines:  machines,
-			Epochs:    epochs,
-			Codec:     codec,
-			Seed:      o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("codecs (%s): %w", codec, err)
-		}
-		wall := time.Since(start)
+	return t, o.sweep(Plan{
+		Base:  base,
+		Sweep: []SweepAxis{axis("codec", ps.ProfileFP32, ps.ProfileFP16, ps.ProfileInt8, ps.ProfileDeltaInt8, ps.ProfileTopK)},
+	}, func(r outcome) {
+		res := r.Result
 		raw := res.Metrics.Counter(metrics.MPSCodecBytesRaw).Value()
 		wire := res.Metrics.Counter(metrics.MPSCodecBytesWire).Value()
 		iters := res.Metrics.Counter(metrics.MTrainIterations).Value()
@@ -80,10 +64,7 @@ func runCodecs(o Options) (*Table, error) {
 		}
 		perIterCell := Fmt("%.0f", perIter)
 		perIterCell.Key = "bytes_per_iter"
-		t.AddRow(codec, mb("bytes_raw", raw), mb("bytes_wire", wire), Fmt("%.2fx", ratio),
-			perIterCell, Dur(wall).Wall(), res.Final.MRR)
-	}
-	t.Note("ratio = codec payload bytes before / after encoding (pull + push, per-row headers included)")
-	t.Note("claim: delta-int8 >= 3x vs fp32's 1x with matching MRR; topk trades MRR noise for the sparsest pushes")
-	return t, nil
+		t.AddRow(r.Spec.Codec, mb("bytes_raw", raw), mb("bytes_wire", wire), Fmt("%.2fx", ratio),
+			perIterCell, Dur(r.Wall).Wall(), res.Final.MRR)
+	})
 }

@@ -1,7 +1,6 @@
-package core
+package plan
 
 import (
-	"fmt"
 	"time"
 
 	"hetkg/internal/dataset"
@@ -56,37 +55,29 @@ func commBatch(o Options) int {
 	return 256
 }
 
+// commSpec is the communication experiments' one-epoch, timing-only run on
+// freebase86m-like at the paper's compute/communication balance.
+func commSpec(o Options, system string) RunSpec {
+	return RunSpec{Dataset: "freebase86m", System: system, Dim: commDim(o), Batch: commBatch(o), Epochs: 1, EvalEvery: -1}
+}
+
+var clusterSizes = axis(keyMachines, 1, 2, 4, 8)
+
 func runTable1(o Options) (*Table, error) {
 	t := &Table{
 		Title:  "DGL-KE (TransE) time breakdown on freebase86m-like",
 		Header: []string{"Machines", "Comp", "Comm", "Total", "Comm%"},
 	}
-	for _, machines := range []int{1, 2, 4, 8} {
-		o.logf("table1: %d machines ...", machines)
-		res, err := o.run(RunConfig{
-			Dataset:   "freebase86m",
-			Scale:     o.Scale,
-			System:    SystemDGLKE,
-			ModelName: "transe",
-			Dim:       commDim(o),
-			BatchSize: commBatch(o),
-			Machines:  machines,
-			Epochs:    1,
-			EvalEvery: -1, // timing only
-			Seed:      o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table1 (%d machines): %w", machines, err)
-		}
+	t.Note("paper shape: communication share grows with the cluster and dominates (>70%% at 4 machines, d=400, 1 Gbps)")
+	return t, o.sweep(Plan{Base: commSpec(o, "dglke"), Sweep: []SweepAxis{clusterSizes}}, func(r outcome) {
+		res := r.Result
 		frac := 0.0
 		if res.Total() > 0 {
 			frac = float64(res.Comm) / float64(res.Total())
 		}
-		t.AddRow(machines, Dur(res.Comp).Wall(), Dur(res.Comm), Dur(res.Total()).Wall(),
+		t.AddRow(r.Spec.Machines, Dur(res.Comp).Wall(), Dur(res.Comm), Dur(res.Total()).Wall(),
 			Pct(frac, 0).Wall())
-	}
-	t.Note("paper shape: communication share grows with the cluster and dominates (>70%% at 4 machines, d=400, 1 Gbps)")
-	return t, nil
+	})
 }
 
 func runFig6(o Options) (*Table, error) {
@@ -94,41 +85,20 @@ func runFig6(o Options) (*Table, error) {
 		Title:  "Speedup over the 1-machine run vs machines (TransE, freebase86m-like)",
 		Header: []string{"System", "Machines", "EpochTime", "Speedup"},
 	}
-	systems := []System{SystemPBG, SystemDGLKE, SystemHETKGC, SystemHETKGD}
-	for _, sys := range systems {
-		var baseline float64
-		for _, machines := range []int{1, 2, 4, 8} {
-			o.logf("fig6: %s / %d machines ...", sys, machines)
-			res, err := o.run(RunConfig{
-				Dataset:   "freebase86m",
-				Scale:     o.Scale,
-				System:    sys,
-				ModelName: "transe",
-				Dim:       commDim(o),
-				BatchSize: commBatch(o),
-				Machines:  machines,
-				Epochs:    1,
-				EvalEvery: -1,
-				Seed:      o.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig6 (%s, %d): %w", sys, machines, err)
-			}
-			total := res.Total().Seconds()
-			if machines == 1 {
-				baseline = total
-			}
-			speedup := 0.0
-			if total > 0 {
-				speedup = baseline / total
-			}
-			t.AddRow(string(sys), machines, Fmt("%.2fs", total).Wall(),
-				Fmt("%.2fx", speedup).Wall())
-		}
-	}
 	t.Note("paper shape: PBG scales worst (lock-server + dense relations); HET-KG's speedup ≈30%% above DGL-KE's")
 	t.Note("computation is measured on one shared CPU; per-machine parallel compute is modeled by the per-worker critical path")
-	return t, nil
+	var baseline float64 // the system's 1-machine epoch time
+	return t, o.sweep(Plan{Base: commSpec(o, ""), Sweep: []SweepAxis{allSystems, clusterSizes}}, func(r outcome) {
+		total := r.Result.Total().Seconds()
+		if r.Spec.Machines == 1 {
+			baseline = total
+		}
+		speedup := 0.0
+		if total > 0 {
+			speedup = baseline / total
+		}
+		t.AddRow(r.Result.System, r.Spec.Machines, Fmt("%.2fs", total).Wall(), Fmt("%.2fx", speedup).Wall())
+	})
 }
 
 func runFig7(o Options) (*Table, error) {
@@ -136,38 +106,22 @@ func runFig7(o Options) (*Table, error) {
 		Title:  "Per-epoch computation and communication time (TransE, 4 machines)",
 		Header: []string{"Dataset", "System", "Comp/epoch", "Comm/epoch", "Total/epoch"},
 	}
-	for _, ds := range dataset.Names() {
-		for _, sys := range Systems() {
-			o.logf("fig7: %s / %s ...", ds, sys)
-			res, err := o.run(RunConfig{
-				Dataset:   ds,
-				Scale:     o.Scale,
-				System:    sys,
-				ModelName: "transe",
-				Dim:       commDim(o),
-				BatchSize: commBatch(o),
-				Epochs:    2,
-				EvalEvery: -1,
-				Seed:      o.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig7 (%s/%s): %w", ds, sys, err)
-			}
-			n := time.Duration(len(res.Epochs))
-			if n <= 0 {
-				n = 1
-			}
-			// A PS trainer's communication time is the cost model over metered
-			// bytes; PBG's is its share of a makespan that measured computation
-			// stretches, so it moves with the clock.
-			comm := Dur(res.Comm / n)
-			if sys == SystemPBG {
-				comm = comm.Wall()
-			}
-			t.AddRow(ds, string(sys),
-				Dur(res.Comp/n).Wall(), comm, Dur(res.Total()/n).Wall())
-		}
-	}
 	t.Note("paper shape: DGL-KE and HET-KG compute alike; HET-KG communicates less; PBG's communication dwarfs both")
-	return t, nil
+	base := commSpec(o, "")
+	base.Epochs = 2
+	return t, o.sweep(Plan{Base: base, Sweep: []SweepAxis{axis(keyDataset, dataset.Names()...), allSystems}}, func(r outcome) {
+		res := r.Result
+		n := time.Duration(len(res.Epochs))
+		if n <= 0 {
+			n = 1
+		}
+		// A PS trainer's communication time is the cost model over metered
+		// bytes; PBG's is its share of a makespan that measured computation
+		// stretches, so it moves with the clock.
+		comm := Dur(res.Comm / n)
+		if r.Spec.System == "pbg" {
+			comm = comm.Wall()
+		}
+		t.AddRow(r.Spec.Dataset, res.System, Dur(res.Comp/n).Wall(), comm, Dur(res.Total()/n).Wall())
+	})
 }

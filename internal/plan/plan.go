@@ -1,30 +1,34 @@
-// Package plan is the declarative experiment layer: a hetkg.yml file
-// declares a run configuration plus a sweep matrix, `hetkg plan` resolves
-// it into a deterministic run list with canonical config hashes, and
-// `hetkg apply` executes the list in-process — generation-heavy
-// intermediates served from the content-addressed artifact cache — and
-// emits one hetkg-bench/v3 snapshot that `hetkg compare` holds equal to a
-// committed baseline. DESIGN.md §14 documents the schema, hash scheme, and
-// cache layout.
+// Package plan is the declarative experiment layer. A Plan declares a run
+// configuration plus a sweep matrix — in a hetkg.yml file, or as a Go
+// literal for each training experiment of the paper's registry (exp_*.go) —
+// and resolves into a deterministic run list with canonical config hashes.
+// One executor trains the list in-process, generation-heavy intermediates served
+// from the content-addressed artifact cache, and hands each run to a view:
+// `hetkg apply`'s default view emits one hetkg-bench/v3 snapshot that
+// `hetkg compare` holds equal to a committed baseline, and an experiment's
+// view fills the paper's table. DESIGN.md §4 indexes the experiments and §14
+// documents the schema, hash scheme, and cache layout.
 package plan
 
 import (
 	"fmt"
+	"math/big"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Plan is one parsed hetkg.yml: a named base configuration and an optional
-// sweep matrix.
+// Plan is one sweep — a parsed hetkg.yml or an experiment's Go literal: a
+// named base configuration and an optional sweep matrix.
 type Plan struct {
 	// Name identifies the plan; the BENCH snapshot is BENCH_<Name>.json.
 	Name string
 	// Base is the `run:` section over the repo defaults.
 	Base RunSpec
-	// Sweep is the `sweep:` matrix, axes sorted by key. Every resolved run
-	// is Base plus one assignment from each axis.
+	// Sweep is the `sweep:` matrix, axes sorted by key in a parsed file and
+	// in loop order in a literal. Every resolved run is Base plus one
+	// assignment from each axis.
 	Sweep []SweepAxis
 }
 
@@ -33,6 +37,25 @@ type SweepAxis struct {
 	Key    string
 	Values []any
 }
+
+// axis builds a sweep axis from Go values, holding them as the YAML decoder
+// would (an int as int64).
+func axis[T int | float64 | string | bool](key string, vals ...T) SweepAxis {
+	ax := SweepAxis{Key: key}
+	for _, v := range vals {
+		var a any = v
+		if n, ok := a.(int); ok {
+			a = int64(n)
+		}
+		ax.Values = append(ax.Values, a)
+	}
+	return ax
+}
+
+// maxRuns bounds the run count a plan may resolve to. A sweep's runs are the
+// product of its axis lengths, so a short file can name more runs than any
+// machine could allocate, let alone train.
+const maxRuns = 10000
 
 // Run is one resolved run of a plan's matrix.
 type Run struct {
@@ -125,11 +148,18 @@ func parseSweep(m map[string]any) ([]SweepAxis, error) {
 		if len(list) == 0 {
 			return nil, fmt.Errorf("plan: sweep key %q has no values", k)
 		}
+		seen := map[string]bool{}
 		for _, item := range list {
 			var probe RunSpec
 			if err := setSpecKey(&probe, k, item); err != nil {
 				return nil, fmt.Errorf("%w (sweep key %q)", err, k)
 			}
+			// Run names are snapshot row names, which must be unique.
+			name := scalarString(item)
+			if seen[name] {
+				return nil, fmt.Errorf("plan: sweep key %q lists %s twice", k, name)
+			}
+			seen[name] = true
 		}
 		axes = append(axes, SweepAxis{Key: k, Values: list})
 	}
@@ -138,9 +168,10 @@ func parseSweep(m map[string]any) ([]SweepAxis, error) {
 }
 
 // Resolve expands the sweep matrix into the deterministic run list: axes in
-// sorted key order, the cartesian product enumerated odometer-style with
-// the last axis fastest, each run named by its assignment and stamped with
-// its canonical config hash.
+// the plan's order (sorted by key in a parsed file), the cartesian product
+// enumerated odometer-style with the last axis fastest, each run named by
+// its assignment and stamped with its canonical config hash. A matrix of
+// more than maxRuns runs is refused before anything is allocated for it.
 func (p *Plan) Resolve() ([]Run, error) {
 	if len(p.Sweep) == 0 {
 		spec := p.Base
@@ -148,12 +179,17 @@ func (p *Plan) Resolve() ([]Run, error) {
 		return []Run{{Name: "base", Spec: spec, Hash: spec.Hash()}}, nil
 	}
 	counts := make([]int, len(p.Sweep))
-	total := 1
+	total := big.NewInt(1)
 	for i, ax := range p.Sweep {
-		counts[i] = len(ax.Values)
-		total *= counts[i]
+		if counts[i] = len(ax.Values); counts[i] == 0 {
+			return nil, fmt.Errorf("plan %s: sweep key %q has no values", p.Name, ax.Key)
+		}
+		total.Mul(total, big.NewInt(int64(counts[i])))
 	}
-	runs := make([]Run, 0, total)
+	if !total.IsInt64() || total.Int64() > maxRuns {
+		return nil, fmt.Errorf("plan %s: the sweep matrix has %s runs, more than the %d a plan may resolve to", p.Name, total, maxRuns)
+	}
+	runs := make([]Run, 0, total.Int64())
 	idx := make([]int, len(p.Sweep))
 	for {
 		spec := p.Base

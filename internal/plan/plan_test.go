@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,7 @@ func TestParsePlanErrors(t *testing.T) {
 		{"sweep not list", "plan: p\nsweep:\n  codec: int8", "must list values"},
 		{"sweep empty", "plan: p\nsweep:\n  codec: []", "has no values"},
 		{"sweep bad type", "plan: p\nsweep:\n  epochs: [one]", "wants an integer"},
+		{"sweep repeated value", "plan: p\nsweep:\n  lr: [0.1, 1, 1.0]", `lists 1 twice`},
 		{"run bad type", "plan: p\nrun:\n  epochs: soon", "wants an integer"},
 		// The gate is equality; a plan has nothing to configure about it.
 		{"bad compare key", "plan: p\ncompare:\n  mrr: 0.02", `unknown top-level key "compare"`},
@@ -119,6 +121,74 @@ func TestResolveNoSweep(t *testing.T) {
 	}
 	if len(runs) != 1 || runs[0].Name != "base" {
 		t.Fatalf("runs = %+v, want one run named base", runs)
+	}
+}
+
+// TestResolveRefusesHugeMatrix: the run count is the product of the axis
+// lengths, so a few hundred bytes of plan can name more runs than fit in
+// memory or in an int. Resolve refuses such a plan by its run count before
+// allocating anything for it.
+func TestResolveRefusesHugeMatrix(t *testing.T) {
+	values := func(n int) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprint(i + 1)
+		}
+		return "[" + strings.Join(vals, ", ") + "]"
+	}
+	for _, tc := range []struct {
+		axes, size int
+		count      string
+	}{
+		{7, 1000, "1000000000000000000000"}, // overflows int64
+		{4, 200, "1600000000"},
+		{2, 101, "10201"},
+	} {
+		src := "plan: huge\nsweep:\n"
+		for _, key := range []string{"dim", "epochs", "batch", "negs", "chunk", "seed", "evalMax"}[:tc.axes] {
+			src += "  " + key + ": " + values(tc.size) + "\n"
+		}
+		p, err := Parse([]byte(src))
+		if err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		runs, err := p.Resolve()
+		if err == nil || !strings.Contains(err.Error(), tc.count+" runs") {
+			t.Errorf("%d axes of %d: Resolve = %d runs, %v; want a refusal naming %s runs", tc.axes, tc.size, len(runs), err, tc.count)
+		}
+	}
+}
+
+// TestRunConfigRefusesUnknownScale: a misspelled scale is refused where an
+// unknown system is, not trained at the default size under the typo's name.
+func TestRunConfigRefusesUnknownScale(t *testing.T) {
+	s := DefaultSpec()
+	s.Scale = "tyni"
+	if _, err := s.RunConfig(); err == nil || !strings.Contains(err.Error(), "tiny | small | paper") {
+		t.Fatalf("RunConfig with scale tyni: %v, want an error naming tiny | small | paper", err)
+	}
+	p, err := Parse([]byte("plan: typo\nrun:\n  scale: tyni\n  epochs: 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Apply(p, ApplyOptions{}); err == nil || !strings.Contains(err.Error(), `unknown scale "tyni"`) {
+		t.Fatalf("Apply with scale tyni: %v, want a refusal", err)
+	}
+}
+
+// TestNegativeStalenessIsUnbounded: staleness -1 spells unbounded staleness
+// (no refresh, ever) for every system, the cache-backed ones included.
+func TestNegativeStalenessIsUnbounded(t *testing.T) {
+	p := &Plan{Name: "stale", Base: RunSpec{Scale: "tiny", System: "hetkg-c", Epochs: 1, Machines: 2, EvalEvery: -1}}
+	p.Sweep = []SweepAxis{axis("staleness", -1, 8)}
+	hit := map[int]float64{}
+	if err := execute(p, ApplyOptions{}, func(o outcome) { hit[o.Spec.Staleness] = o.Result.HitRatio }); err != nil {
+		t.Fatal(err)
+	}
+	// A bounded cache misses on every expired row; an unbounded one never
+	// expires any.
+	if !(hit[-1] > hit[8]) {
+		t.Errorf("hit ratio: unbounded %v, P=8 %v; want higher unbounded", hit[-1], hit[8])
 	}
 }
 

@@ -133,9 +133,13 @@ func (s RunSpec) RunConfig() (core.RunConfig, error) {
 	if err != nil {
 		return core.RunConfig{}, err
 	}
+	scale, err := dataset.ParseScale(s.Scale)
+	if err != nil {
+		return core.RunConfig{}, err
+	}
 	return core.RunConfig{
 		Dataset:                 s.Dataset,
-		Scale:                   dataset.ParseScale(s.Scale),
+		Scale:                   scale,
 		System:                  sys,
 		ModelName:               s.Model,
 		LossName:                s.Loss,
@@ -167,6 +171,13 @@ func (s RunSpec) RunConfig() (core.RunConfig, error) {
 	}, nil
 }
 
+// The two run keys the experiments sweep that are also flag names several
+// verbs share: declared once, for the flag and the sweep axis alike.
+const (
+	keyDataset  = "dataset"
+	keyMachines = "machines"
+)
+
 // flagDecl declares one run flag: the RunSpec field it sets (a pointer into
 // the spec being bound), its name, and its help text. The default is the
 // field's value at bind time, i.e. DefaultSpec's.
@@ -183,13 +194,13 @@ type flagDecl struct {
 // flags of OPERATIONS.md). This is their only declaration.
 func (s *RunSpec) identityFlags() []flagDecl {
 	return []flagDecl{
-		{&s.Dataset, "dataset", "dataset preset: fb15k | wn18 | freebase86m"},
+		{&s.Dataset, keyDataset, "dataset preset: fb15k | wn18 | freebase86m"},
 		{&s.Scale, "scale", "dataset scale: tiny | small | paper"},
 		{&s.Model, "model", "model: transe | transe_l2 | distmult | transh | complex (fixes the row widths)"},
 		{&s.Dim, "dim", "embedding dimension d (0 = scale default)"},
 		{&s.LR, "lr", "optimizer learning rate"},
 		{&s.Optimizer, "optimizer", "optimizer: adagrad | sgd | adam"},
-		{&s.Machines, "machines", "cluster machines (PS shards)"},
+		{&s.Machines, keyMachines, "cluster machines (PS shards)"},
 		{&s.Partitioner, "partitioner", "graph partitioner: metis | ldg | random"},
 		{&s.Seed, "seed", "random seed"},
 	}
@@ -209,7 +220,7 @@ func (s *RunSpec) experimentFlags() []flagDecl {
 		{&s.Workers, "workers", "workers per machine (elastic mode requires 1)"},
 		{&s.Cache, "cache", "hot-embedding table capacity k (0 = -cache-budget, else 5% of ids)"},
 		{&s.CacheBudget, "cache-budget", "hot table size as a fraction of the entity+relation universe (0 = default; ignored when -cache is set)"},
-		{&s.Staleness, "staleness", "staleness bound P (cache refresh interval)"},
+		{&s.Staleness, "staleness", "staleness bound P (cache refresh interval; -1 = unbounded)"},
 		{&s.Prefetch, "prefetch", "prefetch depth D (DPS rebuild interval)"},
 		{&s.EntityRatio, "entity-ratio", "entity share of the cache (heterogeneity quota)"},
 		{&s.NoHeterogeneity, "no-heterogeneity", "disable the entity/relation quota (HET-KG-N)"},

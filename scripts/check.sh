@@ -8,8 +8,9 @@
 # each, so they cannot rot) and short fuzzes of
 # the decoders that take bytes nobody vouches for: the two servers that read
 # them off the network unauthenticated (the HTTP query decoder and the
-# parameter-server shard session), and the frame every durable file — a
-# checkpoint, progress snapshot or artifact entry — is read back through.
+# parameter-server shard session), the frame every durable file — a
+# checkpoint, progress snapshot or artifact entry — is read back through, and
+# the plan-file parser and sweep resolver.
 #
 # Every "is it documented" check — exported declarations, metric, span,
 # serving and codec profile names, plan keys, the generated flag reference,
@@ -35,6 +36,9 @@ go test -run '^$' -fuzz FuzzShardSession -fuzztime 20s ./internal/ps
 
 echo "== fuzz the durable-file frame and progress decoder (20 s)"
 go test -run '^$' -fuzz FuzzFrameDecode -fuzztime 20s ./internal/frame
+
+echo "== fuzz the plan-file parser and sweep resolver (20 s)"
+go test -run '^$' -fuzz FuzzPlanParse -fuzztime 20s ./internal/plan
 
 echo "== benchmark module (vet + tests against this tree)"
 # benchmark/ is a separate module compiled against internal/*; tier-1 vets
