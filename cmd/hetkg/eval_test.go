@@ -72,9 +72,9 @@ func TestEvalFindsTheCheckpointsScale(t *testing.T) {
 // TestMismatchedCheckpointIsRefused is the regression test for a header that
 // names one model over another model's tables. serve.New and `hetkg eval`
 // checked only that the tables were present, so {"rotate", 100×8, 4×8}
-// loaded and the first score indexed a zero-length slice — in the serving
-// batcher's worker goroutine, outside net/http's per-request recover, taking
-// the process down — and {"complex", 8-wide} answered as if d were 4. Both
+// loaded and the first score indexed a zero-length slice — in a serving
+// sweep goroutine outside net/http's per-request recover, taking the process
+// down — and {"complex", 8-wide} answered as if d were 4. Both
 // now ask Checkpoint.Model, which refuses widths no base dimension produces;
 // what `hetkg train -save` writes for the 2d-wide models still loads.
 func TestMismatchedCheckpointIsRefused(t *testing.T) {

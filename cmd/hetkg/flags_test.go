@@ -29,11 +29,13 @@ func flagSet(t *testing.T, name string) *flag.FlagSet {
 // TestFrozenFlagTable is the CLI's flag surface, frozen: per verb, every flag
 // it accepts and its default. A verb may gain nothing here and lose nothing
 // without this table saying so in the same change. The table was read off
-// the ten binaries the verbs replaced and has been edited once since, when
-// six flags went with the mechanisms behind them: train -trace (the epoch
-// records are in -timeline), the span format choice on train, exp and serve
-// (recorders write hetkg-spans/v1; `hetkg trace chrome` is the other view),
-// exp -json (-bench-out) and compare -plan (the gate is equality).
+// the ten binaries the verbs replaced and has been edited twice since, each
+// time when flags went with the mechanisms behind them. First six: train
+// -trace (the epoch records are in -timeline), the span format choice on
+// train, exp and serve (recorders write hetkg-spans/v1; `hetkg trace chrome`
+// is the other view), exp -json (-bench-out) and compare -plan (the gate is
+// equality). Then serve -max-batch and serve -parallelism, with the batcher
+// they tuned: a prediction sweeps on its caller's goroutine.
 func TestFrozenFlagTable(t *testing.T) {
 	table := map[string]map[string]string{
 		"train": {
@@ -57,7 +59,7 @@ func TestFrozenFlagTable(t *testing.T) {
 		},
 		"serve": {
 			"allow-remote": "false", "cache": "0", "ckpt": "", "entity-fraction": "0", "grace": "10s",
-			"knn-metric": "cosine", "listen": "127.0.0.1:8080", "max-batch": "0", "max-k": "0", "parallelism": "0",
+			"knn-metric": "cosine", "listen": "127.0.0.1:8080", "max-k": "0",
 			"rebuild-every": "0", "span": "", "span-every": "0", "telemetry": "",
 			"telemetry-every": "0s", "telemetry-label": "",
 		},

@@ -47,7 +47,7 @@ type verb struct {
 var verbs = []verb{
 	{"train", "", "Run one training job. Single-process by default; -shards makes it a static-cluster trainer, -join an elastic worker. Reports per-epoch progress, the final link-prediction metrics, and the time/traffic breakdown.", bindTrain},
 	{"ps", "", "Host one parameter-server shard. This is the multi-process deployment of the co-located PS architecture; with -coordinator the shard is also the cluster's membership coordinator. Every shard derives its own rows deterministically from the run-identity flags (no state transfer), so a cluster is N `hetkg ps` processes plus `hetkg train -shards` or `-join` processes pointing at them.", bindPS},
-	{"serve", "", "Answer knowledge-graph queries over HTTP from a trained checkpoint. Triple scoring, top-k link prediction, and embedding-space nearest neighbors, fronted by a hotness-aware embedding cache and a request batcher (DESIGN.md §9). The endpoints are unauthenticated, so non-loopback -listen addresses are refused unless -allow-remote is set; /metrics, /healthz, and /debug/pprof/ are mounted on the same listener. SIGINT/SIGTERM drain in-flight requests (bounded by -grace), then write the span dump if -span is set.", bindServe},
+	{"serve", "", "Answer knowledge-graph queries over HTTP from a trained checkpoint. Triple scoring, top-k link prediction, and embedding-space nearest neighbors, fronted by a hotness-aware embedding cache; each prediction sweeps the entity table on its own request (DESIGN.md §9). The endpoints are unauthenticated, so non-loopback -listen addresses are refused unless -allow-remote is set; /metrics, /healthz, and /debug/pprof/ are mounted on the same listener. SIGINT/SIGTERM drain in-flight requests (bounded by -grace), then write the span dump if -span is set.", bindServe},
 	{"eval", "", "Score a saved checkpoint on a link-prediction test set. The test set is the -in file, or by default the test split of the preset the checkpoint's provenance names.", bindEval},
 	{"exp", "", "Regenerate the tables and figures of the HET-KG paper. Each experiment prints a text table matching the corresponding paper artifact; EXPERIMENTS.md records paper-vs-measured for every row.", bindExp},
 	{"plan", "<plan.yml>", "Resolve a declarative experiment plan and print its run matrix. One line per run with its canonical config hash (DESIGN.md §14).", bindPlan},

@@ -20,10 +20,8 @@ func bindServe(fs *flag.FlagSet) action {
 		cacheRows   = fs.Int("cache", 0, "hot-tier row budget (0 = 5% of all rows)")
 		entFrac     = fs.Float64("entity-fraction", 0, "entity share of the cache budget (0 = the paper's 0.25)")
 		rebuild     = fs.Int("rebuild-every", 0, "cache accesses between promotion passes (0 = default, negative = never)")
-		maxBatch    = fs.Int("max-batch", 0, "max predictions coalesced per candidate sweep (0 = default)")
 		maxK        = fs.Int("max-k", 0, "max k per request (0 = default)")
 		knnMetric   = fs.String("knn-metric", "cosine", "neighbor similarity: cosine | dot | l2")
-		parallel    = fs.Int("parallelism", 0, "sweep worker count (0 = GOMAXPROCS)")
 		serve       = bindGrace(fs, "requests")
 		shipTel     = bindTelemetry(fs, "ship serve.* metrics to the cluster coordinator at this address (fleet view / hetkg top)")
 		telLabel    = fs.String("telemetry-label", "", "label for this process in the fleet view (default: the -listen address)")
@@ -49,9 +47,7 @@ func bindServe(fs *flag.FlagSet) action {
 			CacheBudget:    *cacheRows,
 			EntityFraction: *entFrac,
 			RebuildEvery:   *rebuild,
-			MaxBatch:       *maxBatch,
 			MaxK:           *maxK,
-			Parallelism:    *parallel,
 			KNNMetric:      metric,
 		}
 		if *spanOut != "" {
@@ -91,7 +87,6 @@ func bindServe(fs *flag.FlagSet) action {
 		if err != nil {
 			return failf(stderr, 1, "serve: %v", err)
 		}
-		srv.Close()
 		if col != nil {
 			hdr := span.Header{System: "hetkg-serve", Dataset: ck.Dataset, Every: col.Every(), Seed: ck.Seed}
 			if err := span.WriteFile(*spanOut, hdr, col.Drain()); err != nil {

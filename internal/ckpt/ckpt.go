@@ -7,7 +7,6 @@
 package ckpt
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -124,8 +123,10 @@ func (c *Checkpoint) encode() ([]byte, error) {
 	return body.Bytes(), nil
 }
 
-// Read deserializes a checkpoint written by Write. A damaged file returns
-// an error wrapping ErrCorrupt.
+// Read deserializes a checkpoint written by Write. A damaged file — bad
+// framing, a header or table that does not decode, a table larger than the
+// file, or a checkpoint Write would refuse — returns an error wrapping
+// ErrCorrupt.
 func Read(r io.Reader) (*Checkpoint, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -137,20 +138,23 @@ func Read(r io.Reader) (*Checkpoint, error) {
 			return nil, fmt.Errorf("ckpt: %w", err)
 		}
 	}
-	br := bufio.NewReader(bytes.NewReader(body))
-	hdr, err := br.ReadBytes('\n')
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: reading header: %w", err)
+	hdr, tables, ok := bytes.Cut(body, []byte{'\n'})
+	if !ok {
+		return nil, fmt.Errorf("ckpt: %w: no header line", ErrCorrupt)
 	}
 	var c Checkpoint
 	if err := json.Unmarshal(hdr, &c); err != nil {
-		return nil, fmt.Errorf("ckpt: decoding header: %w", err)
+		return nil, fmt.Errorf("ckpt: %w: decoding header: %w", ErrCorrupt, err)
 	}
-	if c.Entities, err = vec.ReadMatrix(br); err != nil {
-		return nil, fmt.Errorf("ckpt: reading entities: %w", err)
+	tr := bytes.NewReader(tables)
+	if c.Entities, err = vec.ReadMatrix(tr); err != nil {
+		return nil, fmt.Errorf("ckpt: %w: reading entities: %w", ErrCorrupt, err)
 	}
-	if c.Relations, err = vec.ReadMatrix(br); err != nil {
-		return nil, fmt.Errorf("ckpt: reading relations: %w", err)
+	if c.Relations, err = vec.ReadMatrix(tr); err != nil {
+		return nil, fmt.Errorf("ckpt: %w: reading relations: %w", ErrCorrupt, err)
+	}
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", err, ErrCorrupt)
 	}
 	return &c, nil
 }

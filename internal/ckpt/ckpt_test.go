@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetkg/internal/frame"
 	"hetkg/internal/vec"
 )
 
@@ -159,5 +161,47 @@ func TestReadsV1(t *testing.T) {
 	if got.ModelName != c.ModelName || got.Scale != "" || got.Entities.Rows != c.Entities.Rows ||
 		got.Relations.Data[5] != c.Relations.Data[5] {
 		t.Errorf("v1 checkpoint decoded wrong: %+v", got)
+	}
+}
+
+// oversizedCheckpoint is a 69-byte v2 checkpoint whose checksum is good and
+// whose header line is valid, but whose entity table declares 2^20 × 2^20
+// floats (4 TiB) and holds none of them.
+func oversizedCheckpoint() []byte {
+	body := []byte(`{"model":"transe","dim":2}` + "\n")
+	body = binary.LittleEndian.AppendUint64(body, 1<<20)
+	body = binary.LittleEndian.AppendUint64(body, 1<<20)
+	return frame.Encode(magic, body)
+}
+
+// TestOversizedTableIsCorrupt feeds Read a table header that declares more
+// floats than the file holds, framed (v2) and unframed (v1, no checksum to
+// catch it). Both must be refused as ErrCorrupt, not allocated.
+func TestOversizedTableIsCorrupt(t *testing.T) {
+	v2 := oversizedCheckpoint()
+	if len(v2) != 69 {
+		t.Fatalf("the oversized checkpoint is %d bytes, want 69", len(v2))
+	}
+	body, err := frame.Decode(magic, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string][]byte{"v2": v2, "v1": append([]byte(magicV1), body...)} {
+		if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestReadRefusesWhatWriteRefuses: a v1 file (no checksum) whose header has
+// no model name decodes, but Write would refuse the result, so Read does too.
+func TestReadRefusesWhatWriteRefuses(t *testing.T) {
+	c := sampleCheckpoint(t)
+	var tables bytes.Buffer
+	c.Entities.WriteTo(&tables)
+	c.Relations.WriteTo(&tables)
+	raw := append([]byte(magicV1+`{"dim":8}`+"\n"), tables.Bytes()...)
+	if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("checkpoint without a model name: error %v, want ErrCorrupt", err)
 	}
 }

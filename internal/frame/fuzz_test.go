@@ -2,7 +2,9 @@ package frame_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -58,18 +60,80 @@ func goodFrames(f *testing.F) map[string][]byte {
 	return frames
 }
 
+// ckptV2 and ckptV1 are the two checkpoint magics ckpt.Read accepts: the
+// framed format, and the older unframed one (magic, then the body).
+const ckptV2, ckptV1 = "HETKG-CKPT-v2\n", "HETKG-CKPT-v1\n"
+
+// oversizedCheckpoint is a 69-byte v2 checkpoint with a good checksum and
+// header whose entity table declares 2^20 × 2^20 floats and holds none.
+func oversizedCheckpoint() []byte {
+	body := []byte(`{"model":"transe","dim":2}` + "\n")
+	body = binary.LittleEndian.AppendUint64(body, 1<<20)
+	body = binary.LittleEndian.AppendUint64(body, 1<<20)
+	return frame.Encode(ckptV2, body)
+}
+
+// sameCheckpoint reports whether two checkpoints hold the same header and
+// bit-identical tables.
+func sameCheckpoint(a, b *ckpt.Checkpoint) bool {
+	ha, hb := *a, *b
+	ha.Entities, ha.Relations, hb.Entities, hb.Relations = nil, nil, nil, nil
+	return ha == hb && sameMatrix(a.Entities, b.Entities) && sameMatrix(a.Relations, b.Relations)
+}
+
+func sameMatrix(a, b *vec.Matrix) bool {
+	if a.Rows != b.Rows || a.Dim != b.Dim || len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float32bits(v) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzFrameDecode feeds arbitrary bytes to frame.Decode under every file
-// kind's magic and to ckpt.ReadProgress, which decodes a progress
-// snapshot's JSON body out of its frame. Nothing may panic, and every error
-// must wrap ErrCorrupt. A frame that decodes re-encodes to the same bytes,
-// any input framed as a body decodes back to itself, and a progress
-// snapshot that reads re-writes to one that reads the same.
+// kind's magic, to ckpt.ReadProgress, which decodes a progress snapshot's
+// JSON body out of its frame, and to ckpt.Read three ways: as is, framed as
+// a v2 checkpoint body, and behind the v1 magic. Nothing may panic, and every
+// error must wrap ErrCorrupt. A frame that decodes re-encodes to the same
+// bytes, any input framed as a body decodes back to itself, a progress
+// snapshot that reads re-writes to one that reads the same, and a checkpoint
+// that reads yields Checkpoint.Model without a panic and re-writes to one
+// that reads back equal. The corpus starts from one good file of each kind,
+// a bare checkpoint body, and a checkpoint whose table header declares more
+// data than the file holds.
 func FuzzFrameDecode(f *testing.F) {
 	frames := goodFrames(f)
 	for _, raw := range frames {
 		f.Add(raw)
 	}
+	body, err := frame.Decode(ckptV2, frames[ckptV2])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body)
+	f.Add(oversizedCheckpoint())
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, in := range [][]byte{raw, frame.Encode(ckptV2, raw), append([]byte(ckptV1), raw...)} {
+			c, err := ckpt.Read(bytes.NewReader(in))
+			if err != nil {
+				if !errors.Is(err, frame.ErrCorrupt) {
+					t.Fatalf("ckpt.Read: error %v does not wrap ErrCorrupt", err)
+				}
+				continue
+			}
+			c.Model() // an error is fine; a panic is not
+			var again bytes.Buffer
+			if err := ckpt.Write(&again, c); err != nil {
+				t.Fatalf("ckpt.Read accepted a checkpoint Write refuses: %v", err)
+			}
+			if d, err := ckpt.Read(&again); err != nil || !sameCheckpoint(c, d) {
+				t.Fatalf("checkpoint %+v re-read as %+v, %v", *c, d, err)
+			}
+		}
+
 		for magic := range frames {
 			body, err := frame.Decode(magic, raw)
 			if err != nil && !errors.Is(err, frame.ErrCorrupt) {

@@ -5,23 +5,18 @@ import "hetkg/internal/kg"
 // TopK selects the k best results under a total order (score descending,
 // ties to the lower id) with a bounded min-heap over a reusable backing
 // array. The total order makes the selected set — and its sorted output —
-// independent of offer order, which is what lets a sharded sweep merge
-// per-shard partial top-ks in any sharding and still return deterministic
-// results. Sifts are hand rolled (container/heap boxes every pushed value),
-// so a warmed TopK performs no allocation. The zero TopK is ready to use.
+// independent of offer order, so a scan's result does not depend on the
+// order it visits rows, and top-ks of disjoint parts merge into the top-k
+// of the whole. Sifts are hand rolled (container/heap boxes every pushed
+// value), so a warmed TopK performs no allocation. The zero TopK is ready to
+// use.
 type TopK struct {
 	k int
 	h []Result
 }
 
-// NewTopK returns a TopK whose backing array holds capK results without
-// growing.
-func NewTopK(capK int) *TopK {
-	return &TopK{h: make([]Result, 0, capK)}
-}
-
 // Reset empties the selector and sets the bound for the next use. A k
-// larger than the constructed capacity grows the backing array (allocates).
+// larger than any before grows the backing array (allocates).
 func (t *TopK) Reset(k int) {
 	t.k = k
 	t.h = t.h[:0]
@@ -87,16 +82,8 @@ func (t *TopK) siftDown(i int) {
 	}
 }
 
-// Len returns how many results are currently held.
-func (t *TopK) Len() int { return len(t.h) }
-
-// Items returns the held results in heap order — input for merging into
-// another TopK. The slice aliases the selector's storage; it is invalidated
-// by the next Offer/Reset/Sorted.
-func (t *TopK) Items() []Result { return t.h }
-
 // Sorted drains the selector into dst, best first. dst is grown from
-// dst[:0]; pass capacity ≥ Len to avoid allocation. The selector is empty
+// dst[:0]; pass capacity ≥ k to avoid allocation. The selector is empty
 // afterwards (Reset before reuse).
 func (t *TopK) Sorted(dst []Result) []Result {
 	n := len(t.h)

@@ -16,7 +16,7 @@ func TestTopKMatchesSort(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			n := 1 + rng.Intn(200)
 			all := make([]Result, n)
-			tk := NewTopK(k)
+			var tk TopK
 			tk.Reset(k)
 			for i := range all {
 				all[i] = Result{ID: kg.EntityID(i), Score: float32(rng.Intn(20))}
@@ -40,14 +40,14 @@ func TestTopKMatchesSort(t *testing.T) {
 	}
 }
 
-// TestTopKMergeInvariance checks the property the batcher relies on: merging
+// TestTopKMergeInvariance checks the property the total order buys: merging
 // per-shard top-ks yields the same result as one global top-k, for any
 // split point.
 func TestTopKMergeInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n, k = 300, 10
 	all := make([]Result, n)
-	global := NewTopK(k)
+	var global TopK
 	global.Reset(k)
 	for i := range all {
 		all[i] = Result{ID: kg.EntityID(i), Score: float32(rng.Intn(30))}
@@ -55,7 +55,7 @@ func TestTopKMergeInvariance(t *testing.T) {
 	}
 	want := global.Sorted(nil)
 	for _, cut := range []int{1, 37, 150, 299} {
-		a, b, m := NewTopK(k), NewTopK(k), NewTopK(k)
+		var a, b, m TopK
 		a.Reset(k)
 		b.Reset(k)
 		m.Reset(k)
@@ -65,10 +65,7 @@ func TestTopKMergeInvariance(t *testing.T) {
 		for _, r := range all[cut:] {
 			b.Offer(r.ID, r.Score)
 		}
-		for _, r := range a.Items() {
-			m.Offer(r.ID, r.Score)
-		}
-		for _, r := range b.Items() {
+		for _, r := range append(a.Sorted(nil), b.Sorted(nil)...) {
 			m.Offer(r.ID, r.Score)
 		}
 		got := m.Sorted(nil)

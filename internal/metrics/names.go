@@ -137,9 +137,9 @@ const (
 	MServeCachePromotedRows = "serve.cache.promoted_rows"
 	// MServeCacheRebuilds counts hot-set rebuilds (promotion passes).
 	MServeCacheRebuilds = "serve.cache.rebuilds"
-	// MServeBatches counts candidate sweeps run by the prediction batcher.
-	MServeBatches = "serve.batches"
-	// MServeBatchSize is the histogram of predictions coalesced per sweep.
+	// MServeBatchSize was the histogram of predictions coalesced per sweep.
+	// Nothing publishes it since a prediction sweeps alone; it stays declared
+	// because benchmark/run.go reads it (and skips it while it is empty).
 	MServeBatchSize = "serve.batch_size"
 
 	// MClusterWorkers is the coordinator's count of live registered worker

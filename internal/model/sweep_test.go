@@ -135,7 +135,7 @@ func benchDirections(b *testing.B, run func(b *testing.B, m Model, tails bool)) 
 var benchSink float32
 
 // BenchmarkSweep measures one full-table sweep through Sweep, in the 256-row
-// runs the serving batcher uses.
+// runs a /v1/predict request uses.
 func BenchmarkSweep(b *testing.B) {
 	benchDirections(b, func(b *testing.B, m Model, tails bool) {
 		ents, anchor, rel, w := sweepBenchTable(m)

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hetkg/internal/ckpt"
@@ -28,29 +30,27 @@ func benchCheckpoint(ents, dim int) *ckpt.Checkpoint {
 
 // benchServer configures the hot path the way the allocation criterion is
 // stated: rebuilds amortized out (manual), tracing off.
-func benchServer(tb testing.TB, ents, dim, degree int) *Server {
+func benchServer(tb testing.TB, ents, dim int) *Server {
 	tb.Helper()
 	s, err := New(Config{
 		Checkpoint:   benchCheckpoint(ents, dim),
 		RebuildEvery: -1,
-		Parallelism:  degree,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(s.Close)
 	return s
 }
 
 // TestPredictZeroAlloc pins the acceptance criterion: after warmup, a
-// prediction allocates nothing — pooled jobs, persistent sweep workers,
-// reusable top-k heaps, and a caller-owned destination slice cover the
-// whole path.
+// prediction allocates nothing — a pooled sweep scratch (query buffer, top-k
+// heap, score tile) and a caller-owned destination slice cover the whole
+// path.
 func TestPredictZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	s := benchServer(t, 2000, 16, 4)
+	s := benchServer(t, 2000, 16)
 	dst := make([]knn.Result, 0, 10)
 	var err error
 	for i := 0; i < 10; i++ { // warm pools and lazily-grown buffers
@@ -73,7 +73,7 @@ func TestScoreZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	s := benchServer(t, 100, 16, 1)
+	s := benchServer(t, 100, 16)
 	if _, err := s.ScoreTriple(0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestNeighborsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	s := benchServer(t, 2000, 16, 1)
+	s := benchServer(t, 2000, 16)
 	dst := make([]knn.Result, 0, 10)
 	var err error
 	if dst, err = s.NeighborsInto(dst, 0, 10); err != nil {
@@ -107,7 +107,7 @@ func TestNeighborsZeroAlloc(t *testing.T) {
 // BenchmarkPredict measures the single-caller prediction sweep
 // (ReportAllocs documents the zero-allocation hot path).
 func BenchmarkPredict(b *testing.B) {
-	s := benchServer(b, 50000, 64, 0)
+	s := benchServer(b, 50000, 64)
 	dst := make([]knn.Result, 0, 10)
 	var err error
 	if dst, err = s.PredictInto(dst, 0, 0, true, 10); err != nil {
@@ -120,31 +120,34 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictConcurrent measures coalesced throughput: parallel
-// callers share candidate sweeps through the batcher.
+// BenchmarkPredictConcurrent measures prediction throughput under 2, 8 and
+// 32 closed-loop callers, each sweeping on its own goroutine. RunParallel
+// starts a multiple of GOMAXPROCS callers, so where the count is not one,
+// the next multiple runs and the callers metric says how many.
 func BenchmarkPredictConcurrent(b *testing.B) {
-	s := benchServer(b, 50000, 64, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]knn.Result, 0, 10)
-		i := 0
-		for pb.Next() {
-			dst, _ = s.PredictInto(dst, i%1000, 0, true, 10)
-			i++
-		}
-	})
-	b.StopTimer()
-	reqs := s.reg.Counter("serve.requests").Value()
-	batches := s.reg.Counter("serve.batches").Value()
-	if batches > 0 {
-		b.ReportMetric(float64(reqs)/float64(batches), "reqs/sweep")
+	s := benchServer(b, 50000, 64)
+	for _, callers := range []int{2, 8, 32} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			procs := runtime.GOMAXPROCS(0)
+			p := (callers + procs - 1) / procs
+			b.SetParallelism(p)
+			b.ReportAllocs()
+			b.ReportMetric(float64(p*procs), "callers")
+			b.RunParallel(func(pb *testing.PB) {
+				dst := make([]knn.Result, 0, 10)
+				i := 0
+				for pb.Next() {
+					dst, _ = s.PredictInto(dst, i%1000, 0, true, 10)
+					i++
+				}
+			})
+		})
 	}
 }
 
 // BenchmarkScoreTriple measures the cached scoring path.
 func BenchmarkScoreTriple(b *testing.B) {
-	s := benchServer(b, 50000, 64, 1)
+	s := benchServer(b, 50000, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

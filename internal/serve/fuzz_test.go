@@ -54,11 +54,10 @@ func FuzzServeRequest(f *testing.F) {
 	}
 
 	const maxK = 16
-	s, err := New(Config{Checkpoint: tiedCheckpoint(f, "transe", 40, 4, 1), MaxK: maxK, Parallelism: 2})
+	s, err := New(Config{Checkpoint: tiedCheckpoint(f, "transe", 40, 4, 1), MaxK: maxK})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(s.Close)
 	h := s.Handler()
 
 	f.Fuzz(func(t *testing.T, route uint8, post bool, data string) {

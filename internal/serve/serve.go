@@ -4,10 +4,10 @@
 // reuses the training system's machinery where the paper's argument carries
 // over: a hotness-aware HotTier fronts the embedding tables (skewed query
 // workloads hit a small hot set, exactly as skewed training batches do), a
-// group-commit batcher coalesces concurrent predictions into shared candidate
-// sweeps, and the whole path is wired into the metrics registry and span
-// tracer so serving is observable with the same tools as training.
-// See DESIGN.md §9.
+// prediction sweeps the entity table a tile at a time on the requesting
+// goroutine, as a neighbor search does, and the whole path is wired into the
+// metrics registry and span tracer so serving is observable with the same
+// tools as training. See DESIGN.md §9.
 package serve
 
 import (
@@ -17,7 +17,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -43,12 +42,8 @@ type Config struct {
 	// RebuildEvery is the cache promotion interval in accesses
 	// (0 = DefaultRebuildEvery, negative = manual rebuilds only).
 	RebuildEvery int
-	// MaxBatch caps predictions coalesced per sweep (0 = DefaultMaxBatch).
-	MaxBatch int
 	// MaxK caps a request's k (0 = DefaultMaxK).
 	MaxK int
-	// Parallelism is the sweep worker count (0 = GOMAXPROCS).
-	Parallelism int
 	// KNNMetric selects the /v1/neighbors similarity (zero = cosine).
 	KNNMetric knn.Metric
 	// Registry receives the serve.* metrics (nil = a private registry;
@@ -59,21 +54,38 @@ type Config struct {
 	Tracer *span.Tracer
 }
 
+// DefaultMaxK is the default cap on a request's k.
+const DefaultMaxK = 128
+
+// sweepTile is how many candidate rows one kernel call scores, as in
+// knn.Index.SearchInto: enough to amortize the call, few enough that the
+// scores stay in L1 until they are ranked.
+const sweepTile = 256
+
 // Server answers queries against one loaded checkpoint. Methods are safe for
-// concurrent use; the *Into methods are allocation-free after warmup when
-// given capacity-sufficient destination slices.
+// concurrent use; every request runs on its caller's goroutine, and the *Into
+// methods are allocation-free after warmup when given capacity-sufficient
+// destination slices.
 type Server struct {
 	ck     *ckpt.Checkpoint
 	model  model.Model
 	tier   *HotTier
-	bat    *batcher
 	index  *knn.Index
 	reg    *metrics.Registry
 	tracer *span.Tracer
 	maxK   int
 	seq    atomic.Int64
 	knnSc  sync.Pool // *knn.Scratch
+	predSc sync.Pool // *predictScratch
 	obs    serveObs
+}
+
+// predictScratch is one prediction's reusable state: the prepared partial
+// triple, the top-k selector and one tile of candidate scores.
+type predictScratch struct {
+	sweep  model.Sweep
+	top    knn.TopK
+	scores [sweepTile]float32
 }
 
 // serveObs holds the server's registry-backed series.
@@ -112,18 +124,10 @@ func New(cfg Config) (*Server, error) {
 	if maxK <= 0 {
 		maxK = DefaultMaxK
 	}
-	degree := cfg.Parallelism
-	if degree <= 0 {
-		degree = runtime.GOMAXPROCS(0)
-	}
-	bat := newBatcher(ck.Entities, cfg.MaxBatch, maxK, degree)
-	bat.instrument(reg)
-	bat.trace(cfg.Tracer)
 	s := &Server{
 		ck:     ck,
 		model:  m,
 		tier:   tier,
-		bat:    bat,
 		index:  index,
 		reg:    reg,
 		tracer: cfg.Tracer,
@@ -137,12 +141,13 @@ func New(cfg Config) (*Server, error) {
 		},
 	}
 	s.knnSc.New = func() any { return &knn.Scratch{} }
+	s.predSc.New = func() any { return &predictScratch{} }
 	return s, nil
 }
 
-// Close stops the batcher's goroutines. In-flight requests must have
-// returned (the HTTP layer's graceful shutdown guarantees this).
-func (s *Server) Close() { s.bat.close() }
+// Close does nothing: requests run on their callers' goroutines, so the
+// server owns none to stop. It stays because benchmark/serve.go calls it.
+func (s *Server) Close() {}
 
 // Registry returns the registry carrying the serve.* metrics.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
@@ -212,8 +217,10 @@ func (s *Server) ScoreTriple(h, r, t int) (float32, error) {
 
 // PredictInto ranks every entity as the missing tail (tails=true) or head
 // (tails=false) of the partial triple and writes the top k into dst, best
-// first. The sweep is shared with concurrent predictions via the batcher.
-// dst is grown from dst[:0]; pass capacity ≥ k to avoid allocation.
+// first. The entity table is swept on the calling goroutine, a tile of rows
+// per model.Sweep call, and only a score that could enter the top k is
+// offered to the selector. dst is grown from dst[:0]; pass capacity ≥ k to
+// avoid allocation.
 func (s *Server) PredictInto(dst []knn.Result, entity, rel int, tails bool, k int) ([]knn.Result, error) {
 	start := time.Now()
 	role := "tail"
@@ -234,20 +241,26 @@ func (s *Server) PredictInto(dst []knn.Result, entity, rel int, tails bool, k in
 	anchor, rrow := s.tier.Entity(entity), s.tier.Relation(rel)
 	lk.EndAttrs(span.Attrs{Rows: 2, Shard: span.NoShard})
 
-	j := s.bat.get()
-	j.sweep.Reset(s.model, anchor, rrow, tails)
-	j.k, j.sc = k, sp.Context()
-	s.bat.submit(j)
-	<-j.done
-
-	n := len(j.out)
-	if cap(dst) < n {
-		dst = make([]knn.Result, n)
-	} else {
-		dst = dst[:n]
+	sw := s.tracer.StartChild(sp.Context(), span.NServeSweep)
+	ps := s.predSc.Get().(*predictScratch)
+	ps.sweep.Reset(s.model, anchor, rrow, tails)
+	ents, top := s.ck.Entities, &ps.top
+	top.Reset(k)
+	for lo := 0; lo < ents.Rows; lo += sweepTile {
+		hi := min(lo+sweepTile, ents.Rows)
+		scores := ps.scores[:hi-lo]
+		ps.sweep.Score(scores, ents.Data[lo*ents.Dim:hi*ents.Dim])
+		for c, score := range scores {
+			if !top.Rejects(score) {
+				top.Offer(kg.EntityID(lo+c), score)
+			}
+		}
 	}
-	copy(dst, j.out)
-	s.bat.put(j)
+	dst = top.Sorted(dst)
+	ps.sweep.Reset(nil, nil, nil, false) // drop the row references (they can pin a retired hot-tier slab), keep the query buffer
+	s.predSc.Put(ps)
+	sw.EndAttrs(span.Attrs{Rows: int64(ents.Rows), Shard: span.NoShard})
+
 	sp.EndAttrs(span.Attrs{Rows: int64(s.ck.Entities.Rows), Shard: span.NoShard})
 	s.obs.requests.Inc()
 	s.obs.latPredict.ObserveInt(time.Since(start).Nanoseconds())

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -101,13 +100,13 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(s.Close)
 	return s
 }
 
 // referenceRank scores every candidate directly with the model (rows read
-// from the raw tables, no cache, no batching) and returns the top k under
-// the serving total order — the ground truth the batched sweep must match.
+// from the raw tables, no cache, one Score call per row) and returns the top
+// k under the serving total order — the ground truth the tile sweep must
+// match.
 func referenceRank(ck *ckpt.Checkpoint, entity, rel int, tails bool, k int) []knn.Result {
 	m, err := model.New(ck.ModelName)
 	if err != nil {
@@ -154,11 +153,11 @@ func trainSplitTriples(t *testing.T) []kg.Triple {
 // TestRoundTripPredict is the checkpoint → serve golden test: a model
 // trained in-process and round-tripped through the ckpt format must rank
 // each training fact's true tail (and, via the inverse relation, true head)
-// first, and the batched sweep must reproduce the brute-force reference
-// ranking exactly for every query.
+// first, and the tile sweep must reproduce the brute-force reference ranking
+// exactly for every query.
 func TestRoundTripPredict(t *testing.T) {
 	ck := trainedCheckpoint(t)
-	s := newTestServer(t, Config{Parallelism: 4})
+	s := newTestServer(t, Config{})
 	var dst []knn.Result
 	checked := 0
 	for _, tr := range trainSplitTriples(t) {
@@ -178,8 +177,8 @@ func TestRoundTripPredict(t *testing.T) {
 	if checked < 20 {
 		t.Fatalf("only %d training facts checked; split went wrong", checked)
 	}
-	// The batched sweep must agree exactly with unbatched brute force for
-	// every (entity, relation, direction) query, top-5.
+	// The tile sweep must agree exactly with per-row brute force for every
+	// (entity, relation, direction) query, top-5.
 	for e := 0; e < cycleN; e++ {
 		for r := 0; r < 2; r++ {
 			for _, tails := range []bool{true, false} {
@@ -190,29 +189,6 @@ func TestRoundTripPredict(t *testing.T) {
 				if ref := referenceRank(ck, e, r, tails, 5); !reflect.DeepEqual(got, ref) {
 					t.Errorf("predict(%d, r%d, tails=%v) = %v, want reference %v", e, r, tails, got, ref)
 				}
-			}
-		}
-	}
-}
-
-// TestPredictDeterministicAcrossParallelism asserts the batched sweep
-// returns bit-identical rankings regardless of worker count — the TopK
-// total order makes the merge independent of sharding.
-func TestPredictDeterministicAcrossParallelism(t *testing.T) {
-	base := newTestServer(t, Config{Parallelism: 1})
-	for _, degree := range []int{2, 3, 8, 64} {
-		s := newTestServer(t, Config{Parallelism: degree})
-		for e := 0; e < cycleN; e++ {
-			want, err := base.PredictInto(nil, e, 0, true, 7)
-			if err != nil {
-				t.Fatalf("base predict: %v", err)
-			}
-			got, err := s.PredictInto(nil, e, 0, true, 7)
-			if err != nil {
-				t.Fatalf("predict at degree %d: %v", degree, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("degree %d entity %d: %v != %v", degree, e, got, want)
 			}
 		}
 	}
@@ -457,48 +433,67 @@ func TestRequestSpans(t *testing.T) {
 	}
 }
 
-// TestConcurrentPredictBatches floods the server from many goroutines and
-// checks every caller still gets the exact reference ranking while sweeps
-// are being shared (serve.batches < requests proves coalescing happened;
-// with a 1-entity sweep span budget it cannot be asserted deterministically,
-// so only correctness is).
-func TestConcurrentPredictBatches(t *testing.T) {
+// TestConcurrentRequestsRacingRebuilds has 16 callers mix predictions,
+// scores and neighbor searches against a hot tier that rebuilds on every
+// lookup, so each request's rows come from a hot set that another request is
+// replacing, and pooled prediction scratches pass between goroutines. Every
+// answer must equal the reference computed from the raw tables.
+func TestConcurrentRequestsRacingRebuilds(t *testing.T) {
 	ck := trainedCheckpoint(t)
-	s := newTestServer(t, Config{Parallelism: 2, MaxBatch: 8})
-	const callers = 16
-	refs := make([][]knn.Result, cycleN)
-	for e := range refs {
-		refs[e] = referenceRank(ck, e, 0, true, 4)
+	s := newTestServer(t, Config{RebuildEvery: 1})
+	m, err := model.New(ck.ModelName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, err := knn.New(ck.Entities, knn.Cosine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, iters, k = 16, 60, 4
+	neighbors := make([][]knn.Result, cycleN)
+	for e := range neighbors {
+		if neighbors[e], err = index.Neighbors(kg.EntityID(e), k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, callers)
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			var dst []knn.Result
-			for i := 0; i < 50; i++ {
-				e := (c + i) % cycleN
+			for i := 0; i < iters; i++ {
+				e, r := (c+i)%cycleN, i%2
+				var got, want any
 				var err error
-				dst, err = s.PredictInto(dst, e, 0, true, 4)
-				if err != nil {
-					errs <- err
-					return
+				switch i % 3 {
+				case 0:
+					tails := c%2 == 0
+					dst, err = s.PredictInto(dst, e, r, tails, k)
+					got, want = dst, referenceRank(ck, e, r, tails, k)
+				case 1:
+					tail := (e + 1) % cycleN
+					var score float32
+					score, err = s.ScoreTriple(e, r, tail)
+					got, want = score, m.Score(ck.Entities.Row(e), ck.Relations.Row(r), ck.Entities.Row(tail))
+				default:
+					dst, err = s.NeighborsInto(dst, e, k)
+					got, want = dst, neighbors[e]
 				}
-				if !reflect.DeepEqual(dst, refs[e]) {
-					errs <- fmt.Errorf("caller %d iter %d: %v != %v", c, i, dst, refs[e])
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("caller %d request %d: got %v (err %v), want %v", c, i, got, err, want)
 					return
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
+	if got := s.reg.Counter("serve.requests").Value(); got != callers*iters {
+		t.Errorf("serve.requests = %d, want %d", got, callers*iters)
 	}
-	if got := s.reg.Counter("serve.requests").Value(); got != callers*50 {
-		t.Errorf("serve.requests = %d, want %d", got, callers*50)
+	// Predict reads two rows, score three, neighbors one; each read rebuilds.
+	if got, want := s.Cache().Rebuilds(), int64(callers*iters/3*(2+3+1)); got != want {
+		t.Errorf("%d rebuilds, want one per lookup (%d)", got, want)
 	}
 }
 
@@ -518,7 +513,6 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
 	got, err := s.PredictInto(nil, 0, 0, true, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -50,30 +50,27 @@ func sameResults(got, want []knn.Result) bool {
 }
 
 // TestPredictMatchesBruteForce is the serving end of the bit-identity
-// contract: at every parallelism, on tables smaller than, equal to and far
-// larger than the worker count and the sweep tile, in both directions, for a
-// vec-kernel model, a model-kernel model and a Score-loop fallback model,
-// PredictInto returns exactly the brute-force model.Score ranking — ids in
-// the total order (score descending, ties to the lower id), scores bit for
-// bit.
+// contract: on tables smaller than, equal to and far larger than the sweep
+// tile, in both directions, for a vec-kernel model, a model-kernel model and
+// a Score-loop fallback model, PredictInto returns exactly the brute-force
+// model.Score ranking — ids in the total order (score descending, ties to the
+// lower id), scores bit for bit.
 func TestPredictMatchesBruteForce(t *testing.T) {
 	for _, name := range []string{"transe", "complex", "transh"} {
-		for _, rows := range []int{1, 5, 1003} {
+		for _, rows := range []int{1, 5, sweepTile, 1003} {
 			ck := tiedCheckpoint(t, name, rows, 6, int64(rows))
-			for _, degree := range []int{1, 2, 3, 7} {
-				s := newTestServer(t, Config{Checkpoint: ck, Parallelism: degree})
-				for _, tails := range []bool{true, false} {
-					for q := 0; q < 12; q++ {
-						e, rel, k := (q*37)%rows, q%2, 1+(q*5)%23
-						got, err := s.PredictInto(nil, e, rel, tails, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := referenceRank(ck, e, rel, tails, min(k, rows))
-						if !sameResults(got, want) {
-							t.Fatalf("%s rows=%d parallelism=%d tails=%v entity=%d rel=%d k=%d:\n got %v\nwant %v",
-								name, rows, degree, tails, e, rel, k, got, want)
-						}
+			s := newTestServer(t, Config{Checkpoint: ck})
+			for _, tails := range []bool{true, false} {
+				for q := 0; q < 12; q++ {
+					e, rel, k := (q*37)%rows, q%2, 1+(q*5)%23
+					got, err := s.PredictInto(nil, e, rel, tails, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := referenceRank(ck, e, rel, tails, min(k, rows))
+					if !sameResults(got, want) {
+						t.Fatalf("%s rows=%d tails=%v entity=%d rel=%d k=%d:\n got %v\nwant %v",
+							name, rows, tails, e, rel, k, got, want)
 					}
 				}
 			}
@@ -83,7 +80,7 @@ func TestPredictMatchesBruteForce(t *testing.T) {
 
 // TestPredictNaNRowLandsWhereItDid pins what a NaN-scoring candidate does to
 // a ranking. knn.TopK's order calls NaN neither better nor worse than
-// anything, so such a row is kept if it is among the first k its shard
+// anything, so such a row is kept if it is among the first k the sweep
 // offers and never admitted afterwards — not a ranking anyone wants, but the
 // one the per-row sweep produced, and the tile sweep must not change it
 // silently. The expected ids were produced by this test's body at the commit
@@ -93,26 +90,18 @@ func TestPredictNaNRowLandsWhereItDid(t *testing.T) {
 	nan := float32(math.NaN())
 	ck.Entities.Row(2)[1] = nan  // among the first k offered
 	ck.Entities.Row(40)[0] = nan // offered once the selector is full
-	for _, c := range []struct {
-		degree int
-		want   string
-	}{
-		{1, "[20 2 1 29 7]"},
-		{2, "[20 2 1 29 7]"},
-		{7, "[20 2 1 29 7]"},
-	} {
-		s := newTestServer(t, Config{Checkpoint: ck, Parallelism: c.degree})
-		got, err := s.PredictInto(nil, 7, 0, true, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := make([]kg.EntityID, len(got))
-		for i, r := range got {
-			ids[i] = r.ID
-		}
-		if fmt.Sprint(ids) != c.want {
-			t.Errorf("parallelism %d: ids %v, the per-row sweep returned %s (results %v)", c.degree, ids, c.want, got)
-		}
+	const want = "[20 2 1 29 7]"
+	s := newTestServer(t, Config{Checkpoint: ck})
+	got, err := s.PredictInto(nil, 7, 0, true, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]kg.EntityID, len(got))
+	for i, r := range got {
+		ids[i] = r.ID
+	}
+	if fmt.Sprint(ids) != want {
+		t.Errorf("ids %v, the per-row sweep returned %s (results %v)", ids, want, got)
 	}
 }
 
@@ -127,7 +116,7 @@ func TestTieOrderOnBothEndpoints(t *testing.T) {
 			copy(ck.Entities.Row(id), ck.Entities.Row(group[0]))
 		}
 	}
-	s := newTestServer(t, Config{Checkpoint: ck, Parallelism: 2})
+	s := newTestServer(t, Config{Checkpoint: ck})
 	check := func(what string, got []knn.Result) {
 		t.Helper()
 		ties := 0

@@ -68,8 +68,8 @@ const (
 	// (head/relation/tail embeddings served from the serving cache or the
 	// cold table).
 	NServeLookup = "serve.cache.lookup"
-	// NServeSweep covers one batched candidate sweep: scoring every
-	// coalesced prediction against the full entity table.
+	// NServeSweep covers one prediction's candidate sweep: scoring the
+	// partial triple against the full entity table and keeping the top k.
 	NServeSweep = "serve.sweep"
 	// NServeKNN covers the exact nearest-neighbor search behind
 	// /v1/neighbors.

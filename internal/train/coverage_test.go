@@ -184,15 +184,20 @@ func (*allOnZero) Partition(g *kg.Graph, k int) (*partition.Result, error) {
 }
 
 func TestNegativeWeights(t *testing.T) {
+	weights := func(scores []float32, temp float32) []float32 {
+		out := make([]float32, len(scores))
+		negativeWeightsInto(out, scores, temp)
+		return out
+	}
 	// temp = 0: uniform.
-	w := negativeWeights([]float32{1, 2, 3}, 0)
+	w := weights([]float32{1, 2, 3}, 0)
 	for _, v := range w {
 		if !approxF32(v, 1.0/3) {
 			t.Fatalf("uniform weights = %v", w)
 		}
 	}
 	// temp > 0: sums to 1, monotone in score.
-	w = negativeWeights([]float32{-1, 0, 5}, 1)
+	w = weights([]float32{-1, 0, 5}, 1)
 	var sum float32
 	for _, v := range w {
 		sum += v
@@ -204,11 +209,11 @@ func TestNegativeWeights(t *testing.T) {
 		t.Errorf("weights not monotone in score: %v", w)
 	}
 	// Numerical stability with huge scores.
-	w = negativeWeights([]float32{1e8, 1e8 - 1}, 1)
+	w = weights([]float32{1e8, 1e8 - 1}, 1)
 	if w[0] <= 0 || w[0] > 1 || w[0] != w[0] {
 		t.Errorf("unstable weights: %v", w)
 	}
-	if len(negativeWeights(nil, 1)) != 0 {
+	if len(weights(nil, 1)) != 0 {
 		t.Error("empty scores should give empty weights")
 	}
 }

@@ -566,17 +566,10 @@ func growF32(buf *[]float32, n int) []float32 {
 	return *buf
 }
 
-// negativeWeights returns the per-negative gradient weights: uniform 1/n
-// when temp = 0, or the self-adversarial softmax(temp · score) otherwise
-// (hard negatives — those the model scores highest — get more weight).
-func negativeWeights(scores []float32, temp float32) []float32 {
-	out := make([]float32, len(scores))
-	negativeWeightsInto(out, scores, temp)
-	return out
-}
-
-// negativeWeightsInto is the allocation-free form of negativeWeights: it
-// fills out (same length as scores) in place.
+// negativeWeightsInto fills out (same length as scores) with the
+// per-negative gradient weights: uniform 1/n when temp = 0, or the
+// self-adversarial softmax(temp · score) otherwise (hard negatives — those
+// the model scores highest — get more weight).
 func negativeWeightsInto(out, scores []float32, temp float32) {
 	n := len(scores)
 	if n == 0 {

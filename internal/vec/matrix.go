@@ -61,13 +61,6 @@ func (m *Matrix) InitKGE(rng *rand.Rand) {
 	}
 }
 
-// NormalizeRows scales every row to unit l2 norm.
-func (m *Matrix) NormalizeRows() {
-	for i := 0; i < m.Rows; i++ {
-		Normalize(m.Row(i))
-	}
-}
-
 // Bytes returns the serialized size of the matrix payload in bytes. It is
 // the figure used by the network cost model when a row crosses the wire.
 func (m *Matrix) Bytes() int64 {
@@ -99,11 +92,18 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadMatrix deserializes a matrix written by WriteTo.
+// readChunk is how many floats ReadMatrix reads per call, and about the most
+// it holds before any data has arrived.
+const readChunk = 1 << 14
+
+// ReadMatrix deserializes a matrix written by WriteTo, reading exactly its
+// bytes from r. The header's shape is only a claim: the table grows with the
+// data actually read (doubling, capped at the declared size) rather than
+// being allocated from it, so a header declaring more than r holds fails at
+// the end of r, having allocated about what r held.
 func ReadMatrix(r io.Reader) (*Matrix, error) {
-	br := bufio.NewReader(r)
 	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("vec: reading matrix header: %w", err)
 	}
 	rows := int(binary.LittleEndian.Uint64(hdr[0:8]))
@@ -111,13 +111,22 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 	if rows < 0 || dim <= 0 || rows > 1<<40/max(dim, 1) {
 		return nil, fmt.Errorf("vec: implausible matrix shape %dx%d", rows, dim)
 	}
-	m := NewMatrix(rows, dim)
-	buf := make([]byte, 4)
-	for i := range m.Data {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("vec: reading matrix data at %d: %w", i, err)
+	n := rows * dim
+	data := make([]float32, 0, min(n, readChunk))
+	buf := make([]byte, 4*min(n, readChunk))
+	for len(data) < n {
+		if len(data) == cap(data) {
+			grown := make([]float32, len(data), min(2*cap(data), n))
+			copy(grown, data)
+			data = grown
 		}
-		m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf))
+		b := buf[:4*min(cap(data)-len(data), readChunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("vec: reading %dx%d matrix data after %d of %d floats: %w", rows, dim, len(data), n, err)
+		}
+		for i := 0; i < len(b); i += 4 {
+			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(b[i:])))
+		}
 	}
-	return m, nil
+	return &Matrix{Rows: rows, Dim: dim, Data: data}, nil
 }

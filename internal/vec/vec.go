@@ -96,15 +96,6 @@ func Mul(dst, a, b []float32) {
 	}
 }
 
-// MulAdd computes dst += a*b element-wise.
-func MulAdd(dst, a, b []float32) {
-	checkLen(a, b)
-	checkLen(dst, a)
-	for i := range dst {
-		dst[i] += a[i] * b[i]
-	}
-}
-
 // L2 returns the l2 (Euclidean) norm of x.
 func L2(x []float32) float32 {
 	return float32(math.Sqrt(float64(SquaredL2(x))))
@@ -168,18 +159,6 @@ func Zero(x []float32) {
 func Fill(x []float32, v float32) {
 	for i := range x {
 		x[i] = v
-	}
-}
-
-// Clamp limits every element of x to [-bound, bound]. Used by trainers to
-// keep asynchronous gradient spikes from destabilizing embeddings.
-func Clamp(x []float32, bound float32) {
-	for i, v := range x {
-		if v > bound {
-			x[i] = bound
-		} else if v < -bound {
-			x[i] = -bound
-		}
 	}
 }
 

@@ -2,8 +2,12 @@ package vec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -190,17 +194,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	x := []float32{-10, -0.5, 0, 0.5, 10}
-	Clamp(x, 1)
-	want := []float32{-1, -0.5, 0, 0.5, 1}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("Clamp result %v, want %v", x, want)
-		}
-	}
-}
-
 func TestIsFinite(t *testing.T) {
 	if !IsFinite([]float32{1, -2, 0}) {
 		t.Error("finite vector reported non-finite")
@@ -213,7 +206,7 @@ func TestIsFinite(t *testing.T) {
 	}
 }
 
-func TestMulAndMulAdd(t *testing.T) {
+func TestMul(t *testing.T) {
 	a := []float32{1, 2, 3}
 	b := []float32{4, 5, 6}
 	dst := make([]float32, 3)
@@ -222,12 +215,6 @@ func TestMulAndMulAdd(t *testing.T) {
 	for i := range dst {
 		if dst[i] != want[i] {
 			t.Fatalf("Mul result %v, want %v", dst, want)
-		}
-	}
-	MulAdd(dst, a, b)
-	for i := range dst {
-		if dst[i] != 2*want[i] {
-			t.Fatalf("MulAdd result %v, want %v doubled", dst, want)
 		}
 	}
 }
@@ -269,24 +256,33 @@ func TestMatrixInitUniformBound(t *testing.T) {
 	}
 }
 
+// TestMatrixSerializationRoundTrip covers a table smaller than one read
+// chunk and one that makes ReadMatrix grow its table twice, followed by
+// trailing bytes that must stay unread.
 func TestMatrixSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := NewMatrix(7, 5)
-	m.InitXavier(rng)
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := ReadMatrix(&buf)
-	if err != nil {
-		t.Fatalf("ReadMatrix: %v", err)
-	}
-	if got.Rows != m.Rows || got.Dim != m.Dim {
-		t.Fatalf("shape mismatch: got %dx%d, want %dx%d", got.Rows, got.Dim, m.Rows, m.Dim)
-	}
-	for i := range m.Data {
-		if got.Data[i] != m.Data[i] {
-			t.Fatalf("Data[%d] = %v, want %v", i, got.Data[i], m.Data[i])
+	for _, shape := range [][2]int{{7, 5}, {1000, 50}} {
+		m := NewMatrix(shape[0], shape[1])
+		m.InitXavier(rng)
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		buf.WriteString("next")
+		got, err := ReadMatrix(&buf)
+		if err != nil {
+			t.Fatalf("ReadMatrix: %v", err)
+		}
+		if got.Rows != m.Rows || got.Dim != m.Dim || len(got.Data) != cap(got.Data) {
+			t.Fatalf("shape mismatch: got %dx%d (cap %d), want %dx%d", got.Rows, got.Dim, cap(got.Data), m.Rows, m.Dim)
+		}
+		for i := range m.Data {
+			if got.Data[i] != m.Data[i] {
+				t.Fatalf("%dx%d: Data[%d] = %v, want %v", m.Rows, m.Dim, i, got.Data[i], m.Data[i])
+			}
+		}
+		if buf.String() != "next" {
+			t.Errorf("%dx%d: ReadMatrix left %q unread, want %q", m.Rows, m.Dim, buf.String(), "next")
 		}
 	}
 }
@@ -303,6 +299,26 @@ func TestReadMatrixRejectsGarbage(t *testing.T) {
 	b[15] = 0x7F
 	if _, err := ReadMatrix(bytes.NewReader(b)); err == nil {
 		t.Error("implausible shape accepted")
+	}
+}
+
+// TestReadMatrixAllocatesWhatTheInputHolds gives ReadMatrix a header that
+// declares a 2^20 × 2^20 table (4 TiB of floats, inside the shape bound) and
+// eight bytes of data. It must fail at the end of the input having allocated
+// about what the input held, not what the header claimed.
+func TestReadMatrixAllocatesWhatTheInputHolds(t *testing.T) {
+	b := binary.LittleEndian.AppendUint64(nil, 1<<20)
+	b = binary.LittleEndian.AppendUint64(b, 1<<20)
+	b = append(b, 0, 0, 0x80, 0x3f, 0, 0, 0x80, 0x3f)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMatrix(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("ReadMatrix of a truncated 2^20 x 2^20 table: error %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("ReadMatrix allocated %d bytes for a %d-byte input", alloc, len(b))
 	}
 }
 

@@ -9,8 +9,9 @@
 # the decoders that take bytes nobody vouches for: the two servers that read
 # them off the network unauthenticated (the HTTP query decoder and the
 # parameter-server shard session), the frame every durable file — a
-# checkpoint, progress snapshot or artifact entry — is read back through, and
-# the plan-file parser and sweep resolver.
+# checkpoint, progress snapshot or artifact entry — is read back through,
+# together with the checkpoint and progress bodies inside it, and the
+# plan-file parser and sweep resolver.
 #
 # Every "is it documented" check — exported declarations, metric, span,
 # serving and codec profile names, plan keys, the generated flag reference,
@@ -34,7 +35,7 @@ go test -run '^$' -fuzz FuzzServeRequest -fuzztime 20s ./internal/serve
 echo "== fuzz the parameter-server shard session (20 s)"
 go test -run '^$' -fuzz FuzzShardSession -fuzztime 20s ./internal/ps
 
-echo "== fuzz the durable-file frame and progress decoder (20 s)"
+echo "== fuzz the durable-file frame, checkpoint and progress decoders (20 s)"
 go test -run '^$' -fuzz FuzzFrameDecode -fuzztime 20s ./internal/frame
 
 echo "== fuzz the plan-file parser and sweep resolver (20 s)"
