@@ -6,23 +6,25 @@ import (
 	"io"
 	"os"
 
+	"hetkg"
 	"hetkg/internal/kg"
 	"hetkg/internal/plan"
 )
 
 func bindData(fs *flag.FlagSet) action {
-	spec := plan.DefaultSpec()
-	spec.BindIdentity(fs, &spec.Dataset, &spec.Scale, &spec.Seed)
+	var rc hetkg.RunConfig
+	plan.BindIdentity(fs, &rc, &rc.Dataset, &rc.Scale, &rc.Seed)
 	out := fs.String("out", "", "write triples as TSV to this file")
 	stats := fs.Bool("stats", true, "print structural statistics")
 	return func(stdout, stderr io.Writer) int {
-		g, err := loadGraph("", spec.Dataset, spec.Scale, spec.Seed)
+		rc.Normalize() // the graph `hetkg train` with these flags trains: -seed 0 means 42
+		g, err := loadGraph("", rc.Dataset, rc.Scale, rc.Seed)
 		if err != nil {
 			return failf(stderr, 2, "%v", err)
 		}
 		if *stats {
 			s := g.ComputeStats()
-			fmt.Fprintf(stdout, "dataset         %s (scale=%s seed=%d)\n", g.Name, spec.Scale, spec.Seed)
+			fmt.Fprintf(stdout, "dataset         %s (scale=%s seed=%d)\n", g.Name, rc.Scale, rc.Seed)
 			fmt.Fprintf(stdout, "entities        %d\n", s.NumEntity)
 			fmt.Fprintf(stdout, "relations       %d\n", s.NumRel)
 			fmt.Fprintf(stdout, "triples         %d\n", s.NumTriples)

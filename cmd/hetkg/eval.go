@@ -36,7 +36,11 @@ func bindEval(fs *flag.FlagSet) action {
 			return failf(stderr, 1, "%v", err)
 		}
 		scale := cmp.Or(*scale, c.Scale, "small")
-		g, err := loadGraph(*in, c.Dataset, scale, c.Seed)
+		sc, err := hetkg.ParseScale(scale)
+		if err != nil {
+			return failf(stderr, 1, "%v", err)
+		}
+		g, err := loadGraph(*in, c.Dataset, sc, c.Seed)
 		if err != nil {
 			return failf(stderr, 1, "%v (the checkpoint's dataset must be a preset unless test triples are passed with -in)", err)
 		}

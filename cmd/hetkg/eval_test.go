@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -66,6 +67,40 @@ func TestEvalFindsTheCheckpointsScale(t *testing.T) {
 	errb.Reset()
 	if code := run([]string{"eval", "-ckpt", ckpt, "-in", tsv}, &out, &errb); code != 1 || !strings.Contains(errb.String(), "-in") {
 		t.Errorf("eval -in of an oversized graph exited %d: %s", code, errb.String())
+	}
+}
+
+// TestTrainRecordsTheSeedItTrained is the regression test for `train -seed 0
+// -save`: a zero seed trains the default seed 42, but the run printed and
+// saved seed 0, so `hetkg eval` regenerated and scored the seed-0 graph's
+// test split — triples the model never saw. A verb now prints and records
+// the resolved configuration.
+func TestTrainRecordsTheSeedItTrained(t *testing.T) {
+	dir := t.TempDir()
+	trained := map[string]*hetkg.Checkpoint{}
+	for _, seed := range []string{"0", "42"} {
+		path := filepath.Join(dir, "s"+seed+".ckpt")
+		var out, errb strings.Builder
+		args := []string{"train", "-scale", "tiny", "-epochs", "1", "-machines", "1", "-system", "dglke", "-seed", seed, "-save", path}
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("train -seed %s exited %d: %s", seed, code, errb.String())
+		}
+		if !strings.Contains(out.String(), " seed=42\n") {
+			t.Errorf("train -seed %s printed:\n%s\nwant seed=42, the seed it trains", seed, out.String())
+		}
+		c, err := hetkg.ReadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trained[seed] = c
+	}
+	if c := trained["0"]; c.Seed != 42 || !slices.Equal(c.Entities.Data, trained["42"].Entities.Data) {
+		t.Errorf("train -seed 0 saved seed %d; want 42 and the seed-42 run's embeddings", c.Seed)
+	}
+	// hetkg exp's footer names the seed its tables and snapshots ran at.
+	var out, errb strings.Builder
+	if code := run([]string{"exp", "-exp", "xablation-negsampling", "-scale", "tiny", "-seed", "0"}, &out, &errb); code != 0 || !strings.Contains(out.String(), "seed=42)") {
+		t.Errorf("exp -seed 0 exited %d:\n%s\nwant a footer naming seed=42", code, out.String()+errb.String())
 	}
 }
 

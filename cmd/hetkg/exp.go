@@ -13,8 +13,8 @@ import (
 )
 
 func bindExp(fs *flag.FlagSet) action {
-	spec := plan.DefaultSpec()
-	spec.BindIdentity(fs, &spec.Scale, &spec.Seed)
+	var rc hetkg.RunConfig
+	plan.BindIdentity(fs, &rc, &rc.Scale, &rc.Seed)
 	var (
 		list    = fs.Bool("list", false, "list experiments and exit")
 		exp     = fs.String("exp", "all", "comma-separated experiment ids, or \"all\"")
@@ -31,15 +31,11 @@ func bindExp(fs *flag.FlagSet) action {
 			return 0
 		}
 
-		scale, err := hetkg.ParseScale(spec.Scale)
-		if err != nil {
-			return failf(stderr, 2, "%v", err)
-		}
 		ids := hetkg.ExperimentIDs()
 		if *exp != "all" {
 			ids = strings.Split(*exp, ",")
 		}
-		opts := hetkg.ExperimentOptions{Scale: scale, Seed: spec.Seed}
+		opts := hetkg.ExperimentOptions{Scale: rc.Scale, Seed: rc.Seed}
 		opts.TimelineDir, opts.SpanDir, opts.SpanEvery = *tlDir, *spanDir, *spanN
 		if *verbose {
 			opts.Logf = logTo(stderr, "[bench] ")
@@ -76,7 +72,7 @@ func bindExp(fs *flag.FlagSet) action {
 				continue
 			}
 			fmt.Fprintf(stdout, "(%s wall time: %v, scale=%s, seed=%d)\n\n",
-				id, time.Since(start).Round(time.Millisecond), spec.Scale, spec.Seed)
+				id, time.Since(start).Round(time.Millisecond), tab.Scale, tab.Seed)
 		}
 		if failed {
 			return 1

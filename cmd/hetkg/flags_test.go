@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetkg"
 	"hetkg/internal/plan"
 )
 
@@ -138,7 +139,7 @@ const (
 func flagReference(t *testing.T) string {
 	identity := map[string]bool{}
 	idfs := flag.NewFlagSet("identity", flag.ContinueOnError)
-	new(plan.RunSpec).BindIdentity(idfs)
+	plan.BindIdentity(idfs, new(hetkg.RunConfig))
 	idfs.VisitAll(func(f *flag.Flag) { identity[f.Name] = true })
 
 	var b strings.Builder

@@ -139,7 +139,7 @@ func bindPlan(fs *flag.FlagSet) action {
 		}
 		fmt.Fprintf(stdout, "plan %s: %d run(s)\n", p.Name, len(runs))
 		for i, r := range runs {
-			hash := r.Spec.ShortHash()
+			hash := r.ShortHash()
 			if *full {
 				hash = r.Hash
 			}

@@ -5,22 +5,24 @@ import (
 	"fmt"
 	"io"
 
+	"hetkg"
 	"hetkg/internal/partition"
 	"hetkg/internal/plan"
 )
 
 func bindPartition(fs *flag.FlagSet) action {
-	spec := plan.DefaultSpec()
-	spec.BindIdentity(fs, &spec.Dataset, &spec.Scale, &spec.Seed)
+	var rc hetkg.RunConfig
+	plan.BindIdentity(fs, &rc, &rc.Dataset, &rc.Scale, &rc.Seed)
 	in := fs.String("in", "", "read triples from this TSV file instead of a preset")
 	k := fs.Int("k", 4, "number of partitions")
 	algo := fs.String("algo", "metis", "partitioner: metis | ldg | random")
 	return func(stdout, stderr io.Writer) int {
-		g, err := loadGraph(*in, spec.Dataset, spec.Scale, spec.Seed)
+		rc.Normalize() // as `hetkg train` partitions: -seed 0 means 42
+		g, err := loadGraph(*in, rc.Dataset, rc.Scale, rc.Seed)
 		if err != nil {
 			return failf(stderr, 1, "%v", err)
 		}
-		p, err := partition.New(*algo, spec.Seed)
+		p, err := partition.New(*algo, rc.Seed)
 		if err != nil {
 			return failf(stderr, 2, "%v", err)
 		}

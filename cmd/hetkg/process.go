@@ -20,13 +20,9 @@ import (
 
 // loadGraph resolves "which graph": the TSV triples file in when given, else
 // the named dataset preset.
-func loadGraph(in, dataset, scale string, seed int64) (*hetkg.Graph, error) {
+func loadGraph(in, dataset string, scale hetkg.Scale, seed int64) (*hetkg.Graph, error) {
 	if in == "" {
-		sc, err := hetkg.ParseScale(scale)
-		if err != nil {
-			return nil, err
-		}
-		g, ok := hetkg.DatasetByName(dataset, sc, seed)
+		g, ok := hetkg.DatasetByName(dataset, scale, seed)
 		if !ok {
 			return nil, fmt.Errorf("unknown dataset %q (have %v)", dataset, hetkg.DatasetNames())
 		}

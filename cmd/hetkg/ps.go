@@ -13,13 +13,13 @@ import (
 )
 
 // The run-identity flags are the declaration train binds too
-// (plan.RunSpec.BindIdentity), and every process of a run must be given the
-// same values for them — the shard's deterministic derivation of its rows
-// depends on it. The training-loop flags (-epochs, -batch, ...) are not in
-// that group, so a shard rejects them.
+// (plan.BindIdentity), and every process of a run must be given the same
+// values for them — the shard's deterministic derivation of its rows depends
+// on it. The training-loop flags (-epochs, -batch, ...) are not in that
+// group, so a shard rejects them.
 func bindPS(fs *flag.FlagSet) action {
-	spec := plan.DefaultSpec()
-	spec.BindIdentity(fs)
+	var rc hetkg.RunConfig
+	plan.BindIdentity(fs, &rc)
 	var (
 		machine  = fs.Int("machine", 0, "this shard's machine index [0, machines)")
 		listen   = fs.String("listen", "127.0.0.1:7070", "address to serve on")
@@ -34,10 +34,8 @@ func bindPS(fs *flag.FlagSet) action {
 		openArt  = bindArtifacts(fs, "")
 	)
 	return func(stdout, stderr io.Writer) int {
-		rc, err := spec.RunConfig()
-		if err != nil {
-			return failf(stderr, 2, "%v", err)
-		}
+		rc.Normalize() // print what the shard derives from: -seed 0 means 42
+		var err error
 		if rc.Artifacts, err = openArt(); err != nil {
 			return failf(stderr, 1, "artifacts: %v", err)
 		}
@@ -60,13 +58,13 @@ func bindPS(fs *flag.FlagSet) action {
 				return failf(stderr, 2, "-coordinator requires -shards (the full fleet, in machine order)")
 			}
 			addrs := strings.Split(*shards, ",")
-			if len(addrs) != spec.Machines {
-				return failf(stderr, 2, "-shards lists %d addresses for %d machines", len(addrs), spec.Machines)
+			if len(addrs) != rc.Machines {
+				return failf(stderr, 2, "-shards lists %d addresses for %d machines", len(addrs), rc.Machines)
 			}
 			fleet := hetkg.NewFleetTelemetry(hetkg.FleetTelemetryConfig{Logf: logf})
 			fleet.Instrument(reg)
 			acc.Coordinator, err = hetkg.NewMembership(hetkg.MemberConfig{
-				Partitions:     spec.Machines,
+				Partitions:     rc.Machines,
 				ShardAddrs:     addrs,
 				HeartbeatEvery: *hbEvery,
 				WorkerTimeout:  *wTimeout,
@@ -105,14 +103,14 @@ func bindPS(fs *flag.FlagSet) action {
 			return failf(stderr, 1, "listen: %v", err)
 		}
 		fmt.Fprintf(stdout, "hetkg ps: shard %d/%d serving %d rows on %s (dataset=%s scale=%s seed=%d)\n",
-			*machine, spec.Machines, shard.NumRows(), l.Addr(), spec.Dataset, spec.Scale, spec.Seed)
+			*machine, rc.Machines, shard.NumRows(), l.Addr(), rc.Dataset, rc.Scale, rc.Seed)
 		if acc.Coordinator != nil {
 			timeout := *wTimeout
 			if timeout <= 0 {
 				timeout = 3 * *hbEvery
 			}
 			fmt.Fprintf(stdout, "hetkg ps: coordinating %d partitions (heartbeat %v, worker timeout %v)\n",
-				spec.Machines, *hbEvery, timeout)
+				rc.Machines, *hbEvery, timeout)
 		}
 
 		// Drain: close the listener (stops accepting), wait up to -grace for

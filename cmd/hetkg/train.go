@@ -11,13 +11,13 @@ import (
 )
 
 // The run flags (dataset, model, cache, codec, ...) are the shared plan
-// surface (plan.BindFlags) — identical names, defaults, and mapping as
-// plan-file `run:` keys — so train and `hetkg apply` cannot drift, and the
-// run-identity subset of them is the very declaration `hetkg ps` binds. The
-// flags declared here are deployment concerns (shards, checkpoints,
-// observability) that plans never configure.
+// surface (plan.BindFlags) — bound straight to the core.RunConfig fields the
+// plan-file `run:` keys name, with the same defaults — so train and `hetkg
+// apply` cannot drift, and the run-identity subset of them is the very
+// declaration `hetkg ps` binds. The flags declared here are deployment
+// concerns (shards, checkpoints, observability) that plans never configure.
 func bindTrain(fs *flag.FlagSet) action {
-	spec := plan.BindFlags(fs)
+	rc := plan.BindFlags(fs)
 	var (
 		inFile   = fs.String("in", "", "train on TSV triples from this file instead of a preset")
 		save     = fs.String("save", "", "write the trained embeddings to this checkpoint file")
@@ -39,16 +39,16 @@ func bindTrain(fs *flag.FlagSet) action {
 	)
 	spanOut, spanN := bindSpan(fs, "trace every Nth batch per worker and write the spans to this file", "batch")
 	return func(stdout, stderr io.Writer) int {
-		rc, err := spec.RunConfig()
-		if err != nil {
-			return failf(stderr, 2, "%v", err)
-		}
+		var err error
 		if *inFile != "" {
-			if rc.Graph, err = loadGraph(*inFile, "", "", 0); err != nil {
+			if rc.Graph, err = loadGraph(*inFile, "", 0, 0); err != nil {
 				return failf(stderr, 1, "%v", err)
 			}
-			spec.Dataset, rc.Dataset = *inFile, *inFile
+			rc.Dataset = *inFile
 		}
+		// What the run prints and saves is what it trains: a flag left zero
+		// means the default table's value (-seed 0 trains seed 42).
+		rc.Normalize()
 		if *shards != "" {
 			rc.ShardAddrs = strings.Split(*shards, ",")
 		}
@@ -71,7 +71,7 @@ func bindTrain(fs *flag.FlagSet) action {
 			return failf(stderr, 1, "artifacts: %v", err)
 		}
 
-		// Overlay the deployment-specific configuration onto the shared spec.
+		// Overlay the deployment-specific configuration onto the run flags.
 		rc.JoinAddr = *join
 		rc.HeartbeatInterval = *hbEvery
 		rc.CkptDir = *ckptDir
@@ -88,13 +88,13 @@ func bindTrain(fs *flag.FlagSet) action {
 		rc.TimelineEvery = *tlEvery
 		rc.SpanPath, rc.SpanEvery = *spanOut, *spanN
 
-		res, err := hetkg.Run(rc)
+		res, err := hetkg.Run(*rc)
 		if err != nil {
 			return failf(stderr, 1, "train: %v", err)
 		}
 
 		fmt.Fprintf(stdout, "system=%s dataset=%s scale=%s model=%s machines=%d seed=%d\n",
-			res.System, spec.Dataset, spec.Scale, spec.Model, spec.Machines, spec.Seed)
+			res.System, rc.Dataset, rc.Scale, rc.ModelName, rc.Machines, rc.Seed)
 		for _, e := range res.Epochs {
 			fmt.Fprintf(stdout, "epoch %2d  loss %.4f  mrr %.3f  comp %v  comm %v  hit %.3f\n",
 				e.Epoch, e.Loss, e.MRR, e.Comp.Round(1e6), e.Comm.Round(1e6), e.HitRatio)
@@ -114,16 +114,16 @@ func bindTrain(fs *flag.FlagSet) action {
 			fmt.Fprintf(stdout, "analyze with: hetkg trace spans %s (Perfetto view: hetkg trace chrome %s)\n", *spanOut, *spanOut)
 		}
 		if *save != "" {
-			scale := spec.Scale
+			scale := rc.Scale.String()
 			if *inFile != "" {
 				scale = "" // a triples file has no preset scale to regenerate from
 			}
 			err := hetkg.WriteCheckpoint(*save, &hetkg.Checkpoint{
-				ModelName: spec.Model,
+				ModelName: rc.ModelName,
 				Dim:       res.Entities.Dim,
-				Dataset:   spec.Dataset,
+				Dataset:   rc.Dataset,
 				Scale:     scale,
-				Seed:      spec.Seed,
+				Seed:      rc.Seed,
 				Epochs:    len(res.Epochs),
 				System:    res.System,
 				Entities:  res.Entities,

@@ -74,6 +74,7 @@ func main() {
 		ModelName: "distmult",
 		Dim:       32,
 		Epochs:    8,
+		BatchSize: 32, // a graph of ~800 facts; the default batch is sized for presets
 		Machines:  2,
 		Seed:      4,
 	})

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"time"
 
 	"hetkg/internal/artifact"
@@ -45,42 +46,77 @@ func Systems() []System {
 	return []System{SystemPBG, SystemDGLKE, SystemHETKGC, SystemHETKGD}
 }
 
-// RunConfig is the high-level specification of one training run.
+// systemNames is each system's flag and plan spelling, the one map between
+// the two (MarshalText, UnmarshalText).
+var systemNames = map[System]string{
+	SystemPBG:    "pbg",
+	SystemDGLKE:  "dglke",
+	SystemHETKGC: "hetkg-c",
+	SystemHETKGD: "hetkg-d",
+}
+
+// MarshalText spells the system as its flag and plan value ("hetkg-d").
+func (s System) MarshalText() ([]byte, error) {
+	if name, ok := systemNames[s]; ok {
+		return []byte(name), nil
+	}
+	return nil, fmt.Errorf("core: unknown system %q", string(s))
+}
+
+// UnmarshalText parses a flag or plan value: pbg, dglke, hetkg-c or hetkg-d.
+func (s *System) UnmarshalText(text []byte) error {
+	for sys, name := range systemNames {
+		if name == string(text) {
+			*s = sys
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown system %q (have pbg | dglke | hetkg-c | hetkg-d)", text)
+}
+
+// RunConfig is the one description of a training run. Its plan-tagged
+// fields are the run's declarative knobs: each tag is the knob's plan-file
+// key and, through internal/plan, its `hetkg train` flag and its line in the
+// canonical config hash. A knob left zero means the default table's value
+// (Normalize), and the ones that table leaves zero resolve from the scale
+// when the run starts. The untagged fields are the process's: a graph of its
+// own, shard addresses, checkpoints, sinks.
 type RunConfig struct {
 	// Graph, when non-nil, trains on this user-supplied knowledge graph
 	// (e.g. loaded with kg.ReadTSV) instead of a preset.
 	Graph *kg.Graph
 	// Dataset is a preset name: "fb15k", "wn18", or "freebase86m".
-	// Ignored when Graph is set.
-	Dataset string
+	// Ignored when Graph is set, except as the run's label.
+	Dataset string `plan:"dataset"`
 	// Scale selects the synthetic dataset size (tiny/small/paper).
-	Scale dataset.Scale
+	Scale dataset.Scale `plan:"scale"`
 	// System selects the trainer.
-	System System
+	System System `plan:"system"`
 	// ModelName is a model registry name ("transe", "distmult", ...).
-	ModelName string
+	ModelName string `plan:"model"`
 	// LossName is "logistic" (default) or "ranking".
-	LossName string
+	LossName string `plan:"loss"`
 	// OptimizerName is "adagrad" (default, the paper's), "sgd", or "adam".
-	OptimizerName string
-	// Margin is the ranking-loss margin.
-	Margin float32
+	OptimizerName string `plan:"optimizer"`
+	// Margin is the ranking-loss margin (default 1).
+	Margin float64 `plan:"margin"`
 
-	// Dim, LR, Epochs, BatchSize, NegPerPos, ChunkSize override the
-	// scale-derived defaults when non-zero.
-	Dim       int
-	LR        float32
-	Epochs    int
-	BatchSize int
-	NegPerPos int
-	ChunkSize int
+	// Dim, Epochs and BatchSize override the scale-derived defaults when
+	// non-zero; LR, NegPerPos and ChunkSize default to the paper's 0.1, 8
+	// and 8.
+	Dim       int     `plan:"dim"`
+	LR        float64 `plan:"lr"`
+	Epochs    int     `plan:"epochs"`
+	BatchSize int     `plan:"batch"`
+	NegPerPos int     `plan:"negs"`
+	ChunkSize int     `plan:"chunk"`
 
 	// Machines is the cluster size (default 4, the paper's testbed).
-	Machines int
+	Machines int `plan:"machines"`
 	// WorkersPerMachine defaults to 1.
-	WorkersPerMachine int
-	// PartitionerName is "metis" (default) or "random".
-	PartitionerName string
+	WorkersPerMachine int `plan:"workers"`
+	// PartitionerName is "metis" (default), "ldg" or "random".
+	PartitionerName string `plan:"partitioner"`
 	// CostModel defaults to the paper's 1 Gbps network.
 	CostModel netsim.CostModel
 
@@ -88,23 +124,23 @@ type RunConfig struct {
 	// entity+relation universe). CacheSyncEvery is P (default 8; negative
 	// means unbounded staleness: cached rows are never refreshed);
 	// CachePrefetchD is D (default 16); EntityFraction defaults to 0.25.
-	CacheCapacity int
+	CacheCapacity int `plan:"cache"`
 	// CacheBudget sizes the hot table as a fraction of the entity+relation
 	// universe (the paper's Fig. 8(a) axis) when CacheCapacity is zero —
-	// the sweep-friendly spelling of the same knob (plan key cacheBudget).
-	CacheBudget     float64
-	CacheSyncEvery  int
-	CachePrefetchD  int
-	EntityFraction  float64
-	NoHeterogeneity bool // HET-KG-N of Table VII
+	// the sweep-friendly spelling of the same knob.
+	CacheBudget     float64 `plan:"cacheBudget"`
+	CacheSyncEvery  int     `plan:"staleness"`
+	CachePrefetchD  int     `plan:"prefetch"`
+	EntityFraction  float64 `plan:"entityRatio"`
+	NoHeterogeneity bool    `plan:"noHeterogeneity"` // HET-KG-N of Table VII
 	// Codec names the negotiated wire-codec profile for worker↔PS links:
 	// "fp32" (default), "fp16", "int8", "delta-int8", "topk", or "auto".
 	// With ShardAddrs set the profile is negotiated in each connection's
 	// TCP handshake; in-process it wraps the simulated transport.
-	Codec string
+	Codec string `plan:"codec"`
 	// TopKRatio is the kept fraction per gradient row for Codec: "topk"
 	// (default 0.125).
-	TopKRatio float64
+	TopKRatio float64 `plan:"topkRatio"`
 	// RPCTimeout bounds each worker↔shard RPC attempt on TCP links
 	// (0 = the link layer's default, negative disables deadlines).
 	RPCTimeout time.Duration
@@ -118,13 +154,13 @@ type RunConfig struct {
 	DegradedMaxStaleness int
 	// AdversarialTemp enables self-adversarial negative weighting
 	// (extension; 0 = the paper's uniform weighting).
-	AdversarialTemp float32
+	AdversarialTemp float64 `plan:"adversarial"`
 	// InverseRelations augments the training split with reciprocal
 	// relations (standard KGE preprocessing; doubles the relation table).
 	InverseRelations bool
 	// DegreeWeightedNegatives corrupts with entities drawn ∝ degree^0.75
 	// (word2vec-style hard negatives) instead of uniformly (extension).
-	DegreeWeightedNegatives bool
+	DegreeWeightedNegatives bool `plan:"degreeNegatives"`
 	// Resume, when non-nil, initializes the parameter server from a saved
 	// checkpoint's embeddings instead of random values (continue training;
 	// not supported together with ShardAddrs — shard processes derive
@@ -165,14 +201,14 @@ type RunConfig struct {
 	ClusterLogf func(format string, args ...any)
 
 	// EvalEvery/EvalCandidates/EvalMax control validation scoring.
-	EvalEvery      int
+	EvalEvery      int `plan:"evalEvery"`
 	EvalCandidates int
-	EvalMax        int
+	EvalMax        int `plan:"evalMax"`
 
 	// Parallelism bounds the cores used by the deterministic parallel
 	// execution engine for batch compute and evaluation ranking
 	// (0 = all cores; 1 = serial; results identical at any setting).
-	Parallelism int
+	Parallelism int `plan:"parallelism"`
 
 	// Metrics, when non-nil, is the registry the run publishes into —
 	// share it with an obs.Server to watch the run live. nil lets the
@@ -200,26 +236,53 @@ type RunConfig struct {
 	SpanPath  string
 	SpanEvery int
 
-	Seed int64
+	Seed int64 `plan:"seed"`
 }
 
-// defaults fills scale-appropriate values for everything left zero.
-func (rc *RunConfig) defaults() {
-	if rc.Dataset == "" && rc.Graph == nil {
-		rc.Dataset = "fb15k"
+// defaultRun is the one default table: what a knob left zero means, and so
+// what `hetkg train` trains with no flags. Dim, epochs, batch size and the
+// cache and evaluation knobs are not in it; they resolve later from the
+// scale and the graph (resolve, Run), and hash as zero.
+var defaultRun = RunConfig{
+	Dataset:           "fb15k",
+	Scale:             dataset.Small, // the zero Scale
+	System:            SystemHETKGD,
+	ModelName:         "transe",
+	LossName:          "logistic",
+	OptimizerName:     "adagrad",
+	Margin:            1,
+	LR:                0.1, // paper: ℓ = 0.1
+	NegPerPos:         8,   // paper: b_n = 8
+	ChunkSize:         8,
+	Machines:          4,
+	WorkersPerMachine: 1,
+	PartitionerName:   "metis",
+	CacheSyncEvery:    8, // the knee of Fig. 8(b)
+	CachePrefetchD:    16,
+	EntityFraction:    0.25, // the optimum of Fig. 8(c)
+	Seed:              42,
+}
+
+// Normalize fills every zero field the default table sets, so configurations
+// that differ only in spelling out a default are equal. A run that brings its
+// own Graph keeps its own dataset label, empty or not.
+func (rc *RunConfig) Normalize() {
+	label := rc.Dataset
+	v, d := reflect.ValueOf(rc).Elem(), reflect.ValueOf(defaultRun)
+	for i := range v.NumField() {
+		if v.Field(i).IsZero() {
+			v.Field(i).Set(d.Field(i))
+		}
 	}
-	if rc.ModelName == "" {
-		rc.ModelName = "transe"
+	if rc.Graph != nil {
+		rc.Dataset = label
 	}
-	if rc.LossName == "" {
-		rc.LossName = "logistic"
-	}
-	if rc.Machines == 0 {
-		rc.Machines = 4
-	}
-	if rc.PartitionerName == "" {
-		rc.PartitionerName = "metis"
-	}
+}
+
+// resolve fills everything the run leaves zero: the default table, then the
+// knobs that derive from the scale and the settings no plan key carries.
+func (rc *RunConfig) resolve() {
+	rc.Normalize()
 	if rc.Dim == 0 {
 		switch rc.Scale {
 		case dataset.Tiny:
@@ -229,9 +292,6 @@ func (rc *RunConfig) defaults() {
 		default:
 			rc.Dim = 64
 		}
-	}
-	if rc.LR == 0 {
-		rc.LR = 0.1 // paper: ℓ = 0.1
 	}
 	if rc.Epochs == 0 {
 		switch rc.Scale {
@@ -249,12 +309,6 @@ func (rc *RunConfig) defaults() {
 			rc.BatchSize = 128
 		}
 	}
-	if rc.NegPerPos == 0 {
-		rc.NegPerPos = 8 // paper: b_n = 8
-	}
-	if rc.ChunkSize == 0 {
-		rc.ChunkSize = 8
-	}
 	if rc.CostModel == (netsim.CostModel{}) {
 		rc.CostModel = netsim.Default1Gbps()
 	}
@@ -267,17 +321,8 @@ func (rc *RunConfig) defaults() {
 	if rc.EvalMax == 0 {
 		rc.EvalMax = 300
 	}
-	switch {
-	case rc.CacheSyncEvery == 0:
-		rc.CacheSyncEvery = 8 // the knee of Fig. 8(b)
-	case rc.CacheSyncEvery < 0:
+	if rc.CacheSyncEvery < 0 {
 		rc.CacheSyncEvery = 0 // the cache's spelling of unbounded
-	}
-	if rc.CachePrefetchD == 0 {
-		rc.CachePrefetchD = 16
-	}
-	if rc.EntityFraction == 0 {
-		rc.EntityFraction = 0.25 // the optimum of Fig. 8(c)
 	}
 }
 
@@ -318,9 +363,9 @@ func Split(g *kg.Graph, seed int64) (kg.Split, error) {
 	return kg.SplitTriples(g, rand.New(rand.NewSource(seed+17)), 0.05, 0.05)
 }
 
-// prepare fills rc's defaults and derives the run's prepared state.
+// prepare resolves rc and derives the run's prepared state.
 func prepare(rc *RunConfig) (*prepared, error) {
-	rc.defaults()
+	rc.resolve()
 	g := rc.Graph
 	if g == nil {
 		var ok bool
@@ -344,10 +389,7 @@ func prepare(rc *RunConfig) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, lr := rc.OptimizerName, rc.LR
-	if name == "" {
-		name = "adagrad"
-	}
+	name, lr := rc.OptimizerName, float32(rc.LR)
 	if _, err := opt.New(name, lr); err != nil {
 		return nil, err
 	}
@@ -370,7 +412,7 @@ func Run(rc RunConfig) (*train.Result, error) {
 		return nil, err
 	}
 	g, sp := p.graph, p.split
-	loss, err := model.NewLoss(rc.LossName, rc.Margin)
+	loss, err := model.NewLoss(rc.LossName, float32(rc.Margin))
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +451,7 @@ func Run(rc RunConfig) (*train.Result, error) {
 		Model:                p.model,
 		Loss:                 loss,
 		Dim:                  rc.Dim,
-		LR:                   rc.LR,
+		LR:                   float32(rc.LR),
 		Epochs:               rc.Epochs,
 		BatchSize:            rc.BatchSize,
 		NegPerPos:            rc.NegPerPos,
@@ -434,7 +476,7 @@ func Run(rc RunConfig) (*train.Result, error) {
 		NegativeWeights:      negWeights(rc.DegreeWeightedNegatives, sp.Train),
 		InitialEntities:      resumeEntities(rc.Resume),
 		InitialRelations:     resumeRelations(rc.Resume),
-		AdversarialTemp:      rc.AdversarialTemp,
+		AdversarialTemp:      float32(rc.AdversarialTemp),
 		Cache: train.CacheConfig{
 			Capacity:       rc.CacheCapacity,
 			EntityFraction: rc.EntityFraction,

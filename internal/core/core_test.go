@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"hetkg/internal/ckpt"
@@ -48,6 +49,25 @@ func TestRunUnknownInputs(t *testing.T) {
 	}
 	if _, err := Run(RunConfig{Dataset: "fb15k", Scale: dataset.Tiny, System: SystemDGLKE, PartitionerName: "nope"}); err == nil {
 		t.Error("unknown partitioner accepted")
+	}
+}
+
+// TestRankingLossDefaultsToMarginOne: a run that leaves Margin zero trains
+// with the default table's margin 1, as `hetkg train -loss ranking` does —
+// not with margin 0, which would train a different model.
+func TestRankingLossDefaultsToMarginOne(t *testing.T) {
+	rc := RunConfig{LossName: "ranking", Scale: dataset.Tiny, System: SystemDGLKE, Machines: 1, Epochs: 1, EvalEvery: -1}
+	implicit, err := Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Margin = 1
+	explicit, err := Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if implicit.Epochs[0].Loss != explicit.Epochs[0].Loss || !slices.Equal(implicit.Entities.Data, explicit.Entities.Data) {
+		t.Errorf("zero margin trained loss %v, margin 1 loss %v; want the same run", implicit.Epochs[0].Loss, explicit.Epochs[0].Loss)
 	}
 }
 

@@ -42,26 +42,18 @@ func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
 	// or defaulted differently would derive different rows.
 	identity := []string{"-dataset", "wn18", "-scale", "tiny", "-model", "distmult", "-dim", "12", "-lr", "0.05",
 		"-optimizer", "adam", "-machines", "3", "-partitioner", "ldg", "-seed", "7"}
-	shardSpec := plan.DefaultSpec()
+	var shardRC core.RunConfig
 	psFlags := flag.NewFlagSet("ps", flag.ContinueOnError)
-	shardSpec.BindIdentity(psFlags)
+	plan.BindIdentity(psFlags, &shardRC)
 	trainFlags := flag.NewFlagSet("train", flag.ContinueOnError)
-	trainSpec := plan.BindFlags(trainFlags)
+	trainRC := plan.BindFlags(trainFlags)
 	if err := psFlags.Parse(identity); err != nil {
 		t.Fatal(err)
 	}
 	if err := trainFlags.Parse(append(identity, "-system", "hetkg-c", "-epochs", "1")); err != nil {
 		t.Fatal(err)
 	}
-	shardRC, err := shardSpec.RunConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainRC, err := trainSpec.RunConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("ps+train argv", func(t *testing.T) { multiProcessMatchesLocal(t, shardRC, trainRC) })
+	t.Run("ps+train argv", func(t *testing.T) { multiProcessMatchesLocal(t, shardRC, *trainRC) })
 }
 
 // multiProcessMatchesLocal builds the shards from shardRC — the run as a

@@ -14,10 +14,12 @@ import (
 type Scale int
 
 const (
+	// Small is the default experiment scale (a few seconds per epoch). It is
+	// the zero Scale, so a run that leaves its scale unset trains the size
+	// `hetkg train` does with no flags.
+	Small Scale = iota
 	// Tiny is for unit tests and quick demos (sub-second epochs).
-	Tiny Scale = iota
-	// Small is the default experiment scale (a few seconds per epoch).
-	Small
+	Tiny
 	// Paper matches the published FB15k/WN18 statistics.
 	Paper
 )
@@ -45,6 +47,20 @@ func ParseScale(s string) (Scale, error) {
 		}
 	}
 	return 0, fmt.Errorf("dataset: unknown scale %q (have tiny | small | paper)", s)
+}
+
+// MarshalText spells the scale as its flag and plan value ("small").
+func (s Scale) MarshalText() ([]byte, error) {
+	if s < Small || s > Paper {
+		return nil, fmt.Errorf("dataset: unknown scale %d", int(s))
+	}
+	return []byte(s.String()), nil
+}
+
+// UnmarshalText parses a flag or plan value, as ParseScale does.
+func (s *Scale) UnmarshalText(text []byte) (err error) {
+	*s, err = ParseScale(string(text))
+	return err
 }
 
 // FB15kLike mirrors FB15k: 14,951 entities, 1,345 relations, 592,213 triples,

@@ -59,10 +59,7 @@ func execute(p *Plan, opt ApplyOptions, view func(outcome)) error {
 		logf = func(string, ...any) {}
 	}
 	for i, run := range runs {
-		rc, err := run.Spec.RunConfig()
-		if err != nil {
-			return fmt.Errorf("plan %s: run %s: %w", p.Name, run.Name, err)
-		}
+		rc := run.Spec
 		rc.Artifacts = opt.Artifacts
 		if opt.TimelineDir != "" || opt.SpanDir != "" {
 			stem := fmt.Sprintf("%03d-%s-%s", runSeq.Add(1), rc.Dataset, rc.System)
@@ -76,7 +73,7 @@ func execute(p *Plan, opt ApplyOptions, view func(outcome)) error {
 		if opt.configure != nil {
 			opt.configure(&rc)
 		}
-		logf("%s: run %d/%d %s (%s)", p.Name, i+1, len(runs), run.Name, run.Spec.ShortHash())
+		logf("%s: run %d/%d %s (%s)", p.Name, i+1, len(runs), run.Name, run.ShortHash())
 		start := time.Now()
 		res, err := core.Run(rc)
 		if err != nil {
@@ -112,12 +109,12 @@ func Apply(p *Plan, opt ApplyOptions) (*ApplyResult, error) {
 	base.Normalize()
 	file := &benchfmt.File{
 		Name:  p.Name,
-		Scale: base.Scale,
+		Scale: base.Scale.String(),
 		Seed:  base.Seed,
 		Meta: map[string]string{
 			"dataset": base.Dataset,
-			"model":   base.Model,
-			"system":  base.System,
+			"model":   base.ModelName,
+			"system":  spelling(base.System),
 		},
 	}
 	if err := execute(p, opt, func(o outcome) { file.Rows = append(file.Rows, benchRow(o)) }); err != nil {

@@ -12,9 +12,10 @@ type Report struct {
 	Compared int
 	// Problems lists what fails the gate, one report line each: a value that
 	// is not the baseline's ("row/field: base -> cur DIFFERS", in the
-	// shortest form that round-trips, so a one-ulp drift shows), and a
-	// baseline row or field the snapshot lacks — a measurement that
-	// vanished cannot be declared safe — and a baseline with nothing to
+	// shortest form that round-trips, so a one-ulp drift shows), a row whose
+	// config hash is not the baseline row's ("row: CONFIG base -> cur
+	// DIFFERS"), a baseline row or field the snapshot lacks — a measurement
+	// that vanished cannot be declared safe — and a baseline with nothing to
 	// compare.
 	Problems []string
 }
@@ -35,7 +36,10 @@ func (r *Report) Summary() string {
 // baseline row must be present in cur and equal to the last bit. There is no
 // tolerance and no better direction — training is bit-deterministic, so any
 // drift, a lower loss or fewer bytes included, is a behaviour change to re-pin
-// deliberately with the diff shown. `wall` is never compared. Fields or rows
+// deliberately with the diff shown. A baseline row that records a config hash
+// must be the same configuration in cur: equal values from a different run
+// prove nothing. Rows without a hash (experiment snapshots) compare by values
+// alone. `wall` is never compared. Fields or rows
 // only in cur are ignored: new measurements extend the baseline. Files from
 // different GOARCHes are refused: their floats may legitimately differ. A
 // baseline with no value to compare — no rows, or only wall-clock readings —
@@ -55,6 +59,9 @@ func Compare(cur, base *benchfmt.File) (*Report, error) {
 		if !ok {
 			problem("%s: MISSING ROW", brow.Name)
 			continue
+		}
+		if brow.Hash != "" && crow.Hash != brow.Hash {
+			problem("%s: CONFIG %s -> %s DIFFERS", brow.Name, brow.Hash, crow.Hash)
 		}
 		for _, field := range brow.Fields() {
 			cv, ok := crow.Values[field]

@@ -115,6 +115,30 @@ func TestCompareNothingComparedFails(t *testing.T) {
 	}
 }
 
+// TestCompareConfigHash: a baseline row that records its config hash gates
+// the configuration too — equal values from another run are not a pass —
+// while a row without one (an experiment snapshot's) compares values alone.
+func TestCompareConfigHash(t *testing.T) {
+	hashed := func(hash string) *benchfmt.File {
+		r := row("a", "mrr", 0.5)
+		r.Hash = hash
+		return snapshot(r)
+	}
+	if rep := compare(t, hashed("aaa"), hashed("aaa")); !rep.OK() || rep.Compared != 1 {
+		t.Errorf("same hash: %s %q", rep.Summary(), rep.Problems)
+	}
+	for name, cur := range map[string]*benchfmt.File{"other hash": hashed("bbb"), "no hash": hashed("")} {
+		rep := compare(t, cur, hashed("aaa"))
+		want := "a: CONFIG aaa -> " + cur.Rows[0].Hash + " DIFFERS"
+		if rep.OK() || len(rep.Problems) != 1 || rep.Problems[0] != want || rep.Compared != 1 {
+			t.Errorf("%s: %s %q, want the one problem %q", name, rep.Summary(), rep.Problems, want)
+		}
+	}
+	if rep := compare(t, hashed("bbb"), hashed("")); !rep.OK() {
+		t.Errorf("a baseline row without a hash gated the snapshot's: %s %q", rep.Summary(), rep.Problems)
+	}
+}
+
 func TestCompareExtraCurrentDataIgnored(t *testing.T) {
 	base := snapshot(row("a", "mrr", 0.5))
 	cur := snapshot(row("a", "mrr", 0.5, "hit_ratio", 0.9), row("new", "mrr", 0.1))

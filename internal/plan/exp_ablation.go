@@ -80,11 +80,11 @@ func runAblationPartition(o Options) (*Table, error) {
 		cut[name] = pr.CutFraction(g)
 	}
 	return t, o.sweep(Plan{
-		Base:  RunSpec{Dataset: "fb15k", System: "dglke", Epochs: 1, EvalEvery: -1},
+		Base:  core.RunConfig{Dataset: "fb15k", System: core.SystemDGLKE, Epochs: 1, EvalEvery: -1},
 		Sweep: []SweepAxis{axis("partitioner", names...)},
 	}, func(r outcome) {
 		res := r.Result
-		t.AddRow(r.Spec.Partitioner, cut[r.Spec.Partitioner], Fmt("%.0f", float64(res.Traffic.RemoteBytes)),
+		t.AddRow(r.Spec.PartitionerName, cut[r.Spec.PartitionerName], Fmt("%.0f", float64(res.Traffic.RemoteBytes)),
 			Dur(res.Comm), Dur(res.Total()).Wall())
 	})
 }
@@ -130,10 +130,10 @@ func runAblationStrategy(o Options) (*Table, error) {
 	t.Note("§IV-B: DPS tracks the short-term access pattern, matching or beating CPS under tight capacity")
 	var row []any // the cache size's label, then CPS's and DPS's hit ratio
 	return t, o.sweep(Plan{
-		Base:  RunSpec{Dataset: "fb15k", Epochs: 2, EvalEvery: -1},
+		Base:  core.RunConfig{Dataset: "fb15k", Epochs: 2, EvalEvery: -1},
 		Sweep: []SweepAxis{axis("cacheBudget", 0.01, 0.05, 0.15), axis("system", "hetkg-c", "hetkg-d")},
 	}, func(r outcome) {
-		if r.Spec.System == "hetkg-c" {
+		if r.Spec.System == core.SystemHETKGC {
 			row = []any{fmt.Sprintf("%.0f%%", 100*r.Spec.CacheBudget)}
 		}
 		if row = append(row, Pct(r.Result.HitRatio, 1)); len(row) == 3 {
@@ -149,7 +149,7 @@ func runAblationQuantize(o Options) (*Table, error) {
 	}
 	t.Note("expected: ~4x fewer payload bytes; quantization noise costs little MRR at 8 bits")
 	return t, o.sweep(Plan{
-		Base: RunSpec{Dataset: "fb15k", System: "hetkg-c", Epochs: 2},
+		Base: core.RunConfig{Dataset: "fb15k", System: core.SystemHETKGC, Epochs: 2},
 		// No codec is the plain float32 transport, without the codec layer.
 		Sweep: []SweepAxis{axis("codec", "", "int8")},
 	}, func(r outcome) {
@@ -165,11 +165,11 @@ func runAblationAdversarial(o Options) (*Table, error) {
 	}
 	t.Note("extension beyond the paper: focusing gradient mass on hard negatives (RotatE-style)")
 	return t, o.sweep(Plan{
-		Base:  RunSpec{Dataset: "fb15k", System: "hetkg-d", Epochs: 3},
+		Base:  core.RunConfig{Dataset: "fb15k", System: core.SystemHETKGD, Epochs: 3},
 		Sweep: []SweepAxis{axis("adversarial", 0.0, 1.0)},
 	}, func(r outcome) {
 		name := "uniform"
-		if r.Spec.Adversarial > 0 {
+		if r.Spec.AdversarialTemp > 0 {
 			name = "self-adversarial(α=1)"
 		}
 		t.AddRow(name, r.Result.Final.MRR, r.Result.Final.Hits[10], Fmt("%.4f", lastLoss(r.Result)))
@@ -190,11 +190,11 @@ func runTheoryStaleness(o Options) (*Table, error) {
 	t.Note("§IV-C: with T > O(K²) iterations and staleness bounded by K, convergence matches synchronous training;")
 	t.Note("removing the bound violates assumption (4) of the proof sketch and the gap shows up in loss and MRR")
 	return t, o.sweep(Plan{
-		Base:  RunSpec{Dataset: "fb15k", System: "hetkg-c", Epochs: fig5Epochs(o)},
+		Base:  core.RunConfig{Dataset: "fb15k", System: core.SystemHETKGC, Epochs: fig5Epochs(o)},
 		Sweep: []SweepAxis{axis("staleness", 8, -1)}, // -1: unbounded
 	}, func(r outcome) {
 		name := "unbounded"
-		if p := r.Spec.Staleness; p > 0 {
+		if p := r.Spec.CacheSyncEvery; p > 0 {
 			name = fmt.Sprintf("bounded(P=%d)", p)
 		}
 		for _, e := range r.Result.Epochs {
@@ -248,11 +248,11 @@ func runAblationHardNegs(o Options) (*Table, error) {
 	}
 	t.Note("extension: corrupting with high-degree entities yields harder negatives on skewed graphs")
 	return t, o.sweep(Plan{
-		Base:  RunSpec{Dataset: "fb15k", System: "hetkg-c", Epochs: 3},
+		Base:  core.RunConfig{Dataset: "fb15k", System: core.SystemHETKGC, Epochs: 3},
 		Sweep: []SweepAxis{axis("degreeNegatives", false, true)},
 	}, func(r outcome) {
 		name := "uniform"
-		if r.Spec.DegreeNegatives {
+		if r.Spec.DegreeWeightedNegatives {
 			name = "degree^0.75"
 		}
 		t.AddRow(name, r.Result.Final.MRR, r.Result.Final.Hits[10], Fmt("%.4f", lastLoss(r.Result)))

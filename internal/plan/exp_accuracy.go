@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 
+	"hetkg/internal/core"
 	"hetkg/internal/dataset"
 )
 
@@ -43,11 +44,11 @@ func accuracyTable(ds string, models ...string) func(Options) (*Table, error) {
 		t.Note("paper shape: all systems reach comparable quality; HET-KG variants finish fastest, PBG slowest")
 		t.Note("times are simulated cluster time: measured computation + cost-model communication (see DESIGN.md)")
 		return t, o.sweep(Plan{
-			Base:  RunSpec{Dataset: ds},
+			Base:  core.RunConfig{Dataset: ds},
 			Sweep: []SweepAxis{axis("model", models...), allSystems},
 		}, func(r outcome) {
 			res := r.Result
-			t.AddRow(res.System, r.Spec.Model, res.Final.MRR, res.Final.Hits[1], res.Final.Hits[10],
+			t.AddRow(res.System, r.Spec.ModelName, res.Final.MRR, res.Final.Hits[1], res.Final.Hits[10],
 				Fmt("%.2f", res.Total().Seconds()).Wall())
 		})
 	}
@@ -60,7 +61,7 @@ func runFig5(o Options) (*Table, error) {
 	}
 	t.Note("paper shape: all systems converge to similar MRR; HET-KG's curves reach it in less cumulative time")
 	return t, o.sweep(Plan{
-		Base:  RunSpec{Dataset: "fb15k", Epochs: fig5Epochs(o)},
+		Base:  core.RunConfig{Dataset: "fb15k", Epochs: fig5Epochs(o)},
 		Sweep: []SweepAxis{allSystems},
 	}, func(r outcome) {
 		for _, e := range r.Result.Epochs {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hetkg/internal/cache"
+	"hetkg/internal/core"
 	"hetkg/internal/dataset"
 	"hetkg/internal/ps"
 	"hetkg/internal/sampler"
@@ -110,7 +111,7 @@ func runFig8a(o Options) (*Table, error) {
 	}
 	t.Note("paper shape: hit ratio rises with cache size; MRR stays flat (stale fraction remains small)")
 	return t, o.sweep(Plan{
-		Base:  RunSpec{Dataset: "freebase86m", System: "hetkg-c", Epochs: 2},
+		Base:  core.RunConfig{Dataset: "freebase86m", System: core.SystemHETKGC, Epochs: 2},
 		Sweep: []SweepAxis{axis("cacheBudget", 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)},
 	}, func(r outcome) {
 		res := r.Result
@@ -125,11 +126,11 @@ func runFig8b(o Options) (*Table, error) {
 	}
 	t.Note("paper shape: hit ratio rises with P (stale rows count as refresh misses); MRR degrades past the knee")
 	return t, o.sweep(Plan{
-		Base:  RunSpec{Dataset: "freebase86m", System: "hetkg-c", Epochs: 2},
+		Base:  core.RunConfig{Dataset: "freebase86m", System: core.SystemHETKGC, Epochs: 2},
 		Sweep: []SweepAxis{axis("staleness", 1, 2, 4, 8, 16, 32, 64, 128)},
 	}, func(r outcome) {
 		res := r.Result
-		t.AddRow(r.Spec.Staleness, res.LocalServiceRatio(), res.HitRatio, res.Final.MRR)
+		t.AddRow(r.Spec.CacheSyncEvery, res.LocalServiceRatio(), res.HitRatio, res.Final.MRR)
 	})
 }
 
@@ -172,11 +173,11 @@ func runFig9(o Options) (*Table, error) {
 	return t, o.sweep(Plan{
 		// CPS: the periodic refresh is the *only* mechanism bounding
 		// staleness (DPS's table rebuild would mask the P knob).
-		Base:  RunSpec{Dataset: "freebase86m", System: "hetkg-c", Epochs: fig5Epochs(o)},
+		Base:  core.RunConfig{Dataset: "freebase86m", System: core.SystemHETKGC, Epochs: fig5Epochs(o)},
 		Sweep: []SweepAxis{axis("staleness", 1, 128)},
 	}, func(r outcome) {
 		for _, e := range r.Result.Epochs {
-			t.AddRow(r.Spec.Staleness, e.Epoch, e.MRR, Fmt("%.4f", e.Loss))
+			t.AddRow(r.Spec.CacheSyncEvery, e.Epoch, e.MRR, Fmt("%.4f", e.Loss))
 		}
 	})
 }
@@ -225,7 +226,7 @@ func runTable7(o Options) (*Table, error) {
 	}
 	t.Note("paper shape: HET-KG-N runs slightly faster (hotter cache) but converges to lower accuracy")
 	return t, o.sweep(Plan{
-		Base:  RunSpec{System: "hetkg-c"},
+		Base:  core.RunConfig{System: core.SystemHETKGC},
 		Sweep: []SweepAxis{axis(keyDataset, "fb15k", "wn18"), axis("noHeterogeneity", false, true)},
 	}, func(r outcome) {
 		res, name := r.Result, "HET-KG"

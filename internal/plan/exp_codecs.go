@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 
+	"hetkg/internal/core"
 	"hetkg/internal/metrics"
 	"hetkg/internal/ps"
 )
@@ -27,14 +28,14 @@ func runCodecs(o Options) (*Table, error) {
 	// commDim keeps rows wide enough (>= 64 floats) that per-row codec
 	// headers are noise; at tiny widths the 5-byte delta header eats the
 	// int8 savings and no profile could show its asymptotic ratio.
-	base := RunSpec{Dataset: "fb15k", System: "hetkg-d", Dim: commDim(o), Machines: 4, Epochs: 2}
+	base := core.RunConfig{Dataset: "fb15k", System: core.SystemHETKGD, Dim: commDim(o), Machines: 4, Epochs: 2}
 	t := &Table{
 		Title:  "Wire codecs on fb15k-like (HET-KG-D, TransE)",
 		Header: []string{"Codec", "RawMB", "WireMB", "Ratio", "B/iter", "Wall", "MRR"},
 		Meta: map[string]string{
 			"dataset":  base.Dataset,
 			"model":    "transe",
-			"system":   base.System,
+			"system":   spelling(base.System),
 			"dim":      fmt.Sprint(base.Dim),
 			"machines": fmt.Sprint(base.Machines),
 			"epochs":   fmt.Sprint(base.Epochs),

@@ -3,6 +3,7 @@ package plan
 import (
 	"time"
 
+	"hetkg/internal/core"
 	"hetkg/internal/dataset"
 )
 
@@ -57,8 +58,8 @@ func commBatch(o Options) int {
 
 // commSpec is the communication experiments' one-epoch, timing-only run on
 // freebase86m-like at the paper's compute/communication balance.
-func commSpec(o Options, system string) RunSpec {
-	return RunSpec{Dataset: "freebase86m", System: system, Dim: commDim(o), Batch: commBatch(o), Epochs: 1, EvalEvery: -1}
+func commSpec(o Options, system core.System) core.RunConfig {
+	return core.RunConfig{Dataset: "freebase86m", System: system, Dim: commDim(o), BatchSize: commBatch(o), Epochs: 1, EvalEvery: -1}
 }
 
 var clusterSizes = axis(keyMachines, 1, 2, 4, 8)
@@ -69,7 +70,7 @@ func runTable1(o Options) (*Table, error) {
 		Header: []string{"Machines", "Comp", "Comm", "Total", "Comm%"},
 	}
 	t.Note("paper shape: communication share grows with the cluster and dominates (>70%% at 4 machines, d=400, 1 Gbps)")
-	return t, o.sweep(Plan{Base: commSpec(o, "dglke"), Sweep: []SweepAxis{clusterSizes}}, func(r outcome) {
+	return t, o.sweep(Plan{Base: commSpec(o, core.SystemDGLKE), Sweep: []SweepAxis{clusterSizes}}, func(r outcome) {
 		res := r.Result
 		frac := 0.0
 		if res.Total() > 0 {
@@ -119,7 +120,7 @@ func runFig7(o Options) (*Table, error) {
 		// bytes; PBG's is its share of a makespan that measured computation
 		// stretches, so it moves with the clock.
 		comm := Dur(res.Comm / n)
-		if r.Spec.System == "pbg" {
+		if r.Spec.System == core.SystemPBG {
 			comm = comm.Wall()
 		}
 		t.AddRow(r.Spec.Dataset, res.System, Dur(res.Comp/n).Wall(), comm, Dur(res.Total()/n).Wall())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hetkg/internal/core"
 	"hetkg/internal/dataset"
 )
 
@@ -22,9 +23,11 @@ type Experiment struct {
 
 // Options parameterizes an experiment invocation.
 type Options struct {
-	// Scale selects workload sizes (default Small; benches use Tiny).
+	// Scale selects workload sizes (the zero Scale is Small; benches use
+	// Tiny).
 	Scale dataset.Scale
-	// Seed drives all randomness (default 42, filled by the registry).
+	// Seed drives all randomness (zero means 42, the default table's, as it
+	// does for a run).
 	Seed int64
 	// ApplyOptions is how the experiment's plans execute: progress logging
 	// and per-run timelines and span dumps.
@@ -37,7 +40,7 @@ type Options struct {
 // scale and seed — handing each run to view in matrix order.
 func (o Options) sweep(p Plan, view func(outcome)) error {
 	p.Name = o.id
-	p.Base.Scale, p.Base.Seed = o.Scale.String(), o.Seed
+	p.Base.Scale, p.Base.Seed = o.Scale, o.Seed
 	return execute(&p, o.ApplyOptions, view)
 }
 
@@ -47,19 +50,19 @@ var allSystems = axis("system", "pbg", "dglke", "hetkg-c", "hetkg-d")
 // registry holds all experiments keyed by ID.
 var registry = map[string]Experiment{}
 
-// register adds e to the registry behind the one place that fills the
-// options' defaults and stamps the table with its identity: the experiment's
-// ID and the scale and seed it ran at. A failed experiment returns no table.
+// register adds e to the registry behind the one place that resolves the
+// options through the default table and stamps the table with its identity:
+// the experiment's ID and the scale and seed it ran at. A failed experiment
+// returns no table.
 func register(e Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic(fmt.Sprintf("plan: duplicate experiment %q", e.ID))
 	}
 	run := e.Run
 	e.Run = func(o Options) (*Table, error) {
-		if o.Seed == 0 {
-			o.Seed = 42
-		}
-		o.id = e.ID
+		rc := core.RunConfig{Seed: o.Seed}
+		rc.Normalize()
+		o.Seed, o.id = rc.Seed, e.ID
 		t, err := run(o)
 		if err != nil {
 			return nil, err

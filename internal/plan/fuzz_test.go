@@ -2,15 +2,20 @@ package plan
 
 import (
 	"os"
+	"slices"
 	"testing"
+
+	"hetkg/internal/core"
+	"hetkg/internal/dataset"
 )
 
 // FuzzPlanParse feeds arbitrary bytes to Parse and Resolve, the path every
 // plan file takes. Nothing may panic, and no input may make Resolve allocate
 // for more than maxRuns runs, however many its axes multiply to. An accepted
-// input resolves to uniquely named runs (they become snapshot rows) whose
-// hashes are their specs', and parsing it a second time resolves to the same
-// names and canonical specs, run for run.
+// input resolves to uniquely named runs (they become snapshot rows) of a
+// system and a scale core trains, whose hashes are their specs', and parsing
+// it a second time resolves to the same names and canonical specs, run for
+// run.
 func FuzzPlanParse(f *testing.F) {
 	ci, err := os.ReadFile("../../examples/plans/ci.yml")
 	if err != nil {
@@ -21,6 +26,7 @@ func FuzzPlanParse(f *testing.F) {
 		"plan: p\nrun:\n  staleness: -1\n  note: 'a # b'\nsweep:\n  lr:\n    - 0.1\n    - 1e-3\n  noHeterogeneity: [true, false]",
 		"plan: p\nsweep:\n  dim: [1, 2, 3]\n  seed: [1, 2, 3]\n  epochs: [1, 2, 3]",
 		"plan: p\nsweep:\n  codec: [\"fp32\", 'int8', topk]\n  cacheBudget: [0.5, .25, 1]",
+		"plan: p\nrun:\n  scale: paper\nsweep:\n  system: [pbg, dglke, hetkg-c, hetkg-d]",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -50,11 +56,17 @@ func FuzzPlanParse(f *testing.F) {
 				t.Fatalf("run name %q repeats", r.Name)
 			}
 			names[r.Name] = true
-			if r.Hash != r.Spec.Hash() {
+			if !slices.Contains(core.Systems(), r.Spec.System) {
+				t.Fatalf("run %q: system %q is none core trains", r.Name, r.Spec.System)
+			}
+			if _, err := dataset.ParseScale(r.Spec.Scale.String()); err != nil {
+				t.Fatalf("run %q: %v", r.Name, err)
+			}
+			if r.Hash != Hash(r.Spec) {
 				t.Fatalf("run %q: hash %s is not its spec's", r.Name, r.Hash)
 			}
-			if r.Name != runs2[i].Name || r.Spec.Canonical() != runs2[i].Spec.Canonical() {
-				t.Fatalf("run %d parsed twice: %q\n%s\nvs %q\n%s", i, r.Name, r.Spec.Canonical(), runs2[i].Name, runs2[i].Spec.Canonical())
+			if r.Name != runs2[i].Name || Canonical(r.Spec) != Canonical(runs2[i].Spec) {
+				t.Fatalf("run %d parsed twice: %q\n%s\nvs %q\n%s", i, r.Name, Canonical(r.Spec), runs2[i].Name, Canonical(runs2[i].Spec))
 			}
 		}
 	})

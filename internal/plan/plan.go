@@ -17,6 +17,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"hetkg/internal/core"
 )
 
 // Plan is one sweep — a parsed hetkg.yml or an experiment's Go literal: a
@@ -24,8 +26,9 @@ import (
 type Plan struct {
 	// Name identifies the plan; the BENCH snapshot is BENCH_<Name>.json.
 	Name string
-	// Base is the `run:` section over the repo defaults.
-	Base RunSpec
+	// Base is the `run:` section; a knob it leaves zero takes the default
+	// table's value (core.RunConfig.Normalize).
+	Base core.RunConfig
 	// Sweep is the `sweep:` matrix, axes sorted by key in a parsed file and
 	// in loop order in a literal. Every resolved run is Base plus one
 	// assignment from each axis.
@@ -62,11 +65,15 @@ type Run struct {
 	// Name is the sweep assignment ("cacheBudget=0.01,codec=fp32"), or
 	// "base" for a sweepless plan — the BENCH row name.
 	Name string
-	// Spec is the fully-resolved configuration.
-	Spec RunSpec
-	// Hash is Spec.Hash(), the canonical config hash.
+	// Spec is the normalized configuration.
+	Spec core.RunConfig
+	// Hash is Hash(Spec), the canonical config hash.
 	Hash string
 }
+
+// ShortHash is the display form of the run's hash (12 hex chars, like git's
+// abbreviations).
+func (r Run) ShortHash() string { return r.Hash[:12] }
 
 // Load reads and parses a plan file.
 func Load(path string) (*Plan, error) {
@@ -88,7 +95,7 @@ func Parse(src []byte) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Base: DefaultSpec()}
+	p := &Plan{}
 	for key, val := range doc {
 		switch key {
 		case "plan":
@@ -106,7 +113,7 @@ func Parse(src []byte) (*Plan, error) {
 				return nil, fmt.Errorf("plan: `run:` must be a mapping of run keys")
 			}
 			for k, v := range m {
-				if err := setSpecKey(&p.Base, k, v); err != nil {
+				if err := setKey(&p.Base, k, v); err != nil {
 					return nil, err
 				}
 			}
@@ -150,8 +157,8 @@ func parseSweep(m map[string]any) ([]SweepAxis, error) {
 		}
 		seen := map[string]bool{}
 		for _, item := range list {
-			var probe RunSpec
-			if err := setSpecKey(&probe, k, item); err != nil {
+			var probe core.RunConfig
+			if err := setKey(&probe, k, item); err != nil {
 				return nil, fmt.Errorf("%w (sweep key %q)", err, k)
 			}
 			// Run names are snapshot row names, which must be unique.
@@ -176,7 +183,7 @@ func (p *Plan) Resolve() ([]Run, error) {
 	if len(p.Sweep) == 0 {
 		spec := p.Base
 		spec.Normalize()
-		return []Run{{Name: "base", Spec: spec, Hash: spec.Hash()}}, nil
+		return []Run{{Name: "base", Spec: spec, Hash: Hash(spec)}}, nil
 	}
 	counts := make([]int, len(p.Sweep))
 	total := big.NewInt(1)
@@ -196,13 +203,13 @@ func (p *Plan) Resolve() ([]Run, error) {
 		parts := make([]string, len(p.Sweep))
 		for i, ax := range p.Sweep {
 			val := ax.Values[idx[i]]
-			if err := setSpecKey(&spec, ax.Key, val); err != nil {
+			if err := setKey(&spec, ax.Key, val); err != nil {
 				return nil, err
 			}
 			parts[i] = ax.Key + "=" + scalarString(val)
 		}
 		spec.Normalize()
-		runs = append(runs, Run{Name: strings.Join(parts, ","), Spec: spec, Hash: spec.Hash()})
+		runs = append(runs, Run{Name: strings.Join(parts, ","), Spec: spec, Hash: Hash(spec)})
 		// Advance the odometer, last axis fastest.
 		i := len(idx) - 1
 		for ; i >= 0; i-- {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"hetkg/internal/core"
+	"hetkg/internal/dataset"
 )
 
 const samplePlan = `
@@ -26,7 +29,7 @@ func TestParsePlan(t *testing.T) {
 	if p.Name != "codecs" {
 		t.Errorf("Name = %q", p.Name)
 	}
-	if p.Base.Scale != "tiny" || p.Base.Epochs != 2 || p.Base.Machines != 2 {
+	if p.Base.Scale != dataset.Tiny || p.Base.Epochs != 2 || p.Base.Machines != 2 {
 		t.Errorf("Base = %+v", p.Base)
 	}
 	// Axes sort by key: cacheBudget before codec.
@@ -95,7 +98,7 @@ func TestResolveMatrix(t *testing.T) {
 			t.Errorf("runs %q and %q share hash %s", prev, r.Name, r.Hash)
 		}
 		seenHash[r.Hash] = r.Name
-		if r.Spec.Hash() != r.Hash {
+		if Hash(r.Spec) != r.Hash {
 			t.Errorf("run %q hash does not match its spec", r.Name)
 		}
 	}
@@ -159,30 +162,30 @@ func TestResolveRefusesHugeMatrix(t *testing.T) {
 	}
 }
 
-// TestRunConfigRefusesUnknownScale: a misspelled scale is refused where an
-// unknown system is, not trained at the default size under the typo's name.
-func TestRunConfigRefusesUnknownScale(t *testing.T) {
-	s := DefaultSpec()
-	s.Scale = "tyni"
-	if _, err := s.RunConfig(); err == nil || !strings.Contains(err.Error(), "tiny | small | paper") {
-		t.Fatalf("RunConfig with scale tyni: %v, want an error naming tiny | small | paper", err)
-	}
-	p, err := Parse([]byte("plan: typo\nrun:\n  scale: tyni\n  epochs: 1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Apply(p, ApplyOptions{}); err == nil || !strings.Contains(err.Error(), `unknown scale "tyni"`) {
-		t.Fatalf("Apply with scale tyni: %v, want a refusal", err)
+// TestParseRefusesUnknownScaleAndSystem: a misspelled scale or system is
+// refused when the plan is parsed, naming the choices — not hashed as a run
+// that cannot exist, nor trained at the default under the typo's name.
+func TestParseRefusesUnknownScaleAndSystem(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"run:\n  scale: tyni", `unknown scale "tyni" (have tiny | small | paper)`},
+		{"run:\n  system: hetkg-x", `unknown system "hetkg-x" (have pbg | dglke | hetkg-c | hetkg-d)`},
+		{"run:\n  scale: 1", `key "scale" wants a string`},
+		{"sweep:\n  scale: [tiny, tyni]", `unknown scale "tyni"`},
+		{"sweep:\n  system: [dglke, hetkg-x]", `unknown system "hetkg-x"`},
+	} {
+		if _, err := Parse([]byte("plan: typo\n" + tc.src)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse %q: %v, want an error containing %q", tc.src, err, tc.want)
+		}
 	}
 }
 
 // TestNegativeStalenessIsUnbounded: staleness -1 spells unbounded staleness
 // (no refresh, ever) for every system, the cache-backed ones included.
 func TestNegativeStalenessIsUnbounded(t *testing.T) {
-	p := &Plan{Name: "stale", Base: RunSpec{Scale: "tiny", System: "hetkg-c", Epochs: 1, Machines: 2, EvalEvery: -1}}
+	p := &Plan{Name: "stale", Base: core.RunConfig{Scale: dataset.Tiny, System: core.SystemHETKGC, Epochs: 1, Machines: 2, EvalEvery: -1}}
 	p.Sweep = []SweepAxis{axis("staleness", -1, 8)}
 	hit := map[int]float64{}
-	if err := execute(p, ApplyOptions{}, func(o outcome) { hit[o.Spec.Staleness] = o.Result.HitRatio }); err != nil {
+	if err := execute(p, ApplyOptions{}, func(o outcome) { hit[o.Spec.CacheSyncEvery] = o.Result.HitRatio }); err != nil {
 		t.Fatal(err)
 	}
 	// A bounded cache misses on every expired row; an unbounded one never
