@@ -59,9 +59,9 @@ func TestFrozenFlagTable(t *testing.T) {
 			"telemetry-every": "0s", "worker-timeout": "0s",
 		},
 		"serve": {
-			"allow-remote": "false", "cache": "0", "ckpt": "", "entity-fraction": "0", "grace": "10s",
+			"allow-remote": "false", "ckpt": "", "grace": "10s",
 			"knn-metric": "cosine", "listen": "127.0.0.1:8080", "max-k": "0",
-			"rebuild-every": "0", "span": "", "span-every": "0", "telemetry": "",
+			"span": "", "span-every": "0", "telemetry": "",
 			"telemetry-every": "0s", "telemetry-label": "",
 		},
 		"exp": {

@@ -47,7 +47,7 @@ type verb struct {
 var verbs = []verb{
 	{"train", "", "Run one training job. Single-process by default; -shards makes it a static-cluster trainer, -join an elastic worker. Reports per-epoch progress, the final link-prediction metrics, and the time/traffic breakdown.", bindTrain},
 	{"ps", "", "Host one parameter-server shard. This is the multi-process deployment of the co-located PS architecture; with -coordinator the shard is also the cluster's membership coordinator. Every shard derives its own rows deterministically from the run-identity flags (no state transfer), so a cluster is N `hetkg ps` processes plus `hetkg train -shards` or `-join` processes pointing at them.", bindPS},
-	{"serve", "", "Answer knowledge-graph queries over HTTP from a trained checkpoint. Triple scoring, top-k link prediction, and embedding-space nearest neighbors, fronted by a hotness-aware embedding cache; each prediction sweeps the entity table on its own request (DESIGN.md §9). The endpoints are unauthenticated, so non-loopback -listen addresses are refused unless -allow-remote is set; /metrics, /healthz, and /debug/pprof/ are mounted on the same listener. SIGINT/SIGTERM drain in-flight requests (bounded by -grace), then write the span dump if -span is set.", bindServe},
+	{"serve", "", "Answer knowledge-graph queries over HTTP from a trained checkpoint. Triple scoring, top-k link prediction, and embedding-space nearest neighbors, read straight from the checkpoint's in-memory tables; each prediction sweeps the entity table on its own request (DESIGN.md §9). The endpoints are unauthenticated, so non-loopback -listen addresses are refused unless -allow-remote is set; /metrics, /healthz, and /debug/pprof/ are mounted on the same listener. SIGINT/SIGTERM drain in-flight requests (bounded by -grace), then write the span dump if -span is set.", bindServe},
 	{"eval", "", "Score a saved checkpoint on a link-prediction test set. The test set is the -in file, or by default the test split of the preset the checkpoint's provenance names.", bindEval},
 	{"exp", "", "Regenerate the tables and figures of the HET-KG paper. Each experiment prints a text table matching the corresponding paper artifact; EXPERIMENTS.md records paper-vs-measured for every row.", bindExp},
 	{"plan", "<plan.yml>", "Resolve a declarative experiment plan and print its run matrix. One line per run with its canonical config hash (DESIGN.md §14).", bindPlan},
@@ -58,7 +58,7 @@ var verbs = []verb{
 	{"trace", "<timeline.jsonl>...", "Compare runs recorded with -timeline. The epoch records of each timeline as per-epoch columns aligned across runs plus an ASCII sparkline per run, for quick convergence comparison without leaving the terminal.", bindTrace},
 	{"trace spans", "<spans.jsonl>...", "Analyze span dumps recorded with -span. A comm-vs-compute-vs-cache attribution table over the sampled batches, the top-k slowest spans, the per-machine straggler summary, and the slowest batch's critical path. Several files merge into one analysis by trace ID (duplicated spans are dropped), so the per-process dumps of an elastic run — worker batches in one file, shard-side spans in another — stitch back into whole cross-process critical paths.", bindTraceSpans},
 	{"trace chrome", "<spans.jsonl>...", "Print span dumps recorded with -span as Chrome trace-event JSON. Redirect it to a file and open that in https://ui.perfetto.dev or chrome://tracing; several dumps merge as in trace spans.", bindTraceChrome},
-	{"top", "", "Live terminal dashboard over a cluster's fleet telemetry. Polls the /fleet endpoint of a `hetkg ps -coordinator` process started with -metrics-addr and renders one row per process — derived rates, cache hit ratio, a sparkline of the recent primary rate, report age — plus the active health alerts. Refreshes until interrupted; -once prints a single snapshot, and -fail-on-alert makes the exit status a health assertion for scripts.", bindTop},
+	{"top", "", "Live terminal dashboard over a cluster's fleet telemetry. Polls the /fleet endpoint of a `hetkg ps -coordinator` process started with -metrics-addr and renders one row per process — derived rates, a worker's training-cache hit ratio, a sparkline of the recent primary rate, report age — plus the active health alerts. Refreshes until interrupted; -once prints a single snapshot, and -fail-on-alert makes the exit status a health assertion for scripts.", bindTop},
 }
 
 // findVerb resolves the leading words of args to a verb, preferring the

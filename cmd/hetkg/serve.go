@@ -17,9 +17,6 @@ func bindServe(fs *flag.FlagSet) action {
 		ckptPath    = fs.String("ckpt", "", "checkpoint to serve (from hetkg train -save; required)")
 		listen      = fs.String("listen", "127.0.0.1:8080", "address to serve on")
 		allowRemote = fs.Bool("allow-remote", false, "allow -listen to bind non-loopback addresses (exposes unauthenticated query + pprof endpoints)")
-		cacheRows   = fs.Int("cache", 0, "hot-tier row budget (0 = 5% of all rows)")
-		entFrac     = fs.Float64("entity-fraction", 0, "entity share of the cache budget (0 = the paper's 0.25)")
-		rebuild     = fs.Int("rebuild-every", 0, "cache accesses between promotion passes (0 = default, negative = never)")
 		maxK        = fs.Int("max-k", 0, "max k per request (0 = default)")
 		knnMetric   = fs.String("knn-metric", "cosine", "neighbor similarity: cosine | dot | l2")
 		serve       = bindGrace(fs, "requests")
@@ -42,14 +39,7 @@ func bindServe(fs *flag.FlagSet) action {
 		}
 
 		var col *span.Collector
-		cfg := hetkg.QueryServerConfig{
-			Checkpoint:     ck,
-			CacheBudget:    *cacheRows,
-			EntityFraction: *entFrac,
-			RebuildEvery:   *rebuild,
-			MaxK:           *maxK,
-			KNNMetric:      metric,
-		}
+		cfg := hetkg.QueryServerConfig{Checkpoint: ck, MaxK: *maxK, KNNMetric: metric}
 		if *spanOut != "" {
 			col = span.NewCollector(span.CollectorConfig{Every: *spanN})
 			cfg.Tracer = col.Tracer(0, 0)
@@ -63,10 +53,8 @@ func bindServe(fs *flag.FlagSet) action {
 		if err != nil {
 			return failf(stderr, 1, "listen: %v", err)
 		}
-		eb, rb := srv.Cache().Budgets()
 		fmt.Fprintf(stdout, "hetkg serve: %s (%s, dim %d, %d entities, %d relations) on http://%s\n",
 			*ckptPath, ck.ModelName, ck.Dim, ck.Entities.Rows, ck.Relations.Rows, l.Addr())
-		fmt.Fprintf(stdout, "hetkg serve: hot tier %d+%d rows (entities+relations), endpoints /v1/{score,predict,neighbors} + /metrics\n", eb, rb)
 
 		label := *telLabel
 		if label == "" {

@@ -15,18 +15,19 @@ import (
 )
 
 // fixtureView is a hand-built fleet snapshot: two healthy workers, one
-// straggler, a shard, and a serve replica.
+// straggler, a shard, and a serve replica. Only workers carry a hit ratio:
+// it is the training cache's.
 func fixtureView() telemetry.FleetView {
 	hit := 0.75
 	return telemetry.FleetView{
 		Kind: telemetry.ViewKind,
 		Processes: []telemetry.ProcessView{
 			{ID: "serve/127.0.0.1:8080", Role: telemetry.RoleServe, Label: "127.0.0.1:8080", Reports: 4,
-				AgeMS: 500, Rates: map[string]float64{"req_s": 1234}, HitRatio: &hit},
+				AgeMS: 500, Rates: map[string]float64{"req_s": 1234}},
 			{ID: "shard/machine-0", Role: telemetry.RoleShard, Label: "machine-0", Reports: 9,
 				AgeMS: 900, Rates: map[string]float64{"rpc_s": 220, "bytes_s": 2_500_000}},
 			{ID: "worker/w0", Role: telemetry.RoleWorker, Label: "w0", Reports: 10,
-				AgeMS: 1000, Rates: map[string]float64{"iter_s": 100, "bytes_s": 50_000},
+				AgeMS: 1000, Rates: map[string]float64{"iter_s": 100, "bytes_s": 50_000}, HitRatio: &hit,
 				History: []float64{90, 95, 100, 100}},
 			{ID: "worker/w1", Role: telemetry.RoleWorker, Label: "w1", Reports: 10,
 				AgeMS: 1100, Rates: map[string]float64{"iter_s": 20, "bytes_s": 10_000},
@@ -65,7 +66,7 @@ func TestRenderSnapshot(t *testing.T) {
 		"50.0k", // w0 bytes/s with k suffix
 		"2.5M",  // shard bytes/s with M suffix
 		"1.2k",  // serve req/s
-		"75%",   // serve hit ratio
+		"75%",   // w0 hit ratio
 		"▁▄██",  // w0 sparkline rises
 		"█▄▁▁",  // w1 sparkline falls
 		"straggler",
@@ -73,6 +74,11 @@ func TestRenderSnapshot(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "serve/") && strings.Contains(line, "%") {
+			t.Errorf("serve row shows a hit ratio: %q", line)
 		}
 	}
 }

@@ -362,7 +362,7 @@ func MetricsRoute(pattern string, h http.Handler) ServeOption {
 
 // QueryServer is the online inference server: it answers triple-scoring,
 // link-prediction, and embedding-similarity queries over a trained
-// checkpoint, fronted by a hotness-aware embedding cache. See DESIGN.md §9.
+// checkpoint's in-memory tables. See DESIGN.md §9.
 type QueryServer = serve.Server
 
 // QueryServerConfig parameterizes NewQueryServer.
@@ -370,8 +370,3 @@ type QueryServerConfig = serve.Config
 
 // NewQueryServer builds a query server over a loaded checkpoint.
 func NewQueryServer(cfg QueryServerConfig) (*QueryServer, error) { return serve.New(cfg) }
-
-// ServingHotTier is the serving-side hotness-aware embedding cache: decayed
-// frequency counters, a fixed row budget split by the paper's entity /
-// relation quota, and periodic promotion of the hottest rows.
-type ServingHotTier = serve.HotTier

@@ -230,16 +230,6 @@ func (h *HotCache) Version(k ps.Key) uint32 {
 	return row.version
 }
 
-// Peek returns the cached row regardless of freshness, without touching the
-// hit-ratio counters (diagnostics and tests).
-func (h *HotCache) Peek(k ps.Key) ([]float32, bool) {
-	row, ok := h.rows[k]
-	if !ok {
-		return nil, false
-	}
-	return row.vals, true
-}
-
 // ServeStale returns the cached row for k if its age at the given iteration
 // is within maxAge (0 = any age), without touching the hit-ratio counters —
 // the Get that preceded it already recorded the miss. This is the degraded

@@ -6,7 +6,6 @@ import (
 
 	"hetkg/internal/dataset"
 	"hetkg/internal/kg"
-	"hetkg/internal/metrics"
 	"hetkg/internal/opt"
 	"hetkg/internal/ps"
 	"hetkg/internal/sampler"
@@ -239,7 +238,7 @@ func TestHotCacheBuildGetUpdateRefresh(t *testing.T) {
 	grad := []float32{1, 0, 0, 0}
 	before := row[0]
 	hc.Update(ps.EntityKey(0), grad)
-	after, _ := hc.Peek(ps.EntityKey(0))
+	after, _ := hc.ServeStale(ps.EntityKey(0), 0, 0)
 	if after[0] != before-0.1 {
 		t.Errorf("local update: %v, want %v", after[0], before-0.1)
 	}
@@ -252,7 +251,7 @@ func TestHotCacheBuildGetUpdateRefresh(t *testing.T) {
 	if err := hc.Refresh(0); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := hc.Peek(ps.EntityKey(0))
+	fresh, _ := hc.ServeStale(ps.EntityKey(0), 0, 0)
 	if fresh[0] != psRows[ps.EntityKey(0)][0] {
 		t.Error("Refresh did not restore the PS value")
 	}
@@ -320,21 +319,21 @@ func TestStalenessBoundedByRefresh(t *testing.T) {
 	if err := hc.Build([]ps.Key{k}, 0); err != nil {
 		t.Fatal(err)
 	}
-	stale, _ := hc.Peek(k)
+	stale, _ := hc.ServeStale(k, 0, 0)
 	staleVal := stale[0]
 	// Simulate a remote worker pushing a gradient to the PS.
 	grad := []float32{2, 0, 0, 0}
 	if err := cl.Push(map[ps.Key][]float32{k: grad}); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := hc.Peek(k)
+	cur, _ := hc.ServeStale(k, 0, 0)
 	if cur[0] != staleVal {
 		t.Error("cache changed without Refresh")
 	}
 	if err := hc.Refresh(0); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := hc.Peek(k)
+	fresh, _ := hc.ServeStale(k, 0, 0)
 	if fresh[0] == staleVal {
 		t.Error("Refresh did not pick up the remote update")
 	}
@@ -533,45 +532,6 @@ func TestDPSAdaptsToDriftingDistribution(t *testing.T) {
 	}
 	if dpsHit < 0.3 {
 		t.Errorf("rebuilt table hit %.3f implausibly low", dpsHit)
-	}
-}
-
-// TestReplayObserved checks the registry-publishing replay agrees with
-// ReplayHitRatio and exposes hits, misses, and evictions under the policy's
-// cache.policy.<name>.* series.
-func TestReplayObserved(t *testing.T) {
-	stream := make([]ps.Key, 0, 60)
-	for round := 0; round < 3; round++ {
-		for e := 0; e < 20; e++ {
-			stream = append(stream, ps.EntityKey(kg.EntityID(e)))
-		}
-	}
-	a := NewFIFO(8)
-	want := ReplayHitRatio(a, stream)
-
-	reg := metrics.NewRegistry()
-	b := NewFIFO(8)
-	got := ReplayObserved(b, stream, reg)
-	if got != want {
-		t.Fatalf("ReplayObserved hit ratio %v, ReplayHitRatio %v", got, want)
-	}
-	hits := reg.Counter("cache.policy.fifo.hits").Value()
-	misses := reg.Counter("cache.policy.fifo.misses").Value()
-	if hits+misses != int64(len(stream)) {
-		t.Fatalf("hits %d + misses %d != %d accesses", hits, misses, len(stream))
-	}
-	if float64(hits)/float64(len(stream)) != want {
-		t.Fatalf("counter-derived hit ratio disagrees with %v", want)
-	}
-	ev := reg.Counter("cache.policy.fifo.evictions").Value()
-	if ev != b.Evictions() || ev == 0 {
-		t.Fatalf("evictions counter %d, policy reports %d", ev, b.Evictions())
-	}
-	// A second replay into the same registry accumulates, evictions stay
-	// in sync with the policy's own total.
-	ReplayObserved(b, stream, reg)
-	if got := reg.Counter("cache.policy.fifo.evictions").Value(); got != b.Evictions() {
-		t.Fatalf("after second replay evictions counter %d, policy reports %d", got, b.Evictions())
 	}
 }
 

@@ -2,9 +2,7 @@ package cache
 
 import (
 	"container/list"
-	"strings"
 
-	"hetkg/internal/metrics"
 	"hetkg/internal/ps"
 )
 
@@ -36,13 +34,6 @@ func NewPolicy(name string, capacity int) (Policy, bool) {
 	}
 }
 
-// EvictionCounter is implemented by policies that count how many residents
-// they have displaced; all policies in this package do.
-type EvictionCounter interface {
-	// Evictions returns the number of keys evicted so far.
-	Evictions() int64
-}
-
 // FIFO evicts the oldest-admitted key.
 type FIFO struct {
 	capacity  int
@@ -62,7 +53,7 @@ func (*FIFO) Name() string { return "FIFO" }
 // Len implements Policy.
 func (f *FIFO) Len() int { return len(f.resident) }
 
-// Evictions implements EvictionCounter.
+// Evictions returns the number of keys evicted so far.
 func (f *FIFO) Evictions() int64 { return f.evictions }
 
 // Access implements Policy.
@@ -102,7 +93,7 @@ func (*LRU) Name() string { return "LRU" }
 // Len implements Policy.
 func (l *LRU) Len() int { return len(l.elems) }
 
-// Evictions implements EvictionCounter.
+// Evictions returns the number of keys evicted so far.
 func (l *LRU) Evictions() int64 { return l.evictions }
 
 // Access implements Policy.
@@ -152,7 +143,7 @@ func (*LFU) Name() string { return "LFU" }
 // Len implements Policy.
 func (l *LFU) Len() int { return len(l.resident) }
 
-// Evictions implements EvictionCounter.
+// Evictions returns the number of keys evicted so far.
 func (l *LFU) Evictions() int64 { return l.evictions }
 
 // Access implements Policy.
@@ -187,34 +178,6 @@ func (l *LFU) Access(k ps.Key) bool {
 		l.evictions++
 	}
 	return false
-}
-
-// ReplayObserved runs an access stream through a policy like ReplayHitRatio
-// while publishing per-policy series into reg:
-// cache.policy.<name>.{hits,misses,evictions} (name lower-cased, evictions
-// only for policies implementing EvictionCounter). Used by the Table VI
-// hit-ratio study to expose baseline-policy behaviour on a run's timeline.
-func ReplayObserved(p Policy, stream []ps.Key, reg *metrics.Registry) float64 {
-	prefix := metrics.MCachePolicyPrefix + strings.ToLower(p.Name()) + "."
-	hits := reg.Counter(prefix + "hits")
-	misses := reg.Counter(prefix + "misses")
-	n := 0
-	for _, k := range stream {
-		if p.Access(k) {
-			hits.Inc()
-			n++
-		} else {
-			misses.Inc()
-		}
-	}
-	if ec, ok := p.(EvictionCounter); ok {
-		ev := reg.Counter(prefix + "evictions")
-		ev.Add(ec.Evictions() - ev.Value())
-	}
-	if len(stream) == 0 {
-		return 0
-	}
-	return float64(n) / float64(len(stream))
 }
 
 // ReplayHitRatio runs an access stream through a policy and returns the

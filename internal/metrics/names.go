@@ -110,11 +110,6 @@ const (
 	// MPSTCPTxBytes counts bytes written to TCP transport connections.
 	MPSTCPTxBytes = "ps.tcp.tx_bytes"
 
-	// MCachePolicyPrefix prefixes the per-policy replay metrics
-	// cache.policy.<name>.{hits,misses,evictions} registered by
-	// cache.ReplayObserved for the Table VI policy study.
-	MCachePolicyPrefix = "cache.policy."
-
 	// MServeRequests counts query-server API requests across all endpoints.
 	MServeRequests = "serve.requests"
 	// MServeErrors counts API requests rejected with an error status.
@@ -125,18 +120,6 @@ const (
 	MServeLatencyPredict = "serve.latency.predict_ns"
 	// MServeLatencyNeighbors is the /v1/neighbors service-time histogram (ns).
 	MServeLatencyNeighbors = "serve.latency.neighbors_ns"
-	// MServeCacheHits counts query rows served from the hot tier.
-	MServeCacheHits = "serve.cache.hits"
-	// MServeCacheMisses counts query rows served from the cold table.
-	MServeCacheMisses = "serve.cache.misses"
-	// MServeCacheHitRatio is hits/(hits+misses), refreshed at each hot-set
-	// rebuild.
-	MServeCacheHitRatio = "serve.cache.hit_ratio"
-	// MServeCachePromotedRows counts rows copied into the hot tier by
-	// rebuilds.
-	MServeCachePromotedRows = "serve.cache.promoted_rows"
-	// MServeCacheRebuilds counts hot-set rebuilds (promotion passes).
-	MServeCacheRebuilds = "serve.cache.rebuilds"
 	// MServeBatchSize was the histogram of predictions coalesced per sweep.
 	// Nothing publishes it since a prediction sweeps alone; it stays declared
 	// because benchmark/run.go reads it (and skips it while it is empty).

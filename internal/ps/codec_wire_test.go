@@ -104,8 +104,8 @@ func TestDeltaOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if got := tr.Profiles(); len(got) != 1 || got[0] != ProfileDeltaInt8 {
-		t.Fatalf("negotiated profiles %v, want [delta-int8]", got)
+	if len(tr.links) != 1 || tr.links[0].prof.Name != ProfileDeltaInt8 {
+		t.Fatalf("%d links, want 1 negotiating %s", len(tr.links), ProfileDeltaInt8)
 	}
 	reg := metrics.NewRegistry()
 	tr.Instrument(reg)

@@ -382,19 +382,9 @@ func (t *LinkTransport) Instrument(reg *metrics.Registry) {
 }
 
 // NegotiatedProfile returns the profile this transport was built with
-// ("auto" when per-connection resolution was requested over TCP; see
-// Profiles).
+// ("auto" when per-connection resolution was requested over TCP, in which
+// case each link's own profile can differ).
 func (t *LinkTransport) NegotiatedProfile() string { return t.codec }
-
-// Profiles returns the per-link negotiated profile names, in shard order —
-// under "auto" they can differ per link.
-func (t *LinkTransport) Profiles() []string {
-	out := make([]string, len(t.links))
-	for i, l := range t.links {
-		out[i] = l.prof.Name
-	}
-	return out
-}
 
 // checkWidths refuses shards whose rows (as acked) are not entDim/relDim wide.
 func (t *LinkTransport) checkWidths(entDim, relDim int) error {

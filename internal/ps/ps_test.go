@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -77,13 +78,13 @@ func testCluster(t *testing.T, machines int) *Cluster {
 func TestClusterInitDeterministicAcrossShardCounts(t *testing.T) {
 	c1 := testCluster(t, 1)
 	c2 := testCluster(t, 4)
-	e1, r1, err := c1.Gather()
+	e1, r1, err := c1.GatherVia(NewInProc(c1))
 	if err != nil {
-		t.Fatalf("Gather: %v", err)
+		t.Fatalf("GatherVia: %v", err)
 	}
-	e2, r2, err := c2.Gather()
+	e2, r2, err := c2.GatherVia(NewInProc(c2))
 	if err != nil {
-		t.Fatalf("Gather: %v", err)
+		t.Fatalf("GatherVia: %v", err)
 	}
 	for i := range e1.Data {
 		if e1.Data[i] != e2.Data[i] {
@@ -193,24 +194,6 @@ func TestServerDropsNonFiniteGradients(t *testing.T) {
 		if after[i] != before[i] {
 			t.Fatal("non-finite gradient was applied")
 		}
-	}
-}
-
-func TestSetRow(t *testing.T) {
-	c := testCluster(t, 1)
-	srv := c.Servers[0]
-	k := EntityKey(5)
-	row := make([]float32, 8)
-	row[7] = 3.5
-	if err := srv.SetRow(k, row); err != nil {
-		t.Fatalf("SetRow: %v", err)
-	}
-	got, _ := srv.Pull([]Key{k})
-	if got[7] != 3.5 {
-		t.Errorf("SetRow not visible: %v", got)
-	}
-	if err := srv.SetRow(k, make([]float32, 3)); err == nil {
-		t.Error("wrong-width SetRow accepted")
 	}
 }
 
@@ -533,7 +516,7 @@ func TestNewClusterShardMatchesFullCluster(t *testing.T) {
 			t.Fatalf("shard %d has %d rows, full cluster's has %d",
 				m, shard.NumRows(), full.Servers[m].NumRows())
 		}
-		for _, k := range full.Servers[m].Keys() {
+		for k := range full.Servers[m].rows {
 			want, _ := full.Servers[m].Pull([]Key{k})
 			got, err := shard.Pull([]Key{k})
 			if err != nil {
@@ -551,24 +534,29 @@ func TestNewClusterShardMatchesFullCluster(t *testing.T) {
 	}
 }
 
+// TestGatherViaMatchesDirectGather checks the batched per-shard gather
+// against reading every row directly from the shard that owns it.
 func TestGatherViaMatchesDirectGather(t *testing.T) {
 	c := testCluster(t, 2)
-	de, dr, err := c.Gather()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ve, vr, err := c.GatherVia(NewInProc(c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range de.Data {
-		if de.Data[i] != ve.Data[i] {
-			t.Fatal("GatherVia entities differ from direct Gather")
+	direct := func(k Key) []float32 {
+		row, err := c.Servers[c.Place.Shard(k)].Pull([]Key{k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row
+	}
+	for e := 0; e < ve.Rows; e++ {
+		if !slices.Equal(ve.Row(e), direct(EntityKey(kg.EntityID(e)))) {
+			t.Fatalf("GatherVia entity %d differs from its shard's row", e)
 		}
 	}
-	for i := range dr.Data {
-		if dr.Data[i] != vr.Data[i] {
-			t.Fatal("GatherVia relations differ from direct Gather")
+	for r := 0; r < vr.Rows; r++ {
+		if !slices.Equal(vr.Row(r), direct(RelationKey(kg.RelationID(r)))) {
+			t.Fatalf("GatherVia relation %d differs from its shard's row", r)
 		}
 	}
 }

@@ -28,14 +28,11 @@ func benchCheckpoint(ents, dim int) *ckpt.Checkpoint {
 	}
 }
 
-// benchServer configures the hot path the way the allocation criterion is
-// stated: rebuilds amortized out (manual), tracing off.
+// benchServer builds a server over a synthetic checkpoint with tracing off,
+// the configuration the allocation criterion is stated for.
 func benchServer(tb testing.TB, ents, dim int) *Server {
 	tb.Helper()
-	s, err := New(Config{
-		Checkpoint:   benchCheckpoint(ents, dim),
-		RebuildEvery: -1,
-	})
+	s, err := New(Config{Checkpoint: benchCheckpoint(ents, dim)})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -145,44 +142,24 @@ func BenchmarkPredictConcurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkScoreTriple measures the cached scoring path.
+// BenchmarkScoreTriple measures /v1/score's direct call on serve-zipf's
+// table shape (20 000 x 64) over a seeded stream of Zipf(1.1) heads and
+// tails. A pass of the stream is 3 x 2^14 row reads, enough for a row cache
+// rebuilt every 4 096 reads to rebuild twelve times, so a cache put in front
+// of the rows is measured warm, rebuilds included (DESIGN.md §9.2).
 func BenchmarkScoreTriple(b *testing.B) {
-	s := benchServer(b, 50000, 64)
+	const ents = 20000
+	s := benchServer(b, ents, 64)
+	rng := rand.New(rand.NewSource(3))
+	zipf := rand.NewZipf(rng, 1.1, 1, ents-1)
+	stream := make([][3]int, 1<<14)
+	for i := range stream {
+		stream[i] = [3]int{int(zipf.Uint64()), rng.Intn(s.ck.Relations.Rows), int(zipf.Uint64())}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ScoreTriple(i%1000, 0, (i+1)%1000)
+		q := stream[i%len(stream)]
+		s.ScoreTriple(q[0], q[1], q[2])
 	}
-}
-
-// BenchmarkHotTier reports the hit ratio a 5% budget achieves under the two
-// workload shapes — the serving-side restatement of the paper's Fig. 7
-// motivation: skew is what makes a small hot tier worth having.
-func BenchmarkHotTier(b *testing.B) {
-	const n, dim = 100000, 64
-	run := func(b *testing.B, next func() int) {
-		e, r := vec.NewMatrix(n, dim), vec.NewMatrix(4, dim)
-		h, err := NewHotTier(e, r, n/20, 0.9, DefaultRebuildEvery)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 2*DefaultRebuildEvery; i++ {
-			h.Entity(next())
-		}
-		h.ResetStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Entity(next())
-		}
-		b.ReportMetric(h.HitRatio(), "hit_ratio")
-	}
-	b.Run("zipf", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(2))
-		z := rand.NewZipf(rng, 1.1, 1, n-1)
-		run(b, func() int { return int(z.Uint64()) })
-	})
-	b.Run("uniform", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(2))
-		run(b, func() int { return rng.Intn(n) })
-	})
 }

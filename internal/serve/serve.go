@@ -1,13 +1,12 @@
 // Package serve is the online inference layer: it loads a trained checkpoint
 // and answers knowledge-graph queries over HTTP — triple scoring, top-k link
-// prediction, and embedding-space nearest neighbors. The serving read path
-// reuses the training system's machinery where the paper's argument carries
-// over: a hotness-aware HotTier fronts the embedding tables (skewed query
-// workloads hit a small hot set, exactly as skewed training batches do), a
-// prediction sweeps the entity table a tile at a time on the requesting
-// goroutine, as a neighbor search does, and the whole path is wired into the
-// metrics registry and span tracer so serving is observable with the same
-// tools as training. See DESIGN.md §9.
+// prediction, and embedding-space nearest neighbors. Every request reads its
+// query rows straight from the checkpoint's in-memory tables: the paper's
+// hotness-aware cache pays by replacing a network pull, and a serving replica
+// has none to replace. A prediction sweeps the entity table a tile at a time
+// on the requesting goroutine, as a neighbor search does, and the whole path
+// is wired into the metrics registry and span tracer so serving is observable
+// with the same tools as training. See DESIGN.md §9.
 package serve
 
 import (
@@ -35,13 +34,6 @@ import (
 type Config struct {
 	// Checkpoint is the trained model to serve (required).
 	Checkpoint *ckpt.Checkpoint
-	// CacheBudget is the HotTier row budget (0 = 5% of all rows).
-	CacheBudget int
-	// EntityFraction is the entity share of the cache budget (0 = 0.25).
-	EntityFraction float64
-	// RebuildEvery is the cache promotion interval in accesses
-	// (0 = DefaultRebuildEvery, negative = manual rebuilds only).
-	RebuildEvery int
 	// MaxK caps a request's k (0 = DefaultMaxK).
 	MaxK int
 	// KNNMetric selects the /v1/neighbors similarity (zero = cosine).
@@ -69,7 +61,6 @@ const sweepTile = 256
 type Server struct {
 	ck     *ckpt.Checkpoint
 	model  model.Model
-	tier   *HotTier
 	index  *knn.Index
 	reg    *metrics.Registry
 	tracer *span.Tracer
@@ -107,9 +98,8 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	tier, err := NewHotTier(ck.Entities, ck.Relations, cfg.CacheBudget, cfg.EntityFraction, cfg.RebuildEvery)
-	if err != nil {
-		return nil, err
+	if ck.Entities.Rows == 0 || ck.Relations.Rows == 0 {
+		return nil, fmt.Errorf("serve: empty embedding tables")
 	}
 	index, err := knn.New(ck.Entities, cfg.KNNMetric)
 	if err != nil {
@@ -119,7 +109,6 @@ func New(cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	tier.Instrument(reg)
 	maxK := cfg.MaxK
 	if maxK <= 0 {
 		maxK = DefaultMaxK
@@ -127,7 +116,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		ck:     ck,
 		model:  m,
-		tier:   tier,
 		index:  index,
 		reg:    reg,
 		tracer: cfg.Tracer,
@@ -152,8 +140,26 @@ func (s *Server) Close() {}
 // Registry returns the registry carrying the serve.* metrics.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Cache returns the serving hot tier (for inspection and manual rebuilds).
-func (s *Server) Cache() *HotTier { return s.tier }
+// Cache returns plain reads of the checkpoint's rows, with HitRatio and
+// Rebuilds at 0: nothing is cached. It stays because benchmark/serve.go and
+// benchmark/replay_serve.go call it; the server's own reads do not go
+// through it.
+func (s *Server) Cache() Rows { return Rows{s.ck} }
+
+// Rows reads a served checkpoint's embedding rows (see Server.Cache).
+type Rows struct{ ck *ckpt.Checkpoint }
+
+// Entity returns entity id's embedding row.
+func (r Rows) Entity(id int) []float32 { return r.ck.Entities.Row(id) }
+
+// Relation returns relation id's embedding row.
+func (r Rows) Relation(id int) []float32 { return r.ck.Relations.Row(id) }
+
+// HitRatio returns 0: nothing is cached.
+func (Rows) HitRatio() float64 { return 0 }
+
+// Rebuilds returns 0: nothing is cached.
+func (Rows) Rebuilds() int64 { return 0 }
 
 // Checkpoint returns the loaded checkpoint.
 func (s *Server) Checkpoint() *ckpt.Checkpoint { return s.ck }
@@ -188,8 +194,7 @@ func (s *Server) clampK(k int) int {
 	return k
 }
 
-// ScoreTriple returns the model's plausibility score for (h, r, t), routing
-// the three row reads through the hot tier.
+// ScoreTriple returns the model's plausibility score for (h, r, t).
 func (s *Server) ScoreTriple(h, r, t int) (float32, error) {
 	start := time.Now()
 	if err := s.checkEntity(h, "head"); err != nil {
@@ -205,10 +210,7 @@ func (s *Server) ScoreTriple(h, r, t int) (float32, error) {
 		return 0, err
 	}
 	sp := s.tracer.RootNamed(int(s.seq.Add(1)), span.NServeRequest)
-	lk := s.tracer.StartChild(sp.Context(), span.NServeLookup)
-	hr, rr, tr := s.tier.Entity(h), s.tier.Relation(r), s.tier.Entity(t)
-	lk.EndAttrs(span.Attrs{Rows: 3, Shard: span.NoShard})
-	score := s.model.Score(hr, rr, tr)
+	score := s.model.Score(s.ck.Entities.Row(h), s.ck.Relations.Row(r), s.ck.Entities.Row(t))
 	sp.EndAttrs(span.Attrs{Rows: 1, Shard: span.NoShard})
 	s.obs.requests.Inc()
 	s.obs.latScore.ObserveInt(time.Since(start).Nanoseconds())
@@ -237,14 +239,10 @@ func (s *Server) PredictInto(dst []knn.Result, entity, rel int, tails bool, k in
 	}
 	k = s.clampK(k)
 	sp := s.tracer.RootNamed(int(s.seq.Add(1)), span.NServeRequest)
-	lk := s.tracer.StartChild(sp.Context(), span.NServeLookup)
-	anchor, rrow := s.tier.Entity(entity), s.tier.Relation(rel)
-	lk.EndAttrs(span.Attrs{Rows: 2, Shard: span.NoShard})
-
 	sw := s.tracer.StartChild(sp.Context(), span.NServeSweep)
 	ps := s.predSc.Get().(*predictScratch)
-	ps.sweep.Reset(s.model, anchor, rrow, tails)
 	ents, top := s.ck.Entities, &ps.top
+	ps.sweep.Reset(s.model, ents.Row(entity), s.ck.Relations.Row(rel), tails)
 	top.Reset(k)
 	for lo := 0; lo < ents.Rows; lo += sweepTile {
 		hi := min(lo+sweepTile, ents.Rows)
@@ -257,7 +255,6 @@ func (s *Server) PredictInto(dst []knn.Result, entity, rel int, tails bool, k in
 		}
 	}
 	dst = top.Sorted(dst)
-	ps.sweep.Reset(nil, nil, nil, false) // drop the row references (they can pin a retired hot-tier slab), keep the query buffer
 	s.predSc.Put(ps)
 	sw.EndAttrs(span.Attrs{Rows: int64(ents.Rows), Shard: span.NoShard})
 
@@ -278,12 +275,9 @@ func (s *Server) NeighborsInto(dst []knn.Result, entity, k int) ([]knn.Result, e
 	}
 	k = s.clampK(k)
 	sp := s.tracer.RootNamed(int(s.seq.Add(1)), span.NServeRequest)
-	lk := s.tracer.StartChild(sp.Context(), span.NServeLookup)
-	row := s.tier.Entity(entity)
-	lk.EndAttrs(span.Attrs{Rows: 1, Shard: span.NoShard})
 	kn := s.tracer.StartChild(sp.Context(), span.NServeKNN)
 	sc := s.knnSc.Get().(*knn.Scratch)
-	dst, err := s.index.SearchInto(dst, row, k, kg.EntityID(entity), sc)
+	dst, err := s.index.SearchInto(dst, s.ck.Entities.Row(entity), k, kg.EntityID(entity), sc)
 	s.knnSc.Put(sc)
 	kn.EndAttrs(span.Attrs{Rows: int64(s.index.Rows()), Shard: span.NoShard})
 	sp.EndAttrs(span.Attrs{Rows: int64(k), Shard: span.NoShard})

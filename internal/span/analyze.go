@@ -12,13 +12,12 @@ func IsRoot(name string) bool { return name == NBatch || name == NServeRequest }
 
 // Category buckets a span name for comm-vs-compute-vs-cache attribution —
 // the per-batch version of the paper's Fig. 7 time breakdown. Serving spans
-// bucket the same way: candidate sweeps and knn searches are compute, the
-// hot-tier gather is cache.
+// bucket the same way: candidate sweeps and knn searches are compute.
 func Category(name string) string {
 	switch name {
 	case NNegSample, NGradCompute, NServeSweep, NServeKNN:
 		return "compute"
-	case NCacheLookup, NCacheRefresh, NServeLookup:
+	case NCacheLookup, NCacheRefresh:
 		return "cache"
 	case NPSPull, NPSPush, NSerialize, NWireTCP, NWireSim, NShardPull, NShardApply:
 		return "comm"
@@ -149,7 +148,8 @@ func Analyze(spans []Span, topK int) *Analysis {
 
 // CriticalPath walks from root down the longest direct child at each level,
 // returning the chain root-first — the "which operation made this batch
-// slow" drill-down for one sampled batch.
+// slow" drill-down for one sampled batch. No span ID appears twice on the
+// path, so a dump whose parent links form a cycle still ends.
 func CriticalPath(spans []Span, root Span) []Span {
 	children := make(map[uint64][]Span)
 	for _, s := range spans {
@@ -158,12 +158,13 @@ func CriticalPath(spans []Span, root Span) []Span {
 		}
 	}
 	path := []Span{root}
+	visited := map[uint64]bool{root.ID: true}
 	cur := root
 	for {
 		var best Span
 		found := false
 		for _, c := range children[cur.ID] {
-			if !found || c.DurNS > best.DurNS || (c.DurNS == best.DurNS && c.ID < best.ID) {
+			if !visited[c.ID] && (!found || c.DurNS > best.DurNS || (c.DurNS == best.DurNS && c.ID < best.ID)) {
 				best, found = c, true
 			}
 		}
@@ -171,6 +172,7 @@ func CriticalPath(spans []Span, root Span) []Span {
 			return path
 		}
 		path = append(path, best)
+		visited[best.ID] = true
 		cur = best
 	}
 }

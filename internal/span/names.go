@@ -64,10 +64,6 @@ const (
 	// NServeRequest is the root span of one sampled serving request
 	// (hetkg serve), the inference-time counterpart of NBatch.
 	NServeRequest = "serve.request"
-	// NServeLookup covers the hot-tier gather of the request's query rows
-	// (head/relation/tail embeddings served from the serving cache or the
-	// cold table).
-	NServeLookup = "serve.cache.lookup"
 	// NServeSweep covers one prediction's candidate sweep: scoring the
 	// partial triple against the full entity table and keeping the top k.
 	NServeSweep = "serve.sweep"

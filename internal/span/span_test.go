@@ -333,3 +333,24 @@ func TestAnalyzeAttributionAndStragglers(t *testing.T) {
 		t.Fatalf("critical path %+v, want batch→grad.compute", path)
 	}
 }
+
+// TestCriticalPathEndsOnParentCycle walks a dump in which a span lists
+// itself as its parent, under an ID its own parent already has. The walk
+// must end, without visiting a span ID twice.
+func TestCriticalPathEndsOnParentCycle(t *testing.T) {
+	spans := []Span{
+		{Trace: 1, ID: 10, Name: NBatch, Shard: NoShard},
+		{Trace: 1, ID: 20, Parent: 10, Name: NGradCompute, Shard: NoShard},
+		{Trace: 1, ID: 20, Parent: 20, Name: NGradCompute, Shard: NoShard},
+	}
+	done := make(chan []Span, 1)
+	go func() { done <- CriticalPath(spans, spans[0]) }()
+	select {
+	case path := <-done:
+		if len(path) != 2 || path[0].ID != 10 || path[1].Parent != 10 {
+			t.Fatalf("critical path %+v, want batch{10} → child{20, parent 10}", path)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("CriticalPath did not return within 5 s")
+	}
+}

@@ -155,8 +155,8 @@ type ProcessView struct {
 	// Rates maps derived rate names (iter_s, rpc_s, req_s, bytes_s) to
 	// per-second values over the ring window.
 	Rates map[string]float64 `json:"rates,omitempty"`
-	// HitRatio is the windowed cache hit ratio, present only for roles
-	// with a cache (worker, serve) that saw accesses in the window.
+	// HitRatio is the windowed training-cache hit ratio, present only for
+	// workers whose cache saw accesses in the window.
 	HitRatio *float64 `json:"hit_ratio,omitempty"`
 	// LinksDown, present only for processes reporting the PS link-layer
 	// gauge, is how many shard links currently sit behind an open circuit

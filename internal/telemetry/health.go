@@ -359,7 +359,8 @@ func (f *Fleet) stragglerRule(breaches map[alertKey]breach) {
 	}
 }
 
-// cacheRule flags a fleet-wide windowed hit ratio below the floor.
+// cacheRule flags a fleet-wide windowed hit ratio of the training cache
+// (every role in roleHit, pooled) below the floor.
 func (f *Fleet) cacheRule(breaches map[alertKey]breach) {
 	hc := f.cfg.Health
 	var hits, total int64

@@ -220,10 +220,11 @@ var roleRates = map[string][]struct {
 	},
 }
 
-// roleHit maps roles to their cache hit/miss counter pair.
+// roleHit maps roles to their cache hit/miss counter pair. Only training
+// workers run the hotness-aware cache, so the fleet hit ratio and the
+// cache_degraded rule are the training cache's alone.
 var roleHit = map[string][2][]string{
 	RoleWorker: {{metrics.MCacheHits}, {metrics.MCacheMisses}},
-	RoleServe:  {{metrics.MServeCacheHits}, {metrics.MServeCacheMisses}},
 }
 
 // PrimaryRate returns the name of a role's primary derived rate ("iter_s"

@@ -329,6 +329,52 @@ func TestCacheDegradedFleetWide(t *testing.T) {
 	}
 }
 
+// TestServeReplicaLeavesTrainingHitRatioAlone pins that the fleet hit ratio
+// is the training cache's: a serve replica shipping hit/miss counters of its
+// own (named as hetkg serve's hot tier once published them) at a 0.01 ratio
+// must neither drag a healthy 0.6 worker under the cache_degraded floor nor
+// get a hit ratio of its own in the fleet view.
+func TestServeReplicaLeavesTrainingHitRatioAlone(t *testing.T) {
+	clk := newFakeClock()
+	f := NewFleet(FleetConfig{Window: 8, Now: clk.Now})
+	for r := int64(1); r <= 6; r++ {
+		reports := []Report{
+			{Role: RoleWorker, Label: "w0", Seq: r, Metrics: counterSnap(map[string]int64{
+				metrics.MTrainIterations: r * 100,
+				metrics.MCacheHits:       r * 300,
+				metrics.MCacheMisses:     r * 200,
+			})},
+			{Role: RoleServe, Label: "127.0.0.1:8080", Seq: r, Metrics: counterSnap(map[string]int64{
+				metrics.MServeRequests: r * 1000,
+				"serve.cache.hits":     r * 30,
+				"serve.cache.misses":   r * 2970,
+			})},
+		}
+		for _, rep := range reports {
+			if err := f.Ingest(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.Advance(time.Second)
+	}
+	v := f.View()
+	if len(v.Alerts) != 0 {
+		t.Fatalf("alerts = %+v, want none: the training cache hits 0.6", v.Alerts)
+	}
+	for _, p := range v.Processes {
+		switch p.Role {
+		case RoleServe:
+			if p.HitRatio != nil {
+				t.Errorf("serve replica has hit_ratio %v, want none", *p.HitRatio)
+			}
+		case RoleWorker:
+			if p.HitRatio == nil || *p.HitRatio != 0.6 {
+				t.Errorf("worker hit_ratio = %v, want 0.6", p.HitRatio)
+			}
+		}
+	}
+}
+
 func TestCommStall(t *testing.T) {
 	clk := newFakeClock()
 	f := NewFleet(FleetConfig{Window: 8, Now: clk.Now})

@@ -10,8 +10,9 @@
 # them off the network unauthenticated (the HTTP query decoder and the
 # parameter-server shard session), the frame every durable file — a
 # checkpoint, progress snapshot or artifact entry — is read back through,
-# together with the checkpoint and progress bodies inside it, and the
-# plan-file parser and sweep resolver.
+# together with the checkpoint and progress bodies inside it, the plan-file
+# parser and sweep resolver, and the span-dump reader with the analysis
+# `hetkg trace spans` runs on what it reads.
 #
 # Every "is it documented" check — exported declarations, metric, span,
 # serving and codec profile names, plan keys, the generated flag reference,
@@ -40,6 +41,9 @@ go test -run '^$' -fuzz FuzzFrameDecode -fuzztime 20s ./internal/frame
 
 echo "== fuzz the plan-file parser and sweep resolver (20 s)"
 go test -run '^$' -fuzz FuzzPlanParse -fuzztime 20s ./internal/plan
+
+echo "== fuzz the span-dump reader, analyzer and Chrome export (20 s)"
+go test -run '^$' -fuzz FuzzSpanDump -fuzztime 20s ./internal/span
 
 echo "== benchmark module (vet + tests against this tree)"
 # benchmark/ is a separate module compiled against internal/*; tier-1 vets
