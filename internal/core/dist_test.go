@@ -34,6 +34,20 @@ func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
 	derived.OptimizerName = "adam"
 	t.Run("defaults", func(t *testing.T) { multiProcessMatchesLocal(t, base, base) })
 	t.Run("inverse+adam", func(t *testing.T) { multiProcessMatchesLocal(t, derived, derived) })
+	// tcp-chatty's shape: four shards, so each pull and push is one round of
+	// four overlapped requests.
+	chatty := core.RunConfig{
+		Dataset:   "wn18",
+		Scale:     dataset.Tiny,
+		System:    core.SystemDGLKE,
+		Machines:  4,
+		Dim:       16,
+		BatchSize: 32,
+		Epochs:    1,
+		Seed:      31,
+		Codec:     ps.ProfileFP32,
+	}
+	t.Run("4 shards", func(t *testing.T) { multiProcessMatchesLocal(t, chatty, chatty) })
 
 	// The third case starts where the operator does: one run-identity argv,
 	// given to a `hetkg ps` (which binds the identity flags alone) and to a

@@ -39,6 +39,19 @@ func (e *DegradedError) Unwrap() error { return e.Err }
 // co-located with this worker's machine) from remotePull/remotePush, and
 // meters the traffic of both classes for the netsim cost model — the split
 // the paper's co-located PS design exists to exploit (§IV-A, §V).
+//
+// A Pull or Push makes one RPC per shard it touches. Over a LinkTransport
+// whose links cross sockets (DialTCPLink) they run as one overlapped round:
+// every request is written before any reply is read, as DGL-KE's KVStore
+// sends one request per server and then collects the replies, so the shards
+// work at the same time and a batch waits about as long as its slowest
+// shard rather than the sum of all of them. No goroutine is started. Every
+// other transport is called one shard after another: InProc and in-process
+// codec links have no wait to overlap. Either way every shard is asked and
+// the replies are merged in ascending shard order, so rows, meter records,
+// counters and a DegradedError's keys do not depend on the path. The netsim
+// meter still prices a batch's messages one after another, as it always
+// has, so the simulated time of a run does not change with it.
 type Client struct {
 	machine int
 	place   *Placement
@@ -49,6 +62,7 @@ type Client struct {
 	obs     *clientObs
 	tracer  *span.Tracer
 	sc      span.Context
+	overlap *LinkTransport // tr, when its links cross sockets (see Client)
 }
 
 // clientObs holds a client's registry-backed RPC series (see Instrument).
@@ -84,9 +98,13 @@ func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Cli
 	if machine < 0 || machine >= c.Place.NumMachines() {
 		return nil, fmt.Errorf("ps: machine %d out of range [0,%d)", machine, c.Place.NumMachines())
 	}
+	var overlap *LinkTransport
 	if lt, ok := tr.(*LinkTransport); ok {
 		if err := lt.checkWidths(c.EntityDim(), c.RelationDim()); err != nil {
 			return nil, err
+		}
+		if lt.overSockets() {
+			overlap = lt
 		}
 	}
 	return &Client{
@@ -96,6 +114,7 @@ func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Cli
 		meter:   meter,
 		entDim:  c.EntityDim(),
 		relDim:  c.RelationDim(),
+		overlap: overlap,
 	}, nil
 }
 
@@ -130,66 +149,69 @@ func (c *Client) Width(k Key) int {
 
 // Pull fetches the rows for keys into dst, allocating a fresh slice per
 // key. Keys are grouped per shard into one RPC each (batched pulls, as in
-// DGL-KE's KVStore).
+// DGL-KE's KVStore), and every shard is asked. The rows are then merged in
+// shard order, and the first error other than a link-down one, in shard
+// order, is returned.
 func (c *Client) Pull(keys []Key, dst map[Key][]float32) error {
-	groups := c.groupByShard(keys)
-	var downKeys []Key
-	var downErr error
-	for _, shard := range sortedShards(groups) {
-		ks := groups[shard]
-		sp := c.tracer.StartChild(c.sc, span.NPSPull)
-		resp, err := c.tr.Pull(shard, &PullRequest{Keys: ks, Trace: sp.Context()})
+	calls := c.split(keys)
+	reqs := make([]*PullRequest, len(calls))
+	for i := range calls {
+		calls[i].sp = c.tracer.StartChild(c.sc, span.NPSPull)
+		reqs[i] = &PullRequest{Keys: calls[i].keys, Trace: calls[i].sp.Context()}
+	}
+	pulled := func(i int, resp *PullResponse, err error) {
+		sc := &calls[i]
 		if err != nil {
-			sp.EndAttrs(span.Attrs{Rows: int64(len(ks)), Shard: shard})
-			if errors.Is(err, ErrLinkDown) {
-				// Finish the healthy shards; report the missing rows once.
-				downKeys = append(downKeys, ks...)
-				if downErr == nil {
-					downErr = err
-				}
-				continue
-			}
-			return fmt.Errorf("ps: pull from shard %d: %w", shard, err)
+			sc.end(fmt.Errorf("ps: pull from shard %d: %w", sc.shard, err))
+			return
 		}
-		tx, rx := resp.TxBytes, resp.RxBytes
-		if tx == 0 {
-			tx = PullRequestBytes(len(ks))
+		sc.vals, sc.tx, sc.rx = resp.Vals, resp.TxBytes, resp.RxBytes
+		if sc.tx == 0 {
+			sc.tx = PullRequestBytes(len(sc.keys))
 		}
-		if rx == 0 {
-			rx = PullResponseBytes(len(resp.Vals))
+		if sc.rx == 0 {
+			sc.rx = PullResponseBytes(len(resp.Vals))
 		}
-		c.record(shard, tx+rx, sp.Context())
-		sp.EndAttrs(span.Attrs{Rows: int64(len(ks)), Bytes: tx + rx, Shard: shard})
+		sc.end(nil)
+	}
+	if c.overlap != nil {
+		c.overlap.pullEach(shardsOf(calls), reqs, pulled)
+	} else {
+		for i, req := range reqs {
+			resp, err := c.tr.Pull(calls[i].shard, req)
+			pulled(i, resp, err)
+		}
+	}
+	return c.merge("pull", calls, func(sc *shardCall) error {
 		if o := c.obs; o != nil {
 			o.pullRPCs.Inc()
-			o.pullRows.Add(int64(len(ks)))
-			o.bytesTx.Add(tx)
-			o.bytesRx.Add(rx)
+			o.pullRows.Add(int64(len(sc.keys)))
+			o.bytesRx.Add(sc.rx)
 		}
 		want := 0
-		for _, k := range ks {
+		for _, k := range sc.keys {
 			want += c.Width(k)
 		}
-		if len(resp.Vals) != want {
-			return fmt.Errorf("ps: pull from shard %d returned %d values, %d rows need %d", shard, len(resp.Vals), len(ks), want)
+		if len(sc.vals) != want {
+			return fmt.Errorf("ps: pull from shard %d returned %d values, %d rows need %d", sc.shard, len(sc.vals), len(sc.keys), want)
 		}
 		off := 0
-		for _, k := range ks {
+		for _, k := range sc.keys {
 			w := c.Width(k)
 			row := make([]float32, w)
-			copy(row, resp.Vals[off:off+w])
+			copy(row, sc.vals[off:off+w])
 			dst[k] = row
 			off += w
 		}
-	}
-	if downKeys != nil {
-		return &DegradedError{Op: "pull", Keys: downKeys, Err: downErr}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Push sends the gradient rows in grads to their owning shards, one RPC per
-// shard, keys sorted for determinism.
+// shard, keys sorted for determinism. Every payload is built and its widths
+// checked before any RPC goes out. As in Pull, every shard is asked, so a
+// push one shard refuses does not keep the others' from being applied; the
+// refusal is still the error returned, and the run stops on it either way.
 func (c *Client) Push(grads map[Key][]float32) error {
 	if len(grads) == 0 {
 		return nil
@@ -199,77 +221,136 @@ func (c *Client) Push(grads map[Key][]float32) error {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	groups := c.groupByShard(keys)
-	var downKeys []Key
-	var downErr error
-	for _, shard := range sortedShards(groups) {
-		ks := groups[shard]
+	calls := c.split(keys)
+	reqs := make([]*PushRequest, len(calls))
+	for i := range calls {
+		sc := &calls[i]
 		total := 0
-		for _, k := range ks {
+		for _, k := range sc.keys {
 			total += len(grads[k])
 		}
 		vals := make([]float32, 0, total)
-		for _, k := range ks {
+		for _, k := range sc.keys {
 			g := grads[k]
 			if len(g) != c.Width(k) {
 				return fmt.Errorf("ps: gradient for %v has width %d, want %d", k, len(g), c.Width(k))
 			}
 			vals = append(vals, g...)
 		}
-		sp := c.tracer.StartChild(c.sc, span.NPSPush)
-		req := &PushRequest{Keys: ks, Vals: vals, Trace: sp.Context()}
-		if err := c.tr.Push(shard, req); err != nil {
-			sp.EndAttrs(span.Attrs{Rows: int64(len(ks)), Shard: shard})
-			if errors.Is(err, ErrLinkDown) {
-				downKeys = append(downKeys, ks...)
-				if downErr == nil {
-					downErr = err
-				}
-				continue
-			}
-			return fmt.Errorf("ps: push to shard %d: %w", shard, err)
+		reqs[i] = &PushRequest{Keys: sc.keys, Vals: vals}
+	}
+	for i := range calls {
+		calls[i].sp = c.tracer.StartChild(c.sc, span.NPSPush)
+		reqs[i].Trace = calls[i].sp.Context()
+	}
+	pushed := func(i int, err error) {
+		sc := &calls[i]
+		if err != nil {
+			sc.end(fmt.Errorf("ps: push to shard %d: %w", sc.shard, err))
+			return
 		}
-		tx := req.WireBytes
-		if tx == 0 {
-			tx = PushRequestBytes(len(ks), len(vals))
+		if sc.tx = reqs[i].WireBytes; sc.tx == 0 {
+			sc.tx = PushRequestBytes(len(sc.keys), len(reqs[i].Vals))
 		}
-		c.record(shard, tx, sp.Context())
-		sp.EndAttrs(span.Attrs{Rows: int64(len(ks)), Bytes: tx, Shard: shard})
+		sc.end(nil)
+	}
+	if c.overlap != nil {
+		c.overlap.pushEach(shardsOf(calls), reqs, pushed)
+	} else {
+		for i, req := range reqs {
+			pushed(i, c.tr.Push(calls[i].shard, req))
+		}
+	}
+	return c.merge("push", calls, func(sc *shardCall) error {
 		if o := c.obs; o != nil {
 			o.pushRPCs.Inc()
-			o.pushRows.Add(int64(len(ks)))
-			o.bytesTx.Add(tx)
+			o.pushRows.Add(int64(len(sc.keys)))
+		}
+		return nil
+	})
+}
+
+// shardCall is one shard's RPC within a Pull or Push: the shard's keys in
+// request order, the RPC's span, and what the RPC returned.
+type shardCall struct {
+	shard  int
+	keys   []Key
+	sp     span.Active
+	vals   []float32 // a pull's reply rows
+	tx, rx int64     // wire bytes each way (a push has no reply bytes)
+	err    error
+}
+
+// end records the RPC's outcome and ends its span.
+func (sc *shardCall) end(err error) {
+	sc.err = err
+	sc.sp.EndAttrs(span.Attrs{Rows: int64(len(sc.keys)), Bytes: sc.tx + sc.rx, Shard: sc.shard})
+}
+
+// split groups keys by owning shard, preserving their order within a shard,
+// into one call per shard in ascending shard order — the order RPC spans
+// open in, RPCs go out in, replies merge in, and a DegradedError lists keys
+// in.
+func (c *Client) split(keys []Key) []shardCall {
+	byShard := make([][]Key, c.place.NumMachines())
+	n := 0
+	for _, k := range keys {
+		s := c.place.Shard(k)
+		if byShard[s] == nil {
+			n++
+		}
+		byShard[s] = append(byShard[s], k)
+	}
+	calls := make([]shardCall, 0, n)
+	for s, ks := range byShard {
+		if ks != nil {
+			calls = append(calls, shardCall{shard: s, keys: ks})
+		}
+	}
+	return calls
+}
+
+// shardsOf lists the calls' shards.
+func shardsOf(calls []shardCall) []int {
+	shards := make([]int, len(calls))
+	for i, sc := range calls {
+		shards[i] = sc.shard
+	}
+	return shards
+}
+
+// merge walks the answered calls in shard order: each reply is metered
+// into the netsim cost model and the ps.* counters and handed to ok, keys
+// of unreachable shards are gathered into one DegradedError, and the first
+// other error — a refusal, or one ok returns — ends the walk and is
+// returned.
+func (c *Client) merge(op string, calls []shardCall, ok func(*shardCall) error) error {
+	var downKeys []Key
+	var downErr error
+	for i := range calls {
+		sc := &calls[i]
+		if sc.err != nil {
+			if !errors.Is(sc.err, ErrLinkDown) {
+				return sc.err
+			}
+			downKeys = append(downKeys, sc.keys...)
+			if downErr == nil {
+				downErr = errors.Unwrap(sc.err) // the link's own error, without the shard prefix
+			}
+			continue
+		}
+		c.record(sc.shard, sc.tx+sc.rx, sc.sp.Context())
+		if o := c.obs; o != nil {
+			o.bytesTx.Add(sc.tx)
+		}
+		if err := ok(sc); err != nil {
+			return err
 		}
 	}
 	if downKeys != nil {
-		return &DegradedError{Op: "push", Keys: downKeys, Err: downErr}
+		return &DegradedError{Op: op, Keys: downKeys, Err: downErr}
 	}
 	return nil
-}
-
-// groupByShard partitions keys by owning shard, preserving order within a
-// shard.
-func (c *Client) groupByShard(keys []Key) map[int][]Key {
-	groups := make(map[int][]Key, c.place.NumMachines())
-	for _, k := range keys {
-		s := c.place.Shard(k)
-		groups[s] = append(groups[s], k)
-	}
-	return groups
-}
-
-// sortedShards returns the group's shard indices in ascending order, so
-// RPC issue order — and with it a DegradedError's key order — is
-// deterministic regardless of map iteration.
-func sortedShards(groups map[int][]Key) []int {
-	shards := make([]int, 0, len(groups))
-	for s, ks := range groups {
-		if len(ks) > 0 {
-			shards = append(shards, s)
-		}
-	}
-	sort.Ints(shards)
-	return shards
 }
 
 func (c *Client) record(shard int, bytes int64, sc span.Context) {

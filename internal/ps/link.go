@@ -249,6 +249,9 @@ func newLinkObs(reg *metrics.Registry) *linkObs {
 // in-process shard sessions, and a CoordClient is one such link to the
 // coordinator. Calls on the same shard are serialized by a per-link mutex;
 // failed calls retry with backoff and transparent reconnect per LinkConfig.
+// Over sockets, a Client's per-shard pulls or pushes for one batch run as
+// one overlapped round (see overlap): every request is written before any
+// reply is read.
 type LinkTransport struct {
 	links  []*link
 	codec  string // requested profile ("auto" resolves per connection)
@@ -369,7 +372,7 @@ func (t *LinkTransport) Trace(tr *span.Tracer) { t.tracer = tr }
 // gauge. Call before traffic flows.
 func (t *LinkTransport) Instrument(reg *metrics.Registry) {
 	t.codecObs = newCodecObs(reg)
-	if len(t.links) > 0 && t.links[0].addr != "" { // links cross a socket
+	if t.overSockets() {
 		t.obs = newLinkObs(reg)
 	}
 	for _, l := range t.links {
@@ -380,6 +383,10 @@ func (t *LinkTransport) Instrument(reg *metrics.Registry) {
 		l.mu.Unlock()
 	}
 }
+
+// overSockets reports whether the links cross a socket (DialTCPLink) rather
+// than call an in-process shard session (NewCodecTransport).
+func (t *LinkTransport) overSockets() bool { return len(t.links) > 0 && t.links[0].addr != "" }
 
 // NegotiatedProfile returns the profile this transport was built with
 // ("auto" when per-connection resolution was requested over TCP, in which
@@ -436,15 +443,30 @@ func (l *link) connect(t *LinkTransport) error {
 // circuit breaker is open the call fails fast with a LinkDownError before
 // touching the wire.
 func (t *LinkTransport) withLink(shard int, attempt func(l *link, c *linkConn) error) error {
-	if shard < 0 || shard >= len(t.links) {
-		return fmt.Errorf("ps: no shard %d", shard)
+	l, err := t.link(shard)
+	if err != nil {
+		return err
 	}
-	if t.closed.Load() {
-		return fmt.Errorf("ps: transport closed")
-	}
-	l := t.links[shard]
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return t.retry(l, attempt, nil)
+}
+
+// link returns shard's link, or why no call may use it.
+func (t *LinkTransport) link(shard int) (*link, error) {
+	if shard < 0 || shard >= len(t.links) {
+		return nil, fmt.Errorf("ps: no shard %d", shard)
+	}
+	if t.closed.Load() {
+		return nil, fmt.Errorf("ps: transport closed")
+	}
+	return t.links[shard], nil
+}
+
+// retry is withLink's policy loop; the caller holds l.mu. A non-nil first
+// stands in for the first attempt on the connection l already has: the rest
+// of an attempt whose request is already on the wire (see overlap).
+func (t *LinkTransport) retry(l *link, attempt, first func(l *link, c *linkConn) error) error {
 	var lastErr error
 	for try := 0; ; try++ {
 		if try > 0 {
@@ -455,6 +477,7 @@ func (t *LinkTransport) withLink(shard int, attempt func(l *link, c *linkConn) e
 				o.retries.Inc()
 			}
 			t.cfg.Sleep(l.backoff(t.cfg, try))
+			first = nil
 		}
 		if l.c == nil {
 			if !l.breaker.allow(t.cfg.Now()) {
@@ -466,7 +489,11 @@ func (t *LinkTransport) withLink(shard int, attempt func(l *link, c *linkConn) e
 				continue
 			}
 		}
-		err := attempt(l, l.c)
+		run := attempt
+		if first != nil {
+			run = first
+		}
+		err := run(l, l.c)
 		if err == nil {
 			l.ok(t)
 			return nil
@@ -484,6 +511,82 @@ func (t *LinkTransport) withLink(shard int, attempt func(l *link, c *linkConn) e
 		l.poison(t, err)
 	}
 	return &LinkDownError{Shard: l.shard, Addr: l.addr, Err: lastErr}
+}
+
+// exchange is one request and its reply on a shard link, cut where the
+// wait for the shard falls: request builds the request for the link's
+// current connection (again on every retry), reply consumes the reply's
+// payload.
+type exchange struct {
+	request func(l *link, c *linkConn) (*wireRequest, error)
+	reply   func(c *linkConn, payload []byte) error
+}
+
+// attempt is x whole, as one attempt of the retry policy.
+func (t *LinkTransport) attempt(x exchange) func(l *link, c *linkConn) error {
+	return func(l *link, c *linkConn) error {
+		req, err := x.request(l, c)
+		if err != nil {
+			return err
+		}
+		payload, err := t.roundTrip(l, c, req)
+		if err != nil {
+			return err
+		}
+		return x.reply(c, payload)
+	}
+}
+
+// overlap runs xs[i] on shards[i]'s link, the shards distinct and
+// ascending and the links over sockets, as one overlapped round: every
+// request goes on the wire before any reply is read, so the shards serve
+// them at the same time and the caller waits about as long as the slowest
+// shard takes instead of the sum of all of them, on its own goroutine.
+// Replies are then read in shard order and done(i, err) reports each xs[i]
+// as it finishes. Each link is held from its request to its reply, taken in
+// ascending shard order, so a shard sees one caller's requests in the order
+// they were made and two overlapping callers cannot deadlock. An exchange
+// whose link has no connection, or whose request fails, runs under the
+// retry policy in the reply phase, as withLink would run it.
+func (t *LinkTransport) overlap(shards []int, xs []exchange, done func(i int, err error)) {
+	links := make([]*link, len(xs))
+	firsts := make([]func(l *link, c *linkConn) error, len(xs))
+	errs := make([]error, len(xs))
+	for i, x := range xs {
+		l, err := t.link(shards[i])
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		l.mu.Lock()
+		links[i] = l
+		c := l.c
+		if c == nil {
+			continue
+		}
+		req, err := x.request(l, c)
+		var wire span.Active
+		if err == nil {
+			wire, err = t.send(l, c, req)
+		}
+		firsts[i] = func(l *link, c *linkConn) error {
+			if err != nil {
+				return err
+			}
+			payload, err := t.recv(l, c, wire)
+			if err != nil {
+				return err
+			}
+			return x.reply(c, payload)
+		}
+	}
+	for i, l := range links {
+		if l != nil {
+			errs[i] = t.retry(l, t.attempt(xs[i]), firsts[i])
+			l.mu.Unlock()
+		}
+		done(i, errs[i])
+	}
 }
 
 // call runs one request on shard's link under the retry policy and returns
@@ -559,10 +662,9 @@ func (t *LinkTransport) setOpen(n int64) {
 
 // roundTrip sends req on c and returns the reply payload — the one place a
 // worker writes a request and reads its reply. An in-process session is
-// called directly; a socket carries req under the per-attempt deadlines:
-// SetWriteDeadline covers the encode + flush, SetReadDeadline the response
-// decode. The caller holds the link mutex. A refused request returns as a
-// *RemoteError (healthy link, refused request).
+// called directly; a socket carries req under the per-attempt deadlines
+// (see send and recv). The caller holds the link mutex. A refused request
+// returns as a *RemoteError (healthy link, refused request).
 func (t *LinkTransport) roundTrip(l *link, c *linkConn, req *wireRequest) ([]byte, error) {
 	if c.sess != nil {
 		payload, err := c.sess.handle(req)
@@ -571,6 +673,16 @@ func (t *LinkTransport) roundTrip(l *link, c *linkConn, req *wireRequest) ([]byt
 		}
 		return payload, nil
 	}
+	wire, err := t.send(l, c, req)
+	if err != nil {
+		return nil, err
+	}
+	return t.recv(l, c, wire)
+}
+
+// send writes req on c's socket under SetWriteDeadline (encode + flush) and
+// returns the wire.tcp span that recv ends when the reply is decoded.
+func (t *LinkTransport) send(l *link, c *linkConn, req *wireRequest) (span.Active, error) {
 	shard := l.shard
 	sc := span.Context{Trace: req.TraceID, Parent: req.ParentID}
 	ser := t.tracer.StartChild(sc, span.NSerialize)
@@ -578,13 +690,19 @@ func (t *LinkTransport) roundTrip(l *link, c *linkConn, req *wireRequest) ([]byt
 		c.conn.SetWriteDeadline(time.Now().Add(d))
 	}
 	if err := c.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("ps: sending to shard %d: %w", shard, err)
+		return span.Active{}, fmt.Errorf("ps: sending to shard %d: %w", shard, err)
 	}
 	if err := c.bw.Flush(); err != nil {
-		return nil, fmt.Errorf("ps: flushing to shard %d: %w", shard, err)
+		return span.Active{}, fmt.Errorf("ps: flushing to shard %d: %w", shard, err)
 	}
 	ser.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Shard: shard})
-	wire := t.tracer.StartChild(sc, span.NWireTCP)
+	return t.tracer.StartChild(sc, span.NWireTCP), nil
+}
+
+// recv reads the reply to the request send wrote on c, under
+// SetReadDeadline, and ends send's wire span.
+func (t *LinkTransport) recv(l *link, c *linkConn, wire span.Active) ([]byte, error) {
+	shard := l.shard
 	var resp wireResponse
 	defer func() { wire.EndAttrs(span.Attrs{Shard: shard}) }()
 	if d := t.cfg.RPCTimeout; d > 0 {
@@ -609,36 +727,41 @@ func (t *LinkTransport) roundTrip(l *link, c *linkConn, req *wireRequest) ([]byt
 // against the current connection's codec state — after a reconnect the
 // fresh codec advertises nothing, so the shard answers with full rows.
 func (t *LinkTransport) Pull(shard int, req *PullRequest) (*PullResponse, error) {
-	var out *PullResponse
-	err := t.withLink(shard, func(l *link, c *linkConn) error {
-		c.pbuf = c.lc.appendBaseVers(c.pbuf[:0], req.Keys)
-		payload, err := t.roundTrip(l, c, &wireRequest{
-			Op: 'P', Keys: req.Keys, Payload: c.pbuf,
-			TraceID: req.Trace.Trace, ParentID: req.Trace.Parent,
-		})
-		if err != nil {
-			return err
-		}
-		sp := t.tracer.StartChild(req.Trace, span.NEncode)
-		vals := make([]float32, c.lc.totalWidth(req.Keys))
-		if err := c.lc.decodePull(req.Keys, payload, vals); err != nil {
-			sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Shard: shard})
-			// The link's base state may now disagree with the shard's:
-			// poison and retry on a fresh codec.
-			return fmt.Errorf("ps: decoding pull from shard %d: %w", shard, err)
-		}
-		sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(payload)), Shard: shard})
-		out = &PullResponse{
-			Vals:    vals,
-			TxBytes: PullRequestBytes(len(req.Keys)) + int64(len(c.pbuf)),
-			RxBytes: msgHeaderBytes + int64(len(payload)),
-		}
-		return nil
-	})
-	if err != nil {
+	out := new(PullResponse)
+	if err := t.withLink(shard, t.attempt(t.pullExchange(shard, req, out))); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// pullExchange is Pull's exchange; its reply fills out.
+func (t *LinkTransport) pullExchange(shard int, req *PullRequest, out *PullResponse) exchange {
+	return exchange{
+		request: func(_ *link, c *linkConn) (*wireRequest, error) {
+			c.pbuf = c.lc.appendBaseVers(c.pbuf[:0], req.Keys)
+			return &wireRequest{
+				Op: 'P', Keys: req.Keys, Payload: c.pbuf,
+				TraceID: req.Trace.Trace, ParentID: req.Trace.Parent,
+			}, nil
+		},
+		reply: func(c *linkConn, payload []byte) error {
+			sp := t.tracer.StartChild(req.Trace, span.NEncode)
+			vals := make([]float32, c.lc.totalWidth(req.Keys))
+			if err := c.lc.decodePull(req.Keys, payload, vals); err != nil {
+				sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Shard: shard})
+				// The link's base state may now disagree with the shard's:
+				// poison and retry on a fresh codec.
+				return fmt.Errorf("ps: decoding pull from shard %d: %w", shard, err)
+			}
+			sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(payload)), Shard: shard})
+			*out = PullResponse{
+				Vals:    vals,
+				TxBytes: PullRequestBytes(len(req.Keys)) + int64(len(c.pbuf)),
+				RxBytes: msgHeaderBytes + int64(len(payload)),
+			}
+			return nil
+		},
+	}
 }
 
 // Push implements Transport: gradients are codec-encoded (the caller's
@@ -648,29 +771,63 @@ func (t *LinkTransport) Pull(shard int, req *PullRequest) (*PullResponse, error)
 // number, so a push whose response was lost after the shard applied it is
 // deduplicated server-side instead of double-applied.
 func (t *LinkTransport) Push(shard int, req *PushRequest) error {
+	return t.withLink(shard, t.attempt(t.pushExchange(shard, req)))
+}
+
+// pushExchange is Push's exchange.
+func (t *LinkTransport) pushExchange(shard int, req *PushRequest) exchange {
 	var payload []byte
 	var seq uint64
-	return t.withLink(shard, func(l *link, c *linkConn) error {
-		if payload == nil {
-			sp := t.tracer.StartChild(req.Trace, span.NEncode)
-			p, err := c.lc.encodePush(c.pbuf[:0], req.Keys, req.Vals)
-			if err != nil {
-				sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Shard: shard})
-				return &noRetryError{err}
+	return exchange{
+		request: func(l *link, c *linkConn) (*wireRequest, error) {
+			if payload == nil {
+				sp := t.tracer.StartChild(req.Trace, span.NEncode)
+				p, err := c.lc.encodePush(c.pbuf[:0], req.Keys, req.Vals)
+				if err != nil {
+					sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Shard: shard})
+					return nil, &noRetryError{err}
+				}
+				c.pbuf = p
+				payload = p
+				sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(p)), Shard: shard})
+				req.WireBytes = msgHeaderBytes + 8*int64(len(req.Keys)) + int64(len(p))
+				l.seq++
+				seq = l.seq
 			}
-			c.pbuf = p
-			payload = p
-			sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(p)), Shard: shard})
-			req.WireBytes = msgHeaderBytes + 8*int64(len(req.Keys)) + int64(len(p))
-			l.seq++
-			seq = l.seq
+			return &wireRequest{
+				Op: 'U', Keys: req.Keys, Payload: payload, Seq: seq,
+				TraceID: req.Trace.Trace, ParentID: req.Trace.Parent,
+			}, nil
+		},
+		reply: func(*linkConn, []byte) error { return nil },
+	}
+}
+
+// pullEach pulls reqs[i] from shards[i] in one overlapped round and reports
+// each pull to done in shard order.
+func (t *LinkTransport) pullEach(shards []int, reqs []*PullRequest, done func(i int, resp *PullResponse, err error)) {
+	xs := make([]exchange, len(reqs))
+	outs := make([]PullResponse, len(reqs))
+	for i, req := range reqs {
+		xs[i] = t.pullExchange(shards[i], req, &outs[i])
+	}
+	t.overlap(shards, xs, func(i int, err error) {
+		if err != nil {
+			done(i, nil, err)
+			return
 		}
-		_, err := t.roundTrip(l, c, &wireRequest{
-			Op: 'U', Keys: req.Keys, Payload: payload, Seq: seq,
-			TraceID: req.Trace.Trace, ParentID: req.Trace.Parent,
-		})
-		return err
+		done(i, &outs[i], nil)
 	})
+}
+
+// pushEach pushes reqs[i] to shards[i] in one overlapped round and reports
+// each push to done in shard order.
+func (t *LinkTransport) pushEach(shards []int, reqs []*PushRequest, done func(i int, err error)) {
+	xs := make([]exchange, len(reqs))
+	for i, req := range reqs {
+		xs[i] = t.pushExchange(shards[i], req)
+	}
+	t.overlap(shards, xs, done)
 }
 
 // Close implements Transport. A closed transport fails every subsequent

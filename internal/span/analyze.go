@@ -1,6 +1,7 @@
 package span
 
 import (
+	"math"
 	"sort"
 	"time"
 )
@@ -33,15 +34,17 @@ func Category(name string) string {
 // child (scheduling, bookkeeping, merge overhead).
 func Categories() []string { return []string{"compute", "comm", "cache", "other"} }
 
-// BatchPath is one sampled batch's attribution: the root span plus its
-// direct children's wall time summed per category. Grandchildren (wire and
-// shard spans under an RPC span, RPC spans under a cache refresh) are
-// already covered by their parent, so direct-child attribution never double
-// counts an interval.
+// BatchPath is one sampled batch's attribution: the root span plus, per
+// category, the wall time its direct children of that category cover — the
+// union of their intervals, so the concurrent per-shard RPCs of one pull
+// count once. Grandchildren (wire and shard spans under an RPC span, RPC
+// spans under a cache refresh) are already covered by their parent, so
+// direct-child attribution never double counts an interval.
 type BatchPath struct {
 	Root       Span
 	ByCategory map[string]time.Duration
-	// Uncovered is root duration minus direct-child coverage ("other").
+	// Uncovered is root duration minus the union of all direct children's
+	// intervals ("other"), never negative.
 	Uncovered time.Duration
 }
 
@@ -93,15 +96,19 @@ func Analyze(spans []Span, topK int) *Analysis {
 			continue
 		}
 		bp := BatchPath{Root: s, ByCategory: map[string]time.Duration{}}
-		var covered time.Duration
+		var all []Span
+		byCat := map[string][]Span{}
 		for _, c := range children[s.ID] {
 			if c.Trace != s.Trace {
 				continue // span-ID reuse across drains; trace must match
 			}
-			bp.ByCategory[Category(c.Name)] += c.Duration()
-			covered += c.Duration()
+			all = append(all, c)
+			byCat[Category(c.Name)] = append(byCat[Category(c.Name)], c)
 		}
-		if bp.Uncovered = s.Duration() - covered; bp.Uncovered < 0 {
+		for cat, cs := range byCat {
+			bp.ByCategory[cat] = covered(cs)
+		}
+		if bp.Uncovered = s.Duration() - covered(all); bp.Uncovered < 0 {
 			bp.Uncovered = 0
 		}
 		a.Batches = append(a.Batches, bp)
@@ -144,6 +151,45 @@ func Analyze(spans []Span, topK int) *Analysis {
 	}
 	sort.Slice(a.Machines, func(i, j int) bool { return a.Machines[i].Machine < a.Machines[j].Machine })
 	return a
+}
+
+// covered returns the length of the union of the spans' intervals
+// [StartNS, StartNS+DurNS): time under any of them, counted once. A span
+// with no positive duration covers nothing; an end past the int64 clock
+// saturates, and so does the total.
+func covered(spans []Span) time.Duration {
+	sort.Slice(spans, func(i, j int) bool { return spans[i].StartNS < spans[j].StartNS })
+	var total, lo, hi int64
+	open := false
+	add := func() {
+		if d := uint64(hi) - uint64(lo); d > uint64(math.MaxInt64-total) {
+			total = math.MaxInt64
+		} else {
+			total += int64(d)
+		}
+	}
+	for _, s := range spans {
+		if s.DurNS <= 0 {
+			continue
+		}
+		end := s.StartNS + s.DurNS
+		if end < s.StartNS {
+			end = math.MaxInt64
+		}
+		switch {
+		case !open:
+			lo, hi, open = s.StartNS, end, true
+		case s.StartNS > hi:
+			add()
+			lo, hi = s.StartNS, end
+		case end > hi:
+			hi = end
+		}
+	}
+	if open {
+		add()
+	}
+	return time.Duration(total)
 }
 
 // CriticalPath walks from root down the longest direct child at each level,

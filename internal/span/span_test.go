@@ -285,11 +285,11 @@ func TestAnalyzeAttributionAndStragglers(t *testing.T) {
 	spans := []Span{
 		// Batch 1 on machine 0: 10ms root = 4ms compute + 3ms comm + 1ms cache, 2ms other.
 		{Trace: 1, ID: 1, Name: NBatch, Machine: 0, Worker: 0, StartNS: 0, DurNS: ms(10), Iter: 0, Shard: NoShard},
-		{Trace: 1, ID: 2, Parent: 1, Name: NGradCompute, Machine: 0, Worker: 0, StartNS: 1, DurNS: ms(4), Shard: NoShard},
-		{Trace: 1, ID: 3, Parent: 1, Name: NPSPull, Machine: 0, Worker: 0, StartNS: 2, DurNS: ms(3), Shard: 0},
+		{Trace: 1, ID: 2, Parent: 1, Name: NGradCompute, Machine: 0, Worker: 0, StartNS: ms(1), DurNS: ms(4), Shard: NoShard},
+		{Trace: 1, ID: 3, Parent: 1, Name: NPSPull, Machine: 0, Worker: 0, StartNS: ms(5), DurNS: ms(3), Shard: 0},
 		// Grandchild: must NOT double count at the root.
-		{Trace: 1, ID: 4, Parent: 3, Name: NShardPull, Machine: 0, Worker: WorkerShard, StartNS: 3, DurNS: ms(2), Shard: NoShard},
-		{Trace: 1, ID: 5, Parent: 1, Name: NCacheLookup, Machine: 0, Worker: 0, StartNS: 4, DurNS: ms(1), Shard: NoShard},
+		{Trace: 1, ID: 4, Parent: 3, Name: NShardPull, Machine: 0, Worker: WorkerShard, StartNS: ms(6), DurNS: ms(2), Shard: NoShard},
+		{Trace: 1, ID: 5, Parent: 1, Name: NCacheLookup, Machine: 0, Worker: 0, StartNS: ms(8), DurNS: ms(1), Shard: NoShard},
 		// Batch 2 on machine 1: 30ms root, no children (all uncovered).
 		{Trace: 2, ID: 6, Name: NBatch, Machine: 1, Worker: 1, StartNS: 5, DurNS: ms(30), Iter: 16, Shard: NoShard},
 	}
@@ -331,6 +331,31 @@ func TestAnalyzeAttributionAndStragglers(t *testing.T) {
 	path := CriticalPath(spans, spans[0])
 	if len(path) != 2 || path[0].Name != NBatch || path[1].Name != NGradCompute {
 		t.Fatalf("critical path %+v, want batch→grad.compute", path)
+	}
+}
+
+// TestAnalyzeCountsConcurrentChildrenOnce: a batch whose pull fans out to
+// two shards has two ps.pull children that overlap in time. Comm is the
+// time under either of them, not the sum, and "other" is what no child
+// covers — so no category, and not their sum, exceeds the batch.
+func TestAnalyzeCountsConcurrentChildrenOnce(t *testing.T) {
+	ms := func(d int) int64 { return int64(time.Duration(d) * time.Millisecond) }
+	spans := []Span{
+		// 10ms batch: pulls to shards 0 and 1 over [1,5) and [2,6), compute [6,9).
+		{Trace: 1, ID: 1, Name: NBatch, StartNS: 0, DurNS: ms(10), Shard: NoShard},
+		{Trace: 1, ID: 2, Parent: 1, Name: NPSPull, StartNS: ms(1), DurNS: ms(4), Shard: 0},
+		{Trace: 1, ID: 3, Parent: 1, Name: NPSPull, StartNS: ms(2), DurNS: ms(4), Shard: 1},
+		{Trace: 1, ID: 4, Parent: 1, Name: NGradCompute, StartNS: ms(6), DurNS: ms(3), Shard: NoShard},
+	}
+	b := Analyze(spans, 0).Batches[0]
+	if got := b.ByCategory["comm"]; got != 5*time.Millisecond {
+		t.Errorf("comm %v, want 5ms (the union of [1,5) and [2,6))", got)
+	}
+	if got := b.ByCategory["compute"]; got != 3*time.Millisecond {
+		t.Errorf("compute %v, want 3ms", got)
+	}
+	if b.Uncovered != 2*time.Millisecond {
+		t.Errorf("uncovered %v, want 2ms ([0,1) and [9,10))", b.Uncovered)
 	}
 }
 

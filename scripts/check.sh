@@ -3,6 +3,8 @@
 # detector. The deterministic parallel engine (internal/par) and the code
 # built on it (train batch compute, eval ranking) must stay race-free at
 # any parallelism, so -race covers every package, not just internal/par.
+# The per-shard rounds a parameter-server client overlaps run ten more times
+# under -race, since a scheduling-dependent bug shows only in some runs.
 # Then the two things a plain `go test` never executes: the benchmarks of
 # the sweep stack and of the training and codec kernels (one iteration
 # each, so they cannot rot) and short fuzzes of
@@ -26,6 +28,9 @@ go vet ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== a client's overlapped per-shard rounds, race detector, ten times"
+go test -race -count=10 -run FanOut ./internal/ps
 
 echo "== every benchmark of the sweep stack and the element kernels compiles and runs once"
 go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/knn ./internal/serve ./internal/ps
