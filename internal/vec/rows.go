@@ -11,31 +11,37 @@ import (
 // neighbors, full-ranking evaluation), where the per-row forms above lose to
 // two things a block of rows removes: one dependent add chain per row (four
 // rows at a time give the core four independent chains), and, for the l1
-// distance, a data-dependent branch per element.
+// distance, a data-dependent branch per element. On amd64 CPUs with AVX2
+// the block kernels in rows_amd64.s go further: eight rows per instruction,
+// one row per vector lane.
 //
 // The contract is exact, not approximate: out[k] carries the same float32
 // bits the per-row function (Dot, L1Dist, SquaredL2Dist) returns for that
 // row. Each row keeps its own accumulator and adds its elements in index
 // order, so the arithmetic per row is the per-row function's arithmetic;
-// only the interleaving across rows differs. The one thing interleaving can
-// change is which NaN comes out when several meet (sign and payload follow
-// the instruction's operand order), so a row that reduces to NaN is redone
-// with the per-row function.
+// only the interleaving across rows, and which vector lane does a row's
+// arithmetic, differ. The one thing interleaving can change is which NaN
+// comes out when several meet (sign and payload follow the instruction's
+// operand order), so a row that reduces to NaN is redone with the per-row
+// function.
 
 // DotRows stores Dot(q, row k) into out[k].
-func DotRows(out, q, rows []float32) { scoreRows(out, q, rows, dot4, Dot) }
+func DotRows(out, q, rows []float32) { scoreRows(out, q, rows, dotBlocks, dot4, Dot) }
 
 // L1DistRows stores L1Dist(q, row k) into out[k].
-func L1DistRows(out, q, rows []float32) { scoreRows(out, q, rows, l1Dist4, L1Dist) }
+func L1DistRows(out, q, rows []float32) { scoreRows(out, q, rows, l1DistBlocks, l1Dist4, L1Dist) }
 
 // SquaredL2DistRows stores SquaredL2Dist(q, row k) into out[k].
 func SquaredL2DistRows(out, q, rows []float32) {
-	scoreRows(out, q, rows, squaredL2Dist4, SquaredL2Dist)
+	scoreRows(out, q, rows, squaredL2DistBlocks, squaredL2Dist4, SquaredL2Dist)
 }
 
-// scoreRows drives a four-row kernel over the run and falls back to the
-// per-row function for the last len(out)%4 rows and for NaN results.
+// scoreRows hands the run's whole eight-row blocks to the block kernel when
+// the CPU runs them (blockKernels) and the width is a multiple of 8, drives
+// the four-row kernel over the rows left, and falls back to the per-row
+// function for the last len(out)%4 rows and for NaN results.
 func scoreRows(out, q, rows []float32,
+	eight func(out, q, rows []float32),
 	four func(q, r0, r1, r2, r3 []float32) (s0, s1, s2, s3 float32),
 	one func(q, row []float32) float32) {
 	d := len(q)
@@ -43,6 +49,15 @@ func scoreRows(out, q, rows []float32,
 		panic(fmt.Sprintf("vec: %d floats is not %d rows of width %d", len(rows), len(out), d))
 	}
 	k := 0
+	if blockKernels && d%8 == 0 {
+		k = len(out) &^ 7
+		eight(out[:k], q, rows[:k*d])
+		for i, s := range out[:k] {
+			if s != s {
+				out[i] = one(q, rows[i*d:(i+1)*d])
+			}
+		}
+	}
 	for ; k+4 <= len(out); k += 4 {
 		t := rows[k*d : (k+4)*d]
 		r0, r1, r2, r3 := t[:d], t[d:2*d], t[2*d:3*d], t[3*d:]

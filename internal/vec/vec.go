@@ -7,8 +7,9 @@
 // short (tens to hundreds of elements) and a training step touches scattered
 // rows, so there is nothing more to win per call. A sweep over a whole table
 // is different — the same query against every row — and has its own kernels
-// in rows.go, which score four rows per pass and return, bit for bit, what
-// the per-row functions here return.
+// in rows.go, which score eight rows per AVX2 pass on amd64 (rows_amd64.s)
+// or four per pass in Go, and return, bit for bit, what the per-row
+// functions here return.
 package vec
 
 import (

@@ -14,7 +14,9 @@
 # checkpoint, progress snapshot or artifact entry — is read back through,
 # together with the checkpoint and progress bodies inside it, the plan-file
 # parser and sweep resolver, and the span-dump reader with the analysis
-# `hetkg trace spans` runs on what it reads.
+# `hetkg trace spans` runs on what it reads. One more fuzz holds the sweep
+# kernels (internal/vec *Rows: the AVX2 block kernels and the Go ones) to
+# the per-row functions bit for bit on raw float32 bits.
 #
 # Every "is it documented" check — exported declarations, metric, span,
 # serving and codec profile names, plan keys, the generated flag reference,
@@ -49,6 +51,9 @@ go test -run '^$' -fuzz FuzzPlanParse -fuzztime 20s ./internal/plan
 
 echo "== fuzz the span-dump reader, analyzer and Chrome export (20 s)"
 go test -run '^$' -fuzz FuzzSpanDump -fuzztime 20s ./internal/span
+
+echo "== fuzz the sweep kernels against the per-row functions (20 s)"
+go test -run '^$' -fuzz FuzzRowsKernels -fuzztime 20s ./internal/vec
 
 echo "== benchmark module (vet + tests against this tree)"
 # benchmark/ is a separate module compiled against internal/*; tier-1 vets
