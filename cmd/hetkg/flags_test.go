@@ -36,14 +36,16 @@ func flagSet(t *testing.T, name string) *flag.FlagSet {
 // train, exp and serve (recorders write hetkg-spans/v1; `hetkg trace chrome`
 // is the other view), exp -json (-bench-out) and compare -plan (the gate is
 // equality). Then serve -max-batch and serve -parallelism, with the batcher
-// they tuned: a prediction sweeps on its caller's goroutine.
+// they tuned: a prediction sweeps on its caller's goroutine. Then train
+// -heartbeat-interval, with the worker-side override of the cadence: a
+// worker beats at the interval the coordinator's join reply advertises.
 func TestFrozenFlagTable(t *testing.T) {
 	table := map[string]map[string]string{
 		"train": {
 			"adversarial": "0", "artifacts": "", "batch": "0", "cache": "0", "cache-budget": "0", "chunk": "8",
 			"ckpt-dir": "", "ckpt-every": "0", "codec": "", "dataset": "fb15k", "degraded-max-staleness": "0",
 			"degree-negatives": "false", "dim": "0", "entity-ratio": "0.25", "epochs": "0", "eval-every": "0",
-			"eval-max": "0", "heartbeat-interval": "0s", "in": "", "join": "", "load": "", "loss": "logistic",
+			"eval-max": "0", "in": "", "join": "", "load": "", "loss": "logistic",
 			"lr": "0.1", "machine": "-1", "machines": "4", "margin": "1", "metrics-addr": "",
 			"metrics-allow-remote": "false", "model": "transe", "negs": "8", "no-heterogeneity": "false",
 			"optimizer": "adagrad", "parallelism": "0", "partitioner": "metis", "prefetch": "16", "recover-from": "",

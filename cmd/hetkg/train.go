@@ -24,7 +24,6 @@ func bindTrain(fs *flag.FlagSet) action {
 		load     = fs.String("load", "", "resume training from this checkpoint file")
 		shards   = fs.String("shards", "", "comma-separated shard (hetkg ps) addresses, one per machine, for a multi-process run")
 		join     = fs.String("join", "", "coordinator address for an elastic cluster run (shard fleet is discovered from the join reply; see OPERATIONS.md)")
-		hbEvery  = fs.Duration("heartbeat-interval", 0, "override the coordinator-advertised heartbeat cadence (with -join)")
 		ckptDir  = fs.String("ckpt-dir", "", "write per-partition progress snapshots to this directory for crash recovery (with -join)")
 		ckptN    = fs.Int("ckpt-every", 0, "iterations between progress snapshots (0 = 16; with -join)")
 		recoverD = fs.String("recover-from", "", "read adopted partitions' progress snapshots from this directory (default: -ckpt-dir)")
@@ -73,7 +72,6 @@ func bindTrain(fs *flag.FlagSet) action {
 
 		// Overlay the deployment-specific configuration onto the run flags.
 		rc.JoinAddr = *join
-		rc.HeartbeatInterval = *hbEvery
 		rc.CkptDir = *ckptDir
 		rc.RecoverFrom = *recoverD
 		rc.CkptEvery = *ckptN

@@ -6,8 +6,9 @@
 //
 //   - training systems: HET-KG (CPS/DPS), a DGL-KE-style parameter-server
 //     baseline, and a PyTorch-BigGraph-style block baseline;
-//   - KGE models (TransE, DistMult, TransH, ComplEx) with logistic and
-//     margin-ranking losses, chunked negative sampling, sparse AdaGrad;
+//   - KGE models (TransE with ℓ1 or ℓ2 distance, DistMult, TransH, ComplEx,
+//     RESCAL, HolE, RotatE) with logistic and margin-ranking losses,
+//     chunked negative sampling, sparse AdaGrad;
 //   - the distributed substrate: a sharded parameter server (in-process and
 //     TCP transports), a METIS-like multilevel graph partitioner, and a
 //     network cost model that meters local vs remote traffic;

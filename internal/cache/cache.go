@@ -37,7 +37,7 @@ type HotCache struct {
 	hits, gets metrics.Counter
 	// staleBound is P; 0 means unbounded (cached rows never expire).
 	staleBound int
-	// refreshed counts rows pulled by Build/Refresh (table construction
+	// refreshed counts rows pulled by Build (table construction
 	// traffic; per-row refresh misses flow through the normal pull path).
 	refreshed metrics.Counter
 
@@ -59,7 +59,7 @@ type cacheObs struct {
 // (cache.{hits,misses}), the staleness each hit was served at — iterations
 // since the row last synchronized with the parameter server — as the
 // cache.staleness histogram, rows dropped when Build replaces the identifier
-// table (cache.evicted_rows), and rows pulled by Build/Refresh
+// table (cache.evicted_rows), and rows pulled by Build
 // (cache.refresh_rows). Caches wired to the same registry aggregate. Call
 // before the cache is used.
 func (h *HotCache) Instrument(reg *metrics.Registry) {
@@ -72,8 +72,8 @@ func (h *HotCache) Instrument(reg *metrics.Registry) {
 	}
 }
 
-// Trace attaches the owning worker's span tracer. Build and Refresh then
-// record cache.refresh spans under the current span context, with their bulk
+// Trace attaches the owning worker's span tracer. Build then records
+// cache.refresh spans under the current span context, with their bulk
 // pulls nested beneath. Safe to leave unset.
 func (h *HotCache) Trace(t *span.Tracer) { h.tracer = t }
 
@@ -102,7 +102,7 @@ type hotRow struct {
 	vals     []float32
 	lastSync int
 	// version counts synchronizations with the parameter server (Build,
-	// Refresh, Offer), starting at 1. It is the cache-level view of the
+	// Offer), starting at 1. It is the cache-level view of the
 	// replica generation the wire codec's delta protocol keys on: a row's
 	// version advances exactly when a fresh server-side value lands, so
 	// "the version the worker holds" is well defined for the pull path.
@@ -259,40 +259,7 @@ func (h *HotCache) Update(k ps.Key, grad []float32) {
 	h.optim.Apply(uint64(k), row.vals, grad)
 }
 
-// Refresh re-pulls every cached key's latest value from the parameter
-// server and stamps it with the given iteration — the bulk variant of the
-// synchronization step, used after barriers and by diagnostics.
-func (h *HotCache) Refresh(iteration int) error {
-	if len(h.rows) == 0 {
-		return nil
-	}
-	keys := make([]ps.Key, 0, len(h.rows))
-	for k := range h.rows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	fresh := make(map[ps.Key][]float32, len(keys))
-	_, done := h.refreshSpan()
-	err := h.client.Pull(keys, fresh)
-	done(int64(len(keys)))
-	if err != nil {
-		return fmt.Errorf("cache: refreshing hot-embedding table: %w", err)
-	}
-	h.refreshed.Add(int64(len(keys)))
-	if o := h.obs; o != nil {
-		o.refreshed.Add(int64(len(keys)))
-	}
-	for k, v := range fresh {
-		ver := uint32(1)
-		if old := h.rows[k]; old != nil {
-			ver = old.version + 1
-		}
-		h.rows[k] = &hotRow{vals: v, lastSync: iteration, version: ver}
-	}
-	return nil
-}
-
-// RefreshedRows returns the total rows pulled by Build and Refresh over the
+// RefreshedRows returns the total rows pulled by Build over the
 // cache's lifetime (table-construction traffic; per-row staleness refreshes
 // travel through the worker's ordinary pulls instead).
 func (h *HotCache) RefreshedRows() int64 { return h.refreshed.Value() }

@@ -247,13 +247,12 @@ func TestHotCacheBuildGetUpdateRefresh(t *testing.T) {
 	if psRows2[ps.EntityKey(0)][0] != psRows[ps.EntityKey(0)][0] {
 		t.Error("cache Update leaked to the parameter server")
 	}
-	// Refresh restores the PS value (local divergence erased).
-	if err := hc.Refresh(0); err != nil {
-		t.Fatal(err)
-	}
-	fresh, _ := hc.ServeStale(ps.EntityKey(0), 0, 0)
+	// Refreshing the row (a fresh pull offered back) restores the PS
+	// value: the local divergence is erased.
+	hc.Offer(ps.EntityKey(0), psRows2[ps.EntityKey(0)], 1)
+	fresh, _ := hc.ServeStale(ps.EntityKey(0), 1, 0)
 	if fresh[0] != psRows[ps.EntityKey(0)][0] {
-		t.Error("Refresh did not restore the PS value")
+		t.Error("refresh did not restore the PS value")
 	}
 }
 
@@ -310,11 +309,12 @@ func TestPerRowStalenessBound(t *testing.T) {
 
 func TestStalenessBoundedByRefresh(t *testing.T) {
 	// Another writer updates the PS; the cache serves the stale value
-	// until Refresh, after which it serves the new one. This is the
+	// until the row is P iterations old, then misses, and the refresh the
+	// caller pulls and offers back serves the new one. This is the
 	// partial-stale contract of §IV-C.
 	g := smallGraph(t)
 	_, cl := fixture(t, g)
-	hc, _ := New(cl, &opt.SGD{LR: 0.1}, 0)
+	hc, _ := New(cl, &opt.SGD{LR: 0.1}, 2) // P = 2
 	k := ps.EntityKey(1)
 	if err := hc.Build([]ps.Key{k}, 0); err != nil {
 		t.Fatal(err)
@@ -326,16 +326,21 @@ func TestStalenessBoundedByRefresh(t *testing.T) {
 	if err := cl.Push(map[ps.Key][]float32{k: grad}); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := hc.ServeStale(k, 0, 0)
-	if cur[0] != staleVal {
-		t.Error("cache changed without Refresh")
+	cur, ok := hc.Get(k, 1)
+	if !ok || cur[0] != staleVal {
+		t.Error("cache changed, or missed, within the staleness bound")
 	}
-	if err := hc.Refresh(0); err != nil {
+	if _, ok := hc.Get(k, 2); ok {
+		t.Fatal("row P iterations old served as a hit")
+	}
+	pulled := make(map[ps.Key][]float32)
+	if err := cl.Pull([]ps.Key{k}, pulled); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := hc.ServeStale(k, 0, 0)
-	if fresh[0] == staleVal {
-		t.Error("Refresh did not pick up the remote update")
+	hc.Offer(k, pulled[k], 2)
+	fresh, ok := hc.Get(k, 2)
+	if !ok || fresh[0] == staleVal {
+		t.Error("refresh did not pick up the remote update")
 	}
 }
 
@@ -566,8 +571,8 @@ func TestPolicyEvictionCounts(t *testing.T) {
 
 // TestRowVersions pins the synchronization-generation counter the delta
 // wire codec reasons about: absent rows report 0, Build starts at 1, every
-// fresh install (Offer, Refresh) advances it, and rebuilding an existing
-// key continues its generation instead of restarting.
+// fresh install (Offer) advances it, and rebuilding an existing key
+// continues its generation instead of restarting.
 func TestRowVersions(t *testing.T) {
 	g := smallGraph(t)
 	_, cl := fixture(t, g)
@@ -595,19 +600,13 @@ func TestRowVersions(t *testing.T) {
 	if v := hc.Version(ps.EntityKey(50)); v != 0 {
 		t.Errorf("foreign key gained version %d", v)
 	}
-	if err := hc.Refresh(2); err != nil {
-		t.Fatal(err)
-	}
-	if v := hc.Version(k); v != 3 {
-		t.Errorf("version after Refresh = %d, want 3", v)
-	}
 	// A rebuild keeps the generation moving for surviving keys and drops
 	// it for evicted ones.
 	if err := hc.Build([]ps.Key{k}, 3); err != nil {
 		t.Fatal(err)
 	}
-	if v := hc.Version(k); v != 4 {
-		t.Errorf("version after rebuild = %d, want 4", v)
+	if v := hc.Version(k); v != 3 {
+		t.Errorf("version after rebuild = %d, want 3", v)
 	}
 	if v := hc.Version(ps.RelationKey(0)); v != 0 {
 		t.Errorf("evicted key kept version %d", v)

@@ -183,9 +183,6 @@ type RunConfig struct {
 	// preferred partitions of the registration. Mutually exclusive with
 	// ShardAddrs (the fleet comes from the coordinator) and Resume.
 	JoinAddr string
-	// HeartbeatInterval overrides the coordinator-advertised heartbeat
-	// cadence in elastic mode (0 = use the advertised value).
-	HeartbeatInterval time.Duration
 	// CkptDir, when non-empty, receives per-partition progress snapshots
 	// for elastic crash recovery. RecoverFrom is where adopted partitions
 	// look for snapshots ("" = CkptDir); CkptEvery is the snapshot
@@ -193,17 +190,14 @@ type RunConfig struct {
 	CkptDir     string
 	RecoverFrom string
 	CkptEvery   int
-	// WorkerLabel identifies this process in coordinator logs (default
-	// hostname:pid).
-	WorkerLabel string
 	// ClusterLogf, when non-nil, receives worker-side cluster events
 	// (joins, adoptions, heartbeat trouble) in elastic mode.
 	ClusterLogf func(format string, args ...any)
 
-	// EvalEvery/EvalCandidates/EvalMax control validation scoring.
-	EvalEvery      int `plan:"evalEvery"`
-	EvalCandidates int
-	EvalMax        int `plan:"evalMax"`
+	// EvalEvery/EvalMax control validation scoring; it ranks against
+	// evalCandidates sampled candidates.
+	EvalEvery int `plan:"evalEvery"`
+	EvalMax   int `plan:"evalMax"`
 
 	// Parallelism bounds the cores used by the deterministic parallel
 	// execution engine for batch compute and evaluation ranking
@@ -263,6 +257,10 @@ var defaultRun = RunConfig{
 	Seed:              42,
 }
 
+// evalCandidates is how many sampled candidates validation ranks each
+// test triple against.
+const evalCandidates = 100
+
 // Normalize fills every zero field the default table sets, so configurations
 // that differ only in spelling out a default are equal. A run that brings its
 // own Graph keeps its own dataset label, empty or not.
@@ -314,9 +312,6 @@ func (rc *RunConfig) resolve() {
 	}
 	if rc.EvalEvery == 0 {
 		rc.EvalEvery = 1
-	}
-	if rc.EvalCandidates == 0 {
-		rc.EvalCandidates = 100
 	}
 	if rc.EvalMax == 0 {
 		rc.EvalMax = 300
@@ -462,7 +457,7 @@ func Run(rc RunConfig) (*train.Result, error) {
 		Partitioner:          p.part,
 		CostModel:            rc.CostModel,
 		EvalEvery:            rc.EvalEvery,
-		EvalCandidates:       rc.EvalCandidates,
+		EvalCandidates:       evalCandidates,
 		EvalMax:              rc.EvalMax,
 		Parallelism:          rc.Parallelism,
 		Metrics:              rc.Metrics,

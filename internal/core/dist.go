@@ -24,14 +24,9 @@ func runElastic(rc RunConfig, tc train.Config) (*train.Result, error) {
 	default:
 		return nil, fmt.Errorf("core: system %q does not support elastic mode", rc.System)
 	}
-	label := rc.WorkerLabel
-	if label == "" {
-		host, _ := os.Hostname()
-		label = fmt.Sprintf("%s:%d", host, os.Getpid())
-	}
-	// Bound each membership round trip relative to the heartbeat cadence,
-	// so a dead coordinator surfaces within a few intervals.
-	cc, err := ps.DialCoordinator(rc.JoinAddr, 3*rc.HeartbeatInterval)
+	host, _ := os.Hostname()
+	label := fmt.Sprintf("%s:%d", host, os.Getpid())
+	cc, err := ps.DialCoordinator(rc.JoinAddr, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -59,15 +54,14 @@ func runElastic(rc RunConfig, tc train.Config) (*train.Result, error) {
 		tc.Cache.Strategy = cache.DPS
 	}
 	return train.TrainElastic(tc, train.ElasticConfig{
-		Coordinator:    cc,
-		Join:           join,
-		Label:          label,
-		HeartbeatEvery: rc.HeartbeatInterval,
-		CkptDir:        rc.CkptDir,
-		RecoverFrom:    rc.RecoverFrom,
-		CkptEvery:      rc.CkptEvery,
-		NoCache:        rc.System == SystemDGLKE,
-		Logf:           rc.ClusterLogf,
+		Coordinator: cc,
+		Join:        join,
+		Label:       label,
+		CkptDir:     rc.CkptDir,
+		RecoverFrom: rc.RecoverFrom,
+		CkptEvery:   rc.CkptEvery,
+		NoCache:     rc.System == SystemDGLKE,
+		Logf:        rc.ClusterLogf,
 	})
 }
 

@@ -52,7 +52,6 @@ func TestElasticWorkerHelperProcess(t *testing.T) {
 	}
 	rc := procRunConfig()
 	rc.JoinAddr = os.Getenv(helperJoinEnv)
-	rc.HeartbeatInterval = 50 * time.Millisecond
 	rc.CkptDir = os.Getenv(helperCkptEnv)
 	rc.CkptEvery = 2
 	res, err := Run(rc)

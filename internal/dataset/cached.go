@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"fmt"
 	"strconv"
 
 	"hetkg/internal/artifact"
@@ -58,33 +57,4 @@ func ByNameCached(name string, scale Scale, seed int64, st *artifact.Store) (*kg
 		Triples:   g.Triples,
 	})
 	return g, true
-}
-
-// GenerateCached is Generate through an artifact store, keyed by the full
-// generator configuration, for callers building non-preset graphs.
-func GenerateCached(cfg Config, st *artifact.Store) (*kg.Graph, error) {
-	if st == nil {
-		return Generate(cfg)
-	}
-	key := artifact.KeyOf(genVersion, "custom", cfg.Name,
-		strconv.Itoa(cfg.NumEntity), strconv.Itoa(cfg.NumRel), strconv.Itoa(cfg.NumTriples),
-		fmt.Sprintf("%g/%g", cfg.EntityZipf, cfg.RelationZipf),
-		strconv.FormatInt(cfg.Seed, 10))
-	var art graphArtifact
-	if ok, _ := st.Get("dataset", key, &art); ok {
-		if g, err := kg.NewGraph(art.Name, art.NumEntity, art.NumRel, art.Triples); err == nil {
-			return g, nil
-		}
-	}
-	g, err := Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	_ = st.Put("dataset", key, &graphArtifact{
-		Name:      g.Name,
-		NumEntity: g.NumEntity,
-		NumRel:    g.NumRel,
-		Triples:   g.Triples,
-	})
-	return g, nil
 }

@@ -74,26 +74,3 @@ func TestByNameCachedNilStore(t *testing.T) {
 		t.Fatal("unknown preset must stay unknown")
 	}
 }
-
-func TestGenerateCached(t *testing.T) {
-	st, err := artifact.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Name: "custom", NumEntity: 50, NumRel: 4, NumTriples: 200,
-		EntityZipf: 0.8, RelationZipf: 1.0, Seed: 7}
-	cold, err := GenerateCached(cfg, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := GenerateCached(cfg, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Hits() != 1 {
-		t.Fatalf("warm GenerateCached missed (hits=%d)", st.Hits())
-	}
-	if !reflect.DeepEqual(cold.Triples, warm.Triples) {
-		t.Fatal("cached custom graph differs")
-	}
-}

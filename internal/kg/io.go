@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -65,7 +64,6 @@ type Vocab struct {
 	entity   map[string]EntityID
 	relation map[string]RelationID
 	entNames []string
-	relNames []string
 }
 
 // NewVocab returns an empty vocabulary.
@@ -92,9 +90,8 @@ func (v *Vocab) RelationID(label string) RelationID {
 	if id, ok := v.relation[label]; ok {
 		return id
 	}
-	id := RelationID(len(v.relNames))
+	id := RelationID(len(v.relation))
 	v.relation[label] = id
-	v.relNames = append(v.relNames, label)
 	return id
 }
 
@@ -106,29 +103,8 @@ func (v *Vocab) EntityLabel(id EntityID) string {
 	return v.entNames[id]
 }
 
-// RelationLabel returns the label for an interned relation id, or "".
-func (v *Vocab) RelationLabel(id RelationID) string {
-	if int(id) < 0 || int(id) >= len(v.relNames) {
-		return ""
-	}
-	return v.relNames[id]
-}
-
 // NumEntities returns the number of distinct entity labels interned.
 func (v *Vocab) NumEntities() int { return len(v.entNames) }
 
 // NumRelations returns the number of distinct relation labels interned.
-func (v *Vocab) NumRelations() int { return len(v.relNames) }
-
-// NumericVocab builds a vocabulary whose labels are just the decimal ids,
-// matching WriteTSV output.
-func NumericVocab(numEntity, numRel int) *Vocab {
-	v := NewVocab()
-	for i := 0; i < numEntity; i++ {
-		v.EntityID(strconv.Itoa(i))
-	}
-	for i := 0; i < numRel; i++ {
-		v.RelationID(strconv.Itoa(i))
-	}
-	return v
-}
+func (v *Vocab) NumRelations() int { return len(v.relation) }

@@ -198,8 +198,8 @@ func TestReadTSV(t *testing.T) {
 		t.Fatalf("parsed %d triples, %d entities, %d relations; want 3/3/2",
 			g.NumTriples(), g.NumEntity, g.NumRel)
 	}
-	if v.EntityLabel(0) != "alice" || v.RelationLabel(1) != "likes" {
-		t.Errorf("vocab labels wrong: %q %q", v.EntityLabel(0), v.RelationLabel(1))
+	if v.EntityLabel(0) != "alice" || v.RelationID("likes") != 1 {
+		t.Errorf("vocab wrong: entity 0 = %q, likes = %d", v.EntityLabel(0), v.RelationID("likes"))
 	}
 	if v.EntityLabel(99) != "" {
 		t.Error("out-of-range entity label not empty")
@@ -260,16 +260,6 @@ func TestDegreeSumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNumericVocab(t *testing.T) {
-	v := NumericVocab(3, 2)
-	if v.NumEntities() != 3 || v.NumRelations() != 2 {
-		t.Fatalf("NumericVocab sizes %d/%d, want 3/2", v.NumEntities(), v.NumRelations())
-	}
-	if v.EntityLabel(2) != "2" || v.RelationLabel(0) != "0" {
-		t.Error("NumericVocab labels wrong")
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 	MCacheHitRatio = "cache.hit_ratio"
 	// MCacheEvictedRows counts rows dropped by table rebuilds (DPS).
 	MCacheEvictedRows = "cache.evicted_rows"
-	// MCacheRefreshRows counts rows pulled by Build/Refresh — the
+	// MCacheRefreshRows counts rows pulled by Build — the
 	// construction-traffic side of the staleness trade-off.
 	MCacheRefreshRows = "cache.refresh_rows"
 	// MCacheStaleness is the histogram of row ages (iterations since last

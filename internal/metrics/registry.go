@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -43,8 +41,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // register metrics by name with the kind-specific get-or-create accessors
 // (Counter, Gauge, Histogram, Timer); registering the same name twice
 // returns the same metric, so independent subsystems (e.g. every worker's
-// HotCache) share one aggregate series. Snapshot and WriteJSON read a
-// consistent point-in-time view without blocking writers.
+// HotCache) share one aggregate series. Snapshot reads a consistent
+// point-in-time view without blocking writers.
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]any
@@ -139,15 +137,6 @@ func (r *Registry) Snapshot() Snapshot {
 		out[name] = valueOf(m)
 	}
 	return out
-}
-
-// WriteJSON writes the registry snapshot as indented JSON (the payload of
-// the live introspection endpoint's /metrics handler). Keys are sorted, so
-// the encoding is deterministic for a given registry state.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
 
 // Snapshot maps metric names to point-in-time values. encoding/json sorts

@@ -103,33 +103,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-func TestWriteJSONDeterministic(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b.count").Add(2)
-	r.Counter("a.count").Add(1)
-	r.Histogram("z.hist").Observe(5)
-
-	var buf1, buf2 bytes.Buffer
-	if err := r.WriteJSON(&buf1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteJSON(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf1.String() != buf2.String() {
-		t.Fatal("two WriteJSON calls on an unchanged registry differ")
-	}
-	var decoded map[string]Value
-	if err := json.Unmarshal(buf1.Bytes(), &decoded); err != nil {
-		t.Fatalf("WriteJSON output is not valid JSON: %v", err)
-	}
-	if decoded["a.count"].Count != 1 || decoded["b.count"].Count != 2 {
-		t.Fatalf("decoded = %+v", decoded)
-	}
-}
-
-// TestSnapshotFilter covers the ?prefix= server side: only names sharing
-// the prefix survive, and the empty prefix is the identity.
 func TestSnapshotFilter(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cluster.workers").Inc()

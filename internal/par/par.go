@@ -11,9 +11,8 @@
 //     caller runs them on one goroutine or thirty-two, so floating-point
 //     accumulation that is private per shard and merged in shard order gives
 //     identical bits at every degree.
-//  2. Results are collected by index, never by completion order. Map writes
-//     each result into its own slot; ForErr reports the lowest-index error
-//     regardless of which goroutine failed first.
+//  2. Results are collected by index, never by completion order: Map writes
+//     each result into its own slot.
 //
 // Callers own any cross-item state: functions passed to For/Map must only
 // write to index-addressed slots (or shard-private scratch) and may freely
@@ -107,31 +106,6 @@ func For(degree, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ForErr is For with error collection: every item runs (no cancellation —
-// items are cheap and independent here) and the error of the lowest failing
-// index is returned, so the reported failure is the same at any degree.
-func ForErr(degree, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if degree <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	For(degree, n, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Map runs fn over [0, n) on at most degree goroutines and returns the

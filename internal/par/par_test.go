@@ -1,7 +1,6 @@
 package par
 
 import (
-	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -105,27 +104,6 @@ func TestMapOrdered(t *testing.T) {
 	}
 	if Map(4, 0, func(i int) int { return i }) != nil {
 		t.Error("Map with n=0 not nil")
-	}
-}
-
-func TestForErrReturnsLowestIndexError(t *testing.T) {
-	errLow, errHigh := errors.New("low"), errors.New("high")
-	for _, degree := range []int{1, 8} {
-		err := ForErr(degree, 100, func(i int) error {
-			switch i {
-			case 7:
-				return errLow
-			case 93:
-				return errHigh
-			}
-			return nil
-		})
-		if err != errLow {
-			t.Errorf("degree %d: got %v, want lowest-index error", degree, err)
-		}
-	}
-	if err := ForErr(4, 50, func(int) error { return nil }); err != nil {
-		t.Errorf("no-error run returned %v", err)
 	}
 }
 

@@ -1,12 +1,14 @@
 package plan
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
 
 	"hetkg/internal/core"
 	"hetkg/internal/dataset"
+	"hetkg/internal/model"
 )
 
 const samplePlan = `
@@ -175,6 +177,19 @@ func TestParseRefusesUnknownScaleAndSystem(t *testing.T) {
 	} {
 		if _, err := Parse([]byte("plan: typo\n" + tc.src)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Parse %q: %v, want an error containing %q", tc.src, err, tc.want)
+		}
+	}
+}
+
+// TestModelFlagNamesEveryModel: -model's help lists every registered model,
+// so a model added to the registry shows up in `hetkg train -h`.
+func TestModelFlagNamesEveryModel(t *testing.T) {
+	fs := flag.NewFlagSet("train", flag.ContinueOnError)
+	BindFlags(fs)
+	usage := fs.Lookup("model").Usage
+	for _, name := range model.Names() {
+		if !strings.Contains(usage, " "+name+" ") {
+			t.Errorf("-model usage %q does not name %s", usage, name)
 		}
 	}
 }

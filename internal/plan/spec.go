@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"hetkg/internal/core"
+	"hetkg/internal/model"
 )
 
 // A run's declarative knobs are the plan-tagged fields of core.RunConfig, and
@@ -51,7 +52,7 @@ func identityFlags(rc *core.RunConfig) []flagDecl {
 	return []flagDecl{
 		{&rc.Dataset, keyDataset, "dataset preset: fb15k | wn18 | freebase86m"},
 		{&rc.Scale, "scale", "dataset scale: tiny | small | paper"},
-		{&rc.ModelName, "model", "model: transe | transe_l2 | distmult | transh | complex (fixes the row widths)"},
+		{&rc.ModelName, "model", "model: " + strings.Join(model.Names(), " | ") + " (fixes the row widths)"},
 		{&rc.Dim, "dim", "embedding dimension d (0 = scale default)"},
 		{&rc.LR, "lr", "optimizer learning rate"},
 		{&rc.OptimizerName, "optimizer", "optimizer: adagrad | sgd | adam"},

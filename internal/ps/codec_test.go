@@ -519,7 +519,7 @@ func TestCodecTransportProfiles(t *testing.T) {
 			if len(resp.Vals) != len(ref.Vals) {
 				t.Fatalf("pulled %d values, want %d", len(resp.Vals), len(ref.Vals))
 			}
-			prof := tr.NegotiatedProfile()
+			prof := tr.codec
 			if codec != "auto" && prof != codec {
 				t.Errorf("negotiated %q, want %q", prof, codec)
 			}

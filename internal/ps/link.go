@@ -38,18 +38,10 @@ type LinkConfig struct {
 	// connection) before the call fails with a LinkDownError. Default 3;
 	// negative disables retries.
 	Retries int
-	// RetryBase is the first retry's backoff; attempt n waits
-	// RetryBase·2^(n-1), jittered into [d/2, d). Default 25ms.
-	RetryBase time.Duration
-	// RetryMax caps the exponential backoff. Default 1s.
-	RetryMax time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// link's circuit breaker. Default 4 (one fully retried RPC under the
 	// default Retries). Negative disables the breaker.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects calls before
-	// allowing one half-open probe. Default 1s.
-	BreakerCooldown time.Duration
 	// Seed keys the backoff jitter (per link, mixed with the shard
 	// index), so retry schedules are reproducible.
 	Seed int64
@@ -59,6 +51,19 @@ type LinkConfig struct {
 	Now   func() time.Time
 	Sleep func(time.Duration)
 }
+
+// The retry and breaker timings are fixed; tests drive them through the
+// injected clock.
+const (
+	// retryBase is the first retry's backoff; attempt n waits
+	// retryBase·2^(n-1), jittered into [d/2, d).
+	retryBase = 25 * time.Millisecond
+	// retryMax caps the exponential backoff.
+	retryMax = time.Second
+	// breakerCooldown is how long an open breaker rejects calls before
+	// allowing one half-open probe.
+	breakerCooldown = time.Second
+)
 
 // withDefaults returns cfg with zero fields filled and negative sentinels
 // normalized.
@@ -75,20 +80,11 @@ func (cfg LinkConfig) withDefaults() LinkConfig {
 	case cfg.Retries < 0:
 		cfg.Retries = 0
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 25 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = time.Second
-	}
 	switch {
 	case cfg.BreakerThreshold == 0:
 		cfg.BreakerThreshold = 4
 	case cfg.BreakerThreshold < 0:
 		cfg.BreakerThreshold = 0
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -171,7 +167,6 @@ const (
 // link's mutex; with threshold 0 it never opens.
 type breaker struct {
 	threshold int
-	cooldown  time.Duration
 	state     int
 	failures  int // consecutive failures while closed
 	openedAt  time.Time
@@ -183,7 +178,7 @@ type breaker struct {
 func (b *breaker) allow(now time.Time) bool {
 	switch b.state {
 	case breakerOpen:
-		if now.Sub(b.openedAt) < b.cooldown {
+		if now.Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.state = breakerHalfOpen
@@ -326,7 +321,6 @@ func newLinkTransport(addrs []string, prof Profile, cfg LinkConfig, dedup bool, 
 			rng:   splitmix64(uint64(t.cfg.Seed) ^ uint64(i)*0x9e3779b97f4a7c15),
 			breaker: breaker{
 				threshold: t.cfg.BreakerThreshold,
-				cooldown:  t.cfg.BreakerCooldown,
 			},
 		}
 		if dedup {
@@ -387,11 +381,6 @@ func (t *LinkTransport) Instrument(reg *metrics.Registry) {
 // overSockets reports whether the links cross a socket (DialTCPLink) rather
 // than call an in-process shard session (NewCodecTransport).
 func (t *LinkTransport) overSockets() bool { return len(t.links) > 0 && t.links[0].addr != "" }
-
-// NegotiatedProfile returns the profile this transport was built with
-// ("auto" when per-connection resolution was requested over TCP, in which
-// case each link's own profile can differ).
-func (t *LinkTransport) NegotiatedProfile() string { return t.codec }
 
 // checkWidths refuses shards whose rows (as acked) are not entDim/relDim wide.
 func (t *LinkTransport) checkWidths(entDim, relDim int) error {
@@ -476,7 +465,7 @@ func (t *LinkTransport) retry(l *link, attempt, first func(l *link, c *linkConn)
 			if o := t.obs; o != nil {
 				o.retries.Inc()
 			}
-			t.cfg.Sleep(l.backoff(t.cfg, try))
+			t.cfg.Sleep(l.backoff(try))
 			first = nil
 		}
 		if l.c == nil {
@@ -602,15 +591,15 @@ func (t *LinkTransport) call(shard int, req *wireRequest) ([]byte, error) {
 }
 
 // backoff returns the jittered exponential delay before retry attempt n
-// (n ≥ 1): base·2^(n-1) capped at RetryMax, scaled into [d/2, d) by the
-// link's deterministic jitter stream.
-func (l *link) backoff(cfg LinkConfig, n int) time.Duration {
-	d := cfg.RetryBase
-	for i := 1; i < n && d < cfg.RetryMax; i++ {
+// (n ≥ 1): retryBase·2^(n-1) capped at retryMax, scaled into [d/2, d) by
+// the link's deterministic jitter stream.
+func (l *link) backoff(n int) time.Duration {
+	d := retryBase
+	for i := 1; i < n && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > cfg.RetryMax {
-		d = cfg.RetryMax
+	if d > retryMax {
+		d = retryMax
 	}
 	l.rng = splitmix64(l.rng)
 	frac := 0.5 + 0.5*float64(l.rng>>11)/float64(1<<53)

@@ -53,23 +53,24 @@ func (f *linkClock) Slept() []time.Duration {
 }
 
 // TestBackoffDeterministicJitter pins the retry schedule: exponential
-// growth from RetryBase capped at RetryMax, each delay jittered into
+// growth from retryBase capped at retryMax, each delay jittered into
 // [d/2, d), and bit-identical across links built from the same seed.
+// Eight attempts reach the cap (25ms·2^7 > 1s).
 func TestBackoffDeterministicJitter(t *testing.T) {
-	cfg := LinkConfig{RetryBase: 10 * time.Millisecond, RetryMax: 80 * time.Millisecond}.withDefaults()
+	const attempts = 8
 	mk := func(seed int64) *link {
 		return &link{rng: splitmix64(uint64(seed))}
 	}
 	a, b := mk(7), mk(7)
 	var first []time.Duration
-	for n := 1; n <= 6; n++ {
-		da, db := a.backoff(cfg, n), b.backoff(cfg, n)
+	for n := 1; n <= attempts; n++ {
+		da, db := a.backoff(n), b.backoff(n)
 		if da != db {
 			t.Fatalf("attempt %d: same seed gave %v vs %v", n, da, db)
 		}
-		base := cfg.RetryBase << (n - 1)
-		if base > cfg.RetryMax {
-			base = cfg.RetryMax
+		base := retryBase << (n - 1)
+		if base > retryMax {
+			base = retryMax
 		}
 		if da < base/2 || da >= base {
 			t.Errorf("attempt %d: backoff %v outside [%v, %v)", n, da, base/2, base)
@@ -79,8 +80,8 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 	// A different seed must produce a different schedule.
 	c := mk(8)
 	same := true
-	for n := 1; n <= 6; n++ {
-		if c.backoff(cfg, n) != first[n-1] {
+	for n := 1; n <= attempts; n++ {
+		if c.backoff(n) != first[n-1] {
 			same = false
 		}
 	}
@@ -93,7 +94,7 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 // the half-open probe-failure re-open, all on the fake clock.
 func TestBreakerStateMachine(t *testing.T) {
 	clk := newLinkClock()
-	b := breaker{threshold: 3, cooldown: time.Second}
+	b := breaker{threshold: 3}
 
 	// Below threshold stays closed.
 	for i := 0; i < 2; i++ {
@@ -112,7 +113,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("open breaker admitted a call before cooldown")
 	}
 	// Cooldown elapses: exactly one half-open probe.
-	clk.Advance(time.Second)
+	clk.Advance(breakerCooldown)
 	if !b.allow(clk.Now()) {
 		t.Fatal("cooled-down breaker refused the half-open probe")
 	}
@@ -124,7 +125,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("re-opened breaker admitted a call immediately")
 	}
 	// Second probe succeeds: recovered.
-	clk.Advance(time.Second)
+	clk.Advance(breakerCooldown)
 	if !b.allow(clk.Now()) {
 		t.Fatal("second probe refused")
 	}
@@ -268,8 +269,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 
 	clk := newLinkClock()
 	tr, err := DialTCPLink([]string{addr}, ProfileFP32, LinkConfig{
-		RPCTimeout: 500 * time.Millisecond, Retries: -1,
-		BreakerThreshold: 2, BreakerCooldown: time.Second,
+		RPCTimeout: 500 * time.Millisecond, Retries: -1, BreakerThreshold: 2,
 		Now: clk.Now, Sleep: clk.Sleep,
 	})
 	if err != nil {
@@ -325,7 +325,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	}
 	defer l2.Close()
 	go ServeTCP(l2, c.Servers[0])
-	clk.Advance(2 * time.Second)
+	clk.Advance(2 * breakerCooldown)
 	if _, err := tr.Pull(0, &PullRequest{Keys: keys}); err != nil {
 		t.Fatalf("recovered pull: %v", err)
 	}

@@ -258,12 +258,3 @@ func (s *Sampler) collides(e kg.EntityID, corruptHead bool, sharedBy []kg.Triple
 	}
 	return false
 }
-
-// NegTriple materializes the j-th negative triple for positive p under the
-// sample ns.
-func NegTriple(p kg.Triple, ns *NegativeSample, j int) kg.Triple {
-	if ns.CorruptHead {
-		return kg.Triple{Head: ns.Entities[j], Relation: p.Relation, Tail: p.Tail}
-	}
-	return kg.Triple{Head: p.Head, Relation: p.Relation, Tail: ns.Entities[j]}
-}

@@ -171,7 +171,7 @@ func TestFilterRejectsFalseNegatives(t *testing.T) {
 		for i, p := range b.Pos {
 			for j := range b.Neg[i].Entities {
 				total++
-				if filter.Contains(NegTriple(p, b.Neg[i], j)) {
+				if filter.Contains(negTriple(p, b.Neg[i], j)) {
 					falseNeg++
 				}
 			}
@@ -183,7 +183,7 @@ func TestFilterRejectsFalseNegatives(t *testing.T) {
 		b := unfiltered.Next()
 		for i, p := range b.Pos {
 			for j := range b.Neg[i].Entities {
-				if filter.Contains(NegTriple(p, b.Neg[i], j)) {
+				if filter.Contains(negTriple(p, b.Neg[i], j)) {
 					falseNegU++
 				}
 			}
@@ -194,14 +194,23 @@ func TestFilterRejectsFalseNegatives(t *testing.T) {
 	}
 }
 
+// negTriple materializes the j-th negative triple for positive p under the
+// sample ns: the oracle the filter test checks sampled negatives with.
+func negTriple(p kg.Triple, ns *NegativeSample, j int) kg.Triple {
+	if ns.CorruptHead {
+		return kg.Triple{Head: ns.Entities[j], Relation: p.Relation, Tail: p.Tail}
+	}
+	return kg.Triple{Head: p.Head, Relation: p.Relation, Tail: ns.Entities[j]}
+}
+
 func TestNegTriple(t *testing.T) {
 	p := kg.Triple{Head: 1, Relation: 2, Tail: 3}
 	nsHead := &NegativeSample{Entities: []kg.EntityID{9}, CorruptHead: true}
-	if got := NegTriple(p, nsHead, 0); got != (kg.Triple{Head: 9, Relation: 2, Tail: 3}) {
+	if got := negTriple(p, nsHead, 0); got != (kg.Triple{Head: 9, Relation: 2, Tail: 3}) {
 		t.Errorf("head corruption = %v", got)
 	}
 	nsTail := &NegativeSample{Entities: []kg.EntityID{9}, CorruptHead: false}
-	if got := NegTriple(p, nsTail, 0); got != (kg.Triple{Head: 1, Relation: 2, Tail: 9}) {
+	if got := negTriple(p, nsTail, 0); got != (kg.Triple{Head: 1, Relation: 2, Tail: 9}) {
 		t.Errorf("tail corruption = %v", got)
 	}
 }

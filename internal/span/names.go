@@ -14,7 +14,7 @@ const (
 	// NCacheLookup covers the gather pass over the hot-embedding table
 	// that classifies each key as cache-served or missing.
 	NCacheLookup = "cache.lookup"
-	// NCacheRefresh covers a hot-table Build/Refresh: the bulk pull that
+	// NCacheRefresh covers a hot-table Build: the bulk pull that
 	// (re)installs cached values (Algorithms 1–3).
 	NCacheRefresh = "cache.refresh"
 	// NGradCompute covers the sharded forward/backward pass and the

@@ -48,7 +48,6 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	cfg.Health.defaults()
 	return &Fleet{
 		cfg:    cfg,
 		procs:  make(map[string]*procSeries),

@@ -13,78 +13,54 @@ import (
 // The health engine runs four rules over the aggregate on every ingest
 // (and on every View, so a dead process is flagged without fresh
 // traffic). Rules breach per evaluation; an alert only activates after
-// DebounceUp consecutive breaches *with new data for its subject* and
-// clears after DebounceDown consecutive quiet evaluations — a one-sample
+// debounceUp consecutive breaches *with new data for its subject* and
+// clears after debounceDown consecutive quiet evaluations — a one-sample
 // blip never pages, and an alert never flaps at ingest frequency.
 
 // Rule names, as they appear in FleetView.Alerts and hetkg top.
 const (
 	// RuleStraggler flags a worker whose iteration rate falls below
-	// StragglerRatio × the fleet median (median-ratio outlier; the z-score
+	// stragglerRatio × the fleet median (median-ratio outlier; the z-score
 	// against the fleet mean is reported in the alert message).
 	RuleStraggler = "straggler"
 	// RuleCacheDegraded flags a fleet-wide windowed cache hit ratio below
-	// HitRatioFloor — the paper's core artifact decaying.
+	// hitRatioFloor — the paper's core artifact decaying.
 	RuleCacheDegraded = "cache_degraded"
 	// RuleCommStall flags a worker or shard whose byte counters stopped
 	// moving across the whole window despite earlier traffic.
 	RuleCommStall = "comm_stall"
 	// RuleTelemetryLag flags a process whose reports stopped arriving for
-	// longer than LagFactor × its own estimated cadence — the telemetry
+	// longer than lagFactor × its own estimated cadence — the telemetry
 	// analog of heartbeat failure detection.
 	RuleTelemetryLag = "telemetry_lag"
 )
 
-// HealthConfig parameterizes the rule engine. Zero fields take defaults.
-type HealthConfig struct {
-	// StragglerRatio: a worker is a straggler when its iter/s drops below
-	// this fraction of the fleet median (default 0.5).
-	StragglerRatio float64
-	// StragglerMinPeers is the minimum worker count for the straggler
-	// rule to run — a median over fewer processes is noise (default 3).
-	StragglerMinPeers int
-	// HitRatioFloor: the fleet-wide windowed hit ratio below which
-	// cache_degraded fires (default 0.2).
-	HitRatioFloor float64
-	// MinAccesses is the minimum windowed cache accesses before the hit
-	// ratio is judged at all (default 256 — a cold cache is not an alert).
-	MinAccesses int64
-	// LagFactor: telemetry_lag fires when a process's report silence
-	// exceeds this multiple of its estimated cadence (default 4, matching
-	// the membership layer's worst-case detection bound).
-	LagFactor float64
-	// DebounceUp is the consecutive breach count (per subject report)
-	// required to activate an alert (default 2).
-	DebounceUp int
-	// DebounceDown is the consecutive quiet count required to clear an
-	// active alert (default 2).
-	DebounceDown int
-}
-
-// defaults fills zero fields in place.
-func (h *HealthConfig) defaults() {
-	if h.StragglerRatio <= 0 {
-		h.StragglerRatio = 0.5
-	}
-	if h.StragglerMinPeers <= 0 {
-		h.StragglerMinPeers = 3
-	}
-	if h.HitRatioFloor <= 0 {
-		h.HitRatioFloor = 0.2
-	}
-	if h.MinAccesses <= 0 {
-		h.MinAccesses = 256
-	}
-	if h.LagFactor <= 0 {
-		h.LagFactor = 4
-	}
-	if h.DebounceUp <= 0 {
-		h.DebounceUp = 2
-	}
-	if h.DebounceDown <= 0 {
-		h.DebounceDown = 2
-	}
-}
+// The rule engine's thresholds. They are fixed: no deployment needs a
+// second value, and /fleet reports each breached one as Alert.Threshold.
+const (
+	// stragglerRatio: a worker is a straggler when its iter/s drops below
+	// this fraction of the fleet median.
+	stragglerRatio = 0.5
+	// stragglerMinPeers is the minimum worker count for the straggler
+	// rule to run — a median over fewer processes is noise.
+	stragglerMinPeers = 3
+	// hitRatioFloor: the fleet-wide windowed hit ratio below which
+	// cache_degraded fires.
+	hitRatioFloor = 0.2
+	// minAccesses is the minimum windowed cache accesses before the hit
+	// ratio is judged at all — a cold cache is not an alert.
+	minAccesses = 256
+	// lagFactor: telemetry_lag fires when a process's report silence
+	// exceeds this multiple of its estimated cadence, matching the
+	// membership layer's worst-case detection bound.
+	lagFactor = 4
+	// debounceUp is the consecutive breach count (per subject report)
+	// required to activate an alert.
+	debounceUp = 2
+	// debounceDown is the consecutive quiet count required to clear an
+	// active alert.
+	debounceDown = 2
+)
 
 // Alert is one active health finding in a FleetView.
 type Alert struct {
@@ -184,7 +160,6 @@ func (f *Fleet) evaluateLocked(now time.Time) {
 	f.commStallRule(breaches)
 	f.lagRule(now, breaches)
 
-	hc := f.cfg.Health
 	// Advance lanes: breached keys accumulate toward activation, quiet
 	// keys toward clearing. A lane only moves when its subject produced
 	// new data since the lane last moved, so debounce counts subject
@@ -209,7 +184,7 @@ func (f *Fleet) evaluateLocked(now time.Time) {
 			continue
 		}
 		l.streak++
-		if l.streak >= hc.DebounceUp {
+		if l.streak >= debounceUp {
 			l.active = true
 			l.since = now
 			l.streak = 0
@@ -230,7 +205,7 @@ func (f *Fleet) evaluateLocked(now time.Time) {
 			continue
 		}
 		l.streak++
-		if l.streak >= hc.DebounceDown {
+		if l.streak >= debounceDown {
 			f.alertTransition(k, l.last, false)
 			delete(f.health.lanes, k)
 		}
@@ -301,9 +276,8 @@ func (f *Fleet) publishLocked() {
 }
 
 // stragglerRule flags workers whose primary rate falls below
-// StragglerRatio × the worker median.
+// stragglerRatio × the worker median.
 func (f *Fleet) stragglerRule(breaches map[alertKey]breach) {
-	hc := f.cfg.Health
 	spec := roleRates[RoleWorker][0]
 	type wr struct {
 		key  string
@@ -318,7 +292,7 @@ func (f *Fleet) stragglerRule(breaches map[alertKey]breach) {
 			rates = append(rates, wr{k, rate})
 		}
 	}
-	if len(rates) < hc.StragglerMinPeers {
+	if len(rates) < stragglerMinPeers {
 		return
 	}
 	sorted := make([]float64, len(rates))
@@ -333,7 +307,7 @@ func (f *Fleet) stragglerRule(breaches map[alertKey]breach) {
 	if len(sorted)%2 == 0 {
 		median = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
 	}
-	threshold := hc.StragglerRatio * median
+	threshold := stragglerRatio * median
 	if threshold <= 0 {
 		return
 	}
@@ -354,7 +328,7 @@ func (f *Fleet) stragglerRule(breaches map[alertKey]breach) {
 			value:     r.rate,
 			threshold: threshold,
 			message: fmt.Sprintf("%.1f iter/s < %.2f x median %.1f (z=%.1f)",
-				r.rate, hc.StragglerRatio, median, z),
+				r.rate, stragglerRatio, median, z),
 		}
 	}
 }
@@ -362,7 +336,6 @@ func (f *Fleet) stragglerRule(breaches map[alertKey]breach) {
 // cacheRule flags a fleet-wide windowed hit ratio of the training cache
 // (every role in roleHit, pooled) below the floor.
 func (f *Fleet) cacheRule(breaches map[alertKey]breach) {
-	hc := f.cfg.Health
 	var hits, total int64
 	for _, p := range f.procs {
 		hm, ok := roleHit[p.role]
@@ -376,18 +349,18 @@ func (f *Fleet) cacheRule(breaches map[alertKey]breach) {
 		hits += int64(ratio * float64(accesses))
 		total += accesses
 	}
-	if total < hc.MinAccesses {
+	if total < minAccesses {
 		return
 	}
 	ratio := float64(hits) / float64(total)
-	if ratio >= hc.HitRatioFloor {
+	if ratio >= hitRatioFloor {
 		return
 	}
 	breaches[alertKey{RuleCacheDegraded, ""}] = breach{
 		value:     ratio,
-		threshold: hc.HitRatioFloor,
+		threshold: hitRatioFloor,
 		message: fmt.Sprintf("fleet hit ratio %.3f < floor %.2f over %d accesses",
-			ratio, hc.HitRatioFloor, total),
+			ratio, hitRatioFloor, total),
 	}
 }
 
@@ -425,14 +398,13 @@ func (f *Fleet) commStallRule(breaches map[alertKey]breach) {
 
 // lagRule flags processes whose reports stopped arriving.
 func (f *Fleet) lagRule(now time.Time, breaches map[alertKey]breach) {
-	hc := f.cfg.Health
 	for k, p := range f.procs {
 		iv := p.reportInterval()
 		if iv <= 0 {
 			continue
 		}
 		silence := now.Sub(p.newest().t)
-		limit := time.Duration(hc.LagFactor * float64(iv))
+		limit := time.Duration(lagFactor * float64(iv))
 		if silence <= limit {
 			continue
 		}

@@ -72,8 +72,6 @@ type FleetConfig struct {
 	// Now supplies the clock (default time.Now); tests inject a fake so
 	// every derived rate and alert decision is deterministic.
 	Now func() time.Time
-	// Health parameterizes the rule engine; zero fields take defaults.
-	Health HealthConfig
 	// Logf, when non-nil, receives alert activations and clears.
 	Logf func(format string, args ...any)
 }

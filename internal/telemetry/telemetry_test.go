@@ -240,7 +240,7 @@ func TestStragglerDeterministic(t *testing.T) {
 }
 
 // TestStragglerClears verifies the down-debounce: once the slow worker
-// recovers to fleet speed, the alert clears after DebounceDown healthy
+// recovers to fleet speed, the alert clears after debounceDown healthy
 // reports and the gauges return to zero.
 func TestStragglerClears(t *testing.T) {
 	clk := newFakeClock()
@@ -282,15 +282,20 @@ func TestStragglerNeedsPeers(t *testing.T) {
 }
 
 // TestDebounceSingleBreachSilent pins that one breaching evaluation does
-// not activate an alert (DebounceUp = 2 by default).
+// not activate an alert (debounceUp = 2) and the second one does.
 func TestDebounceSingleBreachSilent(t *testing.T) {
 	clk := newFakeClock()
-	f := NewFleet(FleetConfig{Window: 8, Now: clk.Now, Health: HealthConfig{DebounceUp: 3}})
-	// Three rounds: rates become computable (and breach) at round 2 and 3
-	// — only two breaching evaluations with new data, below DebounceUp 3.
-	feed(t, f, clk, 3, map[string]int64{"w0": 100, "w1": 100, "w2": 5}, nil)
+	f := NewFleet(FleetConfig{Window: 8, Now: clk.Now})
+	// Two rounds: rates become computable (and breach) only at round 2 —
+	// one breaching evaluation with new data, below debounceUp.
+	totals := feed(t, f, clk, 2, map[string]int64{"w0": 100, "w1": 100, "w2": 5}, nil)
 	if alerts := f.View().Alerts; len(alerts) != 0 {
 		t.Fatalf("alerts = %+v, want none before debounce-up", alerts)
+	}
+	// Round 3 is the second breach with new data from w2: it activates.
+	feed(t, f, clk, 1, map[string]int64{"w0": 100, "w1": 100, "w2": 5}, totals)
+	if alerts := f.View().Alerts; len(alerts) != 1 || alerts[0].Rule != RuleStraggler {
+		t.Fatalf("alerts = %+v, want one straggler at debounce-up", alerts)
 	}
 }
 
@@ -303,7 +308,7 @@ func TestCacheDegradedFleetWide(t *testing.T) {
 		Logf:   func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
 	})
 	// One worker, all misses: hit ratio 0 < 0.2 floor once accesses
-	// clear MinAccesses (256).
+	// clear minAccesses (256).
 	var iters int64
 	for r := 0; r < 6; r++ {
 		iters += 100
@@ -437,7 +442,7 @@ func TestTelemetryLag(t *testing.T) {
 	clk := newFakeClock()
 	f := NewFleet(FleetConfig{Window: 8, Now: clk.Now})
 	feed(t, f, clk, 4, map[string]int64{"w0": 100}, nil)
-	// Cadence is 1s; LagFactor 4 → silence beyond 4s breaches. The lag
+	// Cadence is 1s; lagFactor 4 → silence beyond 4s breaches. The lag
 	// rule debounces on distinct evaluation instants (its subject is
 	// silent by definition), so two View() reads at different times
 	// activate it.

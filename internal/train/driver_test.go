@@ -53,15 +53,20 @@ func TestElasticSoloMatchesStatic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := ps.NewMembership(ps.MemberConfig{Partitions: cfg.NumMachines})
+			// A 1µs cadence heartbeats every iteration; the timeout keeps
+			// the lone worker alive however slow the machine runs.
+			m, err := ps.NewMembership(ps.MemberConfig{
+				Partitions:     cfg.NumMachines,
+				HeartbeatEvery: time.Microsecond,
+				WorkerTimeout:  time.Minute,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, err := TrainElastic(cfg, ElasticConfig{
-				Coordinator:    m,
-				Label:          "solo",
-				HeartbeatEvery: time.Microsecond,
-				NoCache:        c.system == "DGL-KE",
+				Coordinator: m,
+				Label:       "solo",
+				NoCache:     c.system == "DGL-KE",
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -37,9 +37,6 @@ type ElasticConfig struct {
 	// Preferred lists partitions this process was launched to own (empty =
 	// spare worker; ignored when Join is set).
 	Preferred []int
-	// HeartbeatEvery overrides the coordinator-advertised cadence (0 = use
-	// the JoinReply's).
-	HeartbeatEvery time.Duration
 	// CkptDir, when non-empty, receives per-partition progress snapshots
 	// (ckpt.WriteProgressFile) every CkptEvery iterations.
 	CkptDir string
@@ -114,10 +111,7 @@ func newElastic(cfg Config, ec ElasticConfig) (*driver, error) {
 		}
 	}
 	d.workerID = join.WorkerID
-	d.interval = ec.HeartbeatEvery
-	if d.interval <= 0 {
-		d.interval = join.HeartbeatEvery
-	}
+	d.interval = join.HeartbeatEvery
 	if d.interval <= 0 {
 		d.interval = time.Second
 	}

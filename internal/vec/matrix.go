@@ -31,13 +31,6 @@ func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.Dim : (i+1)*m.Dim : (i+1)*m.Dim]
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Dim)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // InitUniform fills m with values drawn uniformly from [-bound, bound].
 // The standard KGE initialization uses bound = 6/sqrt(dim) (Bordes et al.).
 func (m *Matrix) InitUniform(rng *rand.Rand, bound float32) {

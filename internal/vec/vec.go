@@ -142,24 +142,10 @@ func L2Dist(a, b []float32) float32 {
 	return float32(math.Sqrt(float64(SquaredL2Dist(a, b))))
 }
 
-// Copy copies src into dst. It panics if the lengths differ; unlike the
-// built-in copy it refuses to silently truncate.
-func Copy(dst, src []float32) {
-	checkLen(dst, src)
-	copy(dst, src)
-}
-
 // Zero sets every element of x to zero.
 func Zero(x []float32) {
 	for i := range x {
 		x[i] = 0
-	}
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float32, v float32) {
-	for i := range x {
-		x[i] = v
 	}
 }
 

@@ -322,16 +322,6 @@ func TestReadMatrixAllocatesWhatTheInputHolds(t *testing.T) {
 	}
 }
 
-func TestMatrixClone(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Data[0] = 1
-	c := m.Clone()
-	c.Data[0] = 2
-	if m.Data[0] != 1 {
-		t.Error("Clone shares storage with original")
-	}
-}
-
 func TestMatrixBytes(t *testing.T) {
 	m := NewMatrix(3, 10)
 	if got := m.Bytes(); got != 120 {

@@ -13,8 +13,11 @@
 # parameter-server shard session), the frame every durable file — a
 # checkpoint, progress snapshot or artifact entry — is read back through,
 # together with the checkpoint and progress bodies inside it, the plan-file
-# parser and sweep resolver, and the span-dump reader with the analysis
-# `hetkg trace spans` runs on what it reads. One more fuzz holds the sweep
+# parser and sweep resolver, the span-dump reader with the analysis
+# `hetkg trace spans` runs on what it reads, and the run-timeline reader
+# `hetkg trace` compares runs with (no panic, no allocation sized by the
+# input, emitter output round-trips, a torn last line is tolerated and a
+# torn middle line is not). One more fuzz holds the sweep
 # kernels (internal/vec *Rows: the AVX2 block kernels and the Go ones) to
 # the per-row functions bit for bit on raw float32 bits.
 #
@@ -51,6 +54,9 @@ go test -run '^$' -fuzz FuzzPlanParse -fuzztime 20s ./internal/plan
 
 echo "== fuzz the span-dump reader, analyzer and Chrome export (20 s)"
 go test -run '^$' -fuzz FuzzSpanDump -fuzztime 20s ./internal/span
+
+echo "== fuzz the run-timeline reader (20 s)"
+go test -run '^$' -fuzz FuzzTimeline -fuzztime 20s ./internal/metrics
 
 echo "== fuzz the sweep kernels against the per-row functions (20 s)"
 go test -run '^$' -fuzz FuzzRowsKernels -fuzztime 20s ./internal/vec
