@@ -134,21 +134,6 @@ func BenchmarkScoreTransE(b *testing.B)   { benchScore(b, model.TransE{Norm: 1})
 func BenchmarkScoreDistMult(b *testing.B) { benchScore(b, model.DistMult{}) }
 func BenchmarkScoreComplEx(b *testing.B)  { benchScore(b, model.ComplEx{}) }
 
-func BenchmarkGradTransE(b *testing.B) {
-	m := model.TransE{Norm: 1}
-	d := 64
-	h := make([]float32, d)
-	r := make([]float32, d)
-	t := make([]float32, d)
-	gh := make([]float32, d)
-	gr := make([]float32, d)
-	gt := make([]float32, d)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Grad(h, r, t, 1, gh, gr, gt)
-	}
-}
-
 func BenchmarkSamplerChunked(b *testing.B) {
 	g := dataset.FB15kLike(dataset.Tiny, 1)
 	smp, err := sampler.New(sampler.Config{
@@ -282,39 +267,49 @@ func benchDegrees() []int {
 
 // BenchmarkProcessBatch measures the worker's batch hot path — gather,
 // sharded gradient compute, ordered merge, push — at serial and full
-// parallelism, reporting ns per (positive, negative) pair and allocs/op.
-// The workload matches the paper's compute-bound regime: d = 128 with 64
-// negatives per positive.
+// parallelism, reporting ns per (positive, negative) pair and allocs/op, in
+// two compute-bound shapes at d = 128: the paper's TransE-ℓ1 with batch 256
+// and 64 negatives per positive, and the inproc-compute benchmark
+// workload's ComplEx with batch 128, 32 negatives and chunks of 8.
 func BenchmarkProcessBatch(b *testing.B) {
 	g := dataset.FB15kLike(dataset.Tiny, 1)
-	for _, p := range benchDegrees() {
-		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
-			bb, err := train.NewBatchBench(train.Config{
-				Graph:       g,
-				Model:       model.TransE{Norm: 1},
-				Loss:        model.LogisticLoss{},
-				Dim:         128,
-				LR:          0.1,
-				Epochs:      1,
-				BatchSize:   256,
-				NegPerPos:   64,
-				ChunkSize:   16,
-				NumMachines: 1,
-				Seed:        7,
-				Parallelism: p,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bb.ProcessBatch(); err != nil {
+	for _, s := range []struct {
+		name               string
+		model              model.Model
+		batch, negs, chunk int
+	}{
+		{"transe", model.TransE{Norm: 1}, 256, 64, 16},
+		{"complex", model.ComplEx{}, 128, 32, 8},
+	} {
+		for _, p := range benchDegrees() {
+			b.Run(fmt.Sprintf("model=%s/parallelism=%d", s.name, p), func(b *testing.B) {
+				bb, err := train.NewBatchBench(train.Config{
+					Graph:       g,
+					Model:       s.model,
+					Loss:        model.LogisticLoss{},
+					Dim:         128,
+					LR:          0.1,
+					Epochs:      1,
+					BatchSize:   s.batch,
+					NegPerPos:   s.negs,
+					ChunkSize:   s.chunk,
+					NumMachines: 1,
+					Seed:        7,
+					Parallelism: p,
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bb.Pairs()), "ns/pair")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := bb.ProcessBatch(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bb.Pairs()), "ns/pair")
+			})
+		}
 	}
 }
 
@@ -322,7 +317,8 @@ func BenchmarkProcessBatch(b *testing.B) {
 // BenchmarkProcessBatch (the PR 1 baseline, which has no collector at all):
 //
 //	tracer=off     Config.Spans nil — every span call is a nil-check branch.
-//	               Must match BenchmarkProcessBatch in ns/pair and allocs/op.
+//	               Must match BenchmarkProcessBatch/model=transe/parallelism=1
+//	               in ns/pair and allocs/op.
 //	tracer=sampled every batch traced end to end (Every=1), the worst case;
 //	               real runs trace 1/16 batches by default.
 func BenchmarkProcessBatchSpans(b *testing.B) {

@@ -78,7 +78,15 @@ func close32(a, b, tol float32) bool {
 
 func TestTransEL2Gradient(t *testing.T) { checkGrad(t, TransE{Norm: 2}, 8, 1, 2e-2) }
 func TestDistMultGradient(t *testing.T) { checkGrad(t, DistMult{}, 8, 2, 2e-2) }
-func TestComplExGradient(t *testing.T)  { checkGrad(t, ComplEx{}, 6, 3, 2e-2) }
+
+// TestComplExGradient checks widths below one eight-coordinate block, one
+// block (the AVX2 kernel alone) and one block plus a remainder.
+func TestComplExGradient(t *testing.T) {
+	for _, d := range []int{6, 8, 12} {
+		checkGrad(t, ComplEx{}, d, 3, 2e-2)
+	}
+}
+
 func TestTransHDrGradient(t *testing.T) {
 	// TransH: check h, t, and the translation part of r exactly; the w part
 	// uses the constant-norm simplification so it is checked loosely below.

@@ -60,7 +60,14 @@ func (m TransE) Score(h, r, t []float32) float32 {
 // l1: ∂Score/∂h = -sign(h+r-t), ∂/∂r likewise, ∂/∂t = +sign(h+r-t), sign
 // from two comparisons, no branch (+0 for a ±0 or NaN residual).
 // l2 (squared): ∂Score/∂h = -2(h+r-t), ∂/∂t = +2(h+r-t).
+// l1 hands its whole eight-coordinate blocks to the AVX2 kernel where it
+// may (gradBlocks) and runs the rest here.
 func (m TransE) Grad(h, r, t []float32, dScore float32, gh, gr, gt []float32) {
+	if m.Norm != 2 {
+		if k := gradBlocks(transEL1GradAVX2, len(h), h, r, t, dScore, gh, gr, gt); k > 0 {
+			h, r, t, gh, gr, gt = h[k:], r[k:], t[k:], gh[k:], gr[k:], gt[k:]
+		}
+	}
 	r, t = r[:len(h)], t[:len(h)]
 	for i, x := range h {
 		d := x + r[i] - t[i]
@@ -237,13 +244,15 @@ func (ComplEx) Score(h, r, t []float32) float32 {
 	return s
 }
 
-// Grad implements Model.
+// Grad implements Model. Whole eight-coordinate blocks go to the AVX2
+// kernel where they may (gradBlocks); the loop runs the rest.
 func (ComplEx) Grad(h, r, t []float32, dScore float32, gh, gr, gt []float32) {
 	d := len(h) / 2
+	i0 := gradBlocks(complExGradAVX2, 2*d, h, r, t, dScore, gh, gr, gt)
 	hR, hI := h[:d], h[d:]
 	rR, rI := r[:d], r[d:]
 	tR, tI := t[:d], t[d:]
-	for i := 0; i < d; i++ {
+	for i := i0; i < d; i++ {
 		if gh != nil {
 			gh[i] += dScore * (rR[i]*tR[i] + rI[i]*tI[i])
 			gh[d+i] += dScore * (rR[i]*tI[i] - rI[i]*tR[i])

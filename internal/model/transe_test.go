@@ -1,7 +1,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,38 +151,6 @@ func TestTransEL1MatchesBranchyReference(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// BenchmarkTransEScore and BenchmarkTransEGrad time the training kernels on
-// random normal rows, one call per op. The calls cycle through 2^16 floats
-// of rows, so the residual signs repeat only every 2^16 elements: too long
-// a pattern for a branch predictor to learn, as a training run's is.
-func BenchmarkTransEScore(b *testing.B) {
-	benchTransE(b, func(m TransE, h, r, t []float32, _ [3][]float32) { benchSink += m.Score(h, r, t) })
-}
-
-func BenchmarkTransEGrad(b *testing.B) {
-	benchTransE(b, func(m TransE, h, r, t []float32, g [3][]float32) { m.Grad(h, r, t, 0.01, g[0], g[1], g[2]) })
-}
-
-func benchTransE(b *testing.B, op func(m TransE, h, r, t []float32, g [3][]float32)) {
-	for _, m := range []TransE{{Norm: 1}, {Norm: 2}} {
-		for _, d := range []int{16, 64, 128} {
-			b.Run(fmt.Sprintf("%s/d=%d", m.Name(), d), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(int64(d)))
-				n := 1 << 16 / d
-				rows := make([][]float32, n)
-				for i := range rows {
-					rows[i] = normalRow(rng, d)
-				}
-				g := [3][]float32{make([]float32, d), make([]float32, d), make([]float32, d)}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					op(m, rows[i%n], rows[(i+1)%n], rows[(i+7)%n], g)
-				}
-			})
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package vec
 
 // blockKernels sends scoreRows' whole eight-row blocks to the AVX2 kernels
-// in rows_amd64.s. It is decided once, from CPUID: the CPU must have AVX2
-// and the OS must save the YMM registers across context switches. Tests
-// switch it off to hold the Go kernels to the same contract.
-var blockKernels = hasAVX2()
+// in rows_amd64.s. It is decided once, from HasAVX2. Tests switch it off to
+// hold the Go kernels to the same contract.
+var blockKernels = HasAVX2()
 
-func hasAVX2() bool {
+// HasAVX2 reports whether AVX2 kernels may run here, from CPUID: the CPU
+// must have AVX2 and the OS must save the YMM registers across context
+// switches. It is the one CPU decision behind every assembly kernel in the
+// module (this package's sweep kernels and model's gradient kernels).
+func HasAVX2() bool {
 	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
 		return false
 	}

@@ -17,9 +17,10 @@
 # `hetkg trace spans` runs on what it reads, and the run-timeline reader
 # `hetkg trace` compares runs with (no panic, no allocation sized by the
 # input, emitter output round-trips, a torn last line is tolerated and a
-# torn middle line is not). One more fuzz holds the sweep
-# kernels (internal/vec *Rows: the AVX2 block kernels and the Go ones) to
-# the per-row functions bit for bit on raw float32 bits.
+# torn middle line is not). Two more hold the AVX2 kernels to their Go
+# references bit for bit on raw float32 bits: the sweep kernels
+# (internal/vec *Rows) to the per-row functions, and the gradient kernels
+# (internal/model ComplEx.Grad and TransE-l1 Grad) to the Go loops.
 #
 # Every "is it documented" check — exported declarations, metric, span,
 # serving and codec profile names, plan keys, the generated flag reference,
@@ -60,6 +61,9 @@ go test -run '^$' -fuzz FuzzTimeline -fuzztime 20s ./internal/metrics
 
 echo "== fuzz the sweep kernels against the per-row functions (20 s)"
 go test -run '^$' -fuzz FuzzRowsKernels -fuzztime 20s ./internal/vec
+
+echo "== fuzz the gradient kernels against the Go loops (20 s)"
+go test -run '^$' -fuzz FuzzGradKernels -fuzztime 20s ./internal/model
 
 echo "== benchmark module (vet + tests against this tree)"
 # benchmark/ is a separate module compiled against internal/*; tier-1 vets
