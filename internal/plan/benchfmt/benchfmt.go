@@ -87,6 +87,23 @@ func (f *File) RowByName(name string) (Row, bool) {
 // WriteDir marshals f (indented, schema and producing GOARCH stamped) under
 // dir — created if need be — as BENCH_<name>.json, and returns the path.
 func WriteDir(dir string, f *File) (string, error) {
+	data, err := encode(f)
+	if err != nil {
+		return "", err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", fmt.Errorf("benchfmt: creating %s: %w", dir, err)
+	}
+	path := filepath.Join(dir, "BENCH_"+f.Name+".json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return "", fmt.Errorf("benchfmt: writing snapshot: %w", err)
+	}
+	return path, nil
+}
+
+// encode stamps f with the schema and the producing GOARCH and returns the
+// bytes WriteDir writes.
+func encode(f *File) ([]byte, error) {
 	f.SchemaName = Schema
 	if f.Meta == nil {
 		f.Meta = map[string]string{}
@@ -94,16 +111,9 @@ func WriteDir(dir string, f *File) (string, error) {
 	f.Meta[MetaGoArch] = runtime.GOARCH
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
-		return "", fmt.Errorf("benchfmt: encoding %s: %w", f.Name, err)
+		return nil, fmt.Errorf("benchfmt: encoding %s: %w", f.Name, err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("benchfmt: creating %s: %w", dir, err)
-	}
-	path := filepath.Join(dir, "BENCH_"+f.Name+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("benchfmt: writing snapshot: %w", err)
-	}
-	return path, nil
+	return append(data, '\n'), nil
 }
 
 // Read loads and validates a snapshot: the schema, a name, and one uniquely
@@ -113,6 +123,11 @@ func Read(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("benchfmt: %w", err)
 	}
+	return parse(data, path)
+}
+
+// parse is Read on a snapshot's bytes; path names them in errors.
+func parse(data []byte, path string) (*File, error) {
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("benchfmt: parsing %s: %w", path, err)

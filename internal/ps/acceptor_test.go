@@ -1,9 +1,12 @@
 package ps
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
+
+	"hetkg/internal/metrics"
 )
 
 // TestAcceptorShutdownDrains covers the graceful path: the client closes
@@ -72,5 +75,48 @@ func TestAcceptorShutdownForceCloses(t *testing.T) {
 	a.Shutdown(50 * time.Millisecond) // connection still open: force close
 	if err := cl.Pull([]Key{EntityKey(0)}, dst); err == nil {
 		t.Fatal("Pull succeeded after forced shutdown; want error")
+	}
+}
+
+// handOffConn is a conn whose Write hands the bytes to the peer first and
+// returns only once the test lets it; it then reports n bytes written.
+type handOffConn struct {
+	net.Conn
+	delivered chan []byte
+	release   chan struct{}
+	n         int
+}
+
+func (c *handOffConn) Write(p []byte) (int, error) {
+	c.delivered <- p
+	<-c.release
+	if c.n < len(p) {
+		return c.n, errors.New("short write")
+	}
+	return c.n, nil
+}
+
+// TestCountingConnCountsBeforeThePeerReads: a shard's ps.tcp.tx_bytes
+// already counts a reply once its peer holds it, before Write returns, and
+// a short write counts only the bytes it sent.
+func TestCountingConnCountsBeforeThePeerReads(t *testing.T) {
+	for _, sent := range []int{5, 2} {
+		inner := &handOffConn{delivered: make(chan []byte), release: make(chan struct{}), n: sent}
+		tx := metrics.NewRegistry().Counter(metrics.MPSTCPTxBytes)
+		c := &countingConn{Conn: inner, tx: tx}
+		done := make(chan struct{})
+		go func() {
+			c.Write([]byte("reply"))
+			close(done)
+		}()
+		p := <-inner.delivered
+		if got := tx.Value(); got != int64(len(p)) {
+			t.Errorf("the peer holds %d bytes, tx_bytes reads %d", len(p), got)
+		}
+		close(inner.release)
+		<-done
+		if got := tx.Value(); got != int64(sent) {
+			t.Errorf("a write of %d of 5 bytes: tx_bytes reads %d", sent, got)
+		}
 	}
 }

@@ -41,17 +41,17 @@ func (e *DegradedError) Unwrap() error { return e.Err }
 // the paper's co-located PS design exists to exploit (§IV-A, §V).
 //
 // A Pull or Push makes one RPC per shard it touches. Over a LinkTransport
-// whose links cross sockets (DialTCPLink) they run as one overlapped round:
-// every request is written before any reply is read, as DGL-KE's KVStore
-// sends one request per server and then collects the replies, so the shards
-// work at the same time and a batch waits about as long as its slowest
-// shard rather than the sum of all of them. No goroutine is started. Every
-// other transport is called one shard after another: InProc and in-process
-// codec links have no wait to overlap. Either way every shard is asked and
-// the replies are merged in ascending shard order, so rows, meter records,
-// counters and a DegradedError's keys do not depend on the path. The netsim
-// meter still prices a batch's messages one after another, as it always
-// has, so the simulated time of a run does not change with it.
+// they run as one round: every request is sent before any reply is read, as
+// DGL-KE's KVStore sends one request per server and then collects the
+// replies, so shards behind sockets work at the same time and a batch waits
+// about as long as its slowest shard rather than the sum of all of them. No
+// goroutine is started. A Transport that is not a LinkTransport (InProc, a
+// wrapper or a fake) is called one shard after another. Either way every
+// shard is asked and the replies are merged in ascending shard order, so
+// rows, meter records, counters and a DegradedError's keys do not depend on
+// the transport. The netsim meter still prices a batch's messages one after
+// another, as it always has, so the simulated time of a run does not change
+// with it.
 type Client struct {
 	machine int
 	place   *Placement
@@ -62,7 +62,7 @@ type Client struct {
 	obs     *clientObs
 	tracer  *span.Tracer
 	sc      span.Context
-	overlap *LinkTransport // tr, when its links cross sockets (see Client)
+	links   *LinkTransport // tr, when it is one (see Client)
 }
 
 // clientObs holds a client's registry-backed RPC series (see Instrument).
@@ -98,13 +98,10 @@ func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Cli
 	if machine < 0 || machine >= c.Place.NumMachines() {
 		return nil, fmt.Errorf("ps: machine %d out of range [0,%d)", machine, c.Place.NumMachines())
 	}
-	var overlap *LinkTransport
-	if lt, ok := tr.(*LinkTransport); ok {
-		if err := lt.checkWidths(c.EntityDim(), c.RelationDim()); err != nil {
+	links, _ := tr.(*LinkTransport)
+	if links != nil {
+		if err := links.checkWidths(c.EntityDim(), c.RelationDim()); err != nil {
 			return nil, err
-		}
-		if lt.overSockets() {
-			overlap = lt
 		}
 	}
 	return &Client{
@@ -114,7 +111,7 @@ func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Cli
 		meter:   meter,
 		entDim:  c.EntityDim(),
 		relDim:  c.RelationDim(),
-		overlap: overlap,
+		links:   links,
 	}, nil
 }
 
@@ -154,10 +151,8 @@ func (c *Client) Width(k Key) int {
 // order, is returned.
 func (c *Client) Pull(keys []Key, dst map[Key][]float32) error {
 	calls := c.split(keys)
-	reqs := make([]*PullRequest, len(calls))
 	for i := range calls {
 		calls[i].sp = c.tracer.StartChild(c.sc, span.NPSPull)
-		reqs[i] = &PullRequest{Keys: calls[i].keys, Trace: calls[i].sp.Context()}
 	}
 	pulled := func(i int, resp *PullResponse, err error) {
 		sc := &calls[i]
@@ -174,11 +169,15 @@ func (c *Client) Pull(keys []Key, dst map[Key][]float32) error {
 		}
 		sc.end(nil)
 	}
-	if c.overlap != nil {
-		c.overlap.pullEach(shardsOf(calls), reqs, pulled)
+	if c.links != nil {
+		xs := make([]exchange, len(calls))
+		for i, sc := range calls {
+			xs[i] = exchange{shard: sc.shard, op: 'P', keys: sc.keys, trace: sc.sp.Context()}
+		}
+		c.links.round(xs, func(i int, err error) { pulled(i, &xs[i].resp, err) })
 	} else {
-		for i, req := range reqs {
-			resp, err := c.tr.Pull(calls[i].shard, req)
+		for i, sc := range calls {
+			resp, err := c.tr.Pull(sc.shard, &PullRequest{Keys: sc.keys, Trace: sc.sp.Context()})
 			pulled(i, resp, err)
 		}
 	}
@@ -222,7 +221,6 @@ func (c *Client) Push(grads map[Key][]float32) error {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	calls := c.split(keys)
-	reqs := make([]*PushRequest, len(calls))
 	for i := range calls {
 		sc := &calls[i]
 		total := 0
@@ -237,28 +235,33 @@ func (c *Client) Push(grads map[Key][]float32) error {
 			}
 			vals = append(vals, g...)
 		}
-		reqs[i] = &PushRequest{Keys: sc.keys, Vals: vals}
+		sc.vals = vals
 	}
 	for i := range calls {
 		calls[i].sp = c.tracer.StartChild(c.sc, span.NPSPush)
-		reqs[i].Trace = calls[i].sp.Context()
 	}
-	pushed := func(i int, err error) {
+	pushed := func(i int, wireBytes int64, err error) {
 		sc := &calls[i]
 		if err != nil {
 			sc.end(fmt.Errorf("ps: push to shard %d: %w", sc.shard, err))
 			return
 		}
-		if sc.tx = reqs[i].WireBytes; sc.tx == 0 {
-			sc.tx = PushRequestBytes(len(sc.keys), len(reqs[i].Vals))
+		if sc.tx = wireBytes; sc.tx == 0 {
+			sc.tx = PushRequestBytes(len(sc.keys), len(sc.vals))
 		}
 		sc.end(nil)
 	}
-	if c.overlap != nil {
-		c.overlap.pushEach(shardsOf(calls), reqs, pushed)
+	if c.links != nil {
+		xs := make([]exchange, len(calls))
+		for i, sc := range calls {
+			xs[i] = exchange{shard: sc.shard, op: 'U', keys: sc.keys, vals: sc.vals, trace: sc.sp.Context()}
+		}
+		c.links.round(xs, func(i int, err error) { pushed(i, xs[i].wireBytes, err) })
 	} else {
-		for i, req := range reqs {
-			pushed(i, c.tr.Push(calls[i].shard, req))
+		for i, sc := range calls {
+			req := &PushRequest{Keys: sc.keys, Vals: sc.vals, Trace: sc.sp.Context()}
+			err := c.tr.Push(sc.shard, req)
+			pushed(i, req.WireBytes, err)
 		}
 	}
 	return c.merge("push", calls, func(sc *shardCall) error {
@@ -276,7 +279,7 @@ type shardCall struct {
 	shard  int
 	keys   []Key
 	sp     span.Active
-	vals   []float32 // a pull's reply rows
+	vals   []float32 // a pull's reply rows, or a push's gradient rows
 	tx, rx int64     // wire bytes each way (a push has no reply bytes)
 	err    error
 }
@@ -308,15 +311,6 @@ func (c *Client) split(keys []Key) []shardCall {
 		}
 	}
 	return calls
-}
-
-// shardsOf lists the calls' shards.
-func shardsOf(calls []shardCall) []int {
-	shards := make([]int, len(calls))
-	for i, sc := range calls {
-		shards[i] = sc.shard
-	}
-	return shards
 }
 
 // merge walks the answered calls in shard order: each reply is metered

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hetkg/internal/metrics"
+	"hetkg/internal/netsim"
 	"hetkg/internal/opt"
 )
 
@@ -28,8 +29,8 @@ func fanOutClient(t *testing.T, c, served *Cluster) (*Client, []loopbackShard) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.overlap == nil {
-		t.Fatal("a client over TCP links does not overlap its shards' round trips")
+	if cl.links == nil {
+		t.Fatal("a client over TCP links does not run its shards' RPCs as a round")
 	}
 	return cl, shards
 }
@@ -81,47 +82,65 @@ func bitEqualRows(t *testing.T, what string, got, want map[Key][]float32) {
 	}
 }
 
-// TestFanOutMatchesInProc: a Client whose per-shard RPCs go out together
-// over 4 loopback shards pulls the same bits as a sequential Client over
-// InProc on a twin cluster, before and after both push the same gradients.
+// TestFanOutMatchesInProc: a Client whose per-shard RPCs go out as one
+// round — over 4 loopback shards, and over 4 in-process fp32 codec links —
+// pulls the same bits as a sequential Client over InProc on a twin cluster,
+// before and after both push the same gradients.
 func TestFanOutMatchesInProc(t *testing.T) {
-	c, keys := chattyCluster(t)
-	twin, _ := chattyCluster(t)
-	cl, _ := fanOutClient(t, c, c)
-	ref, err := NewClient(0, twin, NewInProc(twin), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := settledGoroutines()
-	pullBoth := func(what string) {
-		got, want := map[Key][]float32{}, map[Key][]float32{}
-		if err := cl.Pull(keys, got); err != nil {
-			t.Fatal(err)
-		}
-		noGoroutineLeft(t, start, what)
-		if err := ref.Pull(keys, want); err != nil {
-			t.Fatal(err)
-		}
-		bitEqualRows(t, what, got, want)
-	}
-	pullBoth("first pull")
-	for step := 0; step < 3; step++ {
-		grads := map[Key][]float32{}
-		for i, k := range keys {
-			g := make([]float32, cl.Width(k))
-			for j := range g {
-				g[j] = float32(i*len(g)+j+step) * 1e-3
+	for _, over := range []string{"tcp", "in-process"} {
+		c, keys := chattyCluster(t)
+		twin, _ := chattyCluster(t)
+		var cl *Client
+		if over == "tcp" {
+			cl, _ = fanOutClient(t, c, c)
+		} else {
+			tr, err := NewCodecTransport(NewInProc(c), c, ProfileFP32, netsim.CostModel{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			grads[k] = g
+			t.Cleanup(func() { tr.Close() })
+			if cl, err = NewClient(0, c, tr, nil); err != nil {
+				t.Fatal(err)
+			}
+			if cl.links == nil {
+				t.Fatal("a client over in-process codec links does not run its shards' RPCs as a round")
+			}
 		}
-		if err := cl.Push(grads); err != nil {
+		ref, err := NewClient(0, twin, NewInProc(twin), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		noGoroutineLeft(t, start, "push")
-		if err := ref.Push(grads); err != nil {
-			t.Fatal(err)
+		start := settledGoroutines()
+		pullBoth := func(what string) {
+			got, want := map[Key][]float32{}, map[Key][]float32{}
+			if err := cl.Pull(keys, got); err != nil {
+				t.Fatal(err)
+			}
+			noGoroutineLeft(t, start, over+" "+what)
+			if err := ref.Pull(keys, want); err != nil {
+				t.Fatal(err)
+			}
+			bitEqualRows(t, over+" "+what, got, want)
 		}
-		pullBoth("pull after a push")
+		pullBoth("first pull")
+		for step := 0; step < 3; step++ {
+			grads := map[Key][]float32{}
+			for i, k := range keys {
+				g := make([]float32, cl.Width(k))
+				for j := range g {
+					g[j] = float32(i*len(g)+j+step) * 1e-3
+				}
+				grads[k] = g
+			}
+			if err := cl.Push(grads); err != nil {
+				t.Fatal(err)
+			}
+			noGoroutineLeft(t, start, over+" push")
+			if err := ref.Push(grads); err != nil {
+				t.Fatal(err)
+			}
+			pullBoth("pull after a push")
+		}
 	}
 }
 
@@ -134,7 +153,7 @@ func TestFanOutDegradedKeysInShardOrder(t *testing.T) {
 	c, keys := chattyCluster(t)
 	cl, shards := fanOutClient(t, c, c)
 	seq := *cl
-	seq.overlap = nil
+	seq.links = nil
 	shards[1].stop()
 	shards[3].stop()
 	start := settledGoroutines()

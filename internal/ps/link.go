@@ -242,11 +242,11 @@ func newLinkObs(reg *metrics.Registry) *linkObs {
 // LinkTransport is the worker side of the parameter-server protocol, one
 // link per shard: DialTCPLink builds it over sockets, NewCodecTransport over
 // in-process shard sessions, and a CoordClient is one such link to the
-// coordinator. Calls on the same shard are serialized by a per-link mutex;
-// failed calls retry with backoff and transparent reconnect per LinkConfig.
-// Over sockets, a Client's per-shard pulls or pushes for one batch run as
-// one overlapped round (see overlap): every request is written before any
-// reply is read.
+// coordinator. Every call is a round (see round): a Client's per-shard pulls
+// or pushes for one batch run as one, every request sent before any reply
+// is read, and a single Pull, Push or coordinator call is a round of one.
+// Calls on the same shard are serialized by a per-link mutex; failed calls
+// retry with backoff and transparent reconnect per LinkConfig.
 type LinkTransport struct {
 	links  []*link
 	codec  string // requested profile ("auto" resolves per connection)
@@ -259,9 +259,6 @@ type LinkTransport struct {
 	codecObs  *codecObs // applied to each (re)connected linkCodec
 	openLinks atomic.Int64
 }
-
-// TCPTransport is LinkTransport under the name DialTCPLink's callers know.
-type TCPTransport = LinkTransport
 
 // link is one shard's persistent link: the current connection (nil while
 // disconnected), the dial coordinates needed to rebuild it, the circuit
@@ -288,7 +285,9 @@ type linkConn struct {
 	lc   *linkCodec
 	pbuf []byte // request payload scratch (base versions / encoded grads)
 
-	sess *session // in-process: the shard end, called directly
+	sess    *session // in-process: the shard end, called directly by send
+	reply   []byte   // the session's answer to the request send made...
+	refusal error    // ...or its refusal, both held for recv
 
 	conn net.Conn // over TCP
 	enc  *gob.Encoder
@@ -366,7 +365,7 @@ func (t *LinkTransport) Trace(tr *span.Tracer) { t.tracer = tr }
 // gauge. Call before traffic flows.
 func (t *LinkTransport) Instrument(reg *metrics.Registry) {
 	t.codecObs = newCodecObs(reg)
-	if t.overSockets() {
+	if len(t.links) > 0 && t.links[0].addr != "" { // over sockets (DialTCPLink)
 		t.obs = newLinkObs(reg)
 	}
 	for _, l := range t.links {
@@ -377,10 +376,6 @@ func (t *LinkTransport) Instrument(reg *metrics.Registry) {
 		l.mu.Unlock()
 	}
 }
-
-// overSockets reports whether the links cross a socket (DialTCPLink) rather
-// than call an in-process shard session (NewCodecTransport).
-func (t *LinkTransport) overSockets() bool { return len(t.links) > 0 && t.links[0].addr != "" }
 
 // checkWidths refuses shards whose rows (as acked) are not entDim/relDim wide.
 func (t *LinkTransport) checkWidths(entDim, relDim int) error {
@@ -424,23 +419,6 @@ func (l *link) connect(t *LinkTransport) error {
 	return nil
 }
 
-// withLink runs attempt against shard's link under the retry policy: a
-// transport-level failure poisons the connection (closing it so the gob
-// stream can never desynchronize), backs off with deterministic jitter,
-// reconnects, and re-runs the attempt. Application errors (RemoteError,
-// noRetryError) pass through without retry or poisoning. When the link's
-// circuit breaker is open the call fails fast with a LinkDownError before
-// touching the wire.
-func (t *LinkTransport) withLink(shard int, attempt func(l *link, c *linkConn) error) error {
-	l, err := t.link(shard)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return t.retry(l, attempt, nil)
-}
-
 // link returns shard's link, or why no call may use it.
 func (t *LinkTransport) link(shard int) (*link, error) {
 	if shard < 0 || shard >= len(t.links) {
@@ -452,10 +430,78 @@ func (t *LinkTransport) link(shard int) (*link, error) {
 	return t.links[shard], nil
 }
 
-// retry is withLink's policy loop; the caller holds l.mu. A non-nil first
-// stands in for the first attempt on the connection l already has: the rest
-// of an attempt whose request is already on the wire (see overlap).
-func (t *LinkTransport) retry(l *link, attempt, first func(l *link, c *linkConn) error) error {
+// exchange is one request and its reply on a shard link: the request's
+// fields (copied, so the caller's request never escapes), what the reply
+// brought back, and the state of the attempt the round began.
+type exchange struct {
+	shard int
+	op    byte         // 'P' pull or 'U' push
+	raw   *wireRequest // a request sent as it is (a coordinator call), op unused
+	keys  []Key
+	vals  []float32 // a push's gradient rows, rewritten as the shard decodes them
+	trace span.Context
+
+	resp      PullResponse // a pull's reply
+	payload   []byte       // a push's encoded rows (nil until encoded), or a raw request's reply
+	seq       uint64       // a push's sequence number
+	wireBytes int64        // a push's measured wire size
+
+	l     *link       // x's link, held from the request to the reply
+	began bool        // a request went out on l's connection and its reply is unread
+	wire  span.Active // the request's wire.tcp span
+	err   error       // no link, the request's failure, then x's outcome
+}
+
+// round runs xs, each on its shard's link, the shards distinct and
+// ascending: every request is sent before any reply is read, so shards
+// behind sockets serve them at the same time and the caller waits about as
+// long as the slowest shard takes instead of the sum of all of them, on its
+// own goroutine. An in-process session answers as its request is sent.
+// Replies are then read in shard order and done(i, err) reports each xs[i]
+// as it finishes. Each link is held from its request to its reply, taken in
+// ascending shard order, so a shard sees one caller's requests in the order
+// they were made and two overlapping callers cannot deadlock. An exchange
+// whose link has no connection, or whose request fails, runs under the
+// retry policy in the reply phase. A single Pull, Push or coordinator call
+// is a round of one.
+func (t *LinkTransport) round(xs []exchange, done func(i int, err error)) {
+	for i := range xs {
+		x := &xs[i]
+		if x.l, x.err = t.link(x.shard); x.err != nil {
+			continue
+		}
+		x.l.mu.Lock()
+		if x.l.c != nil {
+			t.begin(x.l.c, x)
+		}
+	}
+	for i := range xs {
+		x := &xs[i]
+		if x.l != nil {
+			x.err = t.retry(x)
+			x.l.mu.Unlock()
+		}
+		done(i, x.err)
+	}
+}
+
+// one runs x as a round of one and returns it finished.
+func (t *LinkTransport) one(x exchange) exchange {
+	xs := [1]exchange{x}
+	t.round(xs[:], func(int, error) {})
+	return xs[0]
+}
+
+// retry finishes x under the retry policy; the caller holds x.l.mu. The
+// first try reads the reply to the request the round sent, if it sent one.
+// A transport-level failure poisons the connection (closing it so the gob
+// stream can never desynchronize), backs off with deterministic jitter,
+// reconnects, and runs x again whole. Application errors (RemoteError,
+// noRetryError) pass through without retry or poisoning. When the link's
+// circuit breaker is open the call fails fast with a LinkDownError before
+// touching the wire.
+func (t *LinkTransport) retry(x *exchange) error {
+	l := x.l
 	var lastErr error
 	for try := 0; ; try++ {
 		if try > 0 {
@@ -466,7 +512,6 @@ func (t *LinkTransport) retry(l *link, attempt, first func(l *link, c *linkConn)
 				o.retries.Inc()
 			}
 			t.cfg.Sleep(l.backoff(try))
-			first = nil
 		}
 		if l.c == nil {
 			if !l.breaker.allow(t.cfg.Now()) {
@@ -478,11 +523,10 @@ func (t *LinkTransport) retry(l *link, attempt, first func(l *link, c *linkConn)
 				continue
 			}
 		}
-		run := attempt
-		if first != nil {
-			run = first
+		if !x.began {
+			t.begin(l.c, x)
 		}
-		err := run(l, l.c)
+		err := t.end(l.c, x)
 		if err == nil {
 			l.ok(t)
 			return nil
@@ -502,92 +546,27 @@ func (t *LinkTransport) retry(l *link, attempt, first func(l *link, c *linkConn)
 	return &LinkDownError{Shard: l.shard, Addr: l.addr, Err: lastErr}
 }
 
-// exchange is one request and its reply on a shard link, cut where the
-// wait for the shard falls: request builds the request for the link's
-// current connection (again on every retry), reply consumes the reply's
-// payload.
-type exchange struct {
-	request func(l *link, c *linkConn) (*wireRequest, error)
-	reply   func(c *linkConn, payload []byte) error
+// begin builds x's request for c and sends it; end reads the reply.
+func (t *LinkTransport) begin(c *linkConn, x *exchange) {
+	x.began = true
+	req, err := t.request(c, x)
+	if err == nil {
+		x.wire, err = t.send(x.l, c, req)
+	}
+	x.err = err
 }
 
-// attempt is x whole, as one attempt of the retry policy.
-func (t *LinkTransport) attempt(x exchange) func(l *link, c *linkConn) error {
-	return func(l *link, c *linkConn) error {
-		req, err := x.request(l, c)
-		if err != nil {
-			return err
-		}
-		payload, err := t.roundTrip(l, c, req)
-		if err != nil {
-			return err
-		}
-		return x.reply(c, payload)
+// end reads the reply to the request begin sent on c and consumes it.
+func (t *LinkTransport) end(c *linkConn, x *exchange) error {
+	x.began = false
+	if x.err != nil {
+		return x.err
 	}
-}
-
-// overlap runs xs[i] on shards[i]'s link, the shards distinct and
-// ascending and the links over sockets, as one overlapped round: every
-// request goes on the wire before any reply is read, so the shards serve
-// them at the same time and the caller waits about as long as the slowest
-// shard takes instead of the sum of all of them, on its own goroutine.
-// Replies are then read in shard order and done(i, err) reports each xs[i]
-// as it finishes. Each link is held from its request to its reply, taken in
-// ascending shard order, so a shard sees one caller's requests in the order
-// they were made and two overlapping callers cannot deadlock. An exchange
-// whose link has no connection, or whose request fails, runs under the
-// retry policy in the reply phase, as withLink would run it.
-func (t *LinkTransport) overlap(shards []int, xs []exchange, done func(i int, err error)) {
-	links := make([]*link, len(xs))
-	firsts := make([]func(l *link, c *linkConn) error, len(xs))
-	errs := make([]error, len(xs))
-	for i, x := range xs {
-		l, err := t.link(shards[i])
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		l.mu.Lock()
-		links[i] = l
-		c := l.c
-		if c == nil {
-			continue
-		}
-		req, err := x.request(l, c)
-		var wire span.Active
-		if err == nil {
-			wire, err = t.send(l, c, req)
-		}
-		firsts[i] = func(l *link, c *linkConn) error {
-			if err != nil {
-				return err
-			}
-			payload, err := t.recv(l, c, wire)
-			if err != nil {
-				return err
-			}
-			return x.reply(c, payload)
-		}
-	}
-	for i, l := range links {
-		if l != nil {
-			errs[i] = t.retry(l, t.attempt(xs[i]), firsts[i])
-			l.mu.Unlock()
-		}
-		done(i, errs[i])
-	}
-}
-
-// call runs one request on shard's link under the retry policy and returns
-// the reply payload.
-func (t *LinkTransport) call(shard int, req *wireRequest) ([]byte, error) {
-	var payload []byte
-	err := t.withLink(shard, func(l *link, c *linkConn) error {
-		var err error
-		payload, err = t.roundTrip(l, c, req)
+	payload, err := t.recv(x.l, c, x.wire)
+	if err != nil {
 		return err
-	})
-	return payload, err
+	}
+	return t.reply(c, x, payload)
 }
 
 // backoff returns the jittered exponential delay before retry attempt n
@@ -649,29 +628,14 @@ func (t *LinkTransport) setOpen(n int64) {
 	}
 }
 
-// roundTrip sends req on c and returns the reply payload — the one place a
-// worker writes a request and reads its reply. An in-process session is
-// called directly; a socket carries req under the per-attempt deadlines
-// (see send and recv). The caller holds the link mutex. A refused request
-// returns as a *RemoteError (healthy link, refused request).
-func (t *LinkTransport) roundTrip(l *link, c *linkConn, req *wireRequest) ([]byte, error) {
-	if c.sess != nil {
-		payload, err := c.sess.handle(req)
-		if err != nil {
-			return nil, &RemoteError{Msg: err.Error(), err: err}
-		}
-		return payload, nil
-	}
-	wire, err := t.send(l, c, req)
-	if err != nil {
-		return nil, err
-	}
-	return t.recv(l, c, wire)
-}
-
 // send writes req on c's socket under SetWriteDeadline (encode + flush) and
-// returns the wire.tcp span that recv ends when the reply is decoded.
+// returns the wire.tcp span that recv ends when the reply is decoded. An
+// in-process session serves req here and c holds its answer for recv.
 func (t *LinkTransport) send(l *link, c *linkConn, req *wireRequest) (span.Active, error) {
+	if c.sess != nil {
+		c.reply, c.refusal = c.sess.handle(req)
+		return span.Active{}, nil
+	}
 	shard := l.shard
 	sc := span.Context{Trace: req.TraceID, Parent: req.ParentID}
 	ser := t.tracer.StartChild(sc, span.NSerialize)
@@ -689,8 +653,15 @@ func (t *LinkTransport) send(l *link, c *linkConn, req *wireRequest) (span.Activ
 }
 
 // recv reads the reply to the request send wrote on c, under
-// SetReadDeadline, and ends send's wire span.
+// SetReadDeadline, and ends send's wire span. A refused request returns as a
+// *RemoteError (healthy link, refused request).
 func (t *LinkTransport) recv(l *link, c *linkConn, wire span.Active) ([]byte, error) {
+	if c.sess != nil {
+		if err := c.refusal; err != nil {
+			return nil, &RemoteError{Msg: err.Error(), err: err}
+		}
+		return c.reply, nil
+	}
 	shard := l.shard
 	var resp wireResponse
 	defer func() { wire.EndAttrs(span.Attrs{Shard: shard}) }()
@@ -710,113 +681,94 @@ func (t *LinkTransport) recv(l *link, c *linkConn, wire span.Active) ([]byte, er
 	return resp.Payload, nil
 }
 
-// Pull implements Transport: the request advertises the link's base
-// versions (delta profiles), the reply's payload decodes through the
-// negotiated pull codec. Each retry attempt re-encodes the base versions
-// against the current connection's codec state — after a reconnect the
-// fresh codec advertises nothing, so the shard answers with full rows.
-func (t *LinkTransport) Pull(shard int, req *PullRequest) (*PullResponse, error) {
-	out := new(PullResponse)
-	if err := t.withLink(shard, t.attempt(t.pullExchange(shard, req, out))); err != nil {
-		return nil, err
+// request builds x's request for c, again on every attempt. A pull
+// advertises the connection's base versions (delta profiles): after a
+// reconnect the fresh codec advertises nothing, so the shard answers with
+// full rows. A push is encoded once, on its first attempt, and every retry
+// re-sends the identical bytes under the same sequence number, so a push
+// whose reply was lost after the shard applied it is deduplicated
+// shard-side instead of applied twice.
+func (t *LinkTransport) request(c *linkConn, x *exchange) (*wireRequest, error) {
+	if x.raw != nil {
+		return x.raw, nil
 	}
-	return out, nil
-}
-
-// pullExchange is Pull's exchange; its reply fills out.
-func (t *LinkTransport) pullExchange(shard int, req *PullRequest, out *PullResponse) exchange {
-	return exchange{
-		request: func(_ *link, c *linkConn) (*wireRequest, error) {
-			c.pbuf = c.lc.appendBaseVers(c.pbuf[:0], req.Keys)
-			return &wireRequest{
-				Op: 'P', Keys: req.Keys, Payload: c.pbuf,
-				TraceID: req.Trace.Trace, ParentID: req.Trace.Parent,
-			}, nil
-		},
-		reply: func(c *linkConn, payload []byte) error {
-			sp := t.tracer.StartChild(req.Trace, span.NEncode)
-			vals := make([]float32, c.lc.totalWidth(req.Keys))
-			if err := c.lc.decodePull(req.Keys, payload, vals); err != nil {
-				sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Shard: shard})
-				// The link's base state may now disagree with the shard's:
-				// poison and retry on a fresh codec.
-				return fmt.Errorf("ps: decoding pull from shard %d: %w", shard, err)
+	req := &wireRequest{Op: x.op, Keys: x.keys, TraceID: x.trace.Trace, ParentID: x.trace.Parent}
+	switch x.op {
+	case 'P':
+		c.pbuf = c.lc.appendBaseVers(c.pbuf[:0], x.keys)
+		req.Payload = c.pbuf
+	case 'U':
+		if x.payload == nil {
+			sp := t.tracer.StartChild(x.trace, span.NEncode)
+			p, err := c.lc.encodePush(c.pbuf[:0], x.keys, x.vals)
+			if err != nil {
+				sp.EndAttrs(span.Attrs{Rows: int64(len(x.keys)), Shard: x.shard})
+				return nil, &noRetryError{err}
 			}
-			sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(payload)), Shard: shard})
-			*out = PullResponse{
-				Vals:    vals,
-				TxBytes: PullRequestBytes(len(req.Keys)) + int64(len(c.pbuf)),
-				RxBytes: msgHeaderBytes + int64(len(payload)),
-			}
-			return nil
-		},
-	}
-}
-
-// Push implements Transport: gradients are codec-encoded (the caller's
-// vals are rewritten with the decoder-visible values, as everywhere in the
-// codec layer) and travel as an opaque payload. The payload is encoded
-// once and retries re-send the identical bytes under the same sequence
-// number, so a push whose response was lost after the shard applied it is
-// deduplicated server-side instead of double-applied.
-func (t *LinkTransport) Push(shard int, req *PushRequest) error {
-	return t.withLink(shard, t.attempt(t.pushExchange(shard, req)))
-}
-
-// pushExchange is Push's exchange.
-func (t *LinkTransport) pushExchange(shard int, req *PushRequest) exchange {
-	var payload []byte
-	var seq uint64
-	return exchange{
-		request: func(l *link, c *linkConn) (*wireRequest, error) {
-			if payload == nil {
-				sp := t.tracer.StartChild(req.Trace, span.NEncode)
-				p, err := c.lc.encodePush(c.pbuf[:0], req.Keys, req.Vals)
-				if err != nil {
-					sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Shard: shard})
-					return nil, &noRetryError{err}
-				}
-				c.pbuf = p
-				payload = p
-				sp.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(p)), Shard: shard})
-				req.WireBytes = msgHeaderBytes + 8*int64(len(req.Keys)) + int64(len(p))
-				l.seq++
-				seq = l.seq
-			}
-			return &wireRequest{
-				Op: 'U', Keys: req.Keys, Payload: payload, Seq: seq,
-				TraceID: req.Trace.Trace, ParentID: req.Trace.Parent,
-			}, nil
-		},
-		reply: func(*linkConn, []byte) error { return nil },
-	}
-}
-
-// pullEach pulls reqs[i] from shards[i] in one overlapped round and reports
-// each pull to done in shard order.
-func (t *LinkTransport) pullEach(shards []int, reqs []*PullRequest, done func(i int, resp *PullResponse, err error)) {
-	xs := make([]exchange, len(reqs))
-	outs := make([]PullResponse, len(reqs))
-	for i, req := range reqs {
-		xs[i] = t.pullExchange(shards[i], req, &outs[i])
-	}
-	t.overlap(shards, xs, func(i int, err error) {
-		if err != nil {
-			done(i, nil, err)
-			return
+			c.pbuf = p
+			x.payload = p
+			sp.EndAttrs(span.Attrs{Rows: int64(len(x.keys)), Bytes: int64(len(p)), Shard: x.shard})
+			x.wireBytes = msgHeaderBytes + 8*int64(len(x.keys)) + int64(len(p))
+			x.l.seq++
+			x.seq = x.l.seq
 		}
-		done(i, &outs[i], nil)
-	})
+		req.Payload, req.Seq = x.payload, x.seq
+	}
+	return req, nil
 }
 
-// pushEach pushes reqs[i] to shards[i] in one overlapped round and reports
-// each push to done in shard order.
-func (t *LinkTransport) pushEach(shards []int, reqs []*PushRequest, done func(i int, err error)) {
-	xs := make([]exchange, len(reqs))
-	for i, req := range reqs {
-		xs[i] = t.pushExchange(shards[i], req)
+// reply consumes x's reply payload: a pull's decodes through c's codec, a
+// raw request's is kept as it is.
+func (t *LinkTransport) reply(c *linkConn, x *exchange, payload []byte) error {
+	if x.raw != nil {
+		x.payload = payload
+		return nil
 	}
-	t.overlap(shards, xs, done)
+	if x.op != 'P' {
+		return nil
+	}
+	sp := t.tracer.StartChild(x.trace, span.NEncode)
+	vals := make([]float32, c.lc.totalWidth(x.keys))
+	if err := c.lc.decodePull(x.keys, payload, vals); err != nil {
+		sp.EndAttrs(span.Attrs{Rows: int64(len(x.keys)), Shard: x.shard})
+		// The link's base state may now disagree with the shard's:
+		// poison and retry on a fresh codec.
+		return fmt.Errorf("ps: decoding pull from shard %d: %w", x.shard, err)
+	}
+	sp.EndAttrs(span.Attrs{Rows: int64(len(x.keys)), Bytes: int64(len(payload)), Shard: x.shard})
+	x.resp = PullResponse{
+		Vals:    vals,
+		TxBytes: PullRequestBytes(len(x.keys)) + int64(len(c.pbuf)),
+		RxBytes: msgHeaderBytes + int64(len(payload)),
+	}
+	return nil
+}
+
+// call runs one raw request on shard's link and returns the reply payload.
+func (t *LinkTransport) call(shard int, req *wireRequest) ([]byte, error) {
+	x := t.one(exchange{shard: shard, raw: req})
+	return x.payload, x.err
+}
+
+// Pull implements Transport: a round of one pull, whose reply decodes
+// through the link's negotiated pull codec.
+func (t *LinkTransport) Pull(shard int, req *PullRequest) (*PullResponse, error) {
+	x := t.one(exchange{shard: shard, op: 'P', keys: req.Keys, trace: req.Trace})
+	if x.err != nil {
+		return nil, x.err
+	}
+	resp := x.resp
+	return &resp, nil
+}
+
+// Push implements Transport: a round of one push. The gradients are
+// codec-encoded (the caller's vals are rewritten with the decoder-visible
+// values, as everywhere in the codec layer) and travel as an opaque payload;
+// req.WireBytes is set to the measured wire size.
+func (t *LinkTransport) Push(shard int, req *PushRequest) error {
+	x := t.one(exchange{shard: shard, op: 'U', keys: req.Keys, vals: req.Vals, trace: req.Trace})
+	req.WireBytes = x.wireBytes
+	return x.err
 }
 
 // Close implements Transport. A closed transport fails every subsequent

@@ -568,3 +568,44 @@ func TestLoopbackPullPushAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestClientRoundAllocs pins what one Client pull plus push allocates in
+// BenchmarkClientPullPush's shape (27 dim-16 rows on each of 4 loopback
+// shards), worker and shards together: 292 once every LinkTransport call
+// became a round of exchange structs, 339 while the round built closures and
+// per-round slices beside a per-call path.
+func TestClientRoundAllocs(t *testing.T) {
+	c, keys := chattyCluster(t)
+	addrs, _ := loopbackShards(t, c)
+	tr, err := DialTCPLink(addrs, ProfileFP32, LinkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cl, err := NewClient(0, c, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads := make(map[Key][]float32, len(keys))
+	for _, k := range keys {
+		grads[k] = make([]float32, cl.Width(k))
+	}
+	step := func() {
+		dst := make(map[Key][]float32, len(keys))
+		if err := cl.Pull(keys, dst); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range grads {
+			for i := range g {
+				g[i] = 1e-6
+			}
+		}
+		if err := cl.Push(grads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // gob type exchange and scratch growth happen once
+	if n := testing.AllocsPerRun(200, step); n > 292 {
+		t.Errorf("%v allocs per client pull+push over 4 shards, want <= 292", n)
+	}
+}

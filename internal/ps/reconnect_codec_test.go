@@ -55,7 +55,7 @@ func TestReconnectGoldenAcrossProfiles(t *testing.T) {
 			defer cl.Close()
 			go ServeTCP(cl, ctrl.Servers[0])
 
-			dial := func(addr string) *TCPTransport {
+			dial := func(addr string) *LinkTransport {
 				t.Helper()
 				tr, err := DialTCPLink([]string{addr}, profName, LinkConfig{
 					RPCTimeout: 2 * time.Second, Retries: 3, Seed: 11,
@@ -82,7 +82,7 @@ func TestReconnectGoldenAcrossProfiles(t *testing.T) {
 				}
 				return g
 			}
-			step := func(tr *TCPTransport, round int) []float32 {
+			step := func(tr *LinkTransport, round int) []float32 {
 				t.Helper()
 				resp, err := tr.Pull(0, &PullRequest{Keys: keys})
 				if err != nil {

@@ -187,9 +187,12 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write counts p before writing it, since the peer may read the bytes before
+// Write returns, and takes back what a short write did not send.
 func (c *countingConn) Write(p []byte) (int, error) {
+	c.tx.Add(int64(len(p)))
 	n, err := c.Conn.Write(p)
-	c.tx.Add(int64(n))
+	c.tx.Add(int64(n - len(p)))
 	return n, err
 }
 
@@ -276,7 +279,7 @@ func serveConn(conn net.Conn, srv *Server, allow []string, coord *Membership) {
 // Dialing is eager so a bad address or refused handshake fails the dial,
 // not the first batch; on any error every connection already established
 // is closed before returning (no partial progress leaks).
-func DialTCPLink(addrs []string, codec string, cfg LinkConfig) (*TCPTransport, error) {
+func DialTCPLink(addrs []string, codec string, cfg LinkConfig) (*LinkTransport, error) {
 	prof, err := ResolveProfile(codec)
 	if err != nil {
 		return nil, err

@@ -45,12 +45,13 @@ type PushRequest struct {
 // (NewCodecTransport: the negotiated codec's two ends, both really run) or
 // a gob stream over TCP (DialTCPLink: the real wire protocol, used by
 // integration tests and multi-process deployments). The two kinds of link
-// run the same codec, sequence and retry code; only the conn differs.
+// run the same round, codec, sequence and retry code; only the conn
+// differs.
 //
-// A Client calls a Transport from its own goroutine, one shard at a time —
-// except a LinkTransport over sockets, to which it hands a batch's
-// per-shard requests as one overlapped round (see Client) — so a wrapper
-// or fake that only one client uses need not be safe for concurrent use.
+// A Client hands a LinkTransport a batch's per-shard requests as one round
+// (see Client) and calls any other Transport from its own goroutine, one
+// shard at a time, so a wrapper or fake that only one client uses need not
+// be safe for concurrent use.
 type Transport interface {
 	// Pull fetches rows from the given shard.
 	Pull(shard int, req *PullRequest) (*PullResponse, error)

@@ -26,7 +26,7 @@ func TestSpanTraceStitchingOverRealTCP(t *testing.T) {
 			l.Close()
 		}
 	}()
-	var transports []*ps.TCPTransport
+	var transports []*ps.LinkTransport
 	defer func() {
 		for _, tr := range transports {
 			tr.Close()

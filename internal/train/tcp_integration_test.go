@@ -22,7 +22,7 @@ func TestTrainingOverRealTCP(t *testing.T) {
 			l.Close()
 		}
 	}()
-	var transports []*ps.TCPTransport
+	var transports []*ps.LinkTransport
 	defer func() {
 		for _, tr := range transports {
 			tr.Close()

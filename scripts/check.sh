@@ -1,73 +1,106 @@
 #!/bin/sh
-# Tier-2 gate: static analysis plus the full test suite under the race
-# detector. The deterministic parallel engine (internal/par) and the code
-# built on it (train batch compute, eval ranking) must stay race-free at
-# any parallelism, so -race covers every package, not just internal/par.
-# The per-shard rounds a parameter-server client overlaps run ten more times
-# under -race, since a scheduling-dependent bug shows only in some runs.
-# Then the two things a plain `go test` never executes: the benchmarks of
-# the sweep stack and of the training and codec kernels (one iteration
-# each, so they cannot rot) and short fuzzes of
-# the decoders that take bytes nobody vouches for: the two servers that read
-# them off the network unauthenticated (the HTTP query decoder and the
-# parameter-server shard session), the frame every durable file — a
-# checkpoint, progress snapshot or artifact entry — is read back through,
-# together with the checkpoint and progress bodies inside it, the plan-file
-# parser and sweep resolver, the span-dump reader with the analysis
-# `hetkg trace spans` runs on what it reads, and the run-timeline reader
-# `hetkg trace` compares runs with (no panic, no allocation sized by the
-# input, emitter output round-trips, a torn last line is tolerated and a
-# torn middle line is not). Two more hold the AVX2 kernels to their Go
-# references bit for bit on raw float32 bits: the sweep kernels
-# (internal/vec *Rows) to the per-row functions, and the gradient kernels
-# (internal/model ComplEx.Grad and TransE-l1 Grad) to the Go loops.
+# Tier-2 gate, as named steps: `scripts/check.sh` runs every step in order,
+# `scripts/check.sh STEP...` runs the named ones. CI's tier-2 job calls each
+# step once (ci_test.go holds the two lists together).
+#
+#   vet, race      static analysis, then the full test suite under the race
+#                  detector: the deterministic parallel engine (internal/par)
+#                  and the code built on it (train batch compute, eval
+#                  ranking) must stay race-free at any parallelism, so -race
+#                  covers every package, not just internal/par.
+#   fanout-race    the per-shard rounds a parameter-server client runs, ten
+#                  more times under -race, since a scheduling-dependent bug
+#                  shows only in some runs.
+#   bench          the benchmarks of the sweep stack and of the training and
+#                  codec kernels, one iteration each, so they cannot rot.
+#   fuzz-*         20 s fuzzes of the decoders that take bytes nobody vouches
+#                  for: the two servers that read them off the network
+#                  unauthenticated (the HTTP query decoder and the
+#                  parameter-server shard session), the frame every durable
+#                  file — a checkpoint, progress snapshot or artifact entry —
+#                  is read back through, with the checkpoint and progress
+#                  bodies inside it, the plan-file parser and sweep resolver,
+#                  the span-dump reader with the analysis `hetkg trace spans`
+#                  runs on what it reads, the run-timeline reader `hetkg
+#                  trace` compares runs with, and the hetkg-bench/v3 snapshot
+#                  reader `hetkg compare` gates on (no panic, no allocation
+#                  sized by the input, emitter output round-trips). Two more
+#                  hold the AVX2 kernels to their Go references bit for bit
+#                  on raw float32 bits: the sweep kernels (internal/vec *Rows)
+#                  to the per-row functions, and the gradient kernels
+#                  (internal/model ComplEx.Grad and TransE-l1 Grad) to the Go
+#                  loops.
+#   benchmark-module  benchmark/ is a separate module compiled against
+#                  internal/*; tier-1 vets it (TestBenchmarkModuleBuilds),
+#                  this also runs its own tests.
 #
 # Every "is it documented" check — exported declarations, metric, span,
 # serving and codec profile names, plan keys, the generated flag reference,
 # no doc naming a removed binary — is a Go test (docs_test.go,
-# cmd/hetkg/flags_test.go) that runs with the suite below and in tier-1.
+# cmd/hetkg/flags_test.go) that runs with the suite and in tier-1.
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== go vet ./..."
-go vet ./...
+steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-rows-kernels fuzz-grad-kernels benchmark-module"
 
-echo "== go test -race ./..."
-go test -race ./...
+fuzz() { # fuzz TARGET PACKAGE
+	go test -run '^$' -fuzz "$1" -fuzztime 20s "$2"
+}
 
-echo "== a client's overlapped per-shard rounds, race detector, ten times"
-go test -race -count=10 -run FanOut ./internal/ps
+step() {
+	case "$1" in
+	vet)
+		echo "== go vet ./..."
+		go vet ./... ;;
+	race)
+		echo "== go test -race ./..."
+		go test -race ./... ;;
+	fanout-race)
+		echo "== a client's per-shard rounds, race detector, ten times"
+		go test -race -count=10 -run FanOut ./internal/ps ;;
+	bench)
+		echo "== every benchmark of the sweep stack and the element kernels compiles and runs once"
+		go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/knn ./internal/serve ./internal/ps ;;
+	fuzz-serve-request)
+		echo "== fuzz the serving request decoder (20 s)"
+		fuzz FuzzServeRequest ./internal/serve ;;
+	fuzz-shard-session)
+		echo "== fuzz the parameter-server shard session (20 s)"
+		fuzz FuzzShardSession ./internal/ps ;;
+	fuzz-frame)
+		echo "== fuzz the durable-file frame, checkpoint and progress decoders (20 s)"
+		fuzz FuzzFrameDecode ./internal/frame ;;
+	fuzz-plan)
+		echo "== fuzz the plan-file parser and sweep resolver (20 s)"
+		fuzz FuzzPlanParse ./internal/plan ;;
+	fuzz-span-dump)
+		echo "== fuzz the span-dump reader, analyzer and Chrome export (20 s)"
+		fuzz FuzzSpanDump ./internal/span ;;
+	fuzz-timeline)
+		echo "== fuzz the run-timeline reader (20 s)"
+		fuzz FuzzTimeline ./internal/metrics ;;
+	fuzz-benchfmt)
+		echo "== fuzz the hetkg-bench/v3 snapshot reader (20 s)"
+		fuzz FuzzBenchfmtRead ./internal/plan/benchfmt ;;
+	fuzz-rows-kernels)
+		echo "== fuzz the sweep kernels against the per-row functions (20 s)"
+		fuzz FuzzRowsKernels ./internal/vec ;;
+	fuzz-grad-kernels)
+		echo "== fuzz the gradient kernels against the Go loops (20 s)"
+		fuzz FuzzGradKernels ./internal/model ;;
+	benchmark-module)
+		echo "== benchmark module (vet + tests against this tree)"
+		(cd benchmark && go vet ./... && go test ./...) ;;
+	*)
+		echo "check.sh: no step $1 (steps: $steps)" >&2
+		exit 2 ;;
+	esac
+}
 
-echo "== every benchmark of the sweep stack and the element kernels compiles and runs once"
-go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/knn ./internal/serve ./internal/ps
-
-echo "== fuzz the serving request decoder (20 s)"
-go test -run '^$' -fuzz FuzzServeRequest -fuzztime 20s ./internal/serve
-
-echo "== fuzz the parameter-server shard session (20 s)"
-go test -run '^$' -fuzz FuzzShardSession -fuzztime 20s ./internal/ps
-
-echo "== fuzz the durable-file frame, checkpoint and progress decoders (20 s)"
-go test -run '^$' -fuzz FuzzFrameDecode -fuzztime 20s ./internal/frame
-
-echo "== fuzz the plan-file parser and sweep resolver (20 s)"
-go test -run '^$' -fuzz FuzzPlanParse -fuzztime 20s ./internal/plan
-
-echo "== fuzz the span-dump reader, analyzer and Chrome export (20 s)"
-go test -run '^$' -fuzz FuzzSpanDump -fuzztime 20s ./internal/span
-
-echo "== fuzz the run-timeline reader (20 s)"
-go test -run '^$' -fuzz FuzzTimeline -fuzztime 20s ./internal/metrics
-
-echo "== fuzz the sweep kernels against the per-row functions (20 s)"
-go test -run '^$' -fuzz FuzzRowsKernels -fuzztime 20s ./internal/vec
-
-echo "== fuzz the gradient kernels against the Go loops (20 s)"
-go test -run '^$' -fuzz FuzzGradKernels -fuzztime 20s ./internal/model
-
-echo "== benchmark module (vet + tests against this tree)"
-# benchmark/ is a separate module compiled against internal/*; tier-1 vets
-# it (TestBenchmarkModuleBuilds), this also runs its own tests.
-(cd benchmark && go vet ./... && go test ./...)
-
+if [ $# -eq 0 ]; then
+	set -- $steps
+fi
+for s in "$@"; do
+	step "$s"
+done
 echo "check: OK"
