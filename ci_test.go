@@ -1,7 +1,9 @@
 package hetkg
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -83,4 +85,40 @@ func tier2Runs(t *testing.T, ci string) []string {
 		t.Fatal("ci.yml has no tier2 job with run steps")
 	}
 	return runs
+}
+
+// TestCheckFuzzesEveryFuzzer holds scripts/check.sh to the fuzzers in the
+// tree: every Fuzz function under internal/ is run by a check.sh step
+// (`fuzz FuzzX ./internal/pkg`), so one added with a new kernel or decoder
+// cannot sit unrun, and CI runs that step once (above).
+func TestCheckFuzzesEveryFuzzer(t *testing.T) {
+	script, err := os.ReadFile("scripts/check.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	found := 0
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			found++
+			call := "fuzz " + string(m[1]) + " ./" + filepath.ToSlash(filepath.Dir(path))
+			if !regexp.MustCompile(`(?m)^\s*` + regexp.QuoteMeta(call) + `\s`).Match(script) {
+				t.Errorf("%s declares %s, which no scripts/check.sh step runs (want a line %q)", path, m[1], call)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("no Fuzz function under internal/")
+	}
 }

@@ -250,13 +250,14 @@ func (h *HotCache) ServeStale(k ps.Key, iteration, maxAge int) ([]float32, bool)
 // Update applies a gradient to the cached copy of k (workflow step 4:
 // "update the corresponding gradients to the involved hot-embeddings").
 // Unknown keys are ignored — the gradient still reaches the PS through the
-// trainer's push.
+// trainer's push. A gradient holding a NaN or an infinity is dropped, as
+// the shard drops it (opt.ApplyFinite), so the replica stays its shard's.
 func (h *HotCache) Update(k ps.Key, grad []float32) {
 	row, ok := h.rows[k]
 	if !ok {
 		return
 	}
-	h.optim.Apply(uint64(k), row.vals, grad)
+	opt.ApplyFinite(h.optim, uint64(k), row.vals, grad)
 }
 
 // RefreshedRows returns the total rows pulled by Build over the

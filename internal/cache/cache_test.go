@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -261,6 +262,37 @@ func TestHotCacheUpdateUnknownKeyIsNoop(t *testing.T) {
 	_, cl := fixture(t, g)
 	hc, _ := New(cl, &opt.SGD{LR: 0.1}, 0)
 	hc.Update(ps.EntityKey(99), []float32{1, 1, 1, 1}) // must not panic
+}
+
+// TestHotCacheDropsGradientsItsShardDrops holds the replica to its shard
+// under a diverging push: a gradient row holding a NaN or an infinity is
+// dropped by the shard, so the cached copy must drop it too, or it would
+// serve a value its shard never held for up to P iterations.
+func TestHotCacheDropsGradientsItsShardDrops(t *testing.T) {
+	g := smallGraph(t)
+	_, cl := fixture(t, g)
+	hc, _ := New(cl, &opt.SGD{LR: 0.1}, 4)
+	k := ps.EntityKey(0)
+	if err := hc.Build([]ps.Key{k}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(-1))} {
+		grad := []float32{1, bad, 0, 0}
+		hc.Update(k, grad)
+		if err := cl.Push(map[ps.Key][]float32{k: grad}); err != nil {
+			t.Fatal(err)
+		}
+		shard := make(map[ps.Key][]float32)
+		if err := cl.Pull([]ps.Key{k}, shard); err != nil {
+			t.Fatal(err)
+		}
+		cached, _ := hc.ServeStale(k, 0, 0)
+		for i := range cached {
+			if math.Float32bits(cached[i]) != math.Float32bits(shard[k][i]) {
+				t.Fatalf("gradient with %v: cached[%d] = %v, shard %v", bad, i, cached[i], shard[k][i])
+			}
+		}
+	}
 }
 
 func TestPerRowStalenessBound(t *testing.T) {

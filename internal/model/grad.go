@@ -1,6 +1,6 @@
 package model
 
-import "unsafe"
+import "hetkg/internal/vec"
 
 // ComplEx.Grad and TransE-ℓ1 Grad are purely elementwise: each output
 // coordinate is its own short chain of float32 multiplies and adds. On AVX2
@@ -36,21 +36,13 @@ func gradBlocks(kernel blockKernel, n int, h, r, t []float32, dScore float32, gh
 	if !gradKernels || n < 8 || len(r) < n || len(t) < n || len(gh) < n || len(gr) < n || len(gt) < n {
 		return 0
 	}
-	if overlap(n, gh, gr) || overlap(n, gh, gt) || overlap(n, gr, gt) {
+	if vec.Overlap(n, gh, gr) || vec.Overlap(n, gh, gt) || vec.Overlap(n, gr, gt) {
 		return 0
 	}
 	for _, g := range [3][]float32{gh, gr, gt} {
-		if overlap(n, g, h) || overlap(n, g, r) || overlap(n, g, t) {
+		if vec.Overlap(n, g, h) || vec.Overlap(n, g, r) || vec.Overlap(n, g, t) {
 			return 0
 		}
 	}
 	return kernel(h, r, t, dScore, gh, gr, gt)
-}
-
-// overlap reports whether the first n floats of a and of b share memory.
-func overlap(n int, a, b []float32) bool {
-	pa := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
-	pb := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-	size := 4 * uintptr(n)
-	return pa < pb+size && pb < pa+size
 }

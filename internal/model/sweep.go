@@ -27,9 +27,12 @@ import (
 // is not latency-bound (ComplEx heads), and for the models whose score does
 // not factor over the candidate (TransH, RESCAL, HolE), Score is the plain
 // m.Score loop: callers have one code path, models implement nothing new.
+// ScoreEach takes candidates that lie anywhere (a training chunk's
+// negatives) under the same contract.
 //
 // A Sweep is reusable (Reset keeps its buffer) and, between Resets,
-// read-only: any number of goroutines may call Score on disjoint runs.
+// read-only: any number of goroutines may call Score or ScoreEach on
+// disjoint runs.
 type Sweep struct {
 	m           Model
 	anchor, rel []float32
@@ -40,6 +43,9 @@ type Sweep struct {
 	vecRows func(out, q, rows []float32)
 	neg     bool
 	four    func(s *Sweep, r0, r1, r2, r3 []float32) (s0, s1, s2, s3 float32)
+	// each is the eight-row kernel ScoreEach hands whole blocks to
+	// (ComplEx on AVX2 machines, sweep_amd64.s); nil where there is none.
+	each func(out, q []float32, rows [][]float32)
 
 	q []float32 // hoisted per-query vectors, layout private to the kernel; capacity survives Reset
 }
@@ -71,17 +77,33 @@ func (s *Sweep) Reset(m Model, anchor, rel []float32, tails bool) {
 		vec.Mul(s.hoist(len(anchor)), anchor, rel)
 		s.vecRows = vec.DotRows
 	case ComplEx:
+		// Both hoists interleave their four vectors per coordinate, the
+		// layout the kernels read (one pointer, four floats per column).
+		d := len(anchor) / 2
+		kernel := eachKernels && len(anchor) >= 8 && len(anchor)%8 == 0
 		if !tails {
+			// (nR·rR)·tR: Score multiplies the candidate in first, so
+			// nothing is exact to hoist, and the kernel gets r and t as
+			// they are: q = [rR, rI, tR, tI] per coordinate.
+			if kernel {
+				tR, tI, rR, rI := anchor[:d], anchor[d:][:d], rel[:d], rel[d:][:d]
+				q := s.hoist(4 * d)
+				for i := range tR {
+					q[4*i], q[4*i+1], q[4*i+2], q[4*i+3] = rR[i], rI[i], tR[i], tI[i]
+				}
+				s.each = complExHeadsEach
+			}
 			return
 		}
-		d := len(anchor) / 2
-		hR, hI, rR, rI := anchor[:d], anchor[d:], rel[:d], rel[d:]
+		hR, hI, rR, rI := anchor[:d], anchor[d:][:d], rel[:d], rel[d:][:d]
 		q := s.hoist(4 * d)
-		vec.Mul(q[:d], hR, rR)
-		vec.Mul(q[d:2*d], hI, rR)
-		vec.Mul(q[2*d:3*d], hR, rI)
-		vec.Mul(q[3*d:], hI, rI)
+		for i := range hR {
+			q[4*i], q[4*i+1], q[4*i+2], q[4*i+3] = hR[i]*rR[i], hI[i]*rR[i], hR[i]*rI[i], hI[i]*rI[i]
+		}
 		s.four = complExTails4
+		if kernel {
+			s.each = complExTailsEach
+		}
 	case RotatE:
 		d := len(rel)
 		q := s.hoist(2 * d)
@@ -146,6 +168,52 @@ func (s *Sweep) Score(out, rows []float32) {
 	}
 }
 
+// ScoreEach is Score for candidate rows that lie anywhere, not packed in
+// table order: out[k] is the score of rows[k], with the bits m.Score
+// returns for it. It is how a training chunk scores a positive's negatives
+// (computeShard in internal/train), so training, evaluation and serving
+// score candidates through one path.
+//
+// Whole eight-row blocks go to the model's eight-row kernel where it has
+// one (ComplEx, both directions, on AVX2 machines), then runs of four to
+// its four-row kernel, and the rest to m.Score. The vecRows models (TransE
+// and DistMult tails) score every row with m.Score: their kernels take
+// contiguous rows only, and their distances come back negated. A row that
+// is not exactly the query's width is m.Score's to score or refuse, so
+// then every row is; a NaN result is redone with m.Score.
+func (s *Sweep) ScoreEach(out []float32, rows [][]float32) {
+	if len(rows) != len(out) {
+		panic(fmt.Sprintf("model: %d scores for %d rows", len(out), len(rows)))
+	}
+	w := len(s.anchor)
+	for _, row := range rows {
+		if len(row) != w {
+			for k, row := range rows {
+				out[k] = s.one(row)
+			}
+			return
+		}
+	}
+	k := 0
+	if s.each != nil {
+		k = len(out) &^ 7
+		s.each(out[:k], s.q, rows[:k])
+	}
+	if s.four != nil {
+		for ; k+4 <= len(out); k += 4 {
+			out[k], out[k+1], out[k+2], out[k+3] = s.four(s, rows[k], rows[k+1], rows[k+2], rows[k+3])
+		}
+	}
+	for ; k < len(out); k++ {
+		out[k] = s.one(rows[k])
+	}
+	for k, v := range out {
+		if v != v {
+			out[k] = s.one(rows[k]) // see Score
+		}
+	}
+}
+
 // one is the per-row reference: the score of a single candidate row.
 func (s *Sweep) one(row []float32) float32 {
 	if s.tails {
@@ -197,21 +265,21 @@ func distMultHeads4(s *Sweep, c0, c1, c2, c3 []float32) (s0, s1, s2, s3 float32)
 	return
 }
 
-// complExTails4 reads q = [hR·rR ; hI·rR ; hR·rI ; hI·rI].
+// complExTails4 reads q = [hR·rR, hI·rR, hR·rI, hI·rI] per coordinate.
 func complExTails4(s *Sweep, t0, t1, t2, t3 []float32) (s0, s1, s2, s3 float32) {
 	d := len(s.q) / 4
-	a, b, c, e := s.q[:d], s.q[d:2*d], s.q[2*d:3*d], s.q[3*d:4*d]
-	b, c, e = b[:len(a)], c[:len(a)], e[:len(a)]
-	t0R, t0I := t0[:len(a)], t0[d:][:len(a)]
-	t1R, t1I := t1[:len(a)], t1[d:][:len(a)]
-	t2R, t2I := t2[:len(a)], t2[d:][:len(a)]
-	t3R, t3I := t3[:len(a)], t3[d:][:len(a)]
-	for i, ai := range a {
-		bi, ci, ei := b[i], c[i], e[i]
-		s0 += ai*t0R[i] + bi*t0I[i] + ci*t0I[i] - ei*t0R[i]
-		s1 += ai*t1R[i] + bi*t1I[i] + ci*t1I[i] - ei*t1R[i]
-		s2 += ai*t2R[i] + bi*t2I[i] + ci*t2I[i] - ei*t2R[i]
-		s3 += ai*t3R[i] + bi*t3I[i] + ci*t3I[i] - ei*t3R[i]
+	t0R, t0I := t0[:d], t0[d:][:d]
+	t1R, t1I := t1[:d], t1[d:][:d]
+	t2R, t2I := t2[:d], t2[d:][:d]
+	t3R, t3I := t3[:d], t3[d:][:d]
+	q := s.q
+	for i := 0; i < d && len(q) >= 4; i++ {
+		a, b, c, e := q[0], q[1], q[2], q[3]
+		q = q[4:]
+		s0 += a*t0R[i] + b*t0I[i] + c*t0I[i] - e*t0R[i]
+		s1 += a*t1R[i] + b*t1I[i] + c*t1I[i] - e*t1R[i]
+		s2 += a*t2R[i] + b*t2I[i] + c*t2I[i] - e*t2R[i]
+		s3 += a*t3R[i] + b*t3I[i] + c*t3I[i] - e*t3R[i]
 	}
 	return
 }

@@ -60,9 +60,14 @@ func TestSweepMatchesScoreBitForBit(t *testing.T) {
 						fillRow(rng, rows[k*w:(k+1)*w], 0.3)
 					}
 					out := make([]float32, n)
+					each, eachOut := make([][]float32, n), make([]float32, n)
+					for k := range each {
+						each[k] = rows[k*w : (k+1)*w]
+					}
 					for _, tails := range []bool{true, false} {
 						sw.Reset(m, anchor, rel, tails)
 						sw.Score(out, rows)
+						sw.ScoreEach(eachOut, each)
 						for k := range out {
 							row := rows[k*w : (k+1)*w]
 							want := m.Score(row, rel, anchor)
@@ -73,6 +78,11 @@ func TestSweepMatchesScoreBitForBit(t *testing.T) {
 								t.Fatalf("%s d=%d rows=%d tails=%v dirtyQuery=%v row %d: sweep %v (%#08x), Score %v (%#08x)",
 									name, d, n, tails, dirtyQuery == 1, k,
 									out[k], math.Float32bits(out[k]), want, math.Float32bits(want))
+							}
+							if math.Float32bits(eachOut[k]) != math.Float32bits(want) {
+								t.Fatalf("%s d=%d rows=%d tails=%v dirtyQuery=%v row %d: ScoreEach %v (%#08x), Score %v (%#08x)",
+									name, d, n, tails, dirtyQuery == 1, k,
+									eachOut[k], math.Float32bits(eachOut[k]), want, math.Float32bits(want))
 							}
 						}
 					}

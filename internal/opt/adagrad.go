@@ -3,6 +3,8 @@ package opt
 import (
 	"math"
 	"sync"
+
+	"hetkg/internal/vec"
 )
 
 // AdaGrad keeps a per-row sum of squared gradients and scales each update by
@@ -14,6 +16,18 @@ import (
 // This is the update Algorithm 4 of the paper runs on the server for every
 // pushed gradient. State grows with the number of distinct rows touched —
 // the memory cost the paper notes as AdaGrad's drawback (§VI-A).
+//
+// On AVX2 machines (applyKernels) Apply hands its whole eight-element
+// blocks to adaGradBlocks in adagrad_amd64.s: one element per vector lane,
+// the loop's float32 operations in the loop's order, no FMA, and VSQRTPS,
+// which rounds the float32 square root exactly as the loop's
+// float32(math.Sqrt(float64(x))) does (float64 carries more than twice
+// float32's precision, so rounding twice gives the once-rounded root). So
+// every lane writes the loop's bits. A block whose accumulator or row
+// result holds a NaN is handed back unwritten, since which NaN survives
+// follows operand order; a row that overlaps its gradient goes to the loop,
+// which updates one element at a time. The loop stays as the fallback and
+// the reference.
 type AdaGrad struct {
 	lr  float32
 	eps float32
@@ -40,7 +54,12 @@ func (o *AdaGrad) Apply(key uint64, row, grad []float32) {
 		acc = make([]float32, len(grad))
 		o.accum[key] = acc
 	}
-	for i, g := range grad {
+	i := 0
+	if applyKernels && len(grad) >= 8 && len(row) >= len(grad) && !vec.Overlap(len(grad), row, grad) {
+		i = adaGradBlocks(row, acc, grad, o.lr, o.eps)
+	}
+	for ; i < len(grad); i++ {
+		g := grad[i]
 		acc[i] += g * g
 		row[i] -= o.lr * g / (float32(math.Sqrt(float64(acc[i]))) + o.eps)
 	}

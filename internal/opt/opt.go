@@ -6,7 +6,11 @@
 // gradients pushed by workers.
 package opt
 
-import "fmt"
+import (
+	"fmt"
+
+	"hetkg/internal/vec"
+)
 
 // Optimizer applies a gradient to one embedding row in place. The training
 // objective is *maximized* via loss gradients that already carry their sign,
@@ -21,6 +25,17 @@ type Optimizer interface {
 	Apply(key uint64, row, grad []float32)
 	// Reset drops all accumulated state.
 	Reset()
+}
+
+// ApplyFinite applies grad to row through o unless grad holds a NaN or an
+// infinity, which it drops: asynchronous training can transiently explode,
+// and one bad gradient must not poison a row. A parameter-server shard and
+// a worker's hot cache both apply through it, so a cached replica never
+// takes a gradient its shard refuses.
+func ApplyFinite(o Optimizer, key uint64, row, grad []float32) {
+	if vec.IsFinite(grad) {
+		o.Apply(key, row, grad)
+	}
 }
 
 // New constructs an optimizer by name ("adagrad", "sgd", or "adam").

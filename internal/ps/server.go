@@ -7,7 +7,6 @@ import (
 	"hetkg/internal/metrics"
 	"hetkg/internal/opt"
 	"hetkg/internal/span"
-	"hetkg/internal/vec"
 )
 
 // Server is one parameter-server shard. It owns a subset of the embedding
@@ -231,11 +230,7 @@ func (s *Server) Push(keys []Key, vals []float32) error {
 	for i, row := range rows {
 		grad := vals[off : off+len(row)]
 		off += len(row)
-		// Drop non-finite gradients rather than poisoning the row;
-		// asynchronous training can transiently explode.
-		if vec.IsFinite(grad) {
-			s.optim.Apply(uint64(keys[i]), row, grad)
-		}
+		opt.ApplyFinite(s.optim, uint64(keys[i]), row, grad)
 	}
 	return nil
 }

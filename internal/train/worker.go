@@ -9,6 +9,7 @@ import (
 
 	"hetkg/internal/cache"
 	"hetkg/internal/kg"
+	"hetkg/internal/model"
 	"hetkg/internal/netsim"
 	"hetkg/internal/par"
 	"hetkg/internal/ps"
@@ -307,6 +308,8 @@ func (g *gradBuf) row(k ps.Key, w int) []float32 {
 // trainer merges shard results in fixed shard order afterwards.
 type shardScratch struct {
 	grads     *gradBuf
+	sweep     model.Sweep
+	negRows   [][]float32
 	negScores []float32
 	weights   []float32
 	lossSum   float64
@@ -519,15 +522,21 @@ func (w *worker) computeShard(sc *shardScratch, b *sampler.Batch, r par.Range) {
 		gh := sc.grads.row(ps.EntityKey(pos.Head), len(h))
 		gr := sc.grads.row(ps.RelationKey(pos.Relation), len(rel))
 		gt := sc.grads.row(ps.EntityKey(pos.Tail), len(t))
-		negScores := growF32(&sc.negScores, len(ns.Entities))
-		for j, ne := range ns.Entities {
-			neRow := w.rows[ps.EntityKey(ne)]
-			if ns.CorruptHead {
-				negScores[j] = mdl.Score(neRow, rel, t)
-			} else {
-				negScores[j] = mdl.Score(h, rel, neRow)
-			}
+		// The chunk's negatives are one sweep over scattered rows: the
+		// positive's known half is hoisted once, and the candidates are
+		// scored a block at a time, with m.Score's bits (Sweep.ScoreEach).
+		negRows := sc.negRows[:0]
+		for _, ne := range ns.Entities {
+			negRows = append(negRows, w.rows[ps.EntityKey(ne)])
 		}
+		sc.negRows = negRows
+		if ns.CorruptHead {
+			sc.sweep.Reset(mdl, t, rel, false)
+		} else {
+			sc.sweep.Reset(mdl, h, rel, true)
+		}
+		negScores := growF32(&sc.negScores, len(ns.Entities))
+		sc.sweep.ScoreEach(negScores, negRows)
 		weights := growF32(&sc.weights, len(ns.Entities))
 		negativeWeightsInto(weights, negScores, w.cfg.AdversarialTemp)
 		// The positive triple's gradient is linear in the loss derivative,
@@ -535,7 +544,7 @@ func (w *worker) computeShard(sc *shardScratch, b *sampler.Batch, r par.Range) {
 		// of |negatives| passes over (h, r, t).
 		var dPosTotal float32
 		for j, ne := range ns.Entities {
-			neRow := w.rows[ps.EntityKey(ne)]
+			neRow := negRows[j]
 			l, dPos, dNeg := loss.PosNeg(posScore, negScores[j])
 			sc.lossSum += float64(l) * float64(weights[j]) * float64(len(ns.Entities))
 			sc.pairs++

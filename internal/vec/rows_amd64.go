@@ -1,14 +1,16 @@
 package vec
 
 // blockKernels sends scoreRows' whole eight-row blocks to the AVX2 kernels
-// in rows_amd64.s. It is decided once, from HasAVX2. Tests switch it off to
-// hold the Go kernels to the same contract.
+// in rows_amd64.s, and Add's eight-element blocks to add_amd64.s. It is
+// decided once, from HasAVX2. Tests switch it off to hold the Go kernels to
+// the same contract.
 var blockKernels = HasAVX2()
 
 // HasAVX2 reports whether AVX2 kernels may run here, from CPUID: the CPU
 // must have AVX2 and the OS must save the YMM registers across context
 // switches. It is the one CPU decision behind every assembly kernel in the
-// module (this package's sweep kernels and model's gradient kernels).
+// module (this package's sweep and Add kernels, model's gradient and
+// ScoreEach kernels, opt's AdaGrad kernel).
 func HasAVX2() bool {
 	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
 		return false
@@ -37,6 +39,9 @@ func squaredL2DistBlocks(out, q, rows []float32)
 
 //go:noescape
 func dotBlocks(out, q, rows []float32)
+
+//go:noescape
+func addBlocks(dst, a, b []float32) int
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

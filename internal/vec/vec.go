@@ -5,7 +5,9 @@
 // The per-row operations in this file are straight loops over []float32 with
 // the bounds checks hoisted by an explicit length prefix: embeddings here are
 // short (tens to hundreds of elements) and a training step touches scattered
-// rows, so there is nothing more to win per call. A sweep over a whole table
+// rows, so there is little more to win per call. Add is the exception: the
+// worker's gradient merge sums every row of a batch through it, so on amd64
+// with AVX2 it adds eight elements per instruction (add_amd64.s). A sweep over a whole table
 // is different — the same query against every row — and has its own kernels
 // in rows.go, which score eight rows per AVX2 pass on amd64 (rows_amd64.s)
 // or four per pass in Go, and return, bit for bit, what the per-row
@@ -15,6 +17,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Dot returns the inner product of a and b. It panics if the lengths differ.
@@ -56,12 +59,40 @@ func Dot2(a, x, y []float32) (ax, ay float32) {
 }
 
 // Add stores a+b into dst. dst may alias a or b.
+//
+// On AVX2 machines (blockKernels) its whole eight-element blocks go to
+// addBlocks in add_amd64.s, one element per vector lane, so every lane adds
+// what the loop adds. The loop updates one element at a time, so the kernel
+// runs only where that order cannot show: dst is a or is apart from it, and
+// likewise b. A block whose sum holds a NaN is handed back unwritten (which
+// NaN survives follows operand order, which the compiler picks), and the
+// loop does the rest from there.
 func Add(dst, a, b []float32) {
 	checkLen(a, b)
 	checkLen(dst, a)
-	for i := range dst {
+	i := 0
+	if blockKernels && len(dst) >= 8 && sameOrApart(dst, a) && sameOrApart(dst, b) {
+		i = addBlocks(dst, a, b)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = a[i] + b[i]
 	}
+}
+
+// sameOrApart reports whether a and b, of equal length, are the same floats
+// or share none.
+func sameOrApart(a, b []float32) bool {
+	return unsafe.SliceData(a) == unsafe.SliceData(b) || !Overlap(len(a), a, b)
+}
+
+// Overlap reports whether the first n floats of a and of b share memory:
+// the test every kernel that writes a whole block at once runs before it
+// stands in for a loop that writes one element at a time.
+func Overlap(n int, a, b []float32) bool {
+	pa := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	pb := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	size := 4 * uintptr(n)
+	return pa < pb+size && pb < pa+size
 }
 
 // Sub stores a-b into dst. dst may alias a or b.
@@ -158,10 +189,12 @@ func Normalize(x []float32) {
 	Scale(x, 1/n)
 }
 
-// IsFinite reports whether every element of x is a finite number.
+// IsFinite reports whether every element of x is a finite number: one
+// whose exponent bits are not all ones (those are the infinities and NaNs).
 func IsFinite(x []float32) bool {
+	const exp = 0x7f800000
 	for _, v := range x {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+		if math.Float32bits(v)&exp == exp {
 			return false
 		}
 	}

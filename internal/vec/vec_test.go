@@ -346,3 +346,22 @@ func sanitize(raw []float32) []float32 {
 	}
 	return out
 }
+
+// TestIsFiniteByExponentBits holds IsFinite's exponent-bits test to
+// math.IsNaN and math.IsInf on every exponent, both signs, and mantissas at
+// both ends and in between, the value placed first, inside and last.
+func TestIsFiniteByExponentBits(t *testing.T) {
+	for e := uint32(0); e < 256; e++ {
+		for _, mant := range []uint32{0, 1, 0x400000, 0x7fffff} {
+			for _, sign := range []uint32{0, 1 << 31} {
+				v := math.Float32frombits(sign | e<<23 | mant)
+				want := !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
+				for _, x := range [][]float32{{v}, {1, v, 2}, {0, 0, v}} {
+					if got := IsFinite(x); got != want {
+						t.Fatalf("IsFinite(%v) = %v, want %v (bits %#08x)", x, got, want, math.Float32bits(v))
+					}
+				}
+			}
+		}
+	}
+}

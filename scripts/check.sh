@@ -11,8 +11,9 @@
 #   fanout-race    the per-shard rounds a parameter-server client runs, ten
 #                  more times under -race, since a scheduling-dependent bug
 #                  shows only in some runs.
-#   bench          the benchmarks of the sweep stack and of the training and
-#                  codec kernels, one iteration each, so they cannot rot.
+#   bench          the benchmarks of the sweep stack and of the training,
+#                  optimizer and codec kernels, one iteration each, so they
+#                  cannot rot.
 #   fuzz-*         20 s fuzzes of the decoders that take bytes nobody vouches
 #                  for: the two servers that read them off the network
 #                  unauthenticated (the HTTP query decoder and the
@@ -24,12 +25,15 @@
 #                  runs on what it reads, the run-timeline reader `hetkg
 #                  trace` compares runs with, and the hetkg-bench/v3 snapshot
 #                  reader `hetkg compare` gates on (no panic, no allocation
-#                  sized by the input, emitter output round-trips). Two more
+#                  sized by the input, emitter output round-trips). Four more
 #                  hold the AVX2 kernels to their Go references bit for bit
 #                  on raw float32 bits: the sweep kernels (internal/vec *Rows)
-#                  to the per-row functions, and the gradient kernels
+#                  to the per-row functions, the gradient kernels
 #                  (internal/model ComplEx.Grad and TransE-l1 Grad) to the Go
-#                  loops.
+#                  loops, Sweep.ScoreEach (every model, both directions,
+#                  kernels off and on) to Model.Score, and the apply kernels
+#                  (internal/opt AdaGrad.Apply and vec.Add, rows apart,
+#                  aliased and overlapping) to their loops.
 #   benchmark-module  benchmark/ is a separate module compiled against
 #                  internal/*; tier-1 vets it (TestBenchmarkModuleBuilds),
 #                  this also runs its own tests.
@@ -41,7 +45,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-rows-kernels fuzz-grad-kernels benchmark-module"
+steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-rows-kernels fuzz-grad-kernels fuzz-score-each fuzz-apply-kernels benchmark-module"
 
 fuzz() { # fuzz TARGET PACKAGE
 	go test -run '^$' -fuzz "$1" -fuzztime 20s "$2"
@@ -60,7 +64,7 @@ step() {
 		go test -race -count=10 -run FanOut ./internal/ps ;;
 	bench)
 		echo "== every benchmark of the sweep stack and the element kernels compiles and runs once"
-		go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/knn ./internal/serve ./internal/ps ;;
+		go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/opt ./internal/knn ./internal/serve ./internal/ps ;;
 	fuzz-serve-request)
 		echo "== fuzz the serving request decoder (20 s)"
 		fuzz FuzzServeRequest ./internal/serve ;;
@@ -88,6 +92,12 @@ step() {
 	fuzz-grad-kernels)
 		echo "== fuzz the gradient kernels against the Go loops (20 s)"
 		fuzz FuzzGradKernels ./internal/model ;;
+	fuzz-score-each)
+		echo "== fuzz Sweep.ScoreEach against Model.Score (20 s)"
+		fuzz FuzzScoreEach ./internal/model ;;
+	fuzz-apply-kernels)
+		echo "== fuzz the AdaGrad and vec.Add kernels against their loops (20 s)"
+		fuzz FuzzApplyKernels ./internal/opt ;;
 	benchmark-module)
 		echo "== benchmark module (vet + tests against this tree)"
 		(cd benchmark && go vet ./... && go test ./...) ;;
