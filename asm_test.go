@@ -1,0 +1,84 @@
+package hetkg
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestKernelAssemblyRules holds every assembly file under internal/ to two
+// rules of the kernel contract (DESIGN.md §6) that no differential test
+// sees on every CPU:
+//   - no fused multiply-add: it rounds once where the Go loop rounds twice;
+//   - a TEXT block that uses a Y register runs VZEROUPPER after its last Y
+//     use before each RET, or every legacy SSE instruction after the call
+//     pays a state transition (about 200 ns a call on a Xeon VM).
+//
+// A Y register counts whether it is written in the block or reached
+// through one of the file's #define macros, defined before their use.
+func TestKernelAssemblyRules(t *testing.T) {
+	fma := regexp.MustCompile(`\bVFN?M(ADD|SUB)`)
+	yReg := regexp.MustCompile(`\bY(1[0-5]|[0-9])\b`)
+	ident := regexp.MustCompile(`\b[A-Z_][A-Z0-9_]*\b`)
+	kernels := map[string]bool{} // TEXT blocks that use a Y register
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".s") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		yMacros := map[string]bool{}
+		usesY := func(code string) bool {
+			if yReg.MatchString(code) {
+				return true
+			}
+			for _, w := range ident.FindAllString(code, -1) {
+				if yMacros[w] {
+					return true
+				}
+			}
+			return false
+		}
+		text, dirty, continued := "", false, ""
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if fma.MatchString(code) {
+				t.Errorf("%s:%d: fused multiply-add %q", path, i+1, strings.TrimSpace(code))
+			}
+			if continued != "" || strings.HasPrefix(code, "#define") { // a macro, maybe over several lines
+				continued += strings.TrimSuffix(strings.TrimSpace(code), `\`) + " "
+				if strings.HasSuffix(strings.TrimSpace(code), `\`) {
+					continue
+				}
+				f := strings.Fields(continued)
+				name, _, _ := strings.Cut(f[1], "(")
+				yMacros[name] = usesY(strings.Join(f[2:], " "))
+				continued = ""
+				continue
+			}
+			switch f := strings.Fields(code); {
+			case len(f) == 0:
+			case f[0] == "TEXT":
+				text, dirty = strings.TrimSuffix(f[1], ","), false
+			case f[0] == "VZEROUPPER":
+				dirty = false
+			case f[0] == "RET" && dirty:
+				t.Errorf("%s:%d: %s returns with no VZEROUPPER after its last Y register use", path, i+1, text)
+			case text != "" && usesY(code):
+				kernels[path+" "+text], dirty = true, true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kernels) < 9 {
+		t.Errorf("%d TEXT blocks use a Y register, want the 9 kernels at least: %v", len(kernels), kernels)
+	}
+}

@@ -4,7 +4,7 @@ import "hetkg/internal/vec"
 
 // ComplEx.Grad and TransE-ℓ1 Grad are purely elementwise: each output
 // coordinate is its own short chain of float32 multiplies and adds. On AVX2
-// machines (gradKernels) the kernels in grad_amd64.s run that chain for
+// machines (vec.Kernels) the kernels in grad_amd64.s run that chain for
 // eight coordinates per instruction, one coordinate per vector lane, with
 // the Go loop's operations in the Go loop's order and no FMA, so every lane
 // writes the bits the Go loop writes. Which NaN survives where two meet
@@ -33,7 +33,7 @@ type blockKernel = func(h, r, t []float32, dScore float32, gh, gr, gt []float32)
 // drew the positive's other entity makes one coordinate's update read
 // another's result, which a whole block computed at once would not.
 func gradBlocks(kernel blockKernel, n int, h, r, t []float32, dScore float32, gh, gr, gt []float32) int {
-	if !gradKernels || n < 8 || len(r) < n || len(t) < n || len(gh) < n || len(gr) < n || len(gt) < n {
+	if !vec.Kernels() || n < 8 || len(r) < n || len(t) < n || len(gh) < n || len(gr) < n || len(gt) < n {
 		return 0
 	}
 	if vec.Overlap(n, gh, gr) || vec.Overlap(n, gh, gt) || vec.Overlap(n, gr, gt) {

@@ -1,13 +1,5 @@
 package model
 
-import "hetkg/internal/vec"
-
-// gradKernels sends ComplEx.Grad's and TransE-ℓ1 Grad's whole
-// eight-coordinate blocks to the AVX2 kernels in grad_amd64.s. It is
-// decided once, from vec.HasAVX2. Tests switch it off to hold the kernels
-// to the Go loops.
-var gradKernels = vec.HasAVX2()
-
 // The blockKernels of ComplEx.Grad and TransE-ℓ1 Grad. complExGradAVX2
 // takes d = len(h)/2 coordinates, each a real and an imaginary float d
 // apart; transEL1GradAVX2 takes len(h).

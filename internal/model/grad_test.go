@@ -1,95 +1,53 @@
 package model
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"hetkg/internal/vec"
+	"hetkg/internal/vec/kerneltest"
 )
 
-type gradFunc = func(h, r, t []float32, dScore float32, gh, gr, gt []float32)
+// gradEntries registers the gradient kernels' entry points, ComplEx and
+// TransE-ℓ1 Grad, each held to itself with the kernels off.
+var gradEntries = []kerneltest.Kernel{gradKernel(ComplEx{}), gradKernel(TransE{Norm: 1})}
 
-// kernelPaths runs f with the gradient kernels off ("go"), then, where the
-// CPU runs them, on ("avx2").
-func kernelPaths(f func(path string)) {
-	has := gradKernels
-	defer func() { gradKernels = has }()
-	gradKernels = false
-	f("go")
-	if has {
-		gradKernels = true
-		f("avx2")
-	}
+// gradKernel takes h, r, t, then the gradient rows gh, gr, gt it writes.
+func gradKernel(m Model) kerneltest.Kernel {
+	return kerneltest.Kernel{Name: m.Name() + ".Grad",
+		Widths: func(d, _ int) []int { w := m.EntityDim(d); return []int{w, w, w, w, w, w} },
+		Run: func(c kerneltest.Case, ops [][]float32) []float32 {
+			m.Grad(ops[0], ops[1], ops[2], c.Scalars[0], ops[3], ops[4], ops[5])
+			return nil
+		}}
 }
 
-// goLoop is grad with the gradient kernels off: the Go loops alone, the
-// reference the kernels must reproduce bit for bit.
-func goLoop(grad gradFunc) gradFunc {
-	return func(h, r, t []float32, dScore float32, gh, gr, gt []float32) {
-		has := gradKernels
-		defer func() { gradKernels = has }()
-		gradKernels = false
-		grad(h, r, t, dScore, gh, gr, gt)
-	}
-}
+// TestComplExGradMatchesGoLoop holds ComplEx.Grad with the kernel on to
+// the Go loop on every bit (kerneltest.Run).
+func TestComplExGradMatchesGoLoop(t *testing.T) { kerneltest.Run(t, gradEntries[:1]) }
 
-// sameBits fails unless got and want hold the same float32 bits.
-func sameBits(t testing.TB, label string, got, want [3][]float32) {
-	t.Helper()
-	for k := range got {
-		for i := range got[k] {
-			if a, b := math.Float32bits(got[k][i]), math.Float32bits(want[k][i]); a != b {
-				t.Fatalf("%s: grad %d[%d] = %#08x, Go loop %#08x", label, k, i, a, b)
-			}
-		}
-	}
-}
-
-// TestGradKernelsFollowVecCPUCheck keeps a detection bug from passing as
-// "no gain": the gradient kernels are on exactly where vec's one CPU check
-// says AVX2 runs, and vec's TestBlockKernelsOnWhereCPUHasAVX2 holds that
-// check to /proc/cpuinfo.
-func TestGradKernelsFollowVecCPUCheck(t *testing.T) {
-	if gradKernels != vec.HasAVX2() {
-		t.Fatalf("gradient kernels on = %v, vec.HasAVX2() = %v", gradKernels, vec.HasAVX2())
-	}
-}
-
-// TestTransEL1GradPathsMatchBranchyReference runs every case of
-// TestTransEL1MatchesBranchyReference with the gradient kernel off and on.
+// TestTransEL1GradPathsMatchBranchyReference holds both paths of TransE-ℓ1
+// Grad to the branchy reference: with the kernel off ("go") every case of
+// TestTransEL1MatchesBranchyReference, and with it on ("avx2") the Go loop
+// on every bit (kerneltest.Run).
 func TestTransEL1GradPathsMatchBranchyReference(t *testing.T) {
-	kernelPaths(func(path string) { t.Run(path, TestTransEL1MatchesBranchyReference) })
+	defer vec.SetKernels(vec.Kernels())
+	vec.SetKernels(false)
+	t.Run("go", TestTransEL1MatchesBranchyReference)
+	t.Run("avx2", func(t *testing.T) { kerneltest.Run(t, gradEntries[1:]) })
 }
 
-// TestComplExGradMatchesGoLoop holds ComplEx.Grad with the kernel on to the
-// Go loop on every bit: widths below, on and off the eight-coordinate
-// block, clean rows and rows mixed with ±0, ±Inf, subnormals and NaNs with
-// payloads (sparsely enough that some blocks are handed back mid-row),
-// dScore special too, and starting gradients in every layout computeShard
-// produces.
-func TestComplExGradMatchesGoLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(38))
-	dScores := append([]float32{1, -0.37, 3e38, -1e-30}, kernelSpecials...)
-	m := ComplEx{}
-	for _, d := range []int{1, 3, 7, 8, 12, 16, 64, 128, 130} {
-		n := m.EntityDim(d)
-		for trial := 0; trial < 300; trial++ {
-			dirty := []float64{0, 0.002, 0.05, 0.5}[trial%4]
-			h, r, tl := kernelRows(rng, n, dirty)
-			dScore := dScores[rng.Intn(len(dScores))]
-			g0 := [3][]float32{normalRow(rng, n), normalRow(rng, n), normalRow(rng, n)}
-			for _, layout := range []string{"distinct", "self-loop", "nil"} {
-				want := gradLayout(goLoop(m.Grad), layout, h, r, tl, dScore, g0)
-				kernelPaths(func(path string) {
-					got := gradLayout(m.Grad, layout, h, r, tl, dScore, g0)
-					sameBits(t, fmt.Sprintf("%s d=%d trial %d %s dScore=%v", path, d, trial, layout, dScore), got, want)
-				})
-			}
-		}
-	}
+// FuzzGradKernels holds the gradient kernels to the Go loop on decoded
+// cases (kerneltest.Decode): distinct rows twice, the self-loop as
+// aliased, the nil-row seed as apart.
+func FuzzGradKernels(f *testing.F) {
+	kerneltest.Fuzz(f, gradEntries,
+		[]byte{32, 0, 0, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0xff, 0x01, 0x00, 0x00, 0x80},
+		[]byte{33, 0, 0, 0x3f, 0x80, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00},
+		[]byte{16, 0, 2, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x0f, 0x1e, 0x2d},
+		[]byte{48, 0, 0})
 }
 
 // TestGradBlocksContract pins where the kernels run and what they hand
@@ -97,7 +55,7 @@ func TestComplExGradMatchesGoLoop(t *testing.T) {
 // first one with a NaN result, which stays unwritten; nothing at all when a
 // gradient row is nil or short or shares memory with another row.
 func TestGradBlocksContract(t *testing.T) {
-	if !gradKernels {
+	if !vec.Kernels() {
 		t.Skip("this CPU runs no gradient kernel")
 	}
 	const coords = 20 // two whole blocks and four coordinates
@@ -141,51 +99,6 @@ func TestGradBlocksContract(t *testing.T) {
 			}
 		}
 	}
-}
-
-// FuzzGradKernels decodes a width (every other input a multiple of 8), the
-// model, the layout and the raw bits of dScore, h, r, t and the three
-// starting gradient rows, and holds ComplEx.Grad and TransE-ℓ1 Grad with
-// the kernels on to the Go loops bit for bit.
-func FuzzGradKernels(f *testing.F) {
-	f.Add([]byte{32, 0, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0xff, 0x01, 0x00, 0x00, 0x80})
-	f.Add([]byte{33, 1, 0x3f, 0x80, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00})
-	f.Add([]byte{16, 2, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x0f, 0x1e, 0x2d})
-	f.Add([]byte{48, 5})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
-			return
-		}
-		d := int(data[0]>>1) % 41
-		if data[0]&1 == 0 {
-			d &^= 7
-		}
-		m := []Model{ComplEx{}, TransE{Norm: 1}}[data[1]&1]
-		layout := []string{"distinct", "self-loop", "nil"}[int(data[1]>>1)%3]
-		raw := data[2:]
-		word := func(i int) float32 {
-			if len(raw) == 0 {
-				return 0
-			}
-			var b [4]byte
-			for j := range b {
-				b[j] = raw[(4*i+j)%len(raw)]
-			}
-			return math.Float32frombits(binary.LittleEndian.Uint32(b[:]))
-		}
-		n := m.EntityDim(d)
-		rows := make([][]float32, 6)
-		for k := range rows {
-			rows[k] = make([]float32, n)
-			for i := range rows[k] {
-				rows[k][i] = word(1 + k*n + i)
-			}
-		}
-		g0 := [3][]float32{rows[3], rows[4], rows[5]}
-		want := gradLayout(goLoop(m.Grad), layout, rows[0], rows[1], rows[2], word(0), g0)
-		got := gradLayout(m.Grad, layout, rows[0], rows[1], rows[2], word(0), g0)
-		sameBits(t, fmt.Sprintf("%s d=%d %s", m.Name(), d, layout), got, want)
-	})
 }
 
 // BenchmarkScore and BenchmarkGrad time the training kernels on random

@@ -80,7 +80,7 @@ func (s *Sweep) Reset(m Model, anchor, rel []float32, tails bool) {
 		// Both hoists interleave their four vectors per coordinate, the
 		// layout the kernels read (one pointer, four floats per column).
 		d := len(anchor) / 2
-		kernel := eachKernels && len(anchor) >= 8 && len(anchor)%8 == 0
+		kernel := vec.Kernels() && len(anchor) >= 8 && len(anchor)%8 == 0
 		if !tails {
 			// (nR·rR)·tR: Score multiplies the candidate in first, so
 			// nothing is exact to hoist, and the kernel gets r and t as

@@ -4,6 +4,4 @@ package model
 
 // Off amd64 there are no ScoreEach kernels: ScoreEach runs the four-row
 // kernels and m.Score only.
-var eachKernels = false
-
 var complExTailsEach, complExHeadsEach func(out, q []float32, rows [][]float32)

@@ -7,26 +7,15 @@ import (
 	"testing"
 )
 
-// specials are the values a trained table never holds and a hostile or
-// diverged one does: both zeros, both infinities, and NaNs of either sign
-// (Inf−Inf yields the negative one on amd64, float32(math.NaN()) is the
-// positive one — a kernel that mixes them up differs from Score in the
-// sign bit only).
-var specials = []float32{
-	0, float32(math.Copysign(0, -1)),
-	float32(math.Inf(1)), float32(math.Inf(-1)),
-	float32(math.NaN()), math.Float32frombits(0xFFC00000),
-}
-
 // fillRow draws row from [-1, 1) and, with probability dirty, overwrites
-// one or two of its elements with specials.
+// one or two of its elements with kernelSpecials.
 func fillRow(rng *rand.Rand, row []float32, dirty float64) {
 	for i := range row {
 		row[i] = rng.Float32()*2 - 1
 	}
 	if rng.Float64() < dirty {
 		for n := 1 + rng.Intn(2); n > 0; n-- {
-			row[rng.Intn(len(row))] = specials[rng.Intn(len(specials))]
+			row[rng.Intn(len(row))] = kernelSpecials[rng.Intn(len(kernelSpecials))]
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hetkg/internal/vec/kerneltest"
 )
 
 // scoreBranchy and gradBranchy are TransE.Score and TransE.Grad as they were
@@ -56,13 +58,8 @@ func gradBranchy(m TransE, h, r, t []float32, dScore float32, gh, gr, gt []float
 	}
 }
 
-// kernelSpecials extends the sweep's specials with subnormals of both signs
-// and NaNs that carry payloads, quiet and signaling.
-var kernelSpecials = append([]float32{
-	math.Float32frombits(0x00000001), math.Float32frombits(0x807fffff),
-	math.Float32frombits(0x7fc12345), math.Float32frombits(0xffd00bad),
-	math.Float32frombits(0x7f800001), math.Float32frombits(0xff812345),
-}, specials...)
+// kernelSpecials is the one special-value set every kernel test draws from.
+var kernelSpecials = kerneltest.Specials
 
 func normalRow(rng *rand.Rand, d int) []float32 {
 	row := make([]float32, d)

@@ -17,7 +17,7 @@ import (
 // pushed gradient. State grows with the number of distinct rows touched —
 // the memory cost the paper notes as AdaGrad's drawback (§VI-A).
 //
-// On AVX2 machines (applyKernels) Apply hands its whole eight-element
+// On AVX2 machines (vec.Kernels) Apply hands its whole eight-element
 // blocks to adaGradBlocks in adagrad_amd64.s: one element per vector lane,
 // the loop's float32 operations in the loop's order, no FMA, and VSQRTPS,
 // which rounds the float32 square root exactly as the loop's
@@ -55,7 +55,7 @@ func (o *AdaGrad) Apply(key uint64, row, grad []float32) {
 		o.accum[key] = acc
 	}
 	i := 0
-	if applyKernels && len(grad) >= 8 && len(row) >= len(grad) && !vec.Overlap(len(grad), row, grad) {
+	if vec.Kernels() && len(grad) >= 8 && len(row) >= len(grad) && !vec.Overlap(len(grad), row, grad) {
 		i = adaGradBlocks(row, acc, grad, o.lr, o.eps)
 	}
 	for ; i < len(grad); i++ {

@@ -3,6 +3,4 @@
 package opt
 
 // Off amd64 there is no AdaGrad kernel: Apply runs its loop only.
-var applyKernels = false
-
 var adaGradBlocks func(row, acc, grad []float32, lr, eps float32) int

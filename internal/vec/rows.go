@@ -37,7 +37,7 @@ func SquaredL2DistRows(out, q, rows []float32) {
 }
 
 // scoreRows hands the run's whole eight-row blocks to the block kernel when
-// the CPU runs them (blockKernels) and the width is a multiple of 8, drives
+// the CPU runs them (Kernels) and the width is a multiple of 8, drives
 // the four-row kernel over the rows left, and falls back to the per-row
 // function for the last len(out)%4 rows and for NaN results.
 func scoreRows(out, q, rows []float32,
@@ -49,7 +49,7 @@ func scoreRows(out, q, rows []float32,
 		panic(fmt.Sprintf("vec: %d floats is not %d rows of width %d", len(rows), len(out), d))
 	}
 	k := 0
-	if blockKernels && d%8 == 0 {
+	if Kernels() && d%8 == 0 {
 		k = len(out) &^ 7
 		eight(out[:k], q, rows[:k*d])
 		for i, s := range out[:k] {

@@ -1,11 +1,5 @@
 package vec
 
-// blockKernels sends scoreRows' whole eight-row blocks to the AVX2 kernels
-// in rows_amd64.s, and Add's eight-element blocks to add_amd64.s. It is
-// decided once, from HasAVX2. Tests switch it off to hold the Go kernels to
-// the same contract.
-var blockKernels = HasAVX2()
-
 // HasAVX2 reports whether AVX2 kernels may run here, from CPUID: the CPU
 // must have AVX2 and the OS must save the YMM registers across context
 // switches. It is the one CPU decision behind every assembly kernel in the

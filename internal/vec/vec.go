@@ -60,7 +60,7 @@ func Dot2(a, x, y []float32) (ax, ay float32) {
 
 // Add stores a+b into dst. dst may alias a or b.
 //
-// On AVX2 machines (blockKernels) its whole eight-element blocks go to
+// On AVX2 machines (Kernels) its whole eight-element blocks go to
 // addBlocks in add_amd64.s, one element per vector lane, so every lane adds
 // what the loop adds. The loop updates one element at a time, so the kernel
 // runs only where that order cannot show: dst is a or is apart from it, and
@@ -71,7 +71,7 @@ func Add(dst, a, b []float32) {
 	checkLen(a, b)
 	checkLen(dst, a)
 	i := 0
-	if blockKernels && len(dst) >= 8 && sameOrApart(dst, a) && sameOrApart(dst, b) {
+	if Kernels() && len(dst) >= 8 && sameOrApart(dst, a) && sameOrApart(dst, b) {
 		i = addBlocks(dst, a, b)
 	}
 	for ; i < len(dst); i++ {

@@ -25,15 +25,15 @@
 #                  runs on what it reads, the run-timeline reader `hetkg
 #                  trace` compares runs with, and the hetkg-bench/v3 snapshot
 #                  reader `hetkg compare` gates on (no panic, no allocation
-#                  sized by the input, emitter output round-trips). Four more
-#                  hold the AVX2 kernels to their Go references bit for bit
-#                  on raw float32 bits: the sweep kernels (internal/vec *Rows)
-#                  to the per-row functions, the gradient kernels
-#                  (internal/model ComplEx.Grad and TransE-l1 Grad) to the Go
-#                  loops, Sweep.ScoreEach (every model, both directions,
-#                  kernels off and on) to Model.Score, and the apply kernels
-#                  (internal/opt AdaGrad.Apply and vec.Add, rows apart,
-#                  aliased and overlapping) to their loops.
+#                  sized by the input, emitter output round-trips).
+#   fuzz-kernels   80 s over every AVX2 kernel: 20 s of each package's
+#                  kernel fuzzer, all four the one harness fuzz body
+#                  (kerneltest.Fuzz), which decodes one case from raw
+#                  float32 bits and holds each kernel's entry point to its
+#                  Go reference bit for bit, kernels off and on: the sweep
+#                  kernels (internal/vec), the ComplEx and TransE-l1
+#                  gradients and Sweep.ScoreEach of every model
+#                  (internal/model), vec.Add and AdaGrad.Apply (internal/opt).
 #   benchmark-module  benchmark/ is a separate module compiled against
 #                  internal/*; tier-1 vets it (TestBenchmarkModuleBuilds),
 #                  this also runs its own tests.
@@ -45,10 +45,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-rows-kernels fuzz-grad-kernels fuzz-score-each fuzz-apply-kernels benchmark-module"
+steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-kernels benchmark-module"
 
-fuzz() { # fuzz TARGET PACKAGE
-	go test -run '^$' -fuzz "$1" -fuzztime 20s "$2"
+fuzz() { # fuzz TARGET PACKAGE TIME
+	go test -run '^$' -fuzz "$1" -fuzztime "$3" "$2"
 }
 
 step() {
@@ -67,37 +67,31 @@ step() {
 		go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/opt ./internal/knn ./internal/serve ./internal/ps ;;
 	fuzz-serve-request)
 		echo "== fuzz the serving request decoder (20 s)"
-		fuzz FuzzServeRequest ./internal/serve ;;
+		fuzz FuzzServeRequest ./internal/serve 20s ;;
 	fuzz-shard-session)
 		echo "== fuzz the parameter-server shard session (20 s)"
-		fuzz FuzzShardSession ./internal/ps ;;
+		fuzz FuzzShardSession ./internal/ps 20s ;;
 	fuzz-frame)
 		echo "== fuzz the durable-file frame, checkpoint and progress decoders (20 s)"
-		fuzz FuzzFrameDecode ./internal/frame ;;
+		fuzz FuzzFrameDecode ./internal/frame 20s ;;
 	fuzz-plan)
 		echo "== fuzz the plan-file parser and sweep resolver (20 s)"
-		fuzz FuzzPlanParse ./internal/plan ;;
+		fuzz FuzzPlanParse ./internal/plan 20s ;;
 	fuzz-span-dump)
 		echo "== fuzz the span-dump reader, analyzer and Chrome export (20 s)"
-		fuzz FuzzSpanDump ./internal/span ;;
+		fuzz FuzzSpanDump ./internal/span 20s ;;
 	fuzz-timeline)
 		echo "== fuzz the run-timeline reader (20 s)"
-		fuzz FuzzTimeline ./internal/metrics ;;
+		fuzz FuzzTimeline ./internal/metrics 20s ;;
 	fuzz-benchfmt)
 		echo "== fuzz the hetkg-bench/v3 snapshot reader (20 s)"
-		fuzz FuzzBenchfmtRead ./internal/plan/benchfmt ;;
-	fuzz-rows-kernels)
-		echo "== fuzz the sweep kernels against the per-row functions (20 s)"
-		fuzz FuzzRowsKernels ./internal/vec ;;
-	fuzz-grad-kernels)
-		echo "== fuzz the gradient kernels against the Go loops (20 s)"
-		fuzz FuzzGradKernels ./internal/model ;;
-	fuzz-score-each)
-		echo "== fuzz Sweep.ScoreEach against Model.Score (20 s)"
-		fuzz FuzzScoreEach ./internal/model ;;
-	fuzz-apply-kernels)
-		echo "== fuzz the AdaGrad and vec.Add kernels against their loops (20 s)"
-		fuzz FuzzApplyKernels ./internal/opt ;;
+		fuzz FuzzBenchfmtRead ./internal/plan/benchfmt 20s ;;
+	fuzz-kernels)
+		echo "== fuzz every AVX2 kernel against its Go reference (4 x 20 s)"
+		fuzz FuzzRowsKernels ./internal/vec 20s
+		fuzz FuzzGradKernels ./internal/model 20s
+		fuzz FuzzScoreEach ./internal/model 20s
+		fuzz FuzzApplyKernels ./internal/opt 20s ;;
 	benchmark-module)
 		echo "== benchmark module (vet + tests against this tree)"
 		(cd benchmark && go vet ./... && go test ./...) ;;
