@@ -76,7 +76,13 @@ func Generate(cfg Config) (*kg.Graph, error) {
 			cfg.Name, cfg.NumTriples, cfg.NumEntity, cfg.NumRel)
 	}
 
-	seen := make(map[kg.Triple]struct{}, cfg.NumTriples)
+	// The duplicate check keys a triple by one integer, (h·R + r)·E + t,
+	// below E·E·R, which fits in a uint64 since E·(E−1)·R (maxPossible)
+	// fits in an int.
+	seen := make(map[uint64]struct{}, cfg.NumTriples)
+	key := func(t kg.Triple) uint64 {
+		return (uint64(t.Head)*uint64(cfg.NumRel)+uint64(t.Relation))*uint64(cfg.NumEntity) + uint64(t.Tail)
+	}
 	triples := make([]kg.Triple, 0, cfg.NumTriples)
 	// To guarantee every entity and relation appears at least once (so
 	// every embedding row is trained and evaluation is well defined), seed
@@ -90,8 +96,8 @@ func Generate(cfg Config) (*kg.Graph, error) {
 		if t.Head == t.Tail {
 			t.Tail = kg.EntityID((int(t.Tail) + 1) % cfg.NumEntity)
 		}
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
+		if _, dup := seen[key(t)]; !dup {
+			seen[key(t)] = struct{}{}
 			triples = append(triples, t)
 		}
 	}
@@ -102,8 +108,8 @@ func Generate(cfg Config) (*kg.Graph, error) {
 			t = kg.EntityID((int(t) + 1) % cfg.NumEntity)
 		}
 		tr := kg.Triple{Head: h, Relation: kg.RelationID(r), Tail: t}
-		if _, dup := seen[tr]; !dup {
-			seen[tr] = struct{}{}
+		if _, dup := seen[key(tr)]; !dup {
+			seen[key(tr)] = struct{}{}
 			triples = append(triples, tr)
 		}
 	}
@@ -118,10 +124,10 @@ func Generate(cfg Config) (*kg.Graph, error) {
 			continue
 		}
 		tr := kg.Triple{Head: h, Relation: kg.RelationID(relDist.Sample()), Tail: t}
-		if _, dup := seen[tr]; dup {
+		if _, dup := seen[key(tr)]; dup {
 			continue
 		}
-		seen[tr] = struct{}{}
+		seen[key(tr)] = struct{}{}
 		triples = append(triples, tr)
 	}
 	return kg.NewGraph(cfg.Name, cfg.NumEntity, cfg.NumRel, triples)

@@ -130,12 +130,11 @@ func TestClassifyFilterAvoidsFalseNegatives(t *testing.T) {
 	// sampler must find that one (or give up after bounded tries without
 	// hanging).
 	ents, rels := perfectTables(4, 4)
-	all := kg.NewTripleSet(nil)
-	for tl := 0; tl < 4; tl++ {
-		if tl != 3 {
-			all.Add(kg.Triple{Head: 0, Relation: 0, Tail: kg.EntityID(tl)})
-		}
-	}
+	all := kg.NewTripleSet([]kg.Triple{
+		{Head: 0, Relation: 0, Tail: 0},
+		{Head: 0, Relation: 0, Tail: 1},
+		{Head: 0, Relation: 0, Tail: 2},
+	})
 	valid := []kg.Triple{{Head: 0, Relation: 0, Tail: 1}}
 	test := []kg.Triple{{Head: 0, Relation: 0, Tail: 2}}
 	if _, err := Classify(Config{

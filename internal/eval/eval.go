@@ -18,6 +18,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"hetkg/internal/kg"
@@ -142,24 +143,19 @@ func rankOne(cfg Config, tr kg.Triple, corruptHead bool, rng *rand.Rand) int {
 	// Ranking against every entity is one sweep over the table (countAll);
 	// sampled candidates are scattered rows, gathered and scored one at a
 	// time below.
+	known := cfg.knownAnswers(tr, corruptHead)
 	higher, equal := 0, 0
 	var candidates []kg.EntityID
 	if cfg.sampled() {
 		candidates = cfg.sampleCandidates(tr, corruptHead, rng)
 	} else {
-		higher, equal = countAll(cfg, tr, corruptHead, trueScore)
+		higher, equal = countAll(cfg, tr, corruptHead, trueScore, known)
 	}
 	for _, e := range candidates {
 		if corruptHead && e == tr.Head || !corruptHead && e == tr.Tail {
 			continue
 		}
-		var cand kg.Triple
-		if corruptHead {
-			cand = kg.Triple{Head: e, Relation: tr.Relation, Tail: tr.Tail}
-		} else {
-			cand = kg.Triple{Head: tr.Head, Relation: tr.Relation, Tail: e}
-		}
-		if cfg.Filter != nil && cfg.Filter.Contains(cand) {
+		if _, ok := slices.BinarySearch(known, e); ok {
 			continue
 		}
 		var s float32
@@ -182,6 +178,20 @@ func rankOne(cfg Config, tr kg.Triple, corruptHead bool, rng *rand.Rand) int {
 	return rank
 }
 
+// knownAnswers returns the filter's sorted list of entities that complete
+// tr's query to a known triple: the heads of (r, t) when corrupting the
+// head, the tails of (h, r) otherwise. A candidate in it is a known
+// positive and is left out of the ranking. Without a filter it is nil.
+func (cfg Config) knownAnswers(tr kg.Triple, corruptHead bool) []kg.EntityID {
+	switch {
+	case cfg.Filter == nil:
+		return nil
+	case corruptHead:
+		return cfg.Filter.Heads(tr.Relation, tr.Tail)
+	}
+	return cfg.Filter.Tails(tr.Head, tr.Relation)
+}
+
 // rankTile is how many entity rows countAll scores per kernel call.
 const rankTile = 256
 
@@ -189,14 +199,16 @@ const rankTile = 256
 // that score above and exactly at trueScore. The table is scored in id order
 // by one prepared sweep, whose results carry the bits of Model.Score
 // (model.Sweep's contract), so the counts are those of a per-row loop. A
-// candidate below the true score moves no rank, so the filter — a hash
-// lookup — is consulted only for the few at or above it.
-func countAll(cfg Config, tr kg.Triple, corruptHead bool, trueScore float32) (higher, equal int) {
+// candidate below the true score moves no rank, so known, the query's
+// filter list, is binary-searched only for the few at or above it.
+func countAll(cfg Config, tr kg.Triple, corruptHead bool, trueScore float32, known []kg.EntityID) (higher, equal int) {
 	ents := cfg.Entities
 	r := cfg.Relations.Row(int(tr.Relation))
 	var sw model.Sweep
+	trueEnt := tr.Tail
 	if corruptHead {
 		sw.Reset(cfg.Model, ents.Row(int(tr.Tail)), r, false)
+		trueEnt = tr.Head
 	} else {
 		sw.Reset(cfg.Model, ents.Row(int(tr.Head)), r, true)
 	}
@@ -208,13 +220,11 @@ func countAll(cfg Config, tr kg.Triple, corruptHead bool, trueScore float32) (hi
 			if !(s >= trueScore) {
 				continue
 			}
-			cand := tr
-			if corruptHead {
-				cand.Head = kg.EntityID(lo + i)
-			} else {
-				cand.Tail = kg.EntityID(lo + i)
+			e := kg.EntityID(lo + i)
+			if e == trueEnt {
+				continue
 			}
-			if cand == tr || cfg.Filter != nil && cfg.Filter.Contains(cand) {
+			if _, ok := slices.BinarySearch(known, e); ok {
 				continue
 			}
 			if s > trueScore {

@@ -40,8 +40,9 @@ func SplitTriples(g *Graph, rng *rand.Rand, validFrac, testFrac float64) (Split,
 	}, nil
 }
 
-// AllTriples returns a TripleSet over train+valid+test, the universe used by
-// filtered evaluation.
+// AllTriples returns a TripleSet over train+valid+test: the known positives
+// filtered evaluation excludes from its rankings and the samplers keep out
+// of their negatives.
 func (s Split) AllTriples() *TripleSet {
 	return NewTripleSet(s.Train.Triples, s.Valid.Triples, s.Test.Triples)
 }

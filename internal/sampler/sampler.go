@@ -88,7 +88,8 @@ type Config struct {
 	// Filter, when non-nil, rejects corrupted triples that are actually
 	// positives (false negatives). A bounded number of re-draws is
 	// attempted; persistent collisions are kept, matching standard
-	// implementations.
+	// implementations. With a filter the sampler holds 4 bytes per entity
+	// (the per-chunk stamp).
 	Filter *kg.TripleSet
 	// NegativeWeights, when non-nil, draws corrupting entities from this
 	// unnormalized distribution (length NumEntity) instead of uniformly —
@@ -125,6 +126,11 @@ type Sampler struct {
 	// once per epoch as in standard KGE training.
 	perm   []int32
 	cursor int
+	// stamp is the filter for the chunk being corrupted: stamp[e] == gen
+	// iff e completes some sharer's corrupted side to a known triple
+	// (nil without a Filter).
+	stamp []uint32
+	gen   uint32
 }
 
 // New builds a Sampler over the subgraph's triples.
@@ -136,6 +142,9 @@ func New(cfg Config, g *kg.Graph, rng *rand.Rand) (*Sampler, error) {
 		return nil, fmt.Errorf("sampler: graph %q has no triples", g.Name)
 	}
 	s := &Sampler{cfg: cfg, triples: g.Triples, rng: rng}
+	if cfg.Filter != nil {
+		s.stamp = make([]uint32, cfg.NumEntity)
+	}
 	if cfg.NegativeWeights != nil {
 		if len(cfg.NegativeWeights) != cfg.NumEntity {
 			return nil, fmt.Errorf("sampler: %d negative weights for %d entities",
@@ -215,21 +224,21 @@ func (s *Sampler) corrupt(sharedBy []kg.Triple) *NegativeSample {
 		Entities:    make([]kg.EntityID, 0, s.cfg.NegPerPos),
 		CorruptHead: s.rng.Intn(2) == 0,
 	}
+	if s.stamp != nil {
+		s.mark(ns.CorruptHead, sharedBy)
+	}
 	for len(ns.Entities) < s.cfg.NegPerPos {
 		e := s.drawEntity()
-		if s.cfg.Filter != nil && s.collides(e, ns.CorruptHead, sharedBy) {
+		if s.stamp != nil && s.stamp[e] == s.gen {
 			// Bounded re-draw: try a few more times, then accept. Standard
 			// implementations tolerate rare false negatives rather than
 			// loop forever on tiny graphs.
-			ok := false
 			for tries := 0; tries < 8; tries++ {
 				e = s.drawEntity()
-				if !s.collides(e, ns.CorruptHead, sharedBy) {
-					ok = true
+				if s.stamp[e] != s.gen {
 					break
 				}
 			}
-			_ = ok
 		}
 		ns.Entities = append(ns.Entities, e)
 	}
@@ -244,17 +253,28 @@ func (s *Sampler) drawEntity() kg.EntityID {
 	return kg.EntityID(s.rng.Intn(s.cfg.NumEntity))
 }
 
-func (s *Sampler) collides(e kg.EntityID, corruptHead bool, sharedBy []kg.Triple) bool {
+// mark stamps a new generation on every entity that completes one of the
+// sharers' corrupted side to a triple of the filter: the union of their
+// Heads(r, t) lists when corrupting heads, of their Tails(h, r) lists
+// otherwise. A drawn entity is then a false negative for some sharer iff
+// its stamp is the current generation.
+func (s *Sampler) mark(corruptHead bool, sharedBy []kg.Triple) {
+	s.gen++
+	if s.gen == 0 { // wrapped: a stale stamp could equal a new generation
+		clear(s.stamp)
+		s.gen = 1
+	}
 	for _, p := range sharedBy {
-		var cand kg.Triple
+		var known []kg.EntityID
 		if corruptHead {
-			cand = kg.Triple{Head: e, Relation: p.Relation, Tail: p.Tail}
+			known = s.cfg.Filter.Heads(p.Relation, p.Tail)
 		} else {
-			cand = kg.Triple{Head: p.Head, Relation: p.Relation, Tail: e}
+			known = s.cfg.Filter.Tails(p.Head, p.Relation)
 		}
-		if s.cfg.Filter.Contains(cand) {
-			return true
+		for _, e := range known {
+			if uint(e) < uint(len(s.stamp)) { // never drawn, nothing to stamp
+				s.stamp[e] = s.gen
+			}
 		}
 	}
-	return false
 }

@@ -1,7 +1,9 @@
 package sampler
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hetkg/internal/kg"
@@ -349,5 +351,104 @@ func TestNegativeWeightsValidation(t *testing.T) {
 	cfg := Config{BatchSize: 2, NegPerPos: 1, NumEntity: 20, NegativeWeights: []float64{1, 2}}
 	if _, err := New(cfg, g, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("wrong-length weights accepted")
+	}
+}
+
+// refNext is Next with the filter as a lookup per sharer: each draw asks
+// Contains of every positive the chunk's negatives go to. It shares s's
+// RNG, positive walk and re-draw rule, and is the oracle the stamp is held
+// to.
+func refNext(s *Sampler) *Batch {
+	bp := min(s.cfg.BatchSize, len(s.triples))
+	pos := make([]kg.Triple, bp)
+	for i := range pos {
+		if s.cursor >= len(s.perm) {
+			s.reshuffle()
+		}
+		pos[i] = s.triples[s.perm[s.cursor]]
+		s.cursor++
+	}
+	b := &Batch{Pos: pos, Neg: make([]*NegativeSample, bp)}
+	chunk := max(s.cfg.ChunkSize, 1)
+	for start := 0; start < bp; start += chunk {
+		end := min(start+chunk, bp)
+		sharedBy := pos[start:end]
+		ns := &NegativeSample{
+			Entities:    make([]kg.EntityID, 0, s.cfg.NegPerPos),
+			CorruptHead: s.rng.Intn(2) == 0,
+		}
+		collides := func(e kg.EntityID) bool {
+			for _, p := range sharedBy {
+				cand := kg.Triple{Head: p.Head, Relation: p.Relation, Tail: e}
+				if ns.CorruptHead {
+					cand = kg.Triple{Head: e, Relation: p.Relation, Tail: p.Tail}
+				}
+				if s.cfg.Filter.Contains(cand) {
+					return true
+				}
+			}
+			return false
+		}
+		for len(ns.Entities) < s.cfg.NegPerPos {
+			e := s.drawEntity()
+			if collides(e) {
+				for tries := 0; tries < 8; tries++ {
+					if e = s.drawEntity(); !collides(e) {
+						break
+					}
+				}
+			}
+			ns.Entities = append(ns.Entities, e)
+		}
+		for i := start; i < end; i++ {
+			b.Neg[i] = ns
+		}
+	}
+	return b
+}
+
+func TestStampFilterMatchesPerSharerLookup(t *testing.T) {
+	// A dense graph with self-loops and duplicate triples: a chunk's eight
+	// sharers know about a quarter of the entities, so draws are accepted,
+	// re-drawn and given up on alike.
+	rng := rand.New(rand.NewSource(8))
+	const ne = 100
+	triples := make([]kg.Triple, 1500)
+	for i := range triples {
+		triples[i] = kg.Triple{Head: kg.EntityID(rng.Intn(ne)), Relation: kg.RelationID(rng.Intn(4)), Tail: kg.EntityID(rng.Intn(ne))}
+	}
+	triples = append(triples, triples[:100]...)
+	g := kg.MustNewGraph("dense", ne, 5, triples)
+	filter := kg.NewTripleSet(triples)
+	weights := make([]float64, ne)
+	for i := range weights {
+		weights[i] = float64(1 + i%7)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		wrap bool
+	}{
+		{"chunked", Config{BatchSize: 32, NegPerPos: 32, ChunkSize: 8}, false},
+		{"chunked-wrap", Config{BatchSize: 32, NegPerPos: 32, ChunkSize: 8}, true},
+		{"independent", Config{BatchSize: 16, NegPerPos: 4, ChunkSize: 1}, false},
+		{"weighted-ragged", Config{BatchSize: 50, NegPerPos: 8, ChunkSize: 16, NegativeWeights: weights}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.NumEntity, cfg.Filter = ne, filter
+			got, ref := newSampler(t, cfg, g, 77), newSampler(t, cfg, g, 77)
+			for it := 0; it < 2000; it++ {
+				if tc.wrap && it == 1 {
+					// The first batch's chunks left generations 1 to 4 in
+					// the stamp; the next chunk wraps and they come round
+					// again.
+					got.gen = math.MaxUint32
+				}
+				if a, b := got.Next(), refNext(ref); !reflect.DeepEqual(a, b) {
+					t.Fatalf("batch %d differs from the per-sharer lookup:\n%v\n%v", it, a, b)
+				}
+			}
+		})
 	}
 }

@@ -11,9 +11,9 @@
 #   fanout-race    the per-shard rounds a parameter-server client runs, ten
 #                  more times under -race, since a scheduling-dependent bug
 #                  shows only in some runs.
-#   bench          the benchmarks of the sweep stack and of the training,
-#                  optimizer and codec kernels, one iteration each, so they
-#                  cannot rot.
+#   bench          the benchmarks of the sweep stack, of the training,
+#                  optimizer and codec kernels and of the sampler and its
+#                  filter index, one iteration each, so they cannot rot.
 #   fuzz-*         20 s fuzzes of the decoders that take bytes nobody vouches
 #                  for: the two servers that read them off the network
 #                  unauthenticated (the HTTP query decoder and the
@@ -26,6 +26,8 @@
 #                  trace` compares runs with, and the hetkg-bench/v3 snapshot
 #                  reader `hetkg compare` gates on (no panic, no allocation
 #                  sized by the input, emitter output round-trips).
+#   fuzz-triple-set  20 s of the filter index (kg.TripleSet) against a map:
+#                  every sampler and filtered ranking trusts its answers.
 #   fuzz-kernels   80 s over every AVX2 kernel: 20 s of each package's
 #                  kernel fuzzer, all four the one harness fuzz body
 #                  (kerneltest.Fuzz), which decodes one case from raw
@@ -45,7 +47,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-kernels benchmark-module"
+steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-triple-set fuzz-kernels benchmark-module"
 
 fuzz() { # fuzz TARGET PACKAGE TIME
 	go test -run '^$' -fuzz "$1" -fuzztime "$3" "$2"
@@ -63,8 +65,8 @@ step() {
 		echo "== a client's per-shard rounds, race detector, ten times"
 		go test -race -count=10 -run FanOut ./internal/ps ;;
 	bench)
-		echo "== every benchmark of the sweep stack and the element kernels compiles and runs once"
-		go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/opt ./internal/knn ./internal/serve ./internal/ps ;;
+		echo "== every benchmark of the sweep stack, the element kernels and the sampler compiles and runs once"
+		go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/opt ./internal/knn ./internal/serve ./internal/ps ./internal/sampler ./internal/kg ;;
 	fuzz-serve-request)
 		echo "== fuzz the serving request decoder (20 s)"
 		fuzz FuzzServeRequest ./internal/serve 20s ;;
@@ -86,6 +88,9 @@ step() {
 	fuzz-benchfmt)
 		echo "== fuzz the hetkg-bench/v3 snapshot reader (20 s)"
 		fuzz FuzzBenchfmtRead ./internal/plan/benchfmt 20s ;;
+	fuzz-triple-set)
+		echo "== fuzz the filter index against a map (20 s)"
+		fuzz FuzzTripleSet ./internal/kg 20s ;;
 	fuzz-kernels)
 		echo "== fuzz every AVX2 kernel against its Go reference (4 x 20 s)"
 		fuzz FuzzRowsKernels ./internal/vec 20s
