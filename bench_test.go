@@ -313,6 +313,41 @@ func BenchmarkProcessBatch(b *testing.B) {
 	}
 }
 
+// TestProcessBatchAllocs pins what one training step allocates in
+// steady state, in inproc-compute's shape (ComplEx, d 128, batch 128, 32
+// negatives in chunks of 8, one machine, parallelism 1): 6, once the step
+// ran on a slot table with slot-indexed gradient buffers, the rows pulled
+// into one reused slab and a shard whose rows are slabs. It was 457 while
+// every row went through a Go map and most got a fresh make.
+func TestProcessBatchAllocs(t *testing.T) {
+	bb, err := train.NewBatchBench(train.Config{
+		Graph:       dataset.FB15kLike(dataset.Tiny, 1),
+		Model:       model.ComplEx{},
+		Loss:        model.LogisticLoss{},
+		Dim:         128,
+		LR:          0.1,
+		Epochs:      1,
+		BatchSize:   128,
+		NegPerPos:   32,
+		ChunkSize:   8,
+		NumMachines: 1,
+		Seed:        7,
+		Parallelism: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, err := bb.ProcessBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // scratch growth and the optimizer's first-touch state happen once
+	if n := testing.AllocsPerRun(20, step); n > 6 {
+		t.Errorf("%v allocs per training step, want <= 6", n)
+	}
+}
+
 // BenchmarkProcessBatchSpans pins the span tracer's overhead guard against
 // BenchmarkProcessBatch (the PR 1 baseline, which has no collector at all):
 //

@@ -89,21 +89,22 @@ func main() {
 	}
 
 	keys := []ps.Key{ps.EntityKey(2), ps.EntityKey(3), ps.RelationKey(1)}
-	rows := make(map[ps.Key][]float32)
-	if err := client.Pull(keys, rows); err != nil {
+	rows := make([][]float32, len(keys))
+	for i, k := range keys {
+		rows[i] = make([]float32, client.Width(k))
+	}
+	if err := client.PullRows(keys, rows); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("pulled %v over the wire; e:2 starts %.4f\n", keys, rows[ps.EntityKey(2)][0])
+	fmt.Printf("pulled %v over the wire; e:2 starts %.4f\n", keys, rows[0][0])
 
 	grad := make([]float32, 8)
 	grad[0] = 1 // one AdaGrad step on the first coordinate
-	if err := client.Push(map[ps.Key][]float32{ps.EntityKey(2): grad}); err != nil {
+	if err := client.PushRows(keys[:1], [][]float32{grad}); err != nil {
 		log.Fatal(err)
 	}
-	after := make(map[ps.Key][]float32)
-	if err := client.Pull([]ps.Key{ps.EntityKey(2)}, after); err != nil {
+	if err := client.PullRows(keys[:1], rows[:1]); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after pushing a gradient: e:2 starts %.4f (server applied AdaGrad)\n",
-		after[ps.EntityKey(2)][0])
+	fmt.Printf("after pushing a gradient: e:2 starts %.4f (server applied AdaGrad)\n", rows[0][0])
 }

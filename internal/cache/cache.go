@@ -2,7 +2,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hetkg/internal/metrics"
 	"hetkg/internal/opt"
@@ -33,6 +33,10 @@ type HotCache struct {
 	client *ps.Client
 	optim  opt.Optimizer
 	rows   map[ps.Key]*hotRow
+	// optSlots gives each key ever cached its slot in optim's state table.
+	// It only grows: a DPS worker keeps pushing gradients for the same hot
+	// rows across table generations, so their state outlives a rebuild.
+	optSlots map[ps.Key]int
 	// hits and gets tally Get outcomes since the last ResetStats.
 	hits, gets metrics.Counter
 	// staleBound is P; 0 means unbounded (cached rows never expire).
@@ -99,7 +103,8 @@ func (h *HotCache) refreshSpan() (sp span.Active, done func(rows int64)) {
 }
 
 type hotRow struct {
-	vals     []float32
+	vals     []float32 // the cache's own copy (see Offer)
+	optSlot  int       // the row's slot in the local optimizer's state
 	lastSync int
 	// version counts synchronizations with the parameter server (Build,
 	// Offer), starting at 1. It is the cache-level view of the
@@ -126,6 +131,7 @@ func New(client *ps.Client, localOpt opt.Optimizer, staleBound int) (*HotCache, 
 		client:     client,
 		optim:      localOpt,
 		rows:       make(map[ps.Key]*hotRow),
+		optSlots:   make(map[ps.Key]int),
 		staleBound: staleBound,
 	}, nil
 }
@@ -136,13 +142,22 @@ func New(client *ps.Client, localOpt opt.Optimizer, staleBound int) (*HotCache, 
 // it is keyed by embedding id, and a DPS worker keeps pushing gradients for
 // the same hot rows across table generations.
 func (h *HotCache) Build(keys []ps.Key, iteration int) error {
-	fresh := make(map[ps.Key][]float32, len(keys))
-	if len(keys) > 0 {
-		sorted := make([]ps.Key, len(keys))
-		copy(sorted, keys)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	vals := make([][]float32, len(sorted))
+	if len(sorted) > 0 {
+		total := 0
+		for _, k := range sorted {
+			total += h.client.Width(k)
+		}
+		slab := make([]float32, total)
+		for i, k := range sorted {
+			w := h.client.Width(k)
+			vals[i], slab = slab[:w:w], slab[w:]
+		}
 		_, done := h.refreshSpan()
-		err := h.client.Pull(sorted, fresh)
+		err := h.client.PullRows(sorted, vals)
 		done(int64(len(sorted)))
 		if err != nil {
 			return fmt.Errorf("cache: building hot-embedding table: %w", err)
@@ -152,13 +167,20 @@ func (h *HotCache) Build(keys []ps.Key, iteration int) error {
 			o.refreshed.Add(int64(len(sorted)))
 		}
 	}
-	rows := make(map[ps.Key]*hotRow, len(fresh))
-	for k, v := range fresh {
+	table := make([]hotRow, len(sorted))
+	rows := make(map[ps.Key]*hotRow, len(sorted))
+	for i, k := range sorted {
 		ver := uint32(1)
 		if old := h.rows[k]; old != nil {
 			ver = old.version + 1
 		}
-		rows[k] = &hotRow{vals: v, lastSync: iteration, version: ver}
+		slot, ok := h.optSlots[k]
+		if !ok {
+			slot = len(h.optSlots)
+			h.optSlots[k] = slot
+		}
+		table[i] = hotRow{vals: vals[i], optSlot: slot, lastSync: iteration, version: ver}
+		rows[k] = &table[i]
 	}
 	if o := h.obs; o != nil {
 		for k := range h.rows {
@@ -207,13 +229,15 @@ func (h *HotCache) stale(row *hotRow, iteration int) bool {
 
 // Offer installs a freshly pulled value for k if k belongs to the
 // identifier table, resetting its staleness clock. Values for keys outside
-// the table are ignored (they are not hot). The cache adopts the slice.
+// the table are ignored (they are not hot). The cache copies vals into its
+// own row, so the caller may reuse its buffer (a worker pulls every batch
+// into the same slab).
 func (h *HotCache) Offer(k ps.Key, vals []float32, iteration int) {
 	row, ok := h.rows[k]
 	if !ok {
 		return
 	}
-	row.vals = vals
+	copy(row.vals, vals)
 	row.lastSync = iteration
 	row.version++
 }
@@ -257,7 +281,7 @@ func (h *HotCache) Update(k ps.Key, grad []float32) {
 	if !ok {
 		return
 	}
-	opt.ApplyFinite(h.optim, uint64(k), row.vals, grad)
+	opt.ApplyFinite(h.optim, row.optSlot, row.vals, grad)
 }
 
 // RefreshedRows returns the total rows pulled by Build over the

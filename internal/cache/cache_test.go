@@ -339,6 +339,34 @@ func TestPerRowStalenessBound(t *testing.T) {
 	}
 }
 
+// TestOfferCopiesRow holds Offer to copying the pulled row: a worker pulls
+// every batch into the same slab, so a cache that adopted the caller's
+// slice would see its replica overwritten by the next batch's pull.
+func TestOfferCopiesRow(t *testing.T) {
+	g := smallGraph(t)
+	_, cl := fixture(t, g)
+	hc, _ := New(cl, &opt.SGD{LR: 0.1}, 0)
+	k := ps.EntityKey(0)
+	if err := hc.Build([]ps.Key{k}, 0); err != nil {
+		t.Fatal(err)
+	}
+	buf := []float32{1.5, -2.25, 3, math.Float32frombits(0x7fc00001)}
+	offered := append([]float32(nil), buf...)
+	hc.Offer(k, buf, 1)
+	for i := range buf {
+		buf[i] = 99
+	}
+	got, ok := hc.Get(k, 1)
+	if !ok {
+		t.Fatal("offered row missed")
+	}
+	for i := range offered {
+		if math.Float32bits(got[i]) != math.Float32bits(offered[i]) {
+			t.Fatalf("Get()[%d] = %v after the caller reused its buffer, want the offered %v", i, got[i], offered[i])
+		}
+	}
+}
+
 func TestStalenessBoundedByRefresh(t *testing.T) {
 	// Another writer updates the PS; the cache serves the stale value
 	// until the row is P iterations old, then misses, and the refresh the

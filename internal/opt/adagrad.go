@@ -33,26 +33,31 @@ type AdaGrad struct {
 	eps float32
 
 	mu    sync.Mutex
-	accum map[uint64][]float32
+	accum [][]float32 // slot → squared-gradient sum, nil until first touched
+	rows  int         // slots holding an accumulator
 }
 
 // NewAdaGrad returns an AdaGrad optimizer with the given learning rate and
 // numerical-stability epsilon.
 func NewAdaGrad(lr, eps float32) *AdaGrad {
-	return &AdaGrad{lr: lr, eps: eps, accum: make(map[uint64][]float32)}
+	return &AdaGrad{lr: lr, eps: eps}
 }
 
 // Name implements Optimizer.
 func (*AdaGrad) Name() string { return "adagrad" }
 
 // Apply implements Optimizer.
-func (o *AdaGrad) Apply(key uint64, row, grad []float32) {
+func (o *AdaGrad) Apply(slot int, row, grad []float32) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	acc, ok := o.accum[key]
-	if !ok || len(acc) != len(grad) {
+	o.accum = stateSlot(o.accum, slot)
+	acc := o.accum[slot]
+	if len(acc) != len(grad) {
+		if acc == nil {
+			o.rows++
+		}
 		acc = make([]float32, len(grad))
-		o.accum[key] = acc
+		o.accum[slot] = acc
 	}
 	i := 0
 	if vec.Kernels() && len(grad) >= 8 && len(row) >= len(grad) && !vec.Overlap(len(grad), row, grad) {
@@ -68,7 +73,7 @@ func (o *AdaGrad) Apply(key uint64, row, grad []float32) {
 // Reset implements Optimizer.
 func (o *AdaGrad) Reset() {
 	o.mu.Lock()
-	o.accum = make(map[uint64][]float32)
+	o.accum, o.rows = nil, 0
 	o.mu.Unlock()
 }
 
@@ -77,5 +82,5 @@ func (o *AdaGrad) Reset() {
 func (o *AdaGrad) StateRows() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return len(o.accum)
+	return o.rows
 }

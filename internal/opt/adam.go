@@ -17,7 +17,8 @@ type Adam struct {
 	eps   float64
 
 	mu    sync.Mutex
-	state map[uint64]*adamState
+	state []*adamState // slot → moments, nil until first touched
+	rows  int          // slots holding moments
 }
 
 type adamState struct {
@@ -28,20 +29,24 @@ type adamState struct {
 // NewAdam returns an Adam optimizer with the standard defaults
 // (β1=0.9, β2=0.999, ε=1e-8).
 func NewAdam(lr float32) *Adam {
-	return &Adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, state: make(map[uint64]*adamState)}
+	return &Adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
 }
 
 // Name implements Optimizer.
 func (*Adam) Name() string { return "adam" }
 
 // Apply implements Optimizer.
-func (o *Adam) Apply(key uint64, row, grad []float32) {
+func (o *Adam) Apply(slot int, row, grad []float32) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	st, ok := o.state[key]
-	if !ok || len(st.m) != len(grad) {
+	o.state = stateSlot(o.state, slot)
+	st := o.state[slot]
+	if st == nil || len(st.m) != len(grad) {
+		if st == nil {
+			o.rows++
+		}
 		st = &adamState{m: make([]float64, len(grad)), v: make([]float64, len(grad))}
-		o.state[key] = st
+		o.state[slot] = st
 	}
 	st.step++
 	c1 := 1 - math.Pow(o.beta1, float64(st.step))
@@ -59,7 +64,7 @@ func (o *Adam) Apply(key uint64, row, grad []float32) {
 // Reset implements Optimizer.
 func (o *Adam) Reset() {
 	o.mu.Lock()
-	o.state = make(map[uint64]*adamState)
+	o.state, o.rows = nil, 0
 	o.mu.Unlock()
 }
 
@@ -67,5 +72,5 @@ func (o *Adam) Reset() {
 func (o *Adam) StateRows() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return len(o.state)
+	return o.rows
 }

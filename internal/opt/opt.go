@@ -3,7 +3,9 @@
 //
 // Optimizer state is per-row and owned by whoever owns the embedding row
 // (the PS shard), mirroring DGL-KE's design where the server applies
-// gradients pushed by workers.
+// gradients pushed by workers. The owner names each row by a dense slot of
+// its own key space, and stateful optimizers keep their state in a table
+// indexed by it, as DGL-KE indexes its dense optimizer-state tensors by id.
 package opt
 
 import (
@@ -18,11 +20,12 @@ import (
 type Optimizer interface {
 	// Name identifies the optimizer.
 	Name() string
-	// Apply updates row in place given its gradient. key identifies the row
-	// so stateful optimizers can keep per-row accumulators; rows of
-	// different widths may share an optimizer as long as each key keeps a
-	// consistent width.
-	Apply(key uint64, row, grad []float32)
+	// Apply updates row in place given its gradient. slot is the row's
+	// dense index in its owner's key space (a shard's local slot, an entity
+	// or relation id): stateful optimizers keep the row's state at that
+	// index, allocated on the slot's first Apply. Rows of different widths
+	// may share an optimizer as long as each slot keeps a consistent width.
+	Apply(slot int, row, grad []float32)
 	// Reset drops all accumulated state.
 	Reset()
 }
@@ -32,10 +35,19 @@ type Optimizer interface {
 // and one bad gradient must not poison a row. A parameter-server shard and
 // a worker's hot cache both apply through it, so a cached replica never
 // takes a gradient its shard refuses.
-func ApplyFinite(o Optimizer, key uint64, row, grad []float32) {
+func ApplyFinite(o Optimizer, slot int, row, grad []float32) {
 	if vec.IsFinite(grad) {
-		o.Apply(key, row, grad)
+		o.Apply(slot, row, grad)
 	}
+}
+
+// stateSlot grows table to hold slot and returns it; new entries are zero
+// (no state yet).
+func stateSlot[T any](table []T, slot int) []T {
+	if slot >= len(table) {
+		table = append(table, make([]T, slot+1-len(table))...)
+	}
+	return table
 }
 
 // New constructs an optimizer by name ("adagrad", "sgd", or "adam").
@@ -61,7 +73,7 @@ type SGD struct {
 func (*SGD) Name() string { return "sgd" }
 
 // Apply implements Optimizer.
-func (o *SGD) Apply(_ uint64, row, grad []float32) {
+func (o *SGD) Apply(_ int, row, grad []float32) {
 	for i, g := range grad {
 		row[i] -= o.LR * g
 	}

@@ -64,6 +64,28 @@ func TestAdaGradPerKeyState(t *testing.T) {
 	}
 }
 
+// TestStateAllocatedOnFirstTouch holds the slot-indexed state tables to
+// the map's meaning: only slots that were applied hold state, however far
+// apart they lie.
+func TestStateAllocatedOnFirstTouch(t *testing.T) {
+	for _, o := range []interface {
+		Optimizer
+		StateRows() int
+	}{NewAdaGrad(0.1, 1e-10), NewAdam(0.1)} {
+		row := []float32{0, 0}
+		o.Apply(5000, row, []float32{1, 1})
+		o.Apply(3, row, []float32{1, 1})
+		o.Apply(5000, row, []float32{1, 1})
+		if n := o.StateRows(); n != 2 {
+			t.Errorf("%s: StateRows = %d after touching slots 5000 and 3, want 2", o.Name(), n)
+		}
+		o.Reset()
+		if n := o.StateRows(); n != 0 {
+			t.Errorf("%s: StateRows after Reset = %d, want 0", o.Name(), n)
+		}
+	}
+}
+
 func TestAdaGradReset(t *testing.T) {
 	o := NewAdaGrad(0.1, 1e-10)
 	row := []float32{0}
@@ -109,7 +131,7 @@ func TestAdaGradConcurrentApply(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			row := []float32{0, 0}
 			for i := 0; i < 200; i++ {
-				o.Apply(uint64(i%10), row, []float32{0.1, -0.1})
+				o.Apply(i%10, row, []float32{0.1, -0.1})
 			}
 		}(w)
 	}

@@ -3,7 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hetkg/internal/metrics"
 	"hetkg/internal/netsim"
@@ -52,6 +52,9 @@ func (e *DegradedError) Unwrap() error { return e.Err }
 // the transport. The netsim meter still prices a batch's messages one after
 // another, as it always has, so the simulated time of a run does not change
 // with it.
+//
+// Its calls reuse scratch the Client owns, so one goroutine at a time may
+// use a Client: its worker's.
 type Client struct {
 	machine int
 	place   *Placement
@@ -63,6 +66,15 @@ type Client struct {
 	tracer  *span.Tracer
 	sc      span.Context
 	links   *LinkTransport // tr, when it is one (see Client)
+
+	// Scratch every PullRows and PushRows reuses: each shard's keys and
+	// their indexes in the caller's lists, the calls, a LinkTransport
+	// round's exchanges, and the push payload.
+	byShard [][]Key
+	byIdx   [][]int32
+	calls   []shardCall
+	xs      []exchange
+	payload []float32
 }
 
 // clientObs holds a client's registry-backed RPC series (see Instrument).
@@ -144,12 +156,22 @@ func (c *Client) Width(k Key) int {
 	return c.entDim
 }
 
-// Pull fetches the rows for keys into dst, allocating a fresh slice per
-// key. Keys are grouped per shard into one RPC each (batched pulls, as in
-// DGL-KE's KVStore), and every shard is asked. The rows are then merged in
-// shard order, and the first error other than a link-down one, in shard
-// order, is returned.
-func (c *Client) Pull(keys []Key, dst map[Key][]float32) error {
+// PullRows fetches the rows of keys into the caller's rows: rows[i]
+// receives keys[i]'s values and must be exactly as wide. Keys are grouped
+// per shard into one RPC each (batched pulls, as in DGL-KE's KVStore), and
+// every shard is asked. The replies are then copied into rows in shard
+// order, and the first error other than a link-down one, in shard order,
+// is returned. The rows of keys a DegradedError names are left as they
+// were.
+func (c *Client) PullRows(keys []Key, rows [][]float32) error {
+	if len(rows) != len(keys) {
+		return fmt.Errorf("ps: pull of %d keys into %d rows", len(keys), len(rows))
+	}
+	for i, k := range keys {
+		if len(rows[i]) != c.Width(k) {
+			return fmt.Errorf("ps: pull row for %v has width %d, want %d", k, len(rows[i]), c.Width(k))
+		}
+	}
 	calls := c.split(keys)
 	for i := range calls {
 		calls[i].sp = c.tracer.StartChild(c.sc, span.NPSPull)
@@ -170,7 +192,7 @@ func (c *Client) Pull(keys []Key, dst map[Key][]float32) error {
 		sc.end(nil)
 	}
 	if c.links != nil {
-		xs := make([]exchange, len(calls))
+		xs := c.exchanges(len(calls))
 		for i, sc := range calls {
 			xs[i] = exchange{shard: sc.shard, op: 'P', keys: sc.keys, trace: sc.sp.Context()}
 		}
@@ -195,47 +217,49 @@ func (c *Client) Pull(keys []Key, dst map[Key][]float32) error {
 			return fmt.Errorf("ps: pull from shard %d returned %d values, %d rows need %d", sc.shard, len(sc.vals), len(sc.keys), want)
 		}
 		off := 0
-		for _, k := range sc.keys {
-			w := c.Width(k)
-			row := make([]float32, w)
-			copy(row, sc.vals[off:off+w])
-			dst[k] = row
-			off += w
+		for _, i := range sc.idx {
+			off += copy(rows[i], sc.vals[off:])
 		}
 		return nil
 	})
 }
 
-// Push sends the gradient rows in grads to their owning shards, one RPC per
-// shard, keys sorted for determinism. Every payload is built and its widths
-// checked before any RPC goes out. As in Pull, every shard is asked, so a
-// push one shard refuses does not keep the others' from being applied; the
-// refusal is still the error returned, and the run stops on it either way.
-func (c *Client) Push(grads map[Key][]float32) error {
-	if len(grads) == 0 {
+// PushRows sends the gradient rows to their owning shards, one RPC per
+// shard: rows[i] is keys[i]'s gradient. Each shard gets its keys in the
+// order given, so a caller that wants a deterministic wire gives them in
+// key order. The rows are copied into one payload, whose widths are all
+// checked before any RPC goes out: a codec link rewrites the values it
+// sends, and the caller's rows stay raw. As in PullRows, every shard is
+// asked, so a push one shard refuses does not keep the others' from being
+// applied; the refusal is still the error returned, and the run stops on
+// it either way.
+func (c *Client) PushRows(keys []Key, rows [][]float32) error {
+	if len(rows) != len(keys) {
+		return fmt.Errorf("ps: push of %d keys with %d rows", len(keys), len(rows))
+	}
+	if len(keys) == 0 {
 		return nil
 	}
-	keys := make([]Key, 0, len(grads))
-	for k := range grads {
-		keys = append(keys, k)
+	total := 0
+	for i, k := range keys {
+		if len(rows[i]) != c.Width(k) {
+			return fmt.Errorf("ps: gradient for %v has width %d, want %d", k, len(rows[i]), c.Width(k))
+		}
+		total += len(rows[i])
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	if cap(c.payload) < total {
+		c.payload = make([]float32, total)
+	}
+	payload := c.payload[:total]
 	calls := c.split(keys)
+	off := 0
 	for i := range calls {
 		sc := &calls[i]
-		total := 0
-		for _, k := range sc.keys {
-			total += len(grads[k])
+		start := off
+		for _, j := range sc.idx {
+			off += copy(payload[off:], rows[j])
 		}
-		vals := make([]float32, 0, total)
-		for _, k := range sc.keys {
-			g := grads[k]
-			if len(g) != c.Width(k) {
-				return fmt.Errorf("ps: gradient for %v has width %d, want %d", k, len(g), c.Width(k))
-			}
-			vals = append(vals, g...)
-		}
-		sc.vals = vals
+		sc.vals = payload[start:off:off]
 	}
 	for i := range calls {
 		calls[i].sp = c.tracer.StartChild(c.sc, span.NPSPush)
@@ -252,7 +276,7 @@ func (c *Client) Push(grads map[Key][]float32) error {
 		sc.end(nil)
 	}
 	if c.links != nil {
-		xs := make([]exchange, len(calls))
+		xs := c.exchanges(len(calls))
 		for i, sc := range calls {
 			xs[i] = exchange{shard: sc.shard, op: 'U', keys: sc.keys, vals: sc.vals, trace: sc.sp.Context()}
 		}
@@ -273,11 +297,51 @@ func (c *Client) Push(grads map[Key][]float32) error {
 	})
 }
 
+// Pull is PullRows into dst, one fresh row per key fetched.
+//
+// Deprecated: kept only for the frozen benchmark harness; ROADMAP item 2
+// deletes it.
+func (c *Client) Pull(keys []Key, dst map[Key][]float32) error {
+	rows := make([][]float32, len(keys))
+	for i, k := range keys {
+		rows[i] = make([]float32, c.Width(k))
+	}
+	err := c.PullRows(keys, rows)
+	var deg *DegradedError
+	if err != nil && !errors.As(err, &deg) {
+		return err
+	}
+	for i, k := range keys {
+		if deg == nil || !slices.Contains(deg.Keys, k) {
+			dst[k] = rows[i]
+		}
+	}
+	return err
+}
+
+// Push is PushRows over grads in key order.
+//
+// Deprecated: kept only for the frozen benchmark harness; ROADMAP item 2
+// deletes it.
+func (c *Client) Push(grads map[Key][]float32) error {
+	keys := make([]Key, 0, len(grads))
+	for k := range grads {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	rows := make([][]float32, len(keys))
+	for i, k := range keys {
+		rows[i] = grads[k]
+	}
+	return c.PushRows(keys, rows)
+}
+
 // shardCall is one shard's RPC within a Pull or Push: the shard's keys in
 // request order, the RPC's span, and what the RPC returned.
 type shardCall struct {
 	shard  int
 	keys   []Key
+	idx    []int32 // each key's index in the caller's keys and rows
 	sp     span.Active
 	vals   []float32 // a pull's reply rows, or a push's gradient rows
 	tx, rx int64     // wire bytes each way (a push has no reply bytes)
@@ -293,24 +357,37 @@ func (sc *shardCall) end(err error) {
 // split groups keys by owning shard, preserving their order within a shard,
 // into one call per shard in ascending shard order — the order RPC spans
 // open in, RPCs go out in, replies merge in, and a DegradedError lists keys
-// in.
+// in. The calls and their key lists are the client's scratch, valid until
+// the next split.
 func (c *Client) split(keys []Key) []shardCall {
-	byShard := make([][]Key, c.place.NumMachines())
-	n := 0
-	for _, k := range keys {
+	if c.byShard == nil {
+		c.byShard = make([][]Key, c.place.NumMachines())
+		c.byIdx = make([][]int32, c.place.NumMachines())
+	}
+	for s := range c.byShard {
+		c.byShard[s], c.byIdx[s] = c.byShard[s][:0], c.byIdx[s][:0]
+	}
+	for i, k := range keys {
 		s := c.place.Shard(k)
-		if byShard[s] == nil {
-			n++
-		}
-		byShard[s] = append(byShard[s], k)
+		c.byShard[s] = append(c.byShard[s], k)
+		c.byIdx[s] = append(c.byIdx[s], int32(i))
 	}
-	calls := make([]shardCall, 0, n)
-	for s, ks := range byShard {
-		if ks != nil {
-			calls = append(calls, shardCall{shard: s, keys: ks})
+	calls := c.calls[:0]
+	for s, ks := range c.byShard {
+		if len(ks) > 0 {
+			calls = append(calls, shardCall{shard: s, keys: ks, idx: c.byIdx[s]})
 		}
 	}
+	c.calls = calls
 	return calls
+}
+
+// exchanges returns n of the client's reusable round exchanges.
+func (c *Client) exchanges(n int) []exchange {
+	if cap(c.xs) < n {
+		c.xs = make([]exchange, n)
+	}
+	return c.xs[:n]
 }
 
 // merge walks the answered calls in shard order: each reply is metered
@@ -319,6 +396,13 @@ func (c *Client) split(keys []Key) []shardCall {
 // other error — a refusal, or one ok returns — ends the walk and is
 // returned.
 func (c *Client) merge(op string, calls []shardCall, ok func(*shardCall) error) error {
+	// The calls and exchanges are the client's scratch: once merged, drop
+	// their references to reply rows and payloads, so that the scratch
+	// does not keep the last call's buffers alive.
+	defer func() {
+		clear(calls)
+		clear(c.xs)
+	}()
 	var downKeys []Key
 	var downErr error
 	for i := range calls {

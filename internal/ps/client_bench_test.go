@@ -73,7 +73,8 @@ func chattyCluster(tb testing.TB) (*Cluster, []Key) {
 
 // BenchmarkClientPullPush times one batch's parameter traffic on
 // tcp-chatty's shape: a worker Client on machine 0 pulls 27 dim-16 rows from
-// each of 4 loopback shards, then pushes a gradient for every one of them.
+// each of 4 loopback shards into its rows (PullRows), then pushes a
+// gradient for every one of them (PushRows).
 func BenchmarkClientPullPush(b *testing.B) {
 	c, keys := chattyCluster(b)
 	addrs, _ := loopbackShards(b, c)
@@ -86,22 +87,20 @@ func BenchmarkClientPullPush(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	grads := make(map[Key][]float32, len(keys))
-	for _, k := range keys {
-		g := make([]float32, cl.Width(k))
-		for i := range g {
-			g[i] = 1e-6
+	rows, grads := make([][]float32, len(keys)), make([][]float32, len(keys))
+	for i, k := range keys {
+		rows[i], grads[i] = make([]float32, cl.Width(k)), make([]float32, cl.Width(k))
+		for j := range grads[i] {
+			grads[i][j] = 1e-6
 		}
-		grads[k] = g
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst := make(map[Key][]float32, len(keys))
-		if err := cl.Pull(keys, dst); err != nil {
+		if err := cl.PullRows(keys, rows); err != nil {
 			b.Fatal(err)
 		}
-		if err := cl.Push(grads); err != nil {
+		if err := cl.PushRows(keys, grads); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -103,44 +103,34 @@ func initShard(cfg ClusterConfig, place *Placement, machine int) (*Server, error
 	if err := cfg.validateInitial(); err != nil {
 		return nil, err
 	}
-	srv, err := NewServer(ServerConfig{
-		Machine:     machine,
-		EntityDim:   cfg.EntityDim,
-		RelationDim: cfg.RelationDim,
-		Optimizer:   cfg.NewOptimizer(),
-	})
+	srv, err := newServer(machine, place, cfg.NumRelations, cfg.EntityDim, cfg.RelationDim, cfg.NewOptimizer())
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]float32, max(cfg.EntityDim, cfg.RelationDim))
 	for e := 0; e < len(cfg.EntityPart); e++ {
 		k := EntityKey(kg.EntityID(e))
-		if place.Shard(k) != machine {
+		slot, ok := place.slot(k, machine, cfg.NumRelations)
+		if !ok {
 			continue
 		}
-		row := buf[:cfg.EntityDim]
+		row := srv.rowAt(slot)
 		if cfg.InitialEntities != nil {
-			row = cfg.InitialEntities.Row(e)
+			copy(row, cfg.InitialEntities.Row(e))
 		} else {
 			initRow(cfg.Seed, k, row, true)
-		}
-		if err := srv.InitRow(k, row); err != nil {
-			return nil, err
 		}
 	}
 	for r := 0; r < cfg.NumRelations; r++ {
 		k := RelationKey(kg.RelationID(r))
-		if place.Shard(k) != machine {
+		slot, ok := place.slot(k, machine, cfg.NumRelations)
+		if !ok {
 			continue
 		}
-		row := buf[:cfg.RelationDim]
+		row := srv.rowAt(slot)
 		if cfg.InitialRelations != nil {
-			row = cfg.InitialRelations.Row(r)
+			copy(row, cfg.InitialRelations.Row(r))
 		} else {
 			initRow(cfg.Seed, k, row, false)
-		}
-		if err := srv.InitRow(k, row); err != nil {
-			return nil, err
 		}
 	}
 	return srv, nil

@@ -46,9 +46,16 @@ func (k Key) String() string {
 // Entities follow the graph partitioner's assignment (embedding co-located
 // with the subgraph that uses it most); relations are striped round-robin,
 // as relation usage has no spatial locality.
+//
+// It also gives each row its slot on its shard, the index of the row in
+// the shard's slabs: an entity's slot is its rank among the shard's
+// entities in id order, and relation r's is the shard's entity count plus
+// r / NumMachines. One Placement is shared by every shard in a process.
 type Placement struct {
 	numMachines int
 	entityPart  []int32
+	entityRank  []int32 // entity → its slot on its shard
+	entityCount []int   // shard → entities it owns
 }
 
 // NewPlacement builds a placement for numMachines shards. entityPart is the
@@ -58,12 +65,20 @@ func NewPlacement(numMachines int, entityPart []int32) (*Placement, error) {
 	if numMachines < 1 {
 		return nil, fmt.Errorf("ps: numMachines %d < 1", numMachines)
 	}
-	for e, p := range entityPart {
-		if p < 0 || int(p) >= numMachines {
-			return nil, fmt.Errorf("ps: entity %d assigned to invalid machine %d of %d", e, p, numMachines)
-		}
+	p := &Placement{
+		numMachines: numMachines,
+		entityPart:  entityPart,
+		entityRank:  make([]int32, len(entityPart)),
+		entityCount: make([]int, numMachines),
 	}
-	return &Placement{numMachines: numMachines, entityPart: entityPart}, nil
+	for e, m := range entityPart {
+		if m < 0 || int(m) >= numMachines {
+			return nil, fmt.Errorf("ps: entity %d assigned to invalid machine %d of %d", e, m, numMachines)
+		}
+		p.entityRank[e] = int32(p.entityCount[m])
+		p.entityCount[m]++
+	}
+	return p, nil
 }
 
 // NumMachines returns the shard count.
@@ -78,4 +93,29 @@ func (p *Placement) Shard(k Key) int {
 		return int(uint32(k.Relation())) % p.numMachines
 	}
 	return int(p.entityPart[k.Entity()])
+}
+
+// slot returns k's slot on machine among numRel relations, and whether
+// machine owns k at all: a key outside the entity or relation universe,
+// or another shard's, is not owned.
+func (p *Placement) slot(k Key, machine, numRel int) (int, bool) {
+	if k.IsRelation() {
+		r := uint64(k &^ relationBit)
+		if r >= uint64(numRel) || int(r%uint64(p.numMachines)) != machine {
+			return 0, false
+		}
+		return p.entityCount[machine] + int(r)/p.numMachines, true
+	}
+	if uint64(k) >= uint64(len(p.entityPart)) || int(p.entityPart[k]) != machine {
+		return 0, false
+	}
+	return int(p.entityRank[k]), true
+}
+
+// shardRelations returns how many of numRel striped relations machine owns.
+func (p *Placement) shardRelations(machine, numRel int) int {
+	if machine >= numRel {
+		return 0
+	}
+	return (numRel - machine + p.numMachines - 1) / p.numMachines
 }

@@ -571,9 +571,11 @@ func TestLoopbackPullPushAllocs(t *testing.T) {
 
 // TestClientRoundAllocs pins what one Client pull plus push allocates in
 // BenchmarkClientPullPush's shape (27 dim-16 rows on each of 4 loopback
-// shards), worker and shards together: 292 once every LinkTransport call
-// became a round of exchange structs, 339 while the round built closures and
-// per-round slices beside a per-call path.
+// shards), worker and shards together, on the slot path: PullRows into
+// the caller's rows and PushRows from them, 120. It was 292 through the
+// map-taking Pull and Push, whose merge made a row per key and whose push
+// sorted its keys and built a fresh payload per shard, and 339 while the
+// round built closures and per-round slices beside a per-call path.
 func TestClientRoundAllocs(t *testing.T) {
 	c, keys := chattyCluster(t)
 	addrs, _ := loopbackShards(t, c)
@@ -586,13 +588,12 @@ func TestClientRoundAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grads := make(map[Key][]float32, len(keys))
-	for _, k := range keys {
-		grads[k] = make([]float32, cl.Width(k))
+	rows, grads := make([][]float32, len(keys)), make([][]float32, len(keys))
+	for i, k := range keys {
+		rows[i], grads[i] = make([]float32, cl.Width(k)), make([]float32, cl.Width(k))
 	}
 	step := func() {
-		dst := make(map[Key][]float32, len(keys))
-		if err := cl.Pull(keys, dst); err != nil {
+		if err := cl.PullRows(keys, rows); err != nil {
 			t.Fatal(err)
 		}
 		for _, g := range grads {
@@ -600,12 +601,12 @@ func TestClientRoundAllocs(t *testing.T) {
 				g[i] = 1e-6
 			}
 		}
-		if err := cl.Push(grads); err != nil {
+		if err := cl.PushRows(keys, grads); err != nil {
 			t.Fatal(err)
 		}
 	}
 	step() // gob type exchange and scratch growth happen once
-	if n := testing.AllocsPerRun(200, step); n > 292 {
-		t.Errorf("%v allocs per client pull+push over 4 shards, want <= 292", n)
+	if n := testing.AllocsPerRun(200, step); n > 120 {
+		t.Errorf("%v allocs per client pull+push over 4 shards, want <= 120", n)
 	}
 }

@@ -250,6 +250,70 @@ func TestClientValidation(t *testing.T) {
 	if err := cl.Push(nil); err != nil {
 		t.Errorf("empty push should be a no-op, got %v", err)
 	}
+	keys := []Key{EntityKey(0), EntityKey(1)}
+	if err := cl.PullRows(keys, [][]float32{make([]float32, 8)}); err == nil {
+		t.Error("pull with fewer rows than keys accepted")
+	}
+	if err := cl.PullRows(keys, [][]float32{make([]float32, 8), make([]float32, 3)}); err == nil {
+		t.Error("pull into a short row accepted")
+	}
+	if err := cl.PushRows(keys, [][]float32{make([]float32, 8), make([]float32, 9)}); err == nil {
+		t.Error("wrong-width gradient row accepted")
+	}
+}
+
+// TestClientRowsMatchMaps holds the slot path to the map-taking wrappers:
+// PullRows fills each caller row with its key's values, in any key order
+// across shards, and PushRows lands exactly what Push does.
+func TestClientRowsMatchMaps(t *testing.T) {
+	a, b := testCluster(t, 3), testCluster(t, 3)
+	ca, _ := NewClient(1, a, NewInProc(a), nil)
+	cb, _ := NewClient(1, b, NewInProc(b), nil)
+	keys := []Key{EntityKey(7), RelationKey(4), EntityKey(0), EntityKey(11), RelationKey(0), EntityKey(2)}
+	rows := make([][]float32, len(keys))
+	grads := make(map[Key][]float32)
+	for i, k := range keys {
+		rows[i] = make([]float32, ca.Width(k))
+		g := make([]float32, ca.Width(k))
+		for j := range g {
+			g[j] = float32(i+1) * 0.01 * float32(j-3)
+		}
+		grads[k] = g
+	}
+	check := func(when string) {
+		t.Helper()
+		if err := ca.PullRows(keys, rows); err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[Key][]float32)
+		if err := cb.Pull(keys, want); err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if !slices.Equal(rows[i], want[k]) {
+				t.Fatalf("%s: PullRows row %v = %v, Pull gives %v", when, k, rows[i], want[k])
+			}
+		}
+	}
+	check("before push")
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	gradRows := make([][]float32, len(sorted))
+	for i, k := range sorted {
+		gradRows[i] = slices.Clone(grads[k])
+	}
+	if err := ca.PushRows(sorted, gradRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.Push(grads); err != nil {
+		t.Fatal(err)
+	}
+	check("after push")
+	for i, k := range sorted {
+		if !slices.Equal(gradRows[i], grads[k]) {
+			t.Fatalf("PushRows changed the caller's row for %v", k)
+		}
+	}
 }
 
 func TestPullModifyPushIsolation(t *testing.T) {
@@ -516,7 +580,15 @@ func TestNewClusterShardMatchesFullCluster(t *testing.T) {
 			t.Fatalf("shard %d has %d rows, full cluster's has %d",
 				m, shard.NumRows(), full.Servers[m].NumRows())
 		}
-		for k := range full.Servers[m].rows {
+		var owned []Key
+		for e := range part {
+			owned = append(owned, EntityKey(kg.EntityID(e)))
+		}
+		for r := 0; r < cfg.NumRelations; r++ {
+			owned = append(owned, RelationKey(kg.RelationID(r)))
+		}
+		owned = slices.DeleteFunc(owned, func(k Key) bool { return full.Place.Shard(k) != m })
+		for _, k := range owned {
 			want, _ := full.Servers[m].Pull([]Key{k})
 			got, err := shard.Pull([]Key{k})
 			if err != nil {

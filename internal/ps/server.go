@@ -13,25 +13,35 @@ import (
 // rows and the optimizer state for them, and applies pushed gradients
 // immediately (the asynchronous "message queue → AdaGrad" path of
 // Algorithm 4 collapses to a locked apply in-process).
+//
+// Its rows live in two slabs, entities then relations, each row at its
+// slot (Placement.slot); the slot is also the row's index in the
+// optimizer's state table. Both slabs are sized once, when the shard is
+// built.
 type Server struct {
 	machine int
 	entDim  int
 	relDim  int
+	place   *Placement
+	numRel  int // relation universe size
+	numEnt  int // entity rows this shard owns; relation slots follow them
 
 	mu    sync.RWMutex
-	rows  map[Key][]float32
+	ents  []float32 // entity rows by slot
+	rels  []float32 // relation rows by slot - numEnt
 	optim opt.Optimizer
-	// pushRows is Push's scratch: the request's rows, resolved while it is
-	// validated so the apply pass needs no second lookup. Guarded by mu.
-	pushRows [][]float32
+	// pushSlots is Push's scratch: the request's slots, resolved while it
+	// is validated so the apply pass needs no second lookup. Guarded by mu.
+	pushSlots []int
 
 	// lastPush records, per client link identity, the highest push sequence
 	// already applied — the dedup table that makes push retries idempotent
 	// (a retry re-sends the identical payload under the same sequence, so
 	// "already applied" means the gradient landed and only the response was
-	// lost).
+	// lost). A shard serves a link per trainer transport, so the table is
+	// short and scanned.
 	dedupMu  sync.Mutex
-	lastPush map[uint64]uint64
+	lastPush []pushMark
 
 	obs    *serverObs
 	tracer *span.Tracer
@@ -45,7 +55,22 @@ func (s *Server) pushApplied(link, seq uint64) bool {
 	}
 	s.dedupMu.Lock()
 	defer s.dedupMu.Unlock()
-	return seq <= s.lastPush[link]
+	return seq <= s.mark(link).seq
+}
+
+// pushMark is one link's highest applied push sequence.
+type pushMark struct{ link, seq uint64 }
+
+// mark returns link's entry in lastPush, adding it with sequence 0 on the
+// link's first push. The caller holds dedupMu.
+func (s *Server) mark(link uint64) *pushMark {
+	for i := range s.lastPush {
+		if s.lastPush[i].link == link {
+			return &s.lastPush[i]
+		}
+	}
+	s.lastPush = append(s.lastPush, pushMark{link: link})
+	return &s.lastPush[len(s.lastPush)-1]
 }
 
 // markPush records a successfully applied push for dedup.
@@ -55,11 +80,8 @@ func (s *Server) markPush(link, seq uint64) {
 	}
 	s.dedupMu.Lock()
 	defer s.dedupMu.Unlock()
-	if s.lastPush == nil {
-		s.lastPush = make(map[uint64]uint64)
-	}
-	if seq > s.lastPush[link] {
-		s.lastPush[link] = seq
+	if m := s.mark(link); seq > m.seq {
+		m.seq = seq
 	}
 }
 
@@ -92,31 +114,26 @@ func (s *Server) Instrument(reg *metrics.Registry) {
 	}
 }
 
-// ServerConfig parameterizes shard construction.
-type ServerConfig struct {
-	// Machine is this shard's machine index.
-	Machine int
-	// EntityDim and RelationDim are the row widths (they differ for models
-	// like TransH whose relations pack extra parameters).
-	EntityDim, RelationDim int
-	// Optimizer applies pushed gradients (AdaGrad in the paper).
-	Optimizer opt.Optimizer
-}
-
-// NewServer builds an empty shard.
-func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.EntityDim <= 0 || cfg.RelationDim <= 0 {
-		return nil, fmt.Errorf("ps: non-positive dims %d/%d", cfg.EntityDim, cfg.RelationDim)
+// newServer builds machine's shard of place over numRel relations, its
+// slabs sized from the placement's counts and zeroed.
+func newServer(machine int, place *Placement, numRel, entDim, relDim int, optim opt.Optimizer) (*Server, error) {
+	if entDim <= 0 || relDim <= 0 {
+		return nil, fmt.Errorf("ps: non-positive dims %d/%d", entDim, relDim)
 	}
-	if cfg.Optimizer == nil {
+	if optim == nil {
 		return nil, fmt.Errorf("ps: nil optimizer")
 	}
+	numEnt := place.entityCount[machine]
 	return &Server{
-		machine: cfg.Machine,
-		entDim:  cfg.EntityDim,
-		relDim:  cfg.RelationDim,
-		rows:    make(map[Key][]float32),
-		optim:   cfg.Optimizer,
+		machine: machine,
+		entDim:  entDim,
+		relDim:  relDim,
+		place:   place,
+		numRel:  numRel,
+		numEnt:  numEnt,
+		ents:    make([]float32, numEnt*entDim),
+		rels:    make([]float32, place.shardRelations(machine, numRel)*relDim),
+		optim:   optim,
 	}, nil
 }
 
@@ -155,26 +172,17 @@ func (s *Server) Width(k Key) int {
 	return s.entDim
 }
 
-// InitRow installs an initial value for a row this shard owns. It is called
-// once per owned key before training starts.
-func (s *Server) InitRow(k Key, row []float32) error {
-	if len(row) != s.Width(k) {
-		return fmt.Errorf("ps: row %v has width %d, want %d", k, len(row), s.Width(k))
+// rowAt returns the live row at slot.
+func (s *Server) rowAt(slot int) []float32 {
+	if slot < s.numEnt {
+		return s.ents[slot*s.entDim : (slot+1)*s.entDim]
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cp := make([]float32, len(row))
-	copy(cp, row)
-	s.rows[k] = cp
-	return nil
+	r := slot - s.numEnt
+	return s.rels[r*s.relDim : (r+1)*s.relDim]
 }
 
 // NumRows returns how many rows the shard owns.
-func (s *Server) NumRows() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.rows)
-}
+func (s *Server) NumRows() int { return s.numEnt + len(s.rels)/s.relDim }
 
 // Pull copies the requested rows, concatenated in key order, into a fresh
 // buffer. Unknown keys are an error: they indicate a placement bug.
@@ -191,11 +199,11 @@ func (s *Server) Pull(keys []Key) ([]float32, error) {
 	}
 	out := make([]float32, 0, total)
 	for _, k := range keys {
-		row, ok := s.rows[k]
+		slot, ok := s.place.slot(k, s.machine, s.numRel)
 		if !ok {
 			return nil, fmt.Errorf("ps: shard %d does not own %v", s.machine, k)
 		}
-		out = append(out, row...)
+		out = append(out, s.rowAt(slot)...)
 	}
 	return out, nil
 }
@@ -212,25 +220,26 @@ func (s *Server) Push(keys []Key, vals []float32) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rows := s.pushRows[:0]
+	slots := s.pushSlots[:0]
 	total := 0
 	for _, k := range keys {
-		row, ok := s.rows[k]
+		slot, ok := s.place.slot(k, s.machine, s.numRel)
 		if !ok {
 			return fmt.Errorf("ps: shard %d does not own %v", s.machine, k)
 		}
-		rows = append(rows, row)
-		total += len(row)
+		slots = append(slots, slot)
+		total += s.Width(k)
 	}
-	s.pushRows = rows
+	s.pushSlots = slots
 	if total != len(vals) {
 		return fmt.Errorf("ps: push payload has %d values, keys need %d", len(vals), total)
 	}
 	off := 0
-	for i, row := range rows {
+	for _, slot := range slots {
+		row := s.rowAt(slot)
 		grad := vals[off : off+len(row)]
 		off += len(row)
-		opt.ApplyFinite(s.optim, uint64(keys[i]), row, grad)
+		opt.ApplyFinite(s.optim, slot, row, grad)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hetkg/internal/kg"
@@ -154,6 +155,30 @@ func TestDistinctIDsDeduplicates(t *testing.T) {
 	}
 	if len(rels) != 2 {
 		t.Errorf("distinct relations = %v, want 2 ids", rels)
+	}
+}
+
+// TestDistinctIDsFirstTouchOrder pins DistinctIDs' order: ids in the order
+// the batch first touches them — per positive its head, its tail, then its
+// chunk's negatives, and relations per positive. The plan census's access
+// stream (the LRU and Belady replays) is this order, and the training step
+// no longer calls DistinctIDs, so nothing else guards it.
+func TestDistinctIDsFirstTouchOrder(t *testing.T) {
+	chunk := &NegativeSample{Entities: []kg.EntityID{9, 4, 7}}
+	b := &Batch{
+		Pos: []kg.Triple{
+			{Head: 5, Relation: 3, Tail: 8},
+			{Head: 7, Relation: 1, Tail: 5},
+			{Head: 2, Relation: 3, Tail: 6},
+		},
+		Neg: []*NegativeSample{chunk, chunk, {Entities: []kg.EntityID{1, 6, 0}}},
+	}
+	ents, rels := b.DistinctIDs()
+	if want := []kg.EntityID{5, 8, 9, 4, 7, 2, 6, 1, 0}; !slices.Equal(ents, want) {
+		t.Errorf("entities = %v, want first-touch order %v", ents, want)
+	}
+	if want := []kg.RelationID{3, 1}; !slices.Equal(rels, want) {
+		t.Errorf("relations = %v, want first-touch order %v", rels, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package train
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hetkg/internal/ps"
 	"hetkg/internal/vec"
@@ -27,41 +28,44 @@ func (w *worker) degradedEnabled() bool {
 	return w.cfg.DegradedMaxStaleness > 0 && w.hot != nil
 }
 
-// staleServe fills w.rows for deg's unfetched keys from the hot cache,
-// accepting rows up to DegradedMaxStaleness iterations old. Every key must
-// be served — a row that was never cached, or aged past the bound, makes
-// the outage fatal. Returns the set of stale-served keys so the gather
-// path can keep their staleness clocks untouched (only a fresh server
-// value may reset one).
-func (w *worker) staleServe(deg *ps.DegradedError) (map[ps.Key]bool, error) {
-	served := make(map[ps.Key]bool, len(deg.Keys))
+// staleServe points the slot table's rows for deg's unfetched keys at the
+// hot cache's copies, accepting rows up to DegradedMaxStaleness iterations
+// old. Every key must be served — a row that was never cached, or aged
+// past the bound, makes the outage fatal. Returns the stale-served keys,
+// sorted, so the gather path can keep their staleness clocks untouched
+// (only a fresh server value may reset one).
+func (w *worker) staleServe(deg *ps.DegradedError) ([]ps.Key, error) {
+	tbl := &w.scr.tbl
 	for _, k := range deg.Keys {
 		row, ok := w.hot.ServeStale(k, w.iteration, w.cfg.DegradedMaxStaleness)
 		if !ok {
 			return nil, fmt.Errorf("train: degraded pull: row %v unavailable within the %d-iteration staleness bound: %w",
 				k, w.cfg.DegradedMaxStaleness, deg.Err)
 		}
-		w.rows[k] = row
-		served[k] = true
+		tbl.rows[tbl.slot(k)] = row
 	}
-	w.obs.degradedStale.Add(int64(len(served)))
+	w.obs.degradedStale.Add(int64(len(deg.Keys)))
+	served := slices.Clone(deg.Keys)
+	slices.Sort(served)
 	return served, nil
 }
 
-// bufferPushes coalesces the unpushed gradient rows into the worker's
-// replay buffer: a key already buffered accumulates (gradient sums
-// commute with the deferred apply), a fresh key claims a buffer slot.
-// Overflowing DegradedMaxBufferedRows makes the outage fatal.
-func (w *worker) bufferPushes(keys []ps.Key, grads map[ps.Key][]float32, cause error) error {
+// bufferPushes coalesces the unpushed gradient rows (down, out of the
+// push's keys in key order and their grads) into the worker's replay
+// buffer: a key already buffered accumulates (gradient sums commute with
+// the deferred apply), a fresh key claims a buffer slot. Overflowing
+// DegradedMaxBufferedRows makes the outage fatal.
+func (w *worker) bufferPushes(down, keys []ps.Key, grads [][]float32, cause error) error {
 	if w.pushBuf == nil {
 		w.pushBuf = make(map[ps.Key][]float32)
 	}
 	fresh := 0
-	for _, k := range keys {
-		g, ok := grads[k]
+	for _, k := range down {
+		i, ok := slices.BinarySearch(keys, k)
 		if !ok {
 			continue
 		}
+		g := grads[i]
 		if buf, exists := w.pushBuf[k]; exists {
 			vec.Add(buf, buf, g)
 			continue
@@ -76,6 +80,20 @@ func (w *worker) bufferPushes(keys []ps.Key, grads map[ps.Key][]float32, cause e
 	return nil
 }
 
+// pushBuffered pushes every buffered row, in key order.
+func (w *worker) pushBuffered() error {
+	keys := make([]ps.Key, 0, len(w.pushBuf))
+	for k := range w.pushBuf {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	rows := make([][]float32, len(keys))
+	for i, k := range keys {
+		rows[i] = w.pushBuf[k]
+	}
+	return w.client.PushRows(keys, rows)
+}
+
 // replayPushes re-sends the buffered gradient rows ahead of the current
 // batch's push (buffered updates for a key must land before newer ones).
 // Rows whose shards answered leave the buffer; rows whose link is still
@@ -84,7 +102,7 @@ func (w *worker) replayPushes() error {
 	if len(w.pushBuf) == 0 {
 		return nil
 	}
-	err := w.client.Push(w.pushBuf)
+	err := w.pushBuffered()
 	if err == nil {
 		w.obs.degradedReplayed.Add(int64(len(w.pushBuf)))
 		w.pushBuf = nil
@@ -118,7 +136,7 @@ func (w *worker) drainDegraded() error {
 		return nil
 	}
 	n := len(w.pushBuf)
-	if err := w.client.Push(w.pushBuf); err != nil {
+	if err := w.pushBuffered(); err != nil {
 		return fmt.Errorf("train: replaying %d buffered degraded push rows: %w", n, err)
 	}
 	w.obs.degradedReplayed.Add(int64(n))

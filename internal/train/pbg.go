@@ -221,13 +221,13 @@ func (st *pbgState) trainPair(pk [2]int32, edges []kg.Triple, members [][]kg.Ent
 				gn := st.gn
 				vec.Zero(gn)
 				cfg.Model.Grad(h, r, neRow, dNeg*scale, gn, gr, nil)
-				st.entOpt.Apply(uint64(ne), neRow, gn)
+				st.entOpt.Apply(int(ne), neRow, gn)
 			}
 		}
 		// Entities update locally and immediately (Hogwild-style threads
 		// without synchronization, PBG step 3).
-		st.entOpt.Apply(uint64(tr.Head), h, gh)
-		st.entOpt.Apply(uint64(tr.Tail), t, gt)
+		st.entOpt.Apply(int(tr.Head), h, gh)
+		st.entOpt.Apply(int(tr.Tail), t, gt)
 	}
 	// Apply accumulated relation gradients through the shared server.
 	for rel := 0; rel < st.rels.Rows; rel++ {
@@ -235,7 +235,7 @@ func (st *pbgState) trainPair(pk [2]int32, edges []kg.Triple, members [][]kg.Ent
 		if isZero(g) {
 			continue
 		}
-		st.relOpt.Apply(uint64(rel), st.rels.Row(rel), g)
+		st.relOpt.Apply(rel, st.rels.Row(rel), g)
 	}
 	comp = time.Since(start)
 	comm = cfg.CostModel.RemoteTime(6, swapBytes*2+relBytes*2)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"hetkg/internal/cache"
@@ -46,12 +47,11 @@ type worker struct {
 	ef      *errorFeedback  // nil unless the codec profile sparsifies pushes
 
 	cfg    *Config
-	degree int                  // resolved compute parallelism
-	rows   map[ps.Key][]float32 // per-batch working set (pulled + cached)
-	scr    *batchScratch        // worker-owned arena, reused across batches
-	obs    *trainObs            // run-shared registry handles
-	tracer *span.Tracer         // per-batch span tracer (nil when unwired)
-	sp     span.Active          // current batch's root span (zero when unsampled)
+	degree int           // resolved compute parallelism
+	scr    *batchScratch // worker-owned arena, reused across batches
+	obs    *trainObs     // run-shared registry handles
+	tracer *span.Tracer  // per-batch span tracer (nil when unwired)
+	sp     span.Active   // current batch's root span (zero when unsampled)
 
 	// queued holds prefetched batches to replay (HET-KG).
 	queued []*sampler.Batch
@@ -138,7 +138,6 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 		meter:   meter,
 		cfg:     cfg,
 		degree:  par.Degree(cfg.Parallelism),
-		rows:    make(map[ps.Key][]float32),
 		obs:     b.tobs,
 	}
 	if b.prof.SparsePush {
@@ -267,42 +266,6 @@ func (w *worker) endSpan() {
 	}
 }
 
-// gradBuf is a reusable keyed gradient accumulator: a map from embedding key
-// to gradient row, backed by a grow-only pool of max-width rows so steady
-// state allocates nothing per batch. Rows are zeroed on acquisition.
-type gradBuf struct {
-	m    map[ps.Key][]float32
-	pool [][]float32
-	used int
-	maxW int
-}
-
-func newGradBuf(maxW int) *gradBuf {
-	return &gradBuf{m: make(map[ps.Key][]float32), maxW: maxW}
-}
-
-// reset empties the accumulator, returning every pooled row.
-func (g *gradBuf) reset() {
-	clear(g.m)
-	g.used = 0
-}
-
-// row returns k's gradient row of width w, acquiring and zeroing a pooled
-// row on first touch.
-func (g *gradBuf) row(k ps.Key, w int) []float32 {
-	if r, ok := g.m[k]; ok {
-		return r
-	}
-	if g.used == len(g.pool) {
-		g.pool = append(g.pool, make([]float32, g.maxW))
-	}
-	r := g.pool[g.used][:w]
-	g.used++
-	vec.Zero(r)
-	g.m[k] = r
-	return r
-}
-
 // shardScratch is one compute shard's private accumulation state. Shards
 // never share scratch, so the parallel gradient pass needs no locks; the
 // trainer merges shard results in fixed shard order afterwards.
@@ -316,25 +279,27 @@ type shardScratch struct {
 	pairs     int
 }
 
-// batchScratch is the worker-owned arena reused across batches: per-shard
-// accumulators, the merged gradient buffer handed to the cache and the PS,
-// and the miss list of the gather step.
+// batchScratch is the worker-owned arena reused across batches: the batch's
+// slot table, per-shard accumulators, the merged gradient buffer and its
+// key-ordered output handed to the cache and the PS, and the miss lists of
+// the gather step.
 type batchScratch struct {
-	maxW    int
-	shards  []*shardScratch
-	merged  *gradBuf
-	missing []ps.Key
+	entW, relW int
+	tbl        slotTable
+	shards     []*shardScratch
+	merged     *gradBuf
+	gradKeys   []ps.Key
+	gradRows   [][]float32
+	missing    []ps.Key
+	missRows   [][]float32
 }
 
 // scratch lazily builds the arena (row widths are only known once the
 // client exists).
 func (w *worker) scratch() *batchScratch {
 	if w.scr == nil {
-		maxW := w.client.Width(ps.EntityKey(0))
-		if rw := w.client.Width(ps.RelationKey(0)); rw > maxW {
-			maxW = rw
-		}
-		w.scr = &batchScratch{maxW: maxW, merged: newGradBuf(maxW)}
+		entW, relW := w.client.Width(ps.EntityKey(0)), w.client.Width(ps.RelationKey(0))
+		w.scr = &batchScratch{entW: entW, relW: relW, merged: newGradBuf(max(entW, relW))}
 	}
 	return w.scr
 }
@@ -347,8 +312,8 @@ func (w *worker) processBatch(b *sampler.Batch) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	grads, lossSum, pairs := w.compute(b)
-	bufferedRows, err := w.update(grads)
+	keys, grads, lossSum, pairs := w.compute(b)
+	bufferedRows, err := w.update(keys, grads)
 	if err != nil {
 		return 0, err
 	}
@@ -372,38 +337,34 @@ func (w *worker) processBatch(b *sampler.Batch) (float64, error) {
 	return mean, nil
 }
 
-// gather is step 2: load the batch's embeddings into w.rows — hot table
-// first, parameter server for the rest. Serial: the hot cache is confined to
-// the worker goroutine. stale reports that a shard outage forced some rows
-// to be served from the cache past their refresh (degraded mode).
+// gather is step 2: compile the batch into the slot table and load its
+// rows — hot table first, parameter server for the rest, pulled into the
+// table's slab. Serial: the hot cache is confined to the worker goroutine.
+// stale reports that a shard outage forced some rows to be served from the
+// cache past their refresh (degraded mode).
 func (w *worker) gather(b *sampler.Batch) (stale bool, err error) {
 	scr := w.scratch()
-	ents, rels := b.DistinctIDs()
-	clear(w.rows)
+	tbl := &scr.tbl
+	tbl.compile(b, scr.entW, scr.relW)
 	lookup := w.sp.Start(span.NCacheLookup)
-	missing := scr.missing[:0]
-	lookupRow := func(k ps.Key) {
+	missing, missRows := scr.missing[:0], scr.missRows[:0]
+	for s, k := range tbl.keys {
 		if w.hot != nil {
 			if row, ok := w.hot.Get(k, w.iteration); ok {
-				w.rows[k] = row
-				return
+				tbl.rows[s] = row
+				continue
 			}
 		}
 		missing = append(missing, k)
+		missRows = append(missRows, tbl.rows[s])
 	}
-	for _, e := range ents {
-		lookupRow(ps.EntityKey(e))
-	}
-	for _, r := range rels {
-		lookupRow(ps.RelationKey(r))
-	}
-	scr.missing = missing // keep the grown backing array for reuse
-	lookup.EndAttrs(span.Attrs{Rows: int64(len(ents) + len(rels)), Shard: span.NoShard})
+	scr.missing, scr.missRows = missing, missRows // keep the grown backing arrays for reuse
+	lookup.EndAttrs(span.Attrs{Rows: int64(len(tbl.keys)), Shard: span.NoShard})
 	if len(missing) == 0 {
 		return false, nil
 	}
-	var staleServed map[ps.Key]bool
-	if err := w.client.Pull(missing, w.rows); err != nil {
+	var staleServed []ps.Key
+	if err := w.client.PullRows(missing, missRows); err != nil {
 		var deg *ps.DegradedError
 		if !errors.As(err, &deg) || !w.degradedEnabled() {
 			return false, err
@@ -418,84 +379,96 @@ func (w *worker) gather(b *sampler.Batch) (stale bool, err error) {
 		// staleness clock (the per-row synchronization of Alg. 3).
 		// Stale-served rows keep their old clock: no fresh server value
 		// landed, so their age must keep counting toward the bound.
-		for _, k := range missing {
-			if !staleServed[k] {
-				w.hot.Offer(k, w.rows[k], w.iteration)
+		for i, k := range missing {
+			if _, served := slices.BinarySearch(staleServed, k); !served {
+				w.hot.Offer(k, missRows[i], w.iteration)
 			}
 		}
 	}
 	return stale, nil
 }
 
-// compute is step 3: forward + backward over w.rows, returning the batch's
-// merged gradients with its summed loss and pair count.
+// compute is step 3: forward + backward over the slot table's rows,
+// returning the batch's merged gradients, in key order, with its summed
+// loss and pair count.
 //
 // The pass runs on the parallel execution engine: the batch's positives
 // split over the fixed batchShards grid, each shard accumulates into
 // private scratch, and partial gradients and losses merge in shard order —
 // deterministic at any Config.Parallelism.
-func (w *worker) compute(b *sampler.Batch) (grads map[ps.Key][]float32, lossSum float64, pairs int) {
+func (w *worker) compute(b *sampler.Batch) (keys []ps.Key, grads [][]float32, lossSum float64, pairs int) {
 	scr := w.scratch()
+	tbl := &scr.tbl
+	n := len(tbl.keys)
 	sp := w.sp.Start(span.NGradCompute)
 	start := time.Now()
 	shards := par.Shards(len(b.Pos), batchShards)
 	for len(scr.shards) < len(shards) {
-		scr.shards = append(scr.shards, &shardScratch{grads: newGradBuf(scr.maxW)})
+		scr.shards = append(scr.shards, &shardScratch{grads: newGradBuf(scr.merged.maxW)})
 	}
 	for s := range shards {
 		sc := scr.shards[s]
-		sc.grads.reset()
+		sc.grads.reset(n)
 		sc.lossSum, sc.pairs = 0, 0
 	}
 	par.For(w.degree, len(shards), func(s int) {
-		w.computeShard(scr.shards[s], b, shards[s])
+		w.computeShard(scr.shards[s], tbl, b, shards[s])
 	})
 
-	// Ordered merge: shard partials combine in shard order, so the per-key
-	// float sums do not depend on how shards were scheduled.
+	// Ordered merge: shard partials combine in shard order, so each slot's
+	// float sum does not depend on how shards were scheduled.
 	merged := scr.merged
-	merged.reset()
+	merged.reset(n)
 	for s := range shards {
 		sc := scr.shards[s]
-		for k, g := range sc.grads.m {
-			dst := merged.row(k, len(g))
+		for i, slot := range sc.grads.touched {
+			g := sc.grads.rows[i]
+			dst := merged.row(slot, len(g))
 			vec.Add(dst, dst, g)
 		}
 		lossSum += sc.lossSum
 		pairs += sc.pairs
 	}
+	keys, grads = scr.gradKeys[:0], scr.gradRows[:0]
+	for slot, i := range merged.at {
+		if i != 0 {
+			keys = append(keys, tbl.keys[slot])
+			grads = append(grads, merged.rows[i-1])
+		}
+	}
+	scr.gradKeys, scr.gradRows = keys, grads
 	elapsed := time.Since(start)
 	sp.EndAttrs(span.Attrs{Rows: int64(pairs), Shard: span.NoShard})
 	w.compTime += elapsed
 	w.obs.comp.Observe(elapsed)
-	return merged.m, lossSum, pairs
+	return keys, grads, lossSum, pairs
 }
 
-// update is step 4: apply the gradients to the cached copies, then push
-// everything to the PS. The local copy gets the raw gradient; only the
-// pushed exchange is sparsified (error feedback re-sends the dropped mass
-// later). buffered reports that a shard outage deferred some rows to the
-// replay buffer (degraded mode).
-func (w *worker) update(grads map[ps.Key][]float32) (buffered bool, err error) {
+// update is step 4: apply the gradients (grads[i] is keys[i]'s, keys
+// ascending) to the cached copies, then push everything to the PS. The
+// local copy gets the raw gradient; only the pushed exchange is sparsified
+// (error feedback re-sends the dropped mass later). buffered reports that
+// a shard outage deferred some rows to the replay buffer (degraded mode).
+func (w *worker) update(keys []ps.Key, grads [][]float32) (buffered bool, err error) {
 	if w.hot != nil {
-		for k, g := range grads {
-			w.hot.Update(k, g)
+		for i, k := range keys {
+			w.hot.Update(k, grads[i])
 		}
 	}
 	if w.ef != nil {
-		for k, g := range grads {
-			w.ef.Sparsify(k, g)
+		for i, k := range keys {
+			w.ef.Sparsify(k, grads[i])
 		}
 	}
 	if err := w.replayPushes(); err != nil {
 		return false, err
 	}
-	if err := w.client.Push(grads); err != nil {
+	if err := w.client.PushRows(keys, grads); err != nil {
 		var deg *ps.DegradedError
 		if !errors.As(err, &deg) || !w.degradedEnabled() {
 			return false, err
 		}
-		if err := w.bufferPushes(deg.Keys, grads, deg.Err); err != nil {
+		if err := w.bufferPushes(deg.Keys, keys, grads, deg.Err); err != nil {
 			return false, err
 		}
 		buffered = true
@@ -504,30 +477,29 @@ func (w *worker) update(grads map[ps.Key][]float32) (buffered bool, err error) {
 }
 
 // computeShard scores and differentiates the positives in r against their
-// negatives, accumulating gradients and loss into sc. It reads w.rows and
-// the model/loss concurrently with other shards (all immutable during the
-// pass) and writes only shard-private state.
-func (w *worker) computeShard(sc *shardScratch, b *sampler.Batch, r par.Range) {
+// negatives, accumulating gradients and loss into sc. It reads the slot
+// table and the model/loss concurrently with other shards (all immutable
+// during the pass) and writes only shard-private state.
+func (w *worker) computeShard(sc *shardScratch, tbl *slotTable, b *sampler.Batch, r par.Range) {
 	mdl, loss := w.cfg.Model, w.cfg.Loss
 	for i := r.Begin; i < r.End; i++ {
-		pos := b.Pos[i]
 		ns := b.Neg[i]
 		if len(ns.Entities) == 0 {
 			continue
 		}
-		h := w.rows[ps.EntityKey(pos.Head)]
-		rel := w.rows[ps.RelationKey(pos.Relation)]
-		t := w.rows[ps.EntityKey(pos.Tail)]
+		hs, rs, ts := tbl.pos[i][0], tbl.pos[i][1], tbl.pos[i][2]
+		h, rel, t := tbl.rows[hs], tbl.rows[rs], tbl.rows[ts]
 		posScore := mdl.Score(h, rel, t)
-		gh := sc.grads.row(ps.EntityKey(pos.Head), len(h))
-		gr := sc.grads.row(ps.RelationKey(pos.Relation), len(rel))
-		gt := sc.grads.row(ps.EntityKey(pos.Tail), len(t))
+		gh := sc.grads.row(hs, len(h))
+		gr := sc.grads.row(rs, len(rel))
+		gt := sc.grads.row(ts, len(t))
 		// The chunk's negatives are one sweep over scattered rows: the
 		// positive's known half is hoisted once, and the candidates are
 		// scored a block at a time, with m.Score's bits (Sweep.ScoreEach).
+		negSlots := tbl.ents[tbl.negs[i][0]:tbl.negs[i][1]]
 		negRows := sc.negRows[:0]
-		for _, ne := range ns.Entities {
-			negRows = append(negRows, w.rows[ps.EntityKey(ne)])
+		for _, s := range negSlots {
+			negRows = append(negRows, tbl.rows[s])
 		}
 		sc.negRows = negRows
 		if ns.CorruptHead {
@@ -535,23 +507,22 @@ func (w *worker) computeShard(sc *shardScratch, b *sampler.Batch, r par.Range) {
 		} else {
 			sc.sweep.Reset(mdl, h, rel, true)
 		}
-		negScores := growF32(&sc.negScores, len(ns.Entities))
+		negScores := growF32(&sc.negScores, len(negSlots))
 		sc.sweep.ScoreEach(negScores, negRows)
-		weights := growF32(&sc.weights, len(ns.Entities))
+		weights := growF32(&sc.weights, len(negSlots))
 		negativeWeightsInto(weights, negScores, w.cfg.AdversarialTemp)
 		// The positive triple's gradient is linear in the loss derivative,
 		// so the per-negative coefficients sum into one Grad call instead
 		// of |negatives| passes over (h, r, t).
 		var dPosTotal float32
-		for j, ne := range ns.Entities {
-			neRow := negRows[j]
+		for j, neRow := range negRows {
 			l, dPos, dNeg := loss.PosNeg(posScore, negScores[j])
-			sc.lossSum += float64(l) * float64(weights[j]) * float64(len(ns.Entities))
+			sc.lossSum += float64(l) * float64(weights[j]) * float64(len(negSlots))
 			sc.pairs++
 			scale := weights[j]
 			dPosTotal += dPos * scale
 			if dNeg != 0 {
-				gn := sc.grads.row(ps.EntityKey(ne), len(neRow))
+				gn := sc.grads.row(negSlots[j], len(neRow))
 				if ns.CorruptHead {
 					mdl.Grad(neRow, rel, t, dNeg*scale, gn, gr, gt)
 				} else {

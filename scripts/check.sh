@@ -13,7 +13,9 @@
 #                  shows only in some runs.
 #   bench          the benchmarks of the sweep stack, of the training,
 #                  optimizer and codec kernels and of the sampler and its
-#                  filter index, one iteration each, so they cannot rot.
+#                  filter index, and the root training-step benchmarks
+#                  (BenchmarkProcessBatch*), one iteration each, so they
+#                  cannot rot.
 #   fuzz-*         20 s fuzzes of the decoders that take bytes nobody vouches
 #                  for: the two servers that read them off the network
 #                  unauthenticated (the HTTP query decoder and the
@@ -65,8 +67,9 @@ step() {
 		echo "== a client's per-shard rounds, race detector, ten times"
 		go test -race -count=10 -run FanOut ./internal/ps ;;
 	bench)
-		echo "== every benchmark of the sweep stack, the element kernels and the sampler compiles and runs once"
-		go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/opt ./internal/knn ./internal/serve ./internal/ps ./internal/sampler ./internal/kg ;;
+		echo "== every benchmark of the sweep stack, the element kernels, the sampler and the training step compiles and runs once"
+		go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/opt ./internal/knn ./internal/serve ./internal/ps ./internal/sampler ./internal/kg
+		go test -run '^$' -bench ProcessBatch -benchtime 1x . ;;
 	fuzz-serve-request)
 		echo "== fuzz the serving request decoder (20 s)"
 		fuzz FuzzServeRequest ./internal/serve 20s ;;
