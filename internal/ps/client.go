@@ -69,11 +69,13 @@ type Client struct {
 
 	// Scratch every PullRows and PushRows reuses: each shard's keys and
 	// their indexes in the caller's lists, the calls, a LinkTransport
-	// round's exchanges, and the push payload.
+	// round's exchanges, each shard's pulled rows from such a round, and
+	// the push payload.
 	byShard [][]Key
 	byIdx   [][]int32
 	calls   []shardCall
 	xs      []exchange
+	pulled  [][]float32
 	payload []float32
 }
 
@@ -194,9 +196,14 @@ func (c *Client) PullRows(keys []Key, rows [][]float32) error {
 	if c.links != nil {
 		xs := c.exchanges(len(calls))
 		for i, sc := range calls {
-			xs[i] = exchange{shard: sc.shard, op: 'P', keys: sc.keys, trace: sc.sp.Context()}
+			xs[i] = exchange{shard: sc.shard, op: 'P', keys: sc.keys, vals: c.pulled[sc.shard], trace: sc.sp.Context()}
 		}
-		c.links.round(xs, func(i int, err error) { pulled(i, &xs[i].resp, err) })
+		c.links.round(xs, func(i int, err error) {
+			if err == nil {
+				c.pulled[xs[i].shard] = xs[i].resp.Vals
+			}
+			pulled(i, &xs[i].resp, err)
+		})
 	} else {
 		for i, sc := range calls {
 			resp, err := c.tr.Pull(sc.shard, &PullRequest{Keys: sc.keys, Trace: sc.sp.Context()})
@@ -363,6 +370,7 @@ func (c *Client) split(keys []Key) []shardCall {
 	if c.byShard == nil {
 		c.byShard = make([][]Key, c.place.NumMachines())
 		c.byIdx = make([][]int32, c.place.NumMachines())
+		c.pulled = make([][]float32, c.place.NumMachines())
 	}
 	for s := range c.byShard {
 		c.byShard[s], c.byIdx[s] = c.byShard[s][:0], c.byIdx[s][:0]

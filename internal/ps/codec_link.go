@@ -92,6 +92,20 @@ func (lc *linkCodec) totalWidth(keys []Key) int {
 	return total
 }
 
+// maxPullBytes bounds the pull reply payload for keys: each row at its
+// pull codec's widest, behind a delta row's flag and version.
+func (lc *linkCodec) maxPullBytes(keys []Key) int {
+	frame := 0
+	if lc.prof.DeltaPull {
+		frame = 5
+	}
+	n := 0
+	for _, k := range keys {
+		n += frame + lc.pull.MaxRowBytes(lc.widthOf(k))
+	}
+	return n
+}
+
 // scratch returns the delta scratch row, grown to width w.
 func (lc *linkCodec) scratch(w int) []float32 {
 	if cap(lc.diff) < w {

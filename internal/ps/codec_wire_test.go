@@ -177,9 +177,10 @@ func TestCodecAllowlistRefusal(t *testing.T) {
 // netsim cost model prices: the sizes each call carries back to the client
 // (PullResponse.TxBytes/RxBytes, PushRequest.WireBytes — headers, keys,
 // encoded payload), as the client meters them, must agree with the bytes
-// the shard's counting connection actually saw — gob framing, handshake and
-// all — within 1%. Payloads dominate at realistic row widths, so the
-// fixed-size header approximations wash out.
+// the shard's counting connection actually saw — frame heads, handshake and
+// all — within 1%. Payloads dominate at realistic row widths, so the cost
+// model's 16 B header and 8 B a key, against a frame's few-byte head and
+// one- or two-byte keys, wash out.
 func TestCallBytesMatchMeasuredTCPBytes(t *testing.T) {
 	for _, profile := range []string{ProfileFP32, ProfileInt8} {
 		t.Run(profile, func(t *testing.T) {

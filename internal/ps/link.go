@@ -1,8 +1,7 @@
 package ps
 
 import (
-	"bufio"
-	"encoding/gob"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -16,13 +15,13 @@ import (
 )
 
 // The link layer is the worker side of every parameter-server conversation:
-// one shard's conn (gob over TCP, or a direct call into an in-process shard
-// session), the codec state negotiated on it, the push sequence, and the
-// fault policy — per-attempt socket deadlines, retries with exponential
-// backoff + deterministic jitter, poison-and-redial (re-running the codec
-// handshake, which resets delta bases to the version-0 unbased sentinel),
-// and a per-link circuit breaker (closed → open → half-open) that turns a
-// dead shard into a cheap fail-fast. The clock is injectable so unit tests
+// one shard's conn (binary frames over TCP, or a direct call into an
+// in-process shard session), the codec state negotiated on it, the push
+// sequence, and the fault policy — per-attempt socket deadlines, retries
+// with exponential backoff + deterministic jitter, poison-and-redial
+// (re-running the codec handshake, which resets delta bases to the
+// version-0 unbased sentinel), and a per-link circuit breaker (closed →
+// open → half-open) that turns a dead shard into a cheap fail-fast. The clock is injectable so unit tests
 // drive the whole state machine deterministically.
 
 // LinkConfig parameterizes the fault-tolerant RPC behaviour of one
@@ -279,20 +278,21 @@ type link struct {
 }
 
 // linkConn is one connection of a link: the worker-side codec state
-// negotiated on it, and either an in-process shard session or a gob stream
-// over a socket.
+// negotiated on it, the request scratch, and either an in-process shard
+// session or a frame stream over a socket.
 type linkConn struct {
 	lc   *linkCodec
-	pbuf []byte // request payload scratch (base versions / encoded grads)
+	pbuf []byte      // request payload scratch (base versions / encoded grads)
+	req  wireRequest // the request an attempt sends, rebuilt per attempt
 
 	sess    *session // in-process: the shard end, called directly by send
 	reply   []byte   // the session's answer to the request send made...
 	refusal error    // ...or its refusal, both held for recv
 
-	conn net.Conn // over TCP
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	bw   *bufio.Writer
+	conn net.Conn    // over TCP
+	fr   frameReader // reply frames
+	out  []byte      // request frame scratch
+	sent uint64      // requests written on conn; a reply must answer the last
 }
 
 // close releases the connection's socket, if it has one.
@@ -350,8 +350,8 @@ func newLinkID() uint64 {
 }
 
 // Trace attaches a span tracer to the transport. Traced requests then record
-// transport.encode (codec work) and, over TCP, transport.serialize (gob
-// encode + flush) and wire.tcp (request flushed → response decoded, which
+// transport.encode (codec work) and, over TCP, transport.serialize (framing
+// + write) and wire.tcp (request written → reply frame read, which
 // includes shard service time) spans. The transport is shared by every
 // worker on the process, so wire its tracer with the
 // MachineTransport/WorkerTransport pseudo-coordinates.
@@ -438,10 +438,10 @@ type exchange struct {
 	op    byte         // 'P' pull or 'U' push
 	raw   *wireRequest // a request sent as it is (a coordinator call), op unused
 	keys  []Key
-	vals  []float32 // a push's gradient rows, rewritten as the shard decodes them
+	vals  []float32 // a push's gradient rows (rewritten as the shard decodes them), or a pull's reply scratch
 	trace span.Context
 
-	resp      PullResponse // a pull's reply
+	resp      PullResponse // a pull's reply, its rows in vals when vals was wide enough
 	payload   []byte       // a push's encoded rows (nil until encoded), or a raw request's reply
 	seq       uint64       // a push's sequence number
 	wireBytes int64        // a push's measured wire size
@@ -494,9 +494,9 @@ func (t *LinkTransport) one(x exchange) exchange {
 
 // retry finishes x under the retry policy; the caller holds x.l.mu. The
 // first try reads the reply to the request the round sent, if it sent one.
-// A transport-level failure poisons the connection (closing it so the gob
-// stream can never desynchronize), backs off with deterministic jitter,
-// reconnects, and runs x again whole. Application errors (RemoteError,
+// A transport-level failure poisons the connection (closing it, so no
+// later request reads a reply meant for this one), backs off with
+// deterministic jitter, reconnects, and runs x again whole. Application errors (RemoteError,
 // noRetryError) pass through without retry or poisoning. When the link's
 // circuit breaker is open the call fails fast with a LinkDownError before
 // touching the wire.
@@ -562,11 +562,24 @@ func (t *LinkTransport) end(c *linkConn, x *exchange) error {
 	if x.err != nil {
 		return x.err
 	}
-	payload, err := t.recv(x.l, c, x.wire)
+	payload, err := t.recv(x.l, c, t.replyLimit(c, x), x.wire)
 	if err != nil {
 		return err
 	}
 	return t.reply(c, x, payload)
+}
+
+// replyLimit bounds the reply body x's request allows: a pull's rows at
+// their widest encoding on c's codec, a coordinator call's membership body,
+// and otherwise a refusal's text.
+func (t *LinkTransport) replyLimit(c *linkConn, x *exchange) int {
+	switch {
+	case x.raw != nil:
+		return replyHeadMax + maxMemberBody
+	case x.op == 'P':
+		return replyHeadMax + max(maxErrText, c.lc.maxPullBytes(x.keys))
+	}
+	return replyHeadMax + maxErrText
 }
 
 // backoff returns the jittered exponential delay before retry attempt n
@@ -628,12 +641,12 @@ func (t *LinkTransport) setOpen(n int64) {
 	}
 }
 
-// send writes req on c's socket under SetWriteDeadline (encode + flush) and
-// returns the wire.tcp span that recv ends when the reply is decoded. An
+// send writes req on c's socket as one frame under SetWriteDeadline and
+// returns the wire.tcp span that recv ends when the reply is read. An
 // in-process session serves req here and c holds its answer for recv.
 func (t *LinkTransport) send(l *link, c *linkConn, req *wireRequest) (span.Active, error) {
 	if c.sess != nil {
-		c.reply, c.refusal = c.sess.handle(req)
+		c.reply, c.refusal = c.sess.handle(c.reply[:0], req)
 		return span.Active{}, nil
 	}
 	shard := l.shard
@@ -642,20 +655,21 @@ func (t *LinkTransport) send(l *link, c *linkConn, req *wireRequest) (span.Activ
 	if d := t.cfg.RPCTimeout; d > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := c.enc.Encode(req); err != nil {
+	c.out = appendRequest(c.out[:0], req)
+	if _, err := c.conn.Write(c.out); err != nil {
 		return span.Active{}, fmt.Errorf("ps: sending to shard %d: %w", shard, err)
 	}
-	if err := c.bw.Flush(); err != nil {
-		return span.Active{}, fmt.Errorf("ps: flushing to shard %d: %w", shard, err)
-	}
-	ser.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Shard: shard})
+	c.sent++
+	ser.EndAttrs(span.Attrs{Rows: int64(len(req.Keys)), Bytes: int64(len(c.out)), Shard: shard})
 	return t.tracer.StartChild(sc, span.NWireTCP), nil
 }
 
-// recv reads the reply to the request send wrote on c, under
-// SetReadDeadline, and ends send's wire span. A refused request returns as a
-// *RemoteError (healthy link, refused request).
-func (t *LinkTransport) recv(l *link, c *linkConn, wire span.Active) ([]byte, error) {
+// recv reads the reply to the request send wrote on c, a body of at most
+// limit bytes, under SetReadDeadline, and ends send's wire span. The payload
+// is valid until c's next reply. A refused request returns as a
+// *RemoteError (healthy link, refused request); a reply that answers
+// another request, or is longer than limit, is a transport failure.
+func (t *LinkTransport) recv(l *link, c *linkConn, limit int, wire span.Active) ([]byte, error) {
 	if c.sess != nil {
 		if err := c.refusal; err != nil {
 			return nil, &RemoteError{Msg: err.Error(), err: err}
@@ -663,22 +677,26 @@ func (t *LinkTransport) recv(l *link, c *linkConn, wire span.Active) ([]byte, er
 		return c.reply, nil
 	}
 	shard := l.shard
-	var resp wireResponse
 	defer func() { wire.EndAttrs(span.Attrs{Shard: shard}) }()
 	if d := t.cfg.RPCTimeout; d > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(d))
 	}
-	if err := c.dec.Decode(&resp); err != nil {
+	body, err := c.fr.next(limit)
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, fmt.Errorf("ps: shard %d closed the connection", shard)
 		}
 		return nil, fmt.Errorf("ps: reading from shard %d: %w", shard, err)
 	}
 	c.conn.SetDeadline(time.Time{})
-	if resp.Err != "" {
-		return nil, &RemoteError{Msg: resp.Err}
+	payload, err := parseReply(body, c.req.Op, c.sent)
+	if err != nil {
+		if rerr := (*RemoteError)(nil); errors.As(err, &rerr) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("ps: reading from shard %d: %w", shard, err)
 	}
-	return resp.Payload, nil
+	return payload, nil
 }
 
 // request builds x's request for c, again on every attempt. A pull
@@ -687,12 +705,14 @@ func (t *LinkTransport) recv(l *link, c *linkConn, wire span.Active) ([]byte, er
 // full rows. A push is encoded once, on its first attempt, and every retry
 // re-sends the identical bytes under the same sequence number, so a push
 // whose reply was lost after the shard applied it is deduplicated
-// shard-side instead of applied twice.
+// shard-side instead of applied twice. The request is built in c's scratch.
 func (t *LinkTransport) request(c *linkConn, x *exchange) (*wireRequest, error) {
+	req := &c.req
 	if x.raw != nil {
-		return x.raw, nil
+		*req = *x.raw
+		return req, nil
 	}
-	req := &wireRequest{Op: x.op, Keys: x.keys, TraceID: x.trace.Trace, ParentID: x.trace.Parent}
+	*req = wireRequest{Op: x.op, Keys: x.keys, TraceID: x.trace.Trace, ParentID: x.trace.Parent}
 	switch x.op {
 	case 'P':
 		c.pbuf = c.lc.appendBaseVers(c.pbuf[:0], x.keys)
@@ -717,18 +737,24 @@ func (t *LinkTransport) request(c *linkConn, x *exchange) (*wireRequest, error) 
 	return req, nil
 }
 
-// reply consumes x's reply payload: a pull's decodes through c's codec, a
-// raw request's is kept as it is.
+// reply consumes x's reply payload: a pull's decodes through c's codec
+// into x.vals when it is wide enough, a raw request's is copied out of c's
+// reply buffer.
 func (t *LinkTransport) reply(c *linkConn, x *exchange, payload []byte) error {
 	if x.raw != nil {
-		x.payload = payload
+		x.payload = bytes.Clone(payload)
 		return nil
 	}
 	if x.op != 'P' {
 		return nil
 	}
 	sp := t.tracer.StartChild(x.trace, span.NEncode)
-	vals := make([]float32, c.lc.totalWidth(x.keys))
+	vals := x.vals
+	if n := c.lc.totalWidth(x.keys); cap(vals) >= n {
+		vals = vals[:n]
+	} else {
+		vals = make([]float32, n)
+	}
 	if err := c.lc.decodePull(x.keys, payload, vals); err != nil {
 		sp.EndAttrs(span.Attrs{Rows: int64(len(x.keys)), Shard: x.shard})
 		// The link's base state may now disagree with the shard's:

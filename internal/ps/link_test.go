@@ -2,7 +2,6 @@ package ps
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -350,7 +349,7 @@ func TestDialPartialFailureClosesConns(t *testing.T) {
 
 	// A hand-rolled accept + handshake so the test holds the server side
 	// of shard 0's connection and can watch it for the close: after the
-	// handshake, the next decode returns EOF exactly when the client
+	// handshake, the next frame read returns EOF exactly when the client
 	// closes the socket.
 	sawClose := make(chan error, 1)
 	go func() {
@@ -360,15 +359,13 @@ func TestDialPartialFailureClosesConns(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		bw := bufio.NewWriter(conn)
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(bw)
-		if _, _, err := handshakeServer(dec, enc, bw, c.Servers[0], nil); err != nil {
+		fr := &frameReader{r: bufio.NewReader(conn)}
+		if _, _, err := handshakeServer(fr, conn, c.Servers[0], nil); err != nil {
 			sawClose <- err
 			return
 		}
-		var req wireRequest
-		sawClose <- dec.Decode(&req)
+		_, err = fr.next(maxRequestBody(c.Servers[0], false))
+		sawClose <- err
 	}()
 
 	// Shard 1's address accepts nothing: grab a free port and close it.
@@ -490,18 +487,8 @@ func TestWireDedupAcrossConnections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.enc.Encode(&wireRequest{Op: 'U', Keys: key, Payload: payload, Seq: 5}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var resp wireResponse
-		if err := c.dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Err != "" {
-			t.Fatalf("push refused: %s", resp.Err)
+		if _, err := c.roundTrip(&wireRequest{Op: 'U', Keys: key, Payload: payload, Seq: 5}); err != nil {
+			t.Fatalf("push: %v", err)
 		}
 	}
 	sendPush() // applies
@@ -526,14 +513,14 @@ func TestWireDedupAcrossConnections(t *testing.T) {
 }
 
 // TestLoopbackPullPushAllocs pins what one loopback pull plus push
-// allocates, worker and shard together (both live in this process): no
-// more than before the in-process and TCP links shared one stack (31 for
-// fp32, 34 for delta-int8 at the parent commit).
+// allocates, worker and shard together (both live in this process): 2, the
+// PullResponse and the fresh rows a single Pull hands back. It was 31 for
+// fp32 and 34 for delta-int8 while gob framed every message.
 func TestLoopbackPullPushAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		profile string
 		pin     float64
-	}{{ProfileFP32, 31}, {ProfileDeltaInt8, 34}} {
+	}{{ProfileFP32, 2}, {ProfileDeltaInt8, 2}} {
 		c := testClusterDim(t, 1, 32, 64)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -562,7 +549,7 @@ func TestLoopbackPullPushAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		step() // gob type exchange and scratch growth happen once
+		step() // scratch growth happens once
 		if n := testing.AllocsPerRun(200, step); n > tc.pin {
 			t.Errorf("%s: %v allocs per loopback pull+push, want <= %v", tc.profile, n, tc.pin)
 		}
@@ -572,10 +559,15 @@ func TestLoopbackPullPushAllocs(t *testing.T) {
 // TestClientRoundAllocs pins what one Client pull plus push allocates in
 // BenchmarkClientPullPush's shape (27 dim-16 rows on each of 4 loopback
 // shards), worker and shards together, on the slot path: PullRows into
-// the caller's rows and PushRows from them, 120. It was 292 through the
-// map-taking Pull and Push, whose merge made a row per key and whose push
-// sorted its keys and built a fresh payload per shard, and 339 while the
-// round built closures and per-round slices beside a per-call path.
+// the caller's rows and PushRows from them, 0. Each message is one binary
+// frame read into and written from buffers its connection reuses, the
+// shard pulls into its session's scratch, and the client decodes each
+// shard's rows into its own. It was 120 while gob framed every message
+// (a request struct, a decoded reply buffer and gob's own allocations per
+// shard, and the shard's fresh rows per pull), 292 through the map-taking
+// Pull and Push, whose merge made a row per key and whose push sorted its
+// keys and built a fresh payload per shard, and 339 while the round built
+// closures and per-round slices beside a per-call path.
 func TestClientRoundAllocs(t *testing.T) {
 	c, keys := chattyCluster(t)
 	addrs, _ := loopbackShards(t, c)
@@ -605,8 +597,8 @@ func TestClientRoundAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step() // gob type exchange and scratch growth happen once
-	if n := testing.AllocsPerRun(200, step); n > 120 {
-		t.Errorf("%v allocs per client pull+push over 4 shards, want <= 120", n)
+	step() // scratch growth happens once
+	if n := testing.AllocsPerRun(200, step); n > 0 {
+		t.Errorf("%v allocs per client pull+push over 4 shards, want 0", n)
 	}
 }

@@ -15,8 +15,9 @@ import (
 //
 // One shard process — by convention the first address of the static seed
 // list — additionally hosts a Membership: the coordinator. Worker processes
-// register with it over the existing gob TCP protocol (ops 'J'oin,
-// 'H'eartbeat, 'L'eave ride the same connections as pulls and pushes),
+// register with it over the shard wire (ops 'J'oin, 'H'eartbeat, 'L'eave
+// ride the same connections and request frames as pulls and pushes, each
+// body gob-encoded inside the frame's payload),
 // discover the shard fleet from the join reply, and afterwards heartbeat
 // periodically. The coordinator declares a worker dead when its heartbeats
 // stop for longer than WorkerTimeout and hands the dead worker's partitions
@@ -495,7 +496,7 @@ func (m *Membership) publishLocked() {
 
 // Coordinator is the membership protocol from the worker's side. It is
 // implemented by *Membership (in-process, used by tests and single-process
-// elastic runs) and by *CoordClient (over the gob TCP wire).
+// elastic runs) and by *CoordClient (over the TCP wire).
 type Coordinator interface {
 	// Join registers this process and returns identity + shard fleet +
 	// initial assignments.
@@ -572,14 +573,15 @@ func (cc *CoordClient) Leave(req LeaveRequest) error {
 	return cc.call(opLeave, &req, &reply)
 }
 
-// Membership wire ops, sharing the pull/push request envelope.
+// Membership wire ops, sharing the pull/push request frame.
 const (
 	opJoin      = 'J'
 	opHeartbeat = 'H'
 	opLeave     = 'L'
 )
 
-// gobBytes encodes v into a fresh payload.
+// gobBytes encodes v into a fresh payload: a membership or telemetry body,
+// the one place gob is left on the wire (ROADMAP item 14 step 2).
 func gobBytes(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {

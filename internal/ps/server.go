@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"hetkg/internal/metrics"
@@ -145,14 +146,21 @@ func (s *Server) Machine() int { return s.machine }
 // carried in the request (zero context → no-op). Safe to leave unset.
 func (s *Server) Trace(t *span.Tracer) { s.tracer = t }
 
-// PullTraced serves a pull, recording a shard.pull span stitched to the
-// originating batch via sc. Transports call this; Pull(keys) is the
-// untraced equivalent.
+// PullTraced serves a pull into a fresh buffer, recording a shard.pull
+// span stitched to the originating batch via sc.
 func (s *Server) PullTraced(sc span.Context, keys []Key) ([]float32, error) {
+	return s.pullAppend(sc, nil, keys)
+}
+
+// pullAppend appends the rows of keys, concatenated in key order, to dst
+// and returns the extended slice, recording a shard.pull span stitched to
+// the originating batch via sc. A shard session pulls into the scratch it
+// reuses this way.
+func (s *Server) pullAppend(sc span.Context, dst []float32, keys []Key) ([]float32, error) {
 	sp := s.tracer.StartChild(sc, span.NShardPull)
-	vals, err := s.Pull(keys)
+	out, err := s.appendRows(dst, keys)
 	sp.EndAttrs(span.Attrs{Rows: int64(len(keys)), Shard: s.machine})
-	return vals, err
+	return out, err
 }
 
 // PushTraced applies a push, recording a shard.apply span stitched to the
@@ -186,7 +194,10 @@ func (s *Server) NumRows() int { return s.numEnt + len(s.rels)/s.relDim }
 
 // Pull copies the requested rows, concatenated in key order, into a fresh
 // buffer. Unknown keys are an error: they indicate a placement bug.
-func (s *Server) Pull(keys []Key) ([]float32, error) {
+func (s *Server) Pull(keys []Key) ([]float32, error) { return s.appendRows(nil, keys) }
+
+// appendRows appends the rows of keys to dst, grown once to fit them.
+func (s *Server) appendRows(dst []float32, keys []Key) ([]float32, error) {
 	if o := s.obs; o != nil {
 		o.pulls.Inc()
 		o.rowsPulled.Add(int64(len(keys)))
@@ -197,7 +208,7 @@ func (s *Server) Pull(keys []Key) ([]float32, error) {
 	for _, k := range keys {
 		total += s.Width(k)
 	}
-	out := make([]float32, 0, total)
+	out := slices.Grow(dst, total)
 	for _, k := range keys {
 		slot, ok := s.place.slot(k, s.machine, s.numRel)
 		if !ok {

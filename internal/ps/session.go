@@ -18,8 +18,7 @@ type session struct {
 	coord *Membership // nil: membership and telemetry ops are refused
 	link  uint64      // the client's link identity (0 = push dedup off)
 	lc    *linkCodec
-	pbuf  []byte    // reply payload scratch
-	vbuf  []float32 // push decode scratch
+	vbuf  []float32 // pulled rows, or a push's decoded gradients
 }
 
 // shardRows is what a session serves: a *Server behind a listener, or
@@ -27,7 +26,7 @@ type session struct {
 type shardRows interface {
 	Width(Key) int
 	NumRows() int
-	PullTraced(span.Context, []Key) ([]float32, error)
+	pullAppend(span.Context, []float32, []Key) ([]float32, error)
 	PushTraced(span.Context, []Key, []float32) error
 	pushApplied(link, seq uint64) bool
 	markPush(link, seq uint64)
@@ -42,26 +41,22 @@ func newSession(rows shardRows, coord *Membership, prof Profile, link uint64) (*
 	return &session{rows: rows, coord: coord, link: link, lc: lc}, nil
 }
 
-// handle serves one request and returns the reply payload, or the reason
-// the request was refused. A refused request leaves the session ready for
-// the next one.
-func (s *session) handle(req *wireRequest) ([]byte, error) {
+// handle serves one request, appending the reply payload to dst, or returns
+// the reason the request was refused. A refused request leaves the session
+// ready for the next one.
+func (s *session) handle(dst []byte, req *wireRequest) ([]byte, error) {
 	sc := span.Context{Trace: req.TraceID, Parent: req.ParentID}
 	switch req.Op {
 	case 'P':
 		if err := s.bounded(req.Keys); err != nil {
 			return nil, err
 		}
-		vals, err := s.rows.PullTraced(sc, req.Keys)
+		vals, err := s.rows.pullAppend(sc, s.vbuf[:0], req.Keys)
 		if err != nil {
 			return nil, err
 		}
-		payload, err := s.lc.encodePull(s.pbuf[:0], req.Keys, req.Payload, vals)
-		if err != nil {
-			return nil, err
-		}
-		s.pbuf = payload
-		return payload, nil
+		s.vbuf = vals
+		return s.lc.encodePull(dst, req.Keys, req.Payload, vals)
 	case 'U':
 		if err := s.bounded(req.Keys); err != nil {
 			return nil, err
@@ -69,7 +64,7 @@ func (s *session) handle(req *wireRequest) ([]byte, error) {
 		if s.rows.pushApplied(s.link, req.Seq) {
 			// A retry of a push whose response was lost after the
 			// gradient landed: acknowledge idempotently.
-			return nil, nil
+			return dst, nil
 		}
 		total := s.lc.totalWidth(req.Keys)
 		if cap(s.vbuf) < total {
@@ -83,19 +78,19 @@ func (s *session) handle(req *wireRequest) ([]byte, error) {
 			return nil, err
 		}
 		s.rows.markPush(s.link, req.Seq)
-		return nil, nil
+		return dst, nil
 	case opJoin:
 		var m JoinRequest
-		return s.coordinate(req, &m, func() (any, error) { return s.coord.Join(m) })
+		return s.coordinate(dst, req, &m, func() (any, error) { return s.coord.Join(m) })
 	case opHeartbeat:
 		var m HeartbeatRequest
-		return s.coordinate(req, &m, func() (any, error) { return s.coord.Heartbeat(m) })
+		return s.coordinate(dst, req, &m, func() (any, error) { return s.coord.Heartbeat(m) })
 	case opLeave:
 		var m LeaveRequest
-		return s.coordinate(req, &m, func() (any, error) { return struct{}{}, s.coord.Leave(m) })
+		return s.coordinate(dst, req, &m, func() (any, error) { return struct{}{}, s.coord.Leave(m) })
 	case opTelemetry:
 		var m telemetry.Report
-		return s.coordinate(req, &m, func() (any, error) { return struct{}{}, s.coord.SendTelemetry(m) })
+		return s.coordinate(dst, req, &m, func() (any, error) { return struct{}{}, s.coord.SendTelemetry(m) })
 	}
 	return nil, fmt.Errorf("ps: unknown op %q", req.Op)
 }
@@ -112,10 +107,11 @@ func (s *session) bounded(keys []Key) error {
 }
 
 // coordinate serves one membership or telemetry op: decode the request
-// payload into msg, run call against the coordinator, gob-encode its reply.
+// payload into msg, run call against the coordinator, and append its
+// gob-encoded reply to dst.
 // A shard without a coordinator refuses by name, so a worker joining the
 // wrong address gets a readable error instead of a timeout.
-func (s *session) coordinate(req *wireRequest, msg any, call func() (any, error)) ([]byte, error) {
+func (s *session) coordinate(dst []byte, req *wireRequest, msg any, call func() (any, error)) ([]byte, error) {
 	if s.coord == nil {
 		return nil, errors.New("ps: this shard is not the coordinator (start it with -coordinator, or use the first seed address)")
 	}
@@ -126,5 +122,9 @@ func (s *session) coordinate(req *wireRequest, msg any, call func() (any, error)
 	if err != nil {
 		return nil, err
 	}
-	return gobBytes(reply)
+	b, err := gobBytes(reply)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, b...), nil
 }

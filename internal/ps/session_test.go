@@ -1,8 +1,6 @@
 package ps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math"
@@ -17,9 +15,10 @@ import (
 )
 
 // TestOversizedRequestRefusedBeforeSizing sends a keys-only push and a pull
-// naming 2 000 000 copies of one key — about 2 MB of gob, one byte per key
-// — to a dim-128 shard. Sizing the push's decode buffer from the key count
-// would allocate a gigabyte; the session must refuse both requests first.
+// naming 2 000 000 copies of one key — a 2 MB frame, one byte per key — to
+// a dim-128 shard. Sizing the push's decode buffer from the key count would
+// allocate a gigabyte; the shard must refuse both requests first (their
+// frames are longer than any request it can legitimately get).
 func TestOversizedRequestRefusedBeforeSizing(t *testing.T) {
 	c := testClusterDim(t, 1, 40, 128)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -57,8 +56,8 @@ func TestOversizedRequestRefusedBeforeSizing(t *testing.T) {
 		if !errors.As(err, &rerr) {
 			t.Errorf("oversized %s: %v, want a RemoteError", tc.op, err)
 		}
-		// Gob itself decodes the 2 000 000 keys (16 MB, grown by
-		// doubling); nothing may be sized per key beyond that.
+		// The client builds the 2 MB frame; the shard discards it
+		// unread, and nothing may be sized per key.
 		if d := after.TotalAlloc - before.TotalAlloc; d > 64<<20 {
 			t.Errorf("refusing the oversized %s allocated %d MB, want < 64", tc.op, d>>20)
 		}
@@ -75,8 +74,9 @@ func TestOversizedRequestRefusedBeforeSizing(t *testing.T) {
 //     when sel's high bit is set. A refused request must come back as an
 //     error, every 'P' reply must decode on a fresh worker-side linkCodec,
 //     and the session must then still answer a valid pull exactly;
-//   - raw is fed through serveConn over net.Pipe after a valid hello, and
-//     the connection must end cleanly once the client hangs up.
+//   - raw, a stream of request frames, is fed through serveConn over
+//     net.Pipe after a valid hello, and the connection must end cleanly
+//     once the client hangs up.
 //
 // Nothing may panic. Keys are two bytes each (high bit: relation), folded
 // onto a universe slightly larger than the test shard's, so both owned and
@@ -124,26 +124,21 @@ func FuzzShardSession(f *testing.F) {
 	f.Add(byte(coord), byte(opHeartbeat), []byte(nil), []byte{0xff, 0x01}, uint64(0), []byte(nil))     // garbage payload
 	f.Add(byte(0), byte('Z'), two, []byte(nil), uint64(0), []byte(nil))
 
-	// Raw streams: the bytes a client's gob encoder writes after its hello.
+	// Raw streams: the frames a client writes after its hello.
 	stream := func(reqs ...wireRequest) []byte {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(&wireHello{V: wireVersion}); err != nil {
-			f.Fatal(err)
-		}
-		hello := buf.Len()
+		var b []byte
 		for i := range reqs {
-			if err := enc.Encode(&reqs[i]); err != nil {
-				f.Fatal(err)
-			}
+			b = appendRequest(b, &reqs[i])
 		}
-		return append([]byte(nil), buf.Bytes()[hello:]...)
+		return b
 	}
 	pull := wireRequest{Op: 'P', Keys: []Key{EntityKey(0), RelationKey(1)}}
 	push := wireRequest{Op: 'U', Keys: []Key{EntityKey(0)}, Payload: pushFP32, Seq: 1}
 	valid := stream(pull, push, pull)
 	f.Add(byte(0), byte('P'), two, []byte(nil), uint64(0), valid)
 	f.Add(byte(0), byte('P'), two, []byte(nil), uint64(0), valid[:len(valid)/2])
+	f.Add(byte(0), byte('P'), two, []byte(nil), uint64(0), []byte{0, 0, 0, 0x40, 'P'})                   // a 1 GiB length word
+	f.Add(byte(0), byte('P'), two, []byte(nil), uint64(0), []byte{6, 0, 0, 0, 'P', 0, 0, 0, 0xc8, 0x01}) // 200 keys in no bytes
 	f.Add(byte(coord), byte('P'), two, []byte(nil), uint64(0), stream(wireRequest{Op: opJoin, Payload: member(JoinRequest{Label: "w"})}))
 
 	f.Fuzz(func(t *testing.T, sel, op byte, keys, payload []byte, seq uint64, raw []byte) {
@@ -180,7 +175,7 @@ func fuzzHandle(t *testing.T, prof Profile, coord *Membership, req *wireRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := s.handle(req)
+	payload, err := s.handle(nil, req)
 	if err == nil && req.Op == 'P' {
 		w, _ := newLinkCodec(prof, srv.Width)
 		if err := w.decodePull(req.Keys, payload, make([]float32, w.totalWidth(req.Keys))); err != nil {
@@ -190,7 +185,7 @@ func fuzzHandle(t *testing.T, prof Profile, coord *Membership, req *wireRequest)
 
 	keys := []Key{EntityKey(0), RelationKey(1)}
 	w, _ := newLinkCodec(prof, srv.Width)
-	payload, err = s.handle(&wireRequest{Op: 'P', Keys: keys, Payload: w.appendBaseVers(nil, keys)})
+	payload, err = s.handle(nil, &wireRequest{Op: 'P', Keys: keys, Payload: w.appendBaseVers(nil, keys)})
 	if err != nil {
 		t.Fatalf("valid pull after %q refused: %v", req.Op, err)
 	}

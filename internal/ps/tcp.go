@@ -2,82 +2,38 @@ package ps
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"hetkg/internal/metrics"
 )
 
-// The TCP conn carries a link's requests over real sockets with gob
-// envelopes, proving the parameter server works across process boundaries.
-// Experiments use InProc (deterministic timing); integration tests and the
-// cmd/ binaries exercise this path.
+// The TCP conn carries a link's requests over real sockets in binary
+// frames (frame.go), proving the parameter server works across process
+// boundaries. Experiments use InProc (deterministic timing); integration
+// tests and the cmd/ binaries exercise this path.
 //
-// A connection starts with a codec handshake: the client sends wireHello
-// naming a codec profile (one byte, see profileID), the shard answers with
-// wireHelloAck carrying its row widths (or a refusal when the profile is
+// A connection starts with a codec handshake: the client sends a hello
+// frame naming a codec profile (one byte, see profileID), the shard answers
+// with an ack carrying its row widths (or a refusal when the profile is
 // outside the Acceptor's allowlist). After the handshake, every embedding
-// and gradient travels as an opaque Payload produced by the negotiated
-// linkCodec — exact binary row layouts instead of gob-encoded []float32,
-// so the byte accounting each call reports matches what the socket carries.
-// The shard end of the connection is a session (session.go).
+// and gradient travels as an opaque payload produced by the negotiated
+// linkCodec, behind a request or reply head of a few bytes, so the byte
+// accounting each call reports matches what the socket carries. The shard
+// end of the connection is a session (session.go).
 //
 // Fault tolerance lives one level up, in the link (link.go): any
-// transport-level failure poisons the connection — closing it so the gob
-// stream can never desynchronize — and the retry loop re-dials,
-// re-handshakes, and re-issues the attempt. A reconnect builds a fresh
-// linkCodec on both ends, so delta base state restarts at the version-0
-// unbased sentinel and lossy lockstep stays correct.
-
-// wireHello opens a connection: V is the protocol version, Profile the
-// codec profile id the client wants for this link. Link identifies the
-// client's (transport, shard) link across reconnects — the server's push
-// dedup table keys on it so a push retried after a lost response is not
-// applied twice (0 = no dedup, used by membership connections).
-type wireHello struct {
-	V       byte
-	Profile byte
-	Link    uint64
-}
-
-// wireHelloAck accepts or refuses a hello. On success it carries the
-// shard's row widths, which the client's codec needs for per-row framing.
-type wireHelloAck struct {
-	Err    string
-	EntDim int
-	RelDim int
-}
-
-// wireVersion is the current handshake protocol version.
-const wireVersion = 1
-
-// wireRequest is the on-wire envelope for every op. Payload carries
-// codec-encoded bytes: the advertised base versions of a delta pull, or
-// the encoded gradient rows of a push. Seq is the link's push sequence
-// number (0 for pulls and membership ops): together with the hello's Link
-// it gives pushes exactly-once semantics across retries and reconnects.
-// TraceID/ParentID carry the originating batch's span context across the
-// wire (gob omits zero values, so untraced requests pay nothing extra);
-// the serving shard parents its spans under them.
-type wireRequest struct {
-	Op       byte // 'P' pull, 'U' push, 'J'/'H'/'L' membership, 'T' telemetry
-	Keys     []Key
-	Payload  []byte
-	Seq      uint64
-	TraceID  uint64
-	ParentID uint64
-}
-
-// wireResponse is the on-wire reply; Payload is the codec-encoded pull
-// rows (empty for pushes) or a membership op's gob-encoded reply.
-type wireResponse struct {
-	Payload []byte
-	Err     string
-}
+// transport-level failure — a reply that does not parse, is longer than
+// its request allows, or answers another request — poisons the connection,
+// and the retry loop re-dials, re-handshakes, and re-issues the attempt. A
+// reconnect builds a fresh linkCodec on both ends, so delta base state
+// restarts at the version-0 unbased sentinel and lossy lockstep stays
+// correct.
 
 // ServeTCP runs a shard's accept loop until the listener closes. Each
 // connection is handled on its own goroutine; requests on one connection
@@ -175,7 +131,8 @@ func (a *Acceptor) Shutdown(grace time.Duration) {
 }
 
 // countingConn wraps a server-side connection, feeding raw socket byte
-// volumes (gob framing included) into an instrumented shard's registry.
+// volumes (frame heads and handshake included) into an instrumented
+// shard's registry.
 type countingConn struct {
 	net.Conn
 	rx, tx *metrics.Counter
@@ -197,75 +154,111 @@ func (c *countingConn) Write(p []byte) (int, error) {
 }
 
 // handshakeServer negotiates one connection's codec: it reads the hello,
-// checks the allowlist, and answers with the shard's dims (or a refusal).
-// It also returns the client's link identity for push deduplication.
-func handshakeServer(dec *gob.Decoder, enc *gob.Encoder, bw *bufio.Writer, srv *Server, allow []string) (Profile, uint64, error) {
-	var hello wireHello
-	if err := dec.Decode(&hello); err != nil {
+// checks the allowlist, and answers with the shard's widths (or a
+// refusal). It also returns the client's link identity for push
+// deduplication. A hello that is not a version-2 frame — a longer one, or
+// one without the magic, such as a gob client's — is refused without an
+// answer, before more than its length word is read.
+func handshakeServer(fr *frameReader, conn net.Conn, srv *Server, allow []string) (Profile, uint64, error) {
+	body, err := fr.next(maxHelloBody)
+	if err != nil {
+		return Profile{}, 0, err
+	}
+	hello, err := parseHello(body)
+	if err != nil {
 		return Profile{}, 0, err
 	}
 	prof, err := profileByID(hello.Profile)
 	if err == nil && hello.V != wireVersion {
 		err = fmt.Errorf("ps: wire version %d, want %d", hello.V, wireVersion)
 	}
-	if err == nil && len(allow) > 0 {
-		allowed := false
-		for _, name := range allow {
-			if name == prof.Name {
-				allowed = true
-				break
-			}
-		}
-		if !allowed {
-			err = fmt.Errorf("ps: codec %q refused by shard (allowed: %v)", prof.Name, allow)
-		}
+	if err == nil && len(allow) > 0 && !slices.Contains(allow, prof.Name) {
+		err = fmt.Errorf("ps: codec %q refused by shard (allowed: %v)", prof.Name, allow)
 	}
-	ack := wireHelloAck{EntDim: srv.Width(EntityKey(0)), RelDim: srv.Width(RelationKey(0))}
+	ack := wireHelloAck{V: wireVersion, EntDim: srv.Width(EntityKey(0)), RelDim: srv.Width(RelationKey(0))}
 	if err != nil {
 		ack.Err = err.Error()
 	}
-	if encErr := enc.Encode(&ack); encErr != nil {
-		return Profile{}, 0, encErr
-	}
-	if flushErr := bw.Flush(); flushErr != nil {
-		return Profile{}, 0, flushErr
+	if _, werr := conn.Write(appendAck(nil, ack)); werr != nil {
+		return Profile{}, 0, werr
 	}
 	return prof, hello.Link, err
 }
 
+// maxRequestBody bounds the request frames srv accepts: every row it owns
+// named once (a key at most maxKeyBytes) with the row as wide as the widest
+// profile encodes it, and, on a coordinator, a membership body. No
+// legitimate request is longer (a pull or push names each row at most
+// once), and a longer length word is refused before anything is sized
+// from it.
+func maxRequestBody(srv *Server, coord bool) int {
+	rowBytes := func(w int) int {
+		n := 4 // a delta pull's base version
+		for _, p := range profiles {
+			if c, err := rowCodec(p.Push); err == nil {
+				n = max(n, c.MaxRowBytes(w))
+			}
+		}
+		return maxKeyBytes + n
+	}
+	numRel := srv.NumRows() - srv.numEnt
+	n := reqHeadMax + srv.numEnt*rowBytes(srv.entDim) + numRel*rowBytes(srv.relDim)
+	if coord {
+		n += maxMemberBody
+	}
+	return n
+}
+
 // serveConn serves one worker connection: the codec handshake, then a
-// session answering each request in order (decode → session.handle →
-// encode). Any stream error ends the connection.
+// session answering each request frame in order, each reply written as one
+// frame naming the request it answers. A request longer than
+// maxRequestBody, or one that does not parse, is refused with a reply; a
+// stream error ends the connection.
 func serveConn(conn net.Conn, srv *Server, allow []string, coord *Membership) {
 	defer conn.Close()
 	if o := srv.obs; o != nil {
 		o.tcpConns.Inc()
 		conn = &countingConn{Conn: conn, rx: o.tcpRx, tx: o.tcpTx}
 	}
-	bw := bufio.NewWriter(conn)
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(bw)
-	prof, linkID, err := handshakeServer(dec, enc, bw, srv, allow)
+	fr := &frameReader{r: bufio.NewReader(conn)}
+	prof, linkID, err := handshakeServer(fr, conn, srv, allow)
 	if err != nil {
-		return // refused or broken handshake; the ack carried the reason
+		return // a refused hello's ack carried the reason
 	}
 	s, err := newSession(srv, coord, prof, linkID)
 	if err != nil {
 		return
 	}
-	for {
-		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
+	limit := maxRequestBody(srv, coord != nil)
+	var (
+		req  wireRequest
+		keys []Key
+		out  []byte
+	)
+	for num := uint64(1); ; num++ {
+		body, err := fr.next(limit)
+		var bad error // why the whole request is refused
+		if long, ok := err.(*frameLenError); ok {
+			bad = err
+			req.Op, err = fr.skip(long.n)
+		} else if err == nil {
+			keys, bad = parseRequest(body, keys, &req)
+		}
+		if err != nil {
 			return // io.EOF on clean close
 		}
-		var resp wireResponse
-		if resp.Payload, err = s.handle(&req); err != nil {
-			resp.Err = err.Error()
+		out = appendReplyHead(out[:0], req.Op, num)
+		head := len(out)
+		if bad == nil {
+			var reply []byte
+			if reply, bad = s.handle(out, &req); bad == nil {
+				out = reply
+			}
 		}
-		if err := enc.Encode(&resp); err != nil {
-			return
+		if bad != nil {
+			out = refuse(out, head, bad)
 		}
-		if err := bw.Flush(); err != nil {
+		if _, err := conn.Write(endFrame(out, 0)); err != nil {
 			return
 		}
 	}
@@ -335,21 +328,29 @@ func handshakeClient(conn net.Conn, prof Profile, link uint64) (*linkConn, error
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriter(conn)
-	enc := gob.NewEncoder(bw)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&wireHello{V: wireVersion, Profile: id, Link: link}); err != nil {
+	if _, err := conn.Write(appendHello(nil, wireHello{V: wireVersion, Profile: id, Link: link})); err != nil {
 		return nil, err
 	}
-	if err := bw.Flush(); err != nil {
+	fr := frameReader{r: bufio.NewReader(conn)}
+	body, err := fr.next(maxAckBody)
+	var long *frameLenError
+	switch {
+	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
+		return nil, fmt.Errorf("ps: shard closed the connection at the hello; a shard built before wire version %d does (upgrade every shard and worker together)", wireVersion)
+	case errors.As(err, &long):
+		return nil, errNotFrame
+	case err != nil:
 		return nil, err
 	}
-	var ack wireHelloAck
-	if err := dec.Decode(&ack); err != nil {
+	ack, err := parseAck(body)
+	if err != nil {
 		return nil, err
 	}
 	if ack.Err != "" {
 		return nil, errors.New(ack.Err)
+	}
+	if ack.V != wireVersion {
+		return nil, fmt.Errorf("ps: shard speaks wire version %d, want %d", ack.V, wireVersion)
 	}
 	if ack.EntDim <= 0 || ack.RelDim <= 0 {
 		return nil, fmt.Errorf("ps: shard advertised dims %d/%d", ack.EntDim, ack.RelDim)
@@ -363,5 +364,5 @@ func handshakeClient(conn net.Conn, prof Profile, link uint64) (*linkConn, error
 	if err != nil {
 		return nil, err
 	}
-	return &linkConn{conn: conn, enc: enc, dec: dec, bw: bw, lc: lc}, nil
+	return &linkConn{conn: conn, fr: fr, lc: lc}, nil
 }

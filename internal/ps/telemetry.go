@@ -6,10 +6,10 @@ import (
 	"hetkg/internal/telemetry"
 )
 
-// Telemetry transport (DESIGN.md §12): fleet reports ride the same gob
-// TCP envelope as pulls, pushes, and membership ops. Op 'T' carries one
-// telemetry.Report to the coordinator shard, which folds it into its
-// Fleet aggregator. A shard without a coordinator (or a coordinator
+// Telemetry transport (DESIGN.md §12): fleet reports ride the same TCP
+// request frames as pulls, pushes, and membership ops. Op 'T' carries one
+// gob-encoded telemetry.Report to the coordinator shard, which folds it
+// into its Fleet aggregator. A shard without a coordinator (or a coordinator
 // without a Fleet) refuses the op by name.
 
 // opTelemetry ships one labeled metrics snapshot to the coordinator.
@@ -25,7 +25,7 @@ func (cc *CoordClient) SendTelemetry(rep telemetry.Report) error {
 // SendTelemetry implements telemetry.Sender in process: the report goes
 // straight into the coordinator's Fleet aggregator. Single-process
 // elastic runs and tests use this path; remote processes arrive via op
-// 'T' on the TCP envelope.
+// 'T' over TCP.
 func (m *Membership) SendTelemetry(rep telemetry.Report) error {
 	if m.cfg.Telemetry == nil {
 		return fmt.Errorf("ps: coordinator has no fleet aggregator")

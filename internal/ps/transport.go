@@ -43,7 +43,7 @@ type PushRequest struct {
 // scheduling noise), or a LinkTransport — one link per shard, whose conn is
 // either a direct call into an in-process shard session
 // (NewCodecTransport: the negotiated codec's two ends, both really run) or
-// a gob stream over TCP (DialTCPLink: the real wire protocol, used by
+// binary frames over TCP (DialTCPLink: the real wire protocol, used by
 // integration tests and multi-process deployments). The two kinds of link
 // run the same round, codec, sequence and retry code; only the conn
 // differs.
@@ -63,8 +63,9 @@ type Transport interface {
 
 // Wire-size accounting shared by all transports: 16 bytes of framing per
 // message, 8 bytes per key, 4 bytes per float32 value. These sizes feed the
-// netsim cost model, so they must match what a binary wire format would
-// actually carry.
+// netsim cost model. The TCP frames (frame.go) carry a little less — a
+// head of a few bytes, a key in one or two — and the formula stays, so
+// every deterministic traffic figure is the same on every transport.
 const msgHeaderBytes = 16
 
 // PullRequestBytes returns the serialized size of a pull request.
@@ -154,8 +155,9 @@ type viaTransport struct {
 	tr Transport
 }
 
-// PullTraced reads rows through the transport.
-func (v viaTransport) PullTraced(sc span.Context, keys []Key) ([]float32, error) {
+// pullAppend reads rows through the transport. The transport answers in a
+// buffer of its own, which is returned as it is rather than copied to dst.
+func (v viaTransport) pullAppend(sc span.Context, _ []float32, keys []Key) ([]float32, error) {
 	resp, err := v.tr.Pull(v.machine, &PullRequest{Keys: keys, Trace: sc})
 	if err != nil {
 		return nil, err

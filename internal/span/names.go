@@ -24,8 +24,8 @@ const (
 	NPSPull = "ps.pull"
 	// NPSPush is one client-side push RPC to one shard.
 	NPSPush = "ps.push"
-	// NSerialize covers gob-encoding and flushing a request on the TCP
-	// transport.
+	// NSerialize covers framing a request and writing it to the socket on
+	// the TCP transport.
 	NSerialize = "transport.serialize"
 	// NEncode covers the negotiated wire codec's work on a request: delta
 	// framing and row encoding of a pull response (in-process transports

@@ -4,7 +4,7 @@
 // cache lookup pass, gradient compute, cache refreshes, parameter-server
 // RPCs, transport serialization, real and simulated wire time, and the
 // shard-side request handlers — stitched to the originating batch by a
-// trace ID that propagates through the PS client and the gob TCP header.
+// trace ID that propagates through the PS client and the TCP request frame.
 //
 // Design constraints (DESIGN.md §8):
 //

@@ -9,8 +9,8 @@
 // exposes the result as the /fleet JSON endpoint on its obs server; the
 // hetkg top dashboard renders it live.
 //
-// Reports travel as op 'T' on the existing membership gob TCP envelope
-// (internal/ps), so the telemetry plane needs no extra listener: workers
+// Reports travel as op 'T' in the membership request frames of the shard
+// wire (internal/ps), so the telemetry plane needs no extra listener: workers
 // piggyback a report on every heartbeat, shards and serve replicas run a
 // Shipper against a dialed coordinator connection.
 //
@@ -52,7 +52,7 @@ type Report struct {
 }
 
 // Sender ships telemetry reports to the cluster coordinator. Implemented
-// by *ps.CoordClient (over the gob TCP wire) and by *ps.Membership
+// by *ps.CoordClient (over the TCP wire) and by *ps.Membership
 // (in-process, forwarding straight into the coordinator's Fleet).
 type Sender interface {
 	// SendTelemetry delivers one report; best effort, callers log and

@@ -28,6 +28,10 @@
 #                  trace` compares runs with, and the hetkg-bench/v3 snapshot
 #                  reader `hetkg compare` gates on (no panic, no allocation
 #                  sized by the input, emitter output round-trips).
+#   fuzz-link-frames  20 s of the shard-link frame codec: request frames
+#                  round-trip, a request body never sizes keys beyond its
+#                  bytes, and the worker's reply reader never grows past a
+#                  reply's bound or twice what arrived.
 #   fuzz-triple-set  20 s of the filter index (kg.TripleSet) against a map:
 #                  every sampler and filtered ranking trusts its answers.
 #   fuzz-kernels   80 s over every AVX2 kernel: 20 s of each package's
@@ -49,7 +53,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-triple-set fuzz-kernels benchmark-module"
+steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-link-frames fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-triple-set fuzz-kernels benchmark-module"
 
 fuzz() { # fuzz TARGET PACKAGE TIME
 	go test -run '^$' -fuzz "$1" -fuzztime "$3" "$2"
@@ -76,6 +80,9 @@ step() {
 	fuzz-shard-session)
 		echo "== fuzz the parameter-server shard session (20 s)"
 		fuzz FuzzShardSession ./internal/ps 20s ;;
+	fuzz-link-frames)
+		echo "== fuzz the shard-link frame codec (20 s)"
+		fuzz FuzzLinkFrames ./internal/ps 20s ;;
 	fuzz-frame)
 		echo "== fuzz the durable-file frame, checkpoint and progress decoders (20 s)"
 		fuzz FuzzFrameDecode ./internal/frame 20s ;;
