@@ -315,10 +315,14 @@ func BenchmarkProcessBatch(b *testing.B) {
 
 // TestProcessBatchAllocs pins what one training step allocates in
 // steady state, in inproc-compute's shape (ComplEx, d 128, batch 128, 32
-// negatives in chunks of 8, one machine, parallelism 1): 6, once the step
-// ran on a slot table with slot-indexed gradient buffers, the rows pulled
-// into one reused slab and a shard whose rows are slabs. It was 457 while
-// every row went through a Go map and most got a fresh make.
+// negatives in chunks of 8, one machine, parallelism 1): 2 (par.Shards'
+// grid and par.For's closure), now that the step reaches its shard over
+// an fp32 in-process link, which copies the shard's rows straight into the
+// client's reused buffer. It was 6 while a second in-process path made a
+// fresh reply buffer and three request/response envelopes per step, on a
+// slot table with slot-indexed gradient buffers, the rows pulled into one
+// reused slab and a shard whose rows are slabs, and 457 while every row
+// went through a Go map and most got a fresh make.
 func TestProcessBatchAllocs(t *testing.T) {
 	bb, err := train.NewBatchBench(train.Config{
 		Graph:       dataset.FB15kLike(dataset.Tiny, 1),
@@ -343,8 +347,8 @@ func TestProcessBatchAllocs(t *testing.T) {
 		}
 	}
 	step() // scratch growth and the optimizer's first-touch state happen once
-	if n := testing.AllocsPerRun(20, step); n > 6 {
-		t.Errorf("%v allocs per training step, want <= 6", n)
+	if n := testing.AllocsPerRun(20, step); n > 2 {
+		t.Errorf("%v allocs per training step, want <= 2", n)
 	}
 }
 

@@ -40,16 +40,16 @@ func (e *DegradedError) Unwrap() error { return e.Err }
 // meters the traffic of both classes for the netsim cost model — the split
 // the paper's co-located PS design exists to exploit (§IV-A, §V).
 //
-// A Pull or Push makes one RPC per shard it touches. Over a LinkTransport
-// they run as one round: every request is sent before any reply is read, as
-// DGL-KE's KVStore sends one request per server and then collects the
-// replies, so shards behind sockets work at the same time and a batch waits
-// about as long as its slowest shard rather than the sum of all of them. No
-// goroutine is started. A Transport that is not a LinkTransport (InProc, a
-// wrapper or a fake) is called one shard after another. Either way every
-// shard is asked and the replies are merged in ascending shard order, so
-// rows, meter records, counters and a DegradedError's keys do not depend on
-// the transport. The netsim meter still prices a batch's messages one after
+// A Pull or Push makes one RPC per shard it touches, and they run as one
+// round over the client's links: every request is sent before any reply is
+// read, as DGL-KE's KVStore sends one request per server and then collects
+// the replies, so shards behind sockets work at the same time and a batch
+// waits about as long as its slowest shard rather than the sum of all of
+// them. An in-process shard answers as its request is sent, so the round
+// calls the shards one after another. No goroutine is started. Every shard
+// is asked and the replies are merged in ascending shard order, so rows,
+// meter records, counters and a DegradedError's keys do not depend on the
+// conn. The netsim meter still prices a batch's messages one after
 // another, as it always has, so the simulated time of a run does not change
 // with it.
 //
@@ -58,19 +58,17 @@ func (e *DegradedError) Unwrap() error { return e.Err }
 type Client struct {
 	machine int
 	place   *Placement
-	tr      Transport
+	links   *LinkTransport // one link per shard; every call is a round over them
 	meter   *netsim.Meter
 	entDim  int
 	relDim  int
 	obs     *clientObs
 	tracer  *span.Tracer
 	sc      span.Context
-	links   *LinkTransport // tr, when it is one (see Client)
 
 	// Scratch every PullRows and PushRows reuses: each shard's keys and
-	// their indexes in the caller's lists, the calls, a LinkTransport
-	// round's exchanges, each shard's pulled rows from such a round, and
-	// the push payload.
+	// their indexes in the caller's lists, the calls, the round's
+	// exchanges, each shard's pulled rows, and the push payload.
 	byShard [][]Key
 	byIdx   [][]int32
 	calls   []shardCall
@@ -106,26 +104,31 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 }
 
 // NewClient builds a client for a worker sitting on the given machine.
-// meter may be nil to disable traffic accounting. Shards whose rows are not
-// as wide as c's (started with another -model or -dim) are refused.
+// meter may be nil to disable traffic accounting. A tr that is not a
+// LinkTransport is put behind fp32 in-process links that call it. Shards
+// whose rows are not as wide as c's (started with another -model or -dim)
+// are refused.
 func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Client, error) {
 	if machine < 0 || machine >= c.Place.NumMachines() {
 		return nil, fmt.Errorf("ps: machine %d out of range [0,%d)", machine, c.Place.NumMachines())
 	}
-	links, _ := tr.(*LinkTransport)
-	if links != nil {
-		if err := links.checkWidths(c.EntityDim(), c.RelationDim()); err != nil {
+	links, ok := tr.(*LinkTransport)
+	if !ok {
+		var err error
+		if links, err = inProcLinks(c, tr, fp32Profile); err != nil {
 			return nil, err
 		}
+	}
+	if err := links.checkWidths(c.EntityDim(), c.RelationDim()); err != nil {
+		return nil, err
 	}
 	return &Client{
 		machine: machine,
 		place:   c.Place,
-		tr:      tr,
+		links:   links,
 		meter:   meter,
 		entDim:  c.EntityDim(),
 		relDim:  c.RelationDim(),
-		links:   links,
 	}, nil
 }
 
@@ -175,41 +178,18 @@ func (c *Client) PullRows(keys []Key, rows [][]float32) error {
 		}
 	}
 	calls := c.split(keys)
+	xs := c.exchanges(len(calls))
 	for i := range calls {
-		calls[i].sp = c.tracer.StartChild(c.sc, span.NPSPull)
-	}
-	pulled := func(i int, resp *PullResponse, err error) {
 		sc := &calls[i]
-		if err != nil {
-			sc.end(fmt.Errorf("ps: pull from shard %d: %w", sc.shard, err))
-			return
-		}
-		sc.vals, sc.tx, sc.rx = resp.Vals, resp.TxBytes, resp.RxBytes
-		if sc.tx == 0 {
-			sc.tx = PullRequestBytes(len(sc.keys))
-		}
-		if sc.rx == 0 {
-			sc.rx = PullResponseBytes(len(resp.Vals))
-		}
-		sc.end(nil)
+		sc.sp = c.tracer.StartChild(c.sc, span.NPSPull)
+		xs[i] = exchange{shard: sc.shard, op: 'P', keys: sc.keys, vals: c.pulled[sc.shard], trace: sc.sp.Context()}
 	}
-	if c.links != nil {
-		xs := c.exchanges(len(calls))
-		for i, sc := range calls {
-			xs[i] = exchange{shard: sc.shard, op: 'P', keys: sc.keys, vals: c.pulled[sc.shard], trace: sc.sp.Context()}
+	c.links.round(xs, func(i int, err error) {
+		if err == nil {
+			c.pulled[xs[i].shard] = xs[i].vals
 		}
-		c.links.round(xs, func(i int, err error) {
-			if err == nil {
-				c.pulled[xs[i].shard] = xs[i].resp.Vals
-			}
-			pulled(i, &xs[i].resp, err)
-		})
-	} else {
-		for i, sc := range calls {
-			resp, err := c.tr.Pull(sc.shard, &PullRequest{Keys: sc.keys, Trace: sc.sp.Context()})
-			pulled(i, resp, err)
-		}
-	}
+		calls[i].end(&xs[i], "pull from", err)
+	})
 	return c.merge("pull", calls, func(sc *shardCall) error {
 		if o := c.obs; o != nil {
 			o.pullRPCs.Inc()
@@ -268,33 +248,13 @@ func (c *Client) PushRows(keys []Key, rows [][]float32) error {
 		}
 		sc.vals = payload[start:off:off]
 	}
+	xs := c.exchanges(len(calls))
 	for i := range calls {
-		calls[i].sp = c.tracer.StartChild(c.sc, span.NPSPush)
-	}
-	pushed := func(i int, wireBytes int64, err error) {
 		sc := &calls[i]
-		if err != nil {
-			sc.end(fmt.Errorf("ps: push to shard %d: %w", sc.shard, err))
-			return
-		}
-		if sc.tx = wireBytes; sc.tx == 0 {
-			sc.tx = PushRequestBytes(len(sc.keys), len(sc.vals))
-		}
-		sc.end(nil)
+		sc.sp = c.tracer.StartChild(c.sc, span.NPSPush)
+		xs[i] = exchange{shard: sc.shard, op: 'U', keys: sc.keys, vals: sc.vals, trace: sc.sp.Context()}
 	}
-	if c.links != nil {
-		xs := c.exchanges(len(calls))
-		for i, sc := range calls {
-			xs[i] = exchange{shard: sc.shard, op: 'U', keys: sc.keys, vals: sc.vals, trace: sc.sp.Context()}
-		}
-		c.links.round(xs, func(i int, err error) { pushed(i, xs[i].wireBytes, err) })
-	} else {
-		for i, sc := range calls {
-			req := &PushRequest{Keys: sc.keys, Vals: sc.vals, Trace: sc.sp.Context()}
-			err := c.tr.Push(sc.shard, req)
-			pushed(i, req.WireBytes, err)
-		}
-	}
+	c.links.round(xs, func(i int, err error) { calls[i].end(&xs[i], "push to", err) })
 	return c.merge("push", calls, func(sc *shardCall) error {
 		if o := c.obs; o != nil {
 			o.pushRPCs.Inc()
@@ -355,9 +315,15 @@ type shardCall struct {
 	err    error
 }
 
-// end records the RPC's outcome and ends its span.
-func (sc *shardCall) end(err error) {
-	sc.err = err
+// end records the outcome of the call's exchange x — its reply rows and
+// wire sizes, or err, which names the shard after what ("pull from") —
+// and ends the call's span.
+func (sc *shardCall) end(x *exchange, what string, err error) {
+	if err != nil {
+		sc.err = fmt.Errorf("ps: %s shard %d: %w", what, sc.shard, err)
+	} else {
+		sc.vals, sc.tx, sc.rx = x.vals, x.tx, x.rx
+	}
 	sc.sp.EndAttrs(span.Attrs{Rows: int64(len(sc.keys)), Bytes: sc.tx + sc.rx, Shard: sc.shard})
 }
 

@@ -194,7 +194,7 @@ func NewClusterShard(cfg ClusterConfig, machine int) (*Server, error) {
 // GatherVia assembles the full embedding tables by pulling every row
 // through the given transport — the gather path that works when the shards
 // live in other processes. Pulls are batched per shard.
-func (c *Cluster) GatherVia(tr Transport) (entities, relations *vec.Matrix, err error) {
+func (c *Cluster) GatherVia(tr *LinkTransport) (entities, relations *vec.Matrix, err error) {
 	entities = vec.NewMatrix(c.numEntity, c.entDim)
 	relations = vec.NewMatrix(c.numRel, c.relDim)
 	perShard := make([][]Key, c.Place.NumMachines())

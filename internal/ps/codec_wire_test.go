@@ -174,11 +174,10 @@ func TestCodecAllowlistRefusal(t *testing.T) {
 }
 
 // TestCallBytesMatchMeasuredTCPBytes pins the wire-size accounting the
-// netsim cost model prices: the sizes each call carries back to the client
-// (PullResponse.TxBytes/RxBytes, PushRequest.WireBytes — headers, keys,
-// encoded payload), as the client meters them, must agree with the bytes
-// the shard's counting connection actually saw — frame heads, handshake and
-// all — within 1%. Payloads dominate at realistic row widths, so the cost
+// netsim cost model prices: the sizes each exchange carries back to the
+// client (headers, keys, encoded payload), as the client meters them,
+// must agree with the bytes the shard's counting connection actually saw —
+// frame heads, handshake and all — within 1%. Payloads dominate at realistic row widths, so the cost
 // model's 16 B header and 8 B a key, against a frame's few-byte head and
 // one- or two-byte keys, wash out.
 func TestCallBytesMatchMeasuredTCPBytes(t *testing.T) {

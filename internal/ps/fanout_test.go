@@ -83,9 +83,9 @@ func bitEqualRows(t *testing.T, what string, got, want map[Key][]float32) {
 }
 
 // TestFanOutMatchesInProc: a Client whose per-shard RPCs go out as one
-// round — over 4 loopback shards, and over 4 in-process fp32 codec links —
-// pulls the same bits as a sequential Client over InProc on a twin cluster,
-// before and after both push the same gradients.
+// round — over 4 loopback shards, and over 4 in-process fp32 links that
+// call a transport — pulls the same bits as a Client over NewInProc's
+// links on a twin cluster, before and after both push the same gradients.
 func TestFanOutMatchesInProc(t *testing.T) {
 	for _, over := range []string{"tcp", "in-process"} {
 		c, keys := chattyCluster(t)
@@ -144,16 +144,23 @@ func TestFanOutMatchesInProc(t *testing.T) {
 	}
 }
 
+// shardByShard hides a LinkTransport behind the Transport interface.
+type shardByShard struct{ Transport }
+
 // TestFanOutDegradedKeysInShardOrder stops shards 1 and 3 under a live
 // client: the pull and the push still reach shards 0 and 2, and the
 // DegradedError lists the down shards' keys in the order the sequential
 // path lists them — shard 1's, then shard 3's, each in request order —
-// whichever RPC fails first.
+// whichever RPC fails first. The sequential reference is a Client over the
+// same links behind a Transport that is not a link, which calls them one
+// shard at a time.
 func TestFanOutDegradedKeysInShardOrder(t *testing.T) {
 	c, keys := chattyCluster(t)
 	cl, shards := fanOutClient(t, c, c)
-	seq := *cl
-	seq.links = nil
+	seq, err := NewClient(0, c, shardByShard{cl.links}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	shards[1].stop()
 	shards[3].stop()
 	start := settledGoroutines()
@@ -182,7 +189,7 @@ func TestFanOutDegradedKeysInShardOrder(t *testing.T) {
 	for _, op := range []string{"pull", "push"} {
 		got := degraded(cl, op)
 		noGoroutineLeft(t, start, op)
-		want := degraded(&seq, op)
+		want := degraded(seq, op)
 		if len(got) != 2*len(keys)/4 {
 			t.Fatalf("%s: %d keys reported down, want %d", op, len(got), 2*len(keys)/4)
 		}
@@ -259,7 +266,7 @@ func TestFanOutReturnsShardOrderFirstRefusal(t *testing.T) {
 // live client before each push: the round's request to shard 2 fails on
 // the wire while the others are out, and its link retries it on a fresh
 // connection. Every push lands exactly once, so the rows stay bit-equal to
-// an InProc twin's.
+// a twin's behind NewInProc.
 func TestFanOutRetriesAcrossReconnect(t *testing.T) {
 	c, keys := chattyCluster(t)
 	twin, _ := chattyCluster(t)

@@ -15,9 +15,10 @@ import (
 )
 
 // The link layer is the worker side of every parameter-server conversation:
-// one shard's conn (binary frames over TCP, or a direct call into an
-// in-process shard session), the codec state negotiated on it, the push
-// sequence, and the fault policy — per-attempt socket deadlines, retries
+// one shard's conn (binary frames over TCP, or an in-process call into the
+// shard: rows moved unencoded under fp32, a shard session under any other
+// profile), the codec state negotiated on it, the push sequence, and the
+// fault policy — one socket deadline per exchange, retries
 // with exponential backoff + deterministic jitter, poison-and-redial
 // (re-running the codec handshake, which resets delta bases to the
 // version-0 unbased sentinel), and a per-link circuit breaker (closed →
@@ -28,10 +29,9 @@ import (
 // transport's shard links. Zero fields take the documented defaults;
 // negative durations/counts disable the corresponding mechanism.
 type LinkConfig struct {
-	// RPCTimeout bounds each RPC attempt (and each dial + handshake):
-	// SetWriteDeadline before the request is encoded, SetReadDeadline
-	// before the response is decoded. Default 10s; negative disables
-	// deadlines.
+	// RPCTimeout bounds each RPC attempt (and each dial + handshake): one
+	// SetDeadline, armed before the request is written, covers the request
+	// and its reply. Default 10s; negative disables deadlines.
 	RPCTimeout time.Duration
 	// Retries is how many times a failed attempt is retried (on a fresh
 	// connection) before the call fails with a LinkDownError. Default 3;
@@ -239,11 +239,12 @@ func newLinkObs(reg *metrics.Registry) *linkObs {
 }
 
 // LinkTransport is the worker side of the parameter-server protocol, one
-// link per shard: DialTCPLink builds it over sockets, NewCodecTransport over
-// in-process shard sessions, and a CoordClient is one such link to the
-// coordinator. Every call is a round (see round): a Client's per-shard pulls
-// or pushes for one batch run as one, every request sent before any reply
-// is read, and a single Pull, Push or coordinator call is a round of one.
+// link per shard: DialTCPLink builds it over sockets, NewInProc and
+// NewCodecTransport over in-process conns, and a CoordClient is one such
+// link to the coordinator. Every call is a round (see round): a Client's
+// per-shard pulls or pushes for one batch run as one, every request sent
+// before any reply is read, and a single Pull, Push or coordinator call is
+// a round of one.
 // Calls on the same shard are serialized by a per-link mutex; failed calls
 // retry with backoff and transparent reconnect per LinkConfig.
 type LinkTransport struct {
@@ -278,12 +279,15 @@ type link struct {
 }
 
 // linkConn is one connection of a link: the worker-side codec state
-// negotiated on it, the request scratch, and either an in-process shard
-// session or a frame stream over a socket.
+// negotiated on it, the request scratch, and one of an in-process shard's
+// rows (fp32: moved unencoded), an in-process shard session (any other
+// profile), or a frame stream over a socket.
 type linkConn struct {
 	lc   *linkCodec
 	pbuf []byte      // request payload scratch (base versions / encoded grads)
 	req  wireRequest // the request an attempt sends, rebuilt per attempt
+
+	rows shardRows // in-process fp32: the shard's rows, served by move
 
 	sess    *session // in-process: the shard end, called directly by send
 	reply   []byte   // the session's answer to the request send made...
@@ -438,13 +442,12 @@ type exchange struct {
 	op    byte         // 'P' pull or 'U' push
 	raw   *wireRequest // a request sent as it is (a coordinator call), op unused
 	keys  []Key
-	vals  []float32 // a push's gradient rows (rewritten as the shard decodes them), or a pull's reply scratch
+	vals  []float32 // a push's gradient rows (a lossy codec rewrites them), or a pull's reply rows (in this buffer when it is wide enough)
 	trace span.Context
 
-	resp      PullResponse // a pull's reply, its rows in vals when vals was wide enough
-	payload   []byte       // a push's encoded rows (nil until encoded), or a raw request's reply
-	seq       uint64       // a push's sequence number
-	wireBytes int64        // a push's measured wire size
+	payload []byte // a push's encoded rows (nil until encoded), or a raw request's reply
+	seq     uint64 // a push's sequence number
+	tx, rx  int64  // the wire sizes of the request and its reply (a push has no reply bytes)
 
 	l     *link       // x's link, held from the request to the reply
 	began bool        // a request went out on l's connection and its reply is unread
@@ -456,7 +459,7 @@ type exchange struct {
 // ascending: every request is sent before any reply is read, so shards
 // behind sockets serve them at the same time and the caller waits about as
 // long as the slowest shard takes instead of the sum of all of them, on its
-// own goroutine. An in-process session answers as its request is sent.
+// own goroutine. An in-process conn answers as its request is sent.
 // Replies are then read in shard order and done(i, err) reports each xs[i]
 // as it finishes. Each link is held from its request to its reply, taken in
 // ascending shard order, so a shard sees one caller's requests in the order
@@ -546,9 +549,14 @@ func (t *LinkTransport) retry(x *exchange) error {
 	return &LinkDownError{Shard: l.shard, Addr: l.addr, Err: lastErr}
 }
 
-// begin builds x's request for c and sends it; end reads the reply.
+// begin builds x's request for c and sends it; end reads the reply. An
+// fp32 in-process conn serves x here, whole.
 func (t *LinkTransport) begin(c *linkConn, x *exchange) {
 	x.began = true
+	if c.rows != nil {
+		x.err = c.move(x)
+		return
+	}
 	req, err := t.request(c, x)
 	if err == nil {
 		x.wire, err = t.send(x.l, c, req)
@@ -559,7 +567,7 @@ func (t *LinkTransport) begin(c *linkConn, x *exchange) {
 // end reads the reply to the request begin sent on c and consumes it.
 func (t *LinkTransport) end(c *linkConn, x *exchange) error {
 	x.began = false
-	if x.err != nil {
+	if x.err != nil || c.rows != nil {
 		return x.err
 	}
 	payload, err := t.recv(x.l, c, t.replyLimit(c, x), x.wire)
@@ -641,8 +649,10 @@ func (t *LinkTransport) setOpen(n int64) {
 	}
 }
 
-// send writes req on c's socket as one frame under SetWriteDeadline and
-// returns the wire.tcp span that recv ends when the reply is read. An
+// send writes req on c's socket as one frame and returns the wire.tcp span
+// that recv ends when the reply is read. One deadline, armed here, covers
+// the request and its reply; it is left armed after the reply, since
+// nothing reads an idle connection and the next send re-arms it. An
 // in-process session serves req here and c holds its answer for recv.
 func (t *LinkTransport) send(l *link, c *linkConn, req *wireRequest) (span.Active, error) {
 	if c.sess != nil {
@@ -653,7 +663,7 @@ func (t *LinkTransport) send(l *link, c *linkConn, req *wireRequest) (span.Activ
 	sc := span.Context{Trace: req.TraceID, Parent: req.ParentID}
 	ser := t.tracer.StartChild(sc, span.NSerialize)
 	if d := t.cfg.RPCTimeout; d > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(d))
+		c.conn.SetDeadline(time.Now().Add(d))
 	}
 	c.out = appendRequest(c.out[:0], req)
 	if _, err := c.conn.Write(c.out); err != nil {
@@ -665,22 +675,19 @@ func (t *LinkTransport) send(l *link, c *linkConn, req *wireRequest) (span.Activ
 }
 
 // recv reads the reply to the request send wrote on c, a body of at most
-// limit bytes, under SetReadDeadline, and ends send's wire span. The payload
+// limit bytes, under send's deadline, and ends send's wire span. The payload
 // is valid until c's next reply. A refused request returns as a
 // *RemoteError (healthy link, refused request); a reply that answers
 // another request, or is longer than limit, is a transport failure.
 func (t *LinkTransport) recv(l *link, c *linkConn, limit int, wire span.Active) ([]byte, error) {
 	if c.sess != nil {
 		if err := c.refusal; err != nil {
-			return nil, &RemoteError{Msg: err.Error(), err: err}
+			return nil, refused(err)
 		}
 		return c.reply, nil
 	}
 	shard := l.shard
 	defer func() { wire.EndAttrs(span.Attrs{Shard: shard}) }()
-	if d := t.cfg.RPCTimeout; d > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(d))
-	}
 	body, err := c.fr.next(limit)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
@@ -688,7 +695,6 @@ func (t *LinkTransport) recv(l *link, c *linkConn, limit int, wire span.Active) 
 		}
 		return nil, fmt.Errorf("ps: reading from shard %d: %w", shard, err)
 	}
-	c.conn.SetDeadline(time.Time{})
 	payload, err := parseReply(body, c.req.Op, c.sent)
 	if err != nil {
 		if rerr := (*RemoteError)(nil); errors.As(err, &rerr) {
@@ -728,7 +734,7 @@ func (t *LinkTransport) request(c *linkConn, x *exchange) (*wireRequest, error) 
 			c.pbuf = p
 			x.payload = p
 			sp.EndAttrs(span.Attrs{Rows: int64(len(x.keys)), Bytes: int64(len(p)), Shard: x.shard})
-			x.wireBytes = msgHeaderBytes + 8*int64(len(x.keys)) + int64(len(p))
+			x.tx = msgHeaderBytes + 8*int64(len(x.keys)) + int64(len(p))
 			x.l.seq++
 			x.seq = x.l.seq
 		}
@@ -762,13 +768,53 @@ func (t *LinkTransport) reply(c *linkConn, x *exchange, payload []byte) error {
 		return fmt.Errorf("ps: decoding pull from shard %d: %w", x.shard, err)
 	}
 	sp.EndAttrs(span.Attrs{Rows: int64(len(x.keys)), Bytes: int64(len(payload)), Shard: x.shard})
-	x.resp = PullResponse{
-		Vals:    vals,
-		TxBytes: PullRequestBytes(len(x.keys)) + int64(len(c.pbuf)),
-		RxBytes: msgHeaderBytes + int64(len(payload)),
+	x.vals = vals
+	x.tx = PullRequestBytes(len(x.keys)) + int64(len(c.pbuf))
+	x.rx = msgHeaderBytes + int64(len(payload))
+	return nil
+}
+
+// move serves x on an fp32 in-process conn, rows unencoded: a pull appends
+// the shard's rows to x.vals's buffer, a push applies x.vals as they are.
+// It keeps what the codec path checks — the shard's key-count bound, and
+// values exactly as wide as the keys' rows — and reports and counts what
+// an fp32 link would: the size formulas, and ps.codec.bytes_raw/wire at
+// 4 B a value. The shard's refusals come back as a *RemoteError, as a
+// session's do.
+func (c *linkConn) move(x *exchange) error {
+	if err := bounded(c.rows, x.keys); err != nil {
+		return refused(err)
+	}
+	n := c.lc.totalWidth(x.keys)
+	switch x.op {
+	case 'P':
+		vals, err := c.rows.pullAppend(x.trace, x.vals[:0], x.keys)
+		if err == nil && len(vals) != n {
+			err = fmt.Errorf("ps: pull payload has %d values, keys need %d", len(vals), n)
+		}
+		if err != nil {
+			return refused(err)
+		}
+		x.vals = vals
+		x.tx, x.rx = PullRequestBytes(len(x.keys)), PullResponseBytes(n)
+	case 'U':
+		if len(x.vals) != n {
+			return &noRetryError{fmt.Errorf("ps: payload has %d values, keys need %d", len(x.vals), n)}
+		}
+		if err := c.rows.PushTraced(x.trace, x.keys, x.vals); err != nil {
+			return refused(err)
+		}
+		x.tx = PushRequestBytes(len(x.keys), n)
+	}
+	if o := c.lc.obs; o != nil {
+		o.bytesRaw.Add(4 * int64(n))
+		o.bytesWire.Add(4 * int64(n))
 	}
 	return nil
 }
+
+// refused is an in-process shard's refusal as the link reports it.
+func refused(err error) *RemoteError { return &RemoteError{Msg: err.Error(), err: err} }
 
 // call runs one raw request on shard's link and returns the reply payload.
 func (t *LinkTransport) call(shard int, req *wireRequest) ([]byte, error) {
@@ -777,24 +823,21 @@ func (t *LinkTransport) call(shard int, req *wireRequest) ([]byte, error) {
 }
 
 // Pull implements Transport: a round of one pull, whose reply decodes
-// through the link's negotiated pull codec.
+// through the link's negotiated pull codec (an fp32 in-process link
+// copies the shard's rows into a fresh buffer instead).
 func (t *LinkTransport) Pull(shard int, req *PullRequest) (*PullResponse, error) {
 	x := t.one(exchange{shard: shard, op: 'P', keys: req.Keys, trace: req.Trace})
 	if x.err != nil {
 		return nil, x.err
 	}
-	resp := x.resp
-	return &resp, nil
+	return &PullResponse{Vals: x.vals}, nil
 }
 
 // Push implements Transport: a round of one push. The gradients are
 // codec-encoded (the caller's vals are rewritten with the decoder-visible
-// values, as everywhere in the codec layer) and travel as an opaque payload;
-// req.WireBytes is set to the measured wire size.
+// values, as everywhere in the codec layer) and travel as an opaque payload.
 func (t *LinkTransport) Push(shard int, req *PushRequest) error {
-	x := t.one(exchange{shard: shard, op: 'U', keys: req.Keys, vals: req.Vals, trace: req.Trace})
-	req.WireBytes = x.wireBytes
-	return x.err
+	return t.one(exchange{shard: shard, op: 'U', keys: req.Keys, vals: req.Vals, trace: req.Trace}).err
 }
 
 // Close implements Transport. A closed transport fails every subsequent

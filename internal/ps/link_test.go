@@ -557,48 +557,59 @@ func TestLoopbackPullPushAllocs(t *testing.T) {
 }
 
 // TestClientRoundAllocs pins what one Client pull plus push allocates in
-// BenchmarkClientPullPush's shape (27 dim-16 rows on each of 4 loopback
-// shards), worker and shards together, on the slot path: PullRows into
-// the caller's rows and PushRows from them, 0. Each message is one binary
-// frame read into and written from buffers its connection reuses, the
-// shard pulls into its session's scratch, and the client decodes each
-// shard's rows into its own. It was 120 while gob framed every message
-// (a request struct, a decoded reply buffer and gob's own allocations per
+// BenchmarkClientPullPush's shape (27 dim-16 rows on each of 4 shards),
+// worker and shards together, on the slot path: PullRows into the caller's
+// rows and PushRows from them, 0, over loopback shards and over fp32
+// in-process links alike. Over sockets each message is one binary frame
+// read into and written from buffers its connection reuses, the shard
+// pulls into its session's scratch, and the client decodes each shard's
+// rows into its own; in process the shard's rows are copied straight into
+// the client's. Over sockets it was 120 while gob framed every message (a
+// request struct, a decoded reply buffer and gob's own allocations per
 // shard, and the shard's fresh rows per pull), 292 through the map-taking
 // Pull and Push, whose merge made a row per key and whose push sorted its
 // keys and built a fresh payload per shard, and 339 while the round built
 // closures and per-round slices beside a per-call path.
 func TestClientRoundAllocs(t *testing.T) {
-	c, keys := chattyCluster(t)
-	addrs, _ := loopbackShards(t, c)
-	tr, err := DialTCPLink(addrs, ProfileFP32, LinkConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	cl, err := NewClient(0, c, tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, grads := make([][]float32, len(keys)), make([][]float32, len(keys))
-	for i, k := range keys {
-		rows[i], grads[i] = make([]float32, cl.Width(k)), make([]float32, cl.Width(k))
-	}
-	step := func() {
-		if err := cl.PullRows(keys, rows); err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range grads {
-			for i := range g {
-				g[i] = 1e-6
+	for _, over := range []string{"tcp", "in-process"} {
+		t.Run(over, func(t *testing.T) {
+			c, keys := chattyCluster(t)
+			var tr *LinkTransport
+			if over == "tcp" {
+				addrs, _ := loopbackShards(t, c)
+				var err error
+				if tr, err = DialTCPLink(addrs, ProfileFP32, LinkConfig{}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				tr = NewInProc(c)
 			}
-		}
-		if err := cl.PushRows(keys, grads); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step() // scratch growth happens once
-	if n := testing.AllocsPerRun(200, step); n > 0 {
-		t.Errorf("%v allocs per client pull+push over 4 shards, want 0", n)
+			defer tr.Close()
+			cl, err := NewClient(0, c, tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, grads := make([][]float32, len(keys)), make([][]float32, len(keys))
+			for i, k := range keys {
+				rows[i], grads[i] = make([]float32, cl.Width(k)), make([]float32, cl.Width(k))
+			}
+			step := func() {
+				if err := cl.PullRows(keys, rows); err != nil {
+					t.Fatal(err)
+				}
+				for _, g := range grads {
+					for i := range g {
+						g[i] = 1e-6
+					}
+				}
+				if err := cl.PushRows(keys, grads); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // scratch growth happens once
+			if n := testing.AllocsPerRun(200, step); n > 0 {
+				t.Errorf("%v allocs per client pull+push over 4 shards, want 0", n)
+			}
+		})
 	}
 }

@@ -524,9 +524,8 @@ func DialCoordinator(addr string, timeout time.Duration) (*CoordClient, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	fp32, _ := ResolveProfile(ProfileFP32)
 	// Membership links carry no pushes, so link id 0 (dedup off).
-	t, err := newLinkTransport([]string{addr}, fp32,
+	t, err := newLinkTransport([]string{addr}, fp32Profile,
 		LinkConfig{RPCTimeout: timeout, Retries: -1, BreakerThreshold: -1}, false, (*LinkTransport).dialTCP)
 	if err != nil {
 		return nil, err

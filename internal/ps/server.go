@@ -146,16 +146,10 @@ func (s *Server) Machine() int { return s.machine }
 // carried in the request (zero context → no-op). Safe to leave unset.
 func (s *Server) Trace(t *span.Tracer) { s.tracer = t }
 
-// PullTraced serves a pull into a fresh buffer, recording a shard.pull
-// span stitched to the originating batch via sc.
-func (s *Server) PullTraced(sc span.Context, keys []Key) ([]float32, error) {
-	return s.pullAppend(sc, nil, keys)
-}
-
 // pullAppend appends the rows of keys, concatenated in key order, to dst
 // and returns the extended slice, recording a shard.pull span stitched to
 // the originating batch via sc. A shard session pulls into the scratch it
-// reuses this way.
+// reuses this way, and an fp32 in-process link into its caller's buffer.
 func (s *Server) pullAppend(sc span.Context, dst []float32, keys []Key) ([]float32, error) {
 	sp := s.tracer.StartChild(sc, span.NShardPull)
 	out, err := s.appendRows(dst, keys)
@@ -194,6 +188,9 @@ func (s *Server) NumRows() int { return s.numEnt + len(s.rels)/s.relDim }
 
 // Pull copies the requested rows, concatenated in key order, into a fresh
 // buffer. Unknown keys are an error: they indicate a placement bug.
+//
+// Deprecated: kept only for the frozen benchmark harness; ROADMAP item 2
+// deletes it. Workers pull through a LinkTransport.
 func (s *Server) Pull(keys []Key) ([]float32, error) { return s.appendRows(nil, keys) }
 
 // appendRows appends the rows of keys to dst, grown once to fit them.

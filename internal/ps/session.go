@@ -11,8 +11,9 @@ import (
 // session is the shard end of one worker↔shard connection: the codec state
 // and link identity negotiated when the connection opened, and the one
 // dispatch on a request's op. serveConn runs one per TCP connection; an
-// in-process link (NewCodecTransport) calls one directly. A session is not
-// synchronized — its connection's request order serializes it.
+// in-process link whose profile encodes (NewCodecTransport, any profile
+// but fp32) calls one directly. A session is not synchronized — its
+// connection's request order serializes it.
 type session struct {
 	rows  shardRows
 	coord *Membership // nil: membership and telemetry ops are refused
@@ -21,8 +22,8 @@ type session struct {
 	vbuf  []float32 // pulled rows, or a push's decoded gradients
 }
 
-// shardRows is what a session serves: a *Server behind a listener, or
-// viaTransport under an in-process link.
+// shardRows is what a session or an fp32 in-process conn serves: a
+// *Server, or viaTransport over a Transport that is not a link.
 type shardRows interface {
 	Width(Key) int
 	NumRows() int
@@ -48,7 +49,7 @@ func (s *session) handle(dst []byte, req *wireRequest) ([]byte, error) {
 	sc := span.Context{Trace: req.TraceID, Parent: req.ParentID}
 	switch req.Op {
 	case 'P':
-		if err := s.bounded(req.Keys); err != nil {
+		if err := bounded(s.rows, req.Keys); err != nil {
 			return nil, err
 		}
 		vals, err := s.rows.pullAppend(sc, s.vbuf[:0], req.Keys)
@@ -58,7 +59,7 @@ func (s *session) handle(dst []byte, req *wireRequest) ([]byte, error) {
 		s.vbuf = vals
 		return s.lc.encodePull(dst, req.Keys, req.Payload, vals)
 	case 'U':
-		if err := s.bounded(req.Keys); err != nil {
+		if err := bounded(s.rows, req.Keys); err != nil {
 			return nil, err
 		}
 		if s.rows.pushApplied(s.link, req.Seq) {
@@ -99,8 +100,8 @@ func (s *session) handle(dst []byte, req *wireRequest) ([]byte, error) {
 // before anything is sized from the key count: no legitimate caller does
 // that (pulls carry distinct ids, a gather asks for each row once), and a
 // few bytes of keys must not make the shard allocate a row slab per key.
-func (s *session) bounded(keys []Key) error {
-	if n := s.rows.NumRows(); len(keys) > n {
+func bounded(rows shardRows, keys []Key) error {
+	if n := rows.NumRows(); len(keys) > n {
 		return fmt.Errorf("ps: request names %d keys, the shard owns %d rows", len(keys), n)
 	}
 	return nil

@@ -15,8 +15,9 @@ import (
 
 // The TCP conn carries a link's requests over real sockets in binary
 // frames (frame.go), proving the parameter server works across process
-// boundaries. Experiments use InProc (deterministic timing); integration
-// tests and the cmd/ binaries exercise this path.
+// boundaries. Experiments run the same links over in-process conns, whose
+// cost comes from the netsim model (deterministic timing); integration
+// tests and the cmd/ binaries exercise this conn.
 //
 // A connection starts with a codec handshake: the client sends a hello
 // frame naming a codec profile (one byte, see profileID), the shard answers

@@ -1,8 +1,6 @@
 package ps
 
 import (
-	"fmt"
-
 	"hetkg/internal/netsim"
 	"hetkg/internal/span"
 )
@@ -16,42 +14,27 @@ type PullRequest struct {
 }
 
 // PullResponse carries the requested rows concatenated in key order.
-// TxBytes and RxBytes are the wire sizes of the request and the response as
-// the transport that encoded them measured; a transport that moves no
-// encoded bytes (InProc) leaves them zero, which prices the round trip by
-// PullRequestBytes / PullResponseBytes.
 type PullResponse struct {
-	Vals    []float32
-	TxBytes int64
-	RxBytes int64
+	Vals []float32
 }
 
 // PushRequest carries gradients for Keys, concatenated in key order. Trace
-// is the originating batch's span context, as in PullRequest. WireBytes is
-// filled in by the transport that encodes the request, with its measured
-// wire size; left zero (InProc) the request is priced by PushRequestBytes.
+// is the originating batch's span context, as in PullRequest.
 type PushRequest struct {
-	Keys      []Key
-	Vals      []float32
-	Trace     span.Context
-	WireBytes int64
+	Keys  []Key
+	Vals  []float32
+	Trace span.Context
 }
 
-// Transport moves requests between a worker and the server shards. A
-// Client sits on one of two: InProc (direct shard calls, used for
-// experiments so traffic cost comes from the netsim model, not Go
-// scheduling noise), or a LinkTransport — one link per shard, whose conn is
-// either a direct call into an in-process shard session
-// (NewCodecTransport: the negotiated codec's two ends, both really run) or
-// binary frames over TCP (DialTCPLink: the real wire protocol, used by
-// integration tests and multi-process deployments). The two kinds of link
-// run the same round, codec, sequence and retry code; only the conn
-// differs.
-//
-// A Client hands a LinkTransport a batch's per-shard requests as one round
-// (see Client) and calls any other Transport from its own goroutine, one
-// shard at a time, so a wrapper or fake that only one client uses need not
-// be safe for concurrent use.
+// Transport reaches one shard per call. A Client runs every call over a
+// LinkTransport — one link per shard, whose conn is an in-process call
+// into the shard (NewInProc, NewCodecTransport) or binary frames over TCP
+// (DialTCPLink, used by integration tests and multi-process deployments),
+// the same round, codec, sequence and retry code over either. Any other
+// Transport (a wrapper or a test fake) is put behind fp32 in-process links
+// that call it, each call from the goroutine of the round that makes it,
+// so a wrapper or fake that only one client uses need not be safe for
+// concurrent use.
 type Transport interface {
 	// Pull fetches rows from the given shard.
 	Pull(shard int, req *PullRequest) (*PullResponse, error)
@@ -79,47 +62,27 @@ func PushRequestBytes(numKeys, numVals int) int64 {
 	return msgHeaderBytes + 8*int64(numKeys) + 4*int64(numVals)
 }
 
-// InProc is the in-process transport: requests call shard methods directly.
-type InProc struct {
-	servers []*Server
+// NewInProc puts a cluster's shards behind fp32 in-process links, one per
+// shard: a pull copies the shard's rows straight into the caller's buffer
+// and a push applies the caller's gradients, nothing encoded (see
+// linkConn.move).
+func NewInProc(c *Cluster) *LinkTransport {
+	t, _ := inProcLinks(c, nil, fp32Profile) // an fp32 in-process link's dial cannot fail
+	return t
 }
 
-// NewInProc wraps a cluster's shards.
-func NewInProc(c *Cluster) *InProc { return &InProc{servers: c.Servers} }
-
-// Pull implements Transport.
-func (t *InProc) Pull(shard int, req *PullRequest) (*PullResponse, error) {
-	if shard < 0 || shard >= len(t.servers) {
-		return nil, fmt.Errorf("ps: no shard %d", shard)
-	}
-	vals, err := t.servers[shard].PullTraced(req.Trace, req.Keys)
-	if err != nil {
-		return nil, err
-	}
-	return &PullResponse{Vals: vals}, nil
-}
-
-// Push implements Transport.
-func (t *InProc) Push(shard int, req *PushRequest) error {
-	if shard < 0 || shard >= len(t.servers) {
-		return fmt.Errorf("ps: no shard %d", shard)
-	}
-	return t.servers[shard].PushTraced(req.Trace, req.Keys, req.Vals)
-}
-
-// Close implements Transport.
-func (t *InProc) Close() error { return nil }
-
-// NewCodecTransport puts inner behind the named codec profile: one link
-// per shard over an in-process session that reads and applies the shard's
-// rows through inner. Both ends of every link run — the session encodes
+// NewCodecTransport puts c's shards behind the named codec profile, one
+// in-process link per shard. With inner nil each link's conn sits on its
+// shard directly; otherwise it reads and applies the shard's rows through
+// inner. An fp32 link moves rows unencoded (as NewInProc's do). Any other
+// profile runs both ends of its codec — an in-process session encodes
 // pulls and decodes pushes, the link the reverse — so lossy codecs lose
-// exactly the bits a remote peer would, and each call carries its
-// post-codec wire size back to the client for the netsim cost model. "auto"
-// resolves against cm's modeled inter-machine link via ChooseProfile (under
-// the paper's 1 Gbps default, delta-int8). The transport is shared by a
-// trainer process's workers, as a TCP connection pool is: one delta base
-// per (process, shard).
+// exactly the bits a remote peer would. Every link reports its calls'
+// post-codec wire sizes to the client for the netsim cost model. "auto"
+// resolves against cm's modeled inter-machine link via ChooseProfile
+// (under the paper's 1 Gbps default, delta-int8). The transport is shared
+// by a trainer process's workers, as a TCP connection pool is: one delta
+// base per (process, shard).
 func NewCodecTransport(inner Transport, c *Cluster, codec string, cm netsim.CostModel) (*LinkTransport, error) {
 	prof, err := ResolveProfile(codec)
 	if err != nil {
@@ -131,15 +94,32 @@ func NewCodecTransport(inner Transport, c *Cluster, codec string, cm netsim.Cost
 			return nil, err
 		}
 	}
-	// An in-process call cannot lose its reply, so the links need no
-	// push-dedup identity.
+	return inProcLinks(c, inner, prof)
+}
+
+// fp32Profile is the resolved fp32 profile.
+var fp32Profile, _ = ResolveProfile(ProfileFP32)
+
+// inProcLinks builds one in-process link per shard of c on the resolved
+// prof, each conn on its shard's rows, or on viaTransport's when inner is
+// not nil. This is the one place a non-link Transport joins the link path.
+// An in-process call cannot lose its reply, so the links need no push-dedup
+// identity.
+func inProcLinks(c *Cluster, inner Transport, prof Profile) (*LinkTransport, error) {
 	return newLinkTransport(make([]string, len(c.Servers)), prof, LinkConfig{}, false,
 		func(_ *LinkTransport, l *link) (*linkConn, error) {
-			s, err := newSession(viaTransport{Server: c.Servers[l.shard], tr: inner}, nil, l.prof, l.id)
+			var rows shardRows = c.Servers[l.shard]
+			if inner != nil {
+				rows = viaTransport{Server: c.Servers[l.shard], tr: inner}
+			}
+			lc, err := newLinkCodec(l.prof, rows.Width)
 			if err != nil {
 				return nil, err
 			}
-			lc, err := newLinkCodec(l.prof, s.rows.Width)
+			if l.prof.Name == ProfileFP32 {
+				return &linkConn{rows: rows, lc: lc}, nil
+			}
+			s, err := newSession(rows, nil, l.prof, l.id)
 			if err != nil {
 				return nil, err
 			}
@@ -147,9 +127,10 @@ func NewCodecTransport(inner Transport, c *Cluster, codec string, cm netsim.Cost
 		})
 }
 
-// viaTransport is the rows an in-process session serves: one shard's, read
-// and applied through an in-process transport. Widths, the row count and
-// the push-dedup table are the shard's own.
+// viaTransport is the rows an in-process link serves when the caller hands
+// in a Transport that is not a link: one shard's, read and applied through
+// that transport. Widths, the row count and the push-dedup table are the
+// shard's own.
 type viaTransport struct {
 	*Server
 	tr Transport

@@ -28,9 +28,10 @@ const (
 	// the TCP transport.
 	NSerialize = "transport.serialize"
 	// NEncode covers the negotiated wire codec's work on a request: delta
-	// framing and row encoding of a pull response (in-process transports
+	// framing and row encoding of a pull response (in-process links
 	// simulate both ends), or decode of one on the TCP client, or gradient
-	// encoding of a push.
+	// encoding of a push. An fp32 in-process link encodes nothing and
+	// records none.
 	NEncode = "transport.encode"
 	// NWireTCP covers the real-socket round trip of a TCP request: from
 	// request flushed to response decoded (includes shard service time).

@@ -115,10 +115,9 @@ type Config struct {
 
 	// Codec names the negotiated wire-codec profile for worker↔PS links:
 	// "fp32" (default), "fp16", "int8", "delta-int8", "topk", or "auto"
-	// (picked per link from RTT×bandwidth). See ps.ResolveProfile. For
-	// in-process transports the codec layer wraps the transport here; TCP
-	// transports negotiate it themselves at dial time, so supply the same
-	// name to ps.DialTCPLink.
+	// (picked per link from RTT×bandwidth). See ps.ResolveProfile. The
+	// in-process links are built on it here; TCP links negotiate it
+	// themselves at dial time, so supply the same name to ps.DialTCPLink.
 	Codec string
 
 	// TopKRatio is the fraction of gradient coordinates the "topk" codec's
@@ -128,8 +127,10 @@ type Config struct {
 	TopKRatio float64
 
 	// NewTransport, when non-nil, supplies the worker↔PS transport
-	// (default: the in-process transport). Supplying a ps.DialTCPLink
-	// transport runs the whole training loop over real sockets.
+	// (default: in-process links on Codec over the cluster's shards).
+	// Supplying a ps.DialTCPLink transport runs the whole training loop
+	// over real sockets; any other Transport is put behind in-process
+	// links on Codec.
 	NewTransport func(*ps.Cluster) (ps.Transport, error)
 
 	// Metrics is the registry every subsystem (workers, PS client and

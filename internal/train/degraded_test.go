@@ -14,10 +14,11 @@ import (
 // fail with ps.LinkDownError — the exact error shape the TCP link layer
 // produces once retries are exhausted or the breaker is open — while every
 // other call passes through. until < 0 means the shard never recovers.
-// Scheduling is deterministic (round-robin workers; ps.Client calls a
-// Transport that is not a LinkTransport one shard at a time, in shard
-// order), so the same window yields the identical fault schedule on every
-// run.
+// Scheduling is deterministic (round-robin workers; the trainer puts a
+// Transport that is not a LinkTransport behind in-process links, and a
+// round's in-process requests are served as they are sent, one shard at a
+// time in shard order), so the same window yields the identical fault
+// schedule on every run.
 type outageTransport struct {
 	inner ps.Transport
 	shard int

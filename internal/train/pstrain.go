@@ -92,9 +92,10 @@ func systemName(cfg *Config, cached bool) string {
 type psEnv struct {
 	cluster *ps.Cluster
 	part    *partition.Result
-	// tr is the worker↔PS transport; gathers go through it too, so remote
-	// shard deployments (`hetkg ps`) see the trained state.
-	tr ps.Transport
+	// tr is the worker↔PS transport, one link per shard; gathers go
+	// through it too, so remote shard deployments (`hetkg ps`) see the
+	// trained state.
+	tr *ps.LinkTransport
 }
 
 // partRunner is one runner of the driver: a worker and its position in its
@@ -494,34 +495,28 @@ func setupPS(cfg *Config) (*psEnv, error) {
 			srv.Trace(cfg.Spans.Tracer(srv.Machine(), span.WorkerShard))
 		}
 	}
-	var tr ps.Transport
+	// Links that already negotiated their profile (TCP, at dial time) are
+	// used as they are: a second link layer would codec the payload twice.
+	// Otherwise the shards go behind in-process links on cfg.Codec, over
+	// the cluster's servers or over the supplied transport.
+	var tr *ps.LinkTransport
+	var inner ps.Transport
 	if cfg.NewTransport != nil {
-		tr, err = cfg.NewTransport(cluster)
-		if err != nil {
+		if inner, err = cfg.NewTransport(cluster); err != nil {
 			return nil, fmt.Errorf("train: building transport: %w", err)
 		}
-	} else {
-		tr = ps.NewInProc(cluster)
+		tr, _ = inner.(*ps.LinkTransport)
 	}
-	// A codec puts the shards behind links over in-process sessions, both
-	// ends of the negotiated codec running. Links that already negotiated
-	// their profile (TCP, at dial time) are left alone — a second link
-	// layer would codec the payload twice.
-	if _, linked := tr.(*ps.LinkTransport); !linked && cfg.Codec != "" {
-		tr, err = ps.NewCodecTransport(tr, cluster, cfg.Codec, cfg.CostModel)
-		if err != nil {
+	if tr == nil {
+		if tr, err = ps.NewCodecTransport(inner, cluster, cfg.Codec, cfg.CostModel); err != nil {
 			return nil, fmt.Errorf("train: building codec transport: %w", err)
 		}
 	}
-	if inst, ok := tr.(interface{ Instrument(*metrics.Registry) }); ok {
-		inst.Instrument(cfg.Metrics)
-	}
+	tr.Instrument(cfg.Metrics)
 	if cfg.Spans != nil {
 		// Links record codec spans (and, over sockets, serialization/wire
 		// spans) on a dedicated shared row.
-		if tt, ok := tr.(interface{ Trace(*span.Tracer) }); ok {
-			tt.Trace(cfg.Spans.Tracer(span.MachineTransport, span.WorkerTransport))
-		}
+		tr.Trace(cfg.Spans.Tracer(span.MachineTransport, span.WorkerTransport))
 	}
 	return &psEnv{cluster: cluster, part: part, tr: tr}, nil
 }

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -8,8 +9,10 @@ import (
 	"hetkg/internal/cache"
 	"hetkg/internal/dataset"
 	"hetkg/internal/kg"
+	"hetkg/internal/metrics"
 	"hetkg/internal/model"
 	"hetkg/internal/netsim"
+	"hetkg/internal/ps"
 )
 
 func testCostModel() netsim.CostModel {
@@ -136,6 +139,56 @@ func TestHETKGDPS(t *testing.T) {
 	}
 	if res.Final.MRR < 0.1 {
 		t.Errorf("DPS MRR %.3f too low", res.Final.MRR)
+	}
+}
+
+// TestCodecLessRunIsFP32: a run with no codec and one with Codec "fp32"
+// are one program, both over fp32 in-process links, so a tiny HET-KG-D run
+// reads the same either way: losses, MRR, embeddings, metered traffic,
+// simulated comm time, ps.bytes_tx/rx and ps.codec.bytes_raw/wire. The
+// codec-less run once went through a second path that counted no codec
+// bytes.
+func TestCodecLessRunIsFP32(t *testing.T) {
+	run := func(codec string) (*Result, *metrics.Registry) {
+		t.Helper()
+		cfg := testConfig(t, 2)
+		cfg.Epochs = 2
+		cfg.Cache.Strategy = cache.DPS
+		cfg.Cache.PrefetchD = 8
+		cfg.Codec = codec
+		cfg.Metrics = metrics.NewRegistry()
+		res, err := TrainHETKG(cfg)
+		if err != nil {
+			t.Fatalf("codec %q: %v", codec, err)
+		}
+		return res, cfg.Metrics
+	}
+	bare, bareReg := run("")
+	fp32, fp32Reg := run(ps.ProfileFP32)
+	if len(bare.Epochs) != len(fp32.Epochs) {
+		t.Fatalf("%d epochs against %d", len(bare.Epochs), len(fp32.Epochs))
+	}
+	for i, e := range bare.Epochs {
+		f := fp32.Epochs[i]
+		if e.Loss != f.Loss || e.MRR != f.MRR || e.Comm != f.Comm {
+			t.Errorf("epoch %d: loss %v, MRR %v, comm %v without a codec; %v, %v, %v with fp32",
+				e.Epoch, e.Loss, e.MRR, e.Comm, f.Loss, f.MRR, f.Comm)
+		}
+	}
+	if bare.Final.MRR != fp32.Final.MRR || bare.Traffic != fp32.Traffic || bare.Comm != fp32.Comm {
+		t.Errorf("final MRR %v, traffic %v, comm %v without a codec; %v, %v, %v with fp32",
+			bare.Final.MRR, bare.Traffic, bare.Comm, fp32.Final.MRR, fp32.Traffic, fp32.Comm)
+	}
+	for i, v := range bare.Entities.Data {
+		if math.Float32bits(v) != math.Float32bits(fp32.Entities.Data[i]) {
+			t.Fatalf("entity value %d: %v without a codec, %v with fp32", i, v, fp32.Entities.Data[i])
+		}
+	}
+	for _, name := range []string{metrics.MPSBytesTx, metrics.MPSBytesRx, metrics.MPSCodecBytesRaw, metrics.MPSCodecBytesWire} {
+		a, b := bareReg.Counter(name).Value(), fp32Reg.Counter(name).Value()
+		if a != b || a == 0 {
+			t.Errorf("%s = %d without a codec, %d with fp32; want equal and non-zero", name, a, b)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ type workerBuilder struct {
 	cfg     *Config
 	cluster *ps.Cluster
 	subs    []*kg.Graph
-	tr      ps.Transport
+	tr      *ps.LinkTransport
 	tobs    *trainObs
 	prof    ps.Profile
 	cached  bool
