@@ -4,13 +4,12 @@ test:
 	go build ./...
 	go test ./...
 
-# Tier-2: static analysis + the full suite under the race detector.
-# The parallel execution engine (internal/par) and everything built on it
-# must stay data-race free at any parallelism.
+# Tier-2: every step CI's tier-2 job runs (vet, the race suite, the
+# benchmarks once, the fuzzers, the benchmark module), defined once in
+# scripts/check.sh.
 .PHONY: check
 check:
-	go vet ./...
-	go test -race ./...
+	scripts/check.sh
 
 # Hot-path and experiment benchmarks with allocation counts.
 .PHONY: bench

@@ -196,12 +196,6 @@ func (h *HotCache) Build(keys []ps.Key, iteration int) error {
 // Len returns the number of cached rows.
 func (h *HotCache) Len() int { return len(h.rows) }
 
-// Contains reports whether k is in the identifier table (fresh or stale).
-func (h *HotCache) Contains(k ps.Key) bool {
-	_, ok := h.rows[k]
-	return ok
-}
-
 // Get returns the cached row for k if it is present and within the
 // staleness bound at the given iteration, recording a hit or miss. A stale
 // row is a miss: the caller pulls the fresh value and hands it back through

@@ -146,24 +146,3 @@ func takeKeys(s []rankedKey, n int) []ps.Key {
 	}
 	return out
 }
-
-// Strategy selects how the hot-embedding table is constructed over the
-// course of training (§IV-B).
-type Strategy int
-
-const (
-	// CPS (constant partial stale) fixes the table once before training
-	// from a whole-subgraph census.
-	CPS Strategy = iota
-	// DPS (dynamic partial stale) re-prefetches D iterations ahead and
-	// rebuilds the table every D iterations.
-	DPS
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	if s == DPS {
-		return "DPS"
-	}
-	return "CPS"
-}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"hetkg/internal/artifact"
-	"hetkg/internal/cache"
 	"hetkg/internal/ckpt"
 	"hetkg/internal/dataset"
 	"hetkg/internal/kg"
@@ -30,49 +29,19 @@ import (
 	"hetkg/internal/vec"
 )
 
-// System names a training system implementation.
-type System string
+// System names a training system implementation (train.System).
+type System = train.System
 
 // The four systems of the paper's evaluation.
 const (
-	SystemPBG    System = "PBG"
-	SystemDGLKE  System = "DGL-KE"
-	SystemHETKGC System = "HET-KG-C"
-	SystemHETKGD System = "HET-KG-D"
+	SystemPBG    = train.SystemPBG
+	SystemDGLKE  = train.SystemDGLKE
+	SystemHETKGC = train.SystemHETKGC
+	SystemHETKGD = train.SystemHETKGD
 )
 
 // Systems lists all systems in the paper's table order.
-func Systems() []System {
-	return []System{SystemPBG, SystemDGLKE, SystemHETKGC, SystemHETKGD}
-}
-
-// systemNames is each system's flag and plan spelling, the one map between
-// the two (MarshalText, UnmarshalText).
-var systemNames = map[System]string{
-	SystemPBG:    "pbg",
-	SystemDGLKE:  "dglke",
-	SystemHETKGC: "hetkg-c",
-	SystemHETKGD: "hetkg-d",
-}
-
-// MarshalText spells the system as its flag and plan value ("hetkg-d").
-func (s System) MarshalText() ([]byte, error) {
-	if name, ok := systemNames[s]; ok {
-		return []byte(name), nil
-	}
-	return nil, fmt.Errorf("core: unknown system %q", string(s))
-}
-
-// UnmarshalText parses a flag or plan value: pbg, dglke, hetkg-c or hetkg-d.
-func (s *System) UnmarshalText(text []byte) error {
-	for sys, name := range systemNames {
-		if name == string(text) {
-			*s = sys
-			return nil
-		}
-	}
-	return fmt.Errorf("core: unknown system %q (have pbg | dglke | hetkg-c | hetkg-d)", text)
-}
+func Systems() []System { return train.Systems() }
 
 // RunConfig is the one description of a training run. Its plan-tagged
 // fields are the run's declarative knobs: each tag is the knob's plan-file
@@ -440,6 +409,7 @@ func Run(rc RunConfig) (*train.Result, error) {
 	}
 
 	tc := train.Config{
+		System:               rc.System,
 		Graph:                sp.Train,
 		Valid:                sp.Valid.Triples,
 		Filter:               sp.AllTriples(),
@@ -480,12 +450,24 @@ func Run(rc RunConfig) (*train.Result, error) {
 			PrefetchD:      rc.CachePrefetchD,
 		},
 	}
-	if len(rc.ShardAddrs) > 0 {
-		if len(rc.ShardAddrs) != rc.Machines {
-			return nil, fmt.Errorf("core: %d shard addresses for %d machines", len(rc.ShardAddrs), rc.Machines)
+	addrs := rc.ShardAddrs
+	if rc.JoinAddr != "" {
+		cc, err := ps.DialCoordinator(rc.JoinAddr, 0)
+		if err != nil {
+			return nil, err
 		}
-		addrs, codec, lcfg := rc.ShardAddrs, rc.Codec, rc.linkConfig()
+		defer cc.Close()
+		if tc.Elastic, err = joinCluster(&rc, cc); err != nil {
+			return nil, err
+		}
+		addrs = tc.Elastic.Join.ShardAddrs
+	}
+	if len(addrs) > 0 || tc.Elastic != nil {
+		codec, lcfg := rc.Codec, rc.linkConfig()
 		tc.NewTransport = func(*ps.Cluster) (ps.Transport, error) {
+			if len(addrs) != rc.Machines {
+				return nil, fmt.Errorf("core: %d shard addresses for %d machines", len(addrs), rc.Machines)
+			}
 			return ps.DialTCPLink(addrs, codec, lcfg)
 		}
 	}
@@ -508,11 +490,12 @@ func Run(rc RunConfig) (*train.Result, error) {
 		spans = span.NewCollector(span.CollectorConfig{Every: rc.SpanEvery})
 		tc.Spans = spans
 	}
-	var res *train.Result
-	if rc.JoinAddr != "" {
-		res, err = runElastic(rc, tc)
-	} else {
-		res, err = runSystem(rc.System, tc)
+	res, err := train.Run(tc)
+	if err != nil && tc.Elastic != nil {
+		// A failed worker holds its partitions until the coordinator's
+		// worker timeout; hand them back now. Best effort: the timeout
+		// still releases them if this fails.
+		_ = tc.Elastic.Coordinator.Leave(ps.LeaveRequest{WorkerID: tc.Elastic.Join.WorkerID})
 	}
 	if timelineFile != nil {
 		if cerr := timelineFile.Close(); cerr != nil && err == nil {
@@ -526,24 +509,6 @@ func Run(rc RunConfig) (*train.Result, error) {
 		}
 	}
 	return res, err
-}
-
-// runSystem dispatches to the trainer selected by system.
-func runSystem(system System, tc train.Config) (*train.Result, error) {
-	switch system {
-	case SystemPBG:
-		return train.TrainPBG(tc)
-	case SystemDGLKE:
-		return train.TrainDGLKE(tc)
-	case SystemHETKGC:
-		tc.Cache.Strategy = cache.CPS
-		return train.TrainHETKG(tc)
-	case SystemHETKGD:
-		tc.Cache.Strategy = cache.DPS
-		return train.TrainHETKG(tc)
-	default:
-		return nil, fmt.Errorf("core: unknown system %q", system)
-	}
 }
 
 func resumeEntities(c *ckpt.Checkpoint) *vec.Matrix {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"hetkg/internal/cache"
 	"hetkg/internal/ps"
 	"hetkg/internal/train"
 )
@@ -14,55 +13,26 @@ import (
 // through prepare. A shard process therefore needs no state transfer at
 // startup: it computes its own rows and starts serving.
 
-// runElastic joins the cluster at rc.JoinAddr and trains whatever the
-// coordinator assigns (Run's elastic-mode dispatch). The registration
-// happens here rather than in train.TrainElastic because the join reply's
-// shard list is needed to build the transport.
-func runElastic(rc RunConfig, tc train.Config) (*train.Result, error) {
-	switch rc.System {
-	case SystemDGLKE, SystemHETKGC, SystemHETKGD:
-	default:
-		return nil, fmt.Errorf("core: system %q does not support elastic mode", rc.System)
-	}
+// joinCluster registers this process with the coordinator behind cc — here
+// rather than in train, because the join reply's shard list builds the
+// transport — and returns the run's elastic configuration. The machines this
+// process was launched for (LocalMachines) are the partitions it prefers.
+func joinCluster(rc *RunConfig, cc *ps.CoordClient) (*train.ElasticConfig, error) {
 	host, _ := os.Hostname()
 	label := fmt.Sprintf("%s:%d", host, os.Getpid())
-	cc, err := ps.DialCoordinator(rc.JoinAddr, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer cc.Close()
 	join, err := cc.Join(ps.JoinRequest{Label: label, Preferred: rc.LocalMachines})
 	if err != nil {
 		return nil, fmt.Errorf("core: joining cluster at %s: %w", rc.JoinAddr, err)
 	}
-	if join.Partitions != rc.Machines {
-		return nil, fmt.Errorf("core: coordinator runs %d partitions, -machines says %d (all processes must share the run configuration)",
-			join.Partitions, rc.Machines)
-	}
-	if len(join.ShardAddrs) != rc.Machines {
-		return nil, fmt.Errorf("core: coordinator advertised %d shard addresses for %d machines",
-			len(join.ShardAddrs), rc.Machines)
-	}
-	addrs, codec, lcfg := join.ShardAddrs, rc.Codec, rc.linkConfig()
-	tc.NewTransport = func(*ps.Cluster) (ps.Transport, error) {
-		return ps.DialTCPLink(addrs, codec, lcfg)
-	}
-	switch rc.System {
-	case SystemHETKGC:
-		tc.Cache.Strategy = cache.CPS
-	case SystemHETKGD:
-		tc.Cache.Strategy = cache.DPS
-	}
-	return train.TrainElastic(tc, train.ElasticConfig{
+	return &train.ElasticConfig{
 		Coordinator: cc,
 		Join:        join,
 		Label:       label,
 		CkptDir:     rc.CkptDir,
 		RecoverFrom: rc.RecoverFrom,
 		CkptEvery:   rc.CkptEvery,
-		NoCache:     rc.System == SystemDGLKE,
 		Logf:        rc.ClusterLogf,
-	})
+	}, nil
 }
 
 // BuildShard constructs the single parameter-server shard that machine m of

@@ -202,3 +202,42 @@ func TestElasticKillRecovery(t *testing.T) {
 	}
 	t.Logf("recovered MRR %.3f vs no-failure %.3f", recovered, base.Final.MRR)
 }
+
+// TestRefusedJoinerReleasesItsPartitions: a `-join` process whose run is
+// refused after it registered — here PBG, which has no elastic driver —
+// hands its partitions back at once instead of holding them until the
+// coordinator's worker timeout.
+func TestRefusedJoinerReleasesItsPartitions(t *testing.T) {
+	rc := procRunConfig()
+	rc.System = SystemPBG
+	shard0, err := BuildShard(rc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := ps.NewMembership(ps.MemberConfig{
+		Partitions:     rc.Machines,
+		ShardAddrs:     []string{l0.Addr().String(), l0.Addr().String()},
+		HeartbeatEvery: time.Second,
+		WorkerTimeout:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := &ps.Acceptor{Coordinator: coord}
+	go acc.Serve(l0, shard0)
+	defer func() {
+		l0.Close()
+		acc.Shutdown(time.Second)
+	}()
+	rc.JoinAddr = l0.Addr().String()
+	if _, err := Run(rc); err == nil {
+		t.Fatal("PBG ran as an elastic worker")
+	}
+	if snap := coord.Snapshot(); snap.Workers != 0 || snap.Unassigned != rc.Machines {
+		t.Errorf("after the refused run: %d workers, %d of %d partitions unassigned", snap.Workers, snap.Unassigned, rc.Machines)
+	}
+}

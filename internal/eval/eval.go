@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"hetkg/internal/kg"
 	"hetkg/internal/model"
@@ -254,64 +253,4 @@ func (cfg Config) sampleCandidates(tr kg.Triple, corruptHead bool, rng *rand.Ran
 		out = append(out, e)
 	}
 	return out
-}
-
-// RankTriples is a diagnostic helper: it returns each test triple's
-// tail-corruption rank, sorted ascending, for inspecting the rank
-// distribution behind an MRR value. Rankings run under cfg.Parallelism with
-// per-triple derived RNGs, so the distribution is degree-independent.
-func RankTriples(cfg Config, test []kg.Triple) ([]int, error) {
-	if cfg.Model == nil || cfg.Entities == nil || cfg.Relations == nil {
-		return nil, fmt.Errorf("eval: model and embedding tables are required")
-	}
-	ranks := par.Map(par.Degree(cfg.Parallelism), len(test), func(i int) int {
-		return rankOne(cfg, test[i], false, cfg.itemRNG(i))
-	})
-	sort.Ints(ranks)
-	return ranks, nil
-}
-
-// ByRelation computes a separate Result per relation in the test set
-// (tail-corruption side), the standard diagnostic for spotting relations a
-// model handles poorly (symmetric relations under TransE, for example).
-func ByRelation(cfg Config, test []kg.Triple) (map[kg.RelationID]Result, error) {
-	if cfg.Model == nil || cfg.Entities == nil || cfg.Relations == nil {
-		return nil, fmt.Errorf("eval: model and embedding tables are required")
-	}
-	hits := cfg.Hits
-	if len(hits) == 0 {
-		hits = []int{1, 3, 10}
-	}
-	ranks := par.Map(par.Degree(cfg.Parallelism), len(test), func(i int) int {
-		return rankOne(cfg, test[i], false, cfg.itemRNG(i))
-	})
-	sumRR := map[kg.RelationID]float64{}
-	sumRank := map[kg.RelationID]float64{}
-	hitCount := map[kg.RelationID]map[int]int{}
-	n := map[kg.RelationID]int{}
-	for i, tr := range test {
-		rank := ranks[i]
-		sumRR[tr.Relation] += 1 / float64(rank)
-		sumRank[tr.Relation] += float64(rank)
-		if hitCount[tr.Relation] == nil {
-			hitCount[tr.Relation] = map[int]int{}
-		}
-		for _, k := range hits {
-			if rank <= k {
-				hitCount[tr.Relation][k]++
-			}
-		}
-		n[tr.Relation]++
-	}
-	out := make(map[kg.RelationID]Result, len(n))
-	for rel, count := range n {
-		r := Result{N: count, Hits: map[int]float64{}}
-		r.MRR = sumRR[rel] / float64(count)
-		r.MR = sumRank[rel] / float64(count)
-		for _, k := range hits {
-			r.Hits[k] = float64(hitCount[rel][k]) / float64(count)
-		}
-		out[rel] = r
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"hetkg/internal/kg"
@@ -126,21 +127,22 @@ func TestSampledCandidatesBoundRank(t *testing.T) {
 		Entities: ents, Relations: rels,
 		NumCandidates: 10, Seed: 1,
 	}
-	ranks, err := RankTriples(cfg, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rk := range ranks {
+	for _, rk := range tailRanks(cfg, test) {
 		if rk < 1 || rk > 11 {
 			t.Errorf("rank %d outside [1, 11] with 10 candidates", rk)
 		}
 	}
-	// Sorted ascending.
-	for i := 1; i < len(ranks); i++ {
-		if ranks[i] < ranks[i-1] {
-			t.Error("RankTriples output not sorted")
-		}
+}
+
+// tailRanks is each test triple's tail-corruption rank, sorted ascending,
+// drawn per triple with the item RNG of its index.
+func tailRanks(cfg Config, test []kg.Triple) []int {
+	ranks := make([]int, len(test))
+	for i, tr := range test {
+		ranks[i] = rankOne(cfg, tr, false, cfg.itemRNG(i))
 	}
+	sort.Ints(ranks)
+	return ranks
 }
 
 func TestRandomEmbeddingsGiveChanceMRR(t *testing.T) {
@@ -214,43 +216,5 @@ func TestCustomHitsCutoffs(t *testing.T) {
 	}
 	if res.String() == "" {
 		t.Error("String empty")
-	}
-}
-
-func TestByRelation(t *testing.T) {
-	ents, _ := perfectTables(10, 4)
-	rels := vec.NewMatrix(2, 4)
-	rels.Row(0)[0] = 1  // relation 0: perfect +1 translation
-	rels.Row(1)[0] = 50 // relation 1: always wrong
-	test := []kg.Triple{
-		{Head: 0, Relation: 0, Tail: 1},
-		{Head: 2, Relation: 0, Tail: 3},
-		{Head: 0, Relation: 1, Tail: 1},
-	}
-	per, err := ByRelation(Config{
-		Model:    model.TransE{Norm: 1},
-		Entities: ents, Relations: rels,
-	}, test)
-	if err != nil {
-		t.Fatalf("ByRelation: %v", err)
-	}
-	if len(per) != 2 {
-		t.Fatalf("got %d relations, want 2", len(per))
-	}
-	if per[0].MRR != 1 {
-		t.Errorf("relation 0 MRR = %v, want 1", per[0].MRR)
-	}
-	if per[1].MRR >= per[0].MRR {
-		t.Errorf("broken relation 1 (MRR %v) should rank below relation 0 (%v)",
-			per[1].MRR, per[0].MRR)
-	}
-	if per[0].N != 2 || per[1].N != 1 {
-		t.Errorf("N split wrong: %d/%d", per[0].N, per[1].N)
-	}
-}
-
-func TestByRelationValidation(t *testing.T) {
-	if _, err := ByRelation(Config{}, nil); err == nil {
-		t.Error("nil model accepted")
 	}
 }

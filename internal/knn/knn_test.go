@@ -297,7 +297,7 @@ func TestSearchMatchesPerRowScan(t *testing.T) {
 					case Dot:
 						s = vec.Dot(q, m.Row(i))
 					case L2:
-						s = -vec.L2Dist(q, m.Row(i))
+						s = -float32(math.Sqrt(float64(vec.SquaredL2Dist(q, m.Row(i)))))
 					}
 					want = append(want, Result{ID: kg.EntityID(i), Score: s})
 				}

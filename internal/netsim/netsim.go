@@ -192,15 +192,6 @@ func (s Snapshot) Time(cm CostModel) time.Duration {
 	return cm.RemoteTime(s.RemoteMsgs, s.RemoteBytes) + cm.LocalTime(s.LocalMsgs, s.LocalBytes)
 }
 
-// RemoteFraction returns the share of bytes that crossed the network.
-func (s Snapshot) RemoteFraction() float64 {
-	total := s.LocalBytes + s.RemoteBytes
-	if total == 0 {
-		return 0
-	}
-	return float64(s.RemoteBytes) / float64(total)
-}
-
 // String renders a compact summary.
 func (s Snapshot) String() string {
 	return fmt.Sprintf("local %d msgs/%d B, remote %d msgs/%d B",

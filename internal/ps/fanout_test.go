@@ -3,8 +3,10 @@ package ps
 import (
 	"errors"
 	"math"
+	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,9 +30,6 @@ func fanOutClient(t *testing.T, c, served *Cluster) (*Client, []loopbackShard) {
 	cl, err := NewClient(0, c, tr, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cl.links == nil {
-		t.Fatal("a client over TCP links does not run its shards' RPCs as a round")
 	}
 	return cl, shards
 }
@@ -82,6 +81,52 @@ func bitEqualRows(t *testing.T, what string, got, want map[Key][]float32) {
 	}
 }
 
+// TestFanOutRoundSendsEveryRequestFirst pins a round's overlap: a client's
+// pull sends every shard its request before it reads any reply. The stub
+// shards, over net.Pipe, each hold their reply until every stub has its
+// request, so a round that read each reply before sending the next request
+// could never finish. A stub that waits past the deadline answers with a
+// push's ack, which poisons its link, so that round fails the pull rather
+// than hang the test.
+func TestFanOutRoundSendsEveryRequestFirst(t *testing.T) {
+	c, keys := chattyCluster(t)
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	gate := func(req *wireRequest, num uint64) (*wireRequest, uint64) {
+		if int(arrived.Add(1)) == len(c.Servers) {
+			close(all)
+		}
+		select {
+		case <-all:
+			return req, num
+		case <-time.After(2 * time.Second):
+			return &wireRequest{Op: 'U'}, num
+		}
+	}
+	fp32, _ := ResolveProfile(ProfileFP32)
+	tr, err := newLinkTransport(make([]string, len(c.Servers)), fp32, LinkConfig{Retries: -1, BreakerThreshold: -1}, true,
+		func(_ *LinkTransport, l *link) (*linkConn, error) {
+			worker, shard := net.Pipe()
+			go stubShard(c.Servers[l.shard], shard, gate)
+			conn, err := handshakeClient(worker, l.prof, l.id)
+			if err != nil {
+				worker.Close()
+			}
+			return conn, err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	cl, err := NewClient(0, c, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Pull(keys, map[Key][]float32{}); err != nil {
+		t.Fatalf("pull whose shards answer only once all %d hold a request: %v (%d arrived)", len(c.Servers), err, arrived.Load())
+	}
+}
+
 // TestFanOutMatchesInProc: a Client whose per-shard RPCs go out as one
 // round — over 4 loopback shards, and over 4 in-process fp32 links that
 // call a transport — pulls the same bits as a Client over NewInProc's
@@ -101,9 +146,6 @@ func TestFanOutMatchesInProc(t *testing.T) {
 			t.Cleanup(func() { tr.Close() })
 			if cl, err = NewClient(0, c, tr, nil); err != nil {
 				t.Fatal(err)
-			}
-			if cl.links == nil {
-				t.Fatal("a client over in-process codec links does not run its shards' RPCs as a round")
 			}
 		}
 		ref, err := NewClient(0, twin, NewInProc(twin), nil)

@@ -506,6 +506,9 @@ type Coordinator interface {
 	Heartbeat(HeartbeatRequest) (*HeartbeatReply, error)
 	// Leave releases this worker's partitions gracefully.
 	Leave(LeaveRequest) error
+	// SendTelemetry ships a registry snapshot to the coordinator's fleet
+	// aggregator; a coordinator without one refuses it.
+	telemetry.Sender
 }
 
 // CoordClient speaks the membership protocol to a coordinator shard over

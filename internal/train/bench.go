@@ -14,11 +14,15 @@ type BatchBench struct {
 	b *sampler.Batch
 }
 
-// NewBatchBench validates cfg, builds the cluster and workers (no cache —
-// the DGL-KE-style path the paper's compute profile measures), and samples
-// the batch to replay.
+// NewBatchBench validates cfg, builds the cluster and workers of DGL-KE
+// whatever cfg.System says (no cache — the path the paper's compute profile
+// measures), and samples the batch to replay.
 func NewBatchBench(cfg Config) (*BatchBench, error) {
-	d, err := newStatic(&cfg, false)
+	cfg.System = SystemDGLKE
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	d, err := newStatic(&cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,11 @@
-// Package train implements the three distributed KGE training systems the
-// paper compares: HET-KG (parameter server + hot-embedding cache, in CPS and
-// DPS variants), a DGL-KE-style trainer (parameter server, no cache), and a
+// Package train implements the distributed KGE training systems the paper
+// compares: HET-KG (parameter server + hot-embedding cache, in CPS and DPS
+// variants), a DGL-KE-style trainer (parameter server, no cache), and a
 // PyTorch-BigGraph-style trainer (entity buckets swapped through a shared
-// filesystem, relations as dense parameters).
+// filesystem, relations as dense parameters). Run trains any of them;
+// Config.System picks which.
 //
-// All three run on the same substrate — models, samplers, optimizers, the
+// All of them run on the same substrate — models, samplers, optimizers, the
 // sharded PS, the partitioner, and the netsim cost model — so measured
 // differences isolate the system mechanism, which is the comparison the
 // paper's evaluation makes.
@@ -15,7 +16,6 @@ import (
 	"io"
 	"time"
 
-	"hetkg/internal/cache"
 	"hetkg/internal/eval"
 	"hetkg/internal/kg"
 	"hetkg/internal/metrics"
@@ -28,9 +28,76 @@ import (
 	"hetkg/internal/vec"
 )
 
+// System names a training system implementation; its value is the name a
+// Result reports.
+type System string
+
+// The four systems of the paper's evaluation (§VI). PBG swaps entity
+// buckets through a shared filesystem (§III-B, pbg.go). DGL-KE pulls and
+// pushes every embedding a batch touches through the sharded parameter
+// server (§III-B). HET-KG is DGL-KE plus a per-worker hot-embedding table,
+// built by prefetch (Algorithm 1) and filter (Algorithm 2) and kept under
+// the partial-stale protocol (Algorithms 3/4): once, from a census, in CPS;
+// again every D iterations, from a D-iteration lookahead, in DPS.
+const (
+	SystemPBG    System = "PBG"
+	SystemDGLKE  System = "DGL-KE"
+	SystemHETKGC System = "HET-KG-C"
+	SystemHETKGD System = "HET-KG-D"
+)
+
+// Systems lists all systems in the paper's table order.
+func Systems() []System {
+	return []System{SystemPBG, SystemDGLKE, SystemHETKGC, SystemHETKGD}
+}
+
+// systemFlags is each system's flag and plan spelling, the one map between
+// the two (MarshalText, UnmarshalText).
+var systemFlags = map[System]string{
+	SystemPBG:    "pbg",
+	SystemDGLKE:  "dglke",
+	SystemHETKGC: "hetkg-c",
+	SystemHETKGD: "hetkg-d",
+}
+
+// MarshalText spells the system as its flag and plan value ("hetkg-d").
+func (s System) MarshalText() ([]byte, error) {
+	if name, ok := systemFlags[s]; ok {
+		return []byte(name), nil
+	}
+	return nil, fmt.Errorf("train: unknown system %q", string(s))
+}
+
+// UnmarshalText parses a flag or plan value: pbg, dglke, hetkg-c or hetkg-d.
+func (s *System) UnmarshalText(text []byte) error {
+	for sys, name := range systemFlags {
+		if name == string(text) {
+			*s = sys
+			return nil
+		}
+	}
+	return fmt.Errorf("train: unknown system %q (have pbg | dglke | hetkg-c | hetkg-d)", text)
+}
+
+// hotTable is what a parameter-server system's workers do with the
+// hot-embedding table: whether they carry one at all (HET-KG; DGL-KE is the
+// same substrate without it), and whether they rebuild it from a fresh
+// D-iteration lookahead every D iterations (DPS) rather than build it once
+// (CPS).
+func (s System) hotTable() (cached, rebuild bool) {
+	return s == SystemHETKGC || s == SystemHETKGD, s == SystemHETKGD
+}
+
 // Config parameterizes a training run. Zero values select sensible defaults
 // where noted.
 type Config struct {
+	// System selects the trainer: PBG's bucket trainer, or the parameter-
+	// server driver with or without the hot-embedding table.
+	System System
+	// Elastic, when non-nil, runs this process as one elastic worker of a
+	// coordinated cluster (parameter-server systems only).
+	Elastic *ElasticConfig
+
 	// Graph holds the training triples.
 	Graph *kg.Graph
 	// Valid, when non-empty, is scored for MRR after every EvalEvery
@@ -61,7 +128,8 @@ type Config struct {
 	// workers of the listed machine indices — the multi-process worker
 	// deployment, where each trainer process drives one machine's share
 	// of the workload against shared (remote) PS shards. Empty = all
-	// machines in-process (the default single-process simulation).
+	// machines in-process (the default single-process simulation). An
+	// elastic run ignores it: the coordinator assigns the machines.
 	LocalMachines []int
 
 	// Partitioner distributes entities across machines (default MetisLike).
@@ -178,8 +246,6 @@ type Config struct {
 
 // CacheConfig is the hot-embedding table configuration (§IV-B).
 type CacheConfig struct {
-	// Strategy selects CPS or DPS construction.
-	Strategy cache.Strategy
 	// Capacity is k, rows cached per worker.
 	Capacity int
 	// EntityFraction is the heterogeneity quota (default 0.25).
@@ -229,6 +295,33 @@ func (c *Config) Validate() error {
 	}
 	if c.WorkersPerMachine < 0 {
 		return fmt.Errorf("train: WorkersPerMachine %d < 0", c.WorkersPerMachine)
+	}
+	if _, ok := systemFlags[c.System]; !ok {
+		return fmt.Errorf("train: unknown system %q", c.System)
+	}
+	if cached, _ := c.System.hotTable(); cached && c.Cache.Capacity < 0 {
+		return fmt.Errorf("train: negative cache capacity %d", c.Cache.Capacity)
+	}
+	if e := c.Elastic; e != nil {
+		switch {
+		case c.System == SystemPBG:
+			return fmt.Errorf("train: system %s does not support elastic mode", c.System)
+		case e.Coordinator == nil || e.Join == nil:
+			return fmt.Errorf("train: elastic run needs a coordinator and its join reply")
+		case c.WorkersPerMachine > 1:
+			return fmt.Errorf("train: elastic mode supports 1 worker per machine, got %d", c.WorkersPerMachine)
+		case e.Join.Partitions != c.NumMachines:
+			return fmt.Errorf("train: coordinator runs %d partitions, this process is configured for %d machines",
+				e.Join.Partitions, c.NumMachines)
+		}
+		ec := *e // the defaults go on a copy, so the caller's stays as given
+		if ec.CkptEvery <= 0 {
+			ec.CkptEvery = 16
+		}
+		if ec.RecoverFrom == "" {
+			ec.RecoverFrom = ec.CkptDir
+		}
+		c.Elastic = &ec
 	}
 	if c.Partitioner == nil {
 		c.Partitioner = &partition.MetisLike{Seed: c.Seed}

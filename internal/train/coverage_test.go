@@ -26,9 +26,9 @@ func TestAllModelsTrainEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Model = m
-			res, err := TrainHETKG(cfg)
+			res, err := Run(cfg)
 			if err != nil {
-				t.Fatalf("TrainHETKG(%s): %v", name, err)
+				t.Fatalf("HET-KG(%s): %v", name, err)
 			}
 			if res.Epochs[1].Loss >= res.Epochs[0].Loss {
 				t.Errorf("%s loss did not decrease: %.4f → %.4f",
@@ -46,9 +46,9 @@ func TestMultipleWorkersPerMachine(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.WorkersPerMachine = 2
 	cfg.Epochs = 2
-	res, err := TrainHETKG(cfg)
+	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("TrainHETKG 2x2 workers: %v", err)
+		t.Fatalf("HET-KG 2x2 workers: %v", err)
 	}
 	if res.Epochs[1].Loss >= res.Epochs[0].Loss {
 		t.Error("loss did not decrease with 4 workers")
@@ -61,14 +61,14 @@ func TestMultipleWorkersPerMachine(t *testing.T) {
 func TestQuantizedTraining(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 2
-	exact, err := TrainHETKG(cfg)
+	exact, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := testConfig(t, 2)
 	q.Epochs = 2
 	q.Codec = "int8"
-	quant, err := TrainHETKG(q)
+	quant, err := Run(q)
 	if err != nil {
 		t.Fatalf("quantized training: %v", err)
 	}
@@ -104,9 +104,10 @@ func TestAlternativeOptimizers(t *testing.T) {
 				}
 				return o
 			}
-			res, err := TrainDGLKE(cfg)
+			cfg.System = SystemDGLKE
+			res, err := Run(cfg)
 			if err != nil {
-				t.Fatalf("TrainDGLKE(%s): %v", name, err)
+				t.Fatalf("DGL-KE(%s): %v", name, err)
 			}
 			if res.Epochs[1].Loss >= res.Epochs[0].Loss {
 				t.Errorf("%s loss did not decrease: %.4f → %.4f",
@@ -128,8 +129,8 @@ func TestAlternativePartitioners(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Partitioner = p
-			if _, err := TrainHETKG(cfg); err != nil {
-				t.Fatalf("TrainHETKG with %s partitioner: %v", name, err)
+			if _, err := Run(cfg); err != nil {
+				t.Fatalf("HET-KG with %s partitioner: %v", name, err)
 			}
 		})
 	}
@@ -140,7 +141,8 @@ func TestRankingLossTraining(t *testing.T) {
 	cfg.Loss = model.RankingLoss{Margin: 1}
 	cfg.Epochs = 2
 	cfg.EvalEvery = 0
-	res, err := TrainDGLKE(cfg)
+	cfg.System = SystemDGLKE
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("ranking-loss training: %v", err)
 	}
@@ -159,7 +161,8 @@ func TestEmptyMachineTolerated(t *testing.T) {
 	cfg.EvalEvery = 0
 	// Force a degenerate partition: everything on machine 0.
 	cfg.Partitioner = &allOnZero{}
-	res, err := TrainDGLKE(cfg)
+	cfg.System = SystemDGLKE
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("degenerate partition: %v", err)
 	}
@@ -222,7 +225,7 @@ func TestAdversarialTraining(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.AdversarialTemp = 1
 	cfg.Epochs = 2
-	res, err := TrainHETKG(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("adversarial training: %v", err)
 	}
@@ -248,7 +251,7 @@ func TestDegreeWeightedNegativeTraining(t *testing.T) {
 	cfg.Epochs = 2
 	cfg.EvalEvery = 0
 	cfg.NegativeWeights = sampler.DegreeWeights(cfg.Graph.EntityDegrees())
-	res, err := TrainHETKG(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("degree-weighted training: %v", err)
 	}

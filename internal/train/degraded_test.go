@@ -78,7 +78,7 @@ func TestDegradedSurvivesShardOutage(t *testing.T) {
 		cfg := degradedConfig(t, 40, 120)
 		reg := metrics.NewRegistry()
 		cfg.Metrics = reg
-		res, err := TrainHETKG(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("degraded run failed: %v", err)
 		}
@@ -123,7 +123,7 @@ func TestDegradedSurvivesShardOutage(t *testing.T) {
 func TestDegradedDisabledSurfacesOutage(t *testing.T) {
 	cfg := degradedConfig(t, 40, 120)
 	cfg.DegradedMaxStaleness = 0
-	if _, err := TrainHETKG(cfg); !errors.Is(err, ps.ErrLinkDown) {
+	if _, err := Run(cfg); !errors.Is(err, ps.ErrLinkDown) {
 		t.Fatalf("want the outage surfaced as ErrLinkDown, got %v", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestDegradedDisabledSurfacesOutage(t *testing.T) {
 func TestDegradedStalenessBoundIsFatal(t *testing.T) {
 	cfg := degradedConfig(t, 40, -1)
 	cfg.DegradedMaxStaleness = 1
-	_, err := TrainHETKG(cfg)
+	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "staleness bound") {
 		t.Fatalf("want staleness-bound failure, got %v", err)
 	}
@@ -149,7 +149,7 @@ func TestDegradedStalenessBoundIsFatal(t *testing.T) {
 func TestDegradedBufferBudgetIsFatal(t *testing.T) {
 	cfg := degradedConfig(t, 40, -1)
 	cfg.DegradedMaxBufferedRows = 2
-	_, err := TrainHETKG(cfg)
+	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "buffer full") {
 		t.Fatalf("want buffer-budget failure, got %v", err)
 	}
@@ -161,7 +161,7 @@ func TestDegradedBufferBudgetIsFatal(t *testing.T) {
 func TestDegradedDrainFailureIsFatal(t *testing.T) {
 	cfg := degradedConfig(t, 40, -1)
 	cfg.Epochs = 1
-	_, err := TrainHETKG(cfg)
+	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "buffered degraded push") {
 		t.Fatalf("want strict-drain failure, got %v", err)
 	}

@@ -6,11 +6,68 @@ import (
 	"testing"
 	"time"
 
-	"hetkg/internal/cache"
 	"hetkg/internal/ckpt"
 	"hetkg/internal/metrics"
 	"hetkg/internal/ps"
 )
+
+// TestRunPicksTheSystem: Run trains whichever of the four systems
+// Config.System names, and the system decides the hot table — DGL-KE looks
+// nothing up in one, and HET-KG-D's rebuild every D iterations re-pulls
+// more rows than HET-KG-C's one-shot build.
+func TestRunPicksTheSystem(t *testing.T) {
+	res := map[System]*Result{}
+	for _, sys := range Systems() {
+		cfg := testConfig(t, 2)
+		cfg.Epochs = 2
+		cfg.EvalEvery = 0
+		cfg.Cache.PrefetchD = 8
+		cfg.System = sys
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		if r.System != string(sys) {
+			t.Errorf("Run with System %s reports %q", sys, r.System)
+		}
+		res[sys] = r
+	}
+	if got := res[SystemDGLKE].CacheAccesses; got != 0 {
+		t.Errorf("DGL-KE made %d hot-table lookups, want 0", got)
+	}
+	c, d := res[SystemHETKGC].RefreshRows, res[SystemHETKGD].RefreshRows
+	if c == 0 || d <= c {
+		t.Errorf("refreshed rows: HET-KG-D %d, HET-KG-C %d; want D's rebuilds above C's one build", d, c)
+	}
+}
+
+// TestElasticRefusesPBG: PBG has no parameter-server driver, so a Config
+// that asks for it as an elastic worker is refused by name before anything
+// is built.
+func TestElasticRefusesPBG(t *testing.T) {
+	m := elasticMembership(t, 2)
+	join, err := m.Join(ps.JoinRequest{Label: "pbg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(t, 2)
+	cfg.System = SystemPBG
+	cfg.Elastic = &ElasticConfig{Coordinator: m, Join: join}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "PBG") || !strings.Contains(err.Error(), "elastic") {
+		t.Fatalf("Validate = %v, want a refusal naming PBG and elastic mode", err)
+	}
+}
+
+// TestElasticRefusesForeignPartitionCount: a coordinator that runs another
+// number of partitions than this process has machines trains another run's
+// layout, and the worker refuses to join its training.
+func TestElasticRefusesForeignPartitionCount(t *testing.T) {
+	cfg := testConfig(t, 2)
+	_, err := runElastic(cfg, ElasticConfig{Coordinator: elasticMembership(t, 3), Label: "foreign"})
+	if err == nil || !strings.Contains(err.Error(), "3 partitions") {
+		t.Fatalf("elastic run against a 3-partition coordinator: %v, want a refusal naming its 3 partitions", err)
+	}
+}
 
 // TestElasticSoloMatchesStatic: an elastic process that holds every
 // partition trains exactly what the static trainer trains on the same
@@ -20,24 +77,19 @@ import (
 // on the clock if a beat could reorder turns. Only per-epoch MRR (elastic
 // runs evaluate at the end) and the wall-clock fields are left out.
 func TestElasticSoloMatchesStatic(t *testing.T) {
-	for _, c := range []struct {
-		system string
-		static func(Config) (*Result, error)
-		dps    bool
-	}{
-		{"DGL-KE", TrainDGLKE, false},
-		{"HET-KG-C", TrainHETKG, false},
-		{"HET-KG-D", TrainHETKG, true},
-	} {
-		t.Run(c.system, func(t *testing.T) {
+	for _, sys := range []System{SystemDGLKE, SystemHETKGC, SystemHETKGD} {
+		t.Run(string(sys), func(t *testing.T) {
 			cfg := testConfig(t, 3)
 			cfg.Dataset = "traintest"
-			if c.dps {
-				cfg.Cache.Strategy = cache.DPS
+			cfg.System = sys
+			if sys == SystemHETKGD {
 				cfg.Cache.PrefetchD = 8
 			}
 			probe := cfg
-			d, err := newStatic(&probe, false)
+			if err := probe.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			d, err := newStatic(&probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +101,7 @@ func TestElasticSoloMatchesStatic(t *testing.T) {
 				t.Fatalf("iterations per epoch %v: want every partition present, not all equal", ipe)
 			}
 
-			want, err := c.static(cfg)
+			want, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,15 +115,11 @@ func TestElasticSoloMatchesStatic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := TrainElastic(cfg, ElasticConfig{
-				Coordinator: m,
-				Label:       "solo",
-				NoCache:     c.system == "DGL-KE",
-			})
+			got, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.System != c.system+"/elastic" {
+			if got.System != string(sys)+"/elastic" {
 				t.Errorf("System = %q", got.System)
 			}
 			if len(got.Epochs) != len(want.Epochs) {
@@ -120,11 +168,11 @@ func TestElasticSnapshotOutsideRunIsCorrupt(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrainElastic(cfg, ElasticConfig{
+	res, err := runElastic(cfg, ElasticConfig{
 		Coordinator: elasticMembership(t, 2), Label: "bounded", RecoverFrom: dir,
 	})
 	if err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+		t.Fatalf("elastic run: %v", err)
 	}
 	if got := cfg.Metrics.Counter(metrics.MClusterCkptCorrupt).Value(); got != 1 {
 		t.Errorf("cluster.ckpt_corrupt = %d, want 1", got)
@@ -154,7 +202,7 @@ func TestElasticHintOutsideRunFailsAdoption(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = TrainElastic(cfg, ElasticConfig{Coordinator: m, Label: "adopter"})
+	_, err = runElastic(cfg, ElasticConfig{Coordinator: m, Label: "adopter"})
 	if err == nil || !strings.Contains(err.Error(), "partition 0") {
 		t.Fatalf("adoption error = %v, want one naming partition 0", err)
 	}

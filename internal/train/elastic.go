@@ -23,20 +23,16 @@ import (
 // when every partition has finished every epoch; each surviving process
 // then gathers the shards' state and evaluates.
 
-// ElasticConfig parameterizes one elastic worker process.
+// ElasticConfig parameterizes one elastic worker process (Config.Elastic).
 type ElasticConfig struct {
 	// Coordinator is the joined membership handle: a *ps.CoordClient over
 	// TCP, or a *ps.Membership directly for single-process runs and tests.
 	Coordinator ps.Coordinator
-	// Join, when non-nil, is the already-performed registration (the caller
-	// needed the reply's shard list to build the transport). Left nil,
-	// TrainElastic registers itself.
+	// Join is this process's registration with Coordinator, performed by
+	// the caller because the reply's shard list builds the transport.
 	Join *ps.JoinReply
 	// Label identifies this process in coordinator logs.
 	Label string
-	// Preferred lists partitions this process was launched to own (empty =
-	// spare worker; ignored when Join is set).
-	Preferred []int
 	// CkptDir, when non-empty, receives per-partition progress snapshots
 	// (ckpt.WriteProgressFile) every CkptEvery iterations.
 	CkptDir string
@@ -46,9 +42,6 @@ type ElasticConfig struct {
 	RecoverFrom string
 	// CkptEvery is the iteration interval between snapshots (default 16).
 	CkptEvery int
-	// NoCache runs the DGL-KE substrate (no hot-embedding table) instead
-	// of HET-KG.
-	NoCache bool
 	// Logf, when non-nil, receives worker-side cluster events.
 	Logf func(format string, args ...any)
 }
@@ -60,64 +53,24 @@ func (r *partRunner) resumable(ep, iter, epochs int) bool {
 	return ep >= 1 && ep <= epochs && iter >= 0 && iter < r.ipe
 }
 
-// TrainElastic runs one elastic worker process until the whole cluster's
-// partitions complete (or a fatal error). The system trained is HET-KG
-// with cfg.Cache.Strategy (or DGL-KE with ec.NoCache); per-epoch
-// evaluation is disabled — a local barrier is not the cluster's, so only
-// the final state is evaluated.
-func TrainElastic(cfg Config, ec ElasticConfig) (*Result, error) {
-	d, err := newElastic(cfg, ec)
+// newElastic builds an elastic worker's driver over a validated cfg and
+// adopts the partitions its join reply assigns. The run trains until the
+// whole cluster's partitions complete (or a fatal error); per-epoch
+// evaluation is off — a local barrier is not the cluster's, so only the
+// final state is evaluated.
+func newElastic(cfg *Config) (*driver, error) {
+	d, err := newDriver(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return d.run()
-}
-
-// newElastic validates the configuration, builds the PS substrate, joins
-// the cluster (unless ec.Join already did) and adopts the initial
-// assignments.
-func newElastic(cfg Config, ec ElasticConfig) (*driver, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if ec.Coordinator == nil {
-		return nil, fmt.Errorf("train: elastic run needs a coordinator")
-	}
-	if cfg.WorkersPerMachine > 1 {
-		return nil, fmt.Errorf("train: elastic mode supports 1 worker per machine, got %d", cfg.WorkersPerMachine)
-	}
-	if ec.CkptEvery <= 0 {
-		ec.CkptEvery = 16
-	}
-	if ec.RecoverFrom == "" {
-		ec.RecoverFrom = ec.CkptDir
-	}
-	cfg.LocalMachines = nil // assignment comes from the coordinator
-
-	d, err := newDriver(&cfg, !ec.NoCache, systemName(&cfg, !ec.NoCache)+"/elastic")
-	if err != nil {
-		return nil, err
-	}
-	d.ec = &ec
 	if cfg.Spans != nil {
 		d.tracer = cfg.Spans.Tracer(span.MachineCluster, span.WorkerCluster)
 	}
-
-	join := ec.Join
-	if join == nil {
-		join, err = ec.Coordinator.Join(ps.JoinRequest{Label: ec.Label, Preferred: ec.Preferred})
-		if err != nil {
-			return nil, fmt.Errorf("train: joining cluster: %w", err)
-		}
-	}
+	join := d.ec.Join
 	d.workerID = join.WorkerID
 	d.interval = join.HeartbeatEvery
 	if d.interval <= 0 {
 		d.interval = time.Second
-	}
-	if join.Partitions != cfg.NumMachines {
-		return nil, fmt.Errorf("train: coordinator runs %d partitions, this process is configured for %d machines",
-			join.Partitions, cfg.NumMachines)
 	}
 	if err := d.reconcile(join.Assignments); err != nil {
 		return nil, err
@@ -190,17 +143,12 @@ func (d *driver) shipTelemetry() {
 	if d.telemetryOff {
 		return
 	}
-	sender, ok := d.ec.Coordinator.(telemetry.Sender)
-	if !ok {
-		d.telemetryOff = true
-		return
-	}
 	label := d.ec.Label // this process's fleet identity
 	if label == "" {
 		label = fmt.Sprintf("worker-%d", d.workerID)
 	}
 	d.telemetrySeq++
-	err := sender.SendTelemetry(telemetry.Report{
+	err := d.ec.Coordinator.SendTelemetry(telemetry.Report{
 		Role:    telemetry.RoleWorker,
 		Label:   label,
 		Seq:     d.telemetrySeq,

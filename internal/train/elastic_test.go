@@ -26,13 +26,25 @@ func elasticMembership(t *testing.T, parts int) *ps.Membership {
 	return m
 }
 
+// runElastic joins ec.Coordinator as ec.Label, preferring the given
+// partitions, and runs cfg as that elastic worker.
+func runElastic(cfg Config, ec ElasticConfig, preferred ...int) (*Result, error) {
+	join, err := ec.Coordinator.Join(ps.JoinRequest{Label: ec.Label, Preferred: preferred})
+	if err != nil {
+		return nil, err
+	}
+	ec.Join = join
+	cfg.Elastic = &ec
+	return Run(cfg)
+}
+
 func TestElasticSingleWorkerTrains(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Dataset = "traintest"
 	m := elasticMembership(t, 2)
-	res, err := TrainElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"})
+	res, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"})
 	if err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+		t.Fatalf("elastic run: %v", err)
 	}
 	if res.System != "HET-KG-C/elastic" {
 		t.Errorf("System = %q", res.System)
@@ -69,8 +81,8 @@ func TestElasticShipsTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TrainElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"}); err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+	if _, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"}); err != nil {
+		t.Fatalf("elastic run: %v", err)
 	}
 	v := fleet.View()
 	if len(v.Processes) != 1 {
@@ -98,8 +110,8 @@ func TestElasticTelemetryDisabledWithoutAggregator(t *testing.T) {
 	cfg.Dataset = "traintest"
 	cfg.Metrics = metrics.NewRegistry()
 	m := elasticMembership(t, 2)
-	if _, err := TrainElastic(cfg, ElasticConfig{Coordinator: m, Label: "mute"}); err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+	if _, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "mute"}); err != nil {
+		t.Fatalf("elastic run: %v", err)
 	}
 	if !m.AllDone() {
 		t.Error("run did not finish")
@@ -127,11 +139,11 @@ func TestElasticResumeFromSnapshot(t *testing.T) {
 		Dataset: cfg.Dataset, Seed: cfg.Seed})
 
 	m := elasticMembership(t, 2)
-	res, err := TrainElastic(cfg, ElasticConfig{
+	res, err := runElastic(cfg, ElasticConfig{
 		Coordinator: m, Label: "resumer", CkptDir: dir, CkptEvery: 4,
 	})
 	if err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+		t.Fatalf("elastic run: %v", err)
 	}
 	if res.Final.MRR <= 0 {
 		t.Errorf("final MRR = %.3f after resume", res.Final.MRR)
@@ -171,11 +183,11 @@ func TestElasticIgnoresForeignAndCorruptSnapshots(t *testing.T) {
 	}
 
 	m := elasticMembership(t, 2)
-	res, err := TrainElastic(cfg, ElasticConfig{
+	res, err := runElastic(cfg, ElasticConfig{
 		Coordinator: m, Label: "skeptic", RecoverFrom: dir,
 	})
 	if err != nil {
-		t.Fatalf("TrainElastic: %v", err)
+		t.Fatalf("elastic run: %v", err)
 	}
 	if got := cfg.Metrics.Counter(metrics.MClusterCkptCorrupt).Value(); got != 2 {
 		t.Errorf("cluster.ckpt_corrupt = %d, want 2", got)
@@ -200,11 +212,10 @@ func TestElasticTwoWorkersSplitThePartitions(t *testing.T) {
 			defer wg.Done()
 			cfg := testConfig(t, 2)
 			cfg.Dataset = "traintest"
-			results[i], errs[i] = TrainElastic(cfg, ElasticConfig{
+			results[i], errs[i] = runElastic(cfg, ElasticConfig{
 				Coordinator: m,
 				Label:       "peer",
-				Preferred:   []int{i},
-			})
+			}, i)
 		}()
 	}
 	wg.Wait()
@@ -244,7 +255,15 @@ func TestElasticReadoptedPartitionRebuildsCPSTable(t *testing.T) {
 	}
 	cfg := testConfig(t, 2)
 	cfg.Dataset = "traintest"
-	e, err := newElastic(cfg, ElasticConfig{Coordinator: m, Label: "survivor"})
+	join, err := m.Join(ps.JoinRequest{Label: "survivor"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Elastic = &ElasticConfig{Coordinator: m, Join: join, Label: "survivor"}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e, err := newElastic(&cfg)
 	if err != nil {
 		t.Fatalf("newElastic: %v", err)
 	}

@@ -147,7 +147,7 @@ func TestErrorFeedbackCounters(t *testing.T) {
 func TestTopKTrainingConvergence(t *testing.T) {
 	dense := testConfig(t, 2)
 	dense.Epochs = 3
-	dres, err := TrainHETKG(dense)
+	dres, err := Run(dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTopKTrainingConvergence(t *testing.T) {
 	sparse.Epochs = 3
 	sparse.Codec = ps.ProfileTopK
 	sparse.TopKRatio = 0.25
-	sres, err := TrainHETKG(sparse)
+	sres, err := Run(sparse)
 	if err != nil {
 		t.Fatalf("topk training: %v", err)
 	}

@@ -53,7 +53,7 @@ func TestTrainerSurfacesPullFailure(t *testing.T) {
 					failPush: mode == "push",
 				}, nil
 			}
-			_, err := TrainHETKG(cfg)
+			_, err := Run(cfg)
 			if err == nil {
 				t.Fatal("trainer swallowed a transport failure")
 			}
@@ -72,7 +72,7 @@ func TestTrainerSurfacesEarlyFailure(t *testing.T) {
 	cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
 		return &flakyTransport{inner: ps.NewInProc(c), failAt: 1, failPull: true}, nil
 	}
-	if _, err := TrainHETKG(cfg); err == nil {
+	if _, err := Run(cfg); err == nil {
 		t.Fatal("first-pull failure swallowed")
 	}
 	// DGL-KE path too.
@@ -82,7 +82,8 @@ func TestTrainerSurfacesEarlyFailure(t *testing.T) {
 	cfg2.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
 		return &flakyTransport{inner: ps.NewInProc(c), failAt: 1, failPull: true}, nil
 	}
-	if _, err := TrainDGLKE(cfg2); err == nil {
+	cfg2.System = SystemDGLKE
+	if _, err := Run(cfg2); err == nil {
 		t.Fatal("DGL-KE first-pull failure swallowed")
 	}
 }
@@ -92,7 +93,8 @@ func TestTransportConstructionFailure(t *testing.T) {
 	cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
 		return nil, errors.New("cannot reach cluster")
 	}
-	if _, err := TrainDGLKE(cfg); err == nil || !strings.Contains(err.Error(), "cannot reach cluster") {
+	cfg.System = SystemDGLKE
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "cannot reach cluster") {
 		t.Fatalf("transport construction error not surfaced: %v", err)
 	}
 }

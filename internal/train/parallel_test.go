@@ -19,9 +19,10 @@ func TestParallelismDeterministic(t *testing.T) {
 		var res *Result
 		var err error
 		if system == "hetkg" {
-			res, err = TrainHETKG(cfg)
+			res, err = Run(cfg)
 		} else {
-			res, err = TrainDGLKE(cfg)
+			cfg.System = SystemDGLKE
+			res, err = Run(cfg)
 		}
 		if err != nil {
 			t.Fatalf("%s (parallelism %d): %v", system, parallelism, err)
@@ -68,7 +69,8 @@ func TestParallelismDeterministic(t *testing.T) {
 func TestParallelEvalDeterministic(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
-	res, err := TrainDGLKE(cfg)
+	cfg.System = SystemDGLKE
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

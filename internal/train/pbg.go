@@ -11,7 +11,7 @@ import (
 	"hetkg/internal/vec"
 )
 
-// TrainPBG runs the PyTorch-BigGraph-style baseline (§III-B): entities are
+// trainPBG runs the PyTorch-BigGraph-style baseline (§III-B): entities are
 // divided into disjoint buckets stored on a shared filesystem; workers
 // acquire (source, destination) bucket pairs from a lock server, load both
 // entity partitions (parameters plus optimizer state), train the pair's
@@ -24,16 +24,13 @@ import (
 // with the relation-matrix size (ruinous on many-relation graphs like
 // FB15k), and the lock server limits parallelism because concurrent pairs
 // must be bucket-disjoint (§VI-C.2's flat speedup curve).
-func TrainPBG(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func trainPBG(cfg *Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	entDim := cfg.Model.EntityDim(cfg.Dim)
 	relDim := cfg.Model.RelationDim(cfg.Dim)
 	st := &pbgState{
-		cfg:     &cfg,
+		cfg:     cfg,
 		ents:    vec.NewMatrix(cfg.Graph.NumEntity, entDim),
 		rels:    vec.NewMatrix(cfg.Graph.NumRel, relDim),
 		entOpt:  cfg.NewOptimizer(),
@@ -87,8 +84,8 @@ func TrainPBG(cfg Config) (*Result, error) {
 		members[b] = append(members[b], kg.EntityID(e))
 	}
 
-	res := &Result{System: "PBG", Metrics: cfg.Metrics}
-	em, err := newTimeline(&cfg, res.System)
+	res := &Result{System: string(cfg.System), Metrics: cfg.Metrics}
+	em, err := newTimeline(cfg, res.System)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +109,7 @@ func TrainPBG(cfg Config) (*Result, error) {
 		cum += stat.Total()
 		stat.CumTime = cum
 		if cfg.EvalEvery > 0 && len(cfg.Valid) > 0 && epoch%cfg.EvalEvery == 0 {
-			ev, err := evalNow(&cfg, st.ents, st.rels)
+			ev, err := evalNow(cfg, st.ents, st.rels)
 			if err != nil {
 				return nil, err
 			}
@@ -128,7 +125,7 @@ func TrainPBG(cfg Config) (*Result, error) {
 
 	res.Entities, res.Relations = st.ents, st.rels
 	if cfg.EvalEvery > 0 && len(cfg.Valid) > 0 {
-		ev, err := evalNow(&cfg, st.ents, st.rels)
+		ev, err := evalNow(cfg, st.ents, st.rels)
 		if err != nil {
 			return nil, err
 		}

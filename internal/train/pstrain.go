@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"hetkg/internal/cache"
 	"hetkg/internal/metrics"
 	"hetkg/internal/netsim"
 	"hetkg/internal/partition"
@@ -14,43 +13,37 @@ import (
 	"hetkg/internal/span"
 )
 
-// TrainDGLKE runs the DGL-KE-style baseline (§III-B): METIS-partitioned
-// subgraphs, a co-located parameter server, and per-iteration pull/push of
-// every embedding the mini-batch touches. It is HET-KG without the
-// hot-embedding table.
-func TrainDGLKE(cfg Config) (*Result, error) { return trainPS(cfg, false) }
-
-// TrainHETKG runs the paper's system: the DGL-KE substrate plus a per-worker
-// hot-embedding table built by prefetch (Algorithm 1) and filter
-// (Algorithm 2), maintained under the partial-stale protocol (Algorithms
-// 3/4). cfg.Cache.Strategy selects CPS (table fixed after a one-shot census)
-// or DPS (table rebuilt from a D-iteration lookahead every D iterations).
-func TrainHETKG(cfg Config) (*Result, error) { return trainPS(cfg, true) }
-
-// trainPS is a static PS run: the driver over a fixed runner set, with no
-// coordinator. Cached workers carry the hot-embedding table (HET-KG),
-// uncached ones are DGL-KE.
-func trainPS(cfg Config, cached bool) (*Result, error) {
-	d, err := newStatic(&cfg, cached)
+// Run trains cfg.System. PBG runs its bucket trainer; every other system
+// runs the parameter-server driver, whose workers carry a hot-embedding
+// table unless the system is DGL-KE. With cfg.Elastic set the driver runs as
+// one elastic worker process (elastic.go); otherwise it trains a fixed
+// runner set, one per local (machine, slot).
+func Run(cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.System == SystemPBG {
+		return trainPBG(&cfg)
+	}
+	build := newStatic
+	if cfg.Elastic != nil {
+		build = newElastic
+	}
+	d, err := build(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	return d.run()
 }
 
-// newStatic validates cfg and builds a static run's fixed runner set: one
-// runner per local (machine, slot), all at the start of epoch 1. A machine
-// with no triples gets no runner (its shard still serves pulls); the slots
-// of machines this process does not run still count, so worker ids — and
-// with them sampler seeds — do not depend on the deployment.
-func newStatic(cfg *Config, cached bool) (*driver, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cached && cfg.Cache.Capacity < 0 {
-		return nil, fmt.Errorf("train: negative cache capacity %d", cfg.Cache.Capacity)
-	}
-	d, err := newDriver(cfg, cached, systemName(cfg, cached))
+// newStatic builds a static run's driver over a validated cfg, with its
+// fixed runner set: one runner per local (machine, slot), all at the start
+// of epoch 1. A machine with no triples gets no runner (its shard still
+// serves pulls); the slots of machines this process does not run still
+// count, so worker ids — and with them sampler seeds — do not depend on the
+// deployment.
+func newStatic(cfg *Config) (*driver, error) {
+	d, err := newDriver(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -74,18 +67,6 @@ func newStatic(cfg *Config, cached bool) (*driver, error) {
 		return nil, fmt.Errorf("train: no worker received any triples")
 	}
 	return d, nil
-}
-
-// systemName names the PS system a configuration trains.
-func systemName(cfg *Config, cached bool) string {
-	switch {
-	case !cached:
-		return "DGL-KE"
-	case cfg.Cache.Strategy == cache.DPS:
-		return "HET-KG-D"
-	default:
-		return "HET-KG-C"
-	}
 }
 
 // psEnv bundles the shared PS-training substrate.
@@ -115,12 +96,12 @@ type partRunner struct {
 // the per-epoch full synchronization of DGL-KE (§V); a process holding one
 // partition never waits.
 //
-// Static runs (TrainDGLKE, TrainHETKG) give the driver a fixed runner set and
-// no coordinator, so the local barrier is the cluster's: the driver closes
-// each epoch there, evaluates and records it. An elastic run (TrainElastic)
-// gives it a coordinator, whose heartbeats add and drop runners between
-// turns; its epochs stay open until the run ends, because an adopted
-// partition can still add to any of them.
+// A static run gives the driver a fixed runner set and no coordinator, so
+// the local barrier is the cluster's: the driver closes each epoch there,
+// evaluates and records it. An elastic run (Config.Elastic) gives it a
+// coordinator, whose heartbeats add and drop runners between turns; its
+// epochs stay open until the run ends, because an adopted partition can
+// still add to any of them.
 type driver struct {
 	cfg    *Config
 	env    *psEnv
@@ -149,12 +130,16 @@ type driver struct {
 
 // newDriver builds the PS substrate and an empty runner set for a validated
 // cfg, and opens the run's timeline.
-func newDriver(cfg *Config, cached bool, system string) (*driver, error) {
+func newDriver(cfg *Config) (*driver, error) {
+	system := string(cfg.System)
+	if cfg.Elastic != nil {
+		system += "/elastic"
+	}
 	env, err := setupPS(cfg)
 	if err != nil {
 		return nil, err
 	}
-	b, err := newWorkerBuilder(cfg, env, cached)
+	b, err := newWorkerBuilder(cfg, env)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +147,7 @@ func newDriver(cfg *Config, cached bool, system string) (*driver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &driver{cfg: cfg, env: env, b: b, system: system, runners: make(map[int]*partRunner), tl: tl}, nil
+	return &driver{cfg: cfg, env: env, b: b, system: system, runners: make(map[int]*partRunner), tl: tl, ec: cfg.Elastic}, nil
 }
 
 // addRunner builds worker id on machine m — the one build path of static

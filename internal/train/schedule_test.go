@@ -66,7 +66,7 @@ func TestTighterStalenessLowersHitRatio(t *testing.T) {
 		cfg.Epochs = 1
 		cfg.EvalEvery = 0
 		cfg.Cache.SyncEvery = p
-		res, err := TrainHETKG(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}

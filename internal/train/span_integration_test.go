@@ -51,8 +51,8 @@ func TestSpanTraceStitchingOverRealTCP(t *testing.T) {
 		return tr, nil
 	}
 
-	if _, err := TrainHETKG(cfg); err != nil {
-		t.Fatalf("TrainHETKG over TCP: %v", err)
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("HET-KG over TCP: %v", err)
 	}
 
 	spans := cfg.Spans.Drain()
@@ -165,7 +165,7 @@ func TestSpanHierarchyInProcess(t *testing.T) {
 	cfg.EvalEvery = 0
 	cfg.Spans = span.NewCollector(span.CollectorConfig{Every: 2})
 
-	if _, err := TrainHETKG(cfg); err != nil {
+	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	spans := cfg.Spans.Drain()

@@ -47,9 +47,9 @@ func TestTrainingOverRealTCP(t *testing.T) {
 		return tr, nil
 	}
 
-	tcpRes, err := TrainHETKG(cfg)
+	tcpRes, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("TrainHETKG over TCP: %v", err)
+		t.Fatalf("HET-KG over TCP: %v", err)
 	}
 	if tcpRes.HitRatio <= 0 {
 		t.Error("cache never hit over TCP")
@@ -60,7 +60,7 @@ func TestTrainingOverRealTCP(t *testing.T) {
 	inprocCfg := testConfig(t, 2)
 	inprocCfg.Epochs = 1
 	inprocCfg.EvalEvery = 0
-	inprocRes, err := TrainHETKG(inprocCfg)
+	inprocRes, err := Run(inprocCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"hetkg/internal/cache"
 	"hetkg/internal/metrics"
 )
 
@@ -20,9 +19,9 @@ func timelineRun(t *testing.T) *metrics.TimelineRun {
 	cfg.TimelineEvery = 2
 	var buf bytes.Buffer
 	cfg.Timeline = &buf
-	res, err := TrainHETKG(cfg)
+	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("TrainHETKG: %v", err)
+		t.Fatalf("HET-KG: %v", err)
 	}
 	if res.Metrics == nil {
 		t.Fatal("Result.Metrics is nil")
@@ -119,29 +118,35 @@ func TestTimelineDeterministic(t *testing.T) {
 // ratio. PBG's communication time is derived from measured computation, so
 // it alone reports comm_ms under wall.
 func TestTimelineEpochRecords(t *testing.T) {
-	hetkgD := func(cfg Config) (*Result, error) {
-		cfg.Cache.Strategy = cache.DPS
-		cfg.Cache.PrefetchD = 8
-		return TrainHETKG(cfg)
-	}
-	elastic := func(cfg Config) (*Result, error) {
-		return TrainElastic(cfg, ElasticConfig{Coordinator: elasticMembership(t, 2), Label: "solo"})
-	}
 	for _, c := range []struct {
-		system string
-		train  func(Config) (*Result, error)
+		system  System
+		elastic bool
 	}{
-		{"DGL-KE", TrainDGLKE},
-		{"HET-KG-D", hetkgD},
-		{"PBG", TrainPBG},
-		{"HET-KG-C/elastic", elastic},
+		{SystemDGLKE, false},
+		{SystemHETKGD, false},
+		{SystemPBG, false},
+		{SystemHETKGC, true},
 	} {
-		t.Run(c.system, func(t *testing.T) {
+		name := string(c.system)
+		if c.elastic {
+			name += "/elastic"
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := testConfig(t, 2)
 			cfg.Dataset = "traintest"
 			var buf bytes.Buffer
 			cfg.Timeline = &buf
-			res, err := c.train(cfg)
+			cfg.System = c.system
+			if c.system == SystemHETKGD {
+				cfg.Cache.PrefetchD = 8
+			}
+			trainer := Run
+			if c.elastic {
+				trainer = func(cfg Config) (*Result, error) {
+					return runElastic(cfg, ElasticConfig{Coordinator: elasticMembership(t, 2), Label: "solo"})
+				}
+			}
+			res, err := trainer(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +154,7 @@ func TestTimelineEpochRecords(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadTimeline: %v", err)
 			}
-			if run.Header.System != c.system || run.Header.Dataset != "traintest" || run.Header.Seed != cfg.Seed {
+			if run.Header.System != name || run.Header.Dataset != "traintest" || run.Header.Seed != cfg.Seed {
 				t.Errorf("header = %+v", run.Header)
 			}
 			var epochs []metrics.TimelineRecord
@@ -170,7 +175,7 @@ func TestTimelineEpochRecords(t *testing.T) {
 					t.Errorf("epoch record %d wall = %+v, want comp %v cum %v", i, rec.Wall, st.Comp, st.CumTime)
 				}
 				det, wall := end.CommMS, rec.Wall.CommMS
-				if c.system == "PBG" {
+				if c.system == SystemPBG {
 					det, wall = wall, det
 				}
 				if det != ms(st.Comm) || wall != 0 {

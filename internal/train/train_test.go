@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"hetkg/internal/cache"
 	"hetkg/internal/dataset"
 	"hetkg/internal/kg"
 	"hetkg/internal/metrics"
@@ -34,6 +33,7 @@ func testConfig(t *testing.T, machines int) Config {
 		t.Fatalf("SplitTriples: %v", err)
 	}
 	return Config{
+		System: SystemHETKGC,
 		Graph:  sp.Train,
 		Valid:  sp.Valid.Triples,
 		Filter: sp.AllTriples(),
@@ -57,7 +57,6 @@ func testConfig(t *testing.T, machines int) Config {
 		EvalMax:        100,
 		Seed:           23,
 		Cache: CacheConfig{
-			Strategy:       cache.CPS,
 			Capacity:       60,
 			EntityFraction: 0.25,
 			Heterogeneity:  true,
@@ -68,9 +67,10 @@ func testConfig(t *testing.T, machines int) Config {
 
 func TestDGLKELossDecreasesAndLearns(t *testing.T) {
 	cfg := testConfig(t, 2)
-	res, err := TrainDGLKE(cfg)
+	cfg.System = SystemDGLKE
+	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("TrainDGLKE: %v", err)
+		t.Fatalf("DGL-KE: %v", err)
 	}
 	if len(res.Epochs) != cfg.Epochs {
 		t.Fatalf("recorded %d epochs, want %d", len(res.Epochs), cfg.Epochs)
@@ -96,13 +96,15 @@ func TestDGLKELossDecreasesAndLearns(t *testing.T) {
 
 func TestHETKGCPSReducesRemoteTraffic(t *testing.T) {
 	cfg := testConfig(t, 2)
-	base, err := TrainDGLKE(cfg)
+	cfg.System = SystemDGLKE
+	base, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("TrainDGLKE: %v", err)
+		t.Fatalf("DGL-KE: %v", err)
 	}
-	het, err := TrainHETKG(cfg)
+	cfg.System = SystemHETKGC
+	het, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("TrainHETKG: %v", err)
+		t.Fatalf("HET-KG: %v", err)
 	}
 	if het.System != "HET-KG-C" {
 		t.Errorf("System = %q", het.System)
@@ -125,11 +127,11 @@ func TestHETKGCPSReducesRemoteTraffic(t *testing.T) {
 
 func TestHETKGDPS(t *testing.T) {
 	cfg := testConfig(t, 2)
-	cfg.Cache.Strategy = cache.DPS
+	cfg.System = SystemHETKGD
 	cfg.Cache.PrefetchD = 8
-	res, err := TrainHETKG(cfg)
+	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("TrainHETKG DPS: %v", err)
+		t.Fatalf("HET-KG-D: %v", err)
 	}
 	if res.System != "HET-KG-D" {
 		t.Errorf("System = %q", res.System)
@@ -153,11 +155,11 @@ func TestCodecLessRunIsFP32(t *testing.T) {
 		t.Helper()
 		cfg := testConfig(t, 2)
 		cfg.Epochs = 2
-		cfg.Cache.Strategy = cache.DPS
+		cfg.System = SystemHETKGD
 		cfg.Cache.PrefetchD = 8
 		cfg.Codec = codec
 		cfg.Metrics = metrics.NewRegistry()
-		res, err := TrainHETKG(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("codec %q: %v", codec, err)
 		}
@@ -198,13 +200,13 @@ func TestDPSHitRatioBeatsCPSUnderTightCapacity(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Cache.Capacity = 25
 	cfg.Epochs = 2
-	cps, err := TrainHETKG(cfg)
+	cps, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cache.Strategy = cache.DPS
+	cfg.System = SystemHETKGD
 	cfg.Cache.PrefetchD = 8
-	dps, err := TrainHETKG(cfg)
+	dps, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +219,10 @@ func TestDPSHitRatioBeatsCPSUnderTightCapacity(t *testing.T) {
 func TestPBGRuns(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 6
-	res, err := TrainPBG(cfg)
+	cfg.System = SystemPBG
+	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("TrainPBG: %v", err)
+		t.Fatalf("PBG: %v", err)
 	}
 	if res.System != "PBG" {
 		t.Errorf("System = %q", res.System)
@@ -244,11 +247,13 @@ func TestPBGCommDominatedByRelationsOnManyRelationGraph(t *testing.T) {
 	// the PS systems' on a graph with many relations — Fig. 7's shape.
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
-	pbg, err := TrainPBG(cfg)
+	cfg.System = SystemPBG
+	pbg, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	het, err := TrainHETKG(cfg)
+	cfg.System = SystemHETKGC
+	het, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +265,8 @@ func TestPBGCommDominatedByRelationsOnManyRelationGraph(t *testing.T) {
 func TestSingleMachineHasNoRemoteTraffic(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.Epochs = 1
-	res, err := TrainDGLKE(cfg)
+	cfg.System = SystemDGLKE
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +281,11 @@ func TestSingleMachineHasNoRemoteTraffic(t *testing.T) {
 func TestTrainingDeterministic(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
-	a, err := TrainHETKG(cfg)
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainHETKG(cfg)
+	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,6 +312,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.NegPerPos = 0 },
 		func(c *Config) { c.NumMachines = 0 },
 		func(c *Config) { c.WorkersPerMachine = -1 },
+		func(c *Config) { c.System = "" },
 	}
 	for i, mutate := range tests {
 		cfg := good
@@ -329,19 +336,23 @@ func TestMoreMachinesMoreRemoteComm(t *testing.T) {
 	cfg1 := testConfig(t, 1)
 	cfg1.Epochs = 1
 	cfg1.EvalEvery = 0
-	r1, err := TrainDGLKE(cfg1)
+	cfg1.System = SystemDGLKE
+	r1, err := Run(cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg4 := testConfig(t, 4)
 	cfg4.Epochs = 1
 	cfg4.EvalEvery = 0
-	r4, err := TrainDGLKE(cfg4)
+	cfg4.System = SystemDGLKE
+	r4, err := Run(cfg4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1 := r1.Traffic.RemoteFraction()
-	f4 := r4.Traffic.RemoteFraction()
+	remote := func(s netsim.Snapshot) float64 {
+		return float64(s.RemoteBytes) / float64(s.LocalBytes+s.RemoteBytes)
+	}
+	f1, f4 := remote(r1.Traffic), remote(r4.Traffic)
 	if f4 <= f1 {
 		t.Errorf("remote fraction with 4 machines (%.3f) not above 1 machine (%.3f)", f4, f1)
 	}
@@ -352,12 +363,12 @@ func TestCacheCapacityIncreasesHitRatio(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.EvalEvery = 0
 	cfg.Cache.Capacity = 10
-	small, err := TrainHETKG(cfg)
+	small, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Cache.Capacity = 150
-	large, err := TrainHETKG(cfg)
+	large, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +381,7 @@ func TestCacheCapacityIncreasesHitRatio(t *testing.T) {
 func TestHETKGNegativeCapacityRejected(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.Cache.Capacity = -1
-	if _, err := TrainHETKG(cfg); err == nil {
+	if _, err := Run(cfg); err == nil {
 		t.Error("negative capacity accepted")
 	}
 }
@@ -379,7 +390,7 @@ func TestDistMultTraining(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Model = model.DistMult{}
 	cfg.Epochs = 2
-	res, err := TrainHETKG(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("DistMult HET-KG: %v", err)
 	}
@@ -393,7 +404,7 @@ func TestZeroCapacityCacheDegradesToDGLKE(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.EvalEvery = 0
 	cfg.Cache.Capacity = 0
-	res, err := TrainHETKG(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +414,8 @@ func TestZeroCapacityCacheDegradesToDGLKE(t *testing.T) {
 	base := testConfig(t, 2)
 	base.Epochs = 1
 	base.EvalEvery = 0
-	b, err := TrainDGLKE(base)
+	base.System = SystemDGLKE
+	b, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}

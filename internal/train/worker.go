@@ -2,7 +2,6 @@ package train
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -84,12 +83,10 @@ type workerBuilder struct {
 	tr      *ps.LinkTransport
 	tobs    *trainObs
 	prof    ps.Profile
-	cached  bool
 }
 
-// newWorkerBuilder prepares shared state for building workers. cached
-// attaches a HotCache configured from cfg.Cache to each built worker.
-func newWorkerBuilder(cfg *Config, env *psEnv, cached bool) (*workerBuilder, error) {
+// newWorkerBuilder prepares shared state for building workers.
+func newWorkerBuilder(cfg *Config, env *psEnv) (*workerBuilder, error) {
 	prof, err := ps.ResolveProfile(cfg.Codec)
 	if err != nil {
 		return nil, err
@@ -101,14 +98,15 @@ func newWorkerBuilder(cfg *Config, env *psEnv, cached bool) (*workerBuilder, err
 		tr:      env.tr,
 		tobs:    newTrainObs(cfg.Metrics),
 		prof:    prof,
-		cached:  cached,
 	}, nil
 }
 
 // build constructs the worker with global id on machine m. The sampler seed
 // is a pure function of (cfg.Seed, id), so any process that builds worker
 // id — including one adopting the partition after its first owner died —
-// derives the identical batch stream and can resume it by fast-forward.
+// derives the identical batch stream and can resume it by fast-forward. The
+// worker carries a HotCache configured from cfg.Cache when the system has a
+// hot table.
 func (b *workerBuilder) build(m, id int) (*worker, error) {
 	cfg := b.cfg
 	meter := &netsim.Meter{}
@@ -147,7 +145,7 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 		w.tracer = cfg.Spans.Tracer(m, id)
 		client.Trace(w.tracer)
 	}
-	if b.cached {
+	if cached, _ := cfg.System.hotTable(); cached {
 		hot, err := cache.New(client, cfg.NewOptimizer(), cfg.Cache.SyncEvery)
 		if err != nil {
 			return nil, err
@@ -212,22 +210,17 @@ func (w *worker) turn() error {
 // through the normal path and only rows that are actually used pay it.
 func (w *worker) prefetch() error {
 	cc := &w.cfg.Cache
+	_, rebuild := w.cfg.System.hotTable()
 	d := cc.PrefetchD
-	switch cc.Strategy {
-	case cache.CPS:
-		if d <= 0 {
+	if d <= 0 {
+		d = 16
+		if !rebuild {
 			d = w.smp.IterationsPerEpoch()
 		}
-	case cache.DPS:
-		if d <= 0 {
-			d = 16
-		}
-	default:
-		return fmt.Errorf("train: unknown cache strategy %v", cc.Strategy)
 	}
 	pre := cache.Prefetch(w.smp, d)
 	w.queued = pre.Batches
-	if cc.Strategy == cache.CPS && w.built {
+	if !rebuild && w.built {
 		return nil
 	}
 	keys, err := cache.Filter(pre, cache.FilterConfig{

@@ -168,11 +168,6 @@ func SquaredL2Dist(a, b []float32) float32 {
 	return s
 }
 
-// L2Dist returns the l2 distance between a and b.
-func L2Dist(a, b []float32) float32 {
-	return float32(math.Sqrt(float64(SquaredL2Dist(a, b))))
-}
-
 // Zero sets every element of x to zero.
 func Zero(x []float32) {
 	for i := range x {

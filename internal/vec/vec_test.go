@@ -160,20 +160,17 @@ func TestDistances(t *testing.T) {
 	if got := SquaredL2Dist(a, b); got != 25 {
 		t.Errorf("SquaredL2Dist = %v, want 25", got)
 	}
-	if got := L2Dist(a, b); !approxEq(got, 5, 1e-6) {
-		t.Errorf("L2Dist = %v, want 5", got)
-	}
 }
 
-// Property: the triangle inequality holds for L2Dist.
+// Property: the triangle inequality holds for the l2 distance,
+// sqrt(SquaredL2Dist) — the distance knn's L2 metric ranks by.
 func TestL2DistTriangleInequality(t *testing.T) {
+	dist := func(a, b []float32) float64 { return math.Sqrt(float64(SquaredL2Dist(a, b))) }
 	f := func(ra, rb, rc [8]float32) bool {
 		a := sanitize(ra[:])
 		b := sanitize(rb[:])
 		c := sanitize(rc[:])
-		ab := float64(L2Dist(a, b))
-		bc := float64(L2Dist(b, c))
-		ac := float64(L2Dist(a, c))
+		ab, bc, ac := dist(a, b), dist(b, c), dist(a, c)
 		return ac <= ab+bc+1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
