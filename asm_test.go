@@ -1,10 +1,13 @@
 package hetkg
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -80,5 +83,35 @@ func TestKernelAssemblyRules(t *testing.T) {
 	}
 	if len(kernels) < 9 {
 		t.Errorf("%d TEXT blocks use a Y register, want the 9 kernels at least: %v", len(kernels), kernels)
+	}
+}
+
+// TestNoGobInTheProduct fails on an encoding/gob import in any non-test Go
+// file under internal/ or cmd/. gob's decoder is not hardened against
+// adversarial input, and the product reads two trust boundaries, the shard
+// socket and the artifact directory: their messages are explicit binary
+// layouts or strictly decoded JSON (DESIGN.md §10.4, §11.2, §14.3). Tests
+// may import gob, to build what an older build wrote.
+func TestNoGobInTheProduct(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" {
+					t.Errorf("%s imports encoding/gob", fset.Position(imp.Pos()))
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 // Package artifact is a content-addressed on-disk cache for expensive,
 // deterministic intermediates: synthetic datasets, partitioner outputs, and
-// anything else that is a pure function of a run configuration. Entries are
-// gob-encoded files keyed by a SHA-256 of the inputs that produced them, so
+// anything else that is a pure function of a run configuration. An entry is
+// an opaque byte body keyed by a SHA-256 of the inputs that produced it, so
 // a warm cache turns regeneration into a read, and a changed input can never
-// alias a stale entry (the key changes with it).
+// alias a stale entry (the key changes with it). Each caller lays out and
+// parses its own body (a fixed little-endian layout, every count checked
+// against the bytes left), and re-validates what it parsed.
 //
 // The store is shared freely between processes: entries are internal/frame
 // files (magic, length, CRC-32, atomic rename — the container internal/ckpt
@@ -14,10 +16,8 @@
 package artifact
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -30,7 +30,8 @@ import (
 )
 
 // artMagic identifies artifact files and versions the container format.
-const artMagic = "HETKG-ART-v1\n"
+// Version 1 held gob bodies.
+const artMagic = "HETKG-ART-v2\n"
 
 // ErrCorrupt reports an artifact that exists on disk but cannot be trusted:
 // wrong magic, truncated, or failing its checksum. Callers match with
@@ -93,17 +94,14 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Hits returns how many Gets were served from disk since Open.
+// Hits returns how many Gets returned a body since Open (its caller may
+// still refuse a body that does not parse, and regenerate).
 func (s *Store) Hits() int64 { return s.hits.Load() }
 
-// Misses returns how many Gets found nothing usable (absent or corrupt).
+// Misses returns how many Gets found no body (absent or corrupt).
 func (s *Store) Misses() int64 { return s.misses.Load() }
 
-// Corrupt returns how many Gets rejected a damaged entry (a subset of
-// Misses).
+// Corrupt returns how many Gets rejected a damaged entry, a subset of Misses.
 func (s *Store) Corrupt() int64 { return s.corrupt.Load() }
 
 // Writes returns how many entries Put installed since Open.
@@ -116,38 +114,31 @@ func (s *Store) path(kind string, key Key) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s-%s.art", kind, key))
 }
 
-// Put gob-encodes v and atomically installs it under (kind, key).
-func (s *Store) Put(kind string, key Key, v any) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(v); err != nil {
-		return fmt.Errorf("artifact: encoding %s entry: %w", kind, err)
-	}
-	if err := frame.WriteFile(s.path(kind, key), artMagic, body.Bytes()); err != nil {
+// Put atomically installs body under (kind, key).
+func (s *Store) Put(kind string, key Key, body []byte) error {
+	if err := frame.WriteFile(s.path(kind, key), artMagic, body); err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
 	s.writes.Add(1)
 	return nil
 }
 
-// Get decodes the entry under (kind, key) into v. A clean miss returns
-// (false, nil). A damaged entry is deleted, counted, and returned as
-// (false, err wrapping ErrCorrupt) — callers regenerate either way.
-func (s *Store) Get(kind string, key Key, v any) (bool, error) {
+// Get returns the body stored under (kind, key). A clean miss returns
+// (nil, false, nil). A damaged entry is deleted, counted, and returned as
+// (nil, false, err wrapping ErrCorrupt) — callers regenerate either way.
+func (s *Store) Get(kind string, key Key) ([]byte, bool, error) {
 	body, err := frame.ReadFile(s.path(kind, key), artMagic)
 	if err == nil {
-		if err = gob.NewDecoder(bytes.NewReader(body)).Decode(v); err == nil {
-			s.hits.Add(1)
-			return true, nil
-		}
-		err = fmt.Errorf("%w: decoding body: %v", ErrCorrupt, err)
+		s.hits.Add(1)
+		return body, true, nil
 	}
 	s.misses.Add(1)
 	switch {
 	case os.IsNotExist(err):
-		return false, nil
+		return nil, false, nil
 	case errors.Is(err, ErrCorrupt):
 		s.corrupt.Add(1)
 		os.Remove(s.path(kind, key))
 	}
-	return false, fmt.Errorf("artifact: %s entry: %w", kind, err)
+	return nil, false, fmt.Errorf("artifact: %s entry: %w", kind, err)
 }

@@ -1,34 +1,29 @@
 package artifact
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-type payload struct {
-	Name    string
-	Numbers []int32
-}
-
 func TestPutGetRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := payload{Name: "fb15k", Numbers: []int32{1, 2, 3, 5, 8}}
+	want := []byte("fb15k\x01\x02\x03\x05\x08")
 	key := KeyOf("test/v1", "fb15k", "tiny")
-	if err := s.Put("dataset", key, &want); err != nil {
+	if err := s.Put("dataset", key, want); err != nil {
 		t.Fatal(err)
 	}
-	var got payload
-	ok, err := s.Get("dataset", key, &got)
+	got, ok, err := s.Get("dataset", key)
 	if err != nil || !ok {
 		t.Fatalf("Get = (%v, %v), want hit", ok, err)
 	}
-	if got.Name != want.Name || len(got.Numbers) != len(want.Numbers) {
-		t.Fatalf("round trip mangled payload: %+v != %+v", got, want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("round trip mangled body: %q != %q", got, want)
 	}
 	if s.Hits() != 1 || s.Misses() != 0 || s.Writes() != 1 {
 		t.Fatalf("counters hits=%d misses=%d writes=%d, want 1/0/1", s.Hits(), s.Misses(), s.Writes())
@@ -40,9 +35,8 @@ func TestCleanMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got payload
-	ok, err := s.Get("dataset", KeyOf("absent"), &got)
-	if ok || err != nil {
+	got, ok, err := s.Get("dataset", KeyOf("absent"))
+	if ok || err != nil || got != nil {
 		t.Fatalf("Get on empty store = (%v, %v), want clean miss", ok, err)
 	}
 	if s.Misses() != 1 || s.Hits() != 0 {
@@ -69,7 +63,7 @@ func TestCorruptionRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := KeyOf("test/v1", "victim")
-			if err := s.Put("part", key, &payload{Name: "x"}); err != nil {
+			if err := s.Put("part", key, []byte("some body bytes")); err != nil {
 				t.Fatal(err)
 			}
 			path := s.path("part", key)
@@ -80,8 +74,7 @@ func TestCorruptionRejected(t *testing.T) {
 			if err := os.WriteFile(path, mangle(raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var got payload
-			ok, err := s.Get("part", key, &got)
+			_, ok, err := s.Get("part", key)
 			if ok {
 				t.Fatal("Get returned a corrupt entry as a hit")
 			}
@@ -95,7 +88,7 @@ func TestCorruptionRejected(t *testing.T) {
 				t.Fatalf("corrupt entry not removed (stat err %v)", err)
 			}
 			// After cleanup the same key is a clean miss.
-			ok, err = s.Get("part", key, &got)
+			_, ok, err = s.Get("part", key)
 			if ok || err != nil {
 				t.Fatalf("Get after cleanup = (%v, %v), want clean miss", ok, err)
 			}
@@ -133,7 +126,7 @@ func TestOpenCreatesDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("k", KeyOf("x"), &payload{}); err != nil {
+	if err := s.Put("k", KeyOf("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(""); err == nil {

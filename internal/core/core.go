@@ -124,9 +124,6 @@ type RunConfig struct {
 	// AdversarialTemp enables self-adversarial negative weighting
 	// (extension; 0 = the paper's uniform weighting).
 	AdversarialTemp float64 `plan:"adversarial"`
-	// InverseRelations augments the training split with reciprocal
-	// relations (standard KGE preprocessing; doubles the relation table).
-	InverseRelations bool
 	// DegreeWeightedNegatives corrupts with entities drawn ∝ degree^0.75
 	// (word2vec-style hard negatives) instead of uniformly (extension).
 	DegreeWeightedNegatives bool `plan:"degreeNegatives"`
@@ -307,8 +304,7 @@ func (rc *RunConfig) linkConfig() ps.LinkConfig {
 // generation, the train/valid/test split, the graph partition and per-key
 // embedding initialization are all pure functions of the config's seeds.
 type prepared struct {
-	// graph is the whole dataset; split divides it, with reciprocal
-	// relations already added to split.Train when requested.
+	// graph is the whole dataset; split divides it.
 	graph *kg.Graph
 	split kg.Split
 	model model.Model
@@ -341,9 +337,6 @@ func prepare(rc *RunConfig) (*prepared, error) {
 	sp, err := Split(g, rc.Seed)
 	if err != nil {
 		return nil, err
-	}
-	if rc.InverseRelations {
-		sp.Train = kg.AddInverses(sp.Train)
 	}
 	mdl, err := model.New(rc.ModelName)
 	if err != nil {

@@ -71,27 +71,6 @@ func TestRankingLossDefaultsToMarginOne(t *testing.T) {
 	}
 }
 
-func TestInverseRelationsTraining(t *testing.T) {
-	res, err := Run(RunConfig{
-		Dataset:          "fb15k",
-		Scale:            dataset.Tiny,
-		System:           SystemHETKGC,
-		Epochs:           2,
-		InverseRelations: true,
-		Seed:             7,
-	})
-	if err != nil {
-		t.Fatalf("inverse-relation run: %v", err)
-	}
-	g, _ := dataset.ByName("fb15k", dataset.Tiny, 7)
-	if res.Relations.Rows != 2*g.NumRel {
-		t.Errorf("relation table rows = %d, want %d (doubled)", res.Relations.Rows, 2*g.NumRel)
-	}
-	if res.Final.MRR <= 0 {
-		t.Error("inverse-relation run did not evaluate")
-	}
-}
-
 func TestResumeFromCheckpoint(t *testing.T) {
 	base := RunConfig{
 		Dataset: "fb15k", Scale: dataset.Tiny, System: SystemDGLKE,

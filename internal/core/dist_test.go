@@ -3,7 +3,10 @@ package core_test
 import (
 	"flag"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hetkg/internal/core"
 	"hetkg/internal/dataset"
@@ -25,15 +28,13 @@ func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
 		Epochs:   1,
 		Seed:     31,
 	}
-	// The second case exercises the parts of the derivation a shard and a
-	// trainer could disagree on: reciprocal relations double the relation
-	// table the shards must own, and a non-default optimizer must reach the
+	// The second case exercises a part of the derivation a shard and a
+	// trainer could disagree on: a non-default optimizer must reach the
 	// shards too.
 	derived := base
-	derived.InverseRelations = true
 	derived.OptimizerName = "adam"
 	t.Run("defaults", func(t *testing.T) { multiProcessMatchesLocal(t, base, base) })
-	t.Run("inverse+adam", func(t *testing.T) { multiProcessMatchesLocal(t, derived, derived) })
+	t.Run("adam", func(t *testing.T) { multiProcessMatchesLocal(t, derived, derived) })
 	// tcp-chatty's shape: four shards, so each pull and push is one round of
 	// four overlapped requests.
 	chatty := core.RunConfig{
@@ -141,6 +142,97 @@ func TestInProcessCodecMatchesTCP(t *testing.T) {
 			multiProcessMatchesLocal(t, rc, rc)
 		})
 	}
+}
+
+// TestRunClosesItsShardConnections trains a tiny DGL-KE run against two
+// loopback Acceptor shards, statically and as an elastic worker of a
+// coordinator on shard 0, and then expects the shards to find every
+// connection the run opened closed: a trainer that left its links open
+// made each Acceptor.Shutdown wait out its full grace.
+func TestRunClosesItsShardConnections(t *testing.T) {
+	rc := core.RunConfig{
+		Dataset:  "fb15k",
+		Scale:    dataset.Tiny,
+		System:   core.SystemDGLKE,
+		Machines: 2,
+		Epochs:   1,
+		Seed:     31,
+	}
+	for _, name := range []string{"static", "elastic"} {
+		t.Run(name, func(t *testing.T) {
+			var open atomic.Int64
+			var addrs []string
+			var accs []*ps.Acceptor
+			var ls []net.Listener
+			for range rc.Machines {
+				l, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				acc := &ps.Acceptor{}
+				defer func() {
+					l.Close()
+					acc.Shutdown(0)
+				}()
+				ls, accs, addrs = append(ls, l), append(accs, acc), append(addrs, l.Addr().String())
+			}
+			run := rc
+			if name == "elastic" {
+				coord, err := ps.NewMembership(ps.MemberConfig{Partitions: rc.Machines, ShardAddrs: addrs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				accs[0].Coordinator = coord
+				run.JoinAddr = addrs[0]
+			} else {
+				run.ShardAddrs = addrs
+			}
+			for m, acc := range accs {
+				shard, err := core.BuildShard(rc, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				go acc.Serve(countingListener{ls[m], &open}, shard)
+			}
+			if _, err := core.Run(run); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); open.Load() > 0 && time.Now().Before(deadline); {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := open.Load(); n > 0 {
+				t.Fatalf("%d shard connections still open after Run returned", n)
+			}
+		})
+	}
+}
+
+// countingListener counts the connections it accepted that are not closed
+// yet in open.
+type countingListener struct {
+	net.Listener
+	open *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.open.Add(1)
+	return &countedConn{Conn: c, open: l.open}, nil
+}
+
+// countedConn decrements open on its first Close.
+type countedConn struct {
+	net.Conn
+	open *atomic.Int64
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.open.Add(-1) })
+	return c.Conn.Close()
 }
 
 func TestShardAddrCountValidation(t *testing.T) {

@@ -7,11 +7,15 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"hetkg/internal/artifact"
 	"hetkg/internal/ckpt"
+	"hetkg/internal/dataset"
 	"hetkg/internal/frame"
+	"hetkg/internal/kg"
+	"hetkg/internal/partition"
 	"hetkg/internal/vec"
 )
 
@@ -36,7 +40,7 @@ func goodFrames(f *testing.F) map[string][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := store.Put("seed", artifact.KeyOf("seed"), []int{1, 2, 3}); err != nil {
+	if err := store.Put("dataset", artifact.KeyOf("seed"), dataset.EncodeGraph(fuzzGraph)); err != nil {
 		f.Fatal(err)
 	}
 	entries, err := filepath.Glob(filepath.Join(dir, "*.art"))
@@ -50,7 +54,7 @@ func goodFrames(f *testing.F) map[string][]byte {
 	frames := map[string][]byte{
 		"HETKG-CKPT-v2\n": ck.Bytes(),
 		"HETKG-PROG-v2\n": prog.Bytes(),
-		"HETKG-ART-v1\n":  art,
+		"HETKG-ART-v2\n":  art,
 	}
 	for magic, raw := range frames {
 		if _, err := frame.Decode(magic, raw); err != nil {
@@ -59,6 +63,11 @@ func goodFrames(f *testing.F) map[string][]byte {
 	}
 	return frames
 }
+
+// fuzzGraph is the graph the partition body decoder reads bodies for.
+var fuzzGraph = kg.MustNewGraph("fuzz", 6, 2, []kg.Triple{
+	{Head: 0, Relation: 0, Tail: 1}, {Head: 1, Relation: 1, Tail: 2}, {Head: 3, Relation: 0, Tail: 4}, {Head: 5, Relation: 1, Tail: 0},
+})
 
 // ckptV2 and ckptV1 are the two checkpoint magics ckpt.Read accepts: the
 // framed format, and the older unframed one (magic, then the body).
@@ -95,15 +104,19 @@ func sameMatrix(a, b *vec.Matrix) bool {
 
 // FuzzFrameDecode feeds arbitrary bytes to frame.Decode under every file
 // kind's magic, to ckpt.ReadProgress, which decodes a progress snapshot's
-// JSON body out of its frame, and to ckpt.Read three ways: as is, framed as
-// a v2 checkpoint body, and behind the v1 magic. Nothing may panic, and every
-// error must wrap ErrCorrupt. A frame that decodes re-encodes to the same
-// bytes, any input framed as a body decodes back to itself, a progress
-// snapshot that reads re-writes to one that reads the same, and a checkpoint
-// that reads yields Checkpoint.Model without a panic and re-writes to one
-// that reads back equal. The corpus starts from one good file of each kind,
-// a bare checkpoint body, and a checkpoint whose table header declares more
-// data than the file holds.
+// JSON body out of its frame, to ckpt.Read three ways: as is, framed as
+// a v2 checkpoint body, and behind the v1 magic, and to the two artifact
+// body decoders, dataset.DecodeGraph and partition.DecodeResult (for
+// fuzzGraph). Nothing may panic, and every frame and checkpoint error must
+// wrap ErrCorrupt. A frame that decodes re-encodes to the same bytes, any
+// input framed as a body decodes back to itself, a progress snapshot that
+// reads re-writes to one that reads the same, and a checkpoint that reads
+// yields Checkpoint.Model without a panic and re-writes to one that reads
+// back equal. A decoded graph is one kg.NewGraph accepts and re-encodes to
+// the input; a decoded partitioning places every entity in [0,K) and its
+// Subgraphs build. The corpus starts from one good file of each kind, a
+// bare checkpoint body, a checkpoint whose table header declares more data
+// than the file holds, and one body from each artifact body encoder.
 func FuzzFrameDecode(f *testing.F) {
 	frames := goodFrames(f)
 	for _, raw := range frames {
@@ -115,7 +128,32 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	f.Add(body)
 	f.Add(oversizedCheckpoint())
+	f.Add(dataset.EncodeGraph(fuzzGraph))
+	part, err := (&partition.Random{Seed: 1}).Partition(fuzzGraph, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(partition.EncodeResult(part))
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		if g, err := dataset.DecodeGraph(raw); err == nil {
+			if _, err := kg.NewGraph(g.Name, g.NumEntity, g.NumRel, g.Triples); err != nil {
+				t.Fatalf("DecodeGraph returned a graph NewGraph refuses: %v", err)
+			}
+			if !bytes.Equal(dataset.EncodeGraph(g), raw) {
+				t.Fatal("DecodeGraph accepted a body that does not re-encode to itself")
+			}
+		}
+		if r, err := partition.DecodeResult(fuzzGraph, raw); err == nil {
+			for e, p := range r.EntityPart {
+				if p < 0 || int(p) >= r.K {
+					t.Fatalf("DecodeResult placed entity %d in partition %d of %d", e, p, r.K)
+				}
+			}
+			if again, err := partition.DecodeResult(fuzzGraph, partition.EncodeResult(r)); err != nil || !reflect.DeepEqual(again, r) {
+				t.Fatalf("partitioning %+v re-read as %+v, %v", r, again, err)
+			}
+			r.Subgraphs(fuzzGraph)
+		}
 		for _, in := range [][]byte{raw, frame.Encode(ckptV2, raw), append([]byte(ckptV1), raw...)} {
 			c, err := ckpt.Read(bytes.NewReader(in))
 			if err != nil {

@@ -187,27 +187,3 @@ func topShare(counts []int, frac float64) float64 {
 	}
 	return float64(top) / float64(total)
 }
-
-// AddInverses returns a graph augmented with reciprocal relations: every
-// relation r gains an inverse with id r + NumRel, and every triple
-// (h, r, t) gains (t, r⁻¹, h). Standard KGE preprocessing — it lets a model
-// answer head-corruption queries through the inverse relation's tail slot,
-// which helps translational models in particular. Apply to the training
-// split only; evaluation stays on the original relations.
-func AddInverses(g *Graph) *Graph {
-	triples := make([]Triple, 0, 2*len(g.Triples))
-	triples = append(triples, g.Triples...)
-	for _, t := range g.Triples {
-		triples = append(triples, Triple{
-			Head:     t.Tail,
-			Relation: t.Relation + RelationID(g.NumRel),
-			Tail:     t.Head,
-		})
-	}
-	return &Graph{
-		Name:      g.Name + "+inv",
-		NumEntity: g.NumEntity,
-		NumRel:    2 * g.NumRel,
-		Triples:   triples,
-	}
-}

@@ -261,31 +261,3 @@ func TestDegreeSumProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAddInverses(t *testing.T) {
-	g := tinyGraph(t)
-	aug := AddInverses(g)
-	if aug.NumRel != 2*g.NumRel {
-		t.Fatalf("NumRel = %d, want %d", aug.NumRel, 2*g.NumRel)
-	}
-	if aug.NumTriples() != 2*g.NumTriples() {
-		t.Fatalf("triples = %d, want %d", aug.NumTriples(), 2*g.NumTriples())
-	}
-	if aug.NumEntity != g.NumEntity {
-		t.Error("entity universe changed")
-	}
-	set := NewTripleSet(aug.Triples)
-	for _, tr := range g.Triples {
-		if !set.Contains(tr) {
-			t.Fatalf("original triple %v lost", tr)
-		}
-		inv := Triple{Head: tr.Tail, Relation: tr.Relation + RelationID(g.NumRel), Tail: tr.Head}
-		if !set.Contains(inv) {
-			t.Fatalf("inverse of %v missing", tr)
-		}
-	}
-	// The augmented graph must still validate.
-	if _, err := NewGraph(aug.Name, aug.NumEntity, aug.NumRel, aug.Triples); err != nil {
-		t.Fatalf("augmented graph invalid: %v", err)
-	}
-}

@@ -9,8 +9,9 @@ import (
 )
 
 // partVersion versions cached partitionings: bump whenever any partitioner
-// algorithm changes, so stale artifacts can never alias current output.
-const partVersion = "partition/v1"
+// algorithm or the EncodeResult layout changes, so stale artifacts can
+// never alias current output. Version 1 held gob bodies.
+const partVersion = "partition/v2"
 
 // cached wraps a Partitioner with an artifact store: identical (graph,
 // partitioner, k) inputs are served from disk instead of re-partitioned.
@@ -39,33 +40,51 @@ func (c *cached) Name() string { return c.inner.Name() }
 // Partition serves from the store when possible, else delegates and caches.
 func (c *cached) Partition(g *kg.Graph, k int) (*Result, error) {
 	key := cacheKey(c.inner, g, k)
-	var r Result
-	if ok, _ := c.store.Get("partition", key, &r); ok {
-		if validCached(&r, g, k) {
-			return &r, nil
+	if body, ok, _ := c.store.Get("partition", key); ok {
+		if r, err := DecodeResult(g, body); err == nil && r.K == k {
+			return r, nil
 		}
 	}
 	fresh, err := c.inner.Partition(g, k)
 	if err != nil {
 		return nil, err
 	}
-	_ = c.store.Put("partition", key, fresh)
+	_ = c.store.Put("partition", key, EncodeResult(fresh))
 	return fresh, nil
 }
 
-// validCached sanity-checks a decoded Result against the request: the CRC
-// guards bytes, this guards shape (a foreign-but-well-formed entry can
-// never index out of range downstream).
-func validCached(r *Result, g *kg.Graph, k int) bool {
-	if r.K != k || len(r.EntityPart) != g.NumEntity || len(r.TripleIdx) != k {
-		return false
-	}
+// EncodeResult lays r out as a partition artifact body of little-endian
+// u32s: K, then EntityPart. DecodeResult re-derives TripleIdx.
+func EncodeResult(r *Result) []byte {
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+4*len(r.EntityPart)), uint32(r.K))
 	for _, p := range r.EntityPart {
-		if p < 0 || int(p) >= k {
-			return false
-		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(p))
 	}
-	return true
+	return b
+}
+
+// DecodeResult parses an EncodeResult body for g: a K in [1, g.NumEntity]
+// and one partition in [0,K) per entity of g. TripleIdx is re-derived from g
+// by head ownership, as the partitioners derive it, so a decoded Result
+// cannot index past g's triples.
+func DecodeResult(g *kg.Graph, b []byte) (*Result, error) {
+	if len(b) != 4+4*g.NumEntity {
+		return nil, fmt.Errorf("partition: body of %d bytes for %d entities", len(b), g.NumEntity)
+	}
+	k := binary.LittleEndian.Uint32(b)
+	r := &Result{K: int(k), EntityPart: make([]int32, g.NumEntity)}
+	for e := range r.EntityPart {
+		p := binary.LittleEndian.Uint32(b[4+4*e:])
+		if p >= k {
+			return nil, fmt.Errorf("partition: entity %d in partition %d of %d", e, p, k)
+		}
+		r.EntityPart[e] = int32(p)
+	}
+	if err := validate(g, r.K); err != nil {
+		return nil, err
+	}
+	assignTriples(g, r)
+	return r, nil
 }
 
 // cacheKey fingerprints the partitioning inputs. The graph fingerprint

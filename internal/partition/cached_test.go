@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -41,26 +43,64 @@ func TestCachedMatchesFresh(t *testing.T) {
 				t.Fatalf("warm Partition did not hit the cache (hits %d -> %d)",
 					hitsBefore, st.Hits())
 			}
-			if !reflect.DeepEqual(cold.EntityPart, want.EntityPart) {
+			if !reflect.DeepEqual(cold, want) {
 				t.Fatal("cold cached partition differs from fresh")
 			}
-			if !reflect.DeepEqual(warm.EntityPart, cold.EntityPart) ||
-				warm.K != cold.K {
+			if !reflect.DeepEqual(warm, cold) {
 				t.Fatal("warm cached partition differs from cold")
 			}
-			// TripleIdx may gob-decode empty slices as nil; compare content.
-			if len(warm.TripleIdx) != len(cold.TripleIdx) {
-				t.Fatal("TripleIdx length changed through the cache")
+		})
+	}
+}
+
+// TestCachedEntryCannotIndexPastTheGraph plants entries that pass the
+// store's checksum under the key Partition reads but do not fit the graph:
+// a Result whose TripleIdx names a triple past the graph's last (an entry
+// that once decoded and then panicked in Subgraphs), an entity placed
+// outside [0,K), and another k's partitioning. Each must be refused and the
+// fresh partitioning returned and cached.
+func TestCachedEntryCannotIndexPastTheGraph(t *testing.T) {
+	g := dataset.FB15kLike(dataset.Tiny, 42)
+	inner := must(New("metis", 42))
+	want, err := inner.Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pastEnd := *want
+	pastEnd.TripleIdx = append([][]int32{append([]int32{int32(len(g.Triples) + 5)}, want.TripleIdx[0]...)}, want.TripleIdx[1:]...)
+	var gobBody bytes.Buffer
+	if err := gob.NewEncoder(&gobBody).Encode(&pastEnd); err != nil {
+		t.Fatal(err)
+	}
+	outside := EncodeResult(want)
+	outside[4] = 4
+	two, err := inner.Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"TripleIdx past the graph": gobBody.Bytes(),
+		"entity outside [0,K)":     outside,
+		"k=2 under the k=4 key":    EncodeResult(two),
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, err := artifact.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
-			for p := range warm.TripleIdx {
-				if len(warm.TripleIdx[p]) != len(cold.TripleIdx[p]) {
-					t.Fatalf("partition %d triple list changed through the cache", p)
-				}
-				for i := range warm.TripleIdx[p] {
-					if warm.TripleIdx[p][i] != cold.TripleIdx[p][i] {
-						t.Fatalf("partition %d triple %d changed through the cache", p, i)
-					}
-				}
+			if err := st.Put("partition", cacheKey(inner, g, 4), body); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Cached(inner, st).Partition(g, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("a planted entry changed the partitioning")
+			}
+			got.Subgraphs(g)
+			if again, err := Cached(inner, st).Partition(g, 4); err != nil || !reflect.DeepEqual(again, want) || st.Writes() != 2 {
+				t.Fatalf("the fresh partitioning was not cached over the planted entry (writes %d, %v)", st.Writes(), err)
 			}
 		})
 	}

@@ -70,7 +70,7 @@ type wireHelloAck struct {
 
 // wireRequest is one request. Payload carries codec-encoded bytes: the
 // advertised base versions of a delta pull, the encoded gradient rows of a
-// push, or a membership op's gob-encoded body. Seq is the link's push
+// push, or a membership op's JSON body. Seq is the link's push
 // sequence number (0 for pulls and membership ops): together with the
 // hello's Link it gives pushes exactly-once semantics across retries and
 // reconnects. TraceID/ParentID carry the originating batch's span context

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -321,7 +322,7 @@ func TestStaleTelemetryAckIsNotAHeartbeatReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := func(v any) []byte {
-		b, err := gobBytes(v)
+		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +333,7 @@ func TestStaleTelemetryAckIsNotAHeartbeatReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	var join JoinReply
-	if err := gobDecode(payload, &join); err != nil {
+	if err := decodeBody(payload, &join); err != nil {
 		t.Fatal(err)
 	}
 

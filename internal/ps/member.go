@@ -2,7 +2,7 @@ package ps
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -17,7 +17,7 @@ import (
 // list — additionally hosts a Membership: the coordinator. Worker processes
 // register with it over the shard wire (ops 'J'oin, 'H'eartbeat, 'L'eave
 // ride the same connections and request frames as pulls and pushes, each
-// body gob-encoded inside the frame's payload),
+// body the JSON encoding of its message inside the frame's payload),
 // discover the shard fleet from the join reply, and afterwards heartbeat
 // periodically. The coordinator declares a worker dead when its heartbeats
 // stop for longer than WorkerTimeout and hands the dead worker's partitions
@@ -539,40 +539,35 @@ func DialCoordinator(addr string, timeout time.Duration) (*CoordClient, error) {
 // Close releases the connection.
 func (cc *CoordClient) Close() error { return cc.link.Close() }
 
-// call runs one membership op on the link and decodes the typed reply.
-func (cc *CoordClient) call(op byte, msg, reply any) error {
-	payload, err := gobBytes(msg)
+// call runs one membership or telemetry op on cc's link: req goes out as
+// JSON (a report holding a non-finite gauge has none, and fails here), and
+// the reply is decoded strictly into a Rep.
+func call[Rep, Req any](cc *CoordClient, op byte, req *Req) (*Rep, error) {
+	payload, err := json.Marshal(req)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("ps: encoding membership body: %w", err)
 	}
 	if payload, err = cc.link.call(0, &wireRequest{Op: op, Payload: payload}); err != nil {
-		return err
+		return nil, err
 	}
-	return gobDecode(payload, reply)
+	var rep Rep
+	return &rep, decodeBody(payload, &rep)
 }
 
 // Join implements Coordinator.
 func (cc *CoordClient) Join(req JoinRequest) (*JoinReply, error) {
-	var reply JoinReply
-	if err := cc.call(opJoin, &req, &reply); err != nil {
-		return nil, err
-	}
-	return &reply, nil
+	return call[JoinReply](cc, opJoin, &req)
 }
 
 // Heartbeat implements Coordinator.
 func (cc *CoordClient) Heartbeat(req HeartbeatRequest) (*HeartbeatReply, error) {
-	var reply HeartbeatReply
-	if err := cc.call(opHeartbeat, &req, &reply); err != nil {
-		return nil, err
-	}
-	return &reply, nil
+	return call[HeartbeatReply](cc, opHeartbeat, &req)
 }
 
 // Leave implements Coordinator.
 func (cc *CoordClient) Leave(req LeaveRequest) error {
-	var reply struct{}
-	return cc.call(opLeave, &req, &reply)
+	_, err := call[struct{}](cc, opLeave, &req)
+	return err
 }
 
 // Membership wire ops, sharing the pull/push request frame.
@@ -582,20 +577,17 @@ const (
 	opLeave     = 'L'
 )
 
-// gobBytes encodes v into a fresh payload: a membership or telemetry body,
-// the one place gob is left on the wire (ROADMAP item 14 step 2).
-func gobBytes(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("ps: encoding membership payload: %w", err)
+// decodeBody decodes a membership or telemetry body, the JSON the
+// coordinator's /metrics and /fleet endpoints serve, strictly: a field the
+// message does not have, or any byte after the JSON value, refuses it.
+func decodeBody[T any](b []byte, v *T) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("ps: decoding membership body: %w", err)
 	}
-	return buf.Bytes(), nil
-}
-
-// gobDecode decodes a membership payload into v.
-func gobDecode(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("ps: decoding membership payload: %w", err)
+	if n := dec.InputOffset(); n != int64(len(b)) {
+		return fmt.Errorf("ps: %d bytes after the membership body", int64(len(b))-n)
 	}
 	return nil
 }

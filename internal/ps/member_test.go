@@ -1,7 +1,10 @@
 package ps
 
 import (
+	"encoding/json"
+	"math"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -232,7 +235,7 @@ func TestMembershipDonePartitionsFinishTheRun(t *testing.T) {
 }
 
 // TestCoordClientOverTCP drives the membership protocol through the real
-// gob TCP wire: a shard Acceptor hosting a Membership, a CoordClient
+// TCP wire: a shard Acceptor hosting a Membership, a CoordClient
 // dialing it, and join/heartbeat/leave round trips — plus the readable
 // refusal from a shard that is not the coordinator.
 func TestCoordClientOverTCP(t *testing.T) {
@@ -409,5 +412,51 @@ func TestCoordClientRedialsAfterReset(t *testing.T) {
 		if len(hb.Assignments) != 2 {
 			t.Fatalf("heartbeat %d after the reset got %+v", i, hb)
 		}
+	}
+}
+
+// TestMemberBodiesDecodeStrictly holds the membership and telemetry bodies
+// to their JSON: a reply and a report with every field set read back equal,
+// a body with a field its message lacks or with bytes after the value is
+// refused, and a report holding a NaN gauge cannot be encoded at all.
+func TestMemberBodiesDecodeStrictly(t *testing.T) {
+	join := JoinReply{WorkerID: 3, ShardAddrs: []string{"a:1", "b:2"}, Partitions: 2, HeartbeatEvery: 250 * time.Millisecond,
+		Assignments: []Assignment{{Partition: 1, Epoch: 2, Iteration: 7}}}
+	b, err := json.Marshal(&join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotJoin JoinReply
+	if err := decodeBody(b, &gotJoin); err != nil || !reflect.DeepEqual(gotJoin, join) {
+		t.Fatalf("join reply %+v read back as %+v, %v", join, gotJoin, err)
+	}
+	reg := metrics.NewRegistry()
+	reg.Counter(metrics.MTrainIterations).Add(1 << 40)
+	reg.Gauge(metrics.MTrainLoss).Set(0.1)
+	reg.Histogram(metrics.MServeLatencyPredict).Observe(0.003)
+	rep := telemetry.Report{Role: telemetry.RoleWorker, Label: "w", Seq: 9, Metrics: reg.Snapshot()}
+	if b, err = json.Marshal(&rep); err != nil {
+		t.Fatal(err)
+	}
+	var gotRep telemetry.Report
+	if err := decodeBody(b, &gotRep); err != nil || !reflect.DeepEqual(gotRep, rep) {
+		t.Fatalf("report %+v read back as %+v, %v", rep, gotRep, err)
+	}
+	for name, body := range map[string]string{
+		"unknown field":  `{"WorkerID":1,"Admin":true}`,
+		"trailing value": `{"WorkerID":1}{"WorkerID":2}`,
+		"trailing space": `{"WorkerID":1} `,
+		"not JSON":       "\x0d\xff\x81\x03\x01\x01",
+		"empty":          "",
+	} {
+		var m HeartbeatRequest
+		if err := decodeBody([]byte(body), &m); err == nil {
+			t.Errorf("%s: %q decoded as %+v", name, body, m)
+		}
+	}
+	reg.Gauge(metrics.MTrainLoss).Set(math.NaN())
+	rep.Metrics = reg.Snapshot()
+	if err := (&CoordClient{}).SendTelemetry(rep); err == nil {
+		t.Error("a report with a NaN gauge was sent")
 	}
 }

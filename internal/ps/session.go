@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -81,17 +82,14 @@ func (s *session) handle(dst []byte, req *wireRequest) ([]byte, error) {
 		s.rows.markPush(s.link, req.Seq)
 		return dst, nil
 	case opJoin:
-		var m JoinRequest
-		return s.coordinate(dst, req, &m, func() (any, error) { return s.coord.Join(m) })
+		// coordinate refuses a nil s.coord before calling its method value.
+		return coordinate(s, dst, req, s.coord.Join)
 	case opHeartbeat:
-		var m HeartbeatRequest
-		return s.coordinate(dst, req, &m, func() (any, error) { return s.coord.Heartbeat(m) })
+		return coordinate(s, dst, req, s.coord.Heartbeat)
 	case opLeave:
-		var m LeaveRequest
-		return s.coordinate(dst, req, &m, func() (any, error) { return struct{}{}, s.coord.Leave(m) })
+		return coordinate(s, dst, req, func(m LeaveRequest) (struct{}, error) { return struct{}{}, s.coord.Leave(m) })
 	case opTelemetry:
-		var m telemetry.Report
-		return s.coordinate(dst, req, &m, func() (any, error) { return struct{}{}, s.coord.SendTelemetry(m) })
+		return coordinate(s, dst, req, func(r telemetry.Report) (struct{}, error) { return struct{}{}, s.coord.SendTelemetry(r) })
 	}
 	return nil, fmt.Errorf("ps: unknown op %q", req.Op)
 }
@@ -107,25 +105,22 @@ func bounded(rows shardRows, keys []Key) error {
 	return nil
 }
 
-// coordinate serves one membership or telemetry op: decode the request
-// payload into msg, run call against the coordinator, and append its
-// gob-encoded reply to dst.
-// A shard without a coordinator refuses by name, so a worker joining the
-// wrong address gets a readable error instead of a timeout.
-func (s *session) coordinate(dst []byte, req *wireRequest, msg any, call func() (any, error)) ([]byte, error) {
+// coordinate serves one membership or telemetry op: decode the request's
+// JSON body, run call on it against the coordinator, and append the reply's
+// JSON to dst. A shard without a coordinator refuses by name, so a worker
+// joining the wrong address gets a readable error instead of a timeout.
+func coordinate[Req, Rep any](s *session, dst []byte, req *wireRequest, call func(Req) (Rep, error)) ([]byte, error) {
 	if s.coord == nil {
 		return nil, errors.New("ps: this shard is not the coordinator (start it with -coordinator, or use the first seed address)")
 	}
-	if err := gobDecode(req.Payload, msg); err != nil {
+	var m Req
+	if err := decodeBody(req.Payload, &m); err != nil {
 		return nil, err
 	}
-	reply, err := call()
+	rep, err := call(m)
 	if err != nil {
 		return nil, err
 	}
-	b, err := gobBytes(reply)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, b...), nil
+	b, err := json.Marshal(rep)
+	return append(dst, b...), err
 }

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -99,7 +100,7 @@ func FuzzShardSession(f *testing.F) {
 	pushFP32 := fp32Codec{}.EncodeRow(nil, append([]float32(nil), grad...))
 	pushInt8 := int8Codec{}.EncodeRow(nil, append([]float32(nil), grad...))
 	member := func(v any) []byte {
-		b, err := gobBytes(v)
+		b, err := json.Marshal(v)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -120,8 +121,11 @@ func FuzzShardSession(f *testing.F) {
 	f.Add(byte(coord), byte(opHeartbeat), []byte(nil), member(HeartbeatRequest{WorkerID: 1, Progress: []PartitionProgress{{Partition: 0, Done: true}}}), uint64(0), []byte(nil))
 	f.Add(byte(coord), byte(opLeave), []byte(nil), member(LeaveRequest{WorkerID: 1}), uint64(0), []byte(nil))
 	f.Add(byte(coord), byte(opTelemetry), []byte(nil), member(telemetry.Report{Role: telemetry.RoleWorker, Label: "w", Seq: 1}), uint64(0), []byte(nil))
-	f.Add(byte(0), byte(opJoin), []byte(nil), member(JoinRequest{Label: "w"}), uint64(0), []byte(nil)) // not the coordinator
-	f.Add(byte(coord), byte(opHeartbeat), []byte(nil), []byte{0xff, 0x01}, uint64(0), []byte(nil))     // garbage payload
+	f.Add(byte(0), byte(opJoin), []byte(nil), member(JoinRequest{Label: "w"}), uint64(0), []byte(nil))          // not the coordinator
+	f.Add(byte(coord), byte(opHeartbeat), []byte(nil), []byte{0xff, 0x01}, uint64(0), []byte(nil))              // garbage payload
+	f.Add(byte(coord), byte(opJoin), []byte(nil), []byte(`{"Label":"w","Admin":true}`), uint64(0), []byte(nil)) // unknown field
+	f.Add(byte(coord), byte(opLeave), []byte(nil), []byte(`{"WorkerID":1}{}`), uint64(0), []byte(nil))          // trailing bytes
+	f.Add(byte(coord), byte(opTelemetry), []byte(nil), []byte(`{"Role":"worker","Metrics":{"m":{"kind":"histogram","buckets":[{"le":1,"n":2}],"q":{"p50":1}}}}`), uint64(0), []byte(nil))
 	f.Add(byte(0), byte('Z'), two, []byte(nil), uint64(0), []byte(nil))
 
 	// Raw streams: the frames a client writes after its hello.

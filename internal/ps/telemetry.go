@@ -8,8 +8,9 @@ import (
 
 // Telemetry transport (DESIGN.md §12): fleet reports ride the same TCP
 // request frames as pulls, pushes, and membership ops. Op 'T' carries one
-// gob-encoded telemetry.Report to the coordinator shard, which folds it
-// into its Fleet aggregator. A shard without a coordinator (or a coordinator
+// telemetry.Report as JSON, the encoding /metrics and /fleet serve, to the
+// coordinator shard, which folds it into its Fleet aggregator. A report
+// holding a non-finite gauge has no JSON form and is not sent. A shard without a coordinator (or a coordinator
 // without a Fleet) refuses the op by name.
 
 // opTelemetry ships one labeled metrics snapshot to the coordinator.
@@ -18,8 +19,8 @@ const opTelemetry = 'T'
 // SendTelemetry implements telemetry.Sender over the wire: one op 'T'
 // request on the coordinator link.
 func (cc *CoordClient) SendTelemetry(rep telemetry.Report) error {
-	var reply struct{}
-	return cc.call(opTelemetry, &rep, &reply)
+	_, err := call[struct{}](cc, opTelemetry, &rep)
+	return err
 }
 
 // SendTelemetry implements telemetry.Sender in process: the report goes

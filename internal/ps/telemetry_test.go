@@ -10,7 +10,7 @@ import (
 	"hetkg/internal/telemetry"
 )
 
-// TestTelemetryOverTCP drives op 'T' through the real gob TCP wire: a
+// TestTelemetryOverTCP drives op 'T' through the real TCP wire: a
 // coordinator shard hosting a Fleet aggregator, a CoordClient shipping
 // labeled snapshots, and the readable refusals from a non-coordinator
 // shard and a coordinator without an aggregator.

@@ -22,7 +22,11 @@ func NewBatchBench(cfg Config) (*BatchBench, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d, err := newStatic(&cfg)
+	env, err := setupPS(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	d, err := newStatic(&cfg, env)
 	if err != nil {
 		return nil, err
 	}

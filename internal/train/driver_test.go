@@ -89,7 +89,12 @@ func TestElasticSoloMatchesStatic(t *testing.T) {
 			if err := probe.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			d, err := newStatic(&probe)
+			env, err := setupPS(&probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.tr.Close()
+			d, err := newStatic(&probe, env)
 			if err != nil {
 				t.Fatal(err)
 			}

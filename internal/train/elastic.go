@@ -58,8 +58,8 @@ func (r *partRunner) resumable(ep, iter, epochs int) bool {
 // whole cluster's partitions complete (or a fatal error); per-epoch
 // evaluation is off — a local barrier is not the cluster's, so only the
 // final state is evaluated.
-func newElastic(cfg *Config) (*driver, error) {
-	d, err := newDriver(cfg)
+func newElastic(cfg *Config, env *psEnv) (*driver, error) {
+	d, err := newDriver(cfg, env)
 	if err != nil {
 		return nil, err
 	}

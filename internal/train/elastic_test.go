@@ -263,7 +263,12 @@ func TestElasticReadoptedPartitionRebuildsCPSTable(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	e, err := newElastic(&cfg)
+	env, err := setupPS(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.tr.Close()
+	e, err := newElastic(&cfg, env)
 	if err != nil {
 		t.Fatalf("newElastic: %v", err)
 	}

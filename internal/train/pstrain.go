@@ -25,11 +25,16 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.System == SystemPBG {
 		return trainPBG(&cfg)
 	}
+	env, err := setupPS(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer env.tr.Close()
 	build := newStatic
 	if cfg.Elastic != nil {
 		build = newElastic
 	}
-	d, err := build(&cfg)
+	d, err := build(&cfg, env)
 	if err != nil {
 		return nil, err
 	}
@@ -42,8 +47,8 @@ func Run(cfg Config) (*Result, error) {
 // serves pulls); the slots of machines this process does not run still
 // count, so worker ids — and with them sampler seeds — do not depend on the
 // deployment.
-func newStatic(cfg *Config) (*driver, error) {
-	d, err := newDriver(cfg)
+func newStatic(cfg *Config, env *psEnv) (*driver, error) {
+	d, err := newDriver(cfg, env)
 	if err != nil {
 		return nil, err
 	}
@@ -128,16 +133,12 @@ type driver struct {
 	telemetryOff bool
 }
 
-// newDriver builds the PS substrate and an empty runner set for a validated
-// cfg, and opens the run's timeline.
-func newDriver(cfg *Config) (*driver, error) {
+// newDriver builds an empty runner set on env for a validated cfg, and
+// opens the run's timeline.
+func newDriver(cfg *Config, env *psEnv) (*driver, error) {
 	system := string(cfg.System)
 	if cfg.Elastic != nil {
 		system += "/elastic"
-	}
-	env, err := setupPS(cfg)
-	if err != nil {
-		return nil, err
 	}
 	b, err := newWorkerBuilder(cfg, env)
 	if err != nil {
@@ -454,7 +455,8 @@ func finalize(cfg *Config, env *psEnv, workers []*worker, res *Result) (*Result,
 }
 
 // setupPS partitions the graph and builds the parameter-server cluster and
-// the worker↔PS transport for a validated cfg.
+// the worker↔PS transport for a validated cfg. The caller closes the
+// transport.
 func setupPS(cfg *Config) (*psEnv, error) {
 	part, err := cfg.Partitioner.Partition(cfg.Graph, cfg.NumMachines)
 	if err != nil {

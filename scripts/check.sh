@@ -21,8 +21,11 @@
 #                  unauthenticated (the HTTP query decoder and the
 #                  parameter-server shard session), the frame every durable
 #                  file — a checkpoint, progress snapshot or artifact entry —
-#                  is read back through, with the checkpoint and progress
-#                  bodies inside it, the plan-file parser and sweep resolver,
+#                  is read back through, with the checkpoint, progress,
+#                  dataset and partition bodies inside it (a decoded graph
+#                  is one kg.NewGraph accepts, a decoded partitioning keeps
+#                  every entity in [0,K)), the plan-file parser and sweep
+#                  resolver,
 #                  the span-dump reader with the analysis `hetkg trace spans`
 #                  runs on what it reads, the run-timeline reader `hetkg
 #                  trace` compares runs with, and the hetkg-bench/v3 snapshot
@@ -84,7 +87,7 @@ step() {
 		echo "== fuzz the shard-link frame codec (20 s)"
 		fuzz FuzzLinkFrames ./internal/ps 20s ;;
 	fuzz-frame)
-		echo "== fuzz the durable-file frame, checkpoint and progress decoders (20 s)"
+		echo "== fuzz the durable-file frame and the checkpoint, progress, dataset and partition body decoders (20 s)"
 		fuzz FuzzFrameDecode ./internal/frame 20s ;;
 	fuzz-plan)
 		echo "== fuzz the plan-file parser and sweep resolver (20 s)"
