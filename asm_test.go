@@ -1,6 +1,7 @@
 package hetkg
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -113,5 +114,42 @@ func TestNoGobInTheProduct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestNoKeyMapsOnTheTrainingPath fails on a map keyed by ps.Key,
+// kg.EntityID or kg.RelationID in a non-test file of internal/train or in
+// the hot table and its census (internal/cache cache.go, prefetch.go). A
+// worker's per-key tables index by the dense ps.KeySpace index instead
+// (DESIGN.md §3). The Table VI replay probes (policies.go, belady.go) keep
+// their maps: they replay an access stream, not a training step.
+func TestNoKeyMapsOnTheTrainingPath(t *testing.T) {
+	files, err := filepath.Glob("internal/train/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "internal/cache/cache.go", "internal/cache/prefetch.go")
+	keyed := map[string]bool{"ps.Key": true, "kg.EntityID": true, "kg.RelationID": true}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			m, ok := n.(*ast.MapType)
+			if !ok {
+				return true
+			}
+			if sel, ok := m.Key.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && keyed[pkg.Name+"."+sel.Sel.Name] {
+					t.Errorf("%s: map keyed by %s.%s", fset.Position(m.Pos()), pkg.Name, sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
 }

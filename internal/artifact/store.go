@@ -22,16 +22,25 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"hetkg/internal/frame"
 )
 
-// artMagic identifies artifact files and versions the container format.
-// Version 1 held gob bodies.
-const artMagic = "HETKG-ART-v2\n"
+// artVersion versions the container format; version 1 held gob bodies.
+const artVersion = 2
+
+// artMagicPrefix starts every version's magic; artMagic identifies this
+// version's artifact files.
+const (
+	artMagicPrefix = "HETKG-ART-v"
+	artMagic       = artMagicPrefix + "2\n"
+)
 
 // ErrCorrupt reports an artifact that exists on disk but cannot be trusted:
 // wrong magic, truncated, or failing its checksum. Callers match with
@@ -83,7 +92,10 @@ type Store struct {
 	writes  atomic.Int64
 }
 
-// Open creates (if needed) and returns the store rooted at dir.
+// Open creates (if needed) and returns the store rooted at dir. It deletes
+// the entries an older container version wrote: this build can never read
+// them, and they would pile up at every format bump. A newer build's
+// entries, and every other file, are left alone.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("artifact: empty store directory")
@@ -91,7 +103,29 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: creating store: %w", err)
 	}
+	entries, _ := os.ReadDir(dir) // an unlistable directory is left as it is; Put and Get report its errors
+	for _, e := range entries {
+		if path := filepath.Join(dir, e.Name()); strings.HasSuffix(path, ".art") && older(path) {
+			os.Remove(path)
+		}
+	}
 	return &Store{dir: dir}, nil
+}
+
+// older reports whether path starts with the magic of a container version
+// before artVersion.
+func older(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	head := make([]byte, len(artMagic))
+	n, _ := io.ReadFull(f, head) // a file shorter than a magic is judged on the bytes it has
+	v, ok := strings.CutPrefix(string(head[:n]), artMagicPrefix)
+	v, _, _ = strings.Cut(v, "\n")
+	version, err := strconv.Atoi(v)
+	return ok && err == nil && version < artVersion
 }
 
 // Hits returns how many Gets returned a body since Open (its caller may

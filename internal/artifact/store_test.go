@@ -3,9 +3,13 @@ package artifact
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"hetkg/internal/frame"
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -131,5 +135,46 @@ func TestOpenCreatesDir(t *testing.T) {
 	}
 	if _, err := Open(""); err == nil {
 		t.Fatal("Open(\"\") should fail")
+	}
+}
+
+// TestOpenSweepsOlderEntries plants an entry an older container version
+// wrote beside a live one and a file that is no entry: Open deletes the
+// old entry, which this build can never read, and leaves the other two.
+func TestOpenSweepsOlderEntries(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("dataset", KeyOf("live"), []byte("body")); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%s%d\n", artMagicPrefix, artVersion); artMagic != want {
+		t.Fatalf("artMagic %q, want %q", artMagic, want)
+	}
+	live := s.path("dataset", KeyOf("live"))
+	old := filepath.Join(dir, "dataset-"+string(KeyOf("old"))+".art")
+	if err := frame.WriteFile(old, "HETKG-ART-v1\n", []byte("gob")); err != nil {
+		t.Fatal(err)
+	}
+	notes := filepath.Join(dir, "notes.txt")
+	if err := os.WriteFile(notes, []byte(artMagicPrefix+"0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range entries {
+		left = append(left, e.Name())
+	}
+	want := []string{filepath.Base(live), "notes.txt"}
+	if !slices.Equal(left, want) {
+		t.Errorf("left %v after Open, want %v", left, want)
 	}
 }

@@ -32,11 +32,20 @@ import (
 type HotCache struct {
 	client *ps.Client
 	optim  opt.Optimizer
-	rows   map[ps.Key]*hotRow
-	// optSlots gives each key ever cached its slot in optim's state table.
-	// It only grows: a DPS worker keeps pushing gradients for the same hot
-	// rows across table generations, so their state outlives a rebuild.
-	optSlots map[ps.Key]int
+	space  ps.KeySpace
+	// at maps a key's dense index to 1 + its row's position in rows, 0
+	// when the key is not cached. The dense index is also the row's slot in
+	// optim's state, so that state outlives rebuilds: a DPS worker keeps
+	// pushing gradients for the same hot rows across table generations.
+	at []int32
+	// rows are the table's positions. A position a leaving key frees keeps
+	// its storage for the next entering key, so a rebuild allocates only
+	// when the table grows.
+	rows []hotRow
+	free []int32 // positions no key holds
+	// keys is the table in key order; next and vals are Build's scratch.
+	keys, next []ps.Key
+	vals       [][]float32
 	// hits and gets tally Get outcomes since the last ResetStats.
 	hits, gets metrics.Counter
 	// staleBound is P; 0 means unbounded (cached rows never expire).
@@ -88,30 +97,23 @@ func (h *HotCache) SetSpanContext(sc span.Context) { h.sc = sc }
 // refreshSpan opens a cache.refresh span and re-parents the client's RPC
 // spans beneath it for the duration of the bulk pull, so refresh traffic
 // attributes to the refresh, not directly to the batch. done() ends the span
-// and restores the client's context.
-func (h *HotCache) refreshSpan() (sp span.Active, done func(rows int64)) {
-	sp = h.tracer.StartChild(h.sc, span.NCacheRefresh)
+// and restores the client's context. Untraced, it allocates nothing.
+func (h *HotCache) refreshSpan() (done func(rows int64)) {
+	sp := h.tracer.StartChild(h.sc, span.NCacheRefresh)
 	if !sp.Valid() {
-		return sp, func(int64) {}
+		return func(int64) {}
 	}
-	prev := h.client.SpanContext()
-	h.client.SetSpanContext(sp.Context())
-	return sp, func(rows int64) {
+	active, prev := sp, h.client.SpanContext()
+	h.client.SetSpanContext(active.Context())
+	return func(rows int64) {
 		h.client.SetSpanContext(prev)
-		sp.EndAttrs(span.Attrs{Rows: rows, Shard: span.NoShard})
+		active.EndAttrs(span.Attrs{Rows: rows, Shard: span.NoShard})
 	}
 }
 
 type hotRow struct {
 	vals     []float32 // the cache's own copy (see Offer)
-	optSlot  int       // the row's slot in the local optimizer's state
 	lastSync int
-	// version counts synchronizations with the parameter server (Build,
-	// Offer), starting at 1. It is the cache-level view of the
-	// replica generation the wire codec's delta protocol keys on: a row's
-	// version advances exactly when a fresh server-side value lands, so
-	// "the version the worker holds" is well defined for the pull path.
-	version uint32
 }
 
 // New builds an empty cache for a worker. localOpt is the optimizer applied
@@ -130,80 +132,115 @@ func New(client *ps.Client, localOpt opt.Optimizer, staleBound int) (*HotCache, 
 	return &HotCache{
 		client:     client,
 		optim:      localOpt,
-		rows:       make(map[ps.Key]*hotRow),
-		optSlots:   make(map[ps.Key]int),
+		space:      client.Keys(),
+		at:         make([]int32, client.Keys().Len()),
 		staleBound: staleBound,
 	}, nil
 }
 
 // Build replaces the identifier table with keys and pulls their current
 // values from the parameter server (the tail of Algorithm 2), stamping them
-// with the given iteration. The local optimizer state survives rebuilds —
-// it is keyed by embedding id, and a DPS worker keeps pushing gradients for
-// the same hot rows across table generations.
+// with the given iteration. A key that stays keeps its row's storage and
+// its local optimizer state; a key that leaves frees its row for one that
+// enters. A failed pull leaves the table empty, so no row it may have
+// half-written is ever served.
 func (h *HotCache) Build(keys []ps.Key, iteration int) error {
-	sorted := slices.Clone(keys)
-	slices.Sort(sorted)
-	sorted = slices.Compact(sorted)
-	vals := make([][]float32, len(sorted))
-	if len(sorted) > 0 {
-		total := 0
-		for _, k := range sorted {
-			total += h.client.Width(k)
-		}
-		slab := make([]float32, total)
-		for i, k := range sorted {
-			w := h.client.Width(k)
-			vals[i], slab = slab[:w:w], slab[w:]
-		}
-		_, done := h.refreshSpan()
-		err := h.client.PullRows(sorted, vals)
-		done(int64(len(sorted)))
-		if err != nil {
-			return fmt.Errorf("cache: building hot-embedding table: %w", err)
-		}
-		h.refreshed.Add(int64(len(sorted)))
-		if o := h.obs; o != nil {
-			o.refreshed.Add(int64(len(sorted)))
+	next := append(h.next[:0], keys...)
+	slices.Sort(next)
+	next = slices.Compact(next)
+	for _, k := range next {
+		if _, ok := h.space.Index(k); !ok {
+			return fmt.Errorf("cache: building hot-embedding table: key %v outside the key space", k)
 		}
 	}
-	table := make([]hotRow, len(sorted))
-	rows := make(map[ps.Key]*hotRow, len(sorted))
-	for i, k := range sorted {
-		ver := uint32(1)
-		if old := h.rows[k]; old != nil {
-			ver = old.version + 1
+	h.next = next
+	// Free the leaving rows first, so entering keys reuse their storage.
+	j := 0
+	for _, k := range h.keys {
+		for j < len(next) && next[j] < k {
+			j++
 		}
-		slot, ok := h.optSlots[k]
-		if !ok {
-			slot = len(h.optSlots)
-			h.optSlots[k] = slot
-		}
-		table[i] = hotRow{vals: vals[i], optSlot: slot, lastSync: iteration, version: ver}
-		rows[k] = &table[i]
-	}
-	if o := h.obs; o != nil {
-		for k := range h.rows {
-			if _, kept := rows[k]; !kept {
+		if j == len(next) || next[j] != k {
+			h.evict(k)
+			if o := h.obs; o != nil {
 				o.evicted.Inc()
 			}
 		}
 	}
-	h.rows = rows
+	vals := h.vals[:0]
+	for _, k := range next {
+		vals = append(vals, h.claim(k))
+	}
+	h.vals = vals
+	h.keys, h.next = next, h.keys
+	if len(next) == 0 {
+		return nil
+	}
+	done := h.refreshSpan()
+	err := h.client.PullRows(next, vals)
+	done(int64(len(next)))
+	if err != nil {
+		for _, k := range next {
+			h.evict(k)
+		}
+		h.keys = h.keys[:0]
+		return fmt.Errorf("cache: building hot-embedding table: %w", err)
+	}
+	for _, k := range next {
+		h.row(k).lastSync = iteration
+	}
+	h.refreshed.Add(int64(len(next)))
+	if o := h.obs; o != nil {
+		o.refreshed.Add(int64(len(next)))
+	}
 	return nil
 }
 
+// claim returns k's row storage, giving k a position if it has none.
+func (h *HotCache) claim(k ps.Key) []float32 {
+	i, _ := h.space.Index(k)
+	if h.at[i] == 0 {
+		if n := len(h.free); n > 0 {
+			h.at[i] = h.free[n-1] + 1
+			h.free = h.free[:n-1]
+		} else {
+			h.rows = append(h.rows, hotRow{})
+			h.at[i] = int32(len(h.rows))
+		}
+	}
+	r, w := &h.rows[h.at[i]-1], h.client.Width(k)
+	r.vals = slices.Grow(r.vals[:0], w)[:w]
+	return r.vals
+}
+
+// evict frees k's position, which must be held.
+func (h *HotCache) evict(k ps.Key) {
+	i, _ := h.space.Index(k)
+	h.free = append(h.free, h.at[i]-1)
+	h.at[i] = 0
+}
+
+// row returns k's row, or nil when k is not in the table.
+func (h *HotCache) row(k ps.Key) *hotRow {
+	i, ok := h.space.Index(k)
+	if !ok || h.at[i] == 0 {
+		return nil
+	}
+	return &h.rows[h.at[i]-1]
+}
+
 // Len returns the number of cached rows.
-func (h *HotCache) Len() int { return len(h.rows) }
+func (h *HotCache) Len() int { return len(h.keys) }
 
 // Get returns the cached row for k if it is present and within the
 // staleness bound at the given iteration, recording a hit or miss. A stale
 // row is a miss: the caller pulls the fresh value and hands it back through
-// Offer. The returned slice is the live local copy.
+// Offer. The returned slice is the live local copy, valid until the next
+// Build.
 func (h *HotCache) Get(k ps.Key, iteration int) ([]float32, bool) {
-	row, ok := h.rows[k]
+	row := h.row(k)
 	h.gets.Inc()
-	if !ok || h.stale(row, iteration) {
+	if row == nil || h.stale(row, iteration) {
 		if o := h.obs; o != nil {
 			o.misses.Inc()
 		}
@@ -227,25 +264,10 @@ func (h *HotCache) stale(row *hotRow, iteration int) bool {
 // own row, so the caller may reuse its buffer (a worker pulls every batch
 // into the same slab).
 func (h *HotCache) Offer(k ps.Key, vals []float32, iteration int) {
-	row, ok := h.rows[k]
-	if !ok {
-		return
+	if row := h.row(k); row != nil {
+		copy(row.vals, vals)
+		row.lastSync = iteration
 	}
-	copy(row.vals, vals)
-	row.lastSync = iteration
-	row.version++
-}
-
-// Version returns the row's synchronization generation: how many times a
-// fresh parameter-server value has been installed for k (0 when k is not
-// cached). Diagnostics and the delta-codec tests use it to reason about
-// which generation a worker replica holds.
-func (h *HotCache) Version(k ps.Key) uint32 {
-	row, ok := h.rows[k]
-	if !ok {
-		return 0
-	}
-	return row.version
 }
 
 // ServeStale returns the cached row for k if its age at the given iteration
@@ -255,11 +277,8 @@ func (h *HotCache) Version(k ps.Key) uint32 {
 // the cache's own bound P, but never staler than maxAge, which keeps the
 // staleness guarantee explicit (a used row is at most max(P, maxAge) stale).
 func (h *HotCache) ServeStale(k ps.Key, iteration, maxAge int) ([]float32, bool) {
-	row, ok := h.rows[k]
-	if !ok {
-		return nil, false
-	}
-	if maxAge > 0 && iteration-row.lastSync >= maxAge {
+	row := h.row(k)
+	if row == nil || maxAge > 0 && iteration-row.lastSync >= maxAge {
 		return nil, false
 	}
 	return row.vals, true
@@ -271,11 +290,10 @@ func (h *HotCache) ServeStale(k ps.Key, iteration, maxAge int) ([]float32, bool)
 // trainer's push. A gradient holding a NaN or an infinity is dropped, as
 // the shard drops it (opt.ApplyFinite), so the replica stays its shard's.
 func (h *HotCache) Update(k ps.Key, grad []float32) {
-	row, ok := h.rows[k]
-	if !ok {
-		return
+	if row := h.row(k); row != nil {
+		i, _ := h.space.Index(k)
+		opt.ApplyFinite(h.optim, i, row.vals, grad)
 	}
-	opt.ApplyFinite(h.optim, row.optSlot, row.vals, grad)
 }
 
 // RefreshedRows returns the total rows pulled by Build over the

@@ -7,13 +7,14 @@ import (
 
 	"hetkg/internal/dataset"
 	"hetkg/internal/kg"
+	"hetkg/internal/metrics"
 	"hetkg/internal/opt"
 	"hetkg/internal/ps"
 	"hetkg/internal/sampler"
 )
 
 // fixture builds a 1-machine cluster with a client over a small graph.
-func fixture(t *testing.T, g *kg.Graph) (*ps.Cluster, *ps.Client) {
+func fixture(t testing.TB, g *kg.Graph) (*ps.Cluster, *ps.Client) {
 	t.Helper()
 	part := make([]int32, g.NumEntity)
 	c, err := ps.NewCluster(ps.ClusterConfig{
@@ -35,7 +36,7 @@ func fixture(t *testing.T, g *kg.Graph) (*ps.Cluster, *ps.Client) {
 	return c, cl
 }
 
-func smallGraph(t *testing.T) *kg.Graph {
+func smallGraph(t testing.TB) *kg.Graph {
 	t.Helper()
 	return dataset.MustGenerate(dataset.Config{
 		Name: "cachetest", NumEntity: 100, NumRel: 8, NumTriples: 800,
@@ -75,12 +76,12 @@ func TestPrefetchCensus(t *testing.T) {
 		}
 	}
 	for e, w := range entWant {
-		if p.EntityFreq[e] != w {
+		if int(p.EntityFreq[e]) != w {
 			t.Errorf("EntityFreq[%d] = %d, want %d", e, p.EntityFreq[e], w)
 		}
 	}
 	for r, w := range relWant {
-		if p.RelationFreq[r] != w {
+		if int(p.RelationFreq[r]) != w {
 			t.Errorf("RelationFreq[%d] = %d, want %d", r, p.RelationFreq[r], w)
 		}
 	}
@@ -88,8 +89,8 @@ func TestPrefetchCensus(t *testing.T) {
 
 func TestFilterCapacityAndQuota(t *testing.T) {
 	p := &Prefetched{
-		EntityFreq:   map[kg.EntityID]int{0: 100, 1: 90, 2: 80, 3: 70, 4: 60},
-		RelationFreq: map[kg.RelationID]int{0: 500, 1: 400, 2: 300, 3: 200},
+		EntityFreq:   []int32{100, 90, 80, 70, 60},
+		RelationFreq: []int32{500, 400, 300, 200},
 	}
 	keys, err := Filter(p, FilterConfig{Capacity: 4, EntityFraction: 0.25, Heterogeneity: true})
 	if err != nil {
@@ -119,8 +120,8 @@ func TestFilterWithoutHeterogeneityPrefersRelations(t *testing.T) {
 	// Relations are hotter; without the quota they crowd out entities —
 	// the HET-KG-N behavior of Table VII.
 	p := &Prefetched{
-		EntityFreq:   map[kg.EntityID]int{0: 10, 1: 9},
-		RelationFreq: map[kg.RelationID]int{0: 100, 1: 90, 2: 80},
+		EntityFreq:   []int32{10, 9},
+		RelationFreq: []int32{100, 90, 80},
 	}
 	keys, err := Filter(p, FilterConfig{Capacity: 3, Heterogeneity: false})
 	if err != nil {
@@ -137,8 +138,8 @@ func TestFilterShortfallSpillsToOtherPool(t *testing.T) {
 	// WN18-like: only 2 relations but 75% relation quota on capacity 8 —
 	// the unused relation slots must go to entities.
 	p := &Prefetched{
-		EntityFreq:   map[kg.EntityID]int{0: 9, 1: 8, 2: 7, 3: 6, 4: 5, 5: 4, 6: 3, 7: 2, 8: 1},
-		RelationFreq: map[kg.RelationID]int{0: 100, 1: 90},
+		EntityFreq:   []int32{9, 8, 7, 6, 5, 4, 3, 2, 1},
+		RelationFreq: []int32{100, 90},
 	}
 	keys, err := Filter(p, FilterConfig{Capacity: 8, EntityFraction: 0.25, Heterogeneity: true})
 	if err != nil {
@@ -161,8 +162,8 @@ func TestFilterShortfallSpillsToOtherPool(t *testing.T) {
 func TestFilterTinyUniverse(t *testing.T) {
 	// Fewer ids than capacity: everything is selected, nothing repeats.
 	p := &Prefetched{
-		EntityFreq:   map[kg.EntityID]int{0: 2},
-		RelationFreq: map[kg.RelationID]int{0: 3},
+		EntityFreq:   []int32{2},
+		RelationFreq: []int32{3},
 	}
 	keys, err := Filter(p, FilterConfig{Capacity: 100, EntityFraction: 0.25, Heterogeneity: true})
 	if err != nil {
@@ -174,7 +175,7 @@ func TestFilterTinyUniverse(t *testing.T) {
 }
 
 func TestFilterValidation(t *testing.T) {
-	p := &Prefetched{EntityFreq: map[kg.EntityID]int{}, RelationFreq: map[kg.RelationID]int{}}
+	p := &Prefetched{}
 	if _, err := Filter(p, FilterConfig{Capacity: -1}); err == nil {
 		t.Error("negative capacity accepted")
 	}
@@ -551,12 +552,12 @@ func TestDPSAdaptsToDriftingDistribution(t *testing.T) {
 	// Phase 1 touches entities 0..49; phase 2 touches 50..99.
 	phase := func(lo, hi, batches int) *Prefetched {
 		p := &Prefetched{
-			EntityFreq:   map[kg.EntityID]int{},
-			RelationFreq: map[kg.RelationID]int{0: batches},
+			EntityFreq:   make([]int32, hi),
+			RelationFreq: []int32{int32(batches)},
 		}
 		for b := 0; b < batches; b++ {
 			for e := lo; e < hi; e++ {
-				p.EntityFreq[kg.EntityID(e)] += (hi - e) % 7 // some skew
+				p.EntityFreq[e] += int32((hi - e) % 7) // some skew
 			}
 		}
 		return p
@@ -623,46 +624,76 @@ func TestPolicyEvictionCounts(t *testing.T) {
 	}
 }
 
-// TestRowVersions pins the synchronization-generation counter the delta
-// wire codec reasons about: absent rows report 0, Build starts at 1, every
-// fresh install (Offer) advances it, and rebuilding an existing key
-// continues its generation instead of restarting.
-func TestRowVersions(t *testing.T) {
+// TestRebuildEvictsLeavingKeys pins the table's membership across Offer
+// and a rebuild: an Offer for a key outside the table is ignored, a key
+// that stays is re-pulled and served, and an evicted key is gone.
+func TestRebuildEvictsLeavingKeys(t *testing.T) {
 	g := smallGraph(t)
 	_, cl := fixture(t, g)
 	hc, err := New(cl, &opt.SGD{LR: 0.1}, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	k := ps.EntityKey(0)
-	if v := hc.Version(k); v != 0 {
-		t.Errorf("uncached version = %d, want 0", v)
-	}
-	keys := []ps.Key{k, ps.RelationKey(0)}
-	if err := hc.Build(keys, 0); err != nil {
+	k, gone := ps.EntityKey(0), ps.RelationKey(0)
+	if err := hc.Build([]ps.Key{k, gone}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if v := hc.Version(k); v != 1 {
-		t.Errorf("version after Build = %d, want 1", v)
-	}
-	hc.Offer(k, make([]float32, 4), 1)
-	if v := hc.Version(k); v != 2 {
-		t.Errorf("version after Offer = %d, want 2", v)
-	}
-	// Offers for keys outside the table do not create versions.
 	hc.Offer(ps.EntityKey(50), make([]float32, 4), 1)
-	if v := hc.Version(ps.EntityKey(50)); v != 0 {
-		t.Errorf("foreign key gained version %d", v)
+	if _, ok := hc.Get(ps.EntityKey(50), 1); ok {
+		t.Error("an Offer outside the table admitted its key")
 	}
-	// A rebuild keeps the generation moving for surviving keys and drops
-	// it for evicted ones.
 	if err := hc.Build([]ps.Key{k}, 3); err != nil {
 		t.Fatal(err)
 	}
-	if v := hc.Version(k); v != 3 {
-		t.Errorf("version after rebuild = %d, want 3", v)
+	if _, ok := hc.Get(k, 3); !ok {
+		t.Error("a key the rebuild kept missed")
 	}
-	if v := hc.Version(ps.RelationKey(0)); v != 0 {
-		t.Errorf("evicted key kept version %d", v)
+	if _, ok := hc.Get(gone, 3); ok {
+		t.Error("an evicted key was served")
+	}
+	if _, ok := hc.ServeStale(gone, 3, 0); ok {
+		t.Error("an evicted key was served stale")
+	}
+}
+
+// TestHotCacheRebuildAllocs holds a DPS rebuild whose key set is unchanged
+// to the allocations of its pull: kept rows keep their storage and their
+// optimizer slot, so the table itself allocates nothing.
+func TestHotCacheRebuildAllocs(t *testing.T) {
+	g := smallGraph(t)
+	_, cl := fixture(t, g)
+	hc, err := New(cl, &opt.SGD{LR: 0.1}, 8)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	hc.Instrument(metrics.NewRegistry())
+	var keys []ps.Key
+	for e := 0; e < 40; e++ {
+		keys = append(keys, ps.EntityKey(kg.EntityID(e)))
+	}
+	for r := 0; r < 4; r++ {
+		keys = append(keys, ps.RelationKey(kg.RelationID(r)))
+	}
+	if err := hc.Build(keys, 0); err != nil {
+		t.Fatal(err)
+	}
+	it := 0
+	build := testing.AllocsPerRun(20, func() {
+		it++
+		if err := hc.Build(keys, it); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rows := make([][]float32, len(keys))
+	for i := range rows {
+		rows[i] = make([]float32, 4)
+	}
+	pull := testing.AllocsPerRun(20, func() {
+		if err := cl.PullRows(keys, rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if build > pull {
+		t.Errorf("a rebuild of an unchanged table allocates %v times, its pull %v", build, pull)
 	}
 }

@@ -8,8 +8,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hetkg/internal/kg"
 	"hetkg/internal/ps"
@@ -17,41 +18,47 @@ import (
 )
 
 // Prefetched is the output of Algorithm 1: the materialized sample list L_s
-// for the next D iterations plus the de-duplicated access census over the
-// entities and relations they touch (L_er with multiplicities).
+// for the next D iterations plus the access census over the entities and
+// relations they touch (L_er with multiplicities).
 type Prefetched struct {
 	// Batches are the exact mini-batches the trainer will replay, so
 	// prefetching never desynchronizes the cache contents from the data.
 	Batches []*sampler.Batch
-	// EntityFreq and RelationFreq count accesses per id across Batches.
-	EntityFreq   map[kg.EntityID]int
-	RelationFreq map[kg.RelationID]int
+	// EntityFreq and RelationFreq count accesses per id across Batches,
+	// indexed by id; an id past the end, or counted 0, was not touched.
+	EntityFreq   []int32
+	RelationFreq []int32
 }
 
 // Prefetch runs the sampler d iterations ahead (Algorithm 1). The sampler's
 // state advances, so the caller must train on the returned Batches rather
 // than drawing fresh ones.
 func Prefetch(s *sampler.Sampler, d int) *Prefetched {
-	p := &Prefetched{
-		Batches:      make([]*sampler.Batch, 0, d),
-		EntityFreq:   make(map[kg.EntityID]int),
-		RelationFreq: make(map[kg.RelationID]int),
-	}
+	p := &Prefetched{Batches: make([]*sampler.Batch, 0, d)}
 	for j := 0; j < d; j++ {
 		b := s.Next()
 		p.Batches = append(p.Batches, b)
 		for i, pos := range b.Pos {
-			p.EntityFreq[pos.Head]++
-			p.EntityFreq[pos.Tail]++
-			p.RelationFreq[pos.Relation]++
+			p.EntityFreq = tally(p.EntityFreq, int(pos.Head))
+			p.EntityFreq = tally(p.EntityFreq, int(pos.Tail))
+			p.RelationFreq = tally(p.RelationFreq, int(pos.Relation))
 			// Negative accesses hit the shared chunk entities; count them
 			// per reference (each use is one embedding read).
 			for _, e := range b.Neg[i].Entities {
-				p.EntityFreq[e]++
+				p.EntityFreq = tally(p.EntityFreq, int(e))
 			}
 		}
 	}
 	return p
+}
+
+// tally counts one access of id in c, growing c to hold it.
+func tally(c []int32, id int) []int32 {
+	if id >= len(c) {
+		c = append(c, make([]int32, id+1-len(c))...)
+	}
+	c[id]++
+	return c
 }
 
 // FilterConfig parameterizes Algorithm 2.
@@ -82,7 +89,7 @@ func (c FilterConfig) Validate() error {
 // rankedKey pairs a key with its observed frequency for sorting.
 type rankedKey struct {
 	key  ps.Key
-	freq int
+	freq int32
 }
 
 // Filter implements Algorithm 2: select the top-Capacity hottest ids from
@@ -92,56 +99,41 @@ func Filter(p *Prefetched, cfg FilterConfig) ([]ps.Key, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ents := make([]rankedKey, 0, len(p.EntityFreq))
-	for e, f := range p.EntityFreq {
-		ents = append(ents, rankedKey{ps.EntityKey(e), f})
-	}
-	rels := make([]rankedKey, 0, len(p.RelationFreq))
-	for r, f := range p.RelationFreq {
-		rels = append(rels, rankedKey{ps.RelationKey(r), f})
-	}
-	byHotness := func(s []rankedKey) {
-		sort.Slice(s, func(i, j int) bool {
-			if s[i].freq != s[j].freq {
-				return s[i].freq > s[j].freq
-			}
-			return s[i].key < s[j].key
-		})
+	ents := ranked(p.EntityFreq, func(e int) ps.Key { return ps.EntityKey(kg.EntityID(e)) })
+	rels := ranked(p.RelationFreq, func(r int) ps.Key { return ps.RelationKey(kg.RelationID(r)) })
+	if !cfg.Heterogeneity {
+		return takeKeys(byHotness(append(ents, rels...)), cfg.Capacity), nil
 	}
 	byHotness(ents)
 	byHotness(rels)
-
-	if !cfg.Heterogeneity {
-		all := append(ents, rels...)
-		byHotness(all)
-		return takeKeys(all, cfg.Capacity), nil
-	}
-	entSlots := int(float64(cfg.Capacity) * cfg.EntityFraction)
-	relSlots := cfg.Capacity - entSlots
-	// Fill shortfalls from the other pool so capacity is never wasted on a
-	// dataset with few relations (WN18 has 18).
-	if len(rels) < relSlots {
-		entSlots += relSlots - len(rels)
-		relSlots = len(rels)
-	}
-	if len(ents) < entSlots {
-		relSlots += entSlots - len(ents)
-		entSlots = len(ents)
-		if relSlots > len(rels) {
-			relSlots = len(rels)
-		}
-	}
-	out := takeKeys(ents, entSlots)
-	out = append(out, takeKeys(rels, relSlots)...)
-	return out, nil
+	// Each pool fills the other's shortfall, so capacity is never wasted on
+	// a dataset with few relations (WN18 has 18).
+	entSlots := min(max(int(float64(cfg.Capacity)*cfg.EntityFraction), cfg.Capacity-len(rels)), len(ents))
+	return append(takeKeys(ents, entSlots), takeKeys(rels, cfg.Capacity-entSlots)...), nil
 }
 
-func takeKeys(s []rankedKey, n int) []ps.Key {
-	if n > len(s) {
-		n = len(s)
+// ranked lists every id counted in freq, in id order, as its key.
+func ranked(freq []int32, key func(id int) ps.Key) []rankedKey {
+	var s []rankedKey
+	for id, f := range freq {
+		if f > 0 {
+			s = append(s, rankedKey{key(id), f})
+		}
 	}
-	out := make([]ps.Key, n)
-	for i := 0; i < n; i++ {
+	return s
+}
+
+// byHotness sorts s, which is in key order, by descending frequency. The
+// sort is stable, so equally hot keys stay in key order.
+func byHotness(s []rankedKey) []rankedKey {
+	slices.SortStableFunc(s, func(a, b rankedKey) int { return cmp.Compare(b.freq, a.freq) })
+	return s
+}
+
+// takeKeys returns the keys of s's first n entries, or of all of s.
+func takeKeys(s []rankedKey, n int) []ps.Key {
+	out := make([]ps.Key, min(n, len(s)))
+	for i := range out {
 		out[i] = s[i].key
 	}
 	return out

@@ -9,19 +9,16 @@ import (
 )
 
 // Filter invariants on arbitrary censuses: the selection never exceeds
-// capacity, contains no duplicates, and only contains ids present in the
-// census.
+// capacity, contains no duplicates, and only contains ids the census
+// counted.
 func TestFilterInvariants(t *testing.T) {
 	f := func(entRaw, relRaw []uint8, capRaw uint8, fracRaw uint8, hetero bool) bool {
-		p := &Prefetched{
-			EntityFreq:   map[kg.EntityID]int{},
-			RelationFreq: map[kg.RelationID]int{},
-		}
+		p := &Prefetched{EntityFreq: make([]int32, 50), RelationFreq: make([]int32, 10)}
 		for i, v := range entRaw {
-			p.EntityFreq[kg.EntityID(i%50)] += int(v)
+			p.EntityFreq[i%50] += int32(v)
 		}
 		for i, v := range relRaw {
-			p.RelationFreq[kg.RelationID(i%10)] += int(v)
+			p.RelationFreq[i%10] += int32(v)
 		}
 		cfg := FilterConfig{
 			Capacity:       int(capRaw % 64),
@@ -42,11 +39,11 @@ func TestFilterInvariants(t *testing.T) {
 			}
 			seen[k] = true
 			if k.IsRelation() {
-				if _, ok := p.RelationFreq[k.Relation()]; !ok {
+				if p.RelationFreq[k.Relation()] == 0 {
 					return false
 				}
 			} else {
-				if _, ok := p.EntityFreq[k.Entity()]; !ok {
+				if p.EntityFreq[k.Entity()] == 0 {
 					return false
 				}
 			}

@@ -10,6 +10,7 @@ import (
 
 	"hetkg/internal/core"
 	"hetkg/internal/dataset"
+	"hetkg/internal/metrics"
 	"hetkg/internal/plan"
 	"hetkg/internal/ps"
 )
@@ -204,6 +205,58 @@ func TestRunClosesItsShardConnections(t *testing.T) {
 				t.Fatalf("%d shard connections still open after Run returned", n)
 			}
 		})
+	}
+}
+
+// TestLoopbackRunsCountIdenticalSocketBytes runs one tiny DGL-KE job twice
+// against two loopback shards and holds the shards' socket byte counts to
+// each other. Every hello carries a random link id, so its uvarint must be
+// one fixed length for the counts to be a function of the run.
+func TestLoopbackRunsCountIdenticalSocketBytes(t *testing.T) {
+	rc := core.RunConfig{
+		Dataset:  "fb15k",
+		Scale:    dataset.Tiny,
+		System:   core.SystemDGLKE,
+		Machines: 2,
+		Epochs:   1,
+		Seed:     31,
+	}
+	run := func() (rx, tx int64) {
+		reg := metrics.NewRegistry()
+		run := rc
+		var accs []*ps.Acceptor
+		for m := range rc.Machines {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			shard, err := core.BuildShard(rc, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shard.Instrument(reg)
+			acc := &ps.Acceptor{}
+			go acc.Serve(l, shard)
+			accs, run.ShardAddrs = append(accs, acc), append(run.ShardAddrs, l.Addr().String())
+		}
+		if _, err := core.Run(run); err != nil {
+			t.Fatal(err)
+		}
+		// Run closed its links; waiting for the sessions to end counts
+		// every reply a shard wrote.
+		for _, acc := range accs {
+			acc.Shutdown(5 * time.Second)
+		}
+		return reg.Counter(metrics.MPSTCPRxBytes).Value(), reg.Counter(metrics.MPSTCPTxBytes).Value()
+	}
+	rx1, tx1 := run()
+	rx2, tx2 := run()
+	if rx1 != rx2 || tx1 != tx2 {
+		t.Errorf("identical runs read rx %d and %d B, tx %d and %d B", rx1, rx2, tx1, tx2)
+	}
+	if rx1 == 0 || tx1 == 0 {
+		t.Errorf("no socket bytes counted (rx %d, tx %d)", rx1, tx1)
 	}
 }
 

@@ -246,14 +246,20 @@ func censusBatches(o Options) int {
 	return 150
 }
 
-// topFreqShare is the share of total accesses going to the top 1% of ids.
-func topFreqShare[K comparable](freq map[K]int) float64 {
-	counts := make([]int, 0, len(freq))
-	total := 0
+// touched lists the nonzero counts of a prefetch census and their sum.
+func touched(freq []int32) (counts []int, total int) {
 	for _, c := range freq {
-		counts = append(counts, c)
-		total += c
+		if c > 0 {
+			counts = append(counts, int(c))
+			total += int(c)
+		}
 	}
+	return counts, total
+}
+
+// topFreqShare is the share of total accesses going to the top 1% of ids.
+func topFreqShare(freq []int32) float64 {
+	counts, total := touched(freq)
 	if total == 0 {
 		return 0
 	}
@@ -269,13 +275,11 @@ func topFreqShare[K comparable](freq map[K]int) float64 {
 	return float64(top) / float64(total)
 }
 
-func meanFreq[K comparable](freq map[K]int) float64 {
-	if len(freq) == 0 {
+// meanFreq is the mean access count of a touched id.
+func meanFreq(freq []int32) float64 {
+	counts, total := touched(freq)
+	if len(counts) == 0 {
 		return 0
 	}
-	total := 0
-	for _, c := range freq {
-		total += c
-	}
-	return float64(total) / float64(len(freq))
+	return float64(total) / float64(len(counts))
 }

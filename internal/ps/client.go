@@ -62,6 +62,7 @@ type Client struct {
 	meter   *netsim.Meter
 	entDim  int
 	relDim  int
+	keys    KeySpace
 	obs     *clientObs
 	tracer  *span.Tracer
 	sc      span.Context
@@ -129,6 +130,7 @@ func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Cli
 		meter:   meter,
 		entDim:  c.EntityDim(),
 		relDim:  c.RelationDim(),
+		keys:    KeySpace{NumEntity: c.NumEntities(), NumRelation: c.NumRelations()},
 	}, nil
 }
 
@@ -152,6 +154,9 @@ func (c *Client) SetSpanContext(sc span.Context) { c.sc = sc }
 
 // SpanContext returns the current RPC parent context.
 func (c *Client) SpanContext() span.Context { return c.sc }
+
+// Keys returns the dense index space of the cluster's rows.
+func (c *Client) Keys() KeySpace { return c.keys }
 
 // Width returns the row width for key k.
 func (c *Client) Width(k Key) int {

@@ -34,6 +34,35 @@ func (k Key) Entity() kg.EntityID { return kg.EntityID(k &^ relationBit) }
 // Relation returns the relation id; meaningless for entity keys.
 func (k Key) Relation() kg.RelationID { return kg.RelationID(k &^ relationBit) }
 
+// KeySpace numbers a run's rows densely: entity e has index e and relation
+// r has index NumEntity + r, so index order is key order. It is the one
+// key → storage rule of a worker's per-key tables (the hot table and its
+// optimizer state, the top-k residuals, the degraded replay buffer), as a
+// Placement's slot is the rule of a shard's slabs.
+type KeySpace struct {
+	NumEntity, NumRelation int
+}
+
+// Len returns the number of indexes, entities and relations together.
+func (s KeySpace) Len() int { return s.NumEntity + s.NumRelation }
+
+// Index returns k's dense index; ok is false for a key outside the space.
+func (s KeySpace) Index(k Key) (i int, ok bool) {
+	if k.IsRelation() {
+		r := uint64(k &^ relationBit)
+		return s.NumEntity + int(r), r < uint64(s.NumRelation)
+	}
+	return int(k), uint64(k) < uint64(s.NumEntity)
+}
+
+// Key returns the key at dense index i.
+func (s KeySpace) Key(i int) Key {
+	if i < s.NumEntity {
+		return EntityKey(kg.EntityID(i))
+	}
+	return RelationKey(kg.RelationID(i - s.NumEntity))
+}
+
 // String renders "e:N" or "r:N".
 func (k Key) String() string {
 	if k.IsRelation() {

@@ -344,13 +344,11 @@ func newLinkTransport(addrs []string, prof Profile, cfg LinkConfig, dedup bool, 
 // worker processes without coordination.
 var linkSeq atomic.Uint64
 
-// newLinkID returns a process-unique, never-zero link identity.
+// newLinkID returns a process-unique, never-zero link identity. Its top bit
+// is set, so its uvarint in the hello is always 10 bytes and a run's socket
+// byte counts do not depend on the id it drew.
 func newLinkID() uint64 {
-	id := splitmix64(uint64(time.Now().UnixNano())) ^ linkSeq.Add(1)
-	if id == 0 {
-		id = 1
-	}
-	return id
+	return splitmix64(uint64(time.Now().UnixNano())) ^ linkSeq.Add(1) | 1<<63
 }
 
 // Trace attaches a span tracer to the transport. Traced requests then record

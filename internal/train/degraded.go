@@ -56,8 +56,9 @@ func (w *worker) staleServe(deg *ps.DegradedError) ([]ps.Key, error) {
 // the deferred apply), a fresh key claims a buffer slot. Overflowing
 // DegradedMaxBufferedRows makes the outage fatal.
 func (w *worker) bufferPushes(down, keys []ps.Key, grads [][]float32, cause error) error {
+	space := w.client.Keys()
 	if w.pushBuf == nil {
-		w.pushBuf = make(map[ps.Key][]float32)
+		w.pushBuf = make([][]float32, space.Len())
 	}
 	fresh := 0
 	for _, k := range down {
@@ -66,30 +67,33 @@ func (w *worker) bufferPushes(down, keys []ps.Key, grads [][]float32, cause erro
 			continue
 		}
 		g := grads[i]
-		if buf, exists := w.pushBuf[k]; exists {
+		x, _ := space.Index(k)
+		if buf := w.pushBuf[x]; buf != nil {
 			vec.Add(buf, buf, g)
 			continue
 		}
-		if len(w.pushBuf) >= w.cfg.DegradedMaxBufferedRows {
-			return fmt.Errorf("train: degraded push buffer full (%d rows): %w", len(w.pushBuf), cause)
+		if w.buffered >= w.cfg.DegradedMaxBufferedRows {
+			return fmt.Errorf("train: degraded push buffer full (%d rows): %w", w.buffered, cause)
 		}
-		w.pushBuf[k] = append([]float32(nil), g...)
+		w.pushBuf[x] = append([]float32(nil), g...)
+		w.buffered++
 		fresh++
 	}
 	w.obs.degradedBuffered.Add(int64(fresh))
 	return nil
 }
 
-// pushBuffered pushes every buffered row, in key order.
+// pushBuffered pushes every buffered row, in index order, which is key
+// order.
 func (w *worker) pushBuffered() error {
-	keys := make([]ps.Key, 0, len(w.pushBuf))
-	for k := range w.pushBuf {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	rows := make([][]float32, len(keys))
-	for i, k := range keys {
-		rows[i] = w.pushBuf[k]
+	space := w.client.Keys()
+	keys := make([]ps.Key, 0, w.buffered)
+	rows := make([][]float32, 0, w.buffered)
+	for x, row := range w.pushBuf {
+		if row != nil {
+			keys = append(keys, space.Key(x))
+			rows = append(rows, row)
+		}
 	}
 	return w.client.PushRows(keys, rows)
 }
@@ -99,31 +103,28 @@ func (w *worker) pushBuffered() error {
 // Rows whose shards answered leave the buffer; rows whose link is still
 // down stay for the next attempt. Only a non-outage error surfaces.
 func (w *worker) replayPushes() error {
-	if len(w.pushBuf) == 0 {
+	if w.buffered == 0 {
 		return nil
 	}
 	err := w.pushBuffered()
 	if err == nil {
-		w.obs.degradedReplayed.Add(int64(len(w.pushBuf)))
-		w.pushBuf = nil
+		w.obs.degradedReplayed.Add(int64(w.buffered))
+		w.pushBuf, w.buffered = nil, 0
 		return nil
 	}
 	var deg *ps.DegradedError
 	if !errors.As(err, &deg) {
 		return err
 	}
-	down := make(map[ps.Key]bool, len(deg.Keys))
+	// deg.Keys name the buffered rows still down, each once.
+	space := w.client.Keys()
+	down := make([][]float32, len(w.pushBuf))
 	for _, k := range deg.Keys {
-		down[k] = true
+		x, _ := space.Index(k)
+		down[x] = w.pushBuf[x]
 	}
-	replayed := 0
-	for k := range w.pushBuf {
-		if !down[k] {
-			delete(w.pushBuf, k)
-			replayed++
-		}
-	}
-	w.obs.degradedReplayed.Add(int64(replayed))
+	w.obs.degradedReplayed.Add(int64(w.buffered - len(deg.Keys)))
+	w.pushBuf, w.buffered = down, len(deg.Keys)
 	return nil
 }
 
@@ -132,14 +133,14 @@ func (w *worker) replayPushes() error {
 // fails instead of silently dropping update mass. Called by finalize for
 // every worker before embeddings are gathered.
 func (w *worker) drainDegraded() error {
-	if len(w.pushBuf) == 0 {
+	if w.buffered == 0 {
 		return nil
 	}
-	n := len(w.pushBuf)
+	n := w.buffered
 	if err := w.pushBuffered(); err != nil {
 		return fmt.Errorf("train: replaying %d buffered degraded push rows: %w", n, err)
 	}
 	w.obs.degradedReplayed.Add(int64(n))
-	w.pushBuf = nil
+	w.pushBuf, w.buffered = nil, 0
 	return nil
 }

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"sort"
 
 	"hetkg/internal/metrics"
@@ -27,14 +28,15 @@ import (
 type errorFeedback struct {
 	// ratio is the kept fraction per row; keep = max(1, round(ratio·w)).
 	ratio float64
-	resid map[ps.Key][]float32
-	abs   []float64 // selection scratch, reused across rows
+	space ps.KeySpace
+	resid [][]float32 // dense index → residual row, nil until first touched
+	abs   []float64   // selection scratch, reused across rows
 
 	dropped *metrics.Counter // nil when unwired
 }
 
-func newErrorFeedback(ratio float64, reg *metrics.Registry) *errorFeedback {
-	ef := &errorFeedback{ratio: ratio, resid: make(map[ps.Key][]float32)}
+func newErrorFeedback(ratio float64, space ps.KeySpace, reg *metrics.Registry) *errorFeedback {
+	ef := &errorFeedback{ratio: ratio, space: space, resid: make([][]float32, space.Len())}
 	if reg != nil {
 		ef.dropped = reg.Counter(metrics.MPSCodecRowsTopkDropped)
 	}
@@ -43,24 +45,16 @@ func newErrorFeedback(ratio float64, reg *metrics.Registry) *errorFeedback {
 
 // keepCount returns how many coordinates of a width-w row survive.
 func (ef *errorFeedback) keepCount(w int) int {
-	k := int(ef.ratio*float64(w) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	if k > w {
-		k = w
-	}
-	return k
+	return min(max(int(ef.ratio*float64(w)+0.5), 1), w)
 }
 
 // residual returns k's residual row, allocating it zeroed on first touch.
 func (ef *errorFeedback) residual(k ps.Key, w int) []float32 {
-	r, ok := ef.resid[k]
-	if !ok {
-		r = make([]float32, w)
-		ef.resid[k] = r
+	i, _ := ef.space.Index(k)
+	if ef.resid[i] == nil {
+		ef.resid[i] = make([]float32, w)
 	}
-	return r
+	return ef.resid[i]
 }
 
 // Sparsify compensates g with k's residual and keeps only the top
@@ -79,9 +73,7 @@ func (ef *errorFeedback) Sparsify(k ps.Key, g []float32) {
 	}
 	keep := ef.keepCount(w)
 	if keep >= w {
-		for i := range r {
-			r[i] = 0
-		}
+		clear(r)
 		return
 	}
 	if cap(ef.abs) < w {
@@ -89,11 +81,7 @@ func (ef *errorFeedback) Sparsify(k ps.Key, g []float32) {
 	}
 	abs := ef.abs[:w]
 	for i, v := range g {
-		a := float64(v)
-		if a < 0 {
-			a = -a
-		}
-		abs[i] = a
+		abs[i] = math.Abs(float64(v))
 	}
 	sort.Float64s(abs)
 	thr := abs[w-keep]
@@ -107,11 +95,7 @@ func (ef *errorFeedback) Sparsify(k ps.Key, g []float32) {
 	}
 	var droppedHere int64
 	for i, v := range g {
-		a := float64(v)
-		if a < 0 {
-			a = -a
-		}
-		switch {
+		switch a := math.Abs(float64(v)); {
 		case a > thr:
 			r[i] = 0
 		case a == thr && quota > 0:

@@ -9,6 +9,9 @@ import (
 	"hetkg/internal/ps"
 )
 
+// testKeys is the key space the error-feedback tests index residuals by.
+var testKeys = ps.KeySpace{NumEntity: 16, NumRelation: 4}
+
 // TestErrorFeedbackInvariant pins the property that makes top-k safe: over
 // any number of pushes, the sum of what was sent plus the residual still
 // pending equals the sum of the raw gradients, per coordinate — dropped
@@ -16,7 +19,7 @@ import (
 func TestErrorFeedbackInvariant(t *testing.T) {
 	const width, rounds = 64, 50
 	rng := rand.New(rand.NewSource(7))
-	ef := newErrorFeedback(0.125, nil)
+	ef := newErrorFeedback(0.125, testKeys, nil)
 	k := ps.EntityKey(3)
 	rawSum := make([]float64, width)
 	sentSum := make([]float64, width)
@@ -38,7 +41,7 @@ func TestErrorFeedbackInvariant(t *testing.T) {
 			t.Fatalf("round %d: %d coordinates survived, keep is %d", round, nonzero, want)
 		}
 	}
-	resid := ef.resid[k]
+	resid := ef.residual(k, width)
 	for i := range rawSum {
 		got := sentSum[i] + float64(resid[i])
 		if math.Abs(got-rawSum[i]) > 1e-3 {
@@ -51,7 +54,7 @@ func TestErrorFeedbackInvariant(t *testing.T) {
 // keep-th largest magnitudes survive, ties at the threshold fill the quota
 // in ascending index order, and everything dropped lands in the residual.
 func TestErrorFeedbackSelection(t *testing.T) {
-	ef := newErrorFeedback(0.5, nil)
+	ef := newErrorFeedback(0.5, testKeys, nil)
 	k := ps.EntityKey(1)
 	g := []float32{3, -1, 2, 2, -2, 0.5, 0, -4}
 	ef.Sparsify(k, g)
@@ -65,7 +68,7 @@ func TestErrorFeedbackSelection(t *testing.T) {
 		}
 	}
 	wantResid := []float32{0, -1, 0, 0, -2, 0.5, 0, 0}
-	for i, r := range ef.resid[k] {
+	for i, r := range ef.residual(k, len(g)) {
 		if r != wantResid[i] {
 			t.Errorf("resid[%d] = %v, want %v", i, r, wantResid[i])
 		}
@@ -96,8 +99,8 @@ func TestErrorFeedbackDeterminism(t *testing.T) {
 		return out
 	}
 	a, b := mk(), mk()
-	efA := newErrorFeedback(0.25, nil)
-	efB := newErrorFeedback(0.25, nil)
+	efA := newErrorFeedback(0.25, testKeys, nil)
+	efB := newErrorFeedback(0.25, testKeys, nil)
 	k := ps.EntityKey(9)
 	for r := range a {
 		efA.Sparsify(k, a[r])
@@ -114,7 +117,7 @@ func TestErrorFeedbackDeterminism(t *testing.T) {
 // coordinate, and keepCount clamps to [1, w].
 func TestErrorFeedbackCounters(t *testing.T) {
 	reg := metrics.NewRegistry()
-	ef := newErrorFeedback(0.125, reg)
+	ef := newErrorFeedback(0.125, testKeys, reg)
 	g := make([]float32, 64)
 	for i := range g {
 		g[i] = float32(i + 1)
@@ -130,7 +133,7 @@ func TestErrorFeedbackCounters(t *testing.T) {
 	if ef.keepCount(2) != 1 {
 		t.Errorf("keepCount(2) = %d at ratio 0.125, want the floor of 1", ef.keepCount(2))
 	}
-	full := newErrorFeedback(1, reg)
+	full := newErrorFeedback(1, testKeys, reg)
 	if full.keepCount(64) != 64 {
 		t.Errorf("keepCount at ratio 1 = %d, want 64", full.keepCount(64))
 	}

@@ -59,7 +59,7 @@ func (t *slotTable) compile(b *sampler.Batch, entW, relW int) {
 		}
 		t.negs = append(t.negs, [2]int32{int32(start), int32(n)})
 	}
-	t.ents = growI32(t.ents, n)
+	t.ents = slices.Grow(t.ents[:0], n)[:n]
 	t.ids = unique(occ, t.ids, t.ents)
 	t.keys = t.keys[:0]
 	for _, e := range t.ids {
@@ -71,7 +71,7 @@ func (t *slotTable) compile(b *sampler.Batch, entW, relW int) {
 	for i, p := range b.Pos {
 		occ = append(occ, pack(int32(p.Relation), i))
 	}
-	t.rels = growI32(t.rels, np)
+	t.rels = slices.Grow(t.rels[:0], np)[:np]
 	t.ids = unique(occ, t.ids, t.rels)
 	for _, r := range t.ids {
 		t.keys = append(t.keys, ps.RelationKey(kg.RelationID(r)))
@@ -118,15 +118,6 @@ func unique(occ []uint64, ids []uint32, inv []int32) []uint32 {
 		inv[uint32(x)] = int32(len(ids) - 1)
 	}
 	return ids
-}
-
-// growI32 resizes buf to n elements, reusing its backing array when it can.
-// Contents are unspecified.
-func growI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
 }
 
 // gradBuf is a reusable gradient accumulator indexed by slot, backed by a

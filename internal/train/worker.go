@@ -60,9 +60,11 @@ type worker struct {
 	built bool
 	// iteration counts processed batches for staleness bookkeeping.
 	iteration int
-	// pushBuf holds gradient rows for unreachable shards, coalesced by
-	// key, awaiting replay (degraded mode; see degraded.go).
-	pushBuf map[ps.Key][]float32
+	// pushBuf holds gradient rows for unreachable shards by dense index,
+	// coalesced, awaiting replay; buffered counts them (degraded mode; see
+	// degraded.go).
+	pushBuf  [][]float32
+	buffered int
 
 	// Per-epoch accounting, reset by epochAcc.add.
 	compTime  time.Duration
@@ -139,7 +141,7 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 		obs:     b.tobs,
 	}
 	if b.prof.SparsePush {
-		w.ef = newErrorFeedback(cfg.TopKRatio, cfg.Metrics)
+		w.ef = newErrorFeedback(cfg.TopKRatio, client.Keys(), cfg.Metrics)
 	}
 	if cfg.Spans != nil {
 		w.tracer = cfg.Spans.Tracer(m, id)
@@ -500,9 +502,10 @@ func (w *worker) computeShard(sc *shardScratch, tbl *slotTable, b *sampler.Batch
 		} else {
 			sc.sweep.Reset(mdl, h, rel, true)
 		}
-		negScores := growF32(&sc.negScores, len(negSlots))
+		n := len(negSlots)
+		negScores, weights := slices.Grow(sc.negScores[:0], n)[:n], slices.Grow(sc.weights[:0], n)[:n]
+		sc.negScores, sc.weights = negScores, weights
 		sc.sweep.ScoreEach(negScores, negRows)
-		weights := growF32(&sc.weights, len(negSlots))
 		negativeWeightsInto(weights, negScores, w.cfg.AdversarialTemp)
 		// The positive triple's gradient is linear in the loss derivative,
 		// so the per-negative coefficients sum into one Grad call instead
@@ -529,16 +532,6 @@ func (w *worker) computeShard(sc *shardScratch, tbl *slotTable, b *sampler.Batch
 	}
 }
 
-// growF32 resizes *buf to n elements, reusing its backing array when
-// possible. Contents are unspecified — callers overwrite every element.
-func growF32(buf *[]float32, n int) []float32 {
-	if cap(*buf) < n {
-		*buf = make([]float32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // negativeWeightsInto fills out (same length as scores) with the
 // per-negative gradient weights: uniform 1/n when temp = 0, or the
 // self-adversarial softmax(temp · score) otherwise (hard negatives — those
@@ -555,12 +548,7 @@ func negativeWeightsInto(out, scores []float32, temp float32) {
 		}
 		return
 	}
-	maxS := scores[0]
-	for _, s := range scores[1:] {
-		if s > maxS {
-			maxS = s
-		}
-	}
+	maxS := slices.Max(scores)
 	var sum float64
 	for i, s := range scores {
 		e := math.Exp(float64(temp * (s - maxS)))

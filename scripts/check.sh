@@ -37,6 +37,10 @@
 #                  reply's bound or twice what arrived.
 #   fuzz-triple-set  20 s of the filter index (kg.TripleSet) against a map:
 #                  every sampler and filtered ranking trusts its answers.
+#   fuzz-hot-cache  20 s of operation sequences (Build, Get, Offer, Update,
+#                  iteration steps) on the hot-embedding table against a map
+#                  shadow: no Get serves a row older than P, an Offer resets
+#                  only a cached row's clock, an evicted key is never served.
 #   fuzz-kernels   80 s over every AVX2 kernel: 20 s of each package's
 #                  kernel fuzzer, all four the one harness fuzz body
 #                  (kerneltest.Fuzz), which decodes one case from raw
@@ -56,7 +60,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-link-frames fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-triple-set fuzz-kernels benchmark-module"
+steps="vet race fanout-race bench fuzz-serve-request fuzz-shard-session fuzz-link-frames fuzz-frame fuzz-plan fuzz-span-dump fuzz-timeline fuzz-benchfmt fuzz-triple-set fuzz-hot-cache fuzz-kernels benchmark-module"
 
 fuzz() { # fuzz TARGET PACKAGE TIME
 	go test -run '^$' -fuzz "$1" -fuzztime "$3" "$2"
@@ -104,6 +108,9 @@ step() {
 	fuzz-triple-set)
 		echo "== fuzz the filter index against a map (20 s)"
 		fuzz FuzzTripleSet ./internal/kg 20s ;;
+	fuzz-hot-cache)
+		echo "== fuzz the hot-embedding table against a map shadow (20 s)"
+		fuzz FuzzHotCache ./internal/cache 20s ;;
 	fuzz-kernels)
 		echo "== fuzz every AVX2 kernel against its Go reference (4 x 20 s)"
 		fuzz FuzzRowsKernels ./internal/vec 20s
