@@ -7,10 +7,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"hetkg/internal/train"
 )
 
 // TestKernelAssemblyRules holds every assembly file under internal/ to two
@@ -113,6 +116,23 @@ func TestNoGobInTheProduct(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestOneRunDescription fails when train.Config or train.ElasticConfig
+// declares a field RunConfig already declares. RunConfig is the one
+// declaration of a run's knobs (DESIGN.md §14.1): the trainer embeds it and
+// adds only what core derives from it, so a knob never gets a second name, a
+// second default or a second meaning of zero.
+func TestOneRunDescription(t *testing.T) {
+	spec := reflect.TypeFor[RunConfig]()
+	for _, typ := range []reflect.Type{reflect.TypeFor[train.Config](), reflect.TypeFor[train.ElasticConfig]()} {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if _, ok := spec.FieldByName(f.Name); ok && !f.Anonymous {
+				t.Errorf("%v.%s restates RunConfig.%s", typ, f.Name, f.Name)
+			}
 		}
 	}
 }

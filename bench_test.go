@@ -283,20 +283,7 @@ func BenchmarkProcessBatch(b *testing.B) {
 	} {
 		for _, p := range benchDegrees() {
 			b.Run(fmt.Sprintf("model=%s/parallelism=%d", s.name, p), func(b *testing.B) {
-				bb, err := train.NewBatchBench(train.Config{
-					Graph:       g,
-					Model:       s.model,
-					Loss:        model.LogisticLoss{},
-					Dim:         128,
-					LR:          0.1,
-					Epochs:      1,
-					BatchSize:   s.batch,
-					NegPerPos:   s.negs,
-					ChunkSize:   s.chunk,
-					NumMachines: 1,
-					Seed:        7,
-					Parallelism: p,
-				})
+				bb, err := train.NewBatchBench(batchBenchConfig(g, s.model, s.batch, s.negs, s.chunk, p))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -313,6 +300,22 @@ func BenchmarkProcessBatch(b *testing.B) {
 	}
 }
 
+// batchBenchConfig is the one-machine, one-epoch run at d = 128 whose first
+// batch train.NewBatchBench replays.
+func batchBenchConfig(g *kg.Graph, m model.Model, batch, negs, chunk, parallelism int) train.Config {
+	return train.Config{
+		RunConfig: RunConfig{
+			Dim: 128, LR: 0.1, Epochs: 1, Machines: 1, Seed: 7, Parallelism: parallelism,
+			BatchSize: batch, NegPerPos: negs, ChunkSize: chunk,
+		},
+		Train:        g,
+		Model:        m,
+		Loss:         model.LogisticLoss{},
+		Partitioner:  &partition.MetisLike{Seed: 7},
+		NewOptimizer: func() opt.Optimizer { return opt.NewAdaGrad(0.1, 1e-10) },
+	}
+}
+
 // TestProcessBatchAllocs pins what one training step allocates in
 // steady state, in inproc-compute's shape (ComplEx, d 128, batch 128, 32
 // negatives in chunks of 8, one machine, parallelism 1): 2 (par.Shards'
@@ -324,20 +327,7 @@ func BenchmarkProcessBatch(b *testing.B) {
 // reused slab and a shard whose rows are slabs, and 457 while every row
 // went through a Go map and most got a fresh make.
 func TestProcessBatchAllocs(t *testing.T) {
-	bb, err := train.NewBatchBench(train.Config{
-		Graph:       dataset.FB15kLike(dataset.Tiny, 1),
-		Model:       model.ComplEx{},
-		Loss:        model.LogisticLoss{},
-		Dim:         128,
-		LR:          0.1,
-		Epochs:      1,
-		BatchSize:   128,
-		NegPerPos:   32,
-		ChunkSize:   8,
-		NumMachines: 1,
-		Seed:        7,
-		Parallelism: 1,
-	})
+	bb, err := train.NewBatchBench(batchBenchConfig(dataset.FB15kLike(dataset.Tiny, 1), model.ComplEx{}, 128, 32, 8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,21 +351,7 @@ func TestProcessBatchAllocs(t *testing.T) {
 //	tracer=sampled every batch traced end to end (Every=1), the worst case;
 //	               real runs trace 1/16 batches by default.
 func BenchmarkProcessBatchSpans(b *testing.B) {
-	g := dataset.FB15kLike(dataset.Tiny, 1)
-	base := train.Config{
-		Graph:       g,
-		Model:       model.TransE{Norm: 1},
-		Loss:        model.LogisticLoss{},
-		Dim:         128,
-		LR:          0.1,
-		Epochs:      1,
-		BatchSize:   256,
-		NegPerPos:   64,
-		ChunkSize:   16,
-		NumMachines: 1,
-		Seed:        7,
-		Parallelism: 1,
-	}
+	base := batchBenchConfig(dataset.FB15kLike(dataset.Tiny, 1), model.TransE{Norm: 1}, 256, 64, 16, 1)
 	run := func(b *testing.B, cfg train.Config) {
 		bb, err := train.NewBatchBench(cfg)
 		if err != nil {

@@ -60,7 +60,7 @@ import (
 	"hetkg/internal/vec"
 )
 
-// RunConfig specifies one training run; see the field docs on core.RunConfig.
+// RunConfig specifies one training run; see the field docs on train.RunConfig.
 type RunConfig = core.RunConfig
 
 // Result is a completed run: per-epoch stats, final metrics, embeddings,

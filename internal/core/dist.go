@@ -24,15 +24,7 @@ func joinCluster(rc *RunConfig, cc *ps.CoordClient) (*train.ElasticConfig, error
 	if err != nil {
 		return nil, fmt.Errorf("core: joining cluster at %s: %w", rc.JoinAddr, err)
 	}
-	return &train.ElasticConfig{
-		Coordinator: cc,
-		Join:        join,
-		Label:       label,
-		CkptDir:     rc.CkptDir,
-		RecoverFrom: rc.RecoverFrom,
-		CkptEvery:   rc.CkptEvery,
-		Logf:        rc.ClusterLogf,
-	}, nil
+	return &train.ElasticConfig{Coordinator: cc, Join: join, Label: label}, nil
 }
 
 // BuildShard constructs the single parameter-server shard that machine m of

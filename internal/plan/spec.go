@@ -85,7 +85,7 @@ func experimentFlags(rc *core.RunConfig) []flagDecl {
 		{&rc.AdversarialTemp, "adversarial", "self-adversarial negative sampling temperature (0 = off)"},
 		{&rc.DegreeWeightedNegatives, "degree-negatives", "corrupt with degree^0.75-weighted entities (hard negatives)"},
 		{&rc.Parallelism, "parallelism", "cores for batch compute and evaluation (0 = all; results identical at any value)"},
-		{&rc.EvalEvery, "eval-every", "epochs between validation evaluations (0 = every epoch; larger than -epochs defers to the final evaluation only)"},
+		{&rc.EvalEvery, "eval-every", "epochs between validation evaluations (0 = every epoch; larger than -epochs defers to the final evaluation only; negative turns validation off)"},
 		{&rc.EvalMax, "eval-max", "validation triples scored per evaluation (0 = default 300)"},
 	}
 }

@@ -12,6 +12,7 @@
 package train
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"time"
@@ -88,138 +89,49 @@ func (s System) hotTable() (cached, rebuild bool) {
 	return s == SystemHETKGC || s == SystemHETKGD, s == SystemHETKGD
 }
 
-// Config parameterizes a training run. Zero values select sensible defaults
-// where noted.
+// Config is one training run as the trainers take it: the run's spec (the
+// embedded RunConfig, every knob under its one name) and what core derives
+// from the knobs — the split, the model and loss, the partitioner, the
+// optimizer and the corruption weights — plus this process's elastic
+// membership, transport and sinks. The trainers read the derived values, not
+// the names they came from (Model, not ModelName).
 type Config struct {
-	// System selects the trainer: PBG's bucket trainer, or the parameter-
-	// server driver with or without the hot-embedding table.
-	System System
-	// Elastic, when non-nil, runs this process as one elastic worker of a
-	// coordinated cluster (parameter-server systems only).
-	Elastic *ElasticConfig
+	RunConfig
 
-	// Graph holds the training triples.
-	Graph *kg.Graph
-	// Valid, when non-empty, is scored for MRR after every EvalEvery
-	// epochs to build convergence curves.
-	Valid []kg.Triple
-	// Filter enables filtered negative sampling and filtered evaluation.
+	// Train holds the training triples. Valid, when non-empty, is scored
+	// for MRR every EvalEvery epochs to build convergence curves. Filter
+	// enables filtered negative sampling and filtered evaluation.
+	Train  *kg.Graph
+	Valid  []kg.Triple
 	Filter *kg.TripleSet
 
 	// Model and Loss select the scoring function and objective.
 	Model model.Model
 	Loss  model.Loss
-	// Dim is the base embedding dimension d.
-	Dim int
-	// LR is the AdaGrad learning rate.
-	LR float32
-	// Epochs is the number of passes over the training triples.
-	Epochs int
-
-	// BatchSize (b_p), NegPerPos (b_n) and ChunkSize (b_c) parameterize
-	// sampling (§V "Negative Sampling").
-	BatchSize, NegPerPos, ChunkSize int
-
-	// NumMachines is the cluster size; each machine hosts one PS shard and
-	// WorkersPerMachine workers (default 1).
-	NumMachines       int
-	WorkersPerMachine int
-	// LocalMachines, when non-empty, restricts this process to the
-	// workers of the listed machine indices — the multi-process worker
-	// deployment, where each trainer process drives one machine's share
-	// of the workload against shared (remote) PS shards. Empty = all
-	// machines in-process (the default single-process simulation). An
-	// elastic run ignores it: the coordinator assigns the machines.
-	LocalMachines []int
-
-	// Partitioner distributes entities across machines (default MetisLike).
+	// Partitioner distributes entities across machines.
 	Partitioner partition.Partitioner
-	// CostModel prices the metered traffic (default the paper's 1 Gbps).
-	CostModel netsim.CostModel
-
-	// EvalEvery is the epoch interval for validation MRR (0 disables).
-	EvalEvery int
-	// EvalCandidates caps ranking candidates during validation (0 = all).
-	EvalCandidates int
-	// EvalMax caps how many validation triples are scored (0 = all).
-	EvalMax int
-
-	// Seed drives every random choice in the run.
-	Seed int64
-
-	// Parallelism bounds the cores the deterministic parallel execution
-	// engine (internal/par) uses for within-batch gradient computation and
-	// validation ranking. 0 means runtime.GOMAXPROCS (all cores); 1 runs
-	// serial. Losses and metrics are bit-identical at every setting: batch
-	// compute merges fixed shards in order and evaluation derives one RNG
-	// per test triple, so parallelism changes wall-clock only.
-	Parallelism int
-
-	// Cache configures HET-KG's hot-embedding table; ignored by the
-	// baseline trainers.
-	Cache CacheConfig
-
-	// InitialEntities and InitialRelations, when non-nil, resume training
-	// from existing embedding tables instead of random initialization.
-	InitialEntities  *vec.Matrix
-	InitialRelations *vec.Matrix
-
-	// NewOptimizer, when non-nil, supplies the gradient applier used by
-	// both the PS shards and the workers' cached copies (default:
-	// AdaGrad(LR), the paper's optimizer).
+	// NewOptimizer supplies the gradient applier used by both the PS shards
+	// and the workers' cached copies.
 	NewOptimizer func() opt.Optimizer
-
 	// NegativeWeights, when non-nil, draws corrupting entities from this
 	// unnormalized distribution instead of uniformly (e.g.
 	// sampler.DegreeWeights for deg^0.75 corruption).
 	NegativeWeights []float64
 
-	// AdversarialTemp enables self-adversarial negative sampling (Sun et
-	// al., RotatE): each negative's gradient is weighted by
-	// softmax(temp · score) across its positive's negatives, focusing the
-	// update on hard negatives. 0 disables (uniform 1/n weighting, the
-	// paper's setting).
-	AdversarialTemp float32
-
-	// Codec names the negotiated wire-codec profile for worker↔PS links:
-	// "fp32" (default), "fp16", "int8", "delta-int8", "topk", or "auto"
-	// (picked per link from RTT×bandwidth). See ps.ResolveProfile. The
-	// in-process links are built on it here; TCP links negotiate it
-	// themselves at dial time, so supply the same name to ps.DialTCPLink.
-	Codec string
-
-	// TopKRatio is the fraction of gradient coordinates the "topk" codec's
-	// push sparsifier keeps per row (default 0.125, at least one
-	// coordinate); the rest accumulate in the worker's error-feedback
-	// buffer and are re-sent later.
-	TopKRatio float64
-
+	// Elastic, when non-nil, runs this process as one elastic worker of a
+	// coordinated cluster (parameter-server systems only).
+	Elastic *ElasticConfig
 	// NewTransport, when non-nil, supplies the worker↔PS transport
 	// (default: in-process links on Codec over the cluster's shards).
 	// Supplying a ps.DialTCPLink transport runs the whole training loop
 	// over real sockets; any other Transport is put behind in-process
 	// links on Codec.
 	NewTransport func(*ps.Cluster) (ps.Transport, error)
-
-	// Metrics is the registry every subsystem (workers, PS client and
-	// shards, caches, traffic meters) publishes into for the run. nil gets
-	// a fresh registry in Validate; supply one to share it with an
-	// introspection endpoint (internal/obs) or across runs.
-	Metrics *metrics.Registry
-
-	// Dataset is an optional label recorded in timeline headers.
-	Dataset string
-
 	// Timeline, when non-nil, receives the run's JSONL timeline: a header
 	// line, one record per completed epoch, and — from every PS run,
 	// elastic included — a deterministic registry snapshot every
 	// TimelineEvery global iterations (see metrics.TimelineEmitter).
 	Timeline io.Writer
-
-	// TimelineEvery is the iteration interval between timeline records
-	// (default metrics.DefaultTimelineEvery).
-	TimelineEvery int
-
 	// Spans, when non-nil, collects per-batch distributed spans: every
 	// worker, PS shard and the transport get a tracer from this collector,
 	// and every Spans.Every()-th batch per worker is traced end to end
@@ -227,43 +139,26 @@ type Config struct {
 	// apply). nil disables tracing at zero cost (the tracers stay nil).
 	Spans *span.Collector
 
-	// DegradedMaxStaleness enables the shard-outage degraded mode on
-	// cache-backed trainers: while a shard link is down
-	// (ps.ErrLinkDown), pulls for rows younger than this many iterations
-	// are served from the hot cache and pushes buffer for replay on
-	// reconnect. 0 (default) disables — any link-down error is fatal. The
-	// bound is the degraded mode's correctness contract: a row used for a
-	// gradient is never more than max(Cache.SyncEvery,
-	// DegradedMaxStaleness) iterations stale.
-	DegradedMaxStaleness int
+	// candidates and bufferCap, when positive, stand in for evalCandidates
+	// and degradedMaxBufferedRows, so a test can shrink them.
+	candidates, bufferCap int
+}
 
-	// DegradedMaxBufferedRows caps the degraded push buffer (distinct
+const (
+	// evalCandidates is how many sampled candidates validation ranks each
+	// validation triple against.
+	evalCandidates = 100
+	// degradedMaxBufferedRows caps the degraded push buffer (distinct
 	// coalesced gradient rows awaiting replay). Exceeding it fails the run
 	// — the explicit bound on how much update mass an outage may defer.
-	// Default 65536 when degraded mode is on.
-	DegradedMaxBufferedRows int
-}
+	degradedMaxBufferedRows = 65536
+)
 
-// CacheConfig is the hot-embedding table configuration (§IV-B).
-type CacheConfig struct {
-	// Capacity is k, rows cached per worker.
-	Capacity int
-	// EntityFraction is the heterogeneity quota (default 0.25).
-	EntityFraction float64
-	// Heterogeneity toggles the quota (off = HET-KG-N of Table VII).
-	Heterogeneity bool
-	// SyncEvery is the staleness bound P: cached values refresh from the
-	// PS every P iterations (0 = never, unbounded staleness).
-	SyncEvery int
-	// PrefetchD is D, the lookahead depth in iterations. For DPS the table
-	// rebuilds every D iterations; for CPS it controls the census depth of
-	// the one-shot build (0 = one full epoch).
-	PrefetchD int
-}
-
-// Validate checks the configuration and fills defaults in place.
+// Validate resolves the spec (RunConfig.Resolve) and checks the
+// configuration. It creates a private Metrics registry when none is given.
 func (c *Config) Validate() error {
-	if c.Graph == nil || c.Graph.NumTriples() == 0 {
+	c.Resolve()
+	if c.Train == nil || c.Train.NumTriples() == 0 {
 		return fmt.Errorf("train: empty graph")
 	}
 	if c.Model == nil {
@@ -271,6 +166,12 @@ func (c *Config) Validate() error {
 	}
 	if c.Loss == nil {
 		return fmt.Errorf("train: nil loss")
+	}
+	if c.Partitioner == nil {
+		return fmt.Errorf("train: nil partitioner")
+	}
+	if c.NewOptimizer == nil {
+		return fmt.Errorf("train: nil optimizer")
 	}
 	if c.Dim <= 0 {
 		return fmt.Errorf("train: Dim %d <= 0", c.Dim)
@@ -287,20 +188,38 @@ func (c *Config) Validate() error {
 	if c.NegPerPos <= 0 {
 		return fmt.Errorf("train: NegPerPos %d <= 0", c.NegPerPos)
 	}
-	if c.NumMachines <= 0 {
-		return fmt.Errorf("train: NumMachines %d <= 0", c.NumMachines)
+	if c.Machines <= 0 {
+		return fmt.Errorf("train: Machines %d <= 0", c.Machines)
 	}
-	if c.WorkersPerMachine == 0 {
-		c.WorkersPerMachine = 1
-	}
-	if c.WorkersPerMachine < 0 {
-		return fmt.Errorf("train: WorkersPerMachine %d < 0", c.WorkersPerMachine)
+	if c.WorkersPerMachine <= 0 {
+		return fmt.Errorf("train: WorkersPerMachine %d <= 0", c.WorkersPerMachine)
 	}
 	if _, ok := systemFlags[c.System]; !ok {
 		return fmt.Errorf("train: unknown system %q", c.System)
 	}
-	if cached, _ := c.System.hotTable(); cached && c.Cache.Capacity < 0 {
-		return fmt.Errorf("train: negative cache capacity %d", c.Cache.Capacity)
+	if cached, _ := c.System.hotTable(); cached {
+		if c.CacheCapacity < 0 {
+			return fmt.Errorf("train: negative cache capacity %d", c.CacheCapacity)
+		}
+		if c.CachePrefetchD <= 0 {
+			return fmt.Errorf("train: prefetch depth %d <= 0", c.CachePrefetchD)
+		}
+	}
+	if c.CkptEvery <= 0 {
+		return fmt.Errorf("train: CkptEvery %d <= 0", c.CkptEvery)
+	}
+	if c.JoinAddr != "" && len(c.ShardAddrs) > 0 {
+		return fmt.Errorf("train: JoinAddr and ShardAddrs are mutually exclusive (the coordinator advertises the fleet)")
+	}
+	if r := c.Resume; r != nil {
+		switch {
+		case c.JoinAddr != "":
+			return fmt.Errorf("train: Resume is not supported in elastic mode (shard processes hold the state)")
+		case len(c.ShardAddrs) > 0:
+			return fmt.Errorf("train: Resume is not supported with remote shards")
+		case r.ModelName != c.ModelName:
+			return fmt.Errorf("train: checkpoint trained with %q, run requests %q", r.ModelName, c.ModelName)
+		}
 	}
 	if e := c.Elastic; e != nil {
 		switch {
@@ -310,40 +229,16 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("train: elastic run needs a coordinator and its join reply")
 		case c.WorkersPerMachine > 1:
 			return fmt.Errorf("train: elastic mode supports 1 worker per machine, got %d", c.WorkersPerMachine)
-		case e.Join.Partitions != c.NumMachines:
+		case e.Join.Partitions != c.Machines:
 			return fmt.Errorf("train: coordinator runs %d partitions, this process is configured for %d machines",
-				e.Join.Partitions, c.NumMachines)
+				e.Join.Partitions, c.Machines)
 		}
-		ec := *e // the defaults go on a copy, so the caller's stays as given
-		if ec.CkptEvery <= 0 {
-			ec.CkptEvery = 16
-		}
-		if ec.RecoverFrom == "" {
-			ec.RecoverFrom = ec.CkptDir
-		}
-		c.Elastic = &ec
-	}
-	if c.Partitioner == nil {
-		c.Partitioner = &partition.MetisLike{Seed: c.Seed}
-	}
-	if c.CostModel == (netsim.CostModel{}) {
-		c.CostModel = netsim.Default1Gbps()
 	}
 	if err := c.CostModel.Validate(); err != nil {
 		return err
 	}
-	if c.Cache.EntityFraction == 0 {
-		c.Cache.EntityFraction = 0.25
-	}
-	if c.NewOptimizer == nil {
-		lr := c.LR
-		c.NewOptimizer = func() opt.Optimizer { return opt.NewAdaGrad(lr, 1e-10) }
-	}
 	if _, err := ps.ResolveProfile(c.Codec); err != nil {
 		return err
-	}
-	if c.TopKRatio == 0 {
-		c.TopKRatio = 0.125
 	}
 	if c.TopKRatio < 0 || c.TopKRatio > 1 {
 		return fmt.Errorf("train: TopKRatio %v outside (0, 1]", c.TopKRatio)
@@ -351,13 +246,23 @@ func (c *Config) Validate() error {
 	if c.DegradedMaxStaleness < 0 {
 		return fmt.Errorf("train: DegradedMaxStaleness %d < 0", c.DegradedMaxStaleness)
 	}
-	if c.DegradedMaxStaleness > 0 && c.DegradedMaxBufferedRows == 0 {
-		c.DegradedMaxBufferedRows = 65536
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
 	return nil
+}
+
+// cacheCapacity is k: CacheCapacity when set, else CacheBudget of the
+// entity+relation universe (at least one row), else 5% of it.
+func (c *Config) cacheCapacity() int {
+	universe := c.Train.NumEntity + c.Train.NumRel
+	switch {
+	case c.CacheCapacity != 0:
+		return c.CacheCapacity
+	case c.CacheBudget > 0:
+		return max(int(c.CacheBudget*float64(universe)), 1)
+	}
+	return universe / 20
 }
 
 // EpochStat is one epoch's record in a training run, the raw material of
@@ -386,7 +291,7 @@ type Result struct {
 	// Entities and Relations are the final gathered embedding tables.
 	Entities  *vec.Matrix
 	Relations *vec.Matrix
-	// Final holds the last validation evaluation (zero if EvalEvery = 0).
+	// Final holds the last validation evaluation (zero when EvalEvery is negative).
 	Final eval.Result
 	// Comp and Comm are the run's critical-path computation and simulated
 	// communication time; Total is their sum.
@@ -435,7 +340,7 @@ func evalNow(cfg *Config, ents, rels *vec.Matrix) (eval.Result, error) {
 		Entities:      ents,
 		Relations:     rels,
 		Filter:        cfg.Filter,
-		NumCandidates: cfg.EvalCandidates,
+		NumCandidates: cmp.Or(cfg.candidates, evalCandidates),
 		Seed:          cfg.Seed + 1000,
 		Parallelism:   cfg.Parallelism,
 	}, test)

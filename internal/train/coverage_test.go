@@ -19,7 +19,7 @@ func TestAllModelsTrainEndToEnd(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig(t, 2)
 			cfg.Epochs = 2
-			cfg.EvalEvery = 0
+			cfg.EvalEvery = -1
 			cfg.Dim = 8 // RESCAL relations are d², keep it cheap
 			m, err := model.New(name)
 			if err != nil {
@@ -92,13 +92,13 @@ func TestAlternativeOptimizers(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig(t, 2)
 			cfg.Epochs = 2
-			cfg.EvalEvery = 0
+			cfg.EvalEvery = -1
 			if name == "sgd" {
 				cfg.LR = 0.05 // plain SGD needs a gentler rate
 			}
 			lr := cfg.LR
 			cfg.NewOptimizer = func() opt.Optimizer {
-				o, err := opt.New(name, lr)
+				o, err := opt.New(name, float32(lr))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,7 +123,7 @@ func TestAlternativePartitioners(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig(t, 4)
 			cfg.Epochs = 1
-			cfg.EvalEvery = 0
+			cfg.EvalEvery = -1
 			p, err := partition.New(name, cfg.Seed)
 			if err != nil {
 				t.Fatal(err)
@@ -140,7 +140,7 @@ func TestRankingLossTraining(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Loss = model.RankingLoss{Margin: 1}
 	cfg.Epochs = 2
-	cfg.EvalEvery = 0
+	cfg.EvalEvery = -1
 	cfg.System = SystemDGLKE
 	res, err := Run(cfg)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestEmptyMachineTolerated(t *testing.T) {
 	// have data while the empty machine's shard keeps serving.
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
-	cfg.EvalEvery = 0
+	cfg.EvalEvery = -1
 	// Force a degenerate partition: everything on machine 0.
 	cfg.Partitioner = &allOnZero{}
 	cfg.System = SystemDGLKE
@@ -249,8 +249,8 @@ func approxF32(a, b float32) bool {
 func TestDegreeWeightedNegativeTraining(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 2
-	cfg.EvalEvery = 0
-	cfg.NegativeWeights = sampler.DegreeWeights(cfg.Graph.EntityDegrees())
+	cfg.EvalEvery = -1
+	cfg.NegativeWeights = sampler.DegreeWeights(cfg.Train.EntityDegrees())
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("degree-weighted training: %v", err)

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -16,7 +17,7 @@ import (
 // Config.DegradedMaxStaleness are served from the hot cache, and pushes
 // for the unreachable shard coalesce by key into a bounded buffer that
 // replays once the link recovers. Correctness stays explicit — a row used
-// for a gradient is never staler than max(Cache.SyncEvery,
+// for a gradient is never staler than max(CacheSyncEvery,
 // DegradedMaxStaleness) iterations, a never-cached row or a full buffer
 // fails the run, and finalize drains the buffer strictly so no update
 // mass is silently dropped.
@@ -54,7 +55,7 @@ func (w *worker) staleServe(deg *ps.DegradedError) ([]ps.Key, error) {
 // push's keys in key order and their grads) into the worker's replay
 // buffer: a key already buffered accumulates (gradient sums commute with
 // the deferred apply), a fresh key claims a buffer slot. Overflowing
-// DegradedMaxBufferedRows makes the outage fatal.
+// degradedMaxBufferedRows makes the outage fatal.
 func (w *worker) bufferPushes(down, keys []ps.Key, grads [][]float32, cause error) error {
 	space := w.client.Keys()
 	if w.pushBuf == nil {
@@ -72,7 +73,7 @@ func (w *worker) bufferPushes(down, keys []ps.Key, grads [][]float32, cause erro
 			vec.Add(buf, buf, g)
 			continue
 		}
-		if w.buffered >= w.cfg.DegradedMaxBufferedRows {
+		if w.buffered >= cmp.Or(w.cfg.bufferCap, degradedMaxBufferedRows) {
 			return fmt.Errorf("train: degraded push buffer full (%d rows): %w", w.buffered, cause)
 		}
 		w.pushBuf[x] = append([]float32(nil), g...)

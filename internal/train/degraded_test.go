@@ -59,8 +59,8 @@ func degradedConfig(t *testing.T, from, until int) Config {
 	t.Helper()
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 2
-	cfg.EvalEvery = 0
-	cfg.Cache.Capacity = 5000
+	cfg.EvalEvery = -1
+	cfg.CacheCapacity = 5000
 	cfg.DegradedMaxStaleness = 10000
 	cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
 		return &outageTransport{inner: ps.NewInProc(c), shard: 1, from: from, until: until}, nil
@@ -148,7 +148,7 @@ func TestDegradedStalenessBoundIsFatal(t *testing.T) {
 // of growing without limit.
 func TestDegradedBufferBudgetIsFatal(t *testing.T) {
 	cfg := degradedConfig(t, 40, -1)
-	cfg.DegradedMaxBufferedRows = 2
+	cfg.bufferCap = 2
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "buffer full") {
 		t.Fatalf("want buffer-budget failure, got %v", err)

@@ -20,8 +20,8 @@ func TestRunPicksTheSystem(t *testing.T) {
 	for _, sys := range Systems() {
 		cfg := testConfig(t, 2)
 		cfg.Epochs = 2
-		cfg.EvalEvery = 0
-		cfg.Cache.PrefetchD = 8
+		cfg.EvalEvery = -1
+		cfg.CachePrefetchD = 8
 		cfg.System = sys
 		r, err := Run(cfg)
 		if err != nil {
@@ -83,7 +83,7 @@ func TestElasticSoloMatchesStatic(t *testing.T) {
 			cfg.Dataset = "traintest"
 			cfg.System = sys
 			if sys == SystemHETKGD {
-				cfg.Cache.PrefetchD = 8
+				cfg.CachePrefetchD = 8
 			}
 			probe := cfg
 			if err := probe.Validate(); err != nil {
@@ -102,7 +102,7 @@ func TestElasticSoloMatchesStatic(t *testing.T) {
 			for _, id := range d.sortedParts() {
 				ipe = append(ipe, d.runners[id].ipe)
 			}
-			if len(ipe) != cfg.NumMachines || ipe[0] == ipe[1] && ipe[1] == ipe[2] {
+			if len(ipe) != cfg.Machines || ipe[0] == ipe[1] && ipe[1] == ipe[2] {
 				t.Fatalf("iterations per epoch %v: want every partition present, not all equal", ipe)
 			}
 
@@ -113,7 +113,7 @@ func TestElasticSoloMatchesStatic(t *testing.T) {
 			// A 1µs cadence heartbeats every iteration; the timeout keeps
 			// the lone worker alive however slow the machine runs.
 			m, err := ps.NewMembership(ps.MemberConfig{
-				Partitions:     cfg.NumMachines,
+				Partitions:     cfg.Machines,
 				HeartbeatEvery: time.Microsecond,
 				WorkerTimeout:  time.Minute,
 			})
@@ -173,9 +173,8 @@ func TestElasticSnapshotOutsideRunIsCorrupt(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := runElastic(cfg, ElasticConfig{
-		Coordinator: elasticMembership(t, 2), Label: "bounded", RecoverFrom: dir,
-	})
+	cfg.RecoverFrom = dir
+	res, err := runElastic(cfg, ElasticConfig{Coordinator: elasticMembership(t, 2), Label: "bounded"})
 	if err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}

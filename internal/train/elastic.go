@@ -23,7 +23,9 @@ import (
 // when every partition has finished every epoch; each surviving process
 // then gathers the shards' state and evaluates.
 
-// ElasticConfig parameterizes one elastic worker process (Config.Elastic).
+// ElasticConfig is one elastic worker process's membership (Config.Elastic);
+// its snapshot directories, cadence and log sink are the spec's (CkptDir,
+// RecoverFrom, CkptEvery, ClusterLogf).
 type ElasticConfig struct {
 	// Coordinator is the joined membership handle: a *ps.CoordClient over
 	// TCP, or a *ps.Membership directly for single-process runs and tests.
@@ -33,17 +35,6 @@ type ElasticConfig struct {
 	Join *ps.JoinReply
 	// Label identifies this process in coordinator logs.
 	Label string
-	// CkptDir, when non-empty, receives per-partition progress snapshots
-	// (ckpt.WriteProgressFile) every CkptEvery iterations.
-	CkptDir string
-	// RecoverFrom is the directory adopted partitions read snapshots from
-	// ("" = CkptDir). A missing snapshot resumes from the coordinator's
-	// hint; a corrupt one additionally counts cluster.ckpt_corrupt.
-	RecoverFrom string
-	// CkptEvery is the iteration interval between snapshots (default 16).
-	CkptEvery int
-	// Logf, when non-nil, receives worker-side cluster events.
-	Logf func(format string, args ...any)
 }
 
 // resumable reports whether epoch ep, iteration iter is a position inside
@@ -80,8 +71,8 @@ func newElastic(cfg *Config, env *psEnv) (*driver, error) {
 
 // logf forwards worker-side cluster events.
 func (d *driver) logf(format string, args ...any) {
-	if d.ec != nil && d.ec.Logf != nil {
-		d.ec.Logf(format, args...)
+	if d.ec != nil && d.cfg.ClusterLogf != nil {
+		d.cfg.ClusterLogf(format, args...)
 	}
 }
 
@@ -198,8 +189,8 @@ func (d *driver) adopt(a ps.Assignment) error {
 	defer sp.End()
 
 	part, epochs := a.Partition, d.cfg.Epochs
-	if part < 0 || part >= d.cfg.NumMachines {
-		return fmt.Errorf("train: assigned partition %d out of range [0,%d)", part, d.cfg.NumMachines)
+	if part < 0 || part >= d.cfg.Machines {
+		return fmt.Errorf("train: assigned partition %d out of range [0,%d)", part, d.cfg.Machines)
 	}
 	done := &partRunner{ep: epochs, done: true}
 	if d.b.subs[part].NumTriples() == 0 {
@@ -249,10 +240,10 @@ func (d *driver) adopt(a ps.Assignment) error {
 // missing (fresh start, nil) from corrupt (counted, nil) from foreign-run
 // provenance (treated as corrupt).
 func (d *driver) readSnapshot(part int) *ckpt.Progress {
-	if d.ec.RecoverFrom == "" {
+	if d.cfg.RecoverFrom == "" {
 		return nil
 	}
-	snap, err := ckpt.ReadProgressFile(d.ec.RecoverFrom, part)
+	snap, err := ckpt.ReadProgressFile(d.cfg.RecoverFrom, part)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			d.cfg.Metrics.Counter(metrics.MClusterCkptCorrupt).Inc()
@@ -272,10 +263,10 @@ func (d *driver) readSnapshot(part int) *ckpt.Progress {
 // writeSnapshot persists partition part's position (best effort — a failed
 // write degrades recovery granularity, not correctness).
 func (d *driver) writeSnapshot(part int, r *partRunner) {
-	if d.ec.CkptDir == "" {
+	if d.cfg.CkptDir == "" {
 		return
 	}
-	err := ckpt.WriteProgressFile(d.ec.CkptDir, &ckpt.Progress{
+	err := ckpt.WriteProgressFile(d.cfg.CkptDir, &ckpt.Progress{
 		Partition: part,
 		Epoch:     min(r.ep, d.cfg.Epochs),
 		Iteration: r.iter,

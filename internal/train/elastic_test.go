@@ -138,10 +138,9 @@ func TestElasticResumeFromSnapshot(t *testing.T) {
 	writeProg(ckpt.Progress{Partition: 1, Epoch: 2, Iteration: 1,
 		Dataset: cfg.Dataset, Seed: cfg.Seed})
 
+	cfg.CkptDir, cfg.CkptEvery = dir, 4
 	m := elasticMembership(t, 2)
-	res, err := runElastic(cfg, ElasticConfig{
-		Coordinator: m, Label: "resumer", CkptDir: dir, CkptEvery: 4,
-	})
+	res, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "resumer"})
 	if err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}
@@ -182,10 +181,9 @@ func TestElasticIgnoresForeignAndCorruptSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	cfg.RecoverFrom = dir
 	m := elasticMembership(t, 2)
-	res, err := runElastic(cfg, ElasticConfig{
-		Coordinator: m, Label: "skeptic", RecoverFrom: dir,
-	})
+	res, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "skeptic"})
 	if err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}

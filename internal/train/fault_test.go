@@ -44,7 +44,7 @@ func TestTrainerSurfacesPullFailure(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			cfg := testConfig(t, 2)
 			cfg.Epochs = 1
-			cfg.EvalEvery = 0
+			cfg.EvalEvery = -1
 			cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
 				return &flakyTransport{
 					inner:    ps.NewInProc(c),
@@ -68,7 +68,7 @@ func TestTrainerSurfacesEarlyFailure(t *testing.T) {
 	// Failing the very first operation exercises the cache-build path.
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
-	cfg.EvalEvery = 0
+	cfg.EvalEvery = -1
 	cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
 		return &flakyTransport{inner: ps.NewInProc(c), failAt: 1, failPull: true}, nil
 	}
@@ -78,7 +78,7 @@ func TestTrainerSurfacesEarlyFailure(t *testing.T) {
 	// DGL-KE path too.
 	cfg2 := testConfig(t, 2)
 	cfg2.Epochs = 1
-	cfg2.EvalEvery = 0
+	cfg2.EvalEvery = -1
 	cfg2.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
 		return &flakyTransport{inner: ps.NewInProc(c), failAt: 1, failPull: true}, nil
 	}

@@ -31,12 +31,12 @@ func trainPBG(cfg *Config) (*Result, error) {
 	relDim := cfg.Model.RelationDim(cfg.Dim)
 	st := &pbgState{
 		cfg:     cfg,
-		ents:    vec.NewMatrix(cfg.Graph.NumEntity, entDim),
-		rels:    vec.NewMatrix(cfg.Graph.NumRel, relDim),
+		ents:    vec.NewMatrix(cfg.Train.NumEntity, entDim),
+		rels:    vec.NewMatrix(cfg.Train.NumRel, relDim),
 		entOpt:  cfg.NewOptimizer(),
 		relOpt:  cfg.NewOptimizer(),
 		rng:     rng,
-		relGrad: vec.NewMatrix(cfg.Graph.NumRel, relDim),
+		relGrad: vec.NewMatrix(cfg.Train.NumRel, relDim),
 		gh:      make([]float32, entDim),
 		gt:      make([]float32, entDim),
 		gn:      make([]float32, entDim),
@@ -48,12 +48,12 @@ func trainPBG(cfg *Config) (*Result, error) {
 	// trainers so pairs can be disjoint.
 	// PBG requires at least 2× as many buckets as trainers so the lock
 	// server can hand out disjoint pairs.
-	numWorkers := cfg.NumMachines * cfg.WorkersPerMachine
+	numWorkers := cfg.Machines * cfg.WorkersPerMachine
 	numBuckets := 2 * numWorkers
 	if numBuckets < 2 {
 		numBuckets = 2
 	}
-	st.bucketOf = make([]int32, cfg.Graph.NumEntity)
+	st.bucketOf = make([]int32, cfg.Train.NumEntity)
 	for e := range st.bucketOf {
 		st.bucketOf[e] = int32(rng.Intn(numBuckets))
 	}
@@ -63,7 +63,7 @@ func trainPBG(cfg *Config) (*Result, error) {
 	}
 	// Group edges by bucket pair.
 	pairEdges := make(map[[2]int32][]kg.Triple)
-	for _, tr := range cfg.Graph.Triples {
+	for _, tr := range cfg.Train.Triples {
 		key := [2]int32{st.bucketOf[tr.Head], st.bucketOf[tr.Tail]}
 		pairEdges[key] = append(pairEdges[key], tr)
 	}

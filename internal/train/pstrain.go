@@ -53,7 +53,7 @@ func newStatic(cfg *Config, env *psEnv) (*driver, error) {
 		return nil, err
 	}
 	id := 0
-	for m := range cfg.NumMachines {
+	for m := range cfg.Machines {
 		if len(cfg.LocalMachines) > 0 && !slices.Contains(cfg.LocalMachines, m) {
 			id += cfg.WorkersPerMachine
 			continue
@@ -270,7 +270,7 @@ func (d *driver) turn(id int, r *partRunner) error {
 			d.logf("cluster: partition %d done (%d epochs)", id, d.cfg.Epochs)
 		}
 	}
-	if d.ec != nil && (crossed || r.iter%d.ec.CkptEvery == 0) {
+	if d.ec != nil && (crossed || r.iter%d.cfg.CkptEvery == 0) {
 		d.writeSnapshot(id, r)
 	}
 	return nil
@@ -458,21 +458,23 @@ func finalize(cfg *Config, env *psEnv, workers []*worker, res *Result) (*Result,
 // the worker↔PS transport for a validated cfg. The caller closes the
 // transport.
 func setupPS(cfg *Config) (*psEnv, error) {
-	part, err := cfg.Partitioner.Partition(cfg.Graph, cfg.NumMachines)
+	part, err := cfg.Partitioner.Partition(cfg.Train, cfg.Machines)
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := ps.NewCluster(ps.ClusterConfig{
-		NumMachines:      cfg.NumMachines,
-		EntityPart:       part.EntityPart,
-		NumRelations:     cfg.Graph.NumRel,
-		EntityDim:        cfg.Model.EntityDim(cfg.Dim),
-		RelationDim:      cfg.Model.RelationDim(cfg.Dim),
-		NewOptimizer:     cfg.NewOptimizer,
-		Seed:             cfg.Seed,
-		InitialEntities:  cfg.InitialEntities,
-		InitialRelations: cfg.InitialRelations,
-	})
+	cc := ps.ClusterConfig{
+		NumMachines:  cfg.Machines,
+		EntityPart:   part.EntityPart,
+		NumRelations: cfg.Train.NumRel,
+		EntityDim:    cfg.Model.EntityDim(cfg.Dim),
+		RelationDim:  cfg.Model.RelationDim(cfg.Dim),
+		NewOptimizer: cfg.NewOptimizer,
+		Seed:         cfg.Seed,
+	}
+	if r := cfg.Resume; r != nil {
+		cc.InitialEntities, cc.InitialRelations = r.Entities, r.Relations
+	}
+	cluster, err := ps.NewCluster(cc)
 	if err != nil {
 		return nil, err
 	}

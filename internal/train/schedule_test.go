@@ -64,8 +64,8 @@ func TestTighterStalenessLowersHitRatio(t *testing.T) {
 	for _, p := range []int{1, 4, 32} {
 		cfg := testConfig(t, 2)
 		cfg.Epochs = 1
-		cfg.EvalEvery = 0
-		cfg.Cache.SyncEvery = p
+		cfg.EvalEvery = -1
+		cfg.CacheSyncEvery = p
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)

@@ -17,7 +17,7 @@ import (
 func TestSpanTraceStitchingOverRealTCP(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
-	cfg.EvalEvery = 0
+	cfg.EvalEvery = -1
 	cfg.Spans = span.NewCollector(span.CollectorConfig{Every: 1})
 
 	var listeners []net.Listener
@@ -162,7 +162,7 @@ func TestSpanTraceStitchingOverRealTCP(t *testing.T) {
 func TestSpanHierarchyInProcess(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
-	cfg.EvalEvery = 0
+	cfg.EvalEvery = -1
 	cfg.Spans = span.NewCollector(span.CollectorConfig{Every: 2})
 
 	if _, err := Run(cfg); err != nil {

@@ -14,7 +14,7 @@ import (
 func TestTrainingOverRealTCP(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
-	cfg.EvalEvery = 0
+	cfg.EvalEvery = -1
 
 	var listeners []net.Listener
 	defer func() {
@@ -59,7 +59,7 @@ func TestTrainingOverRealTCP(t *testing.T) {
 	// identical embeddings: the transport is pure plumbing.
 	inprocCfg := testConfig(t, 2)
 	inprocCfg.Epochs = 1
-	inprocCfg.EvalEvery = 0
+	inprocCfg.EvalEvery = -1
 	inprocRes, err := Run(inprocCfg)
 	if err != nil {
 		t.Fatal(err)

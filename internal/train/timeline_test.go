@@ -13,7 +13,7 @@ import (
 func timelineRun(t *testing.T) *metrics.TimelineRun {
 	t.Helper()
 	cfg := testConfig(t, 2)
-	cfg.EvalEvery = 0
+	cfg.EvalEvery = -1
 	cfg.Parallelism = 1
 	cfg.Dataset = "traintest"
 	cfg.TimelineEvery = 2
@@ -138,7 +138,7 @@ func TestTimelineEpochRecords(t *testing.T) {
 			cfg.Timeline = &buf
 			cfg.System = c.system
 			if c.system == SystemHETKGD {
-				cfg.Cache.PrefetchD = 8
+				cfg.CachePrefetchD = 8
 			}
 			trainer := Run
 			if c.elastic {

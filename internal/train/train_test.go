@@ -6,11 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"hetkg/internal/ckpt"
 	"hetkg/internal/dataset"
 	"hetkg/internal/kg"
 	"hetkg/internal/metrics"
 	"hetkg/internal/model"
 	"hetkg/internal/netsim"
+	"hetkg/internal/opt"
+	"hetkg/internal/partition"
 	"hetkg/internal/ps"
 )
 
@@ -33,35 +36,32 @@ func testConfig(t *testing.T, machines int) Config {
 		t.Fatalf("SplitTriples: %v", err)
 	}
 	return Config{
-		System: SystemHETKGC,
-		Graph:  sp.Train,
-		Valid:  sp.Valid.Triples,
-		Filter: sp.AllTriples(),
-		Model:  model.TransE{Norm: 1},
-		Loss:   model.LogisticLoss{},
-		Dim:    32, // large enough that traffic is bandwidth-bound, as in the paper
-
-		LR:          0.1,
-		Epochs:      3,
-		BatchSize:   64,
-		NegPerPos:   4,
-		ChunkSize:   4,
-		NumMachines: machines,
-		// The paper trains at d=400 (1.6 KB rows), where traffic cost is
-		// bandwidth-bound. At this test's d=32, stock per-message latency
-		// would dominate instead, so scale it down to stay in the paper's
-		// regime.
-		CostModel:      testCostModel(),
-		EvalEvery:      1,
-		EvalCandidates: 50,
-		EvalMax:        100,
-		Seed:           23,
-		Cache: CacheConfig{
-			Capacity:       60,
-			EntityFraction: 0.25,
-			Heterogeneity:  true,
-			SyncEvery:      8,
+		RunConfig: RunConfig{
+			System:    SystemHETKGC,
+			Dim:       32, // large enough that traffic is bandwidth-bound, as in the paper
+			LR:        0.1,
+			Epochs:    3,
+			BatchSize: 64,
+			NegPerPos: 4,
+			ChunkSize: 4,
+			Machines:  machines,
+			// The paper trains at d=400 (1.6 KB rows), where traffic cost is
+			// bandwidth-bound. At this test's d=32, stock per-message latency
+			// would dominate instead, so scale it down to stay in the paper's
+			// regime.
+			CostModel:     testCostModel(),
+			EvalMax:       100,
+			Seed:          23,
+			CacheCapacity: 60,
 		},
+		Train:        sp.Train,
+		Valid:        sp.Valid.Triples,
+		Filter:       sp.AllTriples(),
+		Model:        model.TransE{Norm: 1},
+		Loss:         model.LogisticLoss{},
+		Partitioner:  &partition.MetisLike{Seed: 23},
+		NewOptimizer: func() opt.Optimizer { return opt.NewAdaGrad(0.1, 1e-10) },
+		candidates:   50,
 	}
 }
 
@@ -128,7 +128,7 @@ func TestHETKGCPSReducesRemoteTraffic(t *testing.T) {
 func TestHETKGDPS(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.System = SystemHETKGD
-	cfg.Cache.PrefetchD = 8
+	cfg.CachePrefetchD = 8
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("HET-KG-D: %v", err)
@@ -156,7 +156,7 @@ func TestCodecLessRunIsFP32(t *testing.T) {
 		cfg := testConfig(t, 2)
 		cfg.Epochs = 2
 		cfg.System = SystemHETKGD
-		cfg.Cache.PrefetchD = 8
+		cfg.CachePrefetchD = 8
 		cfg.Codec = codec
 		cfg.Metrics = metrics.NewRegistry()
 		res, err := Run(cfg)
@@ -198,14 +198,14 @@ func TestDPSHitRatioBeatsCPSUnderTightCapacity(t *testing.T) {
 	// DPS adapts to short-term access patterns; with a small cache its
 	// hit ratio should be at least CPS's (§IV-B.2).
 	cfg := testConfig(t, 2)
-	cfg.Cache.Capacity = 25
+	cfg.CacheCapacity = 25
 	cfg.Epochs = 2
 	cps, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.System = SystemHETKGD
-	cfg.Cache.PrefetchD = 8
+	cfg.CachePrefetchD = 8
 	dps, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -302,17 +302,25 @@ func TestTrainingDeterministic(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	good := testConfig(t, 1)
 	tests := []func(*Config){
-		func(c *Config) { c.Graph = nil },
+		func(c *Config) { c.Train = nil },
 		func(c *Config) { c.Model = nil },
 		func(c *Config) { c.Loss = nil },
-		func(c *Config) { c.Dim = 0 },
-		func(c *Config) { c.LR = 0 },
-		func(c *Config) { c.Epochs = 0 },
-		func(c *Config) { c.BatchSize = 0 },
-		func(c *Config) { c.NegPerPos = 0 },
-		func(c *Config) { c.NumMachines = 0 },
+		func(c *Config) { c.Partitioner = nil },
+		func(c *Config) { c.NewOptimizer = nil },
+		// A knob left zero means its default, so the out-of-range values
+		// are negative.
+		func(c *Config) { c.Dim = -1 },
+		func(c *Config) { c.LR = -1 },
+		func(c *Config) { c.Epochs = -1 },
+		func(c *Config) { c.BatchSize = -1 },
+		func(c *Config) { c.NegPerPos = -1 },
+		func(c *Config) { c.Machines = -1 },
 		func(c *Config) { c.WorkersPerMachine = -1 },
-		func(c *Config) { c.System = "" },
+		func(c *Config) { c.System = "nope" },
+		func(c *Config) { c.CachePrefetchD = -1 },
+		func(c *Config) { c.CkptEvery = -1 },
+		func(c *Config) { c.JoinAddr, c.ShardAddrs = "127.0.0.1:1", []string{"127.0.0.1:2"} },
+		func(c *Config) { c.Resume = &ckpt.Checkpoint{ModelName: "distmult"} },
 	}
 	for i, mutate := range tests {
 		cfg := good
@@ -325,7 +333,7 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
-	if cfg.WorkersPerMachine != 1 || cfg.Partitioner == nil {
+	if cfg.WorkersPerMachine != 1 || cfg.CachePrefetchD != 16 || cfg.TopKRatio != 0.125 {
 		t.Error("defaults not filled")
 	}
 }
@@ -335,7 +343,7 @@ func TestMoreMachinesMoreRemoteComm(t *testing.T) {
 	// remote, so DGL-KE's comm fraction grows.
 	cfg1 := testConfig(t, 1)
 	cfg1.Epochs = 1
-	cfg1.EvalEvery = 0
+	cfg1.EvalEvery = -1
 	cfg1.System = SystemDGLKE
 	r1, err := Run(cfg1)
 	if err != nil {
@@ -343,7 +351,7 @@ func TestMoreMachinesMoreRemoteComm(t *testing.T) {
 	}
 	cfg4 := testConfig(t, 4)
 	cfg4.Epochs = 1
-	cfg4.EvalEvery = 0
+	cfg4.EvalEvery = -1
 	cfg4.System = SystemDGLKE
 	r4, err := Run(cfg4)
 	if err != nil {
@@ -361,13 +369,13 @@ func TestMoreMachinesMoreRemoteComm(t *testing.T) {
 func TestCacheCapacityIncreasesHitRatio(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
-	cfg.EvalEvery = 0
-	cfg.Cache.Capacity = 10
+	cfg.EvalEvery = -1
+	cfg.CacheCapacity = 10
 	small, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cache.Capacity = 150
+	cfg.CacheCapacity = 150
 	large, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +388,7 @@ func TestCacheCapacityIncreasesHitRatio(t *testing.T) {
 
 func TestHETKGNegativeCapacityRejected(t *testing.T) {
 	cfg := testConfig(t, 1)
-	cfg.Cache.Capacity = -1
+	cfg.CacheCapacity = -1
 	if _, err := Run(cfg); err == nil {
 		t.Error("negative capacity accepted")
 	}
@@ -399,11 +407,21 @@ func TestDistMultTraining(t *testing.T) {
 	}
 }
 
+// TestZeroCapacityCacheDegradesToDGLKE: on a graph of fewer than 20 ids the
+// default capacity, 5% of the universe, rounds down to an empty hot table,
+// which must neither hit nor beat DGL-KE's traffic.
 func TestZeroCapacityCacheDegradesToDGLKE(t *testing.T) {
+	g := dataset.MustGenerate(dataset.Config{
+		Name: "fewids", NumEntity: 16, NumRel: 3, NumTriples: 200,
+		EntityZipf: 0.9, RelationZipf: 1.0, Seed: 21,
+	})
 	cfg := testConfig(t, 2)
+	cfg.Train, cfg.Valid, cfg.Filter = g, nil, kg.NewTripleSet(g.Triples)
 	cfg.Epochs = 1
-	cfg.EvalEvery = 0
-	cfg.Cache.Capacity = 0
+	cfg.CacheCapacity = 0
+	if k := cfg.cacheCapacity(); k != 0 {
+		t.Fatalf("default capacity over %d ids = %d, want 0", g.NumEntity+g.NumRel, k)
+	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -411,9 +429,7 @@ func TestZeroCapacityCacheDegradesToDGLKE(t *testing.T) {
 	if res.HitRatio != 0 {
 		t.Errorf("zero-capacity cache hit ratio = %v", res.HitRatio)
 	}
-	base := testConfig(t, 2)
-	base.Epochs = 1
-	base.EvalEvery = 0
+	base := cfg
 	base.System = SystemDGLKE
 	b, err := Run(base)
 	if err != nil {

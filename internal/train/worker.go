@@ -96,7 +96,7 @@ func newWorkerBuilder(cfg *Config, env *psEnv) (*workerBuilder, error) {
 	return &workerBuilder{
 		cfg:     cfg,
 		cluster: env.cluster,
-		subs:    env.part.Subgraphs(cfg.Graph),
+		subs:    env.part.Subgraphs(cfg.Train),
 		tr:      env.tr,
 		tobs:    newTrainObs(cfg.Metrics),
 		prof:    prof,
@@ -107,8 +107,7 @@ func newWorkerBuilder(cfg *Config, env *psEnv) (*workerBuilder, error) {
 // is a pure function of (cfg.Seed, id), so any process that builds worker
 // id — including one adopting the partition after its first owner died —
 // derives the identical batch stream and can resume it by fast-forward. The
-// worker carries a HotCache configured from cfg.Cache when the system has a
-// hot table.
+// worker carries a HotCache when the system has a hot table.
 func (b *workerBuilder) build(m, id int) (*worker, error) {
 	cfg := b.cfg
 	meter := &netsim.Meter{}
@@ -123,7 +122,7 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 		BatchSize:       cfg.BatchSize,
 		NegPerPos:       cfg.NegPerPos,
 		ChunkSize:       cfg.ChunkSize,
-		NumEntity:       cfg.Graph.NumEntity,
+		NumEntity:       cfg.Train.NumEntity,
 		Filter:          cfg.Filter,
 		NegativeWeights: cfg.NegativeWeights,
 	}, b.subs[m], rng)
@@ -148,7 +147,8 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 		client.Trace(w.tracer)
 	}
 	if cached, _ := cfg.System.hotTable(); cached {
-		hot, err := cache.New(client, cfg.NewOptimizer(), cfg.Cache.SyncEvery)
+		// Unbounded staleness is negative in the spec and 0 to the cache.
+		hot, err := cache.New(client, cfg.NewOptimizer(), max(cfg.CacheSyncEvery, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -201,34 +201,26 @@ func (w *worker) turn() error {
 
 // prefetch refills the exhausted batch queue D iterations ahead (Algorithm
 // 1) and constructs the hot table from the lookahead's census via filter
-// (Algorithm 2): CPS builds once, from a whole-epoch census by default, and
-// keeps the table fixed; DPS rebuilds from every short-term census — the
-// rebuild is also a refresh, so DPS pays pull traffic for the new table's
-// values here.
+// (Algorithm 2): CPS builds once, from the first census, and keeps the table
+// fixed; DPS rebuilds from every census — the rebuild is also a refresh, so
+// DPS pays pull traffic for the new table's values here.
 //
 // Staleness synchronization (Algorithm 3 lines 8–9) needs no step of its
 // own: the cache expires entries older than P at Get time and the worker
 // re-pulls them with its ordinary batch pull, so refresh traffic is metered
 // through the normal path and only rows that are actually used pay it.
 func (w *worker) prefetch() error {
-	cc := &w.cfg.Cache
-	_, rebuild := w.cfg.System.hotTable()
-	d := cc.PrefetchD
-	if d <= 0 {
-		d = 16
-		if !rebuild {
-			d = w.smp.IterationsPerEpoch()
-		}
-	}
-	pre := cache.Prefetch(w.smp, d)
+	cfg := w.cfg
+	_, rebuild := cfg.System.hotTable()
+	pre := cache.Prefetch(w.smp, cfg.CachePrefetchD)
 	w.queued = pre.Batches
 	if !rebuild && w.built {
 		return nil
 	}
 	keys, err := cache.Filter(pre, cache.FilterConfig{
-		Capacity:       cc.Capacity,
-		EntityFraction: cc.EntityFraction,
-		Heterogeneity:  cc.Heterogeneity,
+		Capacity:       cfg.cacheCapacity(),
+		EntityFraction: cfg.EntityFraction,
+		Heterogeneity:  !cfg.NoHeterogeneity,
 	})
 	if err != nil {
 		return err
@@ -506,7 +498,7 @@ func (w *worker) computeShard(sc *shardScratch, tbl *slotTable, b *sampler.Batch
 		negScores, weights := slices.Grow(sc.negScores[:0], n)[:n], slices.Grow(sc.weights[:0], n)[:n]
 		sc.negScores, sc.weights = negScores, weights
 		sc.sweep.ScoreEach(negScores, negRows)
-		negativeWeightsInto(weights, negScores, w.cfg.AdversarialTemp)
+		negativeWeightsInto(weights, negScores, float32(w.cfg.AdversarialTemp))
 		// The positive triple's gradient is linear in the loss derivative,
 		// so the per-negative coefficients sum into one Grad call instead
 		// of |negatives| passes over (h, r, t).
