@@ -244,8 +244,8 @@ func Default1Gbps() CostModel { return netsim.Default1Gbps() }
 type PSShard = ps.Server
 
 // BuildShard constructs the shard that machine m of the given run owns;
-// serve it with ServeShard. Every process derives identical cluster state
-// from the same RunConfig, so shards need no state transfer at startup.
+// serve it with ServeShard. A shard derives its rows from the RunConfig its
+// trainers derive the layout from, so it needs no state transfer at startup.
 func BuildShard(rc RunConfig, machine int) (*PSShard, error) {
 	return core.BuildShard(rc, machine)
 }

@@ -125,7 +125,6 @@ func Run(rc RunConfig) (*train.Result, error) {
 	if err := tc.Validate(); err != nil { // before joining a cluster
 		return nil, err
 	}
-	addrs := rc.ShardAddrs
 	if rc.JoinAddr != "" {
 		cc, err := ps.DialCoordinator(rc.JoinAddr, 0)
 		if err != nil {
@@ -134,18 +133,6 @@ func Run(rc RunConfig) (*train.Result, error) {
 		defer cc.Close()
 		if tc.Elastic, err = joinCluster(&rc, cc); err != nil {
 			return nil, err
-		}
-		addrs = tc.Elastic.Join.ShardAddrs
-	}
-	if len(addrs) > 0 || tc.Elastic != nil {
-		// The run seed keys the retry-backoff jitter, so a given run's
-		// retry schedule replays deterministically.
-		lcfg := ps.LinkConfig{RPCTimeout: rc.RPCTimeout, Retries: rc.RPCRetries, Seed: rc.Seed}
-		tc.NewTransport = func(*ps.Cluster) (ps.Transport, error) {
-			if len(addrs) != rc.Machines {
-				return nil, fmt.Errorf("core: %d shard addresses for %d machines", len(addrs), rc.Machines)
-			}
-			return ps.DialTCPLink(addrs, rc.Codec, lcfg)
 		}
 	}
 	var timelineFile *os.File

@@ -8,15 +8,10 @@ import (
 	"hetkg/internal/train"
 )
 
-// Multi-process deployment: every process — the trainer and each `hetkg ps`
-// shard — derives the identical cluster state from the same RunConfig
-// through prepare. A shard process therefore needs no state transfer at
-// startup: it computes its own rows and starts serving.
-
-// joinCluster registers this process with the coordinator behind cc — here
-// rather than in train, because the join reply's shard list builds the
-// transport — and returns the run's elastic configuration. The machines this
-// process was launched for (LocalMachines) are the partitions it prefers.
+// joinCluster registers this process with the coordinator behind cc and
+// returns the run's elastic configuration, whose join reply names the shard
+// fleet train dials. The machines this process was launched for
+// (LocalMachines) are the partitions it prefers.
 func joinCluster(rc *RunConfig, cc *ps.CoordClient) (*train.ElasticConfig, error) {
 	host, _ := os.Hostname()
 	label := fmt.Sprintf("%s:%d", host, os.Getpid())
@@ -24,28 +19,27 @@ func joinCluster(rc *RunConfig, cc *ps.CoordClient) (*train.ElasticConfig, error
 	if err != nil {
 		return nil, fmt.Errorf("core: joining cluster at %s: %w", rc.JoinAddr, err)
 	}
+	if len(join.ShardAddrs) == 0 {
+		return nil, fmt.Errorf("core: the coordinator at %s advertises no shards", rc.JoinAddr)
+	}
 	return &train.ElasticConfig{Coordinator: cc, Join: join, Label: label}, nil
 }
 
 // BuildShard constructs the single parameter-server shard that machine m of
-// the given run owns — what a `hetkg ps` process hosts. The cluster
-// configuration mirrors the one train builds from Run's train.Config.
+// the given run owns — what a `hetkg ps` process hosts. It derives the shard
+// from rc as the run's trainers derive its layout (prepare, then
+// train.BuildShard), so a shard process needs no state transfer at startup:
+// it computes its own rows and starts serving.
 func BuildShard(rc RunConfig, machine int) (*ps.Server, error) {
 	p, err := prepare(&rc)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := p.part.Partition(p.split.Train, rc.Machines)
-	if err != nil {
-		return nil, err
-	}
-	return ps.NewClusterShard(ps.ClusterConfig{
-		NumMachines:  rc.Machines,
-		EntityPart:   pr.EntityPart,
-		NumRelations: p.split.Train.NumRel,
-		EntityDim:    p.model.EntityDim(rc.Dim),
-		RelationDim:  p.model.RelationDim(rc.Dim),
+	return train.BuildShard(train.Config{
+		RunConfig:    rc,
+		Train:        p.split.Train,
+		Model:        p.model,
+		Partitioner:  p.part,
 		NewOptimizer: p.newOpt,
-		Seed:         rc.Seed,
 	}, machine)
 }

@@ -106,7 +106,8 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 
 // NewClient builds a client for a worker sitting on the given machine.
 // meter may be nil to disable traffic accounting. A tr that is not a
-// LinkTransport is put behind fp32 in-process links that call it. Shards
+// LinkTransport is put behind fp32 in-process links that call it, which
+// needs c to host its shards; a layout (NewLayout) takes links only. Shards
 // whose rows are not as wide as c's (started with another -model or -dim)
 // are refused.
 func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Client, error) {
@@ -120,7 +121,7 @@ func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Cli
 			return nil, err
 		}
 	}
-	if err := links.checkWidths(c.EntityDim(), c.RelationDim()); err != nil {
+	if err := links.checkWidths(c.entDim, c.relDim); err != nil {
 		return nil, err
 	}
 	return &Client{
@@ -128,9 +129,9 @@ func NewClient(machine int, c *Cluster, tr Transport, meter *netsim.Meter) (*Cli
 		place:   c.Place,
 		links:   links,
 		meter:   meter,
-		entDim:  c.EntityDim(),
-		relDim:  c.RelationDim(),
-		keys:    KeySpace{NumEntity: c.NumEntities(), NumRelation: c.NumRelations()},
+		entDim:  c.entDim,
+		relDim:  c.relDim,
+		keys:    c.keys,
 	}, nil
 }
 

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"math"
 
-	"hetkg/internal/kg"
 	"hetkg/internal/opt"
 	"hetkg/internal/vec"
 )
 
 // ClusterConfig describes a parameter-server deployment: one shard per
 // machine, entity rows placed by the graph partitioner, relations striped.
+// A trainer derives it from its run (train's clusterConfig), and so does
+// every `hetkg ps` process, so they all agree on the layout and the rows.
 type ClusterConfig struct {
 	// NumMachines is the number of co-located server shards.
 	NumMachines int
@@ -54,21 +55,22 @@ func (cfg *ClusterConfig) validateInitial() error {
 	return nil
 }
 
-// Cluster is a set of co-located server shards plus their placement.
+// Cluster is a deployment's layout — the placement, the row widths and the
+// universe sizes — and the shards this process hosts: every one of them
+// (NewCluster), or none (NewLayout, for a trainer whose shards run in other
+// processes).
 type Cluster struct {
 	Servers []*Server
 	Place   *Placement
 
 	entDim, relDim int
-	numEntity      int
-	numRel         int
+	keys           KeySpace
 }
 
-// NewCluster builds and initializes all shards.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.NumMachines < 1 {
-		return nil, fmt.Errorf("ps: NumMachines %d < 1", cfg.NumMachines)
-	}
+// NewLayout builds the layout cfg describes and hosts no shard, so it
+// initialises no rows and reads neither NewOptimizer, Seed nor the initial
+// tables. Its clients reach the shards over links (DialTCPLink).
+func NewLayout(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.NumRelations < 1 {
 		return nil, fmt.Errorf("ps: NumRelations %d < 1", cfg.NumRelations)
 	}
@@ -76,15 +78,22 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{
-		Place:     place,
-		entDim:    cfg.EntityDim,
-		relDim:    cfg.RelationDim,
-		numEntity: len(cfg.EntityPart),
-		numRel:    cfg.NumRelations,
+	return &Cluster{
+		Place:  place,
+		entDim: cfg.EntityDim,
+		relDim: cfg.RelationDim,
+		keys:   KeySpace{NumEntity: len(cfg.EntityPart), NumRelation: cfg.NumRelations},
+	}, nil
+}
+
+// NewCluster builds the layout and hosts every shard of it, initialised.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) {
+	c, err := NewLayout(cfg)
+	if err != nil {
+		return nil, err
 	}
 	for m := 0; m < cfg.NumMachines; m++ {
-		srv, err := initShard(cfg, place, m)
+		srv, err := initShard(cfg, c.Place, m)
 		if err != nil {
 			return nil, err
 		}
@@ -93,60 +102,50 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// initShard builds machine's shard and installs the rows place assigns to
-// it: deterministic per-key initialization, or the checkpoint's rows on
-// resume.
+// initShard builds machine's shard, its slabs sized from place's counts,
+// and installs the rows place assigns to it: deterministic per-key
+// initialization, or the checkpoint's rows on resume.
 func initShard(cfg ClusterConfig, place *Placement, machine int) (*Server, error) {
+	if cfg.EntityDim <= 0 || cfg.RelationDim <= 0 {
+		return nil, fmt.Errorf("ps: non-positive dims %d/%d", cfg.EntityDim, cfg.RelationDim)
+	}
 	if cfg.NewOptimizer == nil {
 		return nil, fmt.Errorf("ps: NewOptimizer is nil")
 	}
 	if err := cfg.validateInitial(); err != nil {
 		return nil, err
 	}
-	srv, err := newServer(machine, place, cfg.NumRelations, cfg.EntityDim, cfg.RelationDim, cfg.NewOptimizer())
-	if err != nil {
-		return nil, err
+	numEnt := place.entityCount[machine]
+	srv := &Server{
+		machine: machine,
+		entDim:  cfg.EntityDim,
+		relDim:  cfg.RelationDim,
+		place:   place,
+		numRel:  cfg.NumRelations,
+		numEnt:  numEnt,
+		ents:    make([]float32, numEnt*cfg.EntityDim),
+		rels:    make([]float32, place.shardRelations(machine, cfg.NumRelations)*cfg.RelationDim),
+		optim:   cfg.NewOptimizer(),
 	}
-	for e := 0; e < len(cfg.EntityPart); e++ {
-		k := EntityKey(kg.EntityID(e))
+	keys := KeySpace{NumEntity: len(cfg.EntityPart), NumRelation: cfg.NumRelations}
+	for i := range keys.Len() {
+		k := keys.Key(i)
 		slot, ok := place.slot(k, machine, cfg.NumRelations)
 		if !ok {
 			continue
 		}
-		row := srv.rowAt(slot)
-		if cfg.InitialEntities != nil {
-			copy(row, cfg.InitialEntities.Row(e))
-		} else {
-			initRow(cfg.Seed, k, row, true)
+		initial, id := cfg.InitialEntities, int(k.Entity())
+		if k.IsRelation() {
+			initial, id = cfg.InitialRelations, int(k.Relation())
 		}
-	}
-	for r := 0; r < cfg.NumRelations; r++ {
-		k := RelationKey(kg.RelationID(r))
-		slot, ok := place.slot(k, machine, cfg.NumRelations)
-		if !ok {
-			continue
-		}
-		row := srv.rowAt(slot)
-		if cfg.InitialRelations != nil {
-			copy(row, cfg.InitialRelations.Row(r))
+		if row := srv.rowAt(slot); initial != nil {
+			copy(row, initial.Row(id))
 		} else {
-			initRow(cfg.Seed, k, row, false)
+			initRow(cfg.Seed, k, row, !k.IsRelation())
 		}
 	}
 	return srv, nil
 }
-
-// EntityDim returns the entity row width.
-func (c *Cluster) EntityDim() int { return c.entDim }
-
-// RelationDim returns the relation row width.
-func (c *Cluster) RelationDim() int { return c.relDim }
-
-// NumEntities returns the entity universe size.
-func (c *Cluster) NumEntities() int { return c.numEntity }
-
-// NumRelations returns the relation universe size.
-func (c *Cluster) NumRelations() int { return c.numRel }
 
 // initRow fills row deterministically from (seed, key) with the KGE uniform
 // initialization; entity rows are additionally l2-normalized (the TransE
@@ -179,7 +178,8 @@ func splitmix64(x uint64) uint64 {
 // of (Seed, key), a fleet of processes each calling NewClusterShard with
 // the same configuration and a distinct machine index collectively hold
 // exactly the state NewCluster would build in one process — the basis of
-// the multi-process deployment (`hetkg ps`).
+// the multi-process deployment (`hetkg ps`), whose trainer holds only the
+// layout (NewLayout).
 func NewClusterShard(cfg ClusterConfig, machine int) (*Server, error) {
 	if machine < 0 || machine >= cfg.NumMachines {
 		return nil, fmt.Errorf("ps: machine %d out of range [0,%d)", machine, cfg.NumMachines)
@@ -192,30 +192,21 @@ func NewClusterShard(cfg ClusterConfig, machine int) (*Server, error) {
 }
 
 // GatherVia assembles the full embedding tables by pulling every row
-// through the given transport — the gather path that works when the shards
-// live in other processes. Pulls are batched per shard.
+// through the given transport. It reads only the layout, so it gathers
+// from shards in other processes too. Pulls are batched per shard.
 func (c *Cluster) GatherVia(tr *LinkTransport) (entities, relations *vec.Matrix, err error) {
-	entities = vec.NewMatrix(c.numEntity, c.entDim)
-	relations = vec.NewMatrix(c.numRel, c.relDim)
+	entities = vec.NewMatrix(c.keys.NumEntity, c.entDim)
+	relations = vec.NewMatrix(c.keys.NumRelation, c.relDim)
 	perShard := make([][]Key, c.Place.NumMachines())
-	for e := 0; e < c.numEntity; e++ {
-		k := EntityKey(kg.EntityID(e))
-		s := c.Place.Shard(k)
-		perShard[s] = append(perShard[s], k)
-	}
-	for r := 0; r < c.numRel; r++ {
-		k := RelationKey(kg.RelationID(r))
+	for i := range c.keys.Len() {
+		k := c.keys.Key(i)
 		s := c.Place.Shard(k)
 		perShard[s] = append(perShard[s], k)
 	}
 	const batch = 4096
 	for shard, keys := range perShard {
 		for start := 0; start < len(keys); start += batch {
-			end := start + batch
-			if end > len(keys) {
-				end = len(keys)
-			}
-			ks := keys[start:end]
+			ks := keys[start:min(start+batch, len(keys))]
 			resp, err := tr.Pull(shard, &PullRequest{Keys: ks})
 			if err != nil {
 				return nil, nil, fmt.Errorf("ps: gather from shard %d: %w", shard, err)
@@ -223,11 +214,9 @@ func (c *Cluster) GatherVia(tr *LinkTransport) (entities, relations *vec.Matrix,
 			off := 0
 			for _, k := range ks {
 				if k.IsRelation() {
-					copy(relations.Row(int(k.Relation())), resp.Vals[off:off+c.relDim])
-					off += c.relDim
+					off += copy(relations.Row(int(k.Relation())), resp.Vals[off:])
 				} else {
-					copy(entities.Row(int(k.Entity())), resp.Vals[off:off+c.entDim])
-					off += c.entDim
+					off += copy(entities.Row(int(k.Entity())), resp.Vals[off:])
 				}
 			}
 		}

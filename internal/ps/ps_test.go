@@ -54,13 +54,12 @@ func TestPlacement(t *testing.T) {
 	}
 }
 
-func testCluster(t *testing.T, machines int) *Cluster {
-	t.Helper()
+func testClusterConfig(machines int) ClusterConfig {
 	part := make([]int32, 20)
 	for i := range part {
 		part[i] = int32(i % machines)
 	}
-	c, err := NewCluster(ClusterConfig{
+	return ClusterConfig{
 		NumMachines:  machines,
 		EntityPart:   part,
 		NumRelations: 5,
@@ -68,7 +67,12 @@ func testCluster(t *testing.T, machines int) *Cluster {
 		RelationDim:  8,
 		NewOptimizer: func() opt.Optimizer { return &opt.SGD{LR: 0.1} },
 		Seed:         99,
-	})
+	}
+}
+
+func testCluster(t *testing.T, machines int) *Cluster {
+	t.Helper()
+	c, err := NewCluster(testClusterConfig(machines))
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -630,5 +634,47 @@ func TestGatherViaMatchesDirectGather(t *testing.T) {
 		if !slices.Equal(vr.Row(r), direct(RelationKey(kg.RelationID(r)))) {
 			t.Fatalf("GatherVia relation %d differs from its shard's row", r)
 		}
+	}
+}
+
+// TestLayoutHostsNoShards: a layout holds the placement, widths and counts of
+// the cluster it describes and no shard. Its clients and gathers run over
+// links to shards hosted elsewhere; handed a Transport that is not a link,
+// NewClient refuses it instead of indexing shards the layout does not have.
+func TestLayoutHostsNoShards(t *testing.T) {
+	layout, err := NewLayout(testClusterConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(layout.Servers) != 0 {
+		t.Fatalf("layout hosts %d shards, want none", len(layout.Servers))
+	}
+	hosted := testCluster(t, 2)
+	if _, err := NewClient(0, layout, struct{ Transport }{NewInProc(hosted)}, nil); err == nil {
+		t.Error("a layout's client took a transport that is not a link")
+	}
+	if _, err := NewCodecTransport(nil, layout, ProfileFP32, netsim.Default1Gbps()); err == nil {
+		t.Error("a layout was put behind in-process links")
+	}
+
+	addrs, _ := loopbackShards(t, hosted)
+	tr, err := DialTCPLink(addrs, ProfileFP32, LinkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if _, err := NewClient(1, layout, tr, nil); err != nil {
+		t.Fatalf("a layout's client over TCP links: %v", err)
+	}
+	le, lr, err := layout.GatherVia(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	he, hr, err := hosted.GatherVia(NewInProc(hosted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(le.Data, he.Data) || !slices.Equal(lr.Data, hr.Data) {
+		t.Error("gathering through a layout differs from gathering the hosted cluster")
 	}
 }

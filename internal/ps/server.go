@@ -115,29 +115,6 @@ func (s *Server) Instrument(reg *metrics.Registry) {
 	}
 }
 
-// newServer builds machine's shard of place over numRel relations, its
-// slabs sized from the placement's counts and zeroed.
-func newServer(machine int, place *Placement, numRel, entDim, relDim int, optim opt.Optimizer) (*Server, error) {
-	if entDim <= 0 || relDim <= 0 {
-		return nil, fmt.Errorf("ps: non-positive dims %d/%d", entDim, relDim)
-	}
-	if optim == nil {
-		return nil, fmt.Errorf("ps: nil optimizer")
-	}
-	numEnt := place.entityCount[machine]
-	return &Server{
-		machine: machine,
-		entDim:  entDim,
-		relDim:  relDim,
-		place:   place,
-		numRel:  numRel,
-		numEnt:  numEnt,
-		ents:    make([]float32, numEnt*entDim),
-		rels:    make([]float32, place.shardRelations(machine, numRel)*relDim),
-		optim:   optim,
-	}, nil
-}
-
 // Machine returns the shard's machine index.
 func (s *Server) Machine() int { return s.machine }
 

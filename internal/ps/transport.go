@@ -1,6 +1,8 @@
 package ps
 
 import (
+	"fmt"
+
 	"hetkg/internal/netsim"
 	"hetkg/internal/span"
 )
@@ -63,9 +65,9 @@ func PushRequestBytes(numKeys, numVals int) int64 {
 }
 
 // NewInProc puts a cluster's shards behind fp32 in-process links, one per
-// shard: a pull copies the shard's rows straight into the caller's buffer
-// and a push applies the caller's gradients, nothing encoded (see
-// linkConn.move).
+// shard (c must host them, see NewCluster): a pull copies the shard's rows
+// straight into the caller's buffer and a push applies the caller's
+// gradients, nothing encoded (see linkConn.move).
 func NewInProc(c *Cluster) *LinkTransport {
 	t, _ := inProcLinks(c, nil, fp32Profile) // an fp32 in-process link's dial cannot fail
 	return t
@@ -104,8 +106,11 @@ var fp32Profile, _ = ResolveProfile(ProfileFP32)
 // prof, each conn on its shard's rows, or on viaTransport's when inner is
 // not nil. This is the one place a non-link Transport joins the link path.
 // An in-process call cannot lose its reply, so the links need no push-dedup
-// identity.
+// identity. A layout that hosts no shards has nothing to link to.
 func inProcLinks(c *Cluster, inner Transport, prof Profile) (*LinkTransport, error) {
+	if len(c.Servers) == 0 {
+		return nil, fmt.Errorf("ps: the cluster hosts no shards to link in process; dial them (DialTCPLink)")
+	}
 	return newLinkTransport(make([]string, len(c.Servers)), prof, LinkConfig{}, false,
 		func(_ *LinkTransport, l *link) (*linkConn, error) {
 			var rows shardRows = c.Servers[l.shard]

@@ -93,7 +93,7 @@ func (s System) hotTable() (cached, rebuild bool) {
 // embedded RunConfig, every knob under its one name) and what core derives
 // from the knobs — the split, the model and loss, the partitioner, the
 // optimizer and the corruption weights — plus this process's elastic
-// membership, transport and sinks. The trainers read the derived values, not
+// membership and sinks. The trainers read the derived values, not
 // the names they came from (Model, not ModelName).
 type Config struct {
 	RunConfig
@@ -121,27 +121,26 @@ type Config struct {
 	// Elastic, when non-nil, runs this process as one elastic worker of a
 	// coordinated cluster (parameter-server systems only).
 	Elastic *ElasticConfig
-	// NewTransport, when non-nil, supplies the worker↔PS transport
-	// (default: in-process links on Codec over the cluster's shards).
-	// Supplying a ps.DialTCPLink transport runs the whole training loop
-	// over real sockets; any other Transport is put behind in-process
-	// links on Codec.
-	NewTransport func(*ps.Cluster) (ps.Transport, error)
 	// Timeline, when non-nil, receives the run's JSONL timeline: a header
 	// line, one record per completed epoch, and — from every PS run,
 	// elastic included — a deterministic registry snapshot every
 	// TimelineEvery global iterations (see metrics.TimelineEmitter).
 	Timeline io.Writer
 	// Spans, when non-nil, collects per-batch distributed spans: every
-	// worker, PS shard and the transport get a tracer from this collector,
-	// and every Spans.Every()-th batch per worker is traced end to end
-	// (sampling, cache lookup, gradient compute, PS RPCs, wire time, shard
-	// apply). nil disables tracing at zero cost (the tracers stay nil).
+	// worker, every PS shard this process hosts and the transport get a
+	// tracer from this collector, and every Spans.Every()-th batch per
+	// worker is traced end to end (sampling, cache lookup, gradient
+	// compute, PS RPCs, wire time, shard apply). nil disables tracing at
+	// zero cost (the tracers stay nil).
 	Spans *span.Collector
 
 	// candidates and bufferCap, when positive, stand in for evalCandidates
 	// and degradedMaxBufferedRows, so a test can shrink them.
 	candidates, bufferCap int
+	// wrapInProc, when non-nil, wraps the in-process transport of a run
+	// that hosts its shards, so a test can inject faults; the wrapper goes
+	// behind in-process links on Codec.
+	wrapInProc func(ps.Transport) (ps.Transport, error)
 }
 
 const (
@@ -211,6 +210,9 @@ func (c *Config) Validate() error {
 	if c.JoinAddr != "" && len(c.ShardAddrs) > 0 {
 		return fmt.Errorf("train: JoinAddr and ShardAddrs are mutually exclusive (the coordinator advertises the fleet)")
 	}
+	if n := len(c.ShardAddrs); n > 0 && n != c.Machines {
+		return fmt.Errorf("train: %d shard addresses for %d machines", n, c.Machines)
+	}
 	if r := c.Resume; r != nil {
 		switch {
 		case c.JoinAddr != "":
@@ -232,6 +234,9 @@ func (c *Config) Validate() error {
 		case e.Join.Partitions != c.Machines:
 			return fmt.Errorf("train: coordinator runs %d partitions, this process is configured for %d machines",
 				e.Join.Partitions, c.Machines)
+		case len(e.Join.ShardAddrs) > 0 && len(e.Join.ShardAddrs) != c.Machines:
+			return fmt.Errorf("train: coordinator advertises %d shard addresses for %d machines",
+				len(e.Join.ShardAddrs), c.Machines)
 		}
 	}
 	if err := c.CostModel.Validate(); err != nil {

@@ -62,8 +62,8 @@ func degradedConfig(t *testing.T, from, until int) Config {
 	cfg.EvalEvery = -1
 	cfg.CacheCapacity = 5000
 	cfg.DegradedMaxStaleness = 10000
-	cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
-		return &outageTransport{inner: ps.NewInProc(c), shard: 1, from: from, until: until}, nil
+	cfg.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
+		return &outageTransport{inner: inner, shard: 1, from: from, until: until}, nil
 	}
 	return cfg
 }

@@ -31,7 +31,7 @@ type ElasticConfig struct {
 	// TCP, or a *ps.Membership directly for single-process runs and tests.
 	Coordinator ps.Coordinator
 	// Join is this process's registration with Coordinator, performed by
-	// the caller because the reply's shard list builds the transport.
+	// the caller; the trainer dials the shard fleet its reply names.
 	Join *ps.JoinReply
 	// Label identifies this process in coordinator logs.
 	Label string

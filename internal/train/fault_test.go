@@ -45,9 +45,9 @@ func TestTrainerSurfacesPullFailure(t *testing.T) {
 			cfg := testConfig(t, 2)
 			cfg.Epochs = 1
 			cfg.EvalEvery = -1
-			cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
+			cfg.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
 				return &flakyTransport{
-					inner:    ps.NewInProc(c),
+					inner:    inner,
 					failAt:   25,
 					failPull: mode == "pull",
 					failPush: mode == "push",
@@ -69,8 +69,8 @@ func TestTrainerSurfacesEarlyFailure(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
 	cfg.EvalEvery = -1
-	cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
-		return &flakyTransport{inner: ps.NewInProc(c), failAt: 1, failPull: true}, nil
+	cfg.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
+		return &flakyTransport{inner: inner, failAt: 1, failPull: true}, nil
 	}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("first-pull failure swallowed")
@@ -79,8 +79,8 @@ func TestTrainerSurfacesEarlyFailure(t *testing.T) {
 	cfg2 := testConfig(t, 2)
 	cfg2.Epochs = 1
 	cfg2.EvalEvery = -1
-	cfg2.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
-		return &flakyTransport{inner: ps.NewInProc(c), failAt: 1, failPull: true}, nil
+	cfg2.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
+		return &flakyTransport{inner: inner, failAt: 1, failPull: true}, nil
 	}
 	cfg2.System = SystemDGLKE
 	if _, err := Run(cfg2); err == nil {
@@ -90,7 +90,7 @@ func TestTrainerSurfacesEarlyFailure(t *testing.T) {
 
 func TestTransportConstructionFailure(t *testing.T) {
 	cfg := testConfig(t, 1)
-	cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
+	cfg.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
 		return nil, errors.New("cannot reach cluster")
 	}
 	cfg.System = SystemDGLKE

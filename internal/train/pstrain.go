@@ -76,6 +76,8 @@ func newStatic(cfg *Config, env *psEnv) (*driver, error) {
 
 // psEnv bundles the shared PS-training substrate.
 type psEnv struct {
+	// cluster is the shards' layout, and the shards themselves when this
+	// process hosts them.
 	cluster *ps.Cluster
 	part    *partition.Result
 	// tr is the worker↔PS transport, one link per shard; gathers go
@@ -454,14 +456,67 @@ func finalize(cfg *Config, env *psEnv, workers []*worker, res *Result) (*Result,
 	return res, nil
 }
 
-// setupPS partitions the graph and builds the parameter-server cluster and
-// the worker↔PS transport for a validated cfg. The caller closes the
-// transport.
+// setupPS partitions the graph and reaches the run's parameter-server
+// shards for a validated cfg. A run that names its shards (ShardAddrs, or
+// the fleet a joined worker's coordinator advertised) dials them and holds
+// only their layout; one that names none hosts every shard in process,
+// behind in-process links on cfg.Codec. The caller closes the transport.
 func setupPS(cfg *Config) (*psEnv, error) {
 	part, err := cfg.Partitioner.Partition(cfg.Train, cfg.Machines)
 	if err != nil {
 		return nil, err
 	}
+	addrs := cfg.ShardAddrs
+	if cfg.Elastic != nil {
+		addrs = cfg.Elastic.Join.ShardAddrs
+	}
+	var cluster *ps.Cluster
+	var tr *ps.LinkTransport
+	if len(addrs) > 0 {
+		if cluster, err = ps.NewLayout(cfg.clusterConfig(part)); err != nil {
+			return nil, err
+		}
+		// The TCP handshake negotiates the codec. The run seed keys the
+		// retry-backoff jitter, so a run's retry schedule replays
+		// deterministically.
+		lcfg := ps.LinkConfig{RPCTimeout: cfg.RPCTimeout, Retries: cfg.RPCRetries, Seed: cfg.Seed}
+		if tr, err = ps.DialTCPLink(addrs, cfg.Codec, lcfg); err != nil {
+			return nil, fmt.Errorf("train: building transport: %w", err)
+		}
+	} else {
+		if cluster, err = ps.NewCluster(cfg.clusterConfig(part)); err != nil {
+			return nil, err
+		}
+		for _, srv := range cluster.Servers {
+			srv.Instrument(cfg.Metrics)
+			if cfg.Spans != nil {
+				srv.Trace(cfg.Spans.Tracer(srv.Machine(), span.WorkerShard))
+			}
+		}
+		var inner ps.Transport // nil: the links sit on the shards directly
+		if cfg.wrapInProc != nil {
+			if inner, err = cfg.wrapInProc(ps.NewInProc(cluster)); err != nil {
+				return nil, fmt.Errorf("train: building transport: %w", err)
+			}
+		}
+		if tr, err = ps.NewCodecTransport(inner, cluster, cfg.Codec, cfg.CostModel); err != nil {
+			return nil, fmt.Errorf("train: building codec transport: %w", err)
+		}
+	}
+	tr.Instrument(cfg.Metrics)
+	if cfg.Spans != nil {
+		// Links record codec spans (and, over sockets, serialization/wire
+		// spans) on a dedicated shared row.
+		tr.Trace(cfg.Spans.Tracer(span.MachineTransport, span.WorkerTransport))
+	}
+	return &psEnv{cluster: cluster, part: part, tr: tr}, nil
+}
+
+// clusterConfig is the parameter-server deployment cfg describes over part:
+// the one derivation, so a run's in-process shards, the layout of its
+// remote ones and every `hetkg ps` shard (BuildShard) agree on placement,
+// widths and rows.
+func (cfg *Config) clusterConfig(part *partition.Result) ps.ClusterConfig {
 	cc := ps.ClusterConfig{
 		NumMachines:  cfg.Machines,
 		EntityPart:   part.EntityPart,
@@ -474,38 +529,18 @@ func setupPS(cfg *Config) (*psEnv, error) {
 	if r := cfg.Resume; r != nil {
 		cc.InitialEntities, cc.InitialRelations = r.Entities, r.Relations
 	}
-	cluster, err := ps.NewCluster(cc)
+	return cc
+}
+
+// BuildShard builds and initialises machine's shard of the run cfg
+// describes — what a `hetkg ps` process hosts. It partitions cfg.Train as
+// Run does and reads only the fields the shard's rows derive from: Train,
+// Partitioner, Machines, Model, Dim, NewOptimizer, Seed and Resume.
+func BuildShard(cfg Config, machine int) (*ps.Server, error) {
+	cfg.Resolve()
+	part, err := cfg.Partitioner.Partition(cfg.Train, cfg.Machines)
 	if err != nil {
 		return nil, err
 	}
-	for _, srv := range cluster.Servers {
-		srv.Instrument(cfg.Metrics)
-		if cfg.Spans != nil {
-			srv.Trace(cfg.Spans.Tracer(srv.Machine(), span.WorkerShard))
-		}
-	}
-	// Links that already negotiated their profile (TCP, at dial time) are
-	// used as they are: a second link layer would codec the payload twice.
-	// Otherwise the shards go behind in-process links on cfg.Codec, over
-	// the cluster's servers or over the supplied transport.
-	var tr *ps.LinkTransport
-	var inner ps.Transport
-	if cfg.NewTransport != nil {
-		if inner, err = cfg.NewTransport(cluster); err != nil {
-			return nil, fmt.Errorf("train: building transport: %w", err)
-		}
-		tr, _ = inner.(*ps.LinkTransport)
-	}
-	if tr == nil {
-		if tr, err = ps.NewCodecTransport(inner, cluster, cfg.Codec, cfg.CostModel); err != nil {
-			return nil, fmt.Errorf("train: building codec transport: %w", err)
-		}
-	}
-	tr.Instrument(cfg.Metrics)
-	if cfg.Spans != nil {
-		// Links record codec spans (and, over sockets, serialization/wire
-		// spans) on a dedicated shared row.
-		tr.Trace(cfg.Spans.Tracer(span.MachineTransport, span.WorkerTransport))
-	}
-	return &psEnv{cluster: cluster, part: part, tr: tr}, nil
+	return ps.NewClusterShard(cfg.clusterConfig(part), machine)
 }

@@ -1,10 +1,8 @@
 package train
 
 import (
-	"net"
 	"testing"
 
-	"hetkg/internal/ps"
 	"hetkg/internal/span"
 )
 
@@ -20,36 +18,7 @@ func TestSpanTraceStitchingOverRealTCP(t *testing.T) {
 	cfg.EvalEvery = -1
 	cfg.Spans = span.NewCollector(span.CollectorConfig{Every: 1})
 
-	var listeners []net.Listener
-	defer func() {
-		for _, l := range listeners {
-			l.Close()
-		}
-	}()
-	var transports []*ps.LinkTransport
-	defer func() {
-		for _, tr := range transports {
-			tr.Close()
-		}
-	}()
-	cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
-		var addrs []string
-		for _, srv := range c.Servers {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			listeners = append(listeners, l)
-			addrs = append(addrs, l.Addr().String())
-			go ps.ServeTCP(l, srv)
-		}
-		tr, err := ps.DialTCPLink(addrs, ps.ProfileFP32, ps.LinkConfig{})
-		if err != nil {
-			return nil, err
-		}
-		transports = append(transports, tr)
-		return tr, nil
-	}
+	serveShards(t, &cfg)
 
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("HET-KG over TCP: %v", err)

@@ -125,8 +125,9 @@ type RunConfig struct {
 	LocalMachines []int
 	// ShardAddrs, when non-empty, connects to remote parameter-server
 	// shards (one `hetkg ps` process per machine, in machine order) over
-	// TCP instead of hosting the shards in this process. Must have exactly
-	// Machines entries.
+	// TCP instead of hosting the shards in this process, which then holds
+	// only their layout. Validate refuses a list whose length is not
+	// Machines.
 	ShardAddrs []string
 	// JoinAddr, when non-empty, runs this process as an elastic cluster
 	// worker: it registers with the coordinator shard at this address,
@@ -168,9 +169,10 @@ type RunConfig struct {
 	Parallelism int `plan:"parallelism"`
 
 	// Metrics, when non-nil, is the registry every subsystem (workers, PS
-	// client and shards, caches, traffic meters) publishes into — share it
-	// with an obs.Server to watch the run live. nil lets the trainer create
-	// a private one (returned in Result.Metrics).
+	// client, the shards this process hosts, caches, traffic meters)
+	// publishes into — share it with an obs.Server to watch the run live.
+	// nil lets the trainer create a private one (returned in
+	// Result.Metrics).
 	Metrics *metrics.Registry
 	// TimelinePath, when non-empty, writes the run's JSONL timeline there
 	// (parent directories are created). TimelineEvery is the iteration

@@ -2,10 +2,40 @@ package train
 
 import (
 	"net"
+	"strings"
 	"testing"
 
+	"hetkg/internal/metrics"
 	"hetkg/internal/ps"
+	"hetkg/internal/span"
 )
+
+// serveShards hosts the shards of cfg's run on loopback listeners, each
+// built by BuildShard as a `hetkg ps` process builds its own, traces them
+// into cfg.Spans when it is set, and points cfg.ShardAddrs at them. The
+// listeners close when t ends.
+func serveShards(t *testing.T, cfg *Config) {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for m := range cfg.Machines {
+		srv, err := BuildShard(*cfg, m)
+		if err != nil {
+			t.Fatalf("BuildShard %d: %v", m, err)
+		}
+		if cfg.Spans != nil {
+			srv.Trace(cfg.Spans.Tracer(m, span.WorkerShard))
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go ps.ServeTCP(l, srv)
+		cfg.ShardAddrs = append(cfg.ShardAddrs, l.Addr().String())
+	}
+}
 
 // TestTrainingOverRealTCP runs the full HET-KG training loop — prefetch,
 // cache builds, staleness refreshes, per-batch pulls and pushes — through
@@ -15,37 +45,7 @@ func TestTrainingOverRealTCP(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
 	cfg.EvalEvery = -1
-
-	var listeners []net.Listener
-	defer func() {
-		for _, l := range listeners {
-			l.Close()
-		}
-	}()
-	var transports []*ps.LinkTransport
-	defer func() {
-		for _, tr := range transports {
-			tr.Close()
-		}
-	}()
-	cfg.NewTransport = func(c *ps.Cluster) (ps.Transport, error) {
-		var addrs []string
-		for _, srv := range c.Servers {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			listeners = append(listeners, l)
-			addrs = append(addrs, l.Addr().String())
-			go ps.ServeTCP(l, srv)
-		}
-		tr, err := ps.DialTCPLink(addrs, ps.ProfileFP32, ps.LinkConfig{})
-		if err != nil {
-			return nil, err
-		}
-		transports = append(transports, tr)
-		return tr, nil
-	}
+	serveShards(t, &cfg)
 
 	tcpRes, err := Run(cfg)
 	if err != nil {
@@ -67,6 +67,34 @@ func TestTrainingOverRealTCP(t *testing.T) {
 	for i := range tcpRes.Entities.Data {
 		if tcpRes.Entities.Data[i] != inprocRes.Entities.Data[i] {
 			t.Fatalf("TCP and in-process runs diverge at entity datum %d", i)
+		}
+	}
+}
+
+// TestRemoteShardsAreNotHosted: a run that names its shards dials them and
+// holds only their layout. It builds no ps.Server, so it initialises no
+// rows, and it registers none of the series only a shard publishes.
+func TestRemoteShardsAreNotHosted(t *testing.T) {
+	cfg := testConfig(t, 2)
+	cfg.Epochs = 1
+	cfg.EvalEvery = -1
+	serveShards(t, &cfg)
+	env, err := setupPS(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.tr.Close()
+	if n := len(env.cluster.Servers); n != 0 {
+		t.Fatalf("a run over ShardAddrs hosts %d shards, want none", n)
+	}
+
+	cfg.Metrics = metrics.NewRegistry()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range cfg.Metrics.Names() {
+		if strings.HasPrefix(name, "ps.server.") || strings.HasPrefix(name, "ps.tcp.") {
+			t.Errorf("a run over ShardAddrs registers the shard series %s", name)
 		}
 	}
 }

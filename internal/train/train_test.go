@@ -320,6 +320,11 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.CachePrefetchD = -1 },
 		func(c *Config) { c.CkptEvery = -1 },
 		func(c *Config) { c.JoinAddr, c.ShardAddrs = "127.0.0.1:1", []string{"127.0.0.1:2"} },
+		func(c *Config) { c.ShardAddrs = []string{"127.0.0.1:1", "127.0.0.1:2"} }, // 2 shards, 1 machine
+		func(c *Config) {
+			c.Elastic = &ElasticConfig{Coordinator: elasticMembership(t, 1),
+				Join: &ps.JoinReply{Partitions: 1, ShardAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}}}
+		},
 		func(c *Config) { c.Resume = &ckpt.Checkpoint{ModelName: "distmult"} },
 	}
 	for i, mutate := range tests {

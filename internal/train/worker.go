@@ -79,12 +79,11 @@ type worker struct {
 // subgraphs, for the driver's runners: all up front in static runs, built
 // and rebuilt as the coordinator assigns partitions in elastic ones.
 type workerBuilder struct {
-	cfg     *Config
-	cluster *ps.Cluster
-	subs    []*kg.Graph
-	tr      *ps.LinkTransport
-	tobs    *trainObs
-	prof    ps.Profile
+	cfg  *Config
+	env  *psEnv
+	subs []*kg.Graph
+	tobs *trainObs
+	prof ps.Profile
 }
 
 // newWorkerBuilder prepares shared state for building workers.
@@ -94,12 +93,11 @@ func newWorkerBuilder(cfg *Config, env *psEnv) (*workerBuilder, error) {
 		return nil, err
 	}
 	return &workerBuilder{
-		cfg:     cfg,
-		cluster: env.cluster,
-		subs:    env.part.Subgraphs(cfg.Train),
-		tr:      env.tr,
-		tobs:    newTrainObs(cfg.Metrics),
-		prof:    prof,
+		cfg:  cfg,
+		env:  env,
+		subs: env.part.Subgraphs(cfg.Train),
+		tobs: newTrainObs(cfg.Metrics),
+		prof: prof,
 	}, nil
 }
 
@@ -111,7 +109,7 @@ func newWorkerBuilder(cfg *Config, env *psEnv) (*workerBuilder, error) {
 func (b *workerBuilder) build(m, id int) (*worker, error) {
 	cfg := b.cfg
 	meter := &netsim.Meter{}
-	client, err := ps.NewClient(m, b.cluster, b.tr, meter)
+	client, err := ps.NewClient(m, b.env.cluster, b.env.tr, meter)
 	if err != nil {
 		return nil, err
 	}
