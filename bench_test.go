@@ -195,21 +195,6 @@ func BenchmarkCachePolicies(b *testing.B) {
 	}
 }
 
-func BenchmarkPartitioner(b *testing.B) {
-	g := dataset.FB15kLike(dataset.Tiny, 1)
-	for _, name := range []string{"random", "metis"} {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p, _ := partition.New(name, int64(i))
-				if _, err := p.Partition(g, 4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkPSPullPush(b *testing.B) {
 	part := make([]int32, 1000)
 	for i := range part {

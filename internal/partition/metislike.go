@@ -27,12 +27,17 @@ type MetisLike struct {
 // Name implements Partitioner.
 func (*MetisLike) Name() string { return "metis" }
 
-// level is one graph in the coarsening hierarchy. Nodes carry weights (how
-// many original entities they aggregate); edges carry multiplicities (how
-// many triples connect the two sides).
+// level is one graph in the coarsening hierarchy, as a CSR: node u's
+// neighbours are nbr[off[u]:off[u+1]], each listed once, with wt holding
+// the edge's multiplicity (how many triples connect the two sides). Nodes
+// carry weights (how many original entities they aggregate). No algorithm
+// step depends on neighbour order: every read is an integer sum or an
+// argmax with an explicit tie-break.
 type level struct {
 	nodeW []int64
-	adj   []map[int32]int64 // adj[u][v] = edge weight
+	off   []int32
+	nbr   []int32
+	wt    []int64
 	// coarseOf maps this level's nodes to the coarser level's nodes
 	// (filled when the next level is built).
 	coarseOf []int32
@@ -60,24 +65,30 @@ func (m *MetisLike) Partition(g *kg.Graph, k int) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(m.Seed))
 
-	// Level 0: the entity graph.
-	base := &level{
-		nodeW: make([]int64, g.NumEntity),
-		adj:   make([]map[int32]int64, g.NumEntity),
-	}
-	for i := range base.adj {
-		base.adj[i] = make(map[int32]int64)
-	}
-	for e := 0; e < g.NumEntity; e++ {
-		base.nodeW[e] = 1
-	}
+	// Level 0: the entity graph, contracted from the triples' edge list
+	// (self-loops skipped) by the identity map, which merges duplicates.
+	n := g.NumEntity
+	raw, ident := &level{nodeW: make([]int64, n), off: make([]int32, n+1)}, make([]int32, n+1)
 	for _, t := range g.Triples {
-		if t.Head == t.Tail {
-			continue
+		if t.Head != t.Tail {
+			raw.off[t.Head]++
+			raw.off[t.Tail]++
 		}
-		base.adj[t.Head][int32(t.Tail)]++
-		base.adj[t.Tail][int32(t.Head)]++
 	}
+	for u := 0; u < n; u++ {
+		raw.off[u+1] += raw.off[u]
+		raw.nodeW[u], ident[u+1] = 1, int32(u+1)
+	}
+	raw.nbr, raw.wt, raw.coarseOf = make([]int32, raw.off[n]), make([]int64, raw.off[n]), ident[:n]
+	for _, t := range g.Triples {
+		if h, tl := int32(t.Head), int32(t.Tail); h != tl {
+			raw.off[h]--
+			raw.off[tl]--
+			raw.nbr[raw.off[h]], raw.wt[raw.off[h]] = tl, 1
+			raw.nbr[raw.off[tl]], raw.wt[raw.off[tl]] = h, 1
+		}
+	}
+	base := contract(raw, ident, ident[:n])
 
 	// Coarsening phase.
 	levels := []*level{base}
@@ -130,12 +141,13 @@ func coarsen(cur *level, rng *rand.Rand) (*level, bool) {
 		}
 		var best int32 = -1
 		var bestW int64 = -1
-		for v, w := range cur.adj[u] {
+		for i := cur.off[u]; i < cur.off[u+1]; i++ {
+			v, w := cur.nbr[i], cur.wt[i]
 			if match[v] != -1 || v == u {
 				continue
 			}
-			// Tie-break on vertex id: map iteration order must not leak
-			// into the partition (training reproducibility depends on it).
+			// Tie-break on vertex id: neighbour order must not leak into
+			// the partition (training reproducibility depends on it).
 			if w > bestW || (w == bestW && v < best) {
 				best, bestW = v, w
 			}
@@ -147,43 +159,68 @@ func coarsen(cur *level, rng *rand.Rand) (*level, bool) {
 			match[best] = u
 		}
 	}
-	// Number coarse nodes.
+	// Number coarse nodes; coarse node c's members are
+	// members[first[c]:first[c+1]].
 	cur.coarseOf = make([]int32, n)
 	for i := range cur.coarseOf {
 		cur.coarseOf[i] = -1
 	}
-	var nc int32
+	first, members := make([]int32, 1, n+1), make([]int32, 0, n)
 	for u := int32(0); u < int32(n); u++ {
 		if cur.coarseOf[u] != -1 {
 			continue
 		}
-		cur.coarseOf[u] = nc
+		cur.coarseOf[u] = int32(len(first) - 1)
+		members = append(members, u)
 		if v := match[u]; v != u && v >= 0 {
-			cur.coarseOf[v] = nc
+			cur.coarseOf[v] = cur.coarseOf[u]
+			members = append(members, v)
 		}
-		nc++
+		first = append(first, int32(len(members)))
 	}
-	if int(nc) > n*9/10 { // shrinking too slowly: stop coarsening
+	if len(first)-1 > n*9/10 { // shrinking too slowly: stop coarsening
 		return nil, false
 	}
+	return contract(cur, first, members), true
+}
+
+// contract builds the level whose node c merges the nodes
+// members[first[c]:first[c+1]] of l (l.coarseOf maps each to c): their
+// weights add up, edges among them vanish, and their edges to one coarse
+// neighbour merge into one. The coarse CSR is sized once from l's, since
+// contraction never adds an edge.
+func contract(l *level, first, members []int32) *level {
+	nc := len(first) - 1
 	next := &level{
 		nodeW: make([]int64, nc),
-		adj:   make([]map[int32]int64, nc),
+		off:   make([]int32, nc+1),
+		nbr:   make([]int32, 0, len(l.nbr)),
+		wt:    make([]int64, 0, len(l.nbr)),
 	}
-	for i := range next.adj {
-		next.adj[i] = make(map[int32]int64)
-	}
-	for u := int32(0); u < int32(n); u++ {
-		cu := cur.coarseOf[u]
-		next.nodeW[cu] += cur.nodeW[u]
-		for v, w := range cur.adj[u] {
-			cv := cur.coarseOf[v]
-			if cu != cv {
-				next.adj[cu][cv] += w
+	// mark[cv]-1 is cv's position in nbr; at or below the current node's
+	// start, it is an earlier node's (or unset) and stale.
+	mark := make([]int32, nc)
+	for c := int32(0); c < int32(nc); c++ {
+		start := int32(len(next.nbr))
+		for _, u := range members[first[c]:first[c+1]] {
+			next.nodeW[c] += l.nodeW[u]
+			for i := l.off[u]; i < l.off[u+1]; i++ {
+				cv := l.coarseOf[l.nbr[i]]
+				if cv == c {
+					continue
+				}
+				if m := mark[cv]; m > start {
+					next.wt[m-1] += l.wt[i]
+				} else {
+					next.nbr = append(next.nbr, cv)
+					next.wt = append(next.wt, l.wt[i])
+					mark[cv] = int32(len(next.nbr))
+				}
 			}
 		}
+		next.off[c+1] = int32(len(next.nbr))
 	}
-	return next, true
+	return next
 }
 
 // greedyInitial assigns coarse nodes to partitions in descending weight
@@ -207,12 +244,12 @@ func greedyInitial(l *level, k int, imbalance float64, rng *rand.Rand) []int32 {
 	for i := range part {
 		part[i] = -1
 	}
-	load := make([]int64, k)
+	load, gain := make([]int64, k), make([]int64, k)
 	for _, u := range order {
-		gain := make([]int64, k)
-		for v, w := range l.adj[u] {
-			if p := part[v]; p >= 0 {
-				gain[p] += w
+		clear(gain)
+		for i := l.off[u]; i < l.off[u+1]; i++ {
+			if p := part[l.nbr[i]]; p >= 0 {
+				gain[p] += l.wt[i]
 			}
 		}
 		best, bestScore := -1, int64(-1)
@@ -257,16 +294,15 @@ func refine(l *level, part []int32, k int, imbalance float64, passes int) {
 		moved := 0
 		for u := range l.nodeW {
 			pu := part[u]
-			if len(l.adj[u]) == 0 {
+			if l.off[u] == l.off[u+1] {
 				continue
 			}
-			for p := range gain {
-				gain[p] = 0
-			}
+			clear(gain)
 			boundary := false
-			for v, w := range l.adj[u] {
-				gain[part[v]] += w
-				if part[v] != pu {
+			for i := l.off[u]; i < l.off[u+1]; i++ {
+				pv := part[l.nbr[i]]
+				gain[pv] += l.wt[i]
+				if pv != pu {
 					boundary = true
 				}
 			}

@@ -678,3 +678,19 @@ func TestLayoutHostsNoShards(t *testing.T) {
 		t.Error("gathering through a layout differs from gathering the hosted cluster")
 	}
 }
+
+// A layout has no shards to link in process: NewInProc refuses it when
+// called, naming why, rather than returning a transport that panics at
+// first use.
+func TestNewInProcRefusesLayout(t *testing.T) {
+	layout, err := NewLayout(testClusterConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "hosts no shards") {
+			t.Errorf("NewInProc(layout) panicked with %q, want it to name that the cluster hosts no shards", msg)
+		}
+	}()
+	NewInProc(layout)
+}

@@ -65,11 +65,15 @@ func PushRequestBytes(numKeys, numVals int) int64 {
 }
 
 // NewInProc puts a cluster's shards behind fp32 in-process links, one per
-// shard (c must host them, see NewCluster): a pull copies the shard's rows
-// straight into the caller's buffer and a push applies the caller's
-// gradients, nothing encoded (see linkConn.move).
+// shard: a pull copies the shard's rows straight into the caller's buffer
+// and a push applies the caller's gradients, nothing encoded (see
+// linkConn.move). c must host its shards (NewCluster); handed a layout
+// (NewLayout) it panics here rather than at the transport's first use.
 func NewInProc(c *Cluster) *LinkTransport {
-	t, _ := inProcLinks(c, nil, fp32Profile) // an fp32 in-process link's dial cannot fail
+	t, err := inProcLinks(c, nil, fp32Profile)
+	if err != nil {
+		panic(err)
+	}
 	return t
 }
 

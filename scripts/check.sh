@@ -12,8 +12,9 @@
 #                  more times under -race, since a scheduling-dependent bug
 #                  shows only in some runs.
 #   bench          the benchmarks of the sweep stack, of the training,
-#                  optimizer and codec kernels and of the sampler and its
-#                  filter index, and the root training-step benchmarks
+#                  optimizer and codec kernels, of the sampler and its
+#                  filter index and of the partitioner at the tcp-*
+#                  workloads' shapes, and the root training-step benchmarks
 #                  (BenchmarkProcessBatch*), one iteration each, so they
 #                  cannot rot.
 #   fuzz-*         20 s fuzzes of the decoders that take bytes nobody vouches
@@ -78,8 +79,8 @@ step() {
 		echo "== a client's per-shard rounds, race detector, ten times"
 		go test -race -count=10 -run FanOut ./internal/ps ;;
 	bench)
-		echo "== every benchmark of the sweep stack, the element kernels, the sampler and the training step compiles and runs once"
-		go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/opt ./internal/knn ./internal/serve ./internal/ps ./internal/sampler ./internal/kg
+		echo "== every benchmark of the sweep stack, the element kernels, the sampler, the partitioner and the training step compiles and runs once"
+		go test -run '^$' -bench . -benchtime 1x ./internal/vec ./internal/model ./internal/opt ./internal/knn ./internal/serve ./internal/ps ./internal/sampler ./internal/kg ./internal/partition
 		go test -run '^$' -bench ProcessBatch -benchtime 1x . ;;
 	fuzz-serve-request)
 		echo "== fuzz the serving request decoder (20 s)"
