@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -120,20 +121,70 @@ func TestNoGobInTheProduct(t *testing.T) {
 	}
 }
 
-// TestOneRunDescription fails when train.Config or train.ElasticConfig
-// declares a field RunConfig already declares. RunConfig is the one
-// declaration of a run's knobs (DESIGN.md §14.1): the trainer embeds it and
-// adds only what core derives from it, so a knob never gets a second name, a
-// second default or a second meaning of zero.
+// TestOneRunDescription holds internal/train to one description of a run
+// (DESIGN.md §14.1). train.Run and train.BuildShard take a RunConfig, the
+// one declaration of a run's knobs, and derive every object the run uses
+// from it themselves. So no other exported struct of the package carries a
+// derived object — a model, loss, partitioner, optimizer factory, graph,
+// sink or span collector beside the name it came from — and none but
+// Result, which reports a run (its epochs, the registry it published into)
+// rather than describing one, restates a RunConfig field: a knob never gets
+// a second name, a second default or a second meaning of zero.
 func TestOneRunDescription(t *testing.T) {
 	spec := reflect.TypeFor[RunConfig]()
-	for _, typ := range []reflect.Type{reflect.TypeFor[train.Config](), reflect.TypeFor[train.ElasticConfig]()} {
-		for i := range typ.NumField() {
-			f := typ.Field(i)
-			if _, ok := spec.FieldByName(f.Name); ok && !f.Anonymous {
-				t.Errorf("%v.%s restates RunConfig.%s", typ, f.Name, f.Name)
+	for name, fn := range map[string]reflect.Type{
+		"Run":        reflect.TypeOf(train.Run),
+		"BuildShard": reflect.TypeOf(train.BuildShard),
+	} {
+		if fn.NumIn() == 0 || fn.In(0) != spec {
+			t.Errorf("train.%s is %v, want a function of a RunConfig", name, fn)
+		}
+	}
+	derived := map[string]bool{
+		"model.Model": true, "model.Loss": true, "partition.Partitioner": true,
+		"func() opt.Optimizer": true, "*kg.Graph": true, "io.Writer": true, "*span.Collector": true,
+	}
+	files, err := filepath.Glob("internal/train/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	structs := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok || gen.Tok != token.TYPE {
+				continue
+			}
+			for _, s := range gen.Specs {
+				ts := s.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || ts.Name.Name == spec.Name() {
+					continue
+				}
+				structs++
+				for _, field := range st.Fields.List {
+					if typ := types.ExprString(field.Type); derived[typ] {
+						t.Errorf("%s: train.%s has a field of type %s, an object derived from a RunConfig", fset.Position(field.Pos()), ts.Name.Name, typ)
+					}
+					for _, name := range field.Names {
+						if _, ok := spec.FieldByName(name.Name); ok && ts.Name.Name != "Result" {
+							t.Errorf("%s: train.%s.%s restates RunConfig.%s", fset.Position(name.Pos()), ts.Name.Name, name.Name, name.Name)
+						}
+					}
+				}
 			}
 		}
+	}
+	if structs == 0 {
+		t.Fatal("found no exported struct in internal/train")
 	}
 }
 

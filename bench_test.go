@@ -17,6 +17,7 @@ package hetkg
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -26,11 +27,9 @@ import (
 	"hetkg/internal/kg"
 	"hetkg/internal/model"
 	"hetkg/internal/opt"
-	"hetkg/internal/partition"
 	"hetkg/internal/plan"
 	"hetkg/internal/ps"
 	"hetkg/internal/sampler"
-	"hetkg/internal/span"
 	"hetkg/internal/train"
 	"hetkg/internal/vec"
 )
@@ -259,15 +258,14 @@ func benchDegrees() []int {
 func BenchmarkProcessBatch(b *testing.B) {
 	g := dataset.FB15kLike(dataset.Tiny, 1)
 	for _, s := range []struct {
-		name               string
-		model              model.Model
+		model              string
 		batch, negs, chunk int
 	}{
-		{"transe", model.TransE{Norm: 1}, 256, 64, 16},
-		{"complex", model.ComplEx{}, 128, 32, 8},
+		{"transe", 256, 64, 16},
+		{"complex", 128, 32, 8},
 	} {
 		for _, p := range benchDegrees() {
-			b.Run(fmt.Sprintf("model=%s/parallelism=%d", s.name, p), func(b *testing.B) {
+			b.Run(fmt.Sprintf("model=%s/parallelism=%d", s.model, p), func(b *testing.B) {
 				bb, err := train.NewBatchBench(batchBenchConfig(g, s.model, s.batch, s.negs, s.chunk, p))
 				if err != nil {
 					b.Fatal(err)
@@ -285,19 +283,14 @@ func BenchmarkProcessBatch(b *testing.B) {
 	}
 }
 
-// batchBenchConfig is the one-machine, one-epoch run at d = 128 whose first
-// batch train.NewBatchBench replays.
-func batchBenchConfig(g *kg.Graph, m model.Model, batch, negs, chunk, parallelism int) train.Config {
-	return train.Config{
-		RunConfig: RunConfig{
-			Dim: 128, LR: 0.1, Epochs: 1, Machines: 1, Seed: 7, Parallelism: parallelism,
-			BatchSize: batch, NegPerPos: negs, ChunkSize: chunk,
-		},
-		Train:        g,
-		Model:        m,
-		Loss:         model.LogisticLoss{},
-		Partitioner:  &partition.MetisLike{Seed: 7},
-		NewOptimizer: func() opt.Optimizer { return opt.NewAdaGrad(0.1, 1e-10) },
+// batchBenchConfig is the one-machine, one-epoch run at d = 128 on g
+// whose first batch train.NewBatchBench replays, from the run's own
+// training split of g (logistic loss, AdaGrad, the METIS-like partitioner).
+func batchBenchConfig(g *kg.Graph, modelName string, batch, negs, chunk, parallelism int) RunConfig {
+	return RunConfig{
+		Graph: g, ModelName: modelName,
+		Dim: 128, LR: 0.1, Epochs: 1, Machines: 1, Seed: 7, Parallelism: parallelism,
+		BatchSize: batch, NegPerPos: negs, ChunkSize: chunk,
 	}
 }
 
@@ -312,7 +305,7 @@ func batchBenchConfig(g *kg.Graph, m model.Model, batch, negs, chunk, parallelis
 // reused slab and a shard whose rows are slabs, and 457 while every row
 // went through a Go map and most got a fresh make.
 func TestProcessBatchAllocs(t *testing.T) {
-	bb, err := train.NewBatchBench(batchBenchConfig(dataset.FB15kLike(dataset.Tiny, 1), model.ComplEx{}, 128, 32, 8, 1))
+	bb, err := train.NewBatchBench(batchBenchConfig(dataset.FB15kLike(dataset.Tiny, 1), "complex", 128, 32, 8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,14 +323,14 @@ func TestProcessBatchAllocs(t *testing.T) {
 // BenchmarkProcessBatchSpans pins the span tracer's overhead guard against
 // BenchmarkProcessBatch (the PR 1 baseline, which has no collector at all):
 //
-//	tracer=off     Config.Spans nil — every span call is a nil-check branch.
+//	tracer=off     no SpanPath — every span call is a nil-check branch.
 //	               Must match BenchmarkProcessBatch/model=transe/parallelism=1
 //	               in ns/pair and allocs/op.
 //	tracer=sampled every batch traced end to end (Every=1), the worst case;
 //	               real runs trace 1/16 batches by default.
 func BenchmarkProcessBatchSpans(b *testing.B) {
-	base := batchBenchConfig(dataset.FB15kLike(dataset.Tiny, 1), model.TransE{Norm: 1}, 256, 64, 16, 1)
-	run := func(b *testing.B, cfg train.Config) {
+	base := batchBenchConfig(dataset.FB15kLike(dataset.Tiny, 1), "transe", 256, 64, 16, 1)
+	run := func(b *testing.B, cfg RunConfig) {
 		bb, err := train.NewBatchBench(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -354,7 +347,7 @@ func BenchmarkProcessBatchSpans(b *testing.B) {
 	b.Run("tracer=off", func(b *testing.B) { run(b, base) })
 	b.Run("tracer=sampled", func(b *testing.B) {
 		cfg := base
-		cfg.Spans = span.NewCollector(span.CollectorConfig{Every: 1, Capacity: 1 << 16})
+		cfg.SpanPath, cfg.SpanEvery = filepath.Join(b.TempDir(), "spans.jsonl"), 1
 		run(b, cfg)
 	})
 }

@@ -7,9 +7,9 @@ import (
 	"io"
 
 	"hetkg"
-	"hetkg/internal/core"
 	"hetkg/internal/eval"
 	"hetkg/internal/kg"
+	"hetkg/internal/train"
 )
 
 func bindEval(fs *flag.FlagSet) action {
@@ -49,7 +49,7 @@ func bindEval(fs *flag.FlagSet) action {
 		if *in != "" {
 			filter = kg.NewTripleSet(test)
 		} else {
-			sp, err := core.Split(g, c.Seed)
+			sp, err := train.Split(g, c.Seed)
 			if err != nil {
 				return failf(stderr, 1, "%v", err)
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 // The run flags (dataset, model, cache, codec, ...) are the shared plan
-// surface (plan.BindFlags) — bound straight to the core.RunConfig fields the
+// surface (plan.BindFlags) — bound straight to the train.RunConfig fields the
 // plan-file `run:` keys name, with the same defaults — so train and `hetkg
 // apply` cannot drift, and the run-identity subset of them is the very
 // declaration `hetkg ps` binds. The flags declared here are deployment

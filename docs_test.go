@@ -191,7 +191,7 @@ func TestCodecProfilesAreMeasuredAndTested(t *testing.T) {
 }
 
 // TestPlanKeysAreDocumented: the plan file is a user-facing config surface,
-// so every plan key (the `plan:"..."` tags on core.RunConfig) must appear in
+// so every plan key (the `plan:"..."` tags on train.RunConfig) must appear in
 // DESIGN.md §14's schema table.
 func TestPlanKeysAreDocumented(t *testing.T) {
 	raw, err := os.ReadFile("DESIGN.md")
@@ -204,7 +204,7 @@ func TestPlanKeysAreDocumented(t *testing.T) {
 	}
 	keys := plan.SpecKeys()
 	if len(keys) == 0 {
-		t.Fatal("core.RunConfig declares no plan keys")
+		t.Fatal("train.RunConfig declares no plan keys")
 	}
 	for _, key := range keys {
 		if !strings.Contains(section, "`"+key+"`") {

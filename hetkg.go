@@ -42,7 +42,6 @@ import (
 
 	"hetkg/internal/artifact"
 	"hetkg/internal/ckpt"
-	"hetkg/internal/core"
 	"hetkg/internal/dataset"
 	"hetkg/internal/eval"
 	"hetkg/internal/kg"
@@ -61,25 +60,25 @@ import (
 )
 
 // RunConfig specifies one training run; see the field docs on train.RunConfig.
-type RunConfig = core.RunConfig
+type RunConfig = train.RunConfig
 
 // Result is a completed run: per-epoch stats, final metrics, embeddings,
 // traffic, and the computation/communication breakdown.
 type Result = train.Result
 
 // System identifies a training system implementation.
-type System = core.System
+type System = train.System
 
 // The four systems of the paper's evaluation.
 const (
-	SystemPBG    = core.SystemPBG
-	SystemDGLKE  = core.SystemDGLKE
-	SystemHETKGC = core.SystemHETKGC
-	SystemHETKGD = core.SystemHETKGD
+	SystemPBG    = train.SystemPBG
+	SystemDGLKE  = train.SystemDGLKE
+	SystemHETKGC = train.SystemHETKGC
+	SystemHETKGD = train.SystemHETKGD
 )
 
 // Systems lists all systems in the paper's table order.
-func Systems() []System { return core.Systems() }
+func Systems() []System { return train.Systems() }
 
 // Scale selects synthetic dataset sizes.
 type Scale = dataset.Scale
@@ -97,7 +96,7 @@ const (
 func ParseScale(s string) (Scale, error) { return dataset.ParseScale(s) }
 
 // Run executes a training run.
-func Run(rc RunConfig) (*Result, error) { return core.Run(rc) }
+func Run(rc RunConfig) (*Result, error) { return train.Run(rc) }
 
 // ArtifactStore is the content-addressed on-disk cache for expensive
 // deterministic intermediates (synthetic datasets, partitioner outputs).
@@ -247,7 +246,7 @@ type PSShard = ps.Server
 // serve it with ServeShard. A shard derives its rows from the RunConfig its
 // trainers derive the layout from, so it needs no state transfer at startup.
 func BuildShard(rc RunConfig, machine int) (*PSShard, error) {
-	return core.BuildShard(rc, machine)
+	return train.BuildShard(rc, machine)
 }
 
 // ServeShard runs a shard's accept loop on l until the listener closes.

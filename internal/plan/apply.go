@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hetkg/internal/artifact"
-	"hetkg/internal/core"
 	"hetkg/internal/metrics"
 	"hetkg/internal/plan/benchfmt"
 	"hetkg/internal/train"
@@ -28,13 +27,13 @@ type ApplyOptions struct {
 	TimelineDir, SpanDir string
 	SpanEvery            int
 	// configure, when an experiment sets it, edits each run's configuration
-	// before it executes: the way to reach a core.RunConfig field no plan key
+	// before it executes: the way to reach a train.RunConfig field no plan key
 	// does.
-	configure func(*core.RunConfig)
+	configure func(*train.RunConfig)
 }
 
 // outcome is one executed run: the resolved run, its result, and the wall
-// time core.Run took.
+// time train.Run took.
 type outcome struct {
 	Run
 	Result *train.Result
@@ -75,7 +74,7 @@ func execute(p *Plan, opt ApplyOptions, view func(outcome)) error {
 		}
 		logf("%s: run %d/%d %s (%s)", p.Name, i+1, len(runs), run.Name, run.ShortHash())
 		start := time.Now()
-		res, err := core.Run(rc)
+		res, err := train.Run(rc)
 		if err != nil {
 			return fmt.Errorf("plan %s: run %s: %w", p.Name, run.Name, err)
 		}

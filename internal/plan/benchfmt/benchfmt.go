@@ -5,7 +5,7 @@
 // that measures — `hetkg apply`, every `hetkg exp -bench-out` experiment —
 // writes this one schema, and `hetkg compare` holds a snapshot's `values`
 // equal to a committed baseline's. Keeping the package a leaf (stdlib only)
-// lets internal/core and internal/plan share the writer without a cycle.
+// lets internal/plan and cmd/hetkg share the writer without a cycle.
 package benchfmt
 
 import (

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 
-	"hetkg/internal/core"
 	"hetkg/internal/dataset"
 	"hetkg/internal/netsim"
 	"hetkg/internal/partition"
 	"hetkg/internal/sampler"
+	"hetkg/internal/train"
 )
 
 // Ablations beyond the paper's figures, for the design choices DESIGN.md
@@ -80,7 +80,7 @@ func runAblationPartition(o Options) (*Table, error) {
 		cut[name] = pr.CutFraction(g)
 	}
 	return t, o.sweep(Plan{
-		Base:  core.RunConfig{Dataset: "fb15k", System: core.SystemDGLKE, Epochs: 1, EvalEvery: -1},
+		Base:  train.RunConfig{Dataset: "fb15k", System: train.SystemDGLKE, Epochs: 1, EvalEvery: -1},
 		Sweep: []SweepAxis{axis("partitioner", names...)},
 	}, func(r outcome) {
 		res := r.Result
@@ -130,10 +130,10 @@ func runAblationStrategy(o Options) (*Table, error) {
 	t.Note("§IV-B: DPS tracks the short-term access pattern, matching or beating CPS under tight capacity")
 	var row []any // the cache size's label, then CPS's and DPS's hit ratio
 	return t, o.sweep(Plan{
-		Base:  core.RunConfig{Dataset: "fb15k", Epochs: 2, EvalEvery: -1},
+		Base:  train.RunConfig{Dataset: "fb15k", Epochs: 2, EvalEvery: -1},
 		Sweep: []SweepAxis{axis("cacheBudget", 0.01, 0.05, 0.15), axis("system", "hetkg-c", "hetkg-d")},
 	}, func(r outcome) {
-		if r.Spec.System == core.SystemHETKGC {
+		if r.Spec.System == train.SystemHETKGC {
 			row = []any{fmt.Sprintf("%.0f%%", 100*r.Spec.CacheBudget)}
 		}
 		if row = append(row, Pct(r.Result.HitRatio, 1)); len(row) == 3 {
@@ -149,7 +149,7 @@ func runAblationQuantize(o Options) (*Table, error) {
 	}
 	t.Note("expected: ~4x fewer payload bytes; quantization noise costs little MRR at 8 bits")
 	return t, o.sweep(Plan{
-		Base: core.RunConfig{Dataset: "fb15k", System: core.SystemHETKGC, Epochs: 2},
+		Base: train.RunConfig{Dataset: "fb15k", System: train.SystemHETKGC, Epochs: 2},
 		// No codec is the plain float32 transport, without the codec layer.
 		Sweep: []SweepAxis{axis("codec", "", "int8")},
 	}, func(r outcome) {
@@ -165,7 +165,7 @@ func runAblationAdversarial(o Options) (*Table, error) {
 	}
 	t.Note("extension beyond the paper: focusing gradient mass on hard negatives (RotatE-style)")
 	return t, o.sweep(Plan{
-		Base:  core.RunConfig{Dataset: "fb15k", System: core.SystemHETKGD, Epochs: 3},
+		Base:  train.RunConfig{Dataset: "fb15k", System: train.SystemHETKGD, Epochs: 3},
 		Sweep: []SweepAxis{axis("adversarial", 0.0, 1.0)},
 	}, func(r outcome) {
 		name := "uniform"
@@ -190,7 +190,7 @@ func runTheoryStaleness(o Options) (*Table, error) {
 	t.Note("§IV-C: with T > O(K²) iterations and staleness bounded by K, convergence matches synchronous training;")
 	t.Note("removing the bound violates assumption (4) of the proof sketch and the gap shows up in loss and MRR")
 	return t, o.sweep(Plan{
-		Base:  core.RunConfig{Dataset: "fb15k", System: core.SystemHETKGC, Epochs: fig5Epochs(o)},
+		Base:  train.RunConfig{Dataset: "fb15k", System: train.SystemHETKGC, Epochs: fig5Epochs(o)},
 		Sweep: []SweepAxis{axis("staleness", 8, -1)}, // -1: unbounded
 	}, func(r outcome) {
 		name := "unbounded"
@@ -220,7 +220,7 @@ func runAblationBandwidth(o Options) (*Table, error) {
 		cm.RemoteBandwidthBps = mbps * 1e6 / 8
 		eo := o
 		eo.id = fmt.Sprintf("%s/%.0fMbps", o.id, mbps)
-		eo.configure = func(rc *core.RunConfig) { rc.CostModel = cm }
+		eo.configure = func(rc *train.RunConfig) { rc.CostModel = cm }
 		// Compare the communication component only: it is computed
 		// deterministically from metered bytes, so the comparison is free
 		// of wall-clock jitter in the measured computation.
@@ -248,7 +248,7 @@ func runAblationHardNegs(o Options) (*Table, error) {
 	}
 	t.Note("extension: corrupting with high-degree entities yields harder negatives on skewed graphs")
 	return t, o.sweep(Plan{
-		Base:  core.RunConfig{Dataset: "fb15k", System: core.SystemHETKGC, Epochs: 3},
+		Base:  train.RunConfig{Dataset: "fb15k", System: train.SystemHETKGC, Epochs: 3},
 		Sweep: []SweepAxis{axis("degreeNegatives", false, true)},
 	}, func(r outcome) {
 		name := "uniform"

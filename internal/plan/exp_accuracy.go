@@ -3,8 +3,8 @@ package plan
 import (
 	"fmt"
 
-	"hetkg/internal/core"
 	"hetkg/internal/dataset"
+	"hetkg/internal/train"
 )
 
 // Tables III, IV, V: link-prediction quality and training time per system,
@@ -44,7 +44,7 @@ func accuracyTable(ds string, models ...string) func(Options) (*Table, error) {
 		t.Note("paper shape: all systems reach comparable quality; HET-KG variants finish fastest, PBG slowest")
 		t.Note("times are simulated cluster time: measured computation + cost-model communication (see DESIGN.md)")
 		return t, o.sweep(Plan{
-			Base:  core.RunConfig{Dataset: ds},
+			Base:  train.RunConfig{Dataset: ds},
 			Sweep: []SweepAxis{axis("model", models...), allSystems},
 		}, func(r outcome) {
 			res := r.Result
@@ -61,7 +61,7 @@ func runFig5(o Options) (*Table, error) {
 	}
 	t.Note("paper shape: all systems converge to similar MRR; HET-KG's curves reach it in less cumulative time")
 	return t, o.sweep(Plan{
-		Base:  core.RunConfig{Dataset: "fb15k", Epochs: fig5Epochs(o)},
+		Base:  train.RunConfig{Dataset: "fb15k", Epochs: fig5Epochs(o)},
 		Sweep: []SweepAxis{allSystems},
 	}, func(r outcome) {
 		for _, e := range r.Result.Epochs {

@@ -3,9 +3,9 @@ package plan
 import (
 	"fmt"
 
-	"hetkg/internal/core"
 	"hetkg/internal/metrics"
 	"hetkg/internal/ps"
+	"hetkg/internal/train"
 )
 
 // Wire-codec sweep: the negotiated codec layer's headline numbers. One
@@ -28,7 +28,7 @@ func runCodecs(o Options) (*Table, error) {
 	// commDim keeps rows wide enough (>= 64 floats) that per-row codec
 	// headers are noise; at tiny widths the 5-byte delta header eats the
 	// int8 savings and no profile could show its asymptotic ratio.
-	base := core.RunConfig{Dataset: "fb15k", System: core.SystemHETKGD, Dim: commDim(o), Machines: 4, Epochs: 2}
+	base := train.RunConfig{Dataset: "fb15k", System: train.SystemHETKGD, Dim: commDim(o), Machines: 4, Epochs: 2}
 	t := &Table{
 		Title:  "Wire codecs on fb15k-like (HET-KG-D, TransE)",
 		Header: []string{"Codec", "RawMB", "WireMB", "Ratio", "B/iter", "Wall", "MRR"},

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"hetkg/internal/core"
 	"hetkg/internal/dataset"
+	"hetkg/internal/train"
 )
 
 // Experiment regenerates one table or figure of the paper. A training
@@ -60,7 +60,7 @@ func register(e Experiment) {
 	}
 	run := e.Run
 	e.Run = func(o Options) (*Table, error) {
-		rc := core.RunConfig{Seed: o.Seed}
+		rc := train.RunConfig{Seed: o.Seed}
 		rc.Normalize()
 		o.Seed, o.id = rc.Seed, e.ID
 		t, err := run(o)

@@ -1,9 +1,8 @@
-package core_test
+package plan_test
 
-// The paper's experiment registry (internal/plan) at tiny scale. These are
-// core.Run's end-to-end tests — every training experiment is a plan of Run
-// configurations — so they run here, from core's external test package,
-// beside the probes that replay the same datasets without training.
+// The paper's experiment registry at tiny scale. These are train.Run's
+// end-to-end tests too — every training experiment is a plan of Run
+// configurations — run from plan's external test package.
 
 import (
 	"strings"

@@ -5,15 +5,15 @@ import (
 	"slices"
 	"testing"
 
-	"hetkg/internal/core"
 	"hetkg/internal/dataset"
+	"hetkg/internal/train"
 )
 
 // FuzzPlanParse feeds arbitrary bytes to Parse and Resolve, the path every
 // plan file takes. Nothing may panic, and no input may make Resolve allocate
 // for more than maxRuns runs, however many its axes multiply to. An accepted
 // input resolves to uniquely named runs (they become snapshot rows) of a
-// system and a scale core trains, whose hashes are their specs', and parsing
+// system and a scale train.Run trains, whose hashes are their specs', and parsing
 // it a second time resolves to the same names and canonical specs, run for
 // run.
 func FuzzPlanParse(f *testing.F) {
@@ -56,8 +56,8 @@ func FuzzPlanParse(f *testing.F) {
 				t.Fatalf("run name %q repeats", r.Name)
 			}
 			names[r.Name] = true
-			if !slices.Contains(core.Systems(), r.Spec.System) {
-				t.Fatalf("run %q: system %q is none core trains", r.Name, r.Spec.System)
+			if !slices.Contains(train.Systems(), r.Spec.System) {
+				t.Fatalf("run %q: system %q is none train.Run trains", r.Name, r.Spec.System)
 			}
 			if _, err := dataset.ParseScale(r.Spec.Scale.String()); err != nil {
 				t.Fatalf("run %q: %v", r.Name, err)

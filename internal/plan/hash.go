@@ -9,7 +9,7 @@ import (
 	"strconv"
 	"strings"
 
-	"hetkg/internal/core"
+	"hetkg/internal/train"
 )
 
 // specHashVersion versions the canonical serialization. Bump it when the
@@ -23,8 +23,9 @@ const specHashVersion = "hetkg-spec/v1"
 // The encoding is field-order-independent by construction (the walk sorts on
 // tag names, not declaration order) and injective per field (strings are
 // quoted, so a value can never forge a neighboring key). Knobs the default
-// table leaves zero hash as zero; core resolves them from the scale.
-func Canonical(rc core.RunConfig) string {
+// table leaves zero hash as zero; RunConfig.Resolve fills them from the
+// scale.
+func Canonical(rc train.RunConfig) string {
 	rc.Normalize()
 	var b strings.Builder
 	b.WriteString(specHashVersion)
@@ -42,7 +43,7 @@ func Canonical(rc core.RunConfig) string {
 // Hash is the canonical config hash: hex SHA-256 of Canonical. It names
 // artifact-cache entries and ties BENCH rows to the exact configuration that
 // produced them.
-func Hash(rc core.RunConfig) string {
+func Hash(rc train.RunConfig) string {
 	sum := sha256.Sum256([]byte(Canonical(rc)))
 	return hex.EncodeToString(sum[:])
 }

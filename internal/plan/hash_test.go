@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"hetkg/internal/core"
 	"hetkg/internal/dataset"
+	"hetkg/internal/train"
 )
 
 // TestHashFieldOrderIndependence feeds the same configuration through two
@@ -74,9 +74,9 @@ run:
 		t.Fatal(err)
 	}
 	const pinned = "755569593f417da0176827cd30170dc5dc41afdce90f3e1f794d66f3d23e6093"
-	if h := Hash(explicit.Base); h != pinned || Hash(core.RunConfig{}) != pinned {
+	if h := Hash(explicit.Base); h != pinned || Hash(train.RunConfig{}) != pinned {
 		t.Fatalf("spelled-out defaults hash %s, the zero config %s; both must be %s:\n%s",
-			h, Hash(core.RunConfig{}), pinned, Canonical(explicit.Base))
+			h, Hash(train.RunConfig{}), pinned, Canonical(explicit.Base))
 	}
 }
 
@@ -89,24 +89,24 @@ func TestZeroRunConfigIsTrainDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	var zero core.RunConfig
+	var zero train.RunConfig
 	zero.Normalize()
 	if !reflect.DeepEqual(zero, *flags) {
 		t.Errorf("RunConfig{} resolves to\n%+v\nhetkg train's flag defaults to\n%+v", zero, *flags)
 	}
-	if zero.Scale != dataset.Small || zero.System != core.SystemHETKGD || zero.Seed != 42 || zero.Margin != 1 {
+	if zero.Scale != dataset.Small || zero.System != train.SystemHETKGD || zero.Seed != 42 || zero.Margin != 1 {
 		t.Errorf("RunConfig{} resolves to scale %v, system %v, seed %d, margin %v; want small, hetkg-d, 42, 1",
 			zero.Scale, zero.System, zero.Seed, zero.Margin)
 	}
-	if Canonical(core.RunConfig{}) != Canonical(*flags) || Hash(core.RunConfig{}) != Hash(*flags) {
-		t.Errorf("canonical forms differ:\n%s\nvs\n%s", Canonical(core.RunConfig{}), Canonical(*flags))
+	if Canonical(train.RunConfig{}) != Canonical(*flags) || Hash(train.RunConfig{}) != Hash(*flags) {
+		t.Errorf("canonical forms differ:\n%s\nvs\n%s", Canonical(train.RunConfig{}), Canonical(*flags))
 	}
 }
 
 // TestHashSensitivity mutates every plan-tagged field in turn and demands a
 // hash change: no knob may be semantically invisible.
 func TestHashSensitivity(t *testing.T) {
-	var base core.RunConfig
+	var base train.RunConfig
 	base.Normalize()
 	baseHash := Hash(base)
 	seen := map[string]string{baseHash: "(base)"}
@@ -117,8 +117,8 @@ func TestHashSensitivity(t *testing.T) {
 		switch p := fv.Addr().Interface().(type) {
 		case *dataset.Scale:
 			*p = dataset.Tiny
-		case *core.System:
-			*p = core.SystemPBG
+		case *train.System:
+			*p = train.SystemPBG
 		default:
 			switch fv.Kind() {
 			case reflect.String:
@@ -148,7 +148,7 @@ func TestHashSensitivity(t *testing.T) {
 // one sorted key=value line per field, quoted strings, and a scale and a
 // system in their plan spelling.
 func TestCanonicalFormat(t *testing.T) {
-	c := Canonical(core.RunConfig{})
+	c := Canonical(train.RunConfig{})
 	lines := strings.Split(strings.TrimSuffix(c, "\n"), "\n")
 	if lines[0] != specHashVersion {
 		t.Fatalf("first line = %q, want %q", lines[0], specHashVersion)
@@ -173,7 +173,7 @@ func TestCanonicalFormat(t *testing.T) {
 }
 
 func TestShortHash(t *testing.T) {
-	r := Run{Hash: Hash(core.RunConfig{})}
+	r := Run{Hash: Hash(train.RunConfig{})}
 	if sh := r.ShortHash(); len(sh) != 12 || !strings.HasPrefix(r.Hash, sh) {
 		t.Fatalf("ShortHash = %q for hash %q", sh, r.Hash)
 	}

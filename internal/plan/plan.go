@@ -18,7 +18,7 @@ import (
 	"strconv"
 	"strings"
 
-	"hetkg/internal/core"
+	"hetkg/internal/train"
 )
 
 // Plan is one sweep — a parsed hetkg.yml or an experiment's Go literal: a
@@ -27,8 +27,8 @@ type Plan struct {
 	// Name identifies the plan; the BENCH snapshot is BENCH_<Name>.json.
 	Name string
 	// Base is the `run:` section; a knob it leaves zero takes the default
-	// table's value (core.RunConfig.Normalize).
-	Base core.RunConfig
+	// table's value (train.RunConfig.Normalize).
+	Base train.RunConfig
 	// Sweep is the `sweep:` matrix, axes sorted by key in a parsed file and
 	// in loop order in a literal. Every resolved run is Base plus one
 	// assignment from each axis.
@@ -66,7 +66,7 @@ type Run struct {
 	// "base" for a sweepless plan — the BENCH row name.
 	Name string
 	// Spec is the normalized configuration.
-	Spec core.RunConfig
+	Spec train.RunConfig
 	// Hash is Hash(Spec), the canonical config hash.
 	Hash string
 }
@@ -157,7 +157,7 @@ func parseSweep(m map[string]any) ([]SweepAxis, error) {
 		}
 		seen := map[string]bool{}
 		for _, item := range list {
-			var probe core.RunConfig
+			var probe train.RunConfig
 			if err := setKey(&probe, k, item); err != nil {
 				return nil, fmt.Errorf("%w (sweep key %q)", err, k)
 			}

@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"hetkg/internal/core"
 	"hetkg/internal/dataset"
 	"hetkg/internal/model"
+	"hetkg/internal/train"
 )
 
 const samplePlan = `
@@ -197,7 +197,7 @@ func TestModelFlagNamesEveryModel(t *testing.T) {
 // TestNegativeStalenessIsUnbounded: staleness -1 spells unbounded staleness
 // (no refresh, ever) for every system, the cache-backed ones included.
 func TestNegativeStalenessIsUnbounded(t *testing.T) {
-	p := &Plan{Name: "stale", Base: core.RunConfig{Scale: dataset.Tiny, System: core.SystemHETKGC, Epochs: 1, Machines: 2, EvalEvery: -1}}
+	p := &Plan{Name: "stale", Base: train.RunConfig{Scale: dataset.Tiny, System: train.SystemHETKGC, Epochs: 1, Machines: 2, EvalEvery: -1}}
 	p.Sweep = []SweepAxis{axis("staleness", -1, 8)}
 	hit := map[int]float64{}
 	if err := execute(p, ApplyOptions{}, func(o outcome) { hit[o.Spec.CacheSyncEvery] = o.Result.HitRatio }); err != nil {

@@ -9,11 +9,11 @@ import (
 	"sort"
 	"strings"
 
-	"hetkg/internal/core"
 	"hetkg/internal/model"
+	"hetkg/internal/train"
 )
 
-// A run's declarative knobs are the plan-tagged fields of core.RunConfig, and
+// A run's declarative knobs are the plan-tagged fields of train.RunConfig, and
 // this file holds three of their consumers (the hash is the fourth, hash.go):
 //
 //   - the YAML loader decodes plan `run:` and `sweep:` keys into them by tag
@@ -48,7 +48,7 @@ type flagDecl struct {
 // identical values for, because dataset generation, partitioning and row
 // initialisation are derived from them independently in each process (the †
 // flags of OPERATIONS.md). This is their only declaration.
-func identityFlags(rc *core.RunConfig) []flagDecl {
+func identityFlags(rc *train.RunConfig) []flagDecl {
 	return []flagDecl{
 		{&rc.Dataset, keyDataset, "dataset preset: fb15k | wn18 | freebase86m"},
 		{&rc.Scale, "scale", "dataset scale: tiny | small | paper"},
@@ -64,7 +64,7 @@ func identityFlags(rc *core.RunConfig) []flagDecl {
 
 // experimentFlags declares the rest of the run surface: knobs only the
 // training loop reads, so shards neither need nor accept them.
-func experimentFlags(rc *core.RunConfig) []flagDecl {
+func experimentFlags(rc *train.RunConfig) []flagDecl {
 	return []flagDecl{
 		{&rc.System, "system", "system: pbg | dglke | hetkg-c | hetkg-d (elastic mode supports the latter three)"},
 		{&rc.LossName, "loss", "loss: logistic | ranking"},
@@ -127,7 +127,7 @@ func bind(fs *flag.FlagSet, decls []flagDecl, only []any) {
 // takes), or only the flags of the listed fields — pointers into rc, e.g.
 // BindIdentity(fs, &rc, &rc.Scale, &rc.Seed) — for a verb that reads just
 // those.
-func BindIdentity(fs *flag.FlagSet, rc *core.RunConfig, only ...any) {
+func BindIdentity(fs *flag.FlagSet, rc *train.RunConfig, only ...any) {
 	rc.Normalize()
 	bind(fs, identityFlags(rc), only)
 }
@@ -135,8 +135,8 @@ func BindIdentity(fs *flag.FlagSet, rc *core.RunConfig, only ...any) {
 // BindFlags registers every run flag — the identity group plus the
 // experiment group, `hetkg train`'s run surface — onto fs, bound to the
 // returned config. Names and defaults equal the plan-file `run:` keys'.
-func BindFlags(fs *flag.FlagSet) *core.RunConfig {
-	rc := new(core.RunConfig)
+func BindFlags(fs *flag.FlagSet) *train.RunConfig {
+	rc := new(train.RunConfig)
 	BindIdentity(fs, rc)
 	bind(fs, experimentFlags(rc), nil)
 	return rc
@@ -145,7 +145,7 @@ func BindFlags(fs *flag.FlagSet) *core.RunConfig {
 // specFields enumerates the plan-tagged fields, sorted by key — the shared
 // walk under decoding, hashing, and key listing.
 func specFields() []reflect.StructField {
-	t := reflect.TypeOf(core.RunConfig{})
+	t := reflect.TypeOf(train.RunConfig{})
 	fields := make([]reflect.StructField, 0, t.NumField())
 	for i := 0; i < t.NumField(); i++ {
 		if t.Field(i).Tag.Get("plan") != "" {
@@ -170,7 +170,7 @@ func SpecKeys() []string {
 }
 
 // setKey assigns one decoded YAML value to the field its key tags.
-func setKey(rc *core.RunConfig, key string, val any) error {
+func setKey(rc *train.RunConfig, key string, val any) error {
 	for _, f := range specFields() {
 		if f.Tag.Get("plan") != key {
 			continue

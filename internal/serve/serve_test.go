@@ -14,11 +14,11 @@ import (
 	"testing"
 
 	"hetkg/internal/ckpt"
-	"hetkg/internal/core"
 	"hetkg/internal/kg"
 	"hetkg/internal/knn"
 	"hetkg/internal/model"
 	"hetkg/internal/span"
+	"hetkg/internal/train"
 	"hetkg/internal/vec"
 )
 
@@ -54,9 +54,9 @@ var (
 func trainedCheckpoint(t *testing.T) *ckpt.Checkpoint {
 	t.Helper()
 	trainOnce.Do(func() {
-		res, err := core.Run(core.RunConfig{
+		res, err := train.Run(train.RunConfig{
 			Graph:     cycleGraph(),
-			System:    core.SystemHETKGC,
+			System:    train.SystemHETKGC,
 			ModelName: "transe",
 			Machines:  1,
 			Dim:       16,
@@ -140,7 +140,7 @@ func sortTotalOrder(rs []knn.Result) {
 	})
 }
 
-// trainSplitTriples reproduces the train split core.Run derives from the
+// trainSplitTriples reproduces the train split train.Run derives from the
 // run seed, so golden assertions target facts the model actually saw.
 func trainSplitTriples(t *testing.T) []kg.Triple {
 	t.Helper()

@@ -6,7 +6,7 @@ import (
 
 // BatchBench is a single-worker harness exposing the processBatch hot path
 // to the repository's benchmark suite (bench_test.go), which lives outside
-// this package. It builds the full PS substrate for cfg, takes the first
+// this package. It builds the full PS substrate for rc, takes the first
 // worker, and replays one sampled batch so iterations measure pure
 // gather/compute/push work with a stable working set.
 type BatchBench struct {
@@ -14,19 +14,22 @@ type BatchBench struct {
 	b *sampler.Batch
 }
 
-// NewBatchBench validates cfg, builds the cluster and workers of DGL-KE
-// whatever cfg.System says (no cache — the path the paper's compute profile
-// measures), and samples the batch to replay.
-func NewBatchBench(cfg Config) (*BatchBench, error) {
-	cfg.System = SystemDGLKE
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	env, err := setupPS(&cfg)
+// NewBatchBench derives the run rc describes, builds the cluster and workers
+// of DGL-KE whatever rc.System says (no cache — the path the paper's compute
+// profile measures), and samples the batch to replay from the run's own
+// training split. With SpanPath set the spans are collected, never
+// written.
+func NewBatchBench(rc RunConfig) (*BatchBench, error) {
+	rc.System = SystemDGLKE
+	cfg, err := derive(rc, hooks{}, false)
 	if err != nil {
 		return nil, err
 	}
-	d, err := newStatic(&cfg, env)
+	env, err := setupPS(cfg)
+	if err != nil {
+		return nil, err
+	}
+	d, err := newStatic(cfg, env)
 	if err != nil {
 		return nil, err
 	}
@@ -45,8 +48,8 @@ func (bb *BatchBench) ProcessBatch() (float64, error) {
 
 // ProcessBatchTraced is ProcessBatch under a live root span: every
 // iteration is sampled and traced end to end (lookup, compute, RPC and
-// shard spans). Benchmarking it against ProcessBatch on a Config without
-// Spans measures the tracer's enabled-path overhead; the disabled path is
+// shard spans). Benchmarking it against ProcessBatch on a RunConfig without
+// SpanPath measures the tracer's enabled-path overhead; the disabled path is
 // plain ProcessBatch, whose tracer is nil.
 func (bb *BatchBench) ProcessBatchTraced() (float64, error) {
 	root := bb.w.tracer.Root(bb.w.iteration)

@@ -3,7 +3,7 @@
 // variants), a DGL-KE-style trainer (parameter server, no cache), and a
 // PyTorch-BigGraph-style trainer (entity buckets swapped through a shared
 // filesystem, relations as dense parameters). Run trains any of them;
-// Config.System picks which.
+// RunConfig.System picks which.
 //
 // All of them run on the same substrate — models, samplers, optimizers, the
 // sharded PS, the partitioner, and the netsim cost model — so measured
@@ -14,9 +14,12 @@ package train
 import (
 	"cmp"
 	"fmt"
-	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"time"
 
+	"hetkg/internal/dataset"
 	"hetkg/internal/eval"
 	"hetkg/internal/kg"
 	"hetkg/internal/metrics"
@@ -25,6 +28,7 @@ import (
 	"hetkg/internal/opt"
 	"hetkg/internal/partition"
 	"hetkg/internal/ps"
+	"hetkg/internal/sampler"
 	"hetkg/internal/span"
 	"hetkg/internal/vec"
 )
@@ -89,51 +93,47 @@ func (s System) hotTable() (cached, rebuild bool) {
 	return s == SystemHETKGC || s == SystemHETKGD, s == SystemHETKGD
 }
 
-// Config is one training run as the trainers take it: the run's spec (the
-// embedded RunConfig, every knob under its one name) and what core derives
-// from the knobs — the split, the model and loss, the partitioner, the
-// optimizer and the corruption weights — plus this process's elastic
-// membership and sinks. The trainers read the derived values, not
-// the names they came from (Model, not ModelName).
-type Config struct {
+// config is one training run as the trainers take it: the run's
+// description (the embedded RunConfig) and the objects derive builds from
+// it. The trainers read the objects, not the names they came from (model,
+// not ModelName), and only derive sets them.
+type config struct {
 	RunConfig
 
-	// Train holds the training triples. Valid, when non-empty, is scored
-	// for MRR every EvalEvery epochs to build convergence curves. Filter
+	// train holds the training triples. valid, when non-empty, is scored
+	// for MRR every EvalEvery epochs to build convergence curves. filter
 	// enables filtered negative sampling and filtered evaluation.
-	Train  *kg.Graph
-	Valid  []kg.Triple
-	Filter *kg.TripleSet
+	train  *kg.Graph
+	valid  []kg.Triple
+	filter *kg.TripleSet
 
-	// Model and Loss select the scoring function and objective.
-	Model model.Model
-	Loss  model.Loss
-	// Partitioner distributes entities across machines.
-	Partitioner partition.Partitioner
-	// NewOptimizer supplies the gradient applier used by both the PS shards
-	// and the workers' cached copies.
-	NewOptimizer func() opt.Optimizer
-	// NegativeWeights, when non-nil, draws corrupting entities from this
-	// unnormalized distribution instead of uniformly (e.g.
-	// sampler.DegreeWeights for deg^0.75 corruption).
-	NegativeWeights []float64
+	model model.Model
+	loss  model.Loss
+	// part distributes entities across machines.
+	part partition.Partitioner
+	// newOpt supplies the gradient applier used by both the PS shards and
+	// the workers' cached copies.
+	newOpt func() opt.Optimizer
+	// negWeights, when non-nil, draws corrupting entities from this
+	// unnormalized distribution instead of uniformly (deg^0.75 when
+	// DegreeWeightedNegatives is set).
+	negWeights []float64
 
-	// Elastic, when non-nil, runs this process as one elastic worker of a
+	// elastic, when non-nil, runs this process as one elastic worker of a
 	// coordinated cluster (parameter-server systems only).
-	Elastic *ElasticConfig
-	// Timeline, when non-nil, receives the run's JSONL timeline: a header
-	// line, one record per completed epoch, and — from every PS run,
-	// elastic included — a deterministic registry snapshot every
-	// TimelineEvery global iterations (see metrics.TimelineEmitter).
-	Timeline io.Writer
-	// Spans, when non-nil, collects per-batch distributed spans: every
-	// worker, every PS shard this process hosts and the transport get a
-	// tracer from this collector, and every Spans.Every()-th batch per
-	// worker is traced end to end (sampling, cache lookup, gradient
-	// compute, PS RPCs, wire time, shard apply). nil disables tracing at
-	// zero cost (the tracers stay nil).
-	Spans *span.Collector
+	elastic *membership
+	// timeline and spans are the sinks TimelinePath and SpanPath name. A
+	// nil timeline records nothing; a nil collector leaves every tracer
+	// nil, which disables tracing at zero cost.
+	timeline *os.File
+	spans    *span.Collector
 
+	hooks hooks
+}
+
+// hooks stand in for what a test cannot name in a RunConfig; Run passes
+// none.
+type hooks struct {
 	// candidates and bufferCap, when positive, stand in for evalCandidates
 	// and degradedMaxBufferedRows, so a test can shrink them.
 	candidates, bufferCap int
@@ -141,6 +141,14 @@ type Config struct {
 	// that hosts its shards, so a test can inject faults; the wrapper goes
 	// behind in-process links on Codec.
 	wrapInProc func(ps.Transport) (ps.Transport, error)
+	// partitioner, when non-nil, replaces the named one (a fake that
+	// builds a degenerate partition).
+	partitioner partition.Partitioner
+	// coordinator, when non-nil, makes the run an elastic worker of this
+	// in-process coordinator, registered as label: JoinAddr without the
+	// socket.
+	coordinator ps.Coordinator
+	label       string
 }
 
 const (
@@ -153,24 +161,134 @@ const (
 	degradedMaxBufferedRows = 65536
 )
 
-// Validate resolves the spec (RunConfig.Resolve) and checks the
-// configuration. It creates a private Metrics registry when none is given.
-func (c *Config) Validate() error {
-	c.Resolve()
-	if c.Train == nil || c.Train.NumTriples() == 0 {
+// Split is the train/valid/test split a run with this seed trains and
+// validates on — the one derivation, so a tool scoring a checkpoint's test
+// triples (`hetkg eval`) can never be handed triples the run trained on.
+// Freebase-86m uses 90/5/5 in the paper; the standard benchmarks keep small
+// validation/test tails at our scales.
+func Split(g *kg.Graph, seed int64) (kg.Split, error) {
+	return kg.SplitTriples(g, rand.New(rand.NewSource(seed+17)), 0.05, 0.05)
+}
+
+// derive resolves rc and derives from its names and seeds every object the
+// run uses. Every process of a run derives the same dataset, split,
+// partition and rows this way, because shards receive no state transfer. A
+// shard (BuildShard) stops at the layout: it builds no filter index or
+// corruption weights, opens no sink and joins no coordinator. A trainer
+// opens its sinks before it joins (elastic.go), so a sink that fails
+// cannot leave it registered; release closes what derive opened.
+func derive(rc RunConfig, h hooks, shard bool) (*config, error) {
+	rc.Resolve()
+	g := rc.Graph
+	if g == nil {
+		var ok bool
+		g, ok = dataset.ByNameCached(rc.Dataset, rc.Scale, rc.Seed, rc.Artifacts)
+		if !ok {
+			return nil, fmt.Errorf("train: unknown dataset %q (have %v)", rc.Dataset, dataset.Names())
+		}
+	}
+	sp, err := Split(g, rc.Seed)
+	if err != nil {
+		return nil, err
+	}
+	mdl, err := model.New(rc.ModelName)
+	if err != nil {
+		return nil, err
+	}
+	part, err := partition.New(rc.PartitionerName, rc.Seed)
+	if err != nil {
+		return nil, err
+	}
+	name, lr := rc.OptimizerName, float32(rc.LR)
+	if _, err := opt.New(name, lr); err != nil {
+		return nil, err
+	}
+	loss, err := model.NewLoss(rc.LossName, float32(rc.Margin))
+	if err != nil {
+		return nil, err
+	}
+	c := &config{
+		RunConfig: rc,
+		train:     sp.Train,
+		valid:     sp.Valid.Triples,
+		model:     mdl,
+		loss:      loss,
+		part:      partition.Cached(part, rc.Artifacts),
+		newOpt: func() opt.Optimizer {
+			o, _ := opt.New(name, lr) // validated above
+			return o
+		},
+		hooks: h,
+	}
+	if h.partitioner != nil {
+		c.part = h.partitioner
+	}
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	if shard {
+		return c, nil
+	}
+	c.filter = sp.AllTriples()
+	if rc.DegreeWeightedNegatives {
+		c.negWeights = sampler.DegreeWeights(sp.Train.EntityDegrees())
+	}
+	if rc.TimelinePath != "" {
+		if dir := filepath.Dir(rc.TimelinePath); dir != "." {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				return nil, fmt.Errorf("train: creating timeline directory: %w", err)
+			}
+		}
+		if c.timeline, err = os.Create(rc.TimelinePath); err != nil {
+			return nil, fmt.Errorf("train: creating timeline: %w", err)
+		}
+	}
+	if rc.SpanPath != "" {
+		c.spans = span.NewCollector(span.CollectorConfig{Every: rc.SpanEvery})
+	}
+	if c.joins() {
+		if err := c.join(); err != nil {
+			_, err = c.release(nil, err)
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// release closes what derive opened for the run that ended with res and
+// err: a failed elastic worker hands its partitions back (a finished one
+// already left), the coordinator connection and the timeline close, and
+// a successful run's spans are written.
+func (c *config) release(res *Result, err error) (*Result, error) {
+	if e := c.elastic; e != nil {
+		if err != nil {
+			// A failed worker holds its partitions until the coordinator's
+			// worker timeout; hand them back now. Best effort: the timeout
+			// still releases them if this fails.
+			_ = e.coordinator.Leave(ps.LeaveRequest{WorkerID: e.join.WorkerID})
+		}
+		closeCoordinator(e.coordinator)
+	}
+	if c.timeline != nil {
+		if cerr := c.timeline.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("train: closing timeline: %w", cerr)
+		}
+	}
+	if c.spans != nil && err == nil {
+		hdr := span.Header{System: res.System, Dataset: c.Dataset, Every: c.spans.Every(), Seed: c.Seed}
+		if werr := span.WriteFile(c.SpanPath, hdr, c.spans.Drain()); werr != nil {
+			return res, fmt.Errorf("train: writing spans: %w", werr)
+		}
+	}
+	return res, err
+}
+
+// validate checks the resolved configuration, the elastic checks that need
+// a join reply aside (join). It creates a private Metrics registry when
+// none is given.
+func (c *config) validate() error {
+	if c.train.NumTriples() == 0 {
 		return fmt.Errorf("train: empty graph")
-	}
-	if c.Model == nil {
-		return fmt.Errorf("train: nil model")
-	}
-	if c.Loss == nil {
-		return fmt.Errorf("train: nil loss")
-	}
-	if c.Partitioner == nil {
-		return fmt.Errorf("train: nil partitioner")
-	}
-	if c.NewOptimizer == nil {
-		return fmt.Errorf("train: nil optimizer")
 	}
 	if c.Dim <= 0 {
 		return fmt.Errorf("train: Dim %d <= 0", c.Dim)
@@ -223,20 +341,12 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("train: checkpoint trained with %q, run requests %q", r.ModelName, c.ModelName)
 		}
 	}
-	if e := c.Elastic; e != nil {
+	if c.joins() {
 		switch {
 		case c.System == SystemPBG:
 			return fmt.Errorf("train: system %s does not support elastic mode", c.System)
-		case e.Coordinator == nil || e.Join == nil:
-			return fmt.Errorf("train: elastic run needs a coordinator and its join reply")
 		case c.WorkersPerMachine > 1:
 			return fmt.Errorf("train: elastic mode supports 1 worker per machine, got %d", c.WorkersPerMachine)
-		case e.Join.Partitions != c.Machines:
-			return fmt.Errorf("train: coordinator runs %d partitions, this process is configured for %d machines",
-				e.Join.Partitions, c.Machines)
-		case len(e.Join.ShardAddrs) > 0 && len(e.Join.ShardAddrs) != c.Machines:
-			return fmt.Errorf("train: coordinator advertises %d shard addresses for %d machines",
-				len(e.Join.ShardAddrs), c.Machines)
 		}
 	}
 	if err := c.CostModel.Validate(); err != nil {
@@ -259,8 +369,8 @@ func (c *Config) Validate() error {
 
 // cacheCapacity is k: CacheCapacity when set, else CacheBudget of the
 // entity+relation universe (at least one row), else 5% of it.
-func (c *Config) cacheCapacity() int {
-	universe := c.Train.NumEntity + c.Train.NumRel
+func (c *config) cacheCapacity() int {
+	universe := c.train.NumEntity + c.train.NumRel
 	switch {
 	case c.CacheCapacity != 0:
 		return c.CacheCapacity
@@ -310,7 +420,7 @@ type Result struct {
 	// RefreshRows is the total rows re-pulled by cache builds and
 	// staleness refreshes — the overhead side of the Fig. 8(b) trade-off.
 	RefreshRows int64
-	// Metrics is the run's registry (Config.Metrics, or the one Validate
+	// Metrics is the run's registry (RunConfig.Metrics, or the one validate
 	// created), holding every named series the run published.
 	Metrics *metrics.Registry
 }
@@ -335,17 +445,17 @@ func (r *Result) LocalServiceRatio() float64 {
 func (r *Result) Total() time.Duration { return r.Comp + r.Comm }
 
 // evalNow scores validation MRR with the run's eval settings.
-func evalNow(cfg *Config, ents, rels *vec.Matrix) (eval.Result, error) {
-	test := cfg.Valid
+func evalNow(cfg *config, ents, rels *vec.Matrix) (eval.Result, error) {
+	test := cfg.valid
 	if cfg.EvalMax > 0 && len(test) > cfg.EvalMax {
 		test = test[:cfg.EvalMax]
 	}
 	return eval.Evaluate(eval.Config{
-		Model:         cfg.Model,
+		Model:         cfg.model,
 		Entities:      ents,
 		Relations:     rels,
-		Filter:        cfg.Filter,
-		NumCandidates: cmp.Or(cfg.candidates, evalCandidates),
+		Filter:        cfg.filter,
+		NumCandidates: cmp.Or(cfg.hooks.candidates, evalCandidates),
 		Seed:          cfg.Seed + 1000,
 		Parallelism:   cfg.Parallelism,
 	}, test)

@@ -5,9 +5,7 @@ import (
 
 	"hetkg/internal/kg"
 	"hetkg/internal/model"
-	"hetkg/internal/opt"
 	"hetkg/internal/partition"
-	"hetkg/internal/sampler"
 )
 
 // Every registered model must train end-to-end (loss decreasing) on the
@@ -25,8 +23,8 @@ func TestAllModelsTrainEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Model = m
-			res, err := Run(cfg)
+			cfg.ModelName = name
+			res, err := cfg.run()
 			if err != nil {
 				t.Fatalf("HET-KG(%s): %v", name, err)
 			}
@@ -46,7 +44,7 @@ func TestMultipleWorkersPerMachine(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.WorkersPerMachine = 2
 	cfg.Epochs = 2
-	res, err := Run(cfg)
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatalf("HET-KG 2x2 workers: %v", err)
 	}
@@ -61,14 +59,14 @@ func TestMultipleWorkersPerMachine(t *testing.T) {
 func TestQuantizedTraining(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 2
-	exact, err := Run(cfg)
+	exact, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := testConfig(t, 2)
 	q.Epochs = 2
 	q.Codec = "int8"
-	quant, err := Run(q)
+	quant, err := q.run()
 	if err != nil {
 		t.Fatalf("quantized training: %v", err)
 	}
@@ -96,16 +94,9 @@ func TestAlternativeOptimizers(t *testing.T) {
 			if name == "sgd" {
 				cfg.LR = 0.05 // plain SGD needs a gentler rate
 			}
-			lr := cfg.LR
-			cfg.NewOptimizer = func() opt.Optimizer {
-				o, err := opt.New(name, float32(lr))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return o
-			}
+			cfg.OptimizerName = name
 			cfg.System = SystemDGLKE
-			res, err := Run(cfg)
+			res, err := cfg.run()
 			if err != nil {
 				t.Fatalf("DGL-KE(%s): %v", name, err)
 			}
@@ -124,12 +115,8 @@ func TestAlternativePartitioners(t *testing.T) {
 			cfg := testConfig(t, 4)
 			cfg.Epochs = 1
 			cfg.EvalEvery = -1
-			p, err := partition.New(name, cfg.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Partitioner = p
-			if _, err := Run(cfg); err != nil {
+			cfg.PartitionerName = name
+			if _, err := cfg.run(); err != nil {
 				t.Fatalf("HET-KG with %s partitioner: %v", name, err)
 			}
 		})
@@ -138,11 +125,11 @@ func TestAlternativePartitioners(t *testing.T) {
 
 func TestRankingLossTraining(t *testing.T) {
 	cfg := testConfig(t, 2)
-	cfg.Loss = model.RankingLoss{Margin: 1}
+	cfg.LossName, cfg.Margin = "ranking", 1
 	cfg.Epochs = 2
 	cfg.EvalEvery = -1
 	cfg.System = SystemDGLKE
-	res, err := Run(cfg)
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatalf("ranking-loss training: %v", err)
 	}
@@ -160,9 +147,9 @@ func TestEmptyMachineTolerated(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.EvalEvery = -1
 	// Force a degenerate partition: everything on machine 0.
-	cfg.Partitioner = &allOnZero{}
+	cfg.hooks.partitioner = &allOnZero{}
 	cfg.System = SystemDGLKE
-	res, err := Run(cfg)
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatalf("degenerate partition: %v", err)
 	}
@@ -225,7 +212,7 @@ func TestAdversarialTraining(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.AdversarialTemp = 1
 	cfg.Epochs = 2
-	res, err := Run(cfg)
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatalf("adversarial training: %v", err)
 	}
@@ -250,8 +237,8 @@ func TestDegreeWeightedNegativeTraining(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 2
 	cfg.EvalEvery = -1
-	cfg.NegativeWeights = sampler.DegreeWeights(cfg.Train.EntityDegrees())
-	res, err := Run(cfg)
+	cfg.DegreeWeightedNegatives = true
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatalf("degree-weighted training: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 // pull or push fails because a shard link is down (ps.DegradedError, i.e.
 // every retry exhausted or the circuit breaker open), the worker keeps
 // training instead of dying: pulls for rows still within
-// Config.DegradedMaxStaleness are served from the hot cache, and pushes
+// RunConfig.DegradedMaxStaleness are served from the hot cache, and pushes
 // for the unreachable shard coalesce by key into a bounded buffer that
 // replays once the link recovers. Correctness stays explicit — a row used
 // for a gradient is never staler than max(CacheSyncEvery,
@@ -73,7 +73,7 @@ func (w *worker) bufferPushes(down, keys []ps.Key, grads [][]float32, cause erro
 			vec.Add(buf, buf, g)
 			continue
 		}
-		if w.buffered >= cmp.Or(w.cfg.bufferCap, degradedMaxBufferedRows) {
+		if w.buffered >= cmp.Or(w.cfg.hooks.bufferCap, degradedMaxBufferedRows) {
 			return fmt.Errorf("train: degraded push buffer full (%d rows): %w", w.buffered, cause)
 		}
 		w.pushBuf[x] = append([]float32(nil), g...)

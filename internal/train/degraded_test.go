@@ -55,14 +55,14 @@ func (o *outageTransport) Close() error { return o.inner.Close() }
 // degradedConfig is testConfig tuned so a mid-epoch outage is survivable:
 // the hot table is big enough to hold the whole epoch-1 census (every key
 // the epoch will touch is stale-servable) and the staleness bound is wide.
-func degradedConfig(t *testing.T, from, until int) Config {
+func degradedConfig(t *testing.T, from, until int) trial {
 	t.Helper()
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 2
 	cfg.EvalEvery = -1
 	cfg.CacheCapacity = 5000
 	cfg.DegradedMaxStaleness = 10000
-	cfg.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
+	cfg.hooks.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
 		return &outageTransport{inner: inner, shard: 1, from: from, until: until}, nil
 	}
 	return cfg
@@ -78,7 +78,7 @@ func TestDegradedSurvivesShardOutage(t *testing.T) {
 		cfg := degradedConfig(t, 40, 120)
 		reg := metrics.NewRegistry()
 		cfg.Metrics = reg
-		res, err := Run(cfg)
+		res, err := cfg.run()
 		if err != nil {
 			t.Fatalf("degraded run failed: %v", err)
 		}
@@ -123,7 +123,7 @@ func TestDegradedSurvivesShardOutage(t *testing.T) {
 func TestDegradedDisabledSurfacesOutage(t *testing.T) {
 	cfg := degradedConfig(t, 40, 120)
 	cfg.DegradedMaxStaleness = 0
-	if _, err := Run(cfg); !errors.Is(err, ps.ErrLinkDown) {
+	if _, err := cfg.run(); !errors.Is(err, ps.ErrLinkDown) {
 		t.Fatalf("want the outage surfaced as ErrLinkDown, got %v", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestDegradedDisabledSurfacesOutage(t *testing.T) {
 func TestDegradedStalenessBoundIsFatal(t *testing.T) {
 	cfg := degradedConfig(t, 40, -1)
 	cfg.DegradedMaxStaleness = 1
-	_, err := Run(cfg)
+	_, err := cfg.run()
 	if err == nil || !strings.Contains(err.Error(), "staleness bound") {
 		t.Fatalf("want staleness-bound failure, got %v", err)
 	}
@@ -148,8 +148,8 @@ func TestDegradedStalenessBoundIsFatal(t *testing.T) {
 // of growing without limit.
 func TestDegradedBufferBudgetIsFatal(t *testing.T) {
 	cfg := degradedConfig(t, 40, -1)
-	cfg.bufferCap = 2
-	_, err := Run(cfg)
+	cfg.hooks.bufferCap = 2
+	_, err := cfg.run()
 	if err == nil || !strings.Contains(err.Error(), "buffer full") {
 		t.Fatalf("want buffer-budget failure, got %v", err)
 	}
@@ -161,7 +161,7 @@ func TestDegradedBufferBudgetIsFatal(t *testing.T) {
 func TestDegradedDrainFailureIsFatal(t *testing.T) {
 	cfg := degradedConfig(t, 40, -1)
 	cfg.Epochs = 1
-	_, err := Run(cfg)
+	_, err := cfg.run()
 	if err == nil || !strings.Contains(err.Error(), "buffered degraded push") {
 		t.Fatalf("want strict-drain failure, got %v", err)
 	}

@@ -1,4 +1,4 @@
-package core_test
+package train_test
 
 import (
 	"flag"
@@ -8,11 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"hetkg/internal/core"
 	"hetkg/internal/dataset"
 	"hetkg/internal/metrics"
 	"hetkg/internal/plan"
 	"hetkg/internal/ps"
+	"hetkg/internal/train"
 )
 
 // TestMultiProcessDeploymentMatchesLocal stands up the `hetkg ps`
@@ -21,10 +21,10 @@ import (
 // embeddings to the all-in-one-process run. This is the correctness proof
 // of the "no state transfer" deterministic-derivation design.
 func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
-	base := core.RunConfig{
+	base := train.RunConfig{
 		Dataset:  "fb15k",
 		Scale:    dataset.Tiny,
-		System:   core.SystemHETKGC,
+		System:   train.SystemHETKGC,
 		Machines: 2,
 		Epochs:   1,
 		Seed:     31,
@@ -38,10 +38,10 @@ func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
 	t.Run("adam", func(t *testing.T) { multiProcessMatchesLocal(t, derived, derived) })
 	// tcp-chatty's shape: four shards, so each pull and push is one round of
 	// four overlapped requests.
-	chatty := core.RunConfig{
+	chatty := train.RunConfig{
 		Dataset:   "wn18",
 		Scale:     dataset.Tiny,
-		System:    core.SystemDGLKE,
+		System:    train.SystemDGLKE,
 		Machines:  4,
 		Dim:       16,
 		BatchSize: 32,
@@ -58,7 +58,7 @@ func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
 	// or defaulted differently would derive different rows.
 	identity := []string{"-dataset", "wn18", "-scale", "tiny", "-model", "distmult", "-dim", "12", "-lr", "0.05",
 		"-optimizer", "adam", "-machines", "3", "-partitioner", "ldg", "-seed", "7"}
-	var shardRC core.RunConfig
+	var shardRC train.RunConfig
 	psFlags := flag.NewFlagSet("ps", flag.ContinueOnError)
 	plan.BindIdentity(psFlags, &shardRC)
 	trainFlags := flag.NewFlagSet("train", flag.ContinueOnError)
@@ -74,13 +74,13 @@ func TestMultiProcessDeploymentMatchesLocal(t *testing.T) {
 
 // multiProcessMatchesLocal builds the shards from shardRC — the run as a
 // shard process sees it — and trains trainRC against them and in-process.
-func multiProcessMatchesLocal(t *testing.T, shardRC, rc core.RunConfig) {
+func multiProcessMatchesLocal(t *testing.T, shardRC, rc train.RunConfig) {
 	// "Processes": each shard built independently from the config.
 	var addrs []string
 	for m := 0; m < rc.Machines; m++ {
-		shard, err := core.BuildShard(shardRC, m)
+		shard, err := train.BuildShard(shardRC, m)
 		if err != nil {
-			t.Fatalf("core.BuildShard(%d): %v", m, err)
+			t.Fatalf("train.BuildShard(%d): %v", m, err)
 		}
 		if shard.NumRows() == 0 {
 			t.Fatalf("shard %d owns no rows", m)
@@ -96,11 +96,11 @@ func multiProcessMatchesLocal(t *testing.T, shardRC, rc core.RunConfig) {
 
 	remote := rc
 	remote.ShardAddrs = addrs
-	remoteRes, err := core.Run(remote)
+	remoteRes, err := train.Run(remote)
 	if err != nil {
 		t.Fatalf("remote-shard run: %v", err)
 	}
-	localRes, err := core.Run(rc)
+	localRes, err := train.Run(rc)
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
@@ -131,10 +131,10 @@ func multiProcessMatchesLocal(t *testing.T, shardRC, rc core.RunConfig) {
 func TestInProcessCodecMatchesTCP(t *testing.T) {
 	for _, codec := range []string{ps.ProfileFP32, ps.ProfileFP16, ps.ProfileInt8, ps.ProfileDeltaInt8, ps.ProfileTopK} {
 		t.Run(codec, func(t *testing.T) {
-			rc := core.RunConfig{
+			rc := train.RunConfig{
 				Dataset:  "fb15k",
 				Scale:    dataset.Tiny,
-				System:   core.SystemHETKGD,
+				System:   train.SystemHETKGD,
 				Machines: 2,
 				Epochs:   2,
 				Seed:     31,
@@ -151,10 +151,10 @@ func TestInProcessCodecMatchesTCP(t *testing.T) {
 // connection the run opened closed: a trainer that left its links open
 // made each Acceptor.Shutdown wait out its full grace.
 func TestRunClosesItsShardConnections(t *testing.T) {
-	rc := core.RunConfig{
+	rc := train.RunConfig{
 		Dataset:  "fb15k",
 		Scale:    dataset.Tiny,
-		System:   core.SystemDGLKE,
+		System:   train.SystemDGLKE,
 		Machines: 2,
 		Epochs:   1,
 		Seed:     31,
@@ -189,13 +189,13 @@ func TestRunClosesItsShardConnections(t *testing.T) {
 				run.ShardAddrs = addrs
 			}
 			for m, acc := range accs {
-				shard, err := core.BuildShard(rc, m)
+				shard, err := train.BuildShard(rc, m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				go acc.Serve(countingListener{ls[m], &open}, shard)
 			}
-			if _, err := core.Run(run); err != nil {
+			if _, err := train.Run(run); err != nil {
 				t.Fatal(err)
 			}
 			for deadline := time.Now().Add(5 * time.Second); open.Load() > 0 && time.Now().Before(deadline); {
@@ -213,10 +213,10 @@ func TestRunClosesItsShardConnections(t *testing.T) {
 // each other. Every hello carries a random link id, so its uvarint must be
 // one fixed length for the counts to be a function of the run.
 func TestLoopbackRunsCountIdenticalSocketBytes(t *testing.T) {
-	rc := core.RunConfig{
+	rc := train.RunConfig{
 		Dataset:  "fb15k",
 		Scale:    dataset.Tiny,
-		System:   core.SystemDGLKE,
+		System:   train.SystemDGLKE,
 		Machines: 2,
 		Epochs:   1,
 		Seed:     31,
@@ -231,7 +231,7 @@ func TestLoopbackRunsCountIdenticalSocketBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			shard, err := core.BuildShard(rc, m)
+			shard, err := train.BuildShard(rc, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +240,7 @@ func TestLoopbackRunsCountIdenticalSocketBytes(t *testing.T) {
 			go acc.Serve(l, shard)
 			accs, run.ShardAddrs = append(accs, acc), append(run.ShardAddrs, l.Addr().String())
 		}
-		if _, err := core.Run(run); err != nil {
+		if _, err := train.Run(run); err != nil {
 			t.Fatal(err)
 		}
 		// Run closed its links; waiting for the sessions to end counts
@@ -289,33 +289,33 @@ func (c *countedConn) Close() error {
 }
 
 func TestShardAddrCountValidation(t *testing.T) {
-	rc := core.RunConfig{
+	rc := train.RunConfig{
 		Dataset:    "fb15k",
 		Scale:      dataset.Tiny,
-		System:     core.SystemDGLKE,
+		System:     train.SystemDGLKE,
 		Machines:   2,
 		Epochs:     1,
 		Seed:       31,
 		ShardAddrs: []string{"127.0.0.1:1"},
 	}
-	if _, err := core.Run(rc); err == nil {
+	if _, err := train.Run(rc); err == nil {
 		t.Error("mismatched shard address count accepted")
 	}
 }
 
 func TestBuildShardValidation(t *testing.T) {
-	rc := core.RunConfig{Dataset: "fb15k", Scale: dataset.Tiny, Machines: 2, Seed: 1}
-	if _, err := core.BuildShard(rc, 5); err == nil {
+	rc := train.RunConfig{Dataset: "fb15k", Scale: dataset.Tiny, Machines: 2, Seed: 1}
+	if _, err := train.BuildShard(rc, 5); err == nil {
 		t.Error("out-of-range machine accepted")
 	}
 	bad := rc
 	bad.Dataset = "nope"
-	if _, err := core.BuildShard(bad, 0); err == nil {
+	if _, err := train.BuildShard(bad, 0); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 	bad = rc
 	bad.ModelName = "nope"
-	if _, err := core.BuildShard(bad, 0); err == nil {
+	if _, err := train.BuildShard(bad, 0); err == nil {
 		t.Error("unknown model accepted")
 	}
 }

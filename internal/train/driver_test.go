@@ -12,7 +12,7 @@ import (
 )
 
 // TestRunPicksTheSystem: Run trains whichever of the four systems
-// Config.System names, and the system decides the hot table — DGL-KE looks
+// RunConfig.System names, and the system decides the hot table — DGL-KE looks
 // nothing up in one, and HET-KG-D's rebuild every D iterations re-pulls
 // more rows than HET-KG-C's one-shot build.
 func TestRunPicksTheSystem(t *testing.T) {
@@ -23,7 +23,7 @@ func TestRunPicksTheSystem(t *testing.T) {
 		cfg.EvalEvery = -1
 		cfg.CachePrefetchD = 8
 		cfg.System = sys
-		r, err := Run(cfg)
+		r, err := cfg.run()
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
@@ -41,20 +41,16 @@ func TestRunPicksTheSystem(t *testing.T) {
 	}
 }
 
-// TestElasticRefusesPBG: PBG has no parameter-server driver, so a Config
+// TestElasticRefusesPBG: PBG has no parameter-server driver, so a run
 // that asks for it as an elastic worker is refused by name before anything
 // is built.
 func TestElasticRefusesPBG(t *testing.T) {
 	m := elasticMembership(t, 2)
-	join, err := m.Join(ps.JoinRequest{Label: "pbg"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := testConfig(t, 2)
 	cfg.System = SystemPBG
-	cfg.Elastic = &ElasticConfig{Coordinator: m, Join: join}
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "PBG") || !strings.Contains(err.Error(), "elastic") {
-		t.Fatalf("Validate = %v, want a refusal naming PBG and elastic mode", err)
+	cfg.hooks.coordinator, cfg.hooks.label = m, "pbg"
+	if _, err := cfg.derive(); err == nil || !strings.Contains(err.Error(), "PBG") || !strings.Contains(err.Error(), "elastic") {
+		t.Fatalf("derive = %v, want a refusal naming PBG and elastic mode", err)
 	}
 }
 
@@ -63,7 +59,7 @@ func TestElasticRefusesPBG(t *testing.T) {
 // layout, and the worker refuses to join its training.
 func TestElasticRefusesForeignPartitionCount(t *testing.T) {
 	cfg := testConfig(t, 2)
-	_, err := runElastic(cfg, ElasticConfig{Coordinator: elasticMembership(t, 3), Label: "foreign"})
+	_, err := runElastic(cfg, elasticMembership(t, 3), "foreign")
 	if err == nil || !strings.Contains(err.Error(), "3 partitions") {
 		t.Fatalf("elastic run against a 3-partition coordinator: %v, want a refusal naming its 3 partitions", err)
 	}
@@ -71,7 +67,7 @@ func TestElasticRefusesForeignPartitionCount(t *testing.T) {
 
 // TestElasticSoloMatchesStatic: an elastic process that holds every
 // partition trains exactly what the static trainer trains on the same
-// Config — the same driver, the same turn order. The partitions have
+// run — the same driver, the same turn order. The partitions have
 // unequal iterations per epoch, so the order depends on the epoch barrier,
 // and the process heartbeats before nearly every turn, so it would depend
 // on the clock if a beat could reorder turns. Only per-epoch MRR (elastic
@@ -85,16 +81,16 @@ func TestElasticSoloMatchesStatic(t *testing.T) {
 			if sys == SystemHETKGD {
 				cfg.CachePrefetchD = 8
 			}
-			probe := cfg
-			if err := probe.Validate(); err != nil {
+			probe, err := cfg.derive()
+			if err != nil {
 				t.Fatal(err)
 			}
-			env, err := setupPS(&probe)
+			env, err := setupPS(probe)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer env.tr.Close()
-			d, err := newStatic(&probe, env)
+			d, err := newStatic(probe, env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +102,7 @@ func TestElasticSoloMatchesStatic(t *testing.T) {
 				t.Fatalf("iterations per epoch %v: want every partition present, not all equal", ipe)
 			}
 
-			want, err := Run(cfg)
+			want, err := cfg.run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +116,7 @@ func TestElasticSoloMatchesStatic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"})
+			got, err := runElastic(cfg, m, "solo")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +170,7 @@ func TestElasticSnapshotOutsideRunIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.RecoverFrom = dir
-	res, err := runElastic(cfg, ElasticConfig{Coordinator: elasticMembership(t, 2), Label: "bounded"})
+	res, err := runElastic(cfg, elasticMembership(t, 2), "bounded")
 	if err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}
@@ -206,7 +202,7 @@ func TestElasticHintOutsideRunFailsAdoption(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = runElastic(cfg, ElasticConfig{Coordinator: m, Label: "adopter"})
+	_, err = runElastic(cfg, m, "adopter")
 	if err == nil || !strings.Contains(err.Error(), "partition 0") {
 		t.Fatalf("adoption error = %v, want one naming partition 0", err)
 	}

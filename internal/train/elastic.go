@@ -23,18 +23,65 @@ import (
 // when every partition has finished every epoch; each surviving process
 // then gathers the shards' state and evaluates.
 
-// ElasticConfig is one elastic worker process's membership (Config.Elastic);
+// membership is one elastic worker process's registration (config.elastic);
 // its snapshot directories, cadence and log sink are the spec's (CkptDir,
 // RecoverFrom, CkptEvery, ClusterLogf).
-type ElasticConfig struct {
-	// Coordinator is the joined membership handle: a *ps.CoordClient over
-	// TCP, or a *ps.Membership directly for single-process runs and tests.
-	Coordinator ps.Coordinator
-	// Join is this process's registration with Coordinator, performed by
-	// the caller; the trainer dials the shard fleet its reply names.
-	Join *ps.JoinReply
-	// Label identifies this process in coordinator logs.
-	Label string
+type membership struct {
+	// coordinator is the joined membership handle: a *ps.CoordClient over
+	// TCP, or a *ps.Membership directly for tests.
+	coordinator ps.Coordinator
+	// join is this process's registration with coordinator; setupPS dials
+	// the shard fleet its reply names.
+	join *ps.JoinReply
+	// label identifies this process in coordinator logs.
+	label string
+}
+
+// joins reports whether the run is an elastic worker: one with a
+// coordinator to join (JoinAddr, or the coordinator hook).
+func (c *config) joins() bool { return c.JoinAddr != "" || c.hooks.coordinator != nil }
+
+// join registers this process with the run's coordinator — the one at
+// JoinAddr, dialled here, or the hook's — and checks that the reply
+// describes this run's cluster. The machines this process was launched for
+// (LocalMachines) are the partitions it prefers. A worker refused after it
+// registered is left with c.elastic set, so release hands its partitions
+// back.
+func (c *config) join() error {
+	coord, label := c.hooks.coordinator, c.hooks.label
+	if coord == nil {
+		cc, err := ps.DialCoordinator(c.JoinAddr, 0)
+		if err != nil {
+			return err
+		}
+		host, _ := os.Hostname()
+		coord, label = cc, fmt.Sprintf("%s:%d", host, os.Getpid())
+	}
+	join, err := coord.Join(ps.JoinRequest{Label: label, Preferred: c.LocalMachines})
+	if err != nil {
+		closeCoordinator(coord)
+		return fmt.Errorf("train: joining cluster at %s: %w", c.JoinAddr, err)
+	}
+	c.elastic = &membership{coordinator: coord, join: join, label: label}
+	switch {
+	case c.JoinAddr != "" && len(join.ShardAddrs) == 0:
+		return fmt.Errorf("train: the coordinator at %s advertises no shards", c.JoinAddr)
+	case join.Partitions != c.Machines:
+		return fmt.Errorf("train: coordinator runs %d partitions, this process is configured for %d machines",
+			join.Partitions, c.Machines)
+	case len(join.ShardAddrs) > 0 && len(join.ShardAddrs) != c.Machines:
+		return fmt.Errorf("train: coordinator advertises %d shard addresses for %d machines",
+			len(join.ShardAddrs), c.Machines)
+	}
+	return nil
+}
+
+// closeCoordinator closes the connection join dialled; an in-process
+// coordinator has none.
+func closeCoordinator(coord ps.Coordinator) {
+	if cc, ok := coord.(*ps.CoordClient); ok {
+		cc.Close()
+	}
 }
 
 // resumable reports whether epoch ep, iteration iter is a position inside
@@ -49,15 +96,15 @@ func (r *partRunner) resumable(ep, iter, epochs int) bool {
 // whole cluster's partitions complete (or a fatal error); per-epoch
 // evaluation is off — a local barrier is not the cluster's, so only the
 // final state is evaluated.
-func newElastic(cfg *Config, env *psEnv) (*driver, error) {
+func newElastic(cfg *config, env *psEnv) (*driver, error) {
 	d, err := newDriver(cfg, env)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Spans != nil {
-		d.tracer = cfg.Spans.Tracer(span.MachineCluster, span.WorkerCluster)
+	if cfg.spans != nil {
+		d.tracer = cfg.spans.Tracer(span.MachineCluster, span.WorkerCluster)
 	}
-	join := d.ec.Join
+	join := d.ec.join
 	d.workerID = join.WorkerID
 	d.interval = join.HeartbeatEvery
 	if d.interval <= 0 {
@@ -103,7 +150,7 @@ func (d *driver) heartbeat() (allDone bool, err error) {
 	sp := d.tracer.RootNamed(d.beats, span.NClusterHeartbeat)
 	d.beats++
 	defer sp.End()
-	reply, err := d.ec.Coordinator.Heartbeat(ps.HeartbeatRequest{WorkerID: d.workerID, Progress: d.progressAll()})
+	reply, err := d.ec.coordinator.Heartbeat(ps.HeartbeatRequest{WorkerID: d.workerID, Progress: d.progressAll()})
 	if err != nil {
 		return false, err
 	}
@@ -111,7 +158,7 @@ func (d *driver) heartbeat() (allDone bool, err error) {
 		// The coordinator expired us (a long stall on our side). Re-join,
 		// preferring the partitions we still hold — if nobody adopted them
 		// meanwhile, we get them back without losing local state.
-		join, err := d.ec.Coordinator.Join(ps.JoinRequest{Label: d.ec.Label, Preferred: d.sortedParts()})
+		join, err := d.ec.coordinator.Join(ps.JoinRequest{Label: d.ec.label, Preferred: d.sortedParts()})
 		if err != nil {
 			return false, fmt.Errorf("re-joining after expiry: %w", err)
 		}
@@ -134,12 +181,12 @@ func (d *driver) shipTelemetry() {
 	if d.telemetryOff {
 		return
 	}
-	label := d.ec.Label // this process's fleet identity
+	label := d.ec.label // this process's fleet identity
 	if label == "" {
 		label = fmt.Sprintf("worker-%d", d.workerID)
 	}
 	d.telemetrySeq++
-	err := d.ec.Coordinator.SendTelemetry(telemetry.Report{
+	err := d.ec.coordinator.SendTelemetry(telemetry.Report{
 		Role:    telemetry.RoleWorker,
 		Label:   label,
 		Seq:     d.telemetrySeq,

@@ -1,4 +1,4 @@
-package core
+package train
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"testing"
@@ -239,5 +240,48 @@ func TestRefusedJoinerReleasesItsPartitions(t *testing.T) {
 	}
 	if snap := coord.Snapshot(); snap.Workers != 0 || snap.Unassigned != rc.Machines {
 		t.Errorf("after the refused run: %d workers, %d of %d partitions unassigned", snap.Workers, snap.Unassigned, rc.Machines)
+	}
+}
+
+// TestJoinerWithoutItsTimelineLeavesNoRegistration: a `-join` process
+// whose timeline cannot be created — its path runs through a regular file
+// — fails without holding any partition: it opens its sinks before it
+// joins, so the coordinator never counts it as a worker.
+func TestJoinerWithoutItsTimelineLeavesNoRegistration(t *testing.T) {
+	rc := procRunConfig()
+	shard0, err := BuildShard(rc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := ps.NewMembership(ps.MemberConfig{
+		Partitions:     rc.Machines,
+		ShardAddrs:     []string{l0.Addr().String(), l0.Addr().String()},
+		HeartbeatEvery: time.Second,
+		WorkerTimeout:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := &ps.Acceptor{Coordinator: coord}
+	go acc.Serve(l0, shard0)
+	defer func() {
+		l0.Close()
+		acc.Shutdown(time.Second)
+	}()
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rc.JoinAddr = l0.Addr().String()
+	rc.TimelinePath = filepath.Join(file, "timeline.jsonl")
+	if _, err := Run(rc); err == nil {
+		t.Fatal("a run whose timeline sits under a regular file succeeded")
+	}
+	if snap := coord.Snapshot(); snap.Workers != 0 || snap.Unassigned != rc.Machines {
+		t.Errorf("after the failed run: %d workers, %d of %d partitions unassigned", snap.Workers, snap.Unassigned, rc.Machines)
 	}
 }

@@ -26,23 +26,19 @@ func elasticMembership(t *testing.T, parts int) *ps.Membership {
 	return m
 }
 
-// runElastic joins ec.Coordinator as ec.Label, preferring the given
-// partitions, and runs cfg as that elastic worker.
-func runElastic(cfg Config, ec ElasticConfig, preferred ...int) (*Result, error) {
-	join, err := ec.Coordinator.Join(ps.JoinRequest{Label: ec.Label, Preferred: preferred})
-	if err != nil {
-		return nil, err
-	}
-	ec.Join = join
-	cfg.Elastic = &ec
-	return Run(cfg)
+// runElastic runs cfg as an elastic worker that joins coord as label,
+// preferring the given partitions.
+func runElastic(cfg trial, coord ps.Coordinator, label string, preferred ...int) (*Result, error) {
+	cfg.hooks.coordinator, cfg.hooks.label = coord, label
+	cfg.LocalMachines = preferred
+	return cfg.run()
 }
 
 func TestElasticSingleWorkerTrains(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Dataset = "traintest"
 	m := elasticMembership(t, 2)
-	res, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"})
+	res, err := runElastic(cfg, m, "solo")
 	if err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}
@@ -81,7 +77,7 @@ func TestElasticShipsTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "solo"}); err != nil {
+	if _, err := runElastic(cfg, m, "solo"); err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}
 	v := fleet.View()
@@ -110,7 +106,7 @@ func TestElasticTelemetryDisabledWithoutAggregator(t *testing.T) {
 	cfg.Dataset = "traintest"
 	cfg.Metrics = metrics.NewRegistry()
 	m := elasticMembership(t, 2)
-	if _, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "mute"}); err != nil {
+	if _, err := runElastic(cfg, m, "mute"); err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}
 	if !m.AllDone() {
@@ -140,7 +136,7 @@ func TestElasticResumeFromSnapshot(t *testing.T) {
 
 	cfg.CkptDir, cfg.CkptEvery = dir, 4
 	m := elasticMembership(t, 2)
-	res, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "resumer"})
+	res, err := runElastic(cfg, m, "resumer")
 	if err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}
@@ -183,7 +179,7 @@ func TestElasticIgnoresForeignAndCorruptSnapshots(t *testing.T) {
 
 	cfg.RecoverFrom = dir
 	m := elasticMembership(t, 2)
-	res, err := runElastic(cfg, ElasticConfig{Coordinator: m, Label: "skeptic"})
+	res, err := runElastic(cfg, m, "skeptic")
 	if err != nil {
 		t.Fatalf("elastic run: %v", err)
 	}
@@ -210,10 +206,7 @@ func TestElasticTwoWorkersSplitThePartitions(t *testing.T) {
 			defer wg.Done()
 			cfg := testConfig(t, 2)
 			cfg.Dataset = "traintest"
-			results[i], errs[i] = runElastic(cfg, ElasticConfig{
-				Coordinator: m,
-				Label:       "peer",
-			}, i)
+			results[i], errs[i] = runElastic(cfg, m, "peer", i)
 		}()
 	}
 	wg.Wait()
@@ -251,22 +244,19 @@ func TestElasticReadoptedPartitionRebuildsCPSTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(t, 2)
-	cfg.Dataset = "traintest"
-	join, err := m.Join(ps.JoinRequest{Label: "survivor"})
+	tr := testConfig(t, 2)
+	tr.Dataset = "traintest"
+	tr.hooks.coordinator, tr.hooks.label = m, "survivor"
+	cfg, err := tr.derive()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Elastic = &ElasticConfig{Coordinator: m, Join: join, Label: "survivor"}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	env, err := setupPS(&cfg)
+	env, err := setupPS(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.tr.Close()
-	e, err := newElastic(&cfg, env)
+	e, err := newElastic(cfg, env)
 	if err != nil {
 		t.Fatalf("newElastic: %v", err)
 	}

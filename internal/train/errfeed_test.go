@@ -150,7 +150,7 @@ func TestErrorFeedbackCounters(t *testing.T) {
 func TestTopKTrainingConvergence(t *testing.T) {
 	dense := testConfig(t, 2)
 	dense.Epochs = 3
-	dres, err := Run(dense)
+	dres, err := dense.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestTopKTrainingConvergence(t *testing.T) {
 	sparse.Epochs = 3
 	sparse.Codec = ps.ProfileTopK
 	sparse.TopKRatio = 0.25
-	sres, err := Run(sparse)
+	sres, err := sparse.run()
 	if err != nil {
 		t.Fatalf("topk training: %v", err)
 	}

@@ -45,7 +45,7 @@ func TestTrainerSurfacesPullFailure(t *testing.T) {
 			cfg := testConfig(t, 2)
 			cfg.Epochs = 1
 			cfg.EvalEvery = -1
-			cfg.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
+			cfg.hooks.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
 				return &flakyTransport{
 					inner:    inner,
 					failAt:   25,
@@ -53,7 +53,7 @@ func TestTrainerSurfacesPullFailure(t *testing.T) {
 					failPush: mode == "push",
 				}, nil
 			}
-			_, err := Run(cfg)
+			_, err := cfg.run()
 			if err == nil {
 				t.Fatal("trainer swallowed a transport failure")
 			}
@@ -69,32 +69,32 @@ func TestTrainerSurfacesEarlyFailure(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
 	cfg.EvalEvery = -1
-	cfg.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
+	cfg.hooks.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
 		return &flakyTransport{inner: inner, failAt: 1, failPull: true}, nil
 	}
-	if _, err := Run(cfg); err == nil {
+	if _, err := cfg.run(); err == nil {
 		t.Fatal("first-pull failure swallowed")
 	}
 	// DGL-KE path too.
 	cfg2 := testConfig(t, 2)
 	cfg2.Epochs = 1
 	cfg2.EvalEvery = -1
-	cfg2.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
+	cfg2.hooks.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
 		return &flakyTransport{inner: inner, failAt: 1, failPull: true}, nil
 	}
 	cfg2.System = SystemDGLKE
-	if _, err := Run(cfg2); err == nil {
+	if _, err := cfg2.run(); err == nil {
 		t.Fatal("DGL-KE first-pull failure swallowed")
 	}
 }
 
 func TestTransportConstructionFailure(t *testing.T) {
 	cfg := testConfig(t, 1)
-	cfg.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
+	cfg.hooks.wrapInProc = func(inner ps.Transport) (ps.Transport, error) {
 		return nil, errors.New("cannot reach cluster")
 	}
 	cfg.System = SystemDGLKE
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "cannot reach cluster") {
+	if _, err := cfg.run(); err == nil || !strings.Contains(err.Error(), "cannot reach cluster") {
 		t.Fatalf("transport construction error not surfaced: %v", err)
 	}
 }

@@ -54,14 +54,14 @@ func newTrainObs(reg *metrics.Registry) *trainObs {
 // ms is d in (fractional) milliseconds, the timeline's time unit.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// newTimeline starts cfg.Timeline as the run's timeline, or returns nil when
+// newTimeline starts cfg.timeline as the run's timeline, or returns nil when
 // the run records none. Every trainer opens its timeline here before doing
 // any work, so the file identifies its run even if the run then fails.
-func newTimeline(cfg *Config, system string) (*metrics.TimelineEmitter, error) {
-	if cfg.Timeline == nil {
+func newTimeline(cfg *config, system string) (*metrics.TimelineEmitter, error) {
+	if cfg.timeline == nil {
 		return nil, nil
 	}
-	return metrics.NewTimelineEmitter(cfg.Timeline, cfg.Metrics, metrics.TimelineHeader{
+	return metrics.NewTimelineEmitter(cfg.timeline, cfg.Metrics, metrics.TimelineHeader{
 		System:  system,
 		Dataset: cfg.Dataset,
 		Every:   cfg.TimelineEvery,

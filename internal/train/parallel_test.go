@@ -19,10 +19,10 @@ func TestParallelismDeterministic(t *testing.T) {
 		var res *Result
 		var err error
 		if system == "hetkg" {
-			res, err = Run(cfg)
+			res, err = cfg.run()
 		} else {
 			cfg.System = SystemDGLKE
-			res, err = Run(cfg)
+			res, err = cfg.run()
 		}
 		if err != nil {
 			t.Fatalf("%s (parallelism %d): %v", system, parallelism, err)
@@ -70,22 +70,26 @@ func TestParallelEvalDeterministic(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
 	cfg.System = SystemDGLKE
-	res, err := Run(cfg)
+	res, err := cfg.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, err := cfg.derive()
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := eval.Config{
-		Model:         cfg.Model,
+		Model:         derived.model,
 		Entities:      res.Entities,
 		Relations:     res.Relations,
-		Filter:        cfg.Filter,
+		Filter:        derived.filter,
 		NumCandidates: 40,
 		Seed:          99,
 	}
 	evalAt := func(p int) eval.Result {
 		c := base
 		c.Parallelism = p
-		r, err := eval.Evaluate(c, cfg.Valid)
+		r, err := eval.Evaluate(c, derived.valid)
 		if err != nil {
 			t.Fatalf("Evaluate(parallelism %d): %v", p, err)
 		}

@@ -24,19 +24,19 @@ import (
 // with the relation-matrix size (ruinous on many-relation graphs like
 // FB15k), and the lock server limits parallelism because concurrent pairs
 // must be bucket-disjoint (§VI-C.2's flat speedup curve).
-func trainPBG(cfg *Config) (*Result, error) {
+func trainPBG(cfg *config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	entDim := cfg.Model.EntityDim(cfg.Dim)
-	relDim := cfg.Model.RelationDim(cfg.Dim)
+	entDim := cfg.model.EntityDim(cfg.Dim)
+	relDim := cfg.model.RelationDim(cfg.Dim)
 	st := &pbgState{
 		cfg:     cfg,
-		ents:    vec.NewMatrix(cfg.Train.NumEntity, entDim),
-		rels:    vec.NewMatrix(cfg.Train.NumRel, relDim),
-		entOpt:  cfg.NewOptimizer(),
-		relOpt:  cfg.NewOptimizer(),
+		ents:    vec.NewMatrix(cfg.train.NumEntity, entDim),
+		rels:    vec.NewMatrix(cfg.train.NumRel, relDim),
+		entOpt:  cfg.newOpt(),
+		relOpt:  cfg.newOpt(),
 		rng:     rng,
-		relGrad: vec.NewMatrix(cfg.Train.NumRel, relDim),
+		relGrad: vec.NewMatrix(cfg.train.NumRel, relDim),
 		gh:      make([]float32, entDim),
 		gt:      make([]float32, entDim),
 		gn:      make([]float32, entDim),
@@ -53,7 +53,7 @@ func trainPBG(cfg *Config) (*Result, error) {
 	if numBuckets < 2 {
 		numBuckets = 2
 	}
-	st.bucketOf = make([]int32, cfg.Train.NumEntity)
+	st.bucketOf = make([]int32, cfg.train.NumEntity)
 	for e := range st.bucketOf {
 		st.bucketOf[e] = int32(rng.Intn(numBuckets))
 	}
@@ -63,7 +63,7 @@ func trainPBG(cfg *Config) (*Result, error) {
 	}
 	// Group edges by bucket pair.
 	pairEdges := make(map[[2]int32][]kg.Triple)
-	for _, tr := range cfg.Train.Triples {
+	for _, tr := range cfg.train.Triples {
 		key := [2]int32{st.bucketOf[tr.Head], st.bucketOf[tr.Tail]}
 		pairEdges[key] = append(pairEdges[key], tr)
 	}
@@ -108,7 +108,7 @@ func trainPBG(cfg *Config) (*Result, error) {
 		}
 		cum += stat.Total()
 		stat.CumTime = cum
-		if cfg.EvalEvery > 0 && len(cfg.Valid) > 0 && epoch%cfg.EvalEvery == 0 {
+		if cfg.EvalEvery > 0 && len(cfg.valid) > 0 && epoch%cfg.EvalEvery == 0 {
 			ev, err := evalNow(cfg, st.ents, st.rels)
 			if err != nil {
 				return nil, err
@@ -124,7 +124,7 @@ func trainPBG(cfg *Config) (*Result, error) {
 	}
 
 	res.Entities, res.Relations = st.ents, st.rels
-	if cfg.EvalEvery > 0 && len(cfg.Valid) > 0 {
+	if cfg.EvalEvery > 0 && len(cfg.valid) > 0 {
 		ev, err := evalNow(cfg, st.ents, st.rels)
 		if err != nil {
 			return nil, err
@@ -142,7 +142,7 @@ func trainPBG(cfg *Config) (*Result, error) {
 // pbgState is the PBG trainer's world: full embedding tables standing in
 // for the shared filesystem, shared optimizers, and traffic accounting.
 type pbgState struct {
-	cfg        *Config
+	cfg        *config
 	ents, rels *vec.Matrix
 	entOpt     opt.Optimizer
 	relOpt     opt.Optimizer
@@ -198,7 +198,7 @@ func (st *pbgState) trainPair(pk [2]int32, edges []kg.Triple, members [][]kg.Ent
 		h := st.ents.Row(int(tr.Head))
 		r := st.rels.Row(int(tr.Relation))
 		t := st.ents.Row(int(tr.Tail))
-		posScore := cfg.Model.Score(h, r, t)
+		posScore := cfg.model.Score(h, r, t)
 		gh, gt := st.gh, st.gt
 		vec.Zero(gh)
 		vec.Zero(gt)
@@ -207,17 +207,17 @@ func (st *pbgState) trainPair(pk [2]int32, edges []kg.Triple, members [][]kg.Ent
 		for n := 0; n < cfg.NegPerPos; n++ {
 			ne := negPool[st.rng.Intn(len(negPool))]
 			neRow := st.ents.Row(int(ne))
-			negScore := cfg.Model.Score(h, r, neRow)
-			loss, dPos, dNeg := cfg.Loss.PosNeg(posScore, negScore)
+			negScore := cfg.model.Score(h, r, neRow)
+			loss, dPos, dNeg := cfg.loss.PosNeg(posScore, negScore)
 			lossSum += float64(loss)
 			pairsN++
 			if dPos != 0 {
-				cfg.Model.Grad(h, r, t, dPos*scale, gh, gr, gt)
+				cfg.model.Grad(h, r, t, dPos*scale, gh, gr, gt)
 			}
 			if dNeg != 0 {
 				gn := st.gn
 				vec.Zero(gn)
-				cfg.Model.Grad(h, r, neRow, dNeg*scale, gn, gr, nil)
+				cfg.model.Grad(h, r, neRow, dNeg*scale, gn, gr, nil)
 				st.entOpt.Apply(int(ne), neRow, gn)
 			}
 		}

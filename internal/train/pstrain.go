@@ -13,28 +13,33 @@ import (
 	"hetkg/internal/span"
 )
 
-// Run trains cfg.System. PBG runs its bucket trainer; every other system
-// runs the parameter-server driver, whose workers carry a hot-embedding
-// table unless the system is DGL-KE. With cfg.Elastic set the driver runs as
-// one elastic worker process (elastic.go); otherwise it trains a fixed
-// runner set, one per local (machine, slot).
-func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+// Run trains the run rc describes. PBG runs its bucket trainer; every other
+// system runs the parameter-server driver, whose workers carry a
+// hot-embedding table unless the system is DGL-KE. With JoinAddr set the
+// driver runs as one elastic worker process (elastic.go); otherwise it
+// trains a fixed runner set, one per local (machine, slot).
+func Run(rc RunConfig) (*Result, error) { return run(rc, hooks{}) }
+
+// run is Run with test hooks.
+func run(rc RunConfig, h hooks) (res *Result, err error) {
+	cfg, err := derive(rc, h, false)
+	if err != nil {
 		return nil, err
 	}
+	defer func() { res, err = cfg.release(res, err) }()
 	if cfg.System == SystemPBG {
-		return trainPBG(&cfg)
+		return trainPBG(cfg)
 	}
-	env, err := setupPS(&cfg)
+	env, err := setupPS(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer env.tr.Close()
 	build := newStatic
-	if cfg.Elastic != nil {
+	if cfg.elastic != nil {
 		build = newElastic
 	}
-	d, err := build(&cfg, env)
+	d, err := build(cfg, env)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +52,7 @@ func Run(cfg Config) (*Result, error) {
 // serves pulls); the slots of machines this process does not run still
 // count, so worker ids — and with them sampler seeds — do not depend on the
 // deployment.
-func newStatic(cfg *Config, env *psEnv) (*driver, error) {
+func newStatic(cfg *config, env *psEnv) (*driver, error) {
 	d, err := newDriver(cfg, env)
 	if err != nil {
 		return nil, err
@@ -105,12 +110,12 @@ type partRunner struct {
 //
 // A static run gives the driver a fixed runner set and no coordinator, so
 // the local barrier is the cluster's: the driver closes each epoch there,
-// evaluates and records it. An elastic run (Config.Elastic) gives it a
+// evaluates and records it. An elastic run (config.elastic) gives it a
 // coordinator, whose heartbeats add and drop runners between turns; its
 // epochs stay open until the run ends, because an adopted partition can
 // still add to any of them.
 type driver struct {
-	cfg    *Config
+	cfg    *config
 	env    *psEnv
 	b      *workerBuilder
 	system string
@@ -123,7 +128,7 @@ type driver struct {
 	tl      *metrics.TimelineEmitter // nil = no timeline requested
 
 	// The coordinator side (elastic.go); ec is nil in static runs.
-	ec           *ElasticConfig
+	ec           *membership
 	workerID     int
 	interval     time.Duration
 	lastBeat     time.Time
@@ -137,9 +142,9 @@ type driver struct {
 
 // newDriver builds an empty runner set on env for a validated cfg, and
 // opens the run's timeline.
-func newDriver(cfg *Config, env *psEnv) (*driver, error) {
+func newDriver(cfg *config, env *psEnv) (*driver, error) {
 	system := string(cfg.System)
-	if cfg.Elastic != nil {
+	if cfg.elastic != nil {
 		system += "/elastic"
 	}
 	b, err := newWorkerBuilder(cfg, env)
@@ -150,7 +155,7 @@ func newDriver(cfg *Config, env *psEnv) (*driver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &driver{cfg: cfg, env: env, b: b, system: system, runners: make(map[int]*partRunner), tl: tl, ec: cfg.Elastic}, nil
+	return &driver{cfg: cfg, env: env, b: b, system: system, runners: make(map[int]*partRunner), tl: tl, ec: cfg.elastic}, nil
 }
 
 // addRunner builds worker id on machine m — the one build path of static
@@ -217,7 +222,7 @@ rounds:
 		}
 		d.round++
 		if d.tl != nil && d.tl.ShouldEmit(d.round) {
-			if err := emitTimeline(d.tl, d.b.tobs, d.runningLoss(), d.round, epoch, start); err != nil {
+			if err := emitTimeline(d.tl, d.b.tobs, d.runningLoss(epoch), d.round, epoch, start); err != nil {
 				return nil, err
 			}
 		}
@@ -229,7 +234,7 @@ rounds:
 	}
 	if d.ec != nil {
 		// Graceful exit: release partitions with exact final progress.
-		if err := d.ec.Coordinator.Leave(ps.LeaveRequest{WorkerID: d.workerID, Progress: d.progressAll()}); err != nil {
+		if err := d.ec.coordinator.Leave(ps.LeaveRequest{WorkerID: d.workerID, Progress: d.progressAll()}); err != nil {
 			d.logf("cluster: leave failed (harmless after all-done): %v", err)
 		}
 	}
@@ -287,7 +292,7 @@ func (d *driver) closeEpoch(epoch int) error {
 		return nil
 	}
 	cfg := d.cfg
-	if d.ec == nil && cfg.EvalEvery > 0 && len(cfg.Valid) > 0 && epoch%cfg.EvalEvery == 0 {
+	if d.ec == nil && cfg.EvalEvery > 0 && len(cfg.valid) > 0 && epoch%cfg.EvalEvery == 0 {
 		ents, rels, err := d.env.cluster.GatherVia(d.env.tr)
 		if err != nil {
 			return err
@@ -318,8 +323,9 @@ func (d *driver) sortedParts() []int {
 
 // runningLoss is the mean pair loss across the held workers' running epoch
 // averages — the same aggregation epochAcc reports per epoch, read
-// mid-epoch.
-func (d *driver) runningLoss() float64 {
+// mid-epoch. On the round that finishes epoch every held worker has handed
+// its share over, so it reads the epoch's mean, as the epoch's record does.
+func (d *driver) runningLoss(epoch int) float64 {
 	var sum float64
 	n := 0
 	for _, id := range d.sortedParts() {
@@ -329,7 +335,7 @@ func (d *driver) runningLoss() float64 {
 		}
 	}
 	if n == 0 {
-		return 0
+		return d.epochs.meanLoss(epoch)
 	}
 	return sum / float64(n)
 }
@@ -379,6 +385,21 @@ func (a *epochAcc) add(epoch int, w *worker, cm netsim.CostModel) {
 	a.open[epoch] = append(a.open[epoch], sh)
 }
 
+// meanLoss is the mean loss of the shares epoch has been handed so far (0
+// with none), summed in worker-id order.
+func (a *epochAcc) meanLoss(epoch int) float64 {
+	shares := a.open[epoch]
+	if len(shares) == 0 {
+		return 0
+	}
+	slices.SortStableFunc(shares, func(x, y epochShare) int { return cmp.Compare(x.id, y.id) })
+	var sum float64
+	for _, sh := range shares {
+		sum += sh.loss
+	}
+	return sum / float64(len(shares))
+}
+
 // close finishes epoch's record — mean loss, hit ratio, cumulative time —
 // and reports whether any worker contributed to it. Epochs must be closed
 // in order (CumTime runs across them).
@@ -387,18 +408,15 @@ func (a *epochAcc) close(epoch int) (EpochStat, bool) {
 	if !ok {
 		return EpochStat{}, false
 	}
+	stat := EpochStat{Epoch: epoch, Loss: a.meanLoss(epoch)}
 	delete(a.open, epoch)
-	slices.SortStableFunc(shares, func(x, y epochShare) int { return cmp.Compare(x.id, y.id) })
-	stat := EpochStat{Epoch: epoch}
-	var lossSum, acc, hit float64
+	var acc, hit float64
 	for _, sh := range shares {
 		stat.Comp = max(stat.Comp, sh.comp)
 		stat.Comm = max(stat.Comm, sh.comm)
-		lossSum += sh.loss
 		acc += sh.acc
 		hit += sh.hit
 	}
-	stat.Loss = lossSum / float64(len(shares))
 	if acc > 0 {
 		stat.HitRatio = hit / acc
 	}
@@ -411,7 +429,7 @@ func (a *epochAcc) close(epoch int) (EpochStat, bool) {
 // run-level statistics over workers — every worker that trained for this
 // process. With none (an elastic spare that never received a partition) the
 // result still carries the cluster's final state and evaluation.
-func finalize(cfg *Config, env *psEnv, workers []*worker, res *Result) (*Result, error) {
+func finalize(cfg *config, env *psEnv, workers []*worker, res *Result) (*Result, error) {
 	// A run that trained through a shard outage may still hold buffered
 	// degraded pushes; they must land before the gather or the final
 	// embeddings silently miss update mass.
@@ -425,7 +443,7 @@ func finalize(cfg *Config, env *psEnv, workers []*worker, res *Result) (*Result,
 		return nil, err
 	}
 	res.Entities, res.Relations = ents, rels
-	if cfg.EvalEvery > 0 && len(cfg.Valid) > 0 {
+	if cfg.EvalEvery > 0 && len(cfg.valid) > 0 {
 		ev, err := evalNow(cfg, ents, rels)
 		if err != nil {
 			return nil, err
@@ -457,18 +475,18 @@ func finalize(cfg *Config, env *psEnv, workers []*worker, res *Result) (*Result,
 }
 
 // setupPS partitions the graph and reaches the run's parameter-server
-// shards for a validated cfg. A run that names its shards (ShardAddrs, or
+// shards for a derived cfg. A run that names its shards (ShardAddrs, or
 // the fleet a joined worker's coordinator advertised) dials them and holds
 // only their layout; one that names none hosts every shard in process,
 // behind in-process links on cfg.Codec. The caller closes the transport.
-func setupPS(cfg *Config) (*psEnv, error) {
-	part, err := cfg.Partitioner.Partition(cfg.Train, cfg.Machines)
+func setupPS(cfg *config) (*psEnv, error) {
+	part, err := cfg.part.Partition(cfg.train, cfg.Machines)
 	if err != nil {
 		return nil, err
 	}
 	addrs := cfg.ShardAddrs
-	if cfg.Elastic != nil {
-		addrs = cfg.Elastic.Join.ShardAddrs
+	if cfg.elastic != nil {
+		addrs = cfg.elastic.join.ShardAddrs
 	}
 	var cluster *ps.Cluster
 	var tr *ps.LinkTransport
@@ -489,13 +507,13 @@ func setupPS(cfg *Config) (*psEnv, error) {
 		}
 		for _, srv := range cluster.Servers {
 			srv.Instrument(cfg.Metrics)
-			if cfg.Spans != nil {
-				srv.Trace(cfg.Spans.Tracer(srv.Machine(), span.WorkerShard))
+			if cfg.spans != nil {
+				srv.Trace(cfg.spans.Tracer(srv.Machine(), span.WorkerShard))
 			}
 		}
 		var inner ps.Transport // nil: the links sit on the shards directly
-		if cfg.wrapInProc != nil {
-			if inner, err = cfg.wrapInProc(ps.NewInProc(cluster)); err != nil {
+		if cfg.hooks.wrapInProc != nil {
+			if inner, err = cfg.hooks.wrapInProc(ps.NewInProc(cluster)); err != nil {
 				return nil, fmt.Errorf("train: building transport: %w", err)
 			}
 		}
@@ -504,10 +522,10 @@ func setupPS(cfg *Config) (*psEnv, error) {
 		}
 	}
 	tr.Instrument(cfg.Metrics)
-	if cfg.Spans != nil {
+	if cfg.spans != nil {
 		// Links record codec spans (and, over sockets, serialization/wire
 		// spans) on a dedicated shared row.
-		tr.Trace(cfg.Spans.Tracer(span.MachineTransport, span.WorkerTransport))
+		tr.Trace(cfg.spans.Tracer(span.MachineTransport, span.WorkerTransport))
 	}
 	return &psEnv{cluster: cluster, part: part, tr: tr}, nil
 }
@@ -516,14 +534,14 @@ func setupPS(cfg *Config) (*psEnv, error) {
 // the one derivation, so a run's in-process shards, the layout of its
 // remote ones and every `hetkg ps` shard (BuildShard) agree on placement,
 // widths and rows.
-func (cfg *Config) clusterConfig(part *partition.Result) ps.ClusterConfig {
+func (cfg *config) clusterConfig(part *partition.Result) ps.ClusterConfig {
 	cc := ps.ClusterConfig{
 		NumMachines:  cfg.Machines,
 		EntityPart:   part.EntityPart,
-		NumRelations: cfg.Train.NumRel,
-		EntityDim:    cfg.Model.EntityDim(cfg.Dim),
-		RelationDim:  cfg.Model.RelationDim(cfg.Dim),
-		NewOptimizer: cfg.NewOptimizer,
+		NumRelations: cfg.train.NumRel,
+		EntityDim:    cfg.model.EntityDim(cfg.Dim),
+		RelationDim:  cfg.model.RelationDim(cfg.Dim),
+		NewOptimizer: cfg.newOpt,
 		Seed:         cfg.Seed,
 	}
 	if r := cfg.Resume; r != nil {
@@ -532,13 +550,17 @@ func (cfg *Config) clusterConfig(part *partition.Result) ps.ClusterConfig {
 	return cc
 }
 
-// BuildShard builds and initialises machine's shard of the run cfg
-// describes — what a `hetkg ps` process hosts. It partitions cfg.Train as
-// Run does and reads only the fields the shard's rows derive from: Train,
-// Partitioner, Machines, Model, Dim, NewOptimizer, Seed and Resume.
-func BuildShard(cfg Config, machine int) (*ps.Server, error) {
-	cfg.Resolve()
-	part, err := cfg.Partitioner.Partition(cfg.Train, cfg.Machines)
+// BuildShard builds and initialises machine's shard of the run rc
+// describes — what a `hetkg ps` process hosts. It derives the layout as the
+// run's trainers do (derive) and partitions the training split as Run
+// does, so a shard process needs no state transfer at startup: it computes
+// its own rows and starts serving.
+func BuildShard(rc RunConfig, machine int) (*ps.Server, error) {
+	cfg, err := derive(rc, hooks{}, true)
+	if err != nil {
+		return nil, err
+	}
+	part, err := cfg.part.Partition(cfg.train, cfg.Machines)
 	if err != nil {
 		return nil, err
 	}

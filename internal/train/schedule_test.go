@@ -66,7 +66,7 @@ func TestTighterStalenessLowersHitRatio(t *testing.T) {
 		cfg.Epochs = 1
 		cfg.EvalEvery = -1
 		cfg.CacheSyncEvery = p
-		res, err := Run(cfg)
+		res, err := cfg.run()
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}

@@ -1,10 +1,21 @@
 package train
 
 import (
+	"path/filepath"
 	"testing"
 
 	"hetkg/internal/span"
 )
+
+// readSpans reads the spans of the dump a run wrote to path.
+func readSpans(t *testing.T, path string) []span.Span {
+	t.Helper()
+	dump, err := span.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dump.Spans
+}
 
 // TestSpanTraceStitchingOverRealTCP is the tracing acceptance test: with
 // every batch sampled and the parameter server behind real loopback sockets,
@@ -16,15 +27,18 @@ func TestSpanTraceStitchingOverRealTCP(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
 	cfg.EvalEvery = -1
-	cfg.Spans = span.NewCollector(span.CollectorConfig{Every: 1})
+	cfg.SpanPath, cfg.SpanEvery = filepath.Join(t.TempDir(), "run.spans.jsonl"), 1
+	shardSpans := span.NewCollector(span.CollectorConfig{Every: 1})
 
-	serveShards(t, &cfg)
+	serveShards(t, &cfg, shardSpans)
 
-	if _, err := Run(cfg); err != nil {
+	if _, err := cfg.run(); err != nil {
 		t.Fatalf("HET-KG over TCP: %v", err)
 	}
 
-	spans := cfg.Spans.Drain()
+	// The run's dump and the shards' spans, merged as `hetkg trace spans`
+	// merges one dump per process.
+	spans := append(readSpans(t, cfg.SpanPath), shardSpans.Drain()...)
 	if len(spans) == 0 {
 		t.Fatal("no spans collected")
 	}
@@ -132,12 +146,12 @@ func TestSpanHierarchyInProcess(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
 	cfg.EvalEvery = -1
-	cfg.Spans = span.NewCollector(span.CollectorConfig{Every: 2})
+	cfg.SpanPath, cfg.SpanEvery = filepath.Join(t.TempDir(), "run.spans.jsonl"), 2
 
-	if _, err := Run(cfg); err != nil {
+	if _, err := cfg.run(); err != nil {
 		t.Fatal(err)
 	}
-	spans := cfg.Spans.Drain()
+	spans := readSpans(t, cfg.SpanPath)
 
 	byID := map[uint64]span.Span{}
 	for _, s := range spans {

@@ -12,13 +12,14 @@ import (
 	"hetkg/internal/netsim"
 )
 
-// RunConfig is the one description of a training run, and the spec Config
-// embeds. Its plan-tagged fields are the run's declarative knobs: each tag is
-// the knob's plan-file key and, through internal/plan, its `hetkg train` flag
-// and its line in the canonical config hash. A knob left zero means the
-// default table's value (Normalize), and the ones that table leaves zero
-// resolve from the scale when the run starts (Resolve). The untagged fields
-// are the process's: a graph of its own, shard addresses, checkpoints, sinks.
+// RunConfig is the one description of a training run: Run and BuildShard
+// take it and derive every object the run uses from it. Its plan-tagged
+// fields are the run's declarative knobs: each tag is the knob's plan-file
+// key and, through internal/plan, its `hetkg train` flag and its line in the
+// canonical config hash. A knob left zero means the default table's value
+// (Normalize), and the ones that table leaves zero resolve from the scale
+// when the run starts (Resolve). The untagged fields are the process's: a
+// graph of its own, shard addresses, checkpoints, sinks.
 type RunConfig struct {
 	// Graph, when non-nil, trains on this user-supplied knowledge graph
 	// (e.g. loaded with kg.ReadTSV) instead of a preset.
@@ -126,7 +127,7 @@ type RunConfig struct {
 	// ShardAddrs, when non-empty, connects to remote parameter-server
 	// shards (one `hetkg ps` process per machine, in machine order) over
 	// TCP instead of hosting the shards in this process, which then holds
-	// only their layout. Validate refuses a list whose length is not
+	// only their layout. Run refuses a list whose length is not
 	// Machines.
 	ShardAddrs []string
 	// JoinAddr, when non-empty, runs this process as an elastic cluster
@@ -203,7 +204,7 @@ type RunConfig struct {
 // defaultRun is the one default table: what a knob left zero means, and so
 // what `hetkg train` trains with no flags. Dim, epochs, batch size and the
 // cache and evaluation knobs are not in it; they resolve later from the
-// scale and the graph (Resolve, Config.cacheCapacity), and hash as zero.
+// scale and the graph (Resolve, config.cacheCapacity), and hash as zero.
 var defaultRun = RunConfig{
 	Dataset:           "fb15k",
 	Scale:             dataset.Small, // the zero Scale
@@ -242,8 +243,8 @@ func (rc *RunConfig) Normalize() {
 
 // Resolve fills everything the run leaves zero: the default table, then the
 // knobs that derive from the scale and the settings no plan key carries.
-// Resolving a resolved config changes nothing, so every layer that needs the
-// resolved values (core's derivation, Config.Validate) may resolve again.
+// Resolving a resolved config changes nothing, so a caller that resolves a
+// run to print it may hand it to Run, whose derivation resolves it again.
 func (rc *RunConfig) Resolve() {
 	rc.Normalize()
 	if rc.Dim == 0 {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestResolveIsIdempotent: resolving a resolved spec changes nothing, so
-// core's derivation and Validate may both resolve the same run. Unbounded
+// a caller that resolves a run to print it and derive may both resolve it. Unbounded
 // staleness and validation off keep their negative spelling through it.
 func TestResolveIsIdempotent(t *testing.T) {
 	for _, rc := range []RunConfig{

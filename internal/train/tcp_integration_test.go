@@ -12,20 +12,18 @@ import (
 
 // serveShards hosts the shards of cfg's run on loopback listeners, each
 // built by BuildShard as a `hetkg ps` process builds its own, traces them
-// into cfg.Spans when it is set, and points cfg.ShardAddrs at them. The
+// into spans when it is non-nil, and points cfg.ShardAddrs at them. The
 // listeners close when t ends.
-func serveShards(t *testing.T, cfg *Config) {
+func serveShards(t *testing.T, cfg *trial, spans *span.Collector) {
 	t.Helper()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	var addrs []string
 	for m := range cfg.Machines {
-		srv, err := BuildShard(*cfg, m)
+		srv, err := BuildShard(cfg.RunConfig, m)
 		if err != nil {
 			t.Fatalf("BuildShard %d: %v", m, err)
 		}
-		if cfg.Spans != nil {
-			srv.Trace(cfg.Spans.Tracer(m, span.WorkerShard))
+		if spans != nil {
+			srv.Trace(spans.Tracer(m, span.WorkerShard))
 		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -33,8 +31,9 @@ func serveShards(t *testing.T, cfg *Config) {
 		}
 		t.Cleanup(func() { l.Close() })
 		go ps.ServeTCP(l, srv)
-		cfg.ShardAddrs = append(cfg.ShardAddrs, l.Addr().String())
+		addrs = append(addrs, l.Addr().String())
 	}
+	cfg.ShardAddrs = addrs
 }
 
 // TestTrainingOverRealTCP runs the full HET-KG training loop — prefetch,
@@ -45,9 +44,9 @@ func TestTrainingOverRealTCP(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
 	cfg.EvalEvery = -1
-	serveShards(t, &cfg)
+	serveShards(t, &cfg, nil)
 
-	tcpRes, err := Run(cfg)
+	tcpRes, err := cfg.run()
 	if err != nil {
 		t.Fatalf("HET-KG over TCP: %v", err)
 	}
@@ -60,7 +59,7 @@ func TestTrainingOverRealTCP(t *testing.T) {
 	inprocCfg := testConfig(t, 2)
 	inprocCfg.Epochs = 1
 	inprocCfg.EvalEvery = -1
-	inprocRes, err := Run(inprocCfg)
+	inprocRes, err := inprocCfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +77,12 @@ func TestRemoteShardsAreNotHosted(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
 	cfg.EvalEvery = -1
-	serveShards(t, &cfg)
-	env, err := setupPS(&cfg)
+	serveShards(t, &cfg, nil)
+	derived, err := cfg.derive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := setupPS(derived)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestRemoteShardsAreNotHosted(t *testing.T) {
 	}
 
 	cfg.Metrics = metrics.NewRegistry()
-	if _, err := Run(cfg); err != nil {
+	if _, err := cfg.run(); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range cfg.Metrics.Names() {

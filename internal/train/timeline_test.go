@@ -3,6 +3,7 @@ package train
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"hetkg/internal/metrics"
@@ -17,16 +18,15 @@ func timelineRun(t *testing.T) *metrics.TimelineRun {
 	cfg.Parallelism = 1
 	cfg.Dataset = "traintest"
 	cfg.TimelineEvery = 2
-	var buf bytes.Buffer
-	cfg.Timeline = &buf
-	res, err := Run(cfg)
+	cfg.TimelinePath = filepath.Join(t.TempDir(), "timeline.jsonl")
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatalf("HET-KG: %v", err)
 	}
 	if res.Metrics == nil {
 		t.Fatal("Result.Metrics is nil")
 	}
-	run, err := metrics.ReadTimeline(bytes.NewReader(buf.Bytes()))
+	run, err := metrics.ReadTimelineFile(cfg.TimelinePath)
 	if err != nil {
 		t.Fatalf("ReadTimeline: %v", err)
 	}
@@ -134,23 +134,19 @@ func TestTimelineEpochRecords(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig(t, 2)
 			cfg.Dataset = "traintest"
-			var buf bytes.Buffer
-			cfg.Timeline = &buf
+			cfg.TimelinePath = filepath.Join(t.TempDir(), "timeline.jsonl")
 			cfg.System = c.system
 			if c.system == SystemHETKGD {
 				cfg.CachePrefetchD = 8
 			}
-			trainer := Run
 			if c.elastic {
-				trainer = func(cfg Config) (*Result, error) {
-					return runElastic(cfg, ElasticConfig{Coordinator: elasticMembership(t, 2), Label: "solo"})
-				}
+				cfg.hooks.coordinator, cfg.hooks.label = elasticMembership(t, 2), "solo"
 			}
-			res, err := trainer(cfg)
+			res, err := cfg.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := metrics.ReadTimeline(&buf)
+			run, err := metrics.ReadTimelineFile(cfg.TimelinePath)
 			if err != nil {
 				t.Fatalf("ReadTimeline: %v", err)
 			}

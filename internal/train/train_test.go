@@ -2,7 +2,6 @@ package train
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -10,10 +9,7 @@ import (
 	"hetkg/internal/dataset"
 	"hetkg/internal/kg"
 	"hetkg/internal/metrics"
-	"hetkg/internal/model"
 	"hetkg/internal/netsim"
-	"hetkg/internal/opt"
-	"hetkg/internal/partition"
 	"hetkg/internal/ps"
 )
 
@@ -23,20 +19,35 @@ func testCostModel() netsim.CostModel {
 	return cm
 }
 
-// testConfig returns a small but non-trivial training setup.
-func testConfig(t *testing.T, machines int) Config {
-	t.Helper()
-	g := dataset.MustGenerate(dataset.Config{
+// trial is a test's run: its description and the hooks derive takes
+// beside it.
+type trial struct {
+	RunConfig
+	hooks hooks
+}
+
+// run trains tr as Run does, with tr's hooks.
+func (tr trial) run() (*Result, error) { return run(tr.RunConfig, tr.hooks) }
+
+// derive derives tr as a trainer does.
+func (tr trial) derive() (*config, error) { return derive(tr.RunConfig, tr.hooks, false) }
+
+// testGraph is the graph testConfig trains on.
+func testGraph() *kg.Graph {
+	return dataset.MustGenerate(dataset.Config{
 		Name: "traintest", NumEntity: 300, NumRel: 20, NumTriples: 3000,
 		EntityZipf: 0.9, RelationZipf: 1.0, Seed: 21,
 	})
-	rng := rand.New(rand.NewSource(22))
-	sp, err := kg.SplitTriples(g, rng, 0.05, 0.05)
-	if err != nil {
-		t.Fatalf("SplitTriples: %v", err)
-	}
-	return Config{
+}
+
+// testConfig returns a small but non-trivial training setup: TransE-ℓ1,
+// logistic loss, AdaGrad and the METIS-like partitioner (the default
+// names) on the run's own split of testGraph.
+func testConfig(t *testing.T, machines int) trial {
+	t.Helper()
+	return trial{
 		RunConfig: RunConfig{
+			Graph:     testGraph(),
 			System:    SystemHETKGC,
 			Dim:       32, // large enough that traffic is bandwidth-bound, as in the paper
 			LR:        0.1,
@@ -54,21 +65,14 @@ func testConfig(t *testing.T, machines int) Config {
 			Seed:          23,
 			CacheCapacity: 60,
 		},
-		Train:        sp.Train,
-		Valid:        sp.Valid.Triples,
-		Filter:       sp.AllTriples(),
-		Model:        model.TransE{Norm: 1},
-		Loss:         model.LogisticLoss{},
-		Partitioner:  &partition.MetisLike{Seed: 23},
-		NewOptimizer: func() opt.Optimizer { return opt.NewAdaGrad(0.1, 1e-10) },
-		candidates:   50,
+		hooks: hooks{candidates: 50},
 	}
 }
 
 func TestDGLKELossDecreasesAndLearns(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.System = SystemDGLKE
-	res, err := Run(cfg)
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatalf("DGL-KE: %v", err)
 	}
@@ -97,12 +101,12 @@ func TestDGLKELossDecreasesAndLearns(t *testing.T) {
 func TestHETKGCPSReducesRemoteTraffic(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.System = SystemDGLKE
-	base, err := Run(cfg)
+	base, err := cfg.run()
 	if err != nil {
 		t.Fatalf("DGL-KE: %v", err)
 	}
 	cfg.System = SystemHETKGC
-	het, err := Run(cfg)
+	het, err := cfg.run()
 	if err != nil {
 		t.Fatalf("HET-KG: %v", err)
 	}
@@ -129,7 +133,7 @@ func TestHETKGDPS(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.System = SystemHETKGD
 	cfg.CachePrefetchD = 8
-	res, err := Run(cfg)
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatalf("HET-KG-D: %v", err)
 	}
@@ -159,7 +163,7 @@ func TestCodecLessRunIsFP32(t *testing.T) {
 		cfg.CachePrefetchD = 8
 		cfg.Codec = codec
 		cfg.Metrics = metrics.NewRegistry()
-		res, err := Run(cfg)
+		res, err := cfg.run()
 		if err != nil {
 			t.Fatalf("codec %q: %v", codec, err)
 		}
@@ -200,13 +204,13 @@ func TestDPSHitRatioBeatsCPSUnderTightCapacity(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.CacheCapacity = 25
 	cfg.Epochs = 2
-	cps, err := Run(cfg)
+	cps, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.System = SystemHETKGD
 	cfg.CachePrefetchD = 8
-	dps, err := Run(cfg)
+	dps, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func TestPBGRuns(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 6
 	cfg.System = SystemPBG
-	res, err := Run(cfg)
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatalf("PBG: %v", err)
 	}
@@ -248,12 +252,12 @@ func TestPBGCommDominatedByRelationsOnManyRelationGraph(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
 	cfg.System = SystemPBG
-	pbg, err := Run(cfg)
+	pbg, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.System = SystemHETKGC
-	het, err := Run(cfg)
+	het, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +270,7 @@ func TestSingleMachineHasNoRemoteTraffic(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.Epochs = 1
 	cfg.System = SystemDGLKE
-	res, err := Run(cfg)
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +285,11 @@ func TestSingleMachineHasNoRemoteTraffic(t *testing.T) {
 func TestTrainingDeterministic(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Epochs = 1
-	a, err := Run(cfg)
+	a, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,41 +305,44 @@ func TestTrainingDeterministic(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	good := testConfig(t, 1)
-	tests := []func(*Config){
-		func(c *Config) { c.Train = nil },
-		func(c *Config) { c.Model = nil },
-		func(c *Config) { c.Loss = nil },
-		func(c *Config) { c.Partitioner = nil },
-		func(c *Config) { c.NewOptimizer = nil },
+	tests := []func(*trial){
+		func(c *trial) { c.Graph = &kg.Graph{} },
+		func(c *trial) { c.ModelName = "nope" },
+		func(c *trial) { c.LossName = "nope" },
+		func(c *trial) { c.PartitionerName = "nope" },
+		func(c *trial) { c.OptimizerName = "nope" },
 		// A knob left zero means its default, so the out-of-range values
 		// are negative.
-		func(c *Config) { c.Dim = -1 },
-		func(c *Config) { c.LR = -1 },
-		func(c *Config) { c.Epochs = -1 },
-		func(c *Config) { c.BatchSize = -1 },
-		func(c *Config) { c.NegPerPos = -1 },
-		func(c *Config) { c.Machines = -1 },
-		func(c *Config) { c.WorkersPerMachine = -1 },
-		func(c *Config) { c.System = "nope" },
-		func(c *Config) { c.CachePrefetchD = -1 },
-		func(c *Config) { c.CkptEvery = -1 },
-		func(c *Config) { c.JoinAddr, c.ShardAddrs = "127.0.0.1:1", []string{"127.0.0.1:2"} },
-		func(c *Config) { c.ShardAddrs = []string{"127.0.0.1:1", "127.0.0.1:2"} }, // 2 shards, 1 machine
-		func(c *Config) {
-			c.Elastic = &ElasticConfig{Coordinator: elasticMembership(t, 1),
-				Join: &ps.JoinReply{Partitions: 1, ShardAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}}}
+		func(c *trial) { c.Dim = -1 },
+		func(c *trial) { c.LR = -1 },
+		func(c *trial) { c.Epochs = -1 },
+		func(c *trial) { c.BatchSize = -1 },
+		func(c *trial) { c.NegPerPos = -1 },
+		func(c *trial) { c.Machines = -1 },
+		func(c *trial) { c.WorkersPerMachine = -1 },
+		func(c *trial) { c.System = "nope" },
+		func(c *trial) { c.CachePrefetchD = -1 },
+		func(c *trial) { c.CkptEvery = -1 },
+		func(c *trial) { c.JoinAddr, c.ShardAddrs = "127.0.0.1:1", []string{"127.0.0.1:2"} },
+		func(c *trial) { c.ShardAddrs = []string{"127.0.0.1:1", "127.0.0.1:2"} }, // 2 shards, 1 machine
+		func(c *trial) {
+			m, err := ps.NewMembership(ps.MemberConfig{Partitions: 1, ShardAddrs: []string{"127.0.0.1:1", "127.0.0.1:2"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.hooks.coordinator = m
 		},
-		func(c *Config) { c.Resume = &ckpt.Checkpoint{ModelName: "distmult"} },
+		func(c *trial) { c.Resume = &ckpt.Checkpoint{ModelName: "distmult"} },
 	}
 	for i, mutate := range tests {
 		cfg := good
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if _, err := cfg.derive(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
-	cfg := good
-	if err := cfg.Validate(); err != nil {
+	cfg, err := good.derive()
+	if err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
 	if cfg.WorkersPerMachine != 1 || cfg.CachePrefetchD != 16 || cfg.TopKRatio != 0.125 {
@@ -350,7 +357,7 @@ func TestMoreMachinesMoreRemoteComm(t *testing.T) {
 	cfg1.Epochs = 1
 	cfg1.EvalEvery = -1
 	cfg1.System = SystemDGLKE
-	r1, err := Run(cfg1)
+	r1, err := cfg1.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +365,7 @@ func TestMoreMachinesMoreRemoteComm(t *testing.T) {
 	cfg4.Epochs = 1
 	cfg4.EvalEvery = -1
 	cfg4.System = SystemDGLKE
-	r4, err := Run(cfg4)
+	r4, err := cfg4.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,12 +383,12 @@ func TestCacheCapacityIncreasesHitRatio(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.EvalEvery = -1
 	cfg.CacheCapacity = 10
-	small, err := Run(cfg)
+	small, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.CacheCapacity = 150
-	large, err := Run(cfg)
+	large, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,16 +401,16 @@ func TestCacheCapacityIncreasesHitRatio(t *testing.T) {
 func TestHETKGNegativeCapacityRejected(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.CacheCapacity = -1
-	if _, err := Run(cfg); err == nil {
+	if _, err := cfg.run(); err == nil {
 		t.Error("negative capacity accepted")
 	}
 }
 
 func TestDistMultTraining(t *testing.T) {
 	cfg := testConfig(t, 2)
-	cfg.Model = model.DistMult{}
+	cfg.ModelName = "distmult"
 	cfg.Epochs = 2
-	res, err := Run(cfg)
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatalf("DistMult HET-KG: %v", err)
 	}
@@ -421,13 +428,13 @@ func TestZeroCapacityCacheDegradesToDGLKE(t *testing.T) {
 		EntityZipf: 0.9, RelationZipf: 1.0, Seed: 21,
 	})
 	cfg := testConfig(t, 2)
-	cfg.Train, cfg.Valid, cfg.Filter = g, nil, kg.NewTripleSet(g.Triples)
+	cfg.Graph = g
 	cfg.Epochs = 1
 	cfg.CacheCapacity = 0
-	if k := cfg.cacheCapacity(); k != 0 {
+	if k := (&config{train: g}).cacheCapacity(); k != 0 {
 		t.Fatalf("default capacity over %d ids = %d, want 0", g.NumEntity+g.NumRel, k)
 	}
-	res, err := Run(cfg)
+	res, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +443,7 @@ func TestZeroCapacityCacheDegradesToDGLKE(t *testing.T) {
 	}
 	base := cfg
 	base.System = SystemDGLKE
-	b, err := Run(base)
+	b, err := base.run()
 	if err != nil {
 		t.Fatal(err)
 	}

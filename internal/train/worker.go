@@ -45,7 +45,7 @@ type worker struct {
 	hot     *cache.HotCache // nil for cacheless trainers
 	ef      *errorFeedback  // nil unless the codec profile sparsifies pushes
 
-	cfg    *Config
+	cfg    *config
 	degree int           // resolved compute parallelism
 	scr    *batchScratch // worker-owned arena, reused across batches
 	obs    *trainObs     // run-shared registry handles
@@ -79,7 +79,7 @@ type worker struct {
 // subgraphs, for the driver's runners: all up front in static runs, built
 // and rebuilt as the coordinator assigns partitions in elastic ones.
 type workerBuilder struct {
-	cfg  *Config
+	cfg  *config
 	env  *psEnv
 	subs []*kg.Graph
 	tobs *trainObs
@@ -87,7 +87,7 @@ type workerBuilder struct {
 }
 
 // newWorkerBuilder prepares shared state for building workers.
-func newWorkerBuilder(cfg *Config, env *psEnv) (*workerBuilder, error) {
+func newWorkerBuilder(cfg *config, env *psEnv) (*workerBuilder, error) {
 	prof, err := ps.ResolveProfile(cfg.Codec)
 	if err != nil {
 		return nil, err
@@ -95,7 +95,7 @@ func newWorkerBuilder(cfg *Config, env *psEnv) (*workerBuilder, error) {
 	return &workerBuilder{
 		cfg:  cfg,
 		env:  env,
-		subs: env.part.Subgraphs(cfg.Train),
+		subs: env.part.Subgraphs(cfg.train),
 		tobs: newTrainObs(cfg.Metrics),
 		prof: prof,
 	}, nil
@@ -120,9 +120,9 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 		BatchSize:       cfg.BatchSize,
 		NegPerPos:       cfg.NegPerPos,
 		ChunkSize:       cfg.ChunkSize,
-		NumEntity:       cfg.Train.NumEntity,
-		Filter:          cfg.Filter,
-		NegativeWeights: cfg.NegativeWeights,
+		NumEntity:       cfg.train.NumEntity,
+		Filter:          cfg.filter,
+		NegativeWeights: cfg.negWeights,
 	}, b.subs[m], rng)
 	if err != nil {
 		return nil, err
@@ -140,13 +140,13 @@ func (b *workerBuilder) build(m, id int) (*worker, error) {
 	if b.prof.SparsePush {
 		w.ef = newErrorFeedback(cfg.TopKRatio, client.Keys(), cfg.Metrics)
 	}
-	if cfg.Spans != nil {
-		w.tracer = cfg.Spans.Tracer(m, id)
+	if cfg.spans != nil {
+		w.tracer = cfg.spans.Tracer(m, id)
 		client.Trace(w.tracer)
 	}
 	if cached, _ := cfg.System.hotTable(); cached {
 		// Unbounded staleness is negative in the spec and 0 to the cache.
-		hot, err := cache.New(client, cfg.NewOptimizer(), max(cfg.CacheSyncEvery, 0))
+		hot, err := cache.New(client, cfg.newOpt(), max(cfg.CacheSyncEvery, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -380,7 +380,7 @@ func (w *worker) gather(b *sampler.Batch) (stale bool, err error) {
 // The pass runs on the parallel execution engine: the batch's positives
 // split over the fixed batchShards grid, each shard accumulates into
 // private scratch, and partial gradients and losses merge in shard order —
-// deterministic at any Config.Parallelism.
+// deterministic at any RunConfig.Parallelism.
 func (w *worker) compute(b *sampler.Batch) (keys []ps.Key, grads [][]float32, lossSum float64, pairs int) {
 	scr := w.scratch()
 	tbl := &scr.tbl
@@ -466,7 +466,7 @@ func (w *worker) update(keys []ps.Key, grads [][]float32) (buffered bool, err er
 // table and the model/loss concurrently with other shards (all immutable
 // during the pass) and writes only shard-private state.
 func (w *worker) computeShard(sc *shardScratch, tbl *slotTable, b *sampler.Batch, r par.Range) {
-	mdl, loss := w.cfg.Model, w.cfg.Loss
+	mdl, loss := w.cfg.model, w.cfg.loss
 	for i := r.Begin; i < r.End; i++ {
 		ns := b.Neg[i]
 		if len(ns.Entities) == 0 {
